@@ -50,6 +50,30 @@ def _nonzero_rational(text: str) -> Fraction:
     return value
 
 
+def _workers(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative p/q literal as a positional.
+
+    argparse treats any token that starts with '-' as a flag unless it looks
+    like a negative number, and its notion of a number stops at decimals, so
+    ``verify-morphism 4 -7/11 1`` would fail on a missing ``i``.  Subparsers
+    inherit the class, so every subcommand sees the wider pattern.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
+
 def _emit_csv(header: list[str], rows: list[list]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -323,18 +347,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--workers",
-        type=int,
+        type=_workers,
         default=argparse.SUPPRESS,
         help="worker processes for sweep commands (default: 1)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vertalign",
         description="Exact checks of the vertical-alignment dependence in "
         "Pascal's triangle and the curve morphisms built from it.",
     )
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=_workers, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("triangle", parents=[common], help="render Pascal's triangle")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
-from .combinatorics import lucas_coeff, lucas_row
+from .combinatorics import lucas_row
 from .quotient_ring import (
     QuotientRingElement,
     RingSpec,
@@ -87,8 +87,11 @@ class RingPolynomial:
         theirs = list(other.coeffs) + [zero] * (size - len(other.coeffs))
         return RingPolynomial(self.spec, tuple(p + q for p, q in zip(mine, theirs)))
 
+    def __neg__(self) -> "RingPolynomial":
+        return RingPolynomial(self.spec, tuple(-p for p in self.coeffs))
+
     def __sub__(self, other: "RingPolynomial") -> "RingPolynomial":
-        return self + other.scale(Fraction(-1))
+        return self + (-other)
 
     def __mul__(self, other: "RingPolynomial") -> "RingPolynomial":
         if self.spec != other.spec:
@@ -194,6 +197,23 @@ def build_source(spec: RingSpec) -> CurveEquation:
     return CurveEquation(spec, f, spec.g, spec.c, None, "source")
 
 
+def _signed_lucas(g: int) -> list[int]:
+    """(-1)^k T(g, k) for k = 0..g//2, without ``binomial()``.
+
+    Uses the ratio T(g,k) / T(g,k-1) = (g-2k+2)(g-2k+1) / (k(g-k)); each
+    division is checked to be exact.  The target and the pullback both read
+    these values, so a fault here leaves a nonzero residual, and the tests
+    compare them with ``lucas_coeff``.
+    """
+    values = [1]
+    for k in range(1, g // 2 + 1):
+        value, rest = divmod(values[-1] * (g - 2 * k + 2) * (g - 2 * k + 1), k * (g - k))
+        if rest:
+            raise AssertionError(f"T({g}, {k}) ratio recurrence left remainder {rest}")
+        values.append(value)
+    return [(-1) ** k * value for k, value in enumerate(values)]
+
+
 def build_target(spec: RingSpec, i: int) -> CurveEquation:
     """The degree-g curve with coefficients (-1)^k T(g,k) zeta^{ik} c^{k/g}.
 
@@ -206,9 +226,9 @@ def build_target(spec: RingSpec, i: int) -> CurveEquation:
     g = spec.g
     zero = ring_zero(spec)
     coeffs = [zero] * (g + 1)
-    for k in range(g // 2 + 1):
+    for k, signed in enumerate(_signed_lucas(g)):
         value = zeta_power(spec, i * k) * root_power(spec, k)
-        coeffs[g - 2 * k] = value.scale((-1) ** k * lucas_coeff(g, k))
+        coeffs[g - 2 * k] = value.scale(signed)
     f = RingPolynomial(spec, tuple(coeffs))
     return CurveEquation(spec, f, g, spec.c, i, "target")
 
@@ -221,25 +241,36 @@ def pullback_rhs(spec: RingSpec, i: int) -> RingPolynomial:
 
         sum_k (-1)^k T(g,k) w^k x^{2k+1} (x^2 + w)^{g-2k},   w = zeta^i c^{1/g},
 
-    which this function expands fully over R(g, c).  Powers of (x^2 + w) are
-    taken by iterated polynomial multiplication.
+    which this function expands fully, in two steps.  First the sum is
+    expanded over Z[x, w]: the rows of (x^2 + w)^m come from the additive
+    Pascal recurrence and the T(g, k) from ``_signed_lucas``, as for the
+    target, so this path calls neither ``binomial()``, ``lucas_coeff()`` nor
+    the ``lockwood`` oracle.  The polynomial is homogeneous, so one integer weight
+    per w-exponent b, at x^{2g+1-2b}, holds it.  Then each w^b is mapped into
+    R(g, c) through w -> zeta^i c^{1/g} by repeated multiplication by w, which
+    reduces w^g through Phi_g and u^g = c: g + 1 ring products in all.
     """
     if i not in (0, 1):
         raise ValueError(f"pullback_rhs requires i in {{0, 1}}, got i={i}")
     g = spec.g
+    signed_lucas = _signed_lucas(g)
+    weights = [0] * (g + 1)
+    row = [1]  # (x^2 + w)^m by w-exponent
+    for m in range(g + 1):
+        if m:
+            row = [p + q for p, q in zip(row + [0], [0] + row)]
+        if (g - m) % 2 == 0:
+            k = (g - m) // 2
+            for j, entry in enumerate(row):
+                weights[k + j] += signed_lucas[k] * entry
     w = zeta_power(spec, i) * root_power(spec, 1)
-    base = RingPolynomial(spec, (w, ring_zero(spec), ring_one(spec)))  # x^2 + w
-    powers = [RingPolynomial(spec, (ring_one(spec),))]
-    for _ in range(g):
-        powers.append(powers[-1] * base)
-    total = RingPolynomial(spec, ())
-    w_to_k = ring_one(spec)
-    for k in range(g // 2 + 1):
-        if k:
-            w_to_k = w_to_k * w
-        factor = w_to_k.scale((-1) ** k * lucas_coeff(g, k))
-        total = total + powers[g - 2 * k].scale(factor).shift(2 * k + 1)
-    return total
+    coeffs = [ring_zero(spec)] * (2 * g + 2)
+    w_to_b = ring_one(spec)
+    for b, weight in enumerate(weights):
+        if b:
+            w_to_b = w_to_b * w
+        coeffs[2 * g + 1 - 2 * b] = w_to_b.scale(weight)
+    return RingPolynomial(spec, tuple(coeffs))
 
 
 @dataclass(frozen=True)

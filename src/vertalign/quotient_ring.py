@@ -123,8 +123,11 @@ class QuotientRingElement:
 
     def entries(self) -> dict[tuple[int, int], Fraction]:
         """Nonzero coefficients keyed by (a, b)."""
+        zcol = _zero_column(self.spec.deg_z)
         out = {}
         for b, col in enumerate(self._cols):
+            if col is zcol:
+                continue
             for a, q in enumerate(col):
                 if q:
                     out[(a, b)] = q

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import subprocess
 import sys
@@ -186,6 +187,44 @@ class TestModes:
         cli.main(["lockwood", "12", "--workers", "2"])
         out = capsys.readouterr().out
         assert "all 12 hold" in out
+
+
+class TestNegativeRationalC:
+    @pytest.mark.parametrize("command", ["curve", "verify-morphism"])
+    @pytest.mark.parametrize("c", ["-7/11", "-3"])
+    def test_matches_double_dash_form(self, command, c, capsys):
+        assert cli.main([command, "4", c, "1"]) == 0
+        bare = capsys.readouterr().out
+        assert cli.main([command, "--", "4", c, "1"]) == 0
+        assert bare == capsys.readouterr().out
+        assert f"c={c}" in bare
+
+
+EVERY_SUBCOMMAND = [
+    ["triangle", "3"],
+    ["aligned", "4", "2"],
+    ["identity", "4", "1"],
+    ["sweep", "5"],
+    ["lucas-row", "5"],
+    ["lockwood", "3"],
+    ["curve", "3", "1", "0"],
+    ["verify-morphism", "3", "1", "0"],
+    ["table", "1", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_is_usage(argv, workers, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    for placed in (["--workers", workers, *argv], [*argv, "--workers", workers]):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(placed)
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 def test_module_entry_point_subprocess():

@@ -1,7 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 
+from vertalign import combinatorics
 from vertalign.combinatorics import lucas_coeff, lucas_row
 from vertalign.curves import (
     RingPolynomial,
@@ -13,8 +15,9 @@ from vertalign.curves import (
     table_text,
     verify_morphism,
 )
-from vertalign.lockwood import lockwood_rhs
+from vertalign.lockwood import BivariatePolynomial, lockwood_rhs
 from vertalign.quotient_ring import (
+    QuotientRingElement,
     make_ring,
     ring_one,
     ring_pow,
@@ -22,6 +25,28 @@ from vertalign.quotient_ring import (
     root_power,
     zeta_power,
 )
+
+
+def _reference_pullback(spec, i):
+    """The pullback expanded entirely over R(g, c), kept as a test oracle.
+
+    Powers of (x^2 + w) come from iterated RingPolynomial multiplication and
+    T(g, k) from lucas_coeff, so it shares neither step with pullback_rhs.
+    """
+    g = spec.g
+    w = zeta_power(spec, i) * root_power(spec, 1)
+    base = RingPolynomial(spec, (w, ring_zero(spec), ring_one(spec)))  # x^2 + w
+    powers = [RingPolynomial(spec, (ring_one(spec),))]
+    for _ in range(g):
+        powers.append(powers[-1] * base)
+    total = RingPolynomial(spec, ())
+    w_to_k = ring_one(spec)
+    for k in range(g // 2 + 1):
+        if k:
+            w_to_k = w_to_k * w
+        factor = w_to_k.scale((-1) ** k * lucas_coeff(g, k))
+        total = total + powers[g - 2 * k].scale(factor).shift(2 * k + 1)
+    return total
 
 
 class TestBuildSource:
@@ -129,6 +154,37 @@ class TestPullback:
                 rebuilt[2 * a + 1] = rebuilt[2 * a + 1] + ring_pow(w, b).scale(coeff)
             assert RingPolynomial(spec, tuple(rebuilt)) == pullback_rhs(spec, i)
 
+    @pytest.mark.parametrize("c", [1, 2, -1, Fraction(3, 5), Fraction(-7, 11)], ids=str)
+    def test_matches_all_ring_reference(self, c):
+        for g in range(1, 21):
+            spec = make_ring(g, c)
+            for i in (0, 1):
+                assert pullback_rhs(spec, i) == _reference_pullback(spec, i), (g, c, i)
+
+    @pytest.mark.parametrize("g", [1, 2, 7, 40, 80, 200])
+    def test_ring_products_linear_in_g(self, g, monkeypatch):
+        calls = []
+        original = QuotientRingElement.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(QuotientRingElement, "__mul__", counting)
+        monkeypatch.setattr(QuotientRingElement, "__rmul__", counting)
+        pullback_rhs(make_ring(g, Fraction(-7, 11)), 1)
+        assert len(calls) <= g + 1
+
+    def test_calls_no_binomial_and_no_bivariate_oracle(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pullback_rhs left its own expansion route")
+
+        monkeypatch.setattr(combinatorics, "binomial", forbidden)
+        monkeypatch.setattr(BivariatePolynomial, "__mul__", forbidden)
+        for g in (2, 9, 16):
+            spec = make_ring(g, Fraction(3, 5))
+            assert pullback_rhs(spec, g % 2) == build_source(spec).f
+
 
 class TestVerifyMorphism:
     @pytest.mark.parametrize(
@@ -147,6 +203,21 @@ class TestVerifyMorphism:
         assert report.holds
         assert report.residual.is_zero()
         assert report.x_map_nonconstant
+
+    def test_holds_for_large_genus(self):
+        # Well past criterion 08's g <= 40; c cycles through non-unit
+        # rationals of both signs and i alternates.  The loop takes 6-9 s on
+        # a 2-vCPU VM; the budget leaves room for that machine's speed drift,
+        # while an expansion with O(g^2) ring products needs several minutes.
+        cs = (Fraction(3, 5), Fraction(-7, 11), Fraction(2), Fraction(-3))
+        start = time.perf_counter()
+        for g in range(41, 201):
+            c = cs[g % len(cs)]
+            i = g % 2
+            report = verify_morphism(make_ring(g, c), i)
+            assert report.holds, (g, c, i)
+            assert report.residual.is_zero()
+        assert time.perf_counter() - start < 30.0
 
     def test_report_carries_equations(self):
         report = verify_morphism(make_ring(6, 1), 0)
