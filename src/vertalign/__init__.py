@@ -7,74 +7,15 @@ floats):
   binomials, the Lucas coefficient triangle T(n, k), and the alternating
   linear dependence on vertically aligned Pascal entries.
 * :mod:`vertalign.lockwood` - an independent brute-force oracle that expands
-  the x^n + y^n identity in a bivariate integer polynomial ring and matches
+  the x^n + y^n identity as dense homogeneous integer forms and matches
   coefficients.
 * :mod:`vertalign.cyclotomic` / :mod:`vertalign.quotient_ring` /
   :mod:`vertalign.curves` - arithmetic in Q[z, u]/(Phi_g(z), u^g - c) and
   the hyperelliptic-curve morphisms whose defining-equation identity the
   alignment dependence powers.
 
+The public API is these submodules; the package itself re-exports nothing.
 The ``vertalign`` command line exposes every operation; see the README.
 """
-
-from .alignment import (
-    AlignedColumn,
-    AlignedEntry,
-    IdentityReport,
-    IdentityTerm,
-    SweepSummary,
-    aligned_entries,
-    identity_sum,
-    identity_sweep,
-)
-from .combinatorics import (
-    LucasRow,
-    binomial,
-    lucas_coeff,
-    lucas_coeff_alt,
-    lucas_row,
-    pascal_row,
-)
-from .curves import (
-    CoefficientFacts,
-    CurveEquation,
-    MorphismReport,
-    RingPolynomial,
-    TableEntry,
-    TableRow,
-    build_source,
-    build_target,
-    coefficient_facts,
-    pullback_rhs,
-    table_rows,
-    table_text,
-    verify_morphism,
-)
-from .cyclotomic import IntPolynomial, cyclotomic, divisors, euler_phi
-from .lockwood import (
-    BivariatePolynomial,
-    aligned_term,
-    binomial_expand,
-    lockwood_rhs,
-    term_coefficient,
-    verify_lockwood,
-    xy_symmetric_power,
-)
-from .quotient_ring import (
-    QuotientRingElement,
-    RingSpec,
-    from_rational,
-    make_ring,
-    ring_add,
-    ring_mul,
-    ring_neg,
-    ring_one,
-    ring_pow,
-    ring_scale,
-    ring_sub,
-    ring_zero,
-    root_power,
-    zeta_power,
-)
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ processes and always merges results in canonical (n ascending) order.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass
 
 from .combinatorics import binomial, lucas_coeff
@@ -34,6 +35,7 @@ __all__ = [
     "aligned_entries",
     "identity_sum",
     "identity_sweep",
+    "pool_size",
 ]
 
 
@@ -187,17 +189,27 @@ def _sweep_range(n_start: int, n_end: int) -> tuple[int, list[tuple[int, int, in
     return checked, failures
 
 
+def pool_size(requested: int, tasks: int) -> int:
+    """Worker processes to start: no more than the tasks or the CPUs.
+
+    Starts nothing itself; every process pool in the package is sized here.
+    """
+    return min(requested, tasks, os.cpu_count() or 1)
+
+
 def identity_sweep(n_max: int, workers: int = 1) -> SweepSummary:
     """Verify the dependence for every 0 < i < n with 2 <= n <= n_max.
 
-    ``workers`` > 1 fans row ranges out to worker processes; the summary is
-    identical regardless (failures are merged in n-ascending order).
+    ``workers`` > 1 fans row ranges out to worker processes, at most one per
+    row and per CPU (:func:`pool_size`); the summary is identical regardless
+    (failures are merged in n-ascending order).
     """
     if n_max < 2:
         raise ValueError(f"identity_sweep requires n_max >= 2, got {n_max}")
     if workers < 1:
         raise ValueError(f"identity_sweep requires workers >= 1, got {workers}")
 
+    workers = pool_size(workers, n_max - 1)
     if workers == 1:
         checked, failures = _sweep_range(2, n_max)
         return SweepSummary(n_max, checked, tuple(failures))

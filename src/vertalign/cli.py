@@ -6,9 +6,10 @@ verify-morphism, table.  Global flags ``--format {text,json,csv}`` and
 
 Exit codes: 0 when all requested verifications hold, 1 when any identity or
 morphism check fails (the offending terms or residual are dumped), 2 on
-usage errors (including arguments outside an operation's domain).  All
-numeric output is exact decimal or exact-fraction text; nothing is ever
-rounded.
+usage errors (including arguments outside an operation's domain).  141 (a
+closed output pipe) and 130 (Ctrl-C) say the run was cut short, not how a
+verification came out.  All numeric output is exact decimal or
+exact-fraction text; nothing is ever rounded.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import concurrent.futures
 import csv
 import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
 
-from .alignment import aligned_entries, identity_sum, identity_sweep
+from .alignment import aligned_entries, identity_sum, identity_sweep, pool_size
 from .combinatorics import lucas_row, pascal_row
 from .curves import build_target, table_rows, table_text, verify_morphism
 from .lockwood import BivariatePolynomial, lockwood_rhs, verify_lockwood
@@ -206,8 +208,9 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         raise ValueError(f"lockwood requires n_max >= 1, got {args.n_max}")
     ns = range(1, args.n_max + 1)
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = pool_size(args.workers, len(ns))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             verdicts = list(pool.map(verify_lockwood, ns, chunksize=8))
     else:
         verdicts = [verify_lockwood(n) for n in ns]
@@ -225,7 +228,7 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
         if failures:
             print(f"x^n + y^n expansion identity fails for n in {failures}")
             for n in failures:
-                expected = BivariatePolynomial({(n, 0): 1, (0, n): 1})
+                expected = BivariatePolynomial((1,) + (0,) * (n - 1) + (1,))
                 print(f"residual for n={n}: {(lockwood_rhs(n) - expected).to_text()}")
         else:
             print(
@@ -429,12 +432,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        args = parser.parse_args(argv)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so the interpreter's
+        # flush at exit does not raise again (see the ``signal`` module docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    except KeyboardInterrupt:
+        return 130
 
 
 if __name__ == "__main__":

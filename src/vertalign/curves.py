@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Literal
 
 from .combinatorics import lucas_row
@@ -81,11 +82,8 @@ class RingPolynomial:
     def __add__(self, other: "RingPolynomial") -> "RingPolynomial":
         if self.spec != other.spec:
             raise ValueError("ring mismatch between polynomials")
-        zero = ring_zero(self.spec)
-        size = max(len(self.coeffs), len(other.coeffs))
-        mine = list(self.coeffs) + [zero] * (size - len(self.coeffs))
-        theirs = list(other.coeffs) + [zero] * (size - len(other.coeffs))
-        return RingPolynomial(self.spec, tuple(p + q for p, q in zip(mine, theirs)))
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=ring_zero(self.spec))
+        return RingPolynomial(self.spec, tuple(p + q for p, q in pairs))
 
     def __neg__(self) -> "RingPolynomial":
         return RingPolynomial(self.spec, tuple(-p for p in self.coeffs))
@@ -116,8 +114,7 @@ class RingPolynomial:
             raise ValueError("shift exponent must be nonnegative")
         if self.is_zero():
             return self
-        zero = ring_zero(self.spec)
-        return RingPolynomial(self.spec, (zero,) * exponent + self.coeffs)
+        return RingPolynomial(self.spec, (ring_zero(self.spec),) * exponent + self.coeffs)
 
     def substitute_u(self, value: Fraction | int) -> "RingPolynomial":
         return RingPolynomial(
@@ -126,8 +123,6 @@ class RingPolynomial:
 
     def to_text(self) -> str:
         """Terms in descending x-degree with canonically rendered coefficients."""
-        if self.is_zero():
-            return "0"
         parts = []
         for exponent in range(len(self.coeffs) - 1, -1, -1):
             element = self.coeffs[exponent]
@@ -138,7 +133,7 @@ class RingPolynomial:
                 parts.append(body if sign > 0 else f"-{body}")
             else:
                 parts.append(f"+ {body}" if sign > 0 else f"- {body}")
-        return " ".join(parts)
+        return " ".join(parts) or "0"
 
 
 def _coefficient_text(element: QuotientRingElement, exponent: int) -> tuple[int, str]:
@@ -188,10 +183,8 @@ class CurveEquation:
 
 def build_source(spec: RingSpec) -> CurveEquation:
     """The curve y^2 = x^{2g+1} + c x over R(g, c)."""
-    one = ring_one(spec)
-    zero = ring_zero(spec)
-    coeffs = [zero] * (2 * spec.g + 2)
-    coeffs[2 * spec.g + 1] = one
+    coeffs = [ring_zero(spec)] * (2 * spec.g + 2)
+    coeffs[2 * spec.g + 1] = ring_one(spec)
     coeffs[1] = from_rational(spec, spec.c)
     f = RingPolynomial(spec, tuple(coeffs))
     return CurveEquation(spec, f, spec.g, spec.c, None, "source")
@@ -214,21 +207,34 @@ def _signed_lucas(g: int) -> list[int]:
     return [(-1) ** k * value for k, value in enumerate(values)]
 
 
+def _w_powers(spec: RingSpec, i: int, top: int) -> list[QuotientRingElement]:
+    """w^0..w^top for w = zeta^i c^{1/g}, by repeated multiplication by w.
+
+    Each product reduces through Phi_g and u^g = c, so the list costs top + 1
+    ring products; the target and the pullback both read it.
+    """
+    w = zeta_power(spec, i) * root_power(spec, 1)
+    powers = [ring_one(spec)]
+    for _ in range(top):
+        powers.append(powers[-1] * w)
+    return powers
+
+
 def build_target(spec: RingSpec, i: int) -> CurveEquation:
     """The degree-g curve with coefficients (-1)^k T(g,k) zeta^{ik} c^{k/g}.
 
     Only the exponents g-2k occur, so consecutive coefficients alternate
-    between nonzero and zero.  ``i`` selects which g-th root of unity twists
-    the coefficients and must be 0 or 1.
+    between nonzero and zero.  zeta^{ik} c^{k/g} is w^k from ``_w_powers``,
+    the same powers the pullback maps into R(g, c).  ``i`` selects which
+    g-th root of unity twists the coefficients and must be 0 or 1.
     """
     if i not in (0, 1):
         raise ValueError(f"build_target requires i in {{0, 1}}, got i={i}")
     g = spec.g
-    zero = ring_zero(spec)
-    coeffs = [zero] * (g + 1)
+    coeffs = [ring_zero(spec)] * (g + 1)
+    w_powers = _w_powers(spec, i, g // 2)
     for k, signed in enumerate(_signed_lucas(g)):
-        value = zeta_power(spec, i * k) * root_power(spec, k)
-        coeffs[g - 2 * k] = value.scale(signed)
+        coeffs[g - 2 * k] = w_powers[k].scale(signed)
     f = RingPolynomial(spec, tuple(coeffs))
     return CurveEquation(spec, f, g, spec.c, i, "target")
 
@@ -247,8 +253,7 @@ def pullback_rhs(spec: RingSpec, i: int) -> RingPolynomial:
     target, so this path calls neither ``binomial()``, ``lucas_coeff()`` nor
     the ``lockwood`` oracle.  The polynomial is homogeneous, so one integer weight
     per w-exponent b, at x^{2g+1-2b}, holds it.  Then each w^b is mapped into
-    R(g, c) through w -> zeta^i c^{1/g} by repeated multiplication by w, which
-    reduces w^g through Phi_g and u^g = c: g + 1 ring products in all.
+    R(g, c) through ``_w_powers``: g + 1 ring products in all.
     """
     if i not in (0, 1):
         raise ValueError(f"pullback_rhs requires i in {{0, 1}}, got i={i}")
@@ -263,12 +268,8 @@ def pullback_rhs(spec: RingSpec, i: int) -> RingPolynomial:
             k = (g - m) // 2
             for j, entry in enumerate(row):
                 weights[k + j] += signed_lucas[k] * entry
-    w = zeta_power(spec, i) * root_power(spec, 1)
     coeffs = [ring_zero(spec)] * (2 * g + 2)
-    w_to_b = ring_one(spec)
-    for b, weight in enumerate(weights):
-        if b:
-            w_to_b = w_to_b * w
+    for b, (weight, w_to_b) in enumerate(zip(weights, _w_powers(spec, i, g))):
         coeffs[2 * g + 1 - 2 * b] = w_to_b.scale(weight)
     return RingPolynomial(spec, tuple(coeffs))
 

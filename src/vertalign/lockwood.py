@@ -4,10 +4,13 @@ Expands both sides of the two-variable identity
 
     x^n + y^n = sum_{k=0}^{n//2} (-1)^k * T(n, k) * (xy)^k * (x+y)^{n-2k}
 
-in an exact integer polynomial ring and matches coefficients.  Extracting
-the coefficient of x^{n-i} y^i from the right-hand side reproduces, term for
+in exact integer arithmetic and matches coefficients.  Extracting the
+coefficient of x^{n-i} y^i from the right-hand side reproduces, term for
 term, the signed sum checked by :mod:`vertalign.alignment` - so this module
 is the independent verification path for that one.
+
+Every term of the identity is homogeneous of degree n, so each polynomial
+here is stored as one row of n + 1 integers indexed by the power of y.
 
 To keep the routes independent, powers of (x + y) are built by iterated
 polynomial multiplication; :func:`binomial_expand` is the only operation
@@ -16,7 +19,7 @@ here allowed to call :func:`vertalign.combinatorics.binomial` directly.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .combinatorics import binomial, lucas_coeff
 
@@ -32,149 +35,101 @@ __all__ = [
 
 
 class BivariatePolynomial:
-    """Sparse polynomial in x, y with exact integer coefficients.
+    """Homogeneous form of degree n in x, y with exact integer coefficients.
 
-    Stored as a map from exponent pairs (a, b) to nonzero coefficients;
-    equality is exact map equality, so the representation is canonical.
-    Instances are immutable.
+    ``coeffs[b]`` is the coefficient of x^{n-b} y^b, so a form of degree n is
+    one tuple of n + 1 ints and equality is tuple equality.  Forms of
+    different degree never compare equal and cannot be added.  Instances
+    are immutable.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("coeffs",)
 
-    def __init__(self, terms: Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        cleaned: dict[tuple[int, int], int] = {}
-        for (a, b), coeff in items:
-            if a < 0 or b < 0:
-                raise ValueError(f"exponents must be nonnegative, got ({a}, {b})")
-            if coeff:
-                cleaned[(a, b)] = cleaned.get((a, b), 0) + coeff
-                if not cleaned[(a, b)]:
-                    del cleaned[(a, b)]
-        self._terms = cleaned
-
-    @classmethod
-    def _raw(cls, terms: dict[tuple[int, int], int]) -> "BivariatePolynomial":
-        poly = object.__new__(cls)
-        poly._terms = terms
-        return poly
-
-    @classmethod
-    def zero(cls) -> "BivariatePolynomial":
-        return cls._raw({})
-
-    @classmethod
-    def monomial(cls, coeff: int, a: int, b: int) -> "BivariatePolynomial":
-        if a < 0 or b < 0:
-            raise ValueError(f"exponents must be nonnegative, got ({a}, {b})")
-        return cls._raw({(a, b): coeff} if coeff else {})
+    def __init__(self, coeffs: Iterable[int]):
+        self.coeffs = tuple(coeffs)
+        if not self.coeffs:
+            raise ValueError("a form of degree n needs n + 1 coefficients, got none")
 
     def coefficient(self, a: int, b: int) -> int:
-        return self._terms.get((a, b), 0)
-
-    def terms(self) -> dict[tuple[int, int], int]:
-        return dict(self._terms)
+        """Coefficient of x^a y^b; zero unless a + b is the degree."""
+        n = len(self.coeffs) - 1
+        return self.coeffs[b] if 0 <= b <= n and a + b == n else 0
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not any(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return self.coeffs == other.coeffs
 
     def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
-        result = dict(self._terms)
-        for key, coeff in other._terms.items():
-            new = result.get(key, 0) + coeff
-            if new:
-                result[key] = new
-            else:
-                result.pop(key, None)
-        return BivariatePolynomial._raw(result)
-
-    def __neg__(self) -> "BivariatePolynomial":
-        return BivariatePolynomial._raw({k: -c for k, c in self._terms.items()})
+        if len(self.coeffs) != len(other.coeffs):
+            raise ValueError("cannot add forms of different degree")
+        # Lists, not generators: tuple() grows a generator's output by
+        # realloc, which fragments the heap of a long run of large forms.
+        return BivariatePolynomial([p + q for p, q in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        return self + (-other)
+        return self + other * -1
 
     def __mul__(self, other: "BivariatePolynomial | int") -> "BivariatePolynomial":
         if isinstance(other, int):
-            if not other:
-                return BivariatePolynomial.zero()
-            return BivariatePolynomial._raw(
-                {k: c * other for k, c in self._terms.items()}
-            )
+            return BivariatePolynomial([c * other for c in self.coeffs])
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
-        result: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                key = (a1 + a2, b1 + b2)
-                new = result.get(key, 0) + c1 * c2
-                if new:
-                    result[key] = new
-                else:
-                    del result[key]
-        return BivariatePolynomial._raw(result)
+        result = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for b1, c1 in enumerate(self.coeffs):
+            if c1:
+                for b2, c2 in enumerate(other.coeffs):
+                    result[b1 + b2] += c1 * c2
+        return BivariatePolynomial(result)
 
     __rmul__ = __mul__
 
-    def shift(self, da: int, db: int) -> "BivariatePolynomial":
-        """Multiply by the monomial x^da y^db."""
-        if da < 0 or db < 0:
-            raise ValueError("shift exponents must be nonnegative")
-        return BivariatePolynomial._raw(
-            {(a + da, b + db): c for (a, b), c in self._terms.items()}
-        )
+    def shift(self, k: int) -> "BivariatePolynomial":
+        """Multiply by (xy)^k."""
+        if k < 0:
+            raise ValueError(f"shift requires k >= 0, got k={k}")
+        pad = (0,) * k
+        return BivariatePolynomial(pad + self.coeffs + pad)
 
     def to_text(self) -> str:
         """Canonical text form: graded-lex order with x > y, leading term first."""
-        if not self._terms:
-            return "0"
+        n = len(self.coeffs) - 1
         parts = []
-        for (a, b) in sorted(self._terms, key=lambda e: (-(e[0] + e[1]), -e[0])):
-            coeff = self._terms[(a, b)]
-            factors = []
-            if a:
-                factors.append("x" if a == 1 else f"x^{a}")
-            if b:
-                factors.append("y" if b == 1 else f"y^{b}")
-            mag = abs(coeff)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            body = "*".join(factors)
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+        for b, coeff in enumerate(self.coeffs):
+            if not coeff:
+                continue
+            factors = [v if e == 1 else f"{v}^{e}" for v, e in (("x", n - b), ("y", b)) if e]
+            if abs(coeff) != 1 or not factors:
+                factors.insert(0, str(abs(coeff)))
+            sign = ("- " if coeff < 0 else "+ ") if parts else ("-" if coeff < 0 else "")
+            parts.append(sign + "*".join(factors))
+        return " ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"BivariatePolynomial({self.to_text()})"
 
 
-_X_PLUS_Y = BivariatePolynomial({(1, 0): 1, (0, 1): 1})
+_ONE = BivariatePolynomial((1,))
+_X_PLUS_Y = BivariatePolynomial((1, 1))
 
 
 def binomial_expand(n: int) -> BivariatePolynomial:
     """(x + y)^n filled in directly from binomial coefficients."""
     if n < 0:
         raise ValueError(f"binomial_expand requires n >= 0, got n={n}")
-    return BivariatePolynomial._raw({(n - i, i): binomial(n, i) for i in range(n + 1)})
+    return BivariatePolynomial(binomial(n, i) for i in range(n + 1))
 
 
 def xy_symmetric_power(m: int) -> BivariatePolynomial:
     """(x + y)^m by iterated multiplication, independent of binomial()."""
     if m < 0:
         raise ValueError(f"xy_symmetric_power requires m >= 0, got m={m}")
-    power = BivariatePolynomial.monomial(1, 0, 0)
+    power = _ONE
     for _ in range(m):
         power = power * _X_PLUS_Y
     return power
@@ -186,7 +141,7 @@ def aligned_term(n: int, k: int) -> BivariatePolynomial:
         raise ValueError(f"aligned_term requires n >= 1, got n={n}")
     if not 0 <= k <= n // 2:
         raise ValueError(f"aligned_term requires 0 <= k <= n//2, got k={k}, n={n}")
-    return xy_symmetric_power(n - 2 * k).shift(k, k)
+    return xy_symmetric_power(n - 2 * k).shift(k)
 
 
 def lockwood_rhs(n: int) -> BivariatePolynomial:
@@ -198,13 +153,14 @@ def lockwood_rhs(n: int) -> BivariatePolynomial:
     """
     if n < 1:
         raise ValueError(f"lockwood_rhs requires n >= 1, got n={n}")
-    powers = [BivariatePolynomial.monomial(1, 0, 0)]
-    for _ in range(n):
-        powers.append(powers[-1] * _X_PLUS_Y)
-    total = BivariatePolynomial.zero()
-    for k in range(n // 2 + 1):
-        coeff = (-1) ** k * lucas_coeff(n, k)
-        total = total + powers[n - 2 * k].shift(k, k) * coeff
+    total = BivariatePolynomial((0,) * (n + 1))
+    power = _ONE  # (x + y)^m
+    for m in range(n + 1):
+        if m:
+            power = power * _X_PLUS_Y
+        if (n - m) % 2 == 0:
+            k = (n - m) // 2
+            total = total + power.shift(k) * ((-1) ** k * lucas_coeff(n, k))
     return total
 
 
@@ -221,5 +177,5 @@ def term_coefficient(n: int, k: int, i: int) -> int:
 
 def verify_lockwood(n: int) -> bool:
     """True iff the expanded sum collapses to exactly x^n + y^n."""
-    expected = BivariatePolynomial({(n, 0): 1, (0, n): 1})
+    expected = BivariatePolynomial((1,) + (0,) * (n - 1) + (1,))
     return lockwood_rhs(n) == expected

@@ -32,12 +32,6 @@ __all__ = [
     "from_rational",
     "zeta_power",
     "root_power",
-    "ring_add",
-    "ring_sub",
-    "ring_neg",
-    "ring_mul",
-    "ring_pow",
-    "ring_scale",
 ]
 
 _ZERO = Fraction(0)
@@ -94,7 +88,8 @@ class QuotientRingElement:
     Internally one coefficient column per u-power: ``_cols[b][a]`` is
     q_{a,b}.  All-zero columns alias a shared tuple, which lets arithmetic
     skip them by identity without changing the dense equality semantics.
-    Immutable; build new elements with the module operations.
+    Immutable; build new elements with the operators and the module's
+    constructors.
     """
 
     __slots__ = ("spec", "_cols")
@@ -159,11 +154,12 @@ class QuotientRingElement:
             raise ValueError(
                 f"substitute_u requires value^g == c, got value={value}, c={self.spec.c}"
             )
+        zcol = _zero_column(self.spec.deg_z)
         acc = [_ZERO] * self.spec.deg_z
-        scale = _ONE
         for b, col in enumerate(self._cols):
-            if b:
-                scale *= value
+            if col is zcol:
+                continue
+            scale = value ** b
             for a, q in enumerate(col):
                 if q:
                     acc[a] += q * scale
@@ -247,7 +243,7 @@ class QuotientRingElement:
             return ring_zero(self.spec)
         zcol = _zero_column(self.spec.deg_z)
         cols = tuple(
-            col if col is zcol else tuple(q * v for v in col) for col in self._cols
+            col if col is zcol else tuple(q * v if v else v for v in col) for col in self._cols
         )
         return _raw(self.spec, cols)
 
@@ -362,27 +358,3 @@ def root_power(spec: RingSpec, k: int) -> QuotientRingElement:
         raise ValueError(f"root_power requires k >= 0, got k={k}")
     value = spec.c ** (k // spec.g)
     return QuotientRingElement(spec, {(0, k % spec.g): value})
-
-
-def ring_add(x: QuotientRingElement, y: QuotientRingElement) -> QuotientRingElement:
-    return x + y
-
-
-def ring_sub(x: QuotientRingElement, y: QuotientRingElement) -> QuotientRingElement:
-    return x - y
-
-
-def ring_neg(x: QuotientRingElement) -> QuotientRingElement:
-    return -x
-
-
-def ring_mul(x: QuotientRingElement, y: QuotientRingElement) -> QuotientRingElement:
-    return x * y
-
-
-def ring_pow(x: QuotientRingElement, exponent: int) -> QuotientRingElement:
-    return x ** exponent
-
-
-def ring_scale(x: QuotientRingElement, q: Fraction | int) -> QuotientRingElement:
-    return x.scale(q)

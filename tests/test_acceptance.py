@@ -29,7 +29,6 @@ from vertalign.quotient_ring import (
     from_rational,
     make_ring,
     ring_one,
-    ring_pow,
     root_power,
     zeta_power,
 )
@@ -98,7 +97,7 @@ def test_criterion_03_identity_exhaustive_to_300():
 
 def test_criterion_04_expansion_oracle():
     for n in range(1, 61):
-        expected = BivariatePolynomial({(n, 0): 1, (0, n): 1})
+        expected = BivariatePolynomial((1,) + (0,) * (n - 1) + (1,))
         assert lockwood_rhs(n) == expected
     for n in range(1, 61):
         for k in range(n // 2 + 1):
@@ -211,7 +210,7 @@ def test_criterion_10_ring_integrity():
     for spec in RING_SPECS:
         one = ring_one(spec)
         assert zeta_power(spec, spec.g) == one
-        assert ring_pow(root_power(spec, 1), spec.g) == from_rational(spec, spec.c)
+        assert root_power(spec, 1) ** spec.g == from_rational(spec, spec.c)
         for m in range(1, spec.g):
             assert zeta_power(spec, m) != one
     _ok(10, "cyclotomic products, defining relations and primitivity all hold")

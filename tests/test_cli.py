@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,14 @@ from pathlib import Path
 import pytest
 
 import vertalign.cli as cli
-from vertalign.alignment import IdentityReport, IdentityTerm, SweepSummary, identity_sum
+from vertalign.alignment import (
+    IdentityReport,
+    IdentityTerm,
+    SweepSummary,
+    identity_sum,
+    identity_sweep,
+    pool_size,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -235,3 +243,72 @@ def test_module_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert "total = 0" in result.stdout
+
+
+class TestInterruptedRuns:
+    def test_closed_pipe_exits_141_without_traceback(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "vertalign", "triangle", "400"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"row 0: 1\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert "Traceback" not in err
+
+    def test_ctrl_c_exits_130(self, monkeypatch, capsys):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_cmd_identity", interrupted)
+        assert cli.main(["identity", "11", "3"]) == 130
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs tasks inline."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+class TestWorkerCap:
+    def test_pool_size_caps_at_tasks_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert pool_size(10**6, 100) == 4
+        assert pool_size(10**6, 3) == 3
+        assert pool_size(2, 100) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert pool_size(10**6, 100) == 1
+
+    def test_huge_request_starts_capped_pools(self, monkeypatch, capsys):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        assert identity_sweep(30, workers=10**6) == identity_sweep(30)
+        assert cli.main(["lockwood", "3", "--workers", str(10**6)]) == 0
+        assert "all 3 hold" in capsys.readouterr().out
+        assert cli.main(["sweep", "2", "--workers", str(10**6)]) == 0
+        capsys.readouterr()
+        # sweep 30 has 29 rows and lockwood 3 three values of n: capped by
+        # the CPUs, then by the tasks; sweep 2 has one row and runs serially.
+        assert _RecordingPool.sizes == [4, 3]
