@@ -20,11 +20,15 @@ processes and always merges results in canonical (n ascending) order.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
+import signal
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .combinatorics import binomial, lucas_coeff
+from .combinatorics import binomial, lucas_coeff, lucas_row
+
+if TYPE_CHECKING:
+    import multiprocessing.pool
 
 __all__ = [
     "AlignedEntry",
@@ -36,6 +40,7 @@ __all__ = [
     "identity_sum",
     "identity_sweep",
     "pool_size",
+    "worker_pool",
 ]
 
 
@@ -158,13 +163,13 @@ class SweepSummary:
 
 
 def _sweep_range(n_start: int, n_end: int) -> tuple[int, list[tuple[int, int, int]]]:
-    """Check all pairs with n in [n_start, n_end], sharing work across rows.
+    """Check all pairs with n in [n_start, n_end], one row of totals per n.
 
-    Evaluates the same sum as :func:`identity_sum` but amortizes the Lucas
-    coefficients (once per n) and the triangle rows (built incrementally by
-    the Pascal recurrence, which also exercises it) instead of recomputing
-    both per pair.  Skips terms whose Lucas factor is zero; they contribute
-    nothing to the total.
+    totals[k + j] += (-1)^k T(n, k) C(n-2k, j) over k = 0..n//2 leaves in
+    totals[i] the sum :func:`identity_sum` checks, for every i at once.  T
+    comes from :func:`lucas_row` and the rows from the additive Pascal
+    recurrence (built once for the range), so this path calls neither
+    ``binomial()`` nor ``lucas_coeff()``.
     """
     rows: list[list[int]] = [[1]]
     for m in range(1, n_end + 1):
@@ -174,18 +179,13 @@ def _sweep_range(n_start: int, n_end: int) -> tuple[int, list[tuple[int, int, in
     checked = 0
     failures: list[tuple[int, int, int]] = []
     for n in range(n_start, n_end + 1):
-        lucas = [lucas_coeff(n, k) for k in range(n // 2 + 1)]
-        for i in range(1, n):
-            total = 0
-            for k in range(min(i, n // 2) + 1):
-                row = rows[n - 2 * k]
-                j = i - k
-                if j <= n - 2 * k:
-                    term = lucas[k] * row[j]
-                    total += -term if k & 1 else term
-            checked += 1
-            if total != 0:
-                failures.append((n, i, total))
+        totals = [0] * (n + 1)
+        for k, lucas in enumerate(lucas_row(n)):
+            row = rows[n - 2 * k]
+            weight = -lucas if k & 1 else lucas
+            totals[k:k + len(row)] = [t + weight * v for t, v in zip(totals[k:], row)]
+        checked += n - 1
+        failures.extend((n, i, totals[i]) for i in range(1, n) if totals[i])
     return checked, failures
 
 
@@ -195,6 +195,23 @@ def pool_size(requested: int, tasks: int) -> int:
     Starts nothing itself; every process pool in the package is sized here.
     """
     return min(requested, tasks, os.cpu_count() or 1)
+
+
+def worker_pool(workers: int) -> multiprocessing.pool.Pool:
+    """A pool of ``workers`` processes that leave Ctrl-C to the parent.
+
+    Every process pool in the package is started here.  The workers ignore
+    SIGINT, so an interrupt reaches only the parent, where it breaks the
+    wait for results; leaving the pool's ``with`` block then terminates the
+    workers instead of letting them finish the chunks already queued.
+    """
+    # Imported on first use: it loads sockets and threading, about 0.8 MB of
+    # resident memory, that a serial run never needs.
+    import multiprocessing
+
+    return multiprocessing.Pool(
+        workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+    )
 
 
 def identity_sweep(n_max: int, workers: int = 1) -> SweepSummary:
@@ -215,19 +232,12 @@ def identity_sweep(n_max: int, workers: int = 1) -> SweepSummary:
         return SweepSummary(n_max, checked, tuple(failures))
 
     # Chunk by rows; later rows cost more, so use many small chunks to
-    # balance the pool.  Futures are collected in submission order, which
+    # balance the pool.  starmap returns results in submission order, which
     # keeps the merged report canonical.
     chunk = max(1, (n_max - 1) // (4 * workers))
-    bounds = list(range(2, n_max + 1, chunk))
-    futures = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        for start in bounds:
-            end = min(start + chunk - 1, n_max)
-            futures.append(pool.submit(_sweep_range, start, end))
-        checked = 0
-        failures = []
-        for fut in futures:
-            part_checked, part_failures = fut.result()
-            checked += part_checked
-            failures.extend(part_failures)
+    ranges = [(start, min(start + chunk - 1, n_max)) for start in range(2, n_max + 1, chunk)]
+    with worker_pool(workers) as pool:
+        parts = pool.starmap(_sweep_range, ranges, chunksize=1)
+    checked = sum(part_checked for part_checked, _ in parts)
+    failures = [failure for _, part_failures in parts for failure in part_failures]
     return SweepSummary(n_max, checked, tuple(failures))

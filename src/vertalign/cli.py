@@ -15,7 +15,6 @@ exact-fraction text; nothing is ever rounded.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
@@ -24,7 +23,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .alignment import aligned_entries, identity_sum, identity_sweep, pool_size
+from .alignment import aligned_entries, identity_sum, identity_sweep, pool_size, worker_pool
 from .combinatorics import lucas_row, pascal_row
 from .curves import build_target, table_rows, table_text, verify_morphism
 from .lockwood import BivariatePolynomial, lockwood_rhs, verify_lockwood
@@ -69,11 +68,21 @@ class _Parser(argparse.ArgumentParser):
     like a negative number, and its notion of a number stops at decimals, so
     ``verify-morphism 4 -7/11 1`` would fail on a missing ``i``.  Subparsers
     inherit the class, so every subcommand sees the wider pattern.
+
+    It also refuses a second ``--`` taken as a positional's value, which
+    argparse would pass on as ``[]`` without calling the type (``curve -- 1
+    -- 0`` would reach ``make_ring`` with ``c = []``).
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
+    def _get_values(self, action, arg_strings):
+        value = super()._get_values(action, arg_strings)
+        if action.nargs is None and value == []:
+            raise argparse.ArgumentError(action, "expected a value, got '--'")
+        return value
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> str:
@@ -195,12 +204,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_lucas_row(args: argparse.Namespace) -> int:
     row = lucas_row(args.n)
     if args.format == "json":
-        print(_emit_json({"n": row.n, "coefficients": list(row.coefficients)}))
+        print(_emit_json({"n": args.n, "coefficients": list(row)}))
     elif args.format == "csv":
-        print(_emit_csv(["k", "coefficient"], list(enumerate(row.coefficients))))
+        print(_emit_csv(["k", "coefficient"], list(enumerate(row))))
     else:
-        values = " ".join(str(v) for v in row.coefficients)
-        print(f"T({row.n}, k) for k = 0..{row.n // 2}: {values}")
+        values = " ".join(str(v) for v in row)
+        print(f"T({args.n}, k) for k = 0..{args.n // 2}: {values}")
     return 0
 
 
@@ -210,8 +219,8 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
     ns = range(1, args.n_max + 1)
     workers = pool_size(args.workers, len(ns))
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(verify_lockwood, ns, chunksize=8))
+        with worker_pool(workers) as pool:
+            verdicts = pool.map(verify_lockwood, ns, chunksize=8)
     else:
         verdicts = [verify_lockwood(n) for n in ns]
     failures = [n for n, ok in zip(ns, verdicts) if not ok]

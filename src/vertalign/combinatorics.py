@@ -1,8 +1,9 @@
 """Exact integer combinatorics: generalized binomials and the Lucas coefficient triangle.
 
-All values are Python ``int`` (arbitrary precision) or ``fractions.Fraction``
-(always stored reduced, positive denominator).  No floating point is used
-anywhere in this package.
+Every value is a Python ``int`` (arbitrary precision); each division is
+checked to be exact.  No floating point or rational arithmetic is used
+anywhere here.  This module is the only place that computes C(m, r) and
+T(n, k).
 
 Everything here is a pure function over immutable values and is safe for
 unrestricted concurrent use.
@@ -10,8 +11,7 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import math
 
 __all__ = [
     "binomial",
@@ -19,39 +19,35 @@ __all__ = [
     "lucas_coeff_alt",
     "lucas_row",
     "pascal_row",
-    "LucasRow",
 ]
 
 
 def binomial(m: int, r: int) -> int:
     """Generalized binomial coefficient C(m, r) for any integer ``m``.
 
-    Computed by the falling-factorial product m(m-1)...(m-r+1)/r!, dividing
-    by j at step j so every intermediate value is an exact integer.  This
-    extends the familiar triangle entries in two directions:
-
-    * ``0 <= m < r`` gives 0 (a zero factor appears in the product);
-    * ``m < 0`` gives the nonzero alternating values, e.g. C(-1, 2) = 1.
+    ``m >= 0`` is ``math.comb`` (0 when m < r).  ``m < 0`` gives the nonzero
+    alternating values, e.g. C(-1, 2) = 1, by the falling-factorial product
+    m(m-1)...(m-r+1)/r!, dividing by j at step j so every intermediate value
+    is an exact integer.
 
     ``r < 0`` returns 0 by convention (empty lower index).
     """
     if r < 0:
         return 0
+    if m >= 0:
+        return math.comb(m, r)
     result = 1
     for j in range(1, r + 1):
         result = result * (m - j + 1) // j
-        if result == 0:
-            return 0
     return result
 
 
 def lucas_coeff(n: int, k: int) -> int:
     """Entry T(n, k) = n/(n-k) * C(n-k, k) of the Lucas coefficient triangle.
 
-    The rational n/(n-k) always clears its denominator against C(n-k, k);
-    this is computed in exact rational arithmetic and the integrality is
-    asserted rather than assumed.  Vanishes for k > n//2 because
-    C(n-k, k) = 0 there.
+    n * C(n-k, k) is divided by n - k in integers, and the division is
+    asserted to be exact rather than assumed.  Vanishes for k > n//2
+    because C(n-k, k) = 0 there.
 
     Requires ``n >= 1`` and ``0 <= k < n``; anything else raises ValueError
     (in particular n = k would divide by zero and n = 0 is indeterminate).
@@ -60,19 +56,20 @@ def lucas_coeff(n: int, k: int) -> int:
         raise ValueError(f"lucas_coeff requires n >= 1, got n={n}")
     if not 0 <= k < n:
         raise ValueError(f"lucas_coeff requires 0 <= k < n, got k={k}, n={n}")
-    value = Fraction(n, n - k) * binomial(n - k, k)
-    if value.denominator != 1:
+    value, rest = divmod(n * binomial(n - k, k), n - k)
+    if rest:
         raise AssertionError(
             f"n/(n-k)*C(n-k,k) failed to reduce to an integer for n={n}, k={k}"
         )
-    return int(value)
+    return value
 
 
 def lucas_coeff_alt(n: int, k: int) -> int:
     """T(n, k) via the sum form C(n-k, k) + C(n-k-1, k-1).
 
-    Independent of :func:`lucas_coeff`'s rational route; the two must agree
-    on the whole shared domain, which makes this a cross-check oracle.
+    Independent of :func:`lucas_coeff`'s quotient and of :func:`lucas_row`'s
+    recurrence; all three must agree on the shared domain, which makes this
+    a cross-check oracle.
     """
     if n < 1:
         raise ValueError(f"lucas_coeff_alt requires n >= 1, got n={n}")
@@ -81,29 +78,22 @@ def lucas_coeff_alt(n: int, k: int) -> int:
     return binomial(n - k, k) + binomial(n - k - 1, k - 1)
 
 
-@dataclass(frozen=True)
-class LucasRow:
-    """Row ``n`` of the Lucas coefficient triangle, k = 0..n//2, unsigned.
+def lucas_row(n: int) -> tuple[int, ...]:
+    """All nonvanishing Lucas coefficients of row ``n``: T(n, 0..n//2), unsigned.
 
-    Signs alternate at use sites: the curve and identity modules apply
-    (-1)^k to ``coefficients[k]``.
+    Uses the ratio T(n,k) / T(n,k-1) = (n-2k+2)(n-2k+1) / (k(n-k)), checking
+    each division to be exact, so it calls neither :func:`binomial` nor
+    :func:`lucas_coeff`.  Callers apply the sign (-1)^k.
     """
-
-    n: int
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"LucasRow requires n >= 1, got n={self.n}")
-        if len(self.coefficients) != self.n // 2 + 1:
-            raise ValueError("LucasRow must have exactly n//2 + 1 coefficients")
-
-
-def lucas_row(n: int) -> LucasRow:
-    """All nonvanishing Lucas coefficients of row ``n``: T(n, 0..n//2)."""
     if n < 1:
         raise ValueError(f"lucas_row requires n >= 1, got n={n}")
-    return LucasRow(n, tuple(lucas_coeff(n, k) for k in range(n // 2 + 1)))
+    row = [1]
+    for k in range(1, n // 2 + 1):
+        value, rest = divmod(row[-1] * (n - 2 * k + 2) * (n - 2 * k + 1), k * (n - k))
+        if rest:
+            raise AssertionError(f"T({n}, {k}) ratio recurrence left remainder {rest}")
+        row.append(value)
+    return tuple(row)
 
 
 def pascal_row(n: int) -> list[int]:

@@ -190,23 +190,6 @@ def build_source(spec: RingSpec) -> CurveEquation:
     return CurveEquation(spec, f, spec.g, spec.c, None, "source")
 
 
-def _signed_lucas(g: int) -> list[int]:
-    """(-1)^k T(g, k) for k = 0..g//2, without ``binomial()``.
-
-    Uses the ratio T(g,k) / T(g,k-1) = (g-2k+2)(g-2k+1) / (k(g-k)); each
-    division is checked to be exact.  The target and the pullback both read
-    these values, so a fault here leaves a nonzero residual, and the tests
-    compare them with ``lucas_coeff``.
-    """
-    values = [1]
-    for k in range(1, g // 2 + 1):
-        value, rest = divmod(values[-1] * (g - 2 * k + 2) * (g - 2 * k + 1), k * (g - k))
-        if rest:
-            raise AssertionError(f"T({g}, {k}) ratio recurrence left remainder {rest}")
-        values.append(value)
-    return [(-1) ** k * value for k, value in enumerate(values)]
-
-
 def _w_powers(spec: RingSpec, i: int, top: int) -> list[QuotientRingElement]:
     """w^0..w^top for w = zeta^i c^{1/g}, by repeated multiplication by w.
 
@@ -224,17 +207,18 @@ def build_target(spec: RingSpec, i: int) -> CurveEquation:
     """The degree-g curve with coefficients (-1)^k T(g,k) zeta^{ik} c^{k/g}.
 
     Only the exponents g-2k occur, so consecutive coefficients alternate
-    between nonzero and zero.  zeta^{ik} c^{k/g} is w^k from ``_w_powers``,
-    the same powers the pullback maps into R(g, c).  ``i`` selects which
-    g-th root of unity twists the coefficients and must be 0 or 1.
+    between nonzero and zero.  zeta^{ik} c^{k/g} is w^k from ``_w_powers``
+    and T(g, k) comes from ``lucas_row``, the same values the pullback
+    reads, so a fault in either leaves a nonzero residual.  ``i`` selects
+    which g-th root of unity twists the coefficients and must be 0 or 1.
     """
     if i not in (0, 1):
         raise ValueError(f"build_target requires i in {{0, 1}}, got i={i}")
     g = spec.g
     coeffs = [ring_zero(spec)] * (g + 1)
     w_powers = _w_powers(spec, i, g // 2)
-    for k, signed in enumerate(_signed_lucas(g)):
-        coeffs[g - 2 * k] = w_powers[k].scale(signed)
+    for k, lucas in enumerate(lucas_row(g)):
+        coeffs[g - 2 * k] = w_powers[k].scale((-1) ** k * lucas)
     f = RingPolynomial(spec, tuple(coeffs))
     return CurveEquation(spec, f, g, spec.c, i, "target")
 
@@ -249,7 +233,7 @@ def pullback_rhs(spec: RingSpec, i: int) -> RingPolynomial:
 
     which this function expands fully, in two steps.  First the sum is
     expanded over Z[x, w]: the rows of (x^2 + w)^m come from the additive
-    Pascal recurrence and the T(g, k) from ``_signed_lucas``, as for the
+    Pascal recurrence and the T(g, k) from ``lucas_row``, as for the
     target, so this path calls neither ``binomial()``, ``lucas_coeff()`` nor
     the ``lockwood`` oracle.  The polynomial is homogeneous, so one integer weight
     per w-exponent b, at x^{2g+1-2b}, holds it.  Then each w^b is mapped into
@@ -258,7 +242,7 @@ def pullback_rhs(spec: RingSpec, i: int) -> RingPolynomial:
     if i not in (0, 1):
         raise ValueError(f"pullback_rhs requires i in {{0, 1}}, got i={i}")
     g = spec.g
-    signed_lucas = _signed_lucas(g)
+    lucas = lucas_row(g)
     weights = [0] * (g + 1)
     row = [1]  # (x^2 + w)^m by w-exponent
     for m in range(g + 1):
@@ -266,8 +250,9 @@ def pullback_rhs(spec: RingSpec, i: int) -> RingPolynomial:
             row = [p + q for p, q in zip(row + [0], [0] + row)]
         if (g - m) % 2 == 0:
             k = (g - m) // 2
+            signed = (-1) ** k * lucas[k]
             for j, entry in enumerate(row):
-                weights[k + j] += signed_lucas[k] * entry
+                weights[k + j] += signed * entry
     coeffs = [ring_zero(spec)] * (2 * g + 2)
     for b, (weight, w_to_b) in enumerate(zip(weights, _w_powers(spec, i, g))):
         coeffs[2 * g + 1 - 2 * b] = w_to_b.scale(weight)
@@ -386,16 +371,15 @@ def table_rows(g_min: int, g_max: int) -> list[TableRow]:
         )
     rows = []
     for g in range(g_min, g_max + 1):
-        coeffs = lucas_row(g).coefficients
         entries = tuple(
             TableEntry(
                 k=k,
                 sign=(-1) ** k,
-                magnitude=coeffs[k],
+                magnitude=magnitude,
                 zeta_exp=k,
                 x_exp=g - 2 * k,
             )
-            for k in range(g // 2 + 1)
+            for k, magnitude in enumerate(lucas_row(g))
         )
         rows.append(TableRow(g, entries))
     return rows

@@ -13,15 +13,16 @@ Every term of the identity is homogeneous of degree n, so each polynomial
 here is stored as one row of n + 1 integers indexed by the power of y.
 
 To keep the routes independent, powers of (x + y) are built by iterated
-polynomial multiplication; :func:`binomial_expand` is the only operation
-here allowed to call :func:`vertalign.combinatorics.binomial` directly.
+polynomial multiplication and T(n, k) comes from the ratio recurrence of
+:func:`vertalign.combinatorics.lucas_row`; :func:`binomial_expand` is the
+only operation here that reaches :func:`vertalign.combinatorics.binomial`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .combinatorics import binomial, lucas_coeff
+from .combinatorics import binomial, lucas_row
 
 __all__ = [
     "BivariatePolynomial",
@@ -149,10 +150,12 @@ def lockwood_rhs(n: int) -> BivariatePolynomial:
 
     The interior terms cancel completely, leaving x^n + y^n; callers check
     that rather than trust it.  Powers of (x + y) are accumulated by one
-    iterated-multiplication chain shared across the k terms.
+    iterated-multiplication chain shared across the k terms, and T(n, k)
+    comes from :func:`~vertalign.combinatorics.lucas_row`.
     """
     if n < 1:
         raise ValueError(f"lockwood_rhs requires n >= 1, got n={n}")
+    lucas = lucas_row(n)
     total = BivariatePolynomial((0,) * (n + 1))
     power = _ONE  # (x + y)^m
     for m in range(n + 1):
@@ -160,7 +163,7 @@ def lockwood_rhs(n: int) -> BivariatePolynomial:
             power = power * _X_PLUS_Y
         if (n - m) % 2 == 0:
             k = (n - m) // 2
-            total = total + power.shift(k) * ((-1) ** k * lucas_coeff(n, k))
+            total = total + power.shift(k) * ((-1) ** k * lucas[k])
     return total
 
 

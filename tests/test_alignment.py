@@ -3,14 +3,26 @@ import random
 
 import pytest
 
+from vertalign import alignment
 from vertalign.alignment import (
     IdentityReport,
     aligned_entries,
     identity_sum,
     identity_sweep,
 )
-from vertalign.combinatorics import binomial, lucas_coeff, pascal_row
-from vertalign.lockwood import aligned_term, binomial_expand
+from vertalign.combinatorics import (
+    binomial,
+    lucas_coeff,
+    lucas_coeff_alt,
+    lucas_row,
+    pascal_row,
+)
+from vertalign.lockwood import (
+    BivariatePolynomial,
+    aligned_term,
+    binomial_expand,
+    verify_lockwood,
+)
 
 
 class TestAlignedEntries:
@@ -177,3 +189,46 @@ class TestIdentitySweep:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
             identity_sweep(10, workers=0)
+
+    def test_reports_every_failing_pair_of_a_faulty_row(self, monkeypatch):
+        # Perturb T(17, 3) as the sweep sees it; every pair of row 17 whose
+        # sum reaches k = 3 must then be reported with the exact total the
+        # definition gives for the perturbed value, and nothing else.
+        n_bad, k_bad, delta = 17, 3, 5
+
+        def faulty_row(n):
+            row = lucas_row(n)
+            if n == n_bad:
+                row = row[:k_bad] + (row[k_bad] + delta,) + row[k_bad + 1:]
+            return row
+
+        def faulty_t(n, k):
+            return lucas_coeff_alt(n, k) + (delta if (n, k) == (n_bad, k_bad) else 0)
+
+        monkeypatch.setattr(alignment, "lucas_row", faulty_row)
+        summary = identity_sweep(25)
+        expected = []
+        for n in range(2, 26):
+            for i in range(1, n):
+                total = sum(
+                    (-1) ** k * faulty_t(n, k) * binomial(n - 2 * k, i - k)
+                    for k in range(i + 1)
+                )
+                if total:
+                    expected.append((n, i, total))
+        assert len(expected) == n_bad - 2 * k_bad + 1
+        assert summary.failures == tuple(expected)
+        assert summary.pairs_checked == 24 * 25 // 2
+
+
+def test_identity_path_never_calls_the_oracle(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the identity path used the expansion oracle")
+
+    monkeypatch.setattr(BivariatePolynomial, "__init__", forbidden)
+    with pytest.raises(AssertionError):
+        verify_lockwood(3)
+    for n in range(2, 40):
+        aligned_entries(n, n // 2)
+        assert all(identity_sum(n, i).holds for i in range(1, n))
+    assert identity_sweep(60).failures == ()

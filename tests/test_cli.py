@@ -1,11 +1,17 @@
-import concurrent.futures
+import contextlib
+import io
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vertalign.cli as cli
 from vertalign.alignment import (
@@ -76,6 +82,20 @@ class TestExitCodes:
             cli.main(["curve", "5", "one/two", "0"])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--", "1", "--", "0"],
+            ["verify-morphism", "--", "3", "--", "1"],
+            ["aligned", "--", "4", "--"],
+        ],
+    )
+    def test_second_double_dash_is_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert "expected a value, got '--'" in capsys.readouterr().err
 
     def test_missing_subcommand_is_usage(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -227,7 +247,7 @@ def test_workers_below_one_is_usage(argv, workers, capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     for placed in (["--workers", workers, *argv], [*argv, "--workers", workers]):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(placed)
@@ -259,6 +279,42 @@ class TestInterruptedRuns:
         assert proc.wait(timeout=60) == 141
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv", [["sweep", "1500"], ["lockwood", "1000"]], ids=lambda argv: argv[0]
+    )
+    def test_ctrl_c_stops_a_parallel_run(self, argv):
+        # SIGINT goes to the whole process group, as from a terminal: the
+        # workers must not carry on with their queued chunks.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "vertalign", *argv, "--workers", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            time.sleep(2)
+            assert proc.poll() is None, "the run ended before it was interrupted"
+            sent = time.perf_counter()
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=5)
+            assert time.perf_counter() - sent < 5
+            assert proc.returncode == 130
+            assert out == b""
+            assert b"Traceback" not in err
+            deadline = time.perf_counter() + 2
+            while time.perf_counter() < deadline:
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                time.sleep(0.05)
+            else:
+                pytest.fail("a worker outlived the interrupted run")
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
     def test_ctrl_c_exits_130(self, monkeypatch, capsys):
         def interrupted(args):
             raise KeyboardInterrupt
@@ -269,12 +325,12 @@ class TestInterruptedRuns:
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs tasks inline."""
+    """Stands in for multiprocessing.Pool: records its size, runs tasks inline."""
 
     sizes: list[int] = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    def __init__(self, processes, initializer=None, initargs=()):
+        self.sizes.append(processes)
 
     def __enter__(self):
         return self
@@ -282,13 +338,11 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+    def map(self, fn, iterable, chunksize=None):
+        return [fn(item) for item in iterable]
 
-    def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
+    def starmap(self, fn, iterable, chunksize=None):
+        return [fn(*item) for item in iterable]
 
 
 class TestWorkerCap:
@@ -303,7 +357,7 @@ class TestWorkerCap:
     def test_huge_request_starts_capped_pools(self, monkeypatch, capsys):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
         assert identity_sweep(30, workers=10**6) == identity_sweep(30)
         assert cli.main(["lockwood", "3", "--workers", str(10**6)]) == 0
         assert "all 3 hold" in capsys.readouterr().out
@@ -312,3 +366,59 @@ class TestWorkerCap:
         # sweep 30 has 29 rows and lockwood 3 three values of n: capped by
         # the CPUs, then by the tasks; sweep 2 has one row and runs serially.
         assert _RecordingPool.sizes == [4, 3]
+
+
+_SUBCOMMAND_ARITY = {
+    "triangle": ("size",),
+    "aligned": ("size", "i"),
+    "identity": ("size", "i"),
+    "sweep": ("size",),
+    "lucas-row": ("size",),
+    "lockwood": ("size",),
+    "curve": ("size", "c", "i"),
+    "verify-morphism": ("size", "c", "i"),
+    "table": ("size", "size"),
+}
+_C_VALUES = st.one_of(
+    st.integers(-50, 50).map(str),
+    st.tuples(st.integers(-30, 30), st.integers(1, 30)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.sampled_from(["0", "1/0", "-0", "abc", "", "3/", "/4", "1.5", "nan", "--", "2/-3"]),
+)
+_JUNK = st.sampled_from(["", "-", "--", "-x", "--bogus", "7", "-1/2", "1/0", "zz", "--format"])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_SUBCOMMAND_ARITY)))
+    top = 60 if command == "triangle" else 40
+    args = []
+    for kind in _SUBCOMMAND_ARITY[command]:
+        if kind == "size":
+            args.append(str(draw(st.integers(-3, top))))
+        elif kind == "i":
+            args.append(str(draw(st.integers(-1, 2))))
+        else:
+            args.append(draw(_C_VALUES))
+    flags = []
+    if draw(st.booleans()):
+        flags += ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    if draw(st.booleans()):
+        flags += ["--workers", str(draw(st.integers(-1, 1)))]
+    before = draw(st.booleans())
+    argv = flags + [command] + args if before else [command] + args + flags
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_random_argv_exits_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vertalign.combinatorics import (
-    LucasRow,
     binomial,
     lucas_coeff,
     lucas_coeff_alt,
@@ -102,8 +101,8 @@ class TestLucasCoeff:
             assert lucas_coeff(n, k) == lucas_coeff_alt(n, k)
 
     def test_rational_route_is_integral(self):
-        # The defining fraction clears its denominator before lucas_coeff
-        # casts it; restate that here without going through the function.
+        # The defining fraction n/(n-k) * C(n-k, k) is always an integer;
+        # restate that here without going through the function.
         for n in range(1, 200):
             for k in range(n):
                 q = Fraction(n, n - k) * binomial(n - k, k)
@@ -128,25 +127,21 @@ class TestLucasRow:
         ],
     )
     def test_rows(self, n, expected):
-        row = lucas_row(n)
-        assert row.n == n
-        assert row.coefficients == expected
+        assert lucas_row(n) == expected
 
     def test_leading_entries(self):
         for n in range(2, 80):
-            row = lucas_row(n).coefficients
+            row = lucas_row(n)
             assert row[0] == 1
             assert row[1] == n
 
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
             lucas_row(0)
-        with pytest.raises(ValueError):
-            LucasRow(0, ())
 
-    def test_row_length_validated(self):
-        with pytest.raises(ValueError):
-            LucasRow(6, (1, 6, 9))
+    def test_row_length(self):
+        for n in range(1, 80):
+            assert len(lucas_row(n)) == n // 2 + 1
 
 
 class TestPascalRow:

@@ -267,7 +267,7 @@ class TestUnitRootSpecialization:
         for g in range(1, 31):
             spec = make_ring(g, 1)
             f = build_target(spec, 0).f.substitute_u(1)
-            row = lucas_row(g).coefficients
+            row = lucas_row(g)
             for k in range(g // 2 + 1):
                 value = f.coefficient(g - 2 * k).as_rational()
                 assert value == (-1) ** k * row[k]
@@ -290,7 +290,7 @@ class TestTable:
 
     def test_entries_match_lucas_rows(self):
         for row in table_rows(1, 25):
-            coeffs = lucas_row(row.g).coefficients
+            coeffs = lucas_row(row.g)
             assert [e.magnitude for e in row.entries] == list(coeffs)
             assert [e.sign for e in row.entries] == [(-1) ** k for k in range(len(coeffs))]
             assert [e.zeta_exp for e in row.entries] == list(range(len(coeffs)))

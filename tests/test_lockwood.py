@@ -1,8 +1,12 @@
+import importlib
+import pkgutil
+
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vertalign
 from vertalign.combinatorics import binomial
 from vertalign.lockwood import (
     BivariatePolynomial,
@@ -122,6 +126,26 @@ class TestLockwoodRhs:
 
     def test_verify_range(self):
         assert all(verify_lockwood(n) for n in range(1, 61))
+
+    def test_never_reaches_binomial(self, monkeypatch):
+        # Every module that binds binomial gets one that raises, so only
+        # binomial_expand may fail; the T(n, k) and the powers of (x + y)
+        # must come from elsewhere.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the expansion oracle called binomial()")
+
+        bound = []
+        for info in pkgutil.iter_modules(vertalign.__path__):
+            module = importlib.import_module(f"vertalign.{info.name}")
+            if getattr(module, "binomial", None) is binomial:
+                monkeypatch.setattr(module, "binomial", forbidden)
+                bound.append(info.name)
+        assert {"combinatorics", "lockwood"} <= set(bound)
+        with pytest.raises(AssertionError):
+            binomial_expand(3)
+        for n in range(1, 61):
+            assert lockwood_rhs(n) == x_n_plus_y_n(n)
+            assert verify_lockwood(n)
 
 
 class TestTermCoefficient:
