@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 import signal
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from .combinatorics import binomial, lucas_coeff, lucas_row
 
@@ -39,6 +39,7 @@ __all__ = [
     "aligned_entries",
     "identity_sum",
     "identity_sweep",
+    "map_row_ranges",
     "pool_size",
     "worker_pool",
 ]
@@ -163,29 +164,61 @@ class SweepSummary:
 
 
 def _sweep_range(n_start: int, n_end: int) -> tuple[int, list[tuple[int, int, int]]]:
-    """Check all pairs with n in [n_start, n_end], one row of totals per n.
+    """Check all pairs with n in [n_start, n_end], one packed integer per n.
 
-    totals[k + j] += (-1)^k T(n, k) C(n-2k, j) over k = 0..n//2 leaves in
-    totals[i] the sum :func:`identity_sum` checks, for every i at once.  T
-    comes from :func:`lucas_row` and the rows from the additive Pascal
-    recurrence (built once for the range), so this path calls neither
-    ``binomial()`` nor ``lucas_coeff()``.
+    Row m of Pascal's triangle is stored as one integer with W-bit slots,
+    sum_j C(m, j) 2^{jW}, built by the additive recurrence
+    row_m = row_{m-1} + (row_{m-1} << W): slot j gets C(m-1, j) + C(m-1, j-1),
+    and C(m, j) < 2^m < 2^W never carries into the next slot.  Each row is
+    computed as the one product row_{m-1} * (2^W + 1), the same sum, because a
+    separate shift leaves a freed temporary as large as the row between
+    every two rows, which doubled the heap the rows need.  For each n the
+    accumulator
+
+        A = sum_k (-1)^k T(n, k) row_{n-2k} 2^{kW} = sum_i total_i 2^{iW}
+
+    holds in slot i the sum :func:`identity_sum` checks at (n, i), every i
+    at once, with T from :func:`lucas_row`.  Each |total_i| is at most
+    B_n = sum_k |T(n, k)| 2^{n-2k}, because C(n-2k, j) <= 2^{n-2k}.  W is the
+    least width with 2^{W-1} > B_n for every n in the range, computed from
+    the rows of T in use (so a wrong T widens the slots instead of
+    overflowing them).  Then every total is a digit in (-2^{W-1}, 2^{W-1}),
+    the balanced base-2^W digits of A are unique, and A equals
+    1 + 2^{nW} exactly when the interior totals (0 < i < n) are all 0 and
+    the ends are T(n, 0) = 1.  On any other A every slot is unpacked and
+    each nonzero interior (n, i, total) is reported; the ends are not, as
+    the dependence is only claimed for 0 < i < n.
+
+    This path calls neither ``binomial()`` nor ``lucas_coeff()``.
     """
-    rows: list[list[int]] = [[1]]
-    for m in range(1, n_end + 1):
-        prev = rows[m - 1]
-        rows.append([1] + [prev[j - 1] + prev[j] for j in range(1, m)] + [1])
+    width = 1 + max(
+        sum(abs(lucas) << (n - 2 * k) for k, lucas in enumerate(lucas_row(n))).bit_length()
+        for n in range(n_start, n_end + 1)
+    )
+    rows = [1]
+    step = (1 << width) + 1
+    for _ in range(n_end):
+        rows.append(rows[-1] * step)
 
+    mask = (1 << width) - 1
     checked = 0
     failures: list[tuple[int, int, int]] = []
     for n in range(n_start, n_end + 1):
-        totals = [0] * (n + 1)
-        for k, lucas in enumerate(lucas_row(n)):
-            row = rows[n - 2 * k]
-            weight = -lucas if k & 1 else lucas
-            totals[k:k + len(row)] = [t + weight * v for t, v in zip(totals[k:], row)]
+        lucas = lucas_row(n)
+        acc = 0  # Horner in 2^W over k, from the top term down
+        for k in range(len(lucas) - 1, -1, -1):
+            weight = -lucas[k] if k & 1 else lucas[k]
+            acc = (acc << width) + weight * rows[n - 2 * k]
         checked += n - 1
-        failures.extend((n, i, totals[i]) for i in range(1, n) if totals[i])
+        if acc == 1 + (1 << (n * width)):
+            continue
+        for i in range(n + 1):
+            total = acc & mask
+            if total >> (width - 1):
+                total -= 1 << width
+            acc = (acc - total) >> width
+            if total and 0 < i < n:
+                failures.append((n, i, total))
     return checked, failures
 
 
@@ -214,30 +247,40 @@ def worker_pool(workers: int) -> multiprocessing.pool.Pool:
     )
 
 
+_Part = TypeVar("_Part")
+
+
+def map_row_ranges(
+    check: Callable[[int, int], _Part], first: int, last: int, workers: int
+) -> list[_Part]:
+    """``check(start, end)`` over consecutive ranges of rows first..last.
+
+    With one worker (after :func:`pool_size`) that is the single call
+    ``check(first, last)``.  Otherwise the rows are cut into about four
+    ranges per worker, because later rows cost more and many small ranges
+    balance the pool, and each range goes to :func:`worker_pool`.  Results
+    come back in range order either way, so merged reports stay canonical.
+    """
+    workers = pool_size(workers, last - first + 1)
+    if workers == 1:
+        return [check(first, last)]
+    chunk = max(1, (last - first + 1) // (4 * workers))
+    ranges = [(start, min(start + chunk - 1, last)) for start in range(first, last + 1, chunk)]
+    with worker_pool(workers) as pool:
+        return pool.starmap(check, ranges, chunksize=1)
+
+
 def identity_sweep(n_max: int, workers: int = 1) -> SweepSummary:
     """Verify the dependence for every 0 < i < n with 2 <= n <= n_max.
 
-    ``workers`` > 1 fans row ranges out to worker processes, at most one per
-    row and per CPU (:func:`pool_size`); the summary is identical regardless
-    (failures are merged in n-ascending order).
+    ``workers`` > 1 fans row ranges out to worker processes
+    (:func:`map_row_ranges`); the summary is identical regardless.
     """
     if n_max < 2:
         raise ValueError(f"identity_sweep requires n_max >= 2, got {n_max}")
     if workers < 1:
         raise ValueError(f"identity_sweep requires workers >= 1, got {workers}")
-
-    workers = pool_size(workers, n_max - 1)
-    if workers == 1:
-        checked, failures = _sweep_range(2, n_max)
-        return SweepSummary(n_max, checked, tuple(failures))
-
-    # Chunk by rows; later rows cost more, so use many small chunks to
-    # balance the pool.  starmap returns results in submission order, which
-    # keeps the merged report canonical.
-    chunk = max(1, (n_max - 1) // (4 * workers))
-    ranges = [(start, min(start + chunk - 1, n_max)) for start in range(2, n_max + 1, chunk)]
-    with worker_pool(workers) as pool:
-        parts = pool.starmap(_sweep_range, ranges, chunksize=1)
+    parts = map_row_ranges(_sweep_range, 2, n_max, workers)
     checked = sum(part_checked for part_checked, _ in parts)
     failures = [failure for _, part_failures in parts for failure in part_failures]
     return SweepSummary(n_max, checked, tuple(failures))

@@ -23,10 +23,10 @@ import re
 import sys
 from fractions import Fraction
 
-from .alignment import aligned_entries, identity_sum, identity_sweep, pool_size, worker_pool
+from .alignment import aligned_entries, identity_sum, identity_sweep, map_row_ranges
 from .combinatorics import lucas_row, pascal_row
 from .curves import build_target, table_rows, table_text, verify_morphism
-from .lockwood import BivariatePolynomial, lockwood_rhs, verify_lockwood
+from .lockwood import BivariatePolynomial, _verify_range, lockwood_rhs
 from .quotient_ring import make_ring
 
 __all__ = ["main"]
@@ -216,23 +216,18 @@ def _cmd_lucas_row(args: argparse.Namespace) -> int:
 def _cmd_lockwood(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         raise ValueError(f"lockwood requires n_max >= 1, got {args.n_max}")
-    ns = range(1, args.n_max + 1)
-    workers = pool_size(args.workers, len(ns))
-    if workers > 1:
-        with worker_pool(workers) as pool:
-            verdicts = pool.map(verify_lockwood, ns, chunksize=8)
-    else:
-        verdicts = [verify_lockwood(n) for n in ns]
-    failures = [n for n, ok in zip(ns, verdicts) if not ok]
+    parts = map_row_ranges(_verify_range, 1, args.n_max, args.workers)
+    failures = [n for part in parts for n in part]
     if args.format == "json":
         print(_emit_json({
             "n_max": args.n_max,
-            "checked": len(verdicts),
+            "checked": args.n_max,
             "all_hold": not failures,
             "failures": failures,
         }))
     elif args.format == "csv":
-        print(_emit_csv(["n", "holds"], [[n, ok] for n, ok in zip(ns, verdicts)]))
+        failed = set(failures)
+        print(_emit_csv(["n", "holds"], [[n, n not in failed] for n in range(1, args.n_max + 1)]))
     else:
         if failures:
             print(f"x^n + y^n expansion identity fails for n in {failures}")
@@ -242,7 +237,7 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
         else:
             print(
                 f"x^n + y^n expansion identity for n = 1..{args.n_max}: "
-                f"all {len(verdicts)} hold"
+                f"all {args.n_max} hold"
             )
     return 0 if not failures else 1
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Literal
+from typing import Iterator, Literal
 
 from .combinatorics import lucas_row
 from .quotient_ring import (
@@ -79,17 +79,21 @@ class RingPolynomial:
             return self.coeffs[exponent]
         return ring_zero(self.spec)
 
-    def __add__(self, other: "RingPolynomial") -> "RingPolynomial":
+    def _pairs(
+        self, other: "RingPolynomial"
+    ) -> Iterator[tuple[QuotientRingElement, QuotientRingElement]]:
         if self.spec != other.spec:
             raise ValueError("ring mismatch between polynomials")
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=ring_zero(self.spec))
-        return RingPolynomial(self.spec, tuple(p + q for p, q in pairs))
+        return zip_longest(self.coeffs, other.coeffs, fillvalue=ring_zero(self.spec))
 
-    def __neg__(self) -> "RingPolynomial":
-        return RingPolynomial(self.spec, tuple(-p for p in self.coeffs))
+    def __add__(self, other: "RingPolynomial") -> "RingPolynomial":
+        return RingPolynomial(self.spec, tuple(p + q for p, q in self._pairs(other)))
 
     def __sub__(self, other: "RingPolynomial") -> "RingPolynomial":
-        return self + (-other)
+        """Coefficient by coefficient; a pair with a zero side needs no addition."""
+        return RingPolynomial(self.spec, tuple(
+            p if q.is_zero() else -q if p.is_zero() else p - q for p, q in self._pairs(other)
+        ))
 
     def __mul__(self, other: "RingPolynomial") -> "RingPolynomial":
         if self.spec != other.spec:
@@ -203,7 +207,9 @@ def _w_powers(spec: RingSpec, i: int, top: int) -> list[QuotientRingElement]:
     return powers
 
 
-def build_target(spec: RingSpec, i: int) -> CurveEquation:
+def build_target(
+    spec: RingSpec, i: int, w_powers: list[QuotientRingElement] | None = None
+) -> CurveEquation:
     """The degree-g curve with coefficients (-1)^k T(g,k) zeta^{ik} c^{k/g}.
 
     Only the exponents g-2k occur, so consecutive coefficients alternate
@@ -211,19 +217,24 @@ def build_target(spec: RingSpec, i: int) -> CurveEquation:
     and T(g, k) comes from ``lucas_row``, the same values the pullback
     reads, so a fault in either leaves a nonzero residual.  ``i`` selects
     which g-th root of unity twists the coefficients and must be 0 or 1.
+    ``w_powers``, if given, is ``_w_powers(spec, i, top)`` for some
+    top >= g//2, already computed by the caller.
     """
     if i not in (0, 1):
         raise ValueError(f"build_target requires i in {{0, 1}}, got i={i}")
     g = spec.g
     coeffs = [ring_zero(spec)] * (g + 1)
-    w_powers = _w_powers(spec, i, g // 2)
+    if w_powers is None:
+        w_powers = _w_powers(spec, i, g // 2)
     for k, lucas in enumerate(lucas_row(g)):
         coeffs[g - 2 * k] = w_powers[k].scale((-1) ** k * lucas)
     f = RingPolynomial(spec, tuple(coeffs))
     return CurveEquation(spec, f, g, spec.c, i, "target")
 
 
-def pullback_rhs(spec: RingSpec, i: int) -> RingPolynomial:
+def pullback_rhs(
+    spec: RingSpec, i: int, w_powers: list[QuotientRingElement] | None = None
+) -> RingPolynomial:
     """The target right-hand side after substitution and clearing x^{g+1}.
 
     Substituting x -> (x^2 + w)/x into the target and multiplying through by
@@ -237,7 +248,8 @@ def pullback_rhs(spec: RingSpec, i: int) -> RingPolynomial:
     target, so this path calls neither ``binomial()``, ``lucas_coeff()`` nor
     the ``lockwood`` oracle.  The polynomial is homogeneous, so one integer weight
     per w-exponent b, at x^{2g+1-2b}, holds it.  Then each w^b is mapped into
-    R(g, c) through ``_w_powers``: g + 1 ring products in all.
+    R(g, c) through ``_w_powers``: g + 1 ring products in all, none if the
+    caller passes ``w_powers`` = ``_w_powers(spec, i, g)``.
     """
     if i not in (0, 1):
         raise ValueError(f"pullback_rhs requires i in {{0, 1}}, got i={i}")
@@ -253,8 +265,10 @@ def pullback_rhs(spec: RingSpec, i: int) -> RingPolynomial:
             signed = (-1) ** k * lucas[k]
             for j, entry in enumerate(row):
                 weights[k + j] += signed * entry
+    if w_powers is None:
+        w_powers = _w_powers(spec, i, g)
     coeffs = [ring_zero(spec)] * (2 * g + 2)
-    for b, (weight, w_to_b) in enumerate(zip(weights, _w_powers(spec, i, g))):
+    for b, (weight, w_to_b) in enumerate(zip(weights, w_powers)):
         coeffs[2 * g + 1 - 2 * b] = w_to_b.scale(weight)
     return RingPolynomial(spec, tuple(coeffs))
 
@@ -279,10 +293,14 @@ class MorphismReport:
 
 
 def verify_morphism(spec: RingSpec, i: int) -> MorphismReport:
-    """Expand the pullback of the target and compare with x^{2g+1} + c x."""
+    """Expand the pullback of the target and compare with x^{2g+1} + c x.
+
+    w^0..w^g are computed once, for the target and the pullback both.
+    """
     source = build_source(spec)
-    target = build_target(spec, i)
-    pullback = pullback_rhs(spec, i)
+    w_powers = _w_powers(spec, i, spec.g)
+    target = build_target(spec, i, w_powers)
+    pullback = pullback_rhs(spec, i, w_powers)
     residual = pullback - source.f
     return MorphismReport(
         g=spec.g,

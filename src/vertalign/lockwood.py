@@ -16,6 +16,8 @@ To keep the routes independent, powers of (x + y) are built by iterated
 polynomial multiplication and T(n, k) comes from the ratio recurrence of
 :func:`vertalign.combinatorics.lucas_row`; :func:`binomial_expand` is the
 only operation here that reaches :func:`vertalign.combinatorics.binomial`.
+A range of n (the ``lockwood`` command) shares one chain of powers of
+(x + y) and expands every sum in full.
 """
 
 from __future__ import annotations
@@ -126,14 +128,19 @@ def binomial_expand(n: int) -> BivariatePolynomial:
     return BivariatePolynomial(binomial(n, i) for i in range(n + 1))
 
 
+def _powers(top: int) -> list[BivariatePolynomial]:
+    """(x + y)^0..(x + y)^top, each the one before times x + y."""
+    powers = [_ONE]
+    for _ in range(top):
+        powers.append(powers[-1] * _X_PLUS_Y)
+    return powers
+
+
 def xy_symmetric_power(m: int) -> BivariatePolynomial:
     """(x + y)^m by iterated multiplication, independent of binomial()."""
     if m < 0:
         raise ValueError(f"xy_symmetric_power requires m >= 0, got m={m}")
-    power = _ONE
-    for _ in range(m):
-        power = power * _X_PLUS_Y
-    return power
+    return _powers(m)[-1]
 
 
 def aligned_term(n: int, k: int) -> BivariatePolynomial:
@@ -145,26 +152,29 @@ def aligned_term(n: int, k: int) -> BivariatePolynomial:
     return xy_symmetric_power(n - 2 * k).shift(k)
 
 
+def _expand(n: int, powers: list[BivariatePolynomial]) -> BivariatePolynomial:
+    """sum_k (-1)^k T(n,k) (xy)^k (x+y)^{n-2k}, reading (x+y)^m from ``powers``."""
+    total = BivariatePolynomial((0,) * (n + 1))
+    for k, lucas in enumerate(lucas_row(n)):
+        total = total + powers[n - 2 * k].shift(k) * ((-1) ** k * lucas)
+    return total
+
+
+def _x_n_plus_y_n(n: int) -> BivariatePolynomial:
+    return BivariatePolynomial((1,) + (0,) * (n - 1) + (1,))
+
+
 def lockwood_rhs(n: int) -> BivariatePolynomial:
     """Expand sum_{k=0}^{n//2} (-1)^k T(n,k) (xy)^k (x+y)^{n-2k} exactly.
 
     The interior terms cancel completely, leaving x^n + y^n; callers check
-    that rather than trust it.  Powers of (x + y) are accumulated by one
+    that rather than trust it.  Powers of (x + y) come from one
     iterated-multiplication chain shared across the k terms, and T(n, k)
-    comes from :func:`~vertalign.combinatorics.lucas_row`.
+    from :func:`~vertalign.combinatorics.lucas_row`.
     """
     if n < 1:
         raise ValueError(f"lockwood_rhs requires n >= 1, got n={n}")
-    lucas = lucas_row(n)
-    total = BivariatePolynomial((0,) * (n + 1))
-    power = _ONE  # (x + y)^m
-    for m in range(n + 1):
-        if m:
-            power = power * _X_PLUS_Y
-        if (n - m) % 2 == 0:
-            k = (n - m) // 2
-            total = total + power.shift(k) * ((-1) ** k * lucas[k])
-    return total
+    return _expand(n, _powers(n))
 
 
 def term_coefficient(n: int, k: int, i: int) -> int:
@@ -180,5 +190,15 @@ def term_coefficient(n: int, k: int, i: int) -> int:
 
 def verify_lockwood(n: int) -> bool:
     """True iff the expanded sum collapses to exactly x^n + y^n."""
-    expected = BivariatePolynomial((1,) + (0,) * (n - 1) + (1,))
-    return lockwood_rhs(n) == expected
+    return lockwood_rhs(n) == _x_n_plus_y_n(n)
+
+
+def _verify_range(n_start: int, n_end: int) -> list[int]:
+    """The n in n_start..n_end for which the expansion is not x^n + y^n.
+
+    One chain (x + y)^0..(x + y)^{n_end} serves every n of the range, where
+    :func:`verify_lockwood` builds one per n; each sum is still expanded in
+    full and compared with x^n + y^n.
+    """
+    powers = _powers(n_end)
+    return [n for n in range(n_start, n_end + 1) if _expand(n, powers) != _x_n_plus_y_n(n)]

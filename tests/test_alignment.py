@@ -221,6 +221,66 @@ class TestIdentitySweep:
         assert summary.pairs_checked == 24 * 25 // 2
 
 
+def _reference_sweep(n_max):
+    """The list-based sweep that the packed one replaced, kept as a test-only reference.
+
+    Rows are lists built by the Pascal recurrence, and row n of totals is
+    accumulated slice by slice.  T comes from the ``lucas_row`` that
+    ``alignment`` reads, so a fault injected there reaches both routes.
+    """
+    rows = [[1]]
+    for m in range(1, n_max + 1):
+        prev = rows[m - 1]
+        rows.append([1] + [prev[j - 1] + prev[j] for j in range(1, m)] + [1])
+    checked = 0
+    failures = []
+    for n in range(2, n_max + 1):
+        totals = [0] * (n + 1)
+        for k, lucas in enumerate(alignment.lucas_row(n)):
+            row = rows[n - 2 * k]
+            weight = -lucas if k & 1 else lucas
+            totals[k:k + len(row)] = [t + weight * v for t, v in zip(totals[k:], row)]
+        checked += n - 1
+        failures.extend((n, i, totals[i]) for i in range(1, n) if totals[i])
+    return checked, tuple(failures)
+
+
+# (n, k, delta) added to T(n, k).  2**4000 is far past the honest slot
+# width.  T(25, 0) weighs the whole of row 25, so every total of that row
+# moves by C(25, i).
+SWEEP_FAULTS = {
+    "honest": (2, 0, 0),
+    "T(17,3)+5": (17, 3, 5),
+    "T(40,7)-1": (40, 7, -1),
+    "T(33,5)+2**4000": (33, 5, 2**4000),
+    "T(25,0)+1": (25, 0, 1),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fault", SWEEP_FAULTS.values(), ids=SWEEP_FAULTS)
+def test_packed_sweep_matches_list_reference(monkeypatch, fault, workers):
+    n_bad, k_bad, delta = fault
+
+    def faulty_row(n):
+        row = lucas_row(n)
+        if n == n_bad:
+            row = row[:k_bad] + (row[k_bad] + delta,) + row[k_bad + 1:]
+        return row
+
+    monkeypatch.setattr(alignment, "lucas_row", faulty_row)
+    if workers > 1:
+        # Make sure a pool really starts, also on a one-CPU machine.
+        monkeypatch.setattr(alignment.os, "cpu_count", lambda: workers)
+    summary = identity_sweep(120, workers=workers)
+    checked, failures = _reference_sweep(120)
+    assert (summary.pairs_checked, summary.failures) == (checked, failures)
+    # The fault moves total_i by +-delta * C(n - 2k, i - k): every k <= i <= n - k.
+    assert [(n, i) for n, i, _ in failures] == [
+        (n_bad, i) for i in range(1, n_bad) if delta and k_bad <= i <= n_bad - k_bad
+    ]
+
+
 def test_identity_path_never_calls_the_oracle(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the identity path used the expansion oracle")

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vertalign.cli as cli
+from vertalign import lockwood
 from vertalign.alignment import (
     IdentityReport,
     IdentityTerm,
@@ -122,7 +123,10 @@ class TestExitCodes:
         assert "FAIL n=3 i=1 total=7" in out
 
     def test_lockwood_failure_is_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "verify_lockwood", lambda n: n != 2)
+        def fails_at_2(n_start, n_end):
+            return [2] if n_start <= 2 <= n_end else []
+
+        monkeypatch.setattr(cli, "_verify_range", fails_at_2)
         assert cli.main(["lockwood", "3"]) == 1
         out = capsys.readouterr().out
         assert "fails for n in [2]" in out
@@ -215,6 +219,25 @@ class TestModes:
         cli.main(["lockwood", "12", "--workers", "2"])
         out = capsys.readouterr().out
         assert "all 12 hold" in out
+
+    @pytest.mark.parametrize("fault", [False, True], ids=["honest", "T(17,3)+5"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_lockwood_workers_match_serial(self, capsys, monkeypatch, fmt, fault):
+        honest = lockwood.lucas_row
+
+        def faulty_row(n):
+            row = honest(n)
+            return row[:3] + (row[3] + 5,) + row[4:] if n == 17 else row
+
+        if fault:
+            monkeypatch.setattr(lockwood, "lucas_row", faulty_row)
+        # Two CPUs as far as the pool cap knows, so a pool of two really starts.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial_code = cli.main(["--format", fmt, "lockwood", "60"])
+        serial = capsys.readouterr()
+        assert serial_code == (1 if fault else 0)
+        assert cli.main(["--format", fmt, "lockwood", "60", "--workers", "2"]) == serial_code
+        assert capsys.readouterr() == serial
 
 
 class TestNegativeRationalC:

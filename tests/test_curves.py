@@ -48,6 +48,24 @@ def _reference_pullback(spec, i):
     return total
 
 
+class TestRingPolynomial:
+    def test_sub_is_add_of_negation(self):
+        # Every zero pattern of a pair: both zero, either one, neither;
+        # different lengths; and a difference that cancels to nothing.
+        spec = make_ring(5, Fraction(3, 5))
+        zero, one, w = ring_zero(spec), ring_one(spec), zeta_power(spec, 1) * root_power(spec, 1)
+        polys = [
+            RingPolynomial(spec, ()),
+            RingPolynomial(spec, (w, zero, one)),
+            RingPolynomial(spec, (zero, w * 3, one, w)),
+            RingPolynomial(spec, (w, one * 2)),
+        ]
+        for p in polys:
+            for q in polys:
+                assert p - q == p + q.scale(-1), (p.to_text(), q.to_text())
+            assert (p - p).is_zero()
+
+
 class TestBuildSource:
     @pytest.mark.parametrize(
         "g, c, text",
@@ -218,6 +236,28 @@ class TestVerifyMorphism:
             assert report.holds, (g, c, i)
             assert report.residual.is_zero()
         assert time.perf_counter() - start < 30.0
+
+    @pytest.mark.parametrize("g", [1, 2, 7, 40, 80])
+    def test_w_powers_once_and_residual_adds_only_overlaps(self, g, monkeypatch):
+        # w^0..w^g serve the target and the pullback both: g + 1 products.
+        # The residual adds only where pullback and source both have a
+        # nonzero coefficient, at x^(2g+1) and x.
+        calls = {"mul": 0, "add": 0}
+        mul, add = QuotientRingElement.__mul__, QuotientRingElement.__add__
+
+        def counting_mul(self, other):
+            calls["mul"] += 1
+            return mul(self, other)
+
+        def counting_add(self, other):
+            calls["add"] += 1
+            return add(self, other)
+
+        monkeypatch.setattr(QuotientRingElement, "__mul__", counting_mul)
+        monkeypatch.setattr(QuotientRingElement, "__rmul__", counting_mul)
+        monkeypatch.setattr(QuotientRingElement, "__add__", counting_add)
+        assert verify_morphism(make_ring(g, Fraction(-7, 11)), 1).holds
+        assert calls == {"mul": g + 1, "add": 2}
 
     def test_report_carries_equations(self):
         report = verify_morphism(make_ring(6, 1), 0)

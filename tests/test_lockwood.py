@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vertalign
+from vertalign import lockwood
 from vertalign.combinatorics import binomial
 from vertalign.lockwood import (
     BivariatePolynomial,
+    _verify_range,
     aligned_term,
     binomial_expand,
     lockwood_rhs,
@@ -146,6 +148,41 @@ class TestLockwoodRhs:
         for n in range(1, 61):
             assert lockwood_rhs(n) == x_n_plus_y_n(n)
             assert verify_lockwood(n)
+
+
+class TestVerifyRange:
+    @pytest.mark.parametrize("n_start, n_end", [(1, 60), (10, 30), (17, 17)])
+    def test_fault_reported_as_by_verify_lockwood(self, monkeypatch, n_start, n_end):
+        honest = lockwood.lucas_row
+
+        def faulty_row(n):
+            row = honest(n)
+            return row[:3] + (row[3] + 5,) + row[4:] if n == 17 else row
+
+        monkeypatch.setattr(lockwood, "lucas_row", faulty_row)
+        per_n = [n for n in range(n_start, n_end + 1) if not verify_lockwood(n)]
+        assert _verify_range(n_start, n_end) == per_n == [17]
+
+    def test_honest_range_holds(self):
+        assert _verify_range(1, 120) == []
+        assert _verify_range(45, 60) == []
+
+    @pytest.mark.parametrize("n_max", [1, 40, 150])
+    def test_one_chain_per_range(self, monkeypatch, n_max):
+        # verify_lockwood(n) for each n builds (x + y)^1..(x + y)^n anew,
+        # n (n + 1) / 2 products by x + y in all; the range shares one chain.
+        products = 0
+        multiply = BivariatePolynomial.__mul__
+
+        def counting(self, other):
+            nonlocal products
+            if isinstance(other, BivariatePolynomial) and (1, 1) in (self.coeffs, other.coeffs):
+                products += 1
+            return multiply(self, other)
+
+        monkeypatch.setattr(BivariatePolynomial, "__mul__", counting)
+        assert _verify_range(1, n_max) == []
+        assert products == n_max
 
 
 class TestTermCoefficient:
