@@ -120,16 +120,6 @@ class IdentityReport:
             "holds": self.holds,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "IdentityReport":
-        terms = tuple(
-            IdentityTerm(
-                t["k"], t["signed_coefficient"], t["binomial_value"], t["product"]
-            )
-            for t in data["terms"]
-        )
-        return cls(data["n"], data["i"], terms, data["total"], data["holds"])
-
 
 def identity_sum(n: int, i: int) -> IdentityReport:
     """Evaluate sum_{k=0}^{i} (-1)^k T(n,k) C(n-2k, i-k) term by term.

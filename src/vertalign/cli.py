@@ -2,7 +2,8 @@
 
 Subcommands: triangle, aligned, identity, sweep, lucas-row, lockwood, curve,
 verify-morphism, table.  Global flags ``--format {text,json,csv}`` and
-``--workers N`` may be given before or after the subcommand.
+``--workers N`` may be given before or after the subcommand; every command
+accepts ``--workers``, and only sweep and lockwood use it.
 
 Exit codes: 0 when all requested verifications hold, 1 when any identity or
 morphism check fails (the offending terms or residual are dumped), 2 on
@@ -26,7 +27,7 @@ from fractions import Fraction
 from .alignment import aligned_entries, identity_sum, identity_sweep, map_row_ranges
 from .combinatorics import lucas_row, pascal_row
 from .curves import build_target, table_rows, table_text, verify_morphism
-from .lockwood import BivariatePolynomial, _verify_range, lockwood_rhs
+from .lockwood import _verify_range, _x_n_plus_y_n, lockwood_rhs
 from .quotient_ring import make_ring
 
 __all__ = ["main"]
@@ -232,8 +233,7 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
         if failures:
             print(f"x^n + y^n expansion identity fails for n in {failures}")
             for n in failures:
-                expected = BivariatePolynomial((1,) + (0,) * (n - 1) + (1,))
-                print(f"residual for n={n}: {(lockwood_rhs(n) - expected).to_text()}")
+                print(f"residual for n={n}: {(lockwood_rhs(n) - _x_n_plus_y_n(n)).to_text()}")
         else:
             print(
                 f"x^n + y^n expansion identity for n = 1..{args.n_max}: "
@@ -356,7 +356,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_workers,
         default=argparse.SUPPRESS,
-        help="worker processes for sweep commands (default: 1)",
+        help="worker processes for sweep and lockwood (default: 1); "
+        "the other commands accept it and ignore it",
     )
 
     parser = _Parser(
@@ -434,10 +435,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Python 3.10 builds before 3.10.7 have no int/str digit limit to lift.
+_get_int_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_int_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    limit = _get_int_digits()
     try:
         args = parser.parse_args(argv)
+        # Exact answers may run past the interpreter's int/str digit limit
+        # (4,300 by default); argv is parsed under it, so a huge argument is
+        # still refused before any work starts.
+        _set_int_digits(0)
         code = args.handler(args)
         sys.stdout.flush()
         return code
@@ -453,6 +464,8 @@ def main(argv: list[str] | None = None) -> int:
         return 141
     except KeyboardInterrupt:
         return 130
+    finally:
+        _set_int_digits(limit)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ import math
 __all__ = [
     "binomial",
     "lucas_coeff",
-    "lucas_coeff_alt",
     "lucas_row",
     "pascal_row",
 ]
@@ -62,20 +61,6 @@ def lucas_coeff(n: int, k: int) -> int:
             f"n/(n-k)*C(n-k,k) failed to reduce to an integer for n={n}, k={k}"
         )
     return value
-
-
-def lucas_coeff_alt(n: int, k: int) -> int:
-    """T(n, k) via the sum form C(n-k, k) + C(n-k-1, k-1).
-
-    Independent of :func:`lucas_coeff`'s quotient and of :func:`lucas_row`'s
-    recurrence; all three must agree on the shared domain, which makes this
-    a cross-check oracle.
-    """
-    if n < 1:
-        raise ValueError(f"lucas_coeff_alt requires n >= 1, got n={n}")
-    if not 0 <= k < n:
-        raise ValueError(f"lucas_coeff_alt requires 0 <= k < n, got k={k}, n={n}")
-    return binomial(n - k, k) + binomial(n - k - 1, k - 1)
 
 
 def lucas_row(n: int) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterator, Literal
+from typing import Literal
 
 from .combinatorics import lucas_row
 from .quotient_ring import (
@@ -41,14 +41,12 @@ __all__ = [
     "RingPolynomial",
     "CurveEquation",
     "MorphismReport",
-    "CoefficientFacts",
     "TableEntry",
     "TableRow",
     "build_source",
     "build_target",
     "pullback_rhs",
     "verify_morphism",
-    "coefficient_facts",
     "table_rows",
     "table_text",
 ]
@@ -79,46 +77,14 @@ class RingPolynomial:
             return self.coeffs[exponent]
         return ring_zero(self.spec)
 
-    def _pairs(
-        self, other: "RingPolynomial"
-    ) -> Iterator[tuple[QuotientRingElement, QuotientRingElement]]:
-        if self.spec != other.spec:
-            raise ValueError("ring mismatch between polynomials")
-        return zip_longest(self.coeffs, other.coeffs, fillvalue=ring_zero(self.spec))
-
-    def __add__(self, other: "RingPolynomial") -> "RingPolynomial":
-        return RingPolynomial(self.spec, tuple(p + q for p, q in self._pairs(other)))
-
     def __sub__(self, other: "RingPolynomial") -> "RingPolynomial":
         """Coefficient by coefficient; a pair with a zero side needs no addition."""
-        return RingPolynomial(self.spec, tuple(
-            p if q.is_zero() else -q if p.is_zero() else p - q for p, q in self._pairs(other)
-        ))
-
-    def __mul__(self, other: "RingPolynomial") -> "RingPolynomial":
         if self.spec != other.spec:
             raise ValueError("ring mismatch between polynomials")
-        if self.is_zero() or other.is_zero():
-            return RingPolynomial(self.spec, ())
-        acc = [ring_zero(self.spec)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, p in enumerate(self.coeffs):
-            if p.is_zero():
-                continue
-            for j, q in enumerate(other.coeffs):
-                if not q.is_zero():
-                    acc[i + j] = acc[i + j] + p * q
-        return RingPolynomial(self.spec, tuple(acc))
-
-    def scale(self, factor: QuotientRingElement | Fraction | int) -> "RingPolynomial":
-        return RingPolynomial(self.spec, tuple(p * factor for p in self.coeffs))
-
-    def shift(self, exponent: int) -> "RingPolynomial":
-        """Multiply by x^exponent."""
-        if exponent < 0:
-            raise ValueError("shift exponent must be nonnegative")
-        if self.is_zero():
-            return self
-        return RingPolynomial(self.spec, (ring_zero(self.spec),) * exponent + self.coeffs)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=ring_zero(self.spec))
+        return RingPolynomial(self.spec, tuple(
+            p if q.is_zero() else -q if p.is_zero() else p - q for p, q in pairs
+        ))
 
     def substitute_u(self, value: Fraction | int) -> "RingPolynomial":
         return RingPolynomial(
@@ -172,15 +138,15 @@ class CurveEquation:
     i: int | None
     role: Literal["source", "target"]
 
-    def equation_text(self, collapse_unit_root: bool = True) -> str:
+    def equation_text(self) -> str:
         """The equation as text.
 
-        When c = 1 (and collapsing is requested) the formal root u is
-        specialized to the rational root 1, which is how these curves are
-        conventionally written; other c keep the canonical u-form.
+        When c = 1 the formal root u is specialized to the rational root 1,
+        which is how these curves are conventionally written; other c keep
+        the canonical u-form.
         """
         f = self.f
-        if collapse_unit_root and self.c == 1:
+        if self.c == 1:
             f = f.substitute_u(1)
         return f"y^2 = {f.to_text()}"
 
@@ -198,8 +164,13 @@ def _w_powers(spec: RingSpec, i: int, top: int) -> list[QuotientRingElement]:
     """w^0..w^top for w = zeta^i c^{1/g}, by repeated multiplication by w.
 
     Each product reduces through Phi_g and u^g = c, so the list costs top + 1
-    ring products; the target and the pullback both read it.
+    ring products; the target and the pullback both read it.  ``i`` selects
+    which g-th root of unity twists w and must be 0 or 1; it is checked here,
+    before any ring product, for every caller.
     """
+    if i not in (0, 1):
+        # Named for the target curve, which every command that reads i builds.
+        raise ValueError(f"build_target requires i in {{0, 1}}, got i={i}")
     w = zeta_power(spec, i) * root_power(spec, 1)
     powers = [ring_one(spec)]
     for _ in range(top):
@@ -215,17 +186,15 @@ def build_target(
     Only the exponents g-2k occur, so consecutive coefficients alternate
     between nonzero and zero.  zeta^{ik} c^{k/g} is w^k from ``_w_powers``
     and T(g, k) comes from ``lucas_row``, the same values the pullback
-    reads, so a fault in either leaves a nonzero residual.  ``i`` selects
-    which g-th root of unity twists the coefficients and must be 0 or 1.
-    ``w_powers``, if given, is ``_w_powers(spec, i, top)`` for some
-    top >= g//2, already computed by the caller.
+    reads, so a fault in either leaves a nonzero residual.  ``i`` must be
+    0 or 1 (see ``_w_powers``).  ``w_powers``, if given, is
+    ``_w_powers(spec, i, top)`` for some top >= g//2, already computed by
+    the caller.
     """
-    if i not in (0, 1):
-        raise ValueError(f"build_target requires i in {{0, 1}}, got i={i}")
     g = spec.g
-    coeffs = [ring_zero(spec)] * (g + 1)
     if w_powers is None:
         w_powers = _w_powers(spec, i, g // 2)
+    coeffs = [ring_zero(spec)] * (g + 1)
     for k, lucas in enumerate(lucas_row(g)):
         coeffs[g - 2 * k] = w_powers[k].scale((-1) ** k * lucas)
     f = RingPolynomial(spec, tuple(coeffs))
@@ -251,9 +220,9 @@ def pullback_rhs(
     R(g, c) through ``_w_powers``: g + 1 ring products in all, none if the
     caller passes ``w_powers`` = ``_w_powers(spec, i, g)``.
     """
-    if i not in (0, 1):
-        raise ValueError(f"pullback_rhs requires i in {{0, 1}}, got i={i}")
     g = spec.g
+    if w_powers is None:
+        w_powers = _w_powers(spec, i, g)
     lucas = lucas_row(g)
     weights = [0] * (g + 1)
     row = [1]  # (x^2 + w)^m by w-exponent
@@ -265,8 +234,6 @@ def pullback_rhs(
             signed = (-1) ** k * lucas[k]
             for j, entry in enumerate(row):
                 weights[k + j] += signed * entry
-    if w_powers is None:
-        w_powers = _w_powers(spec, i, g)
     coeffs = [ring_zero(spec)] * (2 * g + 2)
     for b, (weight, w_to_b) in enumerate(zip(weights, w_powers)):
         coeffs[2 * g + 1 - 2 * b] = w_to_b.scale(weight)
@@ -295,10 +262,11 @@ class MorphismReport:
 def verify_morphism(spec: RingSpec, i: int) -> MorphismReport:
     """Expand the pullback of the target and compare with x^{2g+1} + c x.
 
-    w^0..w^g are computed once, for the target and the pullback both.
+    w^0..w^g are computed once, for the target and the pullback both, and
+    a bad ``i`` is refused before any of them.
     """
-    source = build_source(spec)
     w_powers = _w_powers(spec, i, spec.g)
+    source = build_source(spec)
     target = build_target(spec, i, w_powers)
     pullback = pullback_rhs(spec, i, w_powers)
     residual = pullback - source.f
@@ -312,34 +280,6 @@ def verify_morphism(spec: RingSpec, i: int) -> MorphismReport:
         target=target,
         pullback=pullback,
     )
-
-
-@dataclass(frozen=True)
-class CoefficientFacts:
-    """Closed forms for two distinguished target coefficients.
-
-    ``second`` is the coefficient of x^{g-2} (always -g).  ``last`` is the
-    trailing coefficient: (-1)^{g/2} * 2 at x^0 for even g, and
-    (-1)^{(g-1)/2} * g at x^1 for odd g.  Both are stated up to the
-    zeta^{ik} c^{k/g} twist carried by the corresponding k.
-    """
-
-    g: int
-    second: int
-    last: int
-    last_exponent: int
-
-
-def coefficient_facts(g: int) -> CoefficientFacts:
-    if g < 2:
-        raise ValueError(f"coefficient_facts requires g >= 2, got g={g}")
-    if g % 2 == 0:
-        last = 2 * (-1) ** (g // 2)
-        last_exponent = 0
-    else:
-        last = g * (-1) ** ((g - 1) // 2)
-        last_exponent = 1
-    return CoefficientFacts(g=g, second=-g, last=last, last_exponent=last_exponent)
 
 
 @dataclass(frozen=True)

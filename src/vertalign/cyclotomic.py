@@ -36,11 +36,6 @@ class IntPolynomial:
                 trimmed.pop()
             object.__setattr__(self, "coefficients", tuple(trimmed))
 
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
-
     def is_zero(self) -> bool:
         return not self.coefficients
 
@@ -59,17 +54,6 @@ class IntPolynomial:
                     out[i + j] += a * b
         return IntPolynomial(tuple(out))
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-a for a in self.coefficients))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        n = max(len(self.coefficients), len(other.coefficients))
-        a = self.coefficients + (0,) * (n - len(self.coefficients))
-        b = other.coefficients + (0,) * (n - len(other.coefficients))
-        return IntPolynomial(tuple(x - y for x, y in zip(a, b)))
-
     def divmod_monic(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Quotient and remainder by a monic divisor (stays over the integers)."""
         if not divisor.is_monic():
@@ -84,25 +68,6 @@ class IntPolynomial:
                 for j, b in enumerate(divisor.coefficients):
                     rem[top - dlen + 1 + j] -= factor * b
         return IntPolynomial(tuple(quot)), IntPolynomial(tuple(rem))
-
-    def to_text(self, variable: str = "z") -> str:
-        if not self.coefficients:
-            return "0"
-        parts = []
-        for exp in range(len(self.coefficients) - 1, -1, -1):
-            coeff = self.coefficients[exp]
-            if not coeff:
-                continue
-            if exp == 0:
-                body = str(abs(coeff))
-            else:
-                var = variable if exp == 1 else f"{variable}^{exp}"
-                body = var if abs(coeff) == 1 else f"{abs(coeff)}*{var}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
 
 
 def _x_power_minus_one(n: int) -> IntPolynomial:

@@ -14,25 +14,21 @@ here is stored as one row of n + 1 integers indexed by the power of y.
 
 To keep the routes independent, powers of (x + y) are built by iterated
 polynomial multiplication and T(n, k) comes from the ratio recurrence of
-:func:`vertalign.combinatorics.lucas_row`; :func:`binomial_expand` is the
-only operation here that reaches :func:`vertalign.combinatorics.binomial`.
-A range of n (the ``lockwood`` command) shares one chain of powers of
-(x + y) and expands every sum in full.
+:func:`vertalign.combinatorics.lucas_row`; this module does not import
+:func:`vertalign.combinatorics.binomial` at all.  A range of n (the
+``lockwood`` command) shares one chain of powers of (x + y) and expands
+every sum in full.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .combinatorics import binomial, lucas_row
+from .combinatorics import lucas_row
 
 __all__ = [
     "BivariatePolynomial",
-    "binomial_expand",
-    "xy_symmetric_power",
-    "aligned_term",
     "lockwood_rhs",
-    "term_coefficient",
     "verify_lockwood",
 ]
 
@@ -52,14 +48,6 @@ class BivariatePolynomial:
         self.coeffs = tuple(coeffs)
         if not self.coeffs:
             raise ValueError("a form of degree n needs n + 1 coefficients, got none")
-
-    def coefficient(self, a: int, b: int) -> int:
-        """Coefficient of x^a y^b; zero unless a + b is the degree."""
-        n = len(self.coeffs) - 1
-        return self.coeffs[b] if 0 <= b <= n and a + b == n else 0
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BivariatePolynomial):
@@ -92,13 +80,6 @@ class BivariatePolynomial:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "BivariatePolynomial":
-        """Multiply by (xy)^k."""
-        if k < 0:
-            raise ValueError(f"shift requires k >= 0, got k={k}")
-        pad = (0,) * k
-        return BivariatePolynomial(pad + self.coeffs + pad)
-
     def to_text(self) -> str:
         """Canonical text form: graded-lex order with x > y, leading term first."""
         n = len(self.coeffs) - 1
@@ -121,13 +102,6 @@ _ONE = BivariatePolynomial((1,))
 _X_PLUS_Y = BivariatePolynomial((1, 1))
 
 
-def binomial_expand(n: int) -> BivariatePolynomial:
-    """(x + y)^n filled in directly from binomial coefficients."""
-    if n < 0:
-        raise ValueError(f"binomial_expand requires n >= 0, got n={n}")
-    return BivariatePolynomial(binomial(n, i) for i in range(n + 1))
-
-
 def _powers(top: int) -> list[BivariatePolynomial]:
     """(x + y)^0..(x + y)^top, each the one before times x + y."""
     powers = [_ONE]
@@ -136,28 +110,18 @@ def _powers(top: int) -> list[BivariatePolynomial]:
     return powers
 
 
-def xy_symmetric_power(m: int) -> BivariatePolynomial:
-    """(x + y)^m by iterated multiplication, independent of binomial()."""
-    if m < 0:
-        raise ValueError(f"xy_symmetric_power requires m >= 0, got m={m}")
-    return _powers(m)[-1]
-
-
-def aligned_term(n: int, k: int) -> BivariatePolynomial:
-    """The unsigned building block (xy)^k (x + y)^{n-2k}, fully expanded."""
-    if n < 1:
-        raise ValueError(f"aligned_term requires n >= 1, got n={n}")
-    if not 0 <= k <= n // 2:
-        raise ValueError(f"aligned_term requires 0 <= k <= n//2, got k={k}, n={n}")
-    return xy_symmetric_power(n - 2 * k).shift(k)
-
-
 def _expand(n: int, powers: list[BivariatePolynomial]) -> BivariatePolynomial:
-    """sum_k (-1)^k T(n,k) (xy)^k (x+y)^{n-2k}, reading (x+y)^m from ``powers``."""
-    total = BivariatePolynomial((0,) * (n + 1))
+    """sum_k (-1)^k T(n,k) (xy)^k (x+y)^{n-2k}, reading (x+y)^m from ``powers``.
+
+    Multiplying by (xy)^k moves a row k places along, so term k adds the
+    n - 2k + 1 entries of (x+y)^{n-2k} into slots k..n-k of one list.
+    """
+    total = [0] * (n + 1)
     for k, lucas in enumerate(lucas_row(n)):
-        total = total + powers[n - 2 * k].shift(k) * ((-1) ** k * lucas)
-    return total
+        weight = -lucas if k & 1 else lucas
+        row = powers[n - 2 * k].coeffs
+        total[k:k + len(row)] = [t + weight * c for t, c in zip(total[k:], row)]
+    return BivariatePolynomial(total)
 
 
 def _x_n_plus_y_n(n: int) -> BivariatePolynomial:
@@ -175,17 +139,6 @@ def lockwood_rhs(n: int) -> BivariatePolynomial:
     if n < 1:
         raise ValueError(f"lockwood_rhs requires n >= 1, got n={n}")
     return _expand(n, _powers(n))
-
-
-def term_coefficient(n: int, k: int, i: int) -> int:
-    """Coefficient of x^{n-i} y^i in (xy)^k (x+y)^{n-2k}.
-
-    Equals C(n-2k, i-k); checking that equality across the whole (k, i)
-    range is what certifies the coefficient-matching step.
-    """
-    if not 0 <= i <= n:
-        raise ValueError(f"term_coefficient requires 0 <= i <= n, got i={i}, n={n}")
-    return aligned_term(n, k).coefficient(n - i, i)
 
 
 def verify_lockwood(n: int) -> bool:

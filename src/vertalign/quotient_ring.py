@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .cyclotomic import IntPolynomial, cyclotomic, euler_phi
 
@@ -94,14 +94,9 @@ class QuotientRingElement:
 
     __slots__ = ("spec", "_cols")
 
-    def __init__(
-        self,
-        spec: RingSpec,
-        entries: Mapping[tuple[int, int], Fraction | int] | Iterable[tuple[tuple[int, int], Fraction | int]] = (),
-    ):
-        items = entries.items() if isinstance(entries, Mapping) else entries
+    def __init__(self, spec: RingSpec, entries: Mapping[tuple[int, int], Fraction | int]):
         cols: list[list[Fraction] | None] = [None] * spec.deg_u
-        for (a, b), value in items:
+        for (a, b), value in entries.items():
             if not 0 <= a < spec.deg_z or not 0 <= b < spec.deg_u:
                 raise ValueError(
                     f"basis index ({a}, {b}) outside 0<={a}<{spec.deg_z}, 0<={b}<{spec.deg_u}"
@@ -111,10 +106,6 @@ class QuotientRingElement:
             cols[b][a] += Fraction(value)
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "_cols", _freeze_columns(spec, cols))
-
-    def coefficient(self, a: int, b: int) -> Fraction:
-        """Coefficient of z^a u^b in the reduced basis."""
-        return self._cols[b][a]
 
     def entries(self) -> dict[tuple[int, int], Fraction]:
         """Nonzero coefficients keyed by (a, b)."""
@@ -131,15 +122,6 @@ class QuotientRingElement:
     def is_zero(self) -> bool:
         zcol = _zero_column(self.spec.deg_z)
         return all(col is zcol for col in self._cols)
-
-    def is_rational(self) -> bool:
-        """True when the element lies in the copy of Q (only the 1-slot used)."""
-        return all(not q for (a, b), q in self.entries().items() if (a, b) != (0, 0))
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"element {self.to_text()} is not rational")
-        return self._cols[0][0]
 
     def substitute_u(self, value: Fraction | int) -> "QuotientRingElement":
         """Collapse u to a concrete rational g-th root of c.
@@ -169,9 +151,6 @@ class QuotientRingElement:
         if not isinstance(other, QuotientRingElement):
             return NotImplemented
         return self.spec == other.spec and self._cols == other._cols
-
-    def __hash__(self) -> int:
-        return hash((self.spec.g, self.spec.c, self._cols))
 
     def __add__(self, other: "QuotientRingElement") -> "QuotientRingElement":
         spec = _common_spec(self, other)
@@ -246,20 +225,6 @@ class QuotientRingElement:
             col if col is zcol else tuple(q * v if v else v for v in col) for col in self._cols
         )
         return _raw(self.spec, cols)
-
-    def __pow__(self, exponent: int) -> "QuotientRingElement":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {exponent}")
-        result = ring_one(self.spec)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def to_text(self) -> str:
         """Canonical text: q*z^a*u^b terms in ascending lexicographic (a, b)."""

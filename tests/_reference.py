@@ -1,0 +1,231 @@
+"""Reference routes that the tests compare the library against.
+
+The command line never runs these, so they live here rather than in
+``vertalign``.  Each route computes a value the library also computes,
+without the library's code for the step under test:
+
+* ``lucas_coeff_alt``: T(n, k) by the sum form C(n-k, k) + C(n-k-1, k-1),
+  against ``lucas_coeff``'s quotient and ``lucas_row``'s ratio recurrence.
+* ``binomial_expand``: (x + y)^n filled in from ``binomial()``, against the
+  oracle's chain of products by x + y (``xy_symmetric_power``).
+* ``aligned_term`` / ``term_coefficient``: the oracle's building blocks
+  (xy)^k (x + y)^{n-2k} and their coefficients, against C(n-2k, i-k).
+* ``reference_sweep``: the list-based Pascal-row sweep, against the packed
+  sweep of ``alignment._sweep_range``.
+* ``reference_pullback``: the morphism pullback expanded entirely over
+  R(g, c) with ``RingPolynomial`` products and T from ``lucas_coeff``,
+  against ``curves.pullback_rhs``.
+* ``coefficient_facts``: closed forms of two target coefficients, against
+  the coefficients ``curves.build_target`` builds.
+* ``identity_report_from_dict``: the inverse of ``IdentityReport.to_dict``,
+  for round-tripping the ``identity`` JSON payload.
+
+The rest are the small helpers these routes and the tests build with:
+``xy_symmetric_power`` (the oracle's own chain, for comparison with
+``binomial_expand``), ``shift_xy``, ``ring_power`` and the ``ring_poly_*``
+arithmetic on ``RingPolynomial``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import zip_longest
+
+from vertalign import alignment, lockwood
+from vertalign.alignment import IdentityReport, IdentityTerm
+from vertalign.combinatorics import binomial, lucas_coeff
+from vertalign.curves import RingPolynomial
+from vertalign.lockwood import BivariatePolynomial
+from vertalign.quotient_ring import QuotientRingElement, ring_one, ring_zero, root_power, zeta_power
+
+
+# -- combinatorics -----------------------------------------------------------
+
+
+def lucas_coeff_alt(n: int, k: int) -> int:
+    """T(n, k) via the sum form C(n-k, k) + C(n-k-1, k-1)."""
+    if n < 1:
+        raise ValueError(f"lucas_coeff_alt requires n >= 1, got n={n}")
+    if not 0 <= k < n:
+        raise ValueError(f"lucas_coeff_alt requires 0 <= k < n, got k={k}, n={n}")
+    return binomial(n - k, k) + binomial(n - k - 1, k - 1)
+
+
+# -- the expansion oracle ----------------------------------------------------
+
+
+def binomial_expand(n: int) -> BivariatePolynomial:
+    """(x + y)^n filled in directly from binomial coefficients."""
+    if n < 0:
+        raise ValueError(f"binomial_expand requires n >= 0, got n={n}")
+    return BivariatePolynomial(binomial(n, i) for i in range(n + 1))
+
+
+def xy_symmetric_power(m: int) -> BivariatePolynomial:
+    """(x + y)^m from the oracle's own chain of products by x + y."""
+    if m < 0:
+        raise ValueError(f"xy_symmetric_power requires m >= 0, got m={m}")
+    return lockwood._powers(m)[-1]
+
+
+def shift_xy(p: BivariatePolynomial, k: int) -> BivariatePolynomial:
+    """Multiply a form by (xy)^k."""
+    if k < 0:
+        raise ValueError(f"shift requires k >= 0, got k={k}")
+    pad = (0,) * k
+    return BivariatePolynomial(pad + p.coeffs + pad)
+
+
+def aligned_term(n: int, k: int) -> BivariatePolynomial:
+    """The unsigned building block (xy)^k (x + y)^{n-2k}, fully expanded."""
+    if n < 1:
+        raise ValueError(f"aligned_term requires n >= 1, got n={n}")
+    if not 0 <= k <= n // 2:
+        raise ValueError(f"aligned_term requires 0 <= k <= n//2, got k={k}, n={n}")
+    return shift_xy(xy_symmetric_power(n - 2 * k), k)
+
+
+def term_coefficient(n: int, k: int, i: int) -> int:
+    """Coefficient of x^{n-i} y^i in (xy)^k (x+y)^{n-2k}; equals C(n-2k, i-k)."""
+    if not 0 <= i <= n:
+        raise ValueError(f"term_coefficient requires 0 <= i <= n, got i={i}, n={n}")
+    return aligned_term(n, k).coeffs[i]
+
+
+# -- the alignment sweep -----------------------------------------------------
+
+
+def reference_sweep(n_max: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """The list-based sweep that the packed one replaced.
+
+    Rows are lists built by the Pascal recurrence, and row n of totals is
+    accumulated slice by slice.  T comes from the ``lucas_row`` that
+    ``alignment`` reads, so a fault injected there reaches both routes.
+    """
+    rows = [[1]]
+    for m in range(1, n_max + 1):
+        prev = rows[m - 1]
+        rows.append([1] + [prev[j - 1] + prev[j] for j in range(1, m)] + [1])
+    checked = 0
+    failures = []
+    for n in range(2, n_max + 1):
+        totals = [0] * (n + 1)
+        for k, lucas in enumerate(alignment.lucas_row(n)):
+            row = rows[n - 2 * k]
+            weight = -lucas if k & 1 else lucas
+            totals[k:k + len(row)] = [t + weight * v for t, v in zip(totals[k:], row)]
+        checked += n - 1
+        failures.extend((n, i, totals[i]) for i in range(1, n) if totals[i])
+    return checked, tuple(failures)
+
+
+def identity_report_from_dict(data: dict) -> IdentityReport:
+    """Rebuild the report that ``IdentityReport.to_dict`` wrote."""
+    terms = tuple(
+        IdentityTerm(t["k"], t["signed_coefficient"], t["binomial_value"], t["product"])
+        for t in data["terms"]
+    )
+    return IdentityReport(data["n"], data["i"], terms, data["total"], data["holds"])
+
+
+# -- polynomials over R(g, c) ------------------------------------------------
+
+
+def ring_power(x: QuotientRingElement, exponent: int) -> QuotientRingElement:
+    """x^exponent by repeated multiplication."""
+    result = ring_one(x.spec)
+    for _ in range(exponent):
+        result = result * x
+    return result
+
+
+def ring_poly_add(p: RingPolynomial, q: RingPolynomial) -> RingPolynomial:
+    if p.spec != q.spec:
+        raise ValueError("ring mismatch between polynomials")
+    pairs = zip_longest(p.coeffs, q.coeffs, fillvalue=ring_zero(p.spec))
+    return RingPolynomial(p.spec, tuple(a + b for a, b in pairs))
+
+
+def ring_poly_mul(p: RingPolynomial, q: RingPolynomial) -> RingPolynomial:
+    if p.spec != q.spec:
+        raise ValueError("ring mismatch between polynomials")
+    if p.is_zero() or q.is_zero():
+        return RingPolynomial(p.spec, ())
+    acc = [ring_zero(p.spec)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(q.coeffs):
+            if not b.is_zero():
+                acc[i + j] = acc[i + j] + a * b
+    return RingPolynomial(p.spec, tuple(acc))
+
+
+def ring_poly_scale(
+    p: RingPolynomial, factor: QuotientRingElement | Fraction | int
+) -> RingPolynomial:
+    return RingPolynomial(p.spec, tuple(a * factor for a in p.coeffs))
+
+
+def ring_poly_shift(p: RingPolynomial, exponent: int) -> RingPolynomial:
+    """Multiply by x^exponent."""
+    if exponent < 0:
+        raise ValueError("shift exponent must be nonnegative")
+    if p.is_zero():
+        return p
+    return RingPolynomial(p.spec, (ring_zero(p.spec),) * exponent + p.coeffs)
+
+
+def reference_pullback(spec, i: int) -> RingPolynomial:
+    """The pullback expanded entirely over R(g, c).
+
+    Powers of (x^2 + w) come from iterated RingPolynomial multiplication and
+    T(g, k) from lucas_coeff, so it shares neither step with pullback_rhs.
+    """
+    g = spec.g
+    w = zeta_power(spec, i) * root_power(spec, 1)
+    base = RingPolynomial(spec, (w, ring_zero(spec), ring_one(spec)))  # x^2 + w
+    powers = [RingPolynomial(spec, (ring_one(spec),))]
+    for _ in range(g):
+        powers.append(ring_poly_mul(powers[-1], base))
+    total = RingPolynomial(spec, ())
+    w_to_k = ring_one(spec)
+    for k in range(g // 2 + 1):
+        if k:
+            w_to_k = w_to_k * w
+        factor = w_to_k.scale((-1) ** k * lucas_coeff(g, k))
+        term = ring_poly_shift(ring_poly_scale(powers[g - 2 * k], factor), 2 * k + 1)
+        total = ring_poly_add(total, term)
+    return total
+
+
+# -- target coefficients -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CoefficientFacts:
+    """Closed forms for two distinguished target coefficients.
+
+    ``second`` is the coefficient of x^{g-2} (always -g).  ``last`` is the
+    trailing coefficient: (-1)^{g/2} * 2 at x^0 for even g, and
+    (-1)^{(g-1)/2} * g at x^1 for odd g.  Both are stated up to the
+    zeta^{ik} c^{k/g} twist carried by the corresponding k.
+    """
+
+    g: int
+    second: int
+    last: int
+    last_exponent: int
+
+
+def coefficient_facts(g: int) -> CoefficientFacts:
+    if g < 2:
+        raise ValueError(f"coefficient_facts requires g >= 2, got g={g}")
+    if g % 2 == 0:
+        last = 2 * (-1) ** (g // 2)
+        last_exponent = 0
+    else:
+        last = g * (-1) ** ((g - 1) // 2)
+        last_exponent = 1
+    return CoefficientFacts(g=g, second=-g, last=last, last_exponent=last_exponent)

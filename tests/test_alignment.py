@@ -3,26 +3,17 @@ import random
 
 import pytest
 
-from vertalign import alignment
-from vertalign.alignment import (
-    IdentityReport,
-    aligned_entries,
-    identity_sum,
-    identity_sweep,
-)
-from vertalign.combinatorics import (
-    binomial,
-    lucas_coeff,
-    lucas_coeff_alt,
-    lucas_row,
-    pascal_row,
-)
-from vertalign.lockwood import (
-    BivariatePolynomial,
+from _reference import (
     aligned_term,
     binomial_expand,
-    verify_lockwood,
+    identity_report_from_dict,
+    lucas_coeff_alt,
+    reference_sweep,
 )
+from vertalign import alignment
+from vertalign.alignment import aligned_entries, identity_sum, identity_sweep
+from vertalign.combinatorics import binomial, lucas_coeff, lucas_row, pascal_row
+from vertalign.lockwood import BivariatePolynomial, verify_lockwood
 
 
 class TestAlignedEntries:
@@ -132,7 +123,7 @@ class TestIdentitySum:
     def test_json_round_trip(self):
         report = identity_sum(12, 6)
         payload = json.loads(json.dumps(report.to_dict()))
-        assert IdentityReport.from_dict(payload) == report
+        assert identity_report_from_dict(payload) == report
 
     def test_k_tail_matches_binomial_expansion_coefficient(self):
         # Coefficient-level restatement: for 0 < i < n the k >= 1 portion
@@ -147,9 +138,9 @@ class TestIdentitySum:
             for i in range(1, n):
                 report = identity_sum(n, i)
                 tail = sum(t.product for t in report.terms if t.k >= 1)
-                assert tail == -expansion.coefficient(n - i, i)
+                assert tail == -expansion.coeffs[i]
                 if tail_poly is not None:
-                    assert tail == tail_poly.coefficient(n - i, i)
+                    assert tail == tail_poly.coeffs[i]
 
 
 class TestIdentitySweep:
@@ -221,30 +212,6 @@ class TestIdentitySweep:
         assert summary.pairs_checked == 24 * 25 // 2
 
 
-def _reference_sweep(n_max):
-    """The list-based sweep that the packed one replaced, kept as a test-only reference.
-
-    Rows are lists built by the Pascal recurrence, and row n of totals is
-    accumulated slice by slice.  T comes from the ``lucas_row`` that
-    ``alignment`` reads, so a fault injected there reaches both routes.
-    """
-    rows = [[1]]
-    for m in range(1, n_max + 1):
-        prev = rows[m - 1]
-        rows.append([1] + [prev[j - 1] + prev[j] for j in range(1, m)] + [1])
-    checked = 0
-    failures = []
-    for n in range(2, n_max + 1):
-        totals = [0] * (n + 1)
-        for k, lucas in enumerate(alignment.lucas_row(n)):
-            row = rows[n - 2 * k]
-            weight = -lucas if k & 1 else lucas
-            totals[k:k + len(row)] = [t + weight * v for t, v in zip(totals[k:], row)]
-        checked += n - 1
-        failures.extend((n, i, totals[i]) for i in range(1, n) if totals[i])
-    return checked, tuple(failures)
-
-
 # (n, k, delta) added to T(n, k).  2**4000 is far past the honest slot
 # width.  T(25, 0) weighs the whole of row 25, so every total of that row
 # moves by C(25, i).
@@ -273,7 +240,7 @@ def test_packed_sweep_matches_list_reference(monkeypatch, fault, workers):
         # Make sure a pool really starts, also on a one-CPU machine.
         monkeypatch.setattr(alignment.os, "cpu_count", lambda: workers)
     summary = identity_sweep(120, workers=workers)
-    checked, failures = _reference_sweep(120)
+    checked, failures = reference_sweep(120)
     assert (summary.pairs_checked, summary.failures) == (checked, failures)
     # The fault moves total_i by +-delta * C(n - 2k, i - k): every k <= i <= n - k.
     assert [(n, i) for n, i, _ in failures] == [

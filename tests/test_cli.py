@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import multiprocessing
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vertalign.cli as cli
+from _reference import identity_report_from_dict
 from vertalign import lockwood
 from vertalign.alignment import (
     IdentityReport,
@@ -23,6 +25,7 @@ from vertalign.alignment import (
     identity_sweep,
     pool_size,
 )
+from vertalign.combinatorics import lucas_row
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -137,7 +140,7 @@ class TestJsonOutputs:
     def test_identity_round_trips(self, capsys):
         assert cli.main(["--format", "json", "identity", "12", "6"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert IdentityReport.from_dict(payload) == identity_sum(12, 6)
+        assert identity_report_from_dict(payload) == identity_sum(12, 6)
 
     def test_format_flag_after_subcommand(self, capsys):
         assert cli.main(["identity", "12", "6", "--format", "json"]) == 0
@@ -276,6 +279,65 @@ def test_workers_below_one_is_usage(argv, workers, capsys, monkeypatch):
             cli.main(placed)
         assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv in EVERY_SUBCOMMAND if argv[0] not in ("sweep", "lockwood")],
+    ids=lambda argv: argv[0],
+)
+def test_workers_accepted_and_ignored_by_other_commands(argv, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code = cli.main(argv)
+    plain = capsys.readouterr()
+    for placed in (["--workers", "2", *argv], [*argv, "--workers", "2"]):
+        assert cli.main(placed) == code
+        assert capsys.readouterr() == plain
+
+
+@functools.cache
+def _lucas_row_25000_text() -> tuple[str, ...]:
+    limit = cli._get_int_digits()
+    cli._set_int_digits(0)
+    try:
+        return tuple(map(str, lucas_row(25000)))
+    finally:
+        cli._set_int_digits(limit)
+
+
+class TestHugeIntegers:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_answer_past_the_int_text_limit(self, fmt, capsys):
+        # T(25000, k) runs to 5,223 digits, past the interpreter's default
+        # int/str limit of 4,300; main lifts it for the run and restores it.
+        limit = cli._get_int_digits()
+        assert cli.main(["--format", fmt, "lucas-row", "25000"]) == 0
+        out = capsys.readouterr().out
+        assert cli._get_int_digits() == limit
+        values = _lucas_row_25000_text()
+        if fmt == "json":
+            body = ",\n    ".join(values)
+            expected = f'{{\n  "n": 25000,\n  "coefficients": [\n    {body}\n  ]\n}}\n'
+        else:
+            expected = f"T(25000, k) for k = 0..12500: {' '.join(values)}\n"
+        assert out == expected
+
+    @pytest.mark.skipif(
+        not 0 < cli._get_int_digits() < 5000, reason="needs an int/str digit limit below 5,000"
+    )
+    def test_huge_argument_refused_at_parse_time(self, capsys, monkeypatch):
+        def forbidden(n):
+            raise AssertionError("a 5,000-digit argument got past the parser")
+
+        monkeypatch.setattr(cli, "lucas_row", forbidden)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["lucas-row", "9" * 5000])
+        assert excinfo.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
 
 
 def test_module_entry_point_subprocess():

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import lucas_coeff_alt
 from vertalign.combinatorics import (
     binomial,
     lucas_coeff,
-    lucas_coeff_alt,
     lucas_row,
     pascal_row,
 )

@@ -3,13 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from _reference import (
+    coefficient_facts,
+    reference_pullback,
+    ring_poly_add,
+    ring_poly_scale,
+)
 from vertalign import combinatorics
 from vertalign.combinatorics import lucas_coeff, lucas_row
 from vertalign.curves import (
     RingPolynomial,
     build_source,
     build_target,
-    coefficient_facts,
     pullback_rhs,
     table_rows,
     table_text,
@@ -18,34 +23,13 @@ from vertalign.curves import (
 from vertalign.lockwood import BivariatePolynomial, lockwood_rhs
 from vertalign.quotient_ring import (
     QuotientRingElement,
+    from_rational,
     make_ring,
     ring_one,
     ring_zero,
     root_power,
     zeta_power,
 )
-
-
-def _reference_pullback(spec, i):
-    """The pullback expanded entirely over R(g, c), kept as a test oracle.
-
-    Powers of (x^2 + w) come from iterated RingPolynomial multiplication and
-    T(g, k) from lucas_coeff, so it shares neither step with pullback_rhs.
-    """
-    g = spec.g
-    w = zeta_power(spec, i) * root_power(spec, 1)
-    base = RingPolynomial(spec, (w, ring_zero(spec), ring_one(spec)))  # x^2 + w
-    powers = [RingPolynomial(spec, (ring_one(spec),))]
-    for _ in range(g):
-        powers.append(powers[-1] * base)
-    total = RingPolynomial(spec, ())
-    w_to_k = ring_one(spec)
-    for k in range(g // 2 + 1):
-        if k:
-            w_to_k = w_to_k * w
-        factor = w_to_k.scale((-1) ** k * lucas_coeff(g, k))
-        total = total + powers[g - 2 * k].scale(factor).shift(2 * k + 1)
-    return total
 
 
 class TestRingPolynomial:
@@ -62,7 +46,8 @@ class TestRingPolynomial:
         ]
         for p in polys:
             for q in polys:
-                assert p - q == p + q.scale(-1), (p.to_text(), q.to_text())
+                negated = ring_poly_scale(q, -1)
+                assert p - q == ring_poly_add(p, negated), (p.to_text(), q.to_text())
             assert (p - p).is_zero()
 
 
@@ -87,7 +72,7 @@ class TestBuildSource:
         nonzero = [e for e in range(16) if not f.coefficient(e).is_zero()]
         assert nonzero == [1, 15]
         assert f.coefficient(15) == ring_one(spec)
-        assert f.coefficient(1).as_rational() == -2
+        assert f.coefficient(1) == from_rational(spec, -2)
 
 
 class TestBuildTarget:
@@ -133,13 +118,18 @@ class TestBuildTarget:
                 if e not in live:
                     assert f.coefficient(e).is_zero()
 
-    def test_rejects_bad_twist_index(self):
+    def test_rejects_bad_twist_index(self, monkeypatch):
+        # Refused before any ring product, also by verify_morphism.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ring work before the twist index was checked")
+
         spec = make_ring(5, 1)
+        monkeypatch.setattr(QuotientRingElement, "__mul__", forbidden)
+        monkeypatch.setattr(QuotientRingElement, "__rmul__", forbidden)
         for bad in (-1, 2, 5):
-            with pytest.raises(ValueError):
-                build_target(spec, bad)
-            with pytest.raises(ValueError):
-                pullback_rhs(spec, bad)
+            for build in (build_target, pullback_rhs, verify_morphism):
+                with pytest.raises(ValueError):
+                    build(spec, bad)
 
 
 class TestPullback:
@@ -167,9 +157,11 @@ class TestPullback:
             spec = make_ring(g, c)
             w = zeta_power(spec, i) * root_power(spec, 1)
             rebuilt = [ring_zero(spec)] * (2 * g + 2)
+            w_to_b = ring_one(spec)
             for b, coeff in enumerate(lockwood_rhs(g).coeffs):
                 a = g - b
-                rebuilt[2 * a + 1] = rebuilt[2 * a + 1] + (w**b).scale(coeff)
+                rebuilt[2 * a + 1] = rebuilt[2 * a + 1] + w_to_b.scale(coeff)
+                w_to_b = w_to_b * w
             assert RingPolynomial(spec, tuple(rebuilt)) == pullback_rhs(spec, i)
 
     @pytest.mark.parametrize("c", [1, 2, -1, Fraction(3, 5), Fraction(-7, 11)], ids=str)
@@ -177,7 +169,7 @@ class TestPullback:
         for g in range(1, 21):
             spec = make_ring(g, c)
             for i in (0, 1):
-                assert pullback_rhs(spec, i) == _reference_pullback(spec, i), (g, c, i)
+                assert pullback_rhs(spec, i) == reference_pullback(spec, i), (g, c, i)
 
     @pytest.mark.parametrize("g", [1, 2, 7, 40, 80, 200])
     def test_ring_products_linear_in_g(self, g, monkeypatch):
@@ -309,8 +301,7 @@ class TestUnitRootSpecialization:
             f = build_target(spec, 0).f.substitute_u(1)
             row = lucas_row(g)
             for k in range(g // 2 + 1):
-                value = f.coefficient(g - 2 * k).as_rational()
-                assert value == (-1) ** k * row[k]
+                assert f.coefficient(g - 2 * k) == from_rational(spec, (-1) ** k * row[k])
 
 
 class TestTable:
