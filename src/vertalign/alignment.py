@@ -156,52 +156,53 @@ class SweepSummary:
 def _sweep_range(n_start: int, n_end: int) -> tuple[int, list[tuple[int, int, int]]]:
     """Check all pairs with n in [n_start, n_end], one packed integer per n.
 
-    Row m of Pascal's triangle is stored as one integer with W-bit slots,
-    sum_j C(m, j) 2^{jW}, built by the additive recurrence
-    row_m = row_{m-1} + (row_{m-1} << W): slot j gets C(m-1, j) + C(m-1, j-1),
-    and C(m, j) < 2^m < 2^W never carries into the next slot.  Each row is
-    computed as the one product row_{m-1} * (2^W + 1), the same sum, because a
-    separate shift leaves a freed temporary as large as the row between
-    every two rows, which doubled the heap the rows need.  For each n the
-    accumulator
+    Row n is checked on its own, so a range's result is the concatenation
+    of its rows' results.  With T from one call of :func:`lucas_row`, the
+    polynomial
 
-        A = sum_k (-1)^k T(n, k) row_{n-2k} 2^{kW} = sum_i total_i 2^{iW}
+        P_n(S) = sum_k (-1)^k T(n, k) S^k (1 + S)^{n-2k} = sum_i total_i S^i
 
-    holds in slot i the sum :func:`identity_sum` checks at (n, i), every i
-    at once, with T from :func:`lucas_row`.  Each |total_i| is at most
-    B_n = sum_k |T(n, k)| 2^{n-2k}, because C(n-2k, j) <= 2^{n-2k}.  W is the
-    least width with 2^{W-1} > B_n for every n in the range, computed from
-    the rows of T in use (so a wrong T widens the slots instead of
-    overflowing them).  Then every total is a digit in (-2^{W-1}, 2^{W-1}),
-    the balanced base-2^W digits of A are unique, and A equals
-    1 + 2^{nW} exactly when the interior totals (0 < i < n) are all 0 and
-    the ends are T(n, 0) = 1.  On any other A every slot is unpacked and
-    each nonzero interior (n, i, total) is reported; the ends are not, as
-    the dependence is only claimed for 0 < i < n.
+    holds as coefficient of S^i the sum :func:`identity_sum` checks at
+    (n, i), every i at once, since C(n-2k, i-k) is the coefficient of S^{i-k}
+    in (1 + S)^{n-2k}.  P_n is evaluated at S = 2^{W_n} by homogeneous Horner
+    in S and Q = (1 + S)^2: with n = 2m + r,
+
+        h_0 = T(n, 0),  h_k = h_{k-1} Q + (-1)^k T(n, k) S^k,  P_n = h_m (1 + S)^r,
+
+    and multiplying by Q or 1 + S is shifts and adds, so no Pascal row is
+    stored and no multi-digit T meets a big operand in a product.
+
+    Each |total_i| is at most B_n = sum_k |T(n, k)| 2^{n-2k}, because
+    C(n-2k, j) <= 2^{n-2k}.  W_n is the least width with 2^{W_n - 1} > B_n,
+    computed from the row of T in use (so a wrong T widens the slots instead
+    of overflowing them).  Then every total is a digit in
+    (-2^{W_n - 1}, 2^{W_n - 1}), the balanced base-2^{W_n} digits of P_n are
+    unique, and P_n equals 1 + 2^{nW_n} exactly when the interior totals
+    (0 < i < n) are all 0 and the ends are T(n, 0) = 1.  On any other value
+    every slot is unpacked and each nonzero interior (n, i, total) is
+    reported; the ends are not, as the dependence is only claimed for
+    0 < i < n.
 
     This path calls neither ``binomial()`` nor ``lucas_coeff()``.
     """
-    width = 1 + max(
-        sum(abs(lucas) << (n - 2 * k) for k, lucas in enumerate(lucas_row(n))).bit_length()
-        for n in range(n_start, n_end + 1)
-    )
-    rows = [1]
-    step = (1 << width) + 1
-    for _ in range(n_end):
-        rows.append(rows[-1] * step)
-
-    mask = (1 << width) - 1
     checked = 0
     failures: list[tuple[int, int, int]] = []
     for n in range(n_start, n_end + 1):
         lucas = lucas_row(n)
-        acc = 0  # Horner in 2^W over k, from the top term down
-        for k in range(len(lucas) - 1, -1, -1):
-            weight = -lucas[k] if k & 1 else lucas[k]
-            acc = (acc << width) + weight * rows[n - 2 * k]
+        bound = 0  # B_n, by Horner in 4 over k and one more doubling for odd n
+        for t in lucas:
+            bound = (bound << 2) + abs(t)
+        width = 1 + (bound << (n & 1)).bit_length()
+        acc = 0  # h_k, by Horner in S and Q
+        for k, t in enumerate(lucas):
+            acc += (acc << (width + 1)) + (acc << (2 * width))
+            acc += (-t if k & 1 else t) << (k * width)
+        if n & 1:
+            acc += acc << width
         checked += n - 1
         if acc == 1 + (1 << (n * width)):
             continue
+        mask = (1 << width) - 1
         for i in range(n + 1):
             total = acc & mask
             if total >> (width - 1):
@@ -246,16 +247,27 @@ def map_row_ranges(
     """``check(start, end)`` over consecutive ranges of rows first..last.
 
     With one worker (after :func:`pool_size`) that is the single call
-    ``check(first, last)``.  Otherwise the rows are cut into about four
-    ranges per worker, because later rows cost more and many small ranges
-    balance the pool, and each range goes to :func:`worker_pool`.  Results
-    come back in range order either way, so merged reports stay canonical.
+    ``check(first, last)``.  Otherwise the rows are cut into at most four
+    ranges per worker of about equal cost, and each range goes to
+    :func:`worker_pool`.  Row n of ``sweep`` and of ``lockwood`` costs about
+    n^3, so a range ends wherever the running sum of n^3 crosses a multiple
+    of a quarter of one worker's share: early ranges are long, late ones
+    short.  Results come back in range order either way, so merged reports
+    stay canonical.
     """
     workers = pool_size(workers, last - first + 1)
     if workers == 1:
         return [check(first, last)]
-    chunk = max(1, (last - first + 1) // (4 * workers))
-    ranges = [(start, min(start + chunk - 1, last)) for start in range(first, last + 1, chunk)]
+    pieces = 4 * workers
+    total = sum(n**3 for n in range(first, last + 1))
+    ranges = []
+    start, done = first, 0
+    for n in range(first, last + 1):
+        share = done * pieces // total
+        done += n**3
+        if done * pieces // total > share:
+            ranges.append((start, n))
+            start = n + 1
     with worker_pool(workers) as pool:
         return pool.starmap(check, ranges, chunksize=1)
 

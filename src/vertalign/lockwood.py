@@ -120,7 +120,8 @@ def _expand(n: int, powers: list[BivariatePolynomial]) -> BivariatePolynomial:
     for k, lucas in enumerate(lucas_row(n)):
         weight = -lucas if k & 1 else lucas
         row = powers[n - 2 * k].coeffs
-        total[k:k + len(row)] = [t + weight * c for t, c in zip(total[k:], row)]
+        end = k + len(row)
+        total[k:end] = [t + weight * c for t, c in zip(total[k:end], row)]
     return BivariatePolynomial(total)
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -213,20 +214,22 @@ class TestIdentitySweep:
 
 
 # (n, k, delta) added to T(n, k).  2**4000 is far past the honest slot
-# width.  T(25, 0) weighs the whole of row 25, so every total of that row
-# moves by C(25, i).
+# width.  T(20, 10) weighs row 0 of Pascal's triangle, C(0, 0) = 2^0, so
+# its total 2**4000 meets the width bound with no slack: one bit less and
+# that digit would read as -2**4000 with a carry.  T(25, 0) weighs the
+# whole of row 25, so every total of that row moves by C(25, i).
 SWEEP_FAULTS = {
     "honest": (2, 0, 0),
     "T(17,3)+5": (17, 3, 5),
     "T(40,7)-1": (40, 7, -1),
     "T(33,5)+2**4000": (33, 5, 2**4000),
+    "T(20,10)+2**4000": (20, 10, 2**4000),
     "T(25,0)+1": (25, 0, 1),
 }
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("fault", SWEEP_FAULTS.values(), ids=SWEEP_FAULTS)
-def test_packed_sweep_matches_list_reference(monkeypatch, fault, workers):
+def _inject_fault(monkeypatch, fault):
+    """Add delta to T(n, k) in the rows of T that ``alignment`` reads."""
     n_bad, k_bad, delta = fault
 
     def faulty_row(n):
@@ -236,6 +239,17 @@ def test_packed_sweep_matches_list_reference(monkeypatch, fault, workers):
         return row
 
     monkeypatch.setattr(alignment, "lucas_row", faulty_row)
+
+
+def _pairs(first, last):
+    return sum(n - 1 for n in range(first, last + 1))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fault", SWEEP_FAULTS.values(), ids=SWEEP_FAULTS)
+def test_packed_sweep_matches_list_reference(monkeypatch, fault, workers):
+    n_bad, k_bad, delta = fault
+    _inject_fault(monkeypatch, fault)
     if workers > 1:
         # Make sure a pool really starts, also on a one-CPU machine.
         monkeypatch.setattr(alignment.os, "cpu_count", lambda: workers)
@@ -246,6 +260,56 @@ def test_packed_sweep_matches_list_reference(monkeypatch, fault, workers):
     assert [(n, i) for n, i, _ in failures] == [
         (n_bad, i) for i in range(1, n_bad) if delta and k_bad <= i <= n_bad - k_bad
     ]
+
+
+# Each faulty row of SWEEP_FAULTS lies in at least one of these ranges.
+@pytest.mark.parametrize("fault", SWEEP_FAULTS.values(), ids=SWEEP_FAULTS)
+def test_sweep_range_matches_list_reference_on_sub_ranges(monkeypatch, fault):
+    _inject_fault(monkeypatch, fault)
+    _, failures = reference_sweep(120)
+    for first, last in [(2, 40), (17, 17), (30, 120)]:
+        expected = [f for f in failures if first <= f[0] <= last]
+        assert alignment._sweep_range(first, last) == (_pairs(first, last), expected)
+
+
+# A row's slot width depends on that row alone, so splitting a range
+# anywhere, down to one row per range, changes nothing.
+@pytest.mark.parametrize("fault", SWEEP_FAULTS.values(), ids=SWEEP_FAULTS)
+def test_split_sweep_range_concatenates_to_whole(monkeypatch, fault):
+    _inject_fault(monkeypatch, fault)
+    whole = alignment._sweep_range(2, 120)
+    for ranges in ([(2, 24), (25, 25), (26, 33), (34, 120)], [(n, n) for n in range(2, 121)]):
+        parts = [alignment._sweep_range(first, last) for first, last in ranges]
+        assert (sum(c for c, _ in parts), [f for _, fs in parts for f in fs]) == whole
+
+
+def test_sweep_range_reads_each_row_of_t_once(monkeypatch):
+    calls = []
+
+    def counted_row(n):
+        calls.append(n)
+        return lucas_row(n)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the packed sweep called binomial() or lucas_coeff()")
+
+    monkeypatch.setattr(alignment, "lucas_row", counted_row)
+    monkeypatch.setattr(alignment, "binomial", forbidden)
+    monkeypatch.setattr(alignment, "lucas_coeff", forbidden)
+    assert alignment._sweep_range(2, 150) == (_pairs(2, 150), [])
+    assert calls == list(range(2, 151))
+
+
+def test_sweep_range_stores_no_rows():
+    # Storing every Pascal row 0..400 at one shared width takes about 5.6 MB;
+    # one row's Horner value at its own width is n * W_n bits, under 0.1 MB.
+    tracemalloc.start()
+    try:
+        assert alignment._sweep_range(2, 400) == (_pairs(2, 400), [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_identity_path_never_calls_the_oracle(monkeypatch):
