@@ -247,27 +247,16 @@ def map_row_ranges(
     """``check(start, end)`` over consecutive ranges of rows first..last.
 
     With one worker (after :func:`pool_size`) that is the single call
-    ``check(first, last)``.  Otherwise the rows are cut into at most four
-    ranges per worker of about equal cost, and each range goes to
-    :func:`worker_pool`.  Row n of ``sweep`` and of ``lockwood`` costs about
-    n^3, so a range ends wherever the running sum of n^3 crosses a multiple
-    of a quarter of one worker's share: early ranges are long, late ones
-    short.  Results come back in range order either way, so merged reports
-    stay canonical.
+    ``check(first, last)``.  Otherwise the rows are cut into about four
+    ranges per worker, because later rows cost more and many small ranges
+    balance the pool, and each range goes to :func:`worker_pool`.  Results
+    come back in range order either way, so merged reports stay canonical.
     """
     workers = pool_size(workers, last - first + 1)
     if workers == 1:
         return [check(first, last)]
-    pieces = 4 * workers
-    total = sum(n**3 for n in range(first, last + 1))
-    ranges = []
-    start, done = first, 0
-    for n in range(first, last + 1):
-        share = done * pieces // total
-        done += n**3
-        if done * pieces // total > share:
-            ranges.append((start, n))
-            start = n + 1
+    chunk = max(1, (last - first + 1) // (4 * workers))
+    ranges = [(start, min(start + chunk - 1, last)) for start in range(first, last + 1, chunk)]
     with worker_pool(workers) as pool:
         return pool.starmap(check, ranges, chunksize=1)
 
