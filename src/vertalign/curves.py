@@ -30,6 +30,8 @@ from .combinatorics import lucas_row
 from .quotient_ring import (
     QuotientRingElement,
     RingSpec,
+    _power_text,
+    _terms_text,
     from_rational,
     ring_one,
     ring_zero,
@@ -93,38 +95,23 @@ class RingPolynomial:
 
     def to_text(self) -> str:
         """Terms in descending x-degree with canonically rendered coefficients."""
-        parts = []
-        for exponent in range(len(self.coeffs) - 1, -1, -1):
-            element = self.coeffs[exponent]
-            if element.is_zero():
-                continue
-            sign, body = _coefficient_text(element, exponent)
-            if not parts:
-                parts.append(body if sign > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if sign > 0 else f"- {body}")
-        return " ".join(parts) or "0"
+        return _terms_text(
+            _coefficient_term(self.coeffs[exponent], exponent)
+            for exponent in range(len(self.coeffs) - 1, -1, -1)
+            if not self.coeffs[exponent].is_zero()
+        )
 
 
-def _coefficient_text(element: QuotientRingElement, exponent: int) -> tuple[int, str]:
-    """Render one coefficient*x^exponent term, pulling the sign out when single."""
-    xpart = "" if exponent == 0 else ("x" if exponent == 1 else f"x^{exponent}")
+def _coefficient_term(
+    element: QuotientRingElement, exponent: int
+) -> tuple[Fraction | int, tuple[str, ...]]:
+    """One coefficient*x^exponent term, pulling the sign out when single."""
+    xpart = _power_text("x", exponent)
     entries = element.entries()
     if len(entries) == 1:
-        ((a, b), q) = next(iter(entries.items()))
-        factors = []
-        if a:
-            factors.append("z" if a == 1 else f"z^{a}")
-        if b:
-            factors.append("u" if b == 1 else f"u^{b}")
-        if xpart:
-            factors.append(xpart)
-        mag = abs(q)
-        if mag != 1 or not factors:
-            factors.insert(0, str(mag))
-        return (1 if q > 0 else -1), "*".join(factors)
-    body = f"({element.to_text()})"
-    return 1, f"{body}*{xpart}" if xpart else body
+        (((a, b), q),) = entries.items()
+        return q, (_power_text("z", a), _power_text("u", b), xpart)
+    return 1, (f"({element.to_text()})", xpart)
 
 
 @dataclass(frozen=True)
@@ -300,25 +287,15 @@ class TableRow:
 
     def equation_text(self) -> str:
         """Row rendered with c = 1 and the zeta twist kept symbolic in i."""
-        parts = []
-        for entry in self.entries:
-            factors = []
-            if entry.magnitude != 1 or (entry.zeta_exp == 0 and entry.x_exp == 0):
-                factors.append(str(entry.magnitude))
-            if entry.zeta_exp == 1:
-                factors.append("zeta^i")
-            elif entry.zeta_exp > 1:
-                factors.append(f"zeta^({entry.zeta_exp}i)")
-            if entry.x_exp == 1:
-                factors.append("x")
-            elif entry.x_exp > 1:
-                factors.append(f"x^{entry.x_exp}")
-            body = "*".join(factors) if factors else "1"
-            if not parts:
-                parts.append(body if entry.sign > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if entry.sign > 0 else f"- {body}")
-        return "y^2 = " + " ".join(parts)
+        return "y^2 = " + _terms_text(
+            (e.sign * e.magnitude, (_zeta_text(e.zeta_exp), _power_text("x", e.x_exp)))
+            for e in self.entries
+        )
+
+
+def _zeta_text(exponent: int) -> str:
+    """zeta^(exponent*i), with i kept symbolic."""
+    return "" if exponent == 0 else "zeta^i" if exponent == 1 else f"zeta^({exponent}i)"
 
 
 def table_rows(g_min: int, g_max: int) -> list[TableRow]:

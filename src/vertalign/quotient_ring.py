@@ -3,23 +3,29 @@
 The class of z models a primitive g-th root of unity zeta (fixed, once and
 for all, as z mod Phi_g); the class of u models a formal g-th root of the
 nonzero rational c.  Elements are kept fully reduced in the monomial basis
-z^a u^b with 0 <= a < phi(g) and 0 <= b < g, as a dense phi(g) x g array of
-rationals, so equality is plain coefficient comparison.
+z^a u^b with 0 <= a < phi(g) and 0 <= b < g.  An element is stored as its
+nonzero u-columns, each a tuple of phi(g) integers, over one positive
+denominator in lowest terms (its gcd with every numerator is 1), so equal
+elements have equal fields and equality is plain field comparison.
 
 R(g, c) is treated as a commutative ring, not a field: for special c (for
 instance c = 1, where u^g - c factors) it is not a field, but every identity
 verified by :mod:`vertalign.curves` is a polynomial identity that holds in
 the quotient ring regardless, so no inversion is ever needed.
 
+Arithmetic runs on integers alone.  ``Fraction`` appears only where c and
+rational inputs are read and where coefficients are handed out or rendered.
+
 Specs and elements are immutable; all operations are pure.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from operator import add
+from typing import Iterable, Mapping, Sequence
 
 from .cyclotomic import IntPolynomial, cyclotomic, euler_phi
 
@@ -33,9 +39,6 @@ __all__ = [
     "zeta_power",
     "root_power",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -60,24 +63,16 @@ def make_ring(g: int, c: Fraction | int) -> RingSpec:
     return RingSpec(g=g, c=c, phi_g=phi_g, deg_z=euler_phi(g), deg_u=g)
 
 
-@functools.cache
-def _zero_column(width: int) -> tuple[Fraction, ...]:
-    # One shared all-zero column per width; arithmetic uses identity checks
-    # against it to skip work on empty u-slots.
-    return (_ZERO,) * width
-
-
-def _reduce_z(coeffs: list[Fraction], phi: tuple[int, ...]) -> list[Fraction]:
+def _reduce_z(coeffs: list[int], phi: tuple[int, ...]) -> list[int]:
     """Remainder of a z-polynomial (dense, lowest first) modulo monic phi."""
     width = len(phi) - 1
+    low = [(j, p) for j, p in enumerate(phi[:width]) if p]
     for top in range(len(coeffs) - 1, width - 1, -1):
         factor = coeffs[top]
         if factor:
             base = top - width
-            for j in range(width):
-                if phi[j]:
-                    coeffs[base + j] -= factor * phi[j]
-            coeffs[top] = _ZERO
+            for j, p in low:
+                coeffs[base + j] -= factor * p
     del coeffs[width:]
     return coeffs
 
@@ -85,43 +80,39 @@ def _reduce_z(coeffs: list[Fraction], phi: tuple[int, ...]) -> list[Fraction]:
 class QuotientRingElement:
     """A fully reduced element sum_{a,b} q_{a,b} z^a u^b of R(g, c).
 
-    Internally one coefficient column per u-power: ``_cols[b][a]`` is
-    q_{a,b}.  All-zero columns alias a shared tuple, which lets arithmetic
-    skip them by identity without changing the dense equality semantics.
-    Immutable; build new elements with the operators and the module's
-    constructors.
+    ``_cols[b][a] / _den`` is q_{a,b}.  ``_cols`` holds only the nonzero
+    u-columns, so the zero element has none, and ``_den`` is positive and in
+    lowest terms.  Immutable; build new elements with the operators and the
+    module's constructors.
     """
 
-    __slots__ = ("spec", "_cols")
+    __slots__ = ("spec", "_cols", "_den")
 
     def __init__(self, spec: RingSpec, entries: Mapping[tuple[int, int], Fraction | int]):
-        cols: list[list[Fraction] | None] = [None] * spec.deg_u
+        cols: dict[int, list[Fraction]] = {}
         for (a, b), value in entries.items():
             if not 0 <= a < spec.deg_z or not 0 <= b < spec.deg_u:
                 raise ValueError(
                     f"basis index ({a}, {b}) outside 0<={a}<{spec.deg_z}, 0<={b}<{spec.deg_u}"
                 )
-            if cols[b] is None:
-                cols[b] = [_ZERO] * spec.deg_z
-            cols[b][a] += Fraction(value)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "_cols", _freeze_columns(spec, cols))
+            cols.setdefault(b, [Fraction(0)] * spec.deg_z)[a] += Fraction(value)
+        den = math.lcm(*(q.denominator for col in cols.values() for q in col))
+        element = _element(spec, {
+            b: [q.numerator * (den // q.denominator) for q in col] for b, col in cols.items()
+        }, den)
+        self.spec, self._cols, self._den = element.spec, element._cols, element._den
 
     def entries(self) -> dict[tuple[int, int], Fraction]:
         """Nonzero coefficients keyed by (a, b)."""
-        zcol = _zero_column(self.spec.deg_z)
-        out = {}
-        for b, col in enumerate(self._cols):
-            if col is zcol:
-                continue
-            for a, q in enumerate(col):
-                if q:
-                    out[(a, b)] = q
-        return out
+        return {
+            (a, b): Fraction(v, self._den)
+            for b, col in sorted(self._cols.items())
+            for a, v in enumerate(col)
+            if v
+        }
 
     def is_zero(self) -> bool:
-        zcol = _zero_column(self.spec.deg_z)
-        return all(col is zcol for col in self._cols)
+        return not self._cols
 
     def substitute_u(self, value: Fraction | int) -> "QuotientRingElement":
         """Collapse u to a concrete rational g-th root of c.
@@ -136,42 +127,31 @@ class QuotientRingElement:
             raise ValueError(
                 f"substitute_u requires value^g == c, got value={value}, c={self.spec.c}"
             )
-        zcol = _zero_column(self.spec.deg_z)
-        acc = [_ZERO] * self.spec.deg_z
-        for b, col in enumerate(self._cols):
-            if col is zcol:
-                continue
-            scale = value ** b
-            for a, q in enumerate(col):
-                if q:
-                    acc[a] += q * scale
-        return _from_columns(self.spec, {0: acc})
+        p, q = value.numerator, value.denominator
+        top = max(self._cols, default=0)
+        acc = [0] * self.spec.deg_z
+        for b, col in self._cols.items():
+            weight = p**b * q ** (top - b)
+            acc = [s + v * weight for s, v in zip(acc, col)]
+        return _element(self.spec, {0: acc}, self._den * q**top)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuotientRingElement):
             return NotImplemented
-        return self.spec == other.spec and self._cols == other._cols
+        return (
+            self.spec == other.spec and self._den == other._den and self._cols == other._cols
+        )
 
     def __add__(self, other: "QuotientRingElement") -> "QuotientRingElement":
         spec = _common_spec(self, other)
-        zcol = _zero_column(spec.deg_z)
-        cols = []
-        for mine, theirs in zip(self._cols, other._cols):
-            if mine is zcol:
-                cols.append(theirs)
-            elif theirs is zcol:
-                cols.append(mine)
-            else:
-                merged = tuple(p + q for p, q in zip(mine, theirs))
-                cols.append(merged if any(merged) else zcol)
-        return _raw(spec, tuple(cols))
+        den = math.lcm(self._den, other._den)
+        cols = dict(_scaled(self._cols, den // self._den))
+        for b, col in _scaled(other._cols, den // other._den).items():
+            cols[b] = tuple(map(add, cols[b], col)) if b in cols else col
+        return _element(spec, cols, den)
 
     def __neg__(self) -> "QuotientRingElement":
-        zcol = _zero_column(self.spec.deg_z)
-        cols = tuple(
-            col if col is zcol else tuple(-q for q in col) for col in self._cols
-        )
-        return _raw(self.spec, cols)
+        return _element(self.spec, _scaled(self._cols, -1), self._den)
 
     def __sub__(self, other: "QuotientRingElement") -> "QuotientRingElement":
         return self + (-other)
@@ -182,101 +162,74 @@ class QuotientRingElement:
         if not isinstance(other, QuotientRingElement):
             return NotImplemented
         spec = _common_spec(self, other)
-        zcol = _zero_column(spec.deg_z)
-        width = spec.deg_z
+        g, width = spec.deg_u, spec.deg_z
+        # u^g folds back to c = p/q.  Over the common denominator q, a
+        # wrapped product is scaled by p and the rest by q; q is needed only
+        # when some product wraps.
+        p, q = spec.c.numerator, spec.c.denominator
+        if max(self._cols, default=0) + max(other._cols, default=0) < g:
+            q = 1
+        terms = [
+            (b2, [(a2, v2) for a2, v2 in enumerate(col2) if v2])
+            for b2, col2 in other._cols.items()
+        ]
         # Accumulate u-columns of the product before a single z-reduction
-        # per column; u^g folds back to the constant c.
-        acc: list[list[Fraction] | None] = [None] * spec.deg_u
-        for b1, col1 in enumerate(self._cols):
-            if col1 is zcol:
-                continue
-            for b2, col2 in enumerate(other._cols):
-                if col2 is zcol:
-                    continue
-                b = b1 + b2
-                wrap = None
-                if b >= spec.deg_u:
-                    b -= spec.deg_u
-                    wrap = spec.c
-                target = acc[b]
+        # per column.
+        acc: dict[int, list[int]] = {}
+        for b1, col1 in self._cols.items():
+            for b2, col2 in terms:
+                b, factor = b1 + b2, q
+                if b >= g:
+                    b, factor = b - g, p
+                target = acc.get(b)
                 if target is None:
-                    target = acc[b] = [_ZERO] * (2 * width - 1)
-                for a1, q1 in enumerate(col1):
-                    if q1:
-                        lead = q1 if wrap is None else q1 * wrap
-                        for a2, q2 in enumerate(col2):
-                            if q2:
-                                target[a1 + a2] += lead * q2
+                    target = acc[b] = [0] * (2 * width - 1)
+                for a1, v1 in enumerate(col1):
+                    if v1:
+                        lead = v1 * factor
+                        for a2, v2 in col2:
+                            target[a1 + a2] += lead * v2
         phi = spec.phi_g.coefficients
-        cols: dict[int, list[Fraction]] = {}
-        for b, vec in enumerate(acc):
-            if vec is not None:
-                cols[b] = _reduce_z(vec, phi)
-        return _from_columns(spec, cols)
+        cols = {b: _reduce_z(vec, phi) for b, vec in acc.items()}
+        return _element(spec, cols, self._den * other._den * q)
 
     __rmul__ = __mul__
 
     def scale(self, q: Fraction | int) -> "QuotientRingElement":
-        q = Fraction(q)
-        if not q:
-            return ring_zero(self.spec)
-        zcol = _zero_column(self.spec.deg_z)
-        cols = tuple(
-            col if col is zcol else tuple(q * v if v else v for v in col) for col in self._cols
-        )
-        return _raw(self.spec, cols)
+        return _element(self.spec, _scaled(self._cols, q.numerator), self._den * q.denominator)
 
     def to_text(self) -> str:
         """Canonical text: q*z^a*u^b terms in ascending lexicographic (a, b)."""
-        entries = sorted(self.entries().items())
-        if not entries:
-            return "0"
-        parts = []
-        for (a, b), q in entries:
-            factors = []
-            if a:
-                factors.append("z" if a == 1 else f"z^{a}")
-            if b:
-                factors.append("u" if b == 1 else f"u^{b}")
-            mag = abs(q)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            body = "*".join(factors)
-            if not parts:
-                parts.append(body if q > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if q > 0 else f"- {body}")
-        return " ".join(parts)
+        return _terms_text(
+            (q, (_power_text("z", a), _power_text("u", b)))
+            for (a, b), q in sorted(self.entries().items())
+        )
 
     def __repr__(self) -> str:
         return f"QuotientRingElement(g={self.spec.g}, c={self.spec.c}, {self.to_text()})"
 
 
-def _raw(spec: RingSpec, cols: tuple[tuple[Fraction, ...], ...]) -> QuotientRingElement:
+def _element(spec: RingSpec, cols: Mapping[int, Sequence[int]], den: int) -> QuotientRingElement:
+    """The element cols/den: zero columns dropped, den > 0 in lowest terms."""
+    cols = {b: tuple(col) for b, col in cols.items() if any(col)}
+    if den != 1:
+        common = den
+        for col in cols.values():
+            common = math.gcd(common, *col)
+            if common == 1:
+                break
+        if common != 1:
+            cols = {b: tuple(v // common for v in col) for b, col in cols.items()}
+            den //= common
     element = object.__new__(QuotientRingElement)
-    object.__setattr__(element, "spec", spec)
-    object.__setattr__(element, "_cols", cols)
+    element.spec, element._cols, element._den = spec, cols, den
     return element
 
 
-def _freeze_columns(
-    spec: RingSpec, cols: list[list[Fraction] | None]
-) -> tuple[tuple[Fraction, ...], ...]:
-    zcol = _zero_column(spec.deg_z)
-    frozen = []
-    for col in cols:
-        if col is None or not any(col):
-            frozen.append(zcol)
-        else:
-            frozen.append(tuple(col))
-    return tuple(frozen)
-
-
-def _from_columns(spec: RingSpec, cols: Mapping[int, list[Fraction]]) -> QuotientRingElement:
-    layout: list[list[Fraction] | None] = [None] * spec.deg_u
-    for b, col in cols.items():
-        layout[b] = col
-    return _raw(spec, _freeze_columns(spec, layout))
+def _scaled(cols: Mapping[int, Sequence[int]], factor: int) -> Mapping[int, Sequence[int]]:
+    if factor == 1:
+        return cols
+    return {b: tuple(factor * v for v in col) for b, col in cols.items()}
 
 
 def _common_spec(x: QuotientRingElement, y: QuotientRingElement) -> RingSpec:
@@ -287,31 +240,48 @@ def _common_spec(x: QuotientRingElement, y: QuotientRingElement) -> RingSpec:
     return x.spec
 
 
+def _power_text(name: str, exponent: int) -> str:
+    """``name^exponent``: empty for 0, bare ``name`` for 1."""
+    return "" if exponent == 0 else name if exponent == 1 else f"{name}^{exponent}"
+
+
+def _terms_text(terms: Iterable[tuple[Fraction | int, Iterable[str]]]) -> str:
+    """A sum of nonzero terms q*f1*f2*..., each given as (q, factors).
+
+    Empty factors are dropped, and |q| is written only when it is not 1 or
+    no factor is left.  The first term is bare or ``-``, later ones start
+    with ``+ `` or ``- ``; an empty sum is ``0``.
+    """
+    parts = []
+    for q, factors in terms:
+        body = [f for f in factors if f]
+        if abs(q) != 1 or not body:
+            body.insert(0, str(abs(q)))
+        sign = ("- " if q < 0 else "+ ") if parts else ("-" if q < 0 else "")
+        parts.append(sign + "*".join(body))
+    return " ".join(parts) or "0"
+
+
 def ring_zero(spec: RingSpec) -> QuotientRingElement:
-    return _raw(spec, (_zero_column(spec.deg_z),) * spec.deg_u)
+    return _element(spec, {}, 1)
 
 
 def ring_one(spec: RingSpec) -> QuotientRingElement:
-    return from_rational(spec, _ONE)
+    return from_rational(spec, 1)
 
 
 def from_rational(spec: RingSpec, q: Fraction | int) -> QuotientRingElement:
     """Embed a rational as a ring element (the (a, b) = (0, 0) slot)."""
-    q = Fraction(q)
-    if not q:
-        return ring_zero(spec)
-    col = (q,) + _zero_column(spec.deg_z)[1:]
-    return _raw(spec, (col,) + (_zero_column(spec.deg_z),) * (spec.deg_u - 1))
+    column = (q.numerator,) + (0,) * (spec.deg_z - 1)
+    return _element(spec, {0: column}, q.denominator)
 
 
 def zeta_power(spec: RingSpec, m: int) -> QuotientRingElement:
     """zeta^m as a ring element: z^{m mod g} reduced modulo Phi_g."""
     m %= spec.g
-    if m < spec.deg_z:
-        return QuotientRingElement(spec, {(m, 0): _ONE})
-    vec = [_ZERO] * m + [_ONE]
-    col = _reduce_z(vec, spec.phi_g.coefficients)
-    return _from_columns(spec, {0: col})
+    vec = [0] * max(m + 1, spec.deg_z)
+    vec[m] = 1
+    return _element(spec, {0: _reduce_z(vec, spec.phi_g.coefficients)}, 1)
 
 
 def root_power(spec: RingSpec, k: int) -> QuotientRingElement:
@@ -321,5 +291,4 @@ def root_power(spec: RingSpec, k: int) -> QuotientRingElement:
     """
     if k < 0:
         raise ValueError(f"root_power requires k >= 0, got k={k}")
-    value = spec.c ** (k // spec.g)
-    return QuotientRingElement(spec, {(0, k % spec.g): value})
+    return QuotientRingElement(spec, {(0, k % spec.g): spec.c ** (k // spec.g)})

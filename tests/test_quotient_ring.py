@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from _reference import ring_power
 from vertalign.quotient_ring import (
@@ -212,3 +213,49 @@ class TestElementBasics:
             y = random_element(spec, rng)
             assert (x + y).substitute_u(2) == x.substitute_u(2) + y.substitute_u(2)
             assert (x * y).substitute_u(2) == x.substitute_u(2) * y.substitute_u(2)
+
+
+class TestAgainstSympy:
+    """Products and sums against sympy's normal form modulo u^g - c and Phi_g(z).
+
+    The two relations have coprime leading monomials u^g and z^phi(g), so they
+    form a Groebner basis and ``sympy.reduced`` returns the unique reduced
+    representative, built from sympy's own cyclotomic polynomial.
+    """
+
+    Z, U = sympy.symbols("z u")
+
+    def as_sympy(self, x):
+        return sympy.Add(*(
+            sympy.Rational(q.numerator, q.denominator) * self.Z**a * self.U**b
+            for (a, b), q in x.entries().items()
+        ))
+
+    def reduced_entries(self, spec, expr):
+        c = sympy.Rational(spec.c.numerator, spec.c.denominator)
+        relations = [self.U**spec.g - c, sympy.cyclotomic_poly(spec.g, self.Z)]
+        _, remainder = sympy.reduced(sympy.expand(expr), relations, self.U, self.Z)
+        terms = sympy.Poly(remainder, self.Z, self.U).terms()
+        return {(a, b): Fraction(int(q.p), int(q.q)) for (a, b), q in terms if q}
+
+    @pytest.mark.parametrize("c", [1, -1, Fraction(3, 5), Fraction(-7, 11)], ids=str)
+    def test_mul_and_add_match_sympy_reduction(self, c):
+        rng = random.Random(f"sympy:{c}")
+        for g in range(1, 13):
+            spec = make_ring(g, c)
+            x, y = random_element(spec, rng, 0.3), random_element(spec, rng, 0.3)
+            x_s, y_s = self.as_sympy(x), self.as_sympy(y)
+            assert (x * y).entries() == self.reduced_entries(spec, x_s * y_s)
+            assert (x + y).entries() == self.reduced_entries(spec, x_s + y_s)
+
+    @pytest.mark.parametrize("c", [1, -1, Fraction(3, 5), Fraction(-7, 11)], ids=str)
+    def test_denominators_cancel(self, c):
+        rng = random.Random(f"cancel:{c}")
+        for g in (1, 5, 6, 12):
+            spec = make_ring(g, c)
+            x = random_element(spec, rng)
+            assert x.scale(Fraction(3, 2)).scale(Fraction(2, 3)) == x
+            assert x * from_rational(spec, spec.c) * from_rational(spec, 1 / spec.c) == x
+            u = root_power(spec, 1)
+            assert ring_power(u, spec.g) * from_rational(spec, 1 / spec.c) == ring_one(spec)
+            assert x.scale(Fraction(1, 7)) + x.scale(Fraction(6, 7)) == x
