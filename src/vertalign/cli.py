@@ -11,13 +11,16 @@ usage errors (including arguments outside an operation's domain).  141 (a
 closed output pipe) and 130 (Ctrl-C) say the run was cut short, not how a
 verification came out.  All numeric output is exact decimal or
 exact-fraction text; nothing is ever rounded.
+
+``main`` may be called any number of times in one process: the parser is
+built on the first call and reused, and each call dispatches to the
+``_cmd_*`` handler that the module holds at that moment.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import functools
 import json
 import os
 import re
@@ -87,11 +90,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue().rstrip("\n")
+    # Every field is an int, a bool or ring text, none of which holds a comma,
+    # quote or line break, so csv.writer would quote nothing: a join is the same.
+    return "\n".join(",".join(map(str, row)) for row in [header, *rows])
 
 
 def _emit_json(payload: dict) -> str:
@@ -344,6 +345,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -371,33 +373,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("triangle", parents=[common], help="render Pascal's triangle")
     p.add_argument("n_max", type=int)
-    p.set_defaults(handler=_cmd_triangle)
 
     p = sub.add_parser(
         "aligned", parents=[common], help="entries vertically aligned with C(n, i)"
     )
     p.add_argument("n", type=int)
     p.add_argument("i", type=int)
-    p.set_defaults(handler=_cmd_aligned)
 
     p = sub.add_parser(
         "identity", parents=[common], help="evaluate the alignment identity at (n, i)"
     )
     p.add_argument("n", type=int)
     p.add_argument("i", type=int)
-    p.set_defaults(handler=_cmd_identity)
 
     p = sub.add_parser(
         "sweep", parents=[common], help="check the identity for all pairs up to n_max"
     )
     p.add_argument("n_max", type=int)
-    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser(
         "lucas-row", parents=[common], help="Lucas coefficient triangle row T(n, .)"
     )
     p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_lucas_row)
 
     p = sub.add_parser(
         "lockwood",
@@ -405,7 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="verify the x^n + y^n expansion identity for n = 1..n_max",
     )
     p.add_argument("n_max", type=int)
-    p.set_defaults(handler=_cmd_lockwood)
 
     p = sub.add_parser(
         "curve", parents=[common], help="build the target curve C_i over R(g, c)"
@@ -413,7 +409,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("g", type=int)
     p.add_argument("c", type=_nonzero_rational)
     p.add_argument("i", type=int)
-    p.set_defaults(handler=_cmd_curve)
 
     p = sub.add_parser(
         "verify-morphism",
@@ -423,14 +418,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("g", type=int)
     p.add_argument("c", type=_nonzero_rational)
     p.add_argument("i", type=int)
-    p.set_defaults(handler=_cmd_verify_morphism)
 
     p = sub.add_parser(
         "table", parents=[common], help="tabulate target curves for a range of g"
     )
     p.add_argument("g_min", type=int)
     p.add_argument("g_max", type=int)
-    p.set_defaults(handler=_cmd_table)
 
     return parser
 
@@ -449,7 +442,10 @@ def main(argv: list[str] | None = None) -> int:
         # (4,300 by default); argv is parsed under it, so a huge argument is
         # still refused before any work starts.
         _set_int_digits(0)
-        code = args.handler(args)
+        # Looked up per call, not bound into the parser, so a handler replaced
+        # after the first call is the one that runs.
+        handler = globals()["_cmd_" + args.command.replace("-", "_")]
+        code = handler(args)
         sys.stdout.flush()
         return code
     except ValueError as exc:

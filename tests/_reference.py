@@ -19,6 +19,8 @@ without the library's code for the step under test:
   the coefficients ``curves.build_target`` builds.
 * ``identity_report_from_dict``: the inverse of ``IdentityReport.to_dict``,
   for round-tripping the ``identity`` JSON payload.
+* ``reference_csv``: CSV text written by ``csv.writer``, against the plain
+  join of ``cli._emit_csv``.
 
 The rest are the small helpers these routes and the tests build with:
 ``xy_symmetric_power`` (the oracle's own chain, for comparison with
@@ -28,6 +30,8 @@ arithmetic on ``RingPolynomial``.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -127,6 +131,15 @@ def identity_report_from_dict(data: dict) -> IdentityReport:
         for t in data["terms"]
     )
     return IdentityReport(data["n"], data["i"], terms, data["total"], data["holds"])
+
+
+def reference_csv(header: list[str], rows: list[list]) -> str:
+    """The CSV text of ``header`` and ``rows`` as ``csv.writer`` writes it."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().rstrip("\n")
 
 
 # -- polynomials over R(g, c) ------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import io
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vertalign.cli as cli
-from _reference import identity_report_from_dict
+from _reference import identity_report_from_dict, reference_csv
 from vertalign import lockwood
 from vertalign.alignment import (
     IdentityReport,
@@ -56,6 +57,27 @@ def test_output_is_deterministic(capsys):
     cli.main(["identity", "12", "6"])
     second = capsys.readouterr().out
     assert first == second
+
+
+# The mathematics never fails, so these fabricate failing results to pin down
+# the exit-code contract and the failure output.
+def _fail_identity(monkeypatch):
+    bad = IdentityReport(
+        n=4, i=1, terms=(IdentityTerm(0, 1, 4, 4),), total=4, holds=False
+    )
+    monkeypatch.setattr(cli, "identity_sum", lambda n, i: bad)
+
+
+def _fail_sweep(monkeypatch):
+    bad = SweepSummary(n_max=5, pairs_checked=10, failures=((3, 1, 7),))
+    monkeypatch.setattr(cli, "identity_sweep", lambda n_max, workers: bad)
+
+
+def _fail_lockwood(monkeypatch):
+    def fails_at_2(n_start, n_end):
+        return [2] if n_start <= 2 <= n_end else []
+
+    monkeypatch.setattr(cli, "_verify_range", fails_at_2)
 
 
 class TestExitCodes:
@@ -109,28 +131,19 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_verification_failure_is_one(self, capsys, monkeypatch):
-        # The mathematics never fails, so fabricate a failing report to pin
-        # down the exit-code contract.
-        bad = IdentityReport(
-            n=4, i=1, terms=(IdentityTerm(0, 1, 4, 4),), total=4, holds=False
-        )
-        monkeypatch.setattr(cli, "identity_sum", lambda n, i: bad)
+        _fail_identity(monkeypatch)
         assert cli.main(["identity", "4", "1"]) == 1
         out = capsys.readouterr().out
         assert "holds: no" in out
 
     def test_sweep_failure_is_one(self, capsys, monkeypatch):
-        bad = SweepSummary(n_max=5, pairs_checked=10, failures=((3, 1, 7),))
-        monkeypatch.setattr(cli, "identity_sweep", lambda n_max, workers: bad)
+        _fail_sweep(monkeypatch)
         assert cli.main(["sweep", "5"]) == 1
         out = capsys.readouterr().out
         assert "FAIL n=3 i=1 total=7" in out
 
     def test_lockwood_failure_is_one(self, capsys, monkeypatch):
-        def fails_at_2(n_start, n_end):
-            return [2] if n_start <= 2 <= n_end else []
-
-        monkeypatch.setattr(cli, "_verify_range", fails_at_2)
+        _fail_lockwood(monkeypatch)
         assert cli.main(["lockwood", "3"]) == 1
         out = capsys.readouterr().out
         assert "fails for n in [2]" in out
@@ -186,6 +199,22 @@ class TestJsonOutputs:
         }
 
 
+def _csv_against_reference(argv, capsys, monkeypatch) -> int:
+    """Run ``--format csv`` argv; its output must be what csv.writer writes."""
+    received = []
+    emit = cli._emit_csv
+
+    def recording(header, rows):
+        received.append((header, rows))
+        return emit(header, rows)
+
+    monkeypatch.setattr(cli, "_emit_csv", recording)
+    code = cli.main(["--format", "csv", *argv])
+    [(header, rows)] = received
+    assert capsys.readouterr().out == reference_csv(header, rows) + "\n"
+    return code
+
+
 class TestCsvOutputs:
     def test_triangle(self, capsys):
         cli.main(["--format", "csv", "triangle", "2"])
@@ -203,6 +232,41 @@ class TestCsvOutputs:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "x_exp,pullback,source,residual"
         assert len(out) == 7  # header + exponents 5..0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["triangle", "12"],
+            ["aligned", "12", "6"],
+            ["identity", "12", "5"],
+            ["sweep", "12"],
+            ["lockwood", "10"],
+            ["lucas-row", "30"],
+            ["table", "5", "11"],
+            *(
+                [command, "--", "7", c, i]
+                for command in ("curve", "verify-morphism")
+                for c in ("1", "-7/11", "3/5")
+                for i in ("0", "1")
+            ),
+        ],
+        ids=" ".join,
+    )
+    def test_matches_csv_writer(self, argv, capsys, monkeypatch):
+        assert _csv_against_reference(argv, capsys, monkeypatch) == 0
+
+    @pytest.mark.parametrize(
+        "argv, fault",
+        [
+            (["identity", "4", "1"], _fail_identity),
+            (["sweep", "5"], _fail_sweep),
+            (["lockwood", "3"], _fail_lockwood),
+        ],
+        ids=["identity", "sweep", "lockwood"],
+    )
+    def test_failing_run_matches_csv_writer(self, argv, fault, capsys, monkeypatch):
+        fault(monkeypatch)
+        assert _csv_against_reference(argv, capsys, monkeypatch) == 1
 
 
 class TestModes:
@@ -466,6 +530,55 @@ class TestWorkerCap:
         assert ranges[0][0] == first and ranges[-1][1] == last
         assert all(start <= end for start, end in ranges)
         assert all(end + 1 == start for (_, end), (start, _) in zip(ranges, ranges[1:]))
+
+
+class TestParserReuse:
+    """``cli.main`` builds its parser once; no call may leak into the next."""
+
+    def test_no_state_carried_between_calls(self, capsys, monkeypatch):
+        assert cli.main(["--format", "json", "identity", "11", "3"]) == 0
+        capsys.readouterr()
+        assert cli.main(["identity", "11", "3"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "identity_11_3.txt").read_text()
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+        assert cli.main(["sweep", "12", "--workers", "2"]) == 0
+        assert _RecordingPool.sizes == [2]
+        assert cli.main(["sweep", "12"]) == 0
+        assert _RecordingPool.sizes == [2]  # the second sweep started no pool
+        assert capsys.readouterr().out == 2 * (GOLDEN / "sweep_12.txt").read_text()
+
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["identity", "3"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        assert cli.main(["curve", "--", "7", "3", "1"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "curve_7_3_1.txt").read_text()
+
+    def test_parser_is_not_rebuilt(self, capsys, monkeypatch):
+        cli.main(["identity", "11", "3"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        requests = [
+            *EVERY_SUBCOMMAND,
+            *(["--format", "csv", *argv] for argv in EVERY_SUBCOMMAND),
+            ["identity", "3"],
+            ["table", "-h"],
+        ]
+        assert len(requests) == 20
+        for argv in requests:
+            with contextlib.suppress(SystemExit):
+                cli.main(argv)
+        capsys.readouterr()
+        assert built == []
 
 
 _SUBCOMMAND_ARITY = {
