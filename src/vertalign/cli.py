@@ -38,9 +38,28 @@ __all__ = ["main"]
 _TRIANGLE_GRID_LIMIT = 20  # beyond this, centered text rendering is unreadable
 
 
+# The exponent of a decimal literal such as 2.5e-3, if there is one.
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def _rational(text: str) -> Fraction:
+    """``text`` as a Fraction whose numerator and denominator, written out,
+    have no more digits than ``int()`` reads (4,300 if unlimited).
+
+    In exponent form, a nonzero mantissa times 10**e puts more than
+    |e| - len(text) digits in one of them, so a longer e is refused before
+    ``Fraction`` builds 10**e (with a zero mantissa too: c = 0 is refused).
+    """
+    limit = _get_int_digits() or 4300
     try:
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent[1])) > limit + len(text):
+            raise ValueError
         value = Fraction(text)
+        top = max(abs(value.numerator), value.denominator)
+        # 8**limit < 10**limit: only a long value needs the exact test.
+        if top.bit_length() > 3 * limit and top >= 10**limit:
+            raise ValueError
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"expected an integer or p/q rational, got {text!r}"
@@ -245,8 +264,8 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
 
 def _curve_payload(equation) -> dict:
     return {
-        "g": equation.g,
-        "c": str(equation.c),
+        "g": equation.spec.g,
+        "c": str(equation.spec.c),
         "i": equation.i,
         "equation": equation.equation_text(),
         "coefficients": [
@@ -279,8 +298,8 @@ def _cmd_verify_morphism(args: argparse.Namespace) -> int:
     report = verify_morphism(spec, args.i)
     if args.format == "json":
         print(_emit_json({
-            "g": report.g,
-            "c": str(report.c),
+            "g": spec.g,
+            "c": str(spec.c),
             "i": report.i,
             "holds": report.holds,
             "source": report.source.equation_text(),
@@ -302,7 +321,7 @@ def _cmd_verify_morphism(args: argparse.Namespace) -> int:
         ]
         print(_emit_csv(["x_exp", "pullback", "source", "residual"], rows))
     else:
-        print(f"morphism check for g={report.g}, c={report.c}, i={report.i}")
+        print(f"morphism check for g={spec.g}, c={spec.c}, i={report.i}")
         print(f"source:   {report.source.equation_text()}")
         print(f"target:   {report.target.equation_text()}")
         print("x-map:    (x^2 + w)/x with w = zeta^i*c^(1/g) (nonconstant)")

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Literal
 
 from .combinatorics import lucas_row
 from .quotient_ring import (
@@ -120,10 +119,7 @@ class CurveEquation:
 
     spec: RingSpec
     f: RingPolynomial
-    g: int
-    c: Fraction
-    i: int | None
-    role: Literal["source", "target"]
+    i: int | None  # the target's root index; None for the source
 
     def equation_text(self) -> str:
         """The equation as text.
@@ -133,7 +129,7 @@ class CurveEquation:
         the canonical u-form.
         """
         f = self.f
-        if self.c == 1:
+        if self.spec.c == 1:
             f = f.substitute_u(1)
         return f"y^2 = {f.to_text()}"
 
@@ -144,7 +140,7 @@ def build_source(spec: RingSpec) -> CurveEquation:
     coeffs[2 * spec.g + 1] = ring_one(spec)
     coeffs[1] = from_rational(spec, spec.c)
     f = RingPolynomial(spec, tuple(coeffs))
-    return CurveEquation(spec, f, spec.g, spec.c, None, "source")
+    return CurveEquation(spec, f, None)
 
 
 def _w_powers(spec: RingSpec, i: int, top: int) -> list[QuotientRingElement]:
@@ -185,7 +181,7 @@ def build_target(
     for k, lucas in enumerate(lucas_row(g)):
         coeffs[g - 2 * k] = w_powers[k].scale((-1) ** k * lucas)
     f = RingPolynomial(spec, tuple(coeffs))
-    return CurveEquation(spec, f, g, spec.c, i, "target")
+    return CurveEquation(spec, f, i)
 
 
 def pullback_rhs(
@@ -233,10 +229,9 @@ class MorphismReport:
 
     ``x_map_nonconstant`` records the one morphism property that is visible
     without geometry: the x-coordinate map (x^2 + w)/x is never constant.
+    g and c are those of ``source.spec``.
     """
 
-    g: int
-    c: Fraction
     i: int
     holds: bool
     residual: RingPolynomial
@@ -258,8 +253,6 @@ def verify_morphism(spec: RingSpec, i: int) -> MorphismReport:
     pullback = pullback_rhs(spec, i, w_powers)
     residual = pullback - source.f
     return MorphismReport(
-        g=spec.g,
-        c=spec.c,
         i=i,
         holds=residual.is_zero(),
         residual=residual,

@@ -22,12 +22,12 @@ Specs and elements are immutable; all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .cyclotomic import IntPolynomial, cyclotomic, euler_phi
+from .cyclotomic import cyclotomic
 
 __all__ = [
     "RingSpec",
@@ -43,13 +43,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RingSpec:
-    """Parameters of R(g, c), including the precomputed modulus Phi_g."""
+    """R(g, c), set by g and c alone; the u-basis width is g.
+
+    ``phi_g`` (the cached ``cyclotomic(g)``) and ``deg_z`` = phi(g), the
+    z-basis width, are derived from g, take no part in equality or hashing,
+    and are stored because every ring product reads them.
+    """
 
     g: int
     c: Fraction
-    phi_g: IntPolynomial
-    deg_z: int  # euler_phi(g), the z-basis width
-    deg_u: int  # g, the u-basis width
+    phi_g: tuple[int, ...] = field(init=False, compare=False)
+    deg_z: int = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        phi_g = cyclotomic(self.g)
+        object.__setattr__(self, "phi_g", phi_g)
+        object.__setattr__(self, "deg_z", len(phi_g) - 1)
 
 
 def make_ring(g: int, c: Fraction | int) -> RingSpec:
@@ -59,8 +68,7 @@ def make_ring(g: int, c: Fraction | int) -> RingSpec:
     c = Fraction(c)
     if c == 0:
         raise ValueError("make_ring requires c != 0")
-    phi_g = cyclotomic(g)
-    return RingSpec(g=g, c=c, phi_g=phi_g, deg_z=euler_phi(g), deg_u=g)
+    return RingSpec(g, c)
 
 
 def _reduce_z(coeffs: list[int], phi: tuple[int, ...]) -> list[int]:
@@ -91,9 +99,9 @@ class QuotientRingElement:
     def __init__(self, spec: RingSpec, entries: Mapping[tuple[int, int], Fraction | int]):
         cols: dict[int, list[Fraction]] = {}
         for (a, b), value in entries.items():
-            if not 0 <= a < spec.deg_z or not 0 <= b < spec.deg_u:
+            if not 0 <= a < spec.deg_z or not 0 <= b < spec.g:
                 raise ValueError(
-                    f"basis index ({a}, {b}) outside 0<={a}<{spec.deg_z}, 0<={b}<{spec.deg_u}"
+                    f"basis index ({a}, {b}) outside 0<={a}<{spec.deg_z}, 0<={b}<{spec.g}"
                 )
             cols.setdefault(b, [Fraction(0)] * spec.deg_z)[a] += Fraction(value)
         den = math.lcm(*(q.denominator for col in cols.values() for q in col))
@@ -162,7 +170,7 @@ class QuotientRingElement:
         if not isinstance(other, QuotientRingElement):
             return NotImplemented
         spec = _common_spec(self, other)
-        g, width = spec.deg_u, spec.deg_z
+        g, width = spec.g, spec.deg_z
         # u^g folds back to c = p/q.  Over the common denominator q, a
         # wrapped product is scaled by p and the rest by q; q is needed only
         # when some product wraps.
@@ -189,8 +197,7 @@ class QuotientRingElement:
                         lead = v1 * factor
                         for a2, v2 in col2:
                             target[a1 + a2] += lead * v2
-        phi = spec.phi_g.coefficients
-        cols = {b: _reduce_z(vec, phi) for b, vec in acc.items()}
+        cols = {b: _reduce_z(vec, spec.phi_g) for b, vec in acc.items()}
         return _element(spec, cols, self._den * other._den * q)
 
     __rmul__ = __mul__
@@ -281,7 +288,7 @@ def zeta_power(spec: RingSpec, m: int) -> QuotientRingElement:
     m %= spec.g
     vec = [0] * max(m + 1, spec.deg_z)
     vec[m] = 1
-    return _element(spec, {0: _reduce_z(vec, spec.phi_g.coefficients)}, 1)
+    return _element(spec, {0: _reduce_z(vec, spec.phi_g)}, 1)
 
 
 def root_power(spec: RingSpec, k: int) -> QuotientRingElement:

@@ -1,0 +1,109 @@
+"""One SHA-256 per CLI request, and one over the set, for the tree at ROOT.
+
+    python tests/output_digest.py ROOT
+
+Imports ``ROOT/src/vertalign`` and runs, in this one process with
+``COLUMNS=80``, the nine golden requests, the ``morphism`` and ``pointwise``
+passes of seeds 1-5 (read from ``bench/workloads.py`` beside this file, so
+every tree answers the same requests), every command
+in all three formats, the usage errors, ``-h`` and each ``<command> -h``.
+Each request's stdout, stderr and exit code are hashed together.  Two trees
+whose outputs agree byte for byte print the same lines, so a change meant
+to leave the output alone can be checked with
+
+    python tests/output_digest.py . > change.txt
+    python tests/output_digest.py ../parent > parent.txt
+    diff parent.txt change.txt
+
+pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+COMMANDS = ["triangle", "aligned", "identity", "sweep", "lucas-row", "lockwood",
+            "curve", "verify-morphism", "table"]
+
+# Every command, with the sizes and kinds of c that switch its rendering.
+EVERY_COMMAND = [
+    ["triangle", "6"], ["triangle", "25"],
+    ["aligned", "12", "6"], ["aligned", "9", "0"],
+    ["identity", "11", "3"], ["identity", "40", "13"],
+    ["sweep", "30"],
+    ["lucas-row", "11"], ["lucas-row", "60"],
+    ["lockwood", "20"],
+    ["curve", "--", "7", "3", "1"], ["curve", "--", "6", "1", "0"],
+    ["curve", "--", "5", "-7/11", "1"], ["curve", "--", "4", "3.5e2", "0"],
+    ["verify-morphism", "--", "6", "1", "0"], ["verify-morphism", "--", "7", "3/5", "1"],
+    ["verify-morphism", "--", "12", "-1", "1"], ["verify-morphism", "--", "1", "9999/10", "0"],
+    ["table", "5", "11"], ["table", "1", "3"],
+    ["verify-morphism", "4", "-7/11", "1"],
+]
+
+USAGE_ERRORS = [
+    [], ["bogus"], ["identity"], ["identity", "x", "1"], ["identity", "11", "11"],
+    ["identity", "1", "0"], ["aligned", "5", "6"], ["triangle", "-1"], ["sweep", "1"],
+    ["lockwood", "0"], ["table", "3", "2"], ["table", "0", "2"], ["lucas-row", "-1"],
+    ["--format", "xml", "triangle", "3"], ["--workers", "0", "sweep", "5"],
+    ["sweep", "5", "--workers", "x"], ["curve", "--", "0", "1", "0"],
+    ["curve", "--", "3", "0", "0"], ["curve", "--", "3", "1", "2"],
+    ["curve", "--", "3", "1/0", "0"], ["curve", "--", "3", "abc", "0"],
+    ["curve", "--", "1", "--", "0"], ["verify-morphism", "--", "3", "2", "-1"],
+    ["lucas-row", "9" * 5000],
+]
+
+
+def requests() -> list[list[str]]:
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    out = [list(argv) for argv, _ in workloads.GOLDEN]
+    for seed in range(1, 6):
+        out += workloads.generate("morphism", seed) + workloads.generate("pointwise", seed)
+    out += [["--format", fmt, *argv] for argv in EVERY_COMMAND for fmt in ("text", "json", "csv")]
+    out += USAGE_ERRORS + [["-h"]] + [[command, "-h"] for command in COMMANDS]
+    return out
+
+
+def run(main, argv: list[str]) -> bytes:
+    """Exit code, stdout and stderr of one in-process request."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # recorded without a traceback, whose paths name ROOT
+            code = f"exception {type(exc).__name__}: {exc}"
+    return json.dumps([code, out.getvalue(), err.getvalue()]).encode()
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print("usage: python tests/output_digest.py ROOT", file=sys.stderr)
+        return 2
+    root = Path(sys.argv[1]).resolve()
+    os.environ["COLUMNS"] = "80"
+    sys.path.insert(0, str(root / "src"))
+    from vertalign.cli import main as cli_main
+
+    whole = hashlib.sha256()
+    for argv in requests():
+        digest = hashlib.sha256(run(cli_main, argv)).hexdigest()
+        whole.update(f"{digest} {json.dumps(argv)}\n".encode())
+        print(digest, json.dumps(argv)[:100])
+    print(whole.hexdigest(), "all")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -403,6 +404,40 @@ class TestHugeIntegers:
             cli.main(["lucas-row", "9" * 5000])
         assert excinfo.value.code == 2
         assert "invalid int value" in capsys.readouterr().err
+
+
+class TestExponentFormC:
+    """c written with an exponent meets the digit limit of a plain literal."""
+
+    @pytest.mark.skipif(
+        cli._get_int_digits() not in (0, 4300), reason="needs the default int/str digit limit"
+    )
+    @pytest.mark.parametrize("c", ["1e4300", "-1e4300", "1e-4300"])
+    def test_past_the_limit_is_usage(self, c, capsys, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError(f"c = {c} got past the parser")
+
+        monkeypatch.setattr(cli, "make_ring", forbidden)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["curve", "--", "2", c, "0"])
+        assert excinfo.value.code == 2
+        assert "expected an integer or p/q rational" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c", ["1e4299", "3.5e2", "0.5", "-7/11"])
+    def test_within_the_limit_parses(self, c, capsys):
+        assert cli.main(["--format", "json", "curve", "--", "2", c, "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["c"] == str(Fraction(c))
+
+    def test_huge_exponent_is_refused_quickly(self):
+        # Fraction("1e99999999") would first compute 10**99999999.
+        result = subprocess.run(
+            [sys.executable, "-m", "vertalign", "curve", "--", "2", "1e99999999", "0"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert "expected an integer or p/q rational" in result.stderr
 
 
 def test_module_entry_point_subprocess():

@@ -1,115 +1,107 @@
-from itertools import zip_longest
+import ast
+import inspect
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vertalign.cyclotomic import IntPolynomial, cyclotomic, divisors, euler_phi
+import vertalign.cyclotomic
+from vertalign.cyclotomic import _divide_exact, cyclotomic
+
+Z = sympy.symbols("z")
 
 
-def _plus(p, q):
-    """p + q, added as coefficient tuples."""
-    return IntPolynomial(tuple(
-        a + b for a, b in zip_longest(p.coefficients, q.coefficients, fillvalue=0)
-    ))
+def _times(p, q):
+    """p * q for dense coefficient tuples, lowest degree first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
 
 
-class TestIntPolynomial:
-    def test_normalizes_trailing_zeros(self):
-        assert IntPolynomial((1, 2, 0, 0)).coefficients == (1, 2)
-        assert IntPolynomial((0, 0)).coefficients == ()
+def _poly(coefficients):
+    """A sympy polynomial in z from coefficients lowest degree first."""
+    return sympy.Poly(list(reversed(coefficients)), Z)
 
-    def test_degree_and_flags(self):
-        assert IntPolynomial(()).coefficients == ()
-        assert IntPolynomial(()).is_zero()
-        assert IntPolynomial((3,)).coefficients == (3,)
-        assert IntPolynomial((0, 1)).is_monic()
-        assert not IntPolynomial((0, 2)).is_monic()
 
-    def test_mul(self):
-        a = IntPolynomial((1, 1))       # 1 + z
-        b = IntPolynomial((-1, 1))      # -1 + z
-        assert (a * b).coefficients == (-1, 0, 1)
+_quotients = st.tuples(
+    st.lists(st.integers(-9, 9), max_size=8), st.integers(-9, 9).filter(bool)
+).map(lambda parts: (*parts[0], parts[1]))
+_monic_divisors = st.lists(st.integers(-5, 5), max_size=4).map(lambda low: (*low, 1))
 
-    def test_divmod_monic_roundtrip_fixed(self):
-        num = IntPolynomial((2, 0, -3, 1, 5))
-        div = IntPolynomial((1, -2, 1))
-        q, r = num.divmod_monic(div)
-        assert _plus(q * div, r) == num
-        assert len(r.coefficients) < len(div.coefficients)  # deg r < deg div
 
-    @given(
-        st.lists(st.integers(-9, 9), min_size=0, max_size=8),
-        st.lists(st.integers(-5, 5), min_size=1, max_size=4),
-    )
+class TestDivideExact:
+    def test_round_trip_fixed(self):
+        quotient, divisor = (2, 0, -3, 1, 5), (1, -2, 1)
+        dividend = _times(quotient, divisor)
+        assert _poly(dividend) == _poly(quotient) * _poly(divisor)
+        assert _divide_exact(dividend, divisor) == quotient
+
+    @given(_quotients, _monic_divisors)
     @settings(max_examples=150)
-    def test_divmod_monic_roundtrip(self, num_coeffs, div_coeffs):
-        num = IntPolynomial(tuple(num_coeffs))
-        div = IntPolynomial(tuple(div_coeffs) + (1,))  # force monic
-        q, r = num.divmod_monic(div)
-        assert _plus(q * div, r) == num
-        assert len(r.coefficients) < len(div.coefficients)  # deg r < deg div
+    def test_round_trip(self, quotient, divisor):
+        assert _divide_exact(_times(quotient, divisor), divisor) == quotient
 
-    def test_divmod_requires_monic(self):
-        with pytest.raises(ValueError):
-            IntPolynomial((1,)).divmod_monic(IntPolynomial((1, 2)))
+    def test_remainder_raises(self):
+        # z^2 + 1 = (z - 1)(z + 1) + 2
+        with pytest.raises(AssertionError):
+            _divide_exact((1, 0, 1), (-1, 1))
 
-
-class TestDivisorsAndTotient:
-    def test_divisors(self):
-        assert divisors(1) == [1]
-        assert divisors(12) == [1, 2, 3, 4, 6, 12]
-        assert divisors(49) == [1, 7, 49]
-
-    def test_euler_phi_small(self):
-        known = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 2, 8: 4, 12: 4, 40: 16}
-        for n, phi in known.items():
-            assert euler_phi(n) == phi
-
-    def test_euler_phi_against_sympy(self):
-        for n in range(1, 201):
-            assert euler_phi(n) == sympy.totient(n)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            euler_phi(0)
-        with pytest.raises(ValueError):
-            divisors(0)
+    @given(_quotients, _monic_divisors.filter(lambda d: len(d) > 1), st.data())
+    @settings(max_examples=150)
+    def test_any_remainder_raises(self, quotient, divisor, data):
+        remainder = data.draw(
+            st.lists(st.integers(-9, 9), min_size=len(divisor) - 1, max_size=len(divisor) - 1)
+            .filter(any)
+        )
+        dividend = [*_times(quotient, divisor)]
+        for j, r in enumerate(remainder):
+            dividend[j] += r
+        with pytest.raises(AssertionError):
+            _divide_exact(tuple(dividend), divisor)
 
 
 class TestCyclotomic:
     def test_small_cases(self):
-        assert cyclotomic(1).coefficients == (-1, 1)
-        assert cyclotomic(2).coefficients == (1, 1)
-        assert cyclotomic(6).coefficients == (1, -1, 1)
+        assert cyclotomic(1) == (-1, 1)
+        assert cyclotomic(2) == (1, 1)
+        assert cyclotomic(6) == (1, -1, 1)
+        assert type(cyclotomic(12)) is tuple
 
     def test_against_sympy(self):
-        z = sympy.symbols("z")
         for g in range(1, 61):
-            ours = cyclotomic(g)
-            theirs = sympy.Poly(sympy.cyclotomic_poly(g, z), z)
-            assert list(ours.coefficients) == list(reversed(theirs.all_coeffs()))
+            theirs = sympy.Poly(sympy.cyclotomic_poly(g, Z), Z)
+            assert list(cyclotomic(g)) == list(reversed(theirs.all_coeffs()))
 
     def test_monic_of_totient_degree(self):
         for g in range(1, 121):
             phi = cyclotomic(g)
-            assert phi.is_monic()
-            assert len(phi.coefficients) - 1 == euler_phi(g)
+            assert phi[-1] == 1
+            assert len(phi) - 1 == sympy.totient(g)
 
     def test_divides_x_g_minus_one(self):
         for g in range(1, 121):
-            target = IntPolynomial((-1,) + (0,) * (g - 1) + (1,))
-            _, remainder = target.divmod_monic(cyclotomic(g))
-            assert remainder.is_zero()
+            _, remainder = sympy.div(sympy.Poly(Z**g - 1, Z), _poly(cyclotomic(g)))
+            assert remainder.is_zero
 
     def test_product_over_divisors(self):
         for g in range(1, 121):
-            product = IntPolynomial((1,))
-            for d in divisors(g):
-                product = product * cyclotomic(d)
-            assert product.coefficients == (-1,) + (0,) * (g - 1) + (1,)
+            product = sympy.Poly(1, Z)
+            for d in sympy.divisors(g):
+                product *= _poly(cyclotomic(d))
+            assert product == sympy.Poly(Z**g - 1, Z)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             cyclotomic(0)
+
+
+def test_imports_nothing_from_the_package():
+    tree = ast.parse(inspect.getsource(vertalign.cyclotomic))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not node.module.startswith("vertalign")
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("vertalign") for alias in node.names)

@@ -5,8 +5,10 @@ import pytest
 import sympy
 
 from _reference import ring_power
+from vertalign.cyclotomic import cyclotomic
 from vertalign.quotient_ring import (
     QuotientRingElement,
+    RingSpec,
     from_rational,
     make_ring,
     ring_one,
@@ -30,7 +32,7 @@ SPECS = [
 def random_element(spec, rng, density=0.4):
     entries = {}
     for a in range(spec.deg_z):
-        for b in range(spec.deg_u):
+        for b in range(spec.g):
             if rng.random() < density:
                 entries[(a, b)] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
     return QuotientRingElement(spec, entries)
@@ -39,22 +41,45 @@ def random_element(spec, rng, density=0.4):
 class TestMakeRing:
     def test_examples(self):
         spec = make_ring(5, 1)
-        assert (spec.deg_z, spec.deg_u) == (4, 5)
+        assert (spec.deg_z, spec.g) == (4, 5)
         spec = make_ring(1, 7)
-        assert (spec.deg_z, spec.deg_u) == (1, 1)
+        assert (spec.deg_z, spec.g) == (1, 1)
         spec = make_ring(6, 2)
-        assert (spec.deg_z, spec.deg_u) == (2, 6)
+        assert (spec.deg_z, spec.g) == (2, 6)
 
     def test_phi_is_monic_divisor(self):
         for spec in SPECS:
-            assert spec.phi_g.is_monic()
-            assert len(spec.phi_g.coefficients) - 1 == spec.deg_z
+            assert spec.phi_g[-1] == 1
+            assert len(spec.phi_g) - 1 == spec.deg_z
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             make_ring(0, 1)
         with pytest.raises(ValueError):
             make_ring(5, 0)
+        with pytest.raises(ValueError):
+            RingSpec(0, 1)
+
+
+class TestRingSpec:
+    """g and c are the only parameters; phi_g and deg_z follow from g."""
+
+    @pytest.mark.parametrize("name, value", [("phi_g", (1, -1, 1)), ("deg_z", 2)])
+    def test_derived_fields_are_not_parameters(self, name, value):
+        with pytest.raises(TypeError):
+            RingSpec(6, Fraction(2), **{name: value})
+
+    def test_make_ring_equals_direct_spec(self):
+        assert make_ring(6, 2) == RingSpec(6, Fraction(2))
+        assert hash(make_ring(6, 2)) == hash(RingSpec(6, Fraction(2)))
+        assert make_ring(6, 2) != RingSpec(6, Fraction(3))
+        assert make_ring(6, 2) != RingSpec(7, Fraction(2))
+
+    def test_derived_fields_follow_g(self):
+        for g in range(1, 121):
+            spec = RingSpec(g, Fraction(1))
+            assert spec.phi_g is cyclotomic(g)
+            assert spec.deg_z == sympy.totient(g)
 
 
 class TestZetaPower:
@@ -133,7 +158,7 @@ class TestRingArithmetic:
     def test_ring_axioms_randomized(self):
         rng = random.Random(987654321)
         for spec in SPECS:
-            triples = 1000 if spec.deg_z * spec.deg_u <= 16 else 150
+            triples = 1000 if spec.deg_z * spec.g <= 16 else 150
             for _ in range(triples):
                 x = random_element(spec, rng)
                 y = random_element(spec, rng)
