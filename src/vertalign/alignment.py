@@ -25,7 +25,7 @@ import signal
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, TypeVar
 
-from .combinatorics import binomial, lucas_coeff, lucas_row
+from .combinatorics import _lucas_rows_by_addition, binomial, lucas_coeff, lucas_row
 
 if TYPE_CHECKING:
     import multiprocessing.pool
@@ -154,7 +154,7 @@ class SweepSummary:
 
 
 def _sweep_range(n_start: int, n_end: int) -> tuple[int, list[tuple[int, int, int]]]:
-    """Check all pairs with n in [n_start, n_end], one packed integer per n.
+    """Check all pairs with n in [n_start, n_end], by induction on n.
 
     Row n is checked on its own, so a range's result is the concatenation
     of its rows' results.  With T from one call of :func:`lucas_row`, the
@@ -164,8 +164,21 @@ def _sweep_range(n_start: int, n_end: int) -> tuple[int, list[tuple[int, int, in
 
     holds as coefficient of S^i the sum :func:`identity_sum` checks at
     (n, i), every i at once, since C(n-2k, i-k) is the coefficient of S^{i-k}
-    in (1 + S)^{n-2k}.  P_n is evaluated at S = 2^{W_n} by homogeneous Horner
-    in S and Q = (1 + S)^2: with n = 2m + r,
+    in (1 + S)^{n-2k}.  The dependence says P_n = 1 + S^n.
+
+    The proof.  Let R(0) = (2,), R(1) = (1,) and R(n, k) = R(n-1, k) +
+    R(n-2, k-1), zero outside a row: the additive chain of
+    ``combinatorics._lucas_rows_by_addition``.  Write Q_n for P_n built
+    from R(n) in place of T(n).  Then Q_0 = 2 = 1 + S^0 and Q_1 = 1 + S, and
+    collecting the terms S^k (1 + S)^{n-2k} gives
+    Q_n = (1 + S) Q_{n-1} - S Q_{n-2}, so Q_n = 1 + S^n for every n by
+    induction.  Hence a row with T(n) == R(n) has P_n = Q_n = 1 + S^n: all
+    its interior totals are 0, and it needs no evaluation.  The chain is
+    built from n = 0 by additions alone, fast-forwarding to ``n_start``,
+    and never reads :func:`lucas_row`.
+
+    Only a row of T that differs from R(n) is evaluated, at S = 2^{W_n},
+    by homogeneous Horner in S and Q = (1 + S)^2: with n = 2m + r,
 
         h_0 = T(n, 0),  h_k = h_{k-1} Q + (-1)^k T(n, k) S^k,  P_n = h_m (1 + S)^r,
 
@@ -187,8 +200,11 @@ def _sweep_range(n_start: int, n_end: int) -> tuple[int, list[tuple[int, int, in
     """
     checked = 0
     failures: list[tuple[int, int, int]] = []
-    for n in range(n_start, n_end + 1):
+    for n, proved in zip(range(n_start, n_end + 1), _lucas_rows_by_addition(n_start)):
         lucas = lucas_row(n)
+        checked += n - 1
+        if lucas == proved:
+            continue
         bound = 0  # B_n, by Horner in 4 over k and one more doubling for odd n
         for t in lucas:
             bound = (bound << 2) + abs(t)
@@ -199,7 +215,6 @@ def _sweep_range(n_start: int, n_end: int) -> tuple[int, list[tuple[int, int, in
             acc += (-t if k & 1 else t) << (k * width)
         if n & 1:
             acc += acc << width
-        checked += n - 1
         if acc == 1 + (1 << (n * width)):
             continue
         mask = (1 << width) - 1

@@ -85,12 +85,14 @@ def _workers(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads a negative p/q literal as a positional.
+    """An ArgumentParser that reads a negative p/q or exponent literal as a
+    positional.
 
     argparse treats any token that starts with '-' as a flag unless it looks
     like a negative number, and its notion of a number stops at decimals, so
-    ``verify-morphism 4 -7/11 1`` would fail on a missing ``i``.  Subparsers
-    inherit the class, so every subcommand sees the wider pattern.
+    ``verify-morphism 4 -7/11 1`` or ``curve 2 -1e5 1`` would fail on a
+    missing ``i``.  Subparsers inherit the class, so every subcommand sees
+    the wider pattern.
 
     It also refuses a second ``--`` taken as a positional's value, which
     argparse would pass on as ``[]`` without calling the type (``curve -- 1
@@ -99,7 +101,9 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d+|\d*\.\d+)(?:[eE][-+]?\d+)?$|^-\d+/\d+$"
+        )
 
     def _get_values(self, action, arg_strings):
         value = super()._get_values(action, arg_strings)

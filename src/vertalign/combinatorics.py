@@ -11,7 +11,10 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from typing import Iterator
 
 __all__ = [
     "binomial",
@@ -79,6 +82,21 @@ def lucas_row(n: int) -> tuple[int, ...]:
             raise AssertionError(f"T({n}, {k}) ratio recurrence left remainder {rest}")
         row.append(value)
     return tuple(row)
+
+
+def _lucas_rows_by_addition(first: int) -> Iterator[tuple[int, ...]]:
+    """Rows T(n, 0..n//2) for n = first, first + 1, ..., by additions alone.
+
+    Starts from T(0) = (2,) and T(1) = (1,), whatever ``first`` is, and
+    applies T(n, k) = T(n-1, k) + T(n-2, k-1) (zero outside a row), the
+    Lucas recurrence L_n = (x + y) L_{n-1} - xy L_{n-2}.  It shares no
+    arithmetic with :func:`lucas_row`'s ratio recurrence and never calls it.
+    """
+    older, old = (2,), (1,)  # rows n and n + 1
+    for n in itertools.count():
+        if n >= first:
+            yield older
+        older, old = old, (old[0], *map(operator.add, old[1:] + (0,), older))
 
 
 def pascal_row(n: int) -> list[int]:

@@ -3,6 +3,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _reference import (
     aligned_term,
@@ -228,15 +230,16 @@ SWEEP_FAULTS = {
 }
 
 
-def _inject_fault(monkeypatch, fault):
-    """Add delta to T(n, k) in the rows of T that ``alignment`` reads."""
-    n_bad, k_bad, delta = fault
+def _inject_faults(monkeypatch, *faults):
+    """Add delta to T(n, k), for each (n, k, delta), in the rows of T that
+    ``alignment`` reads."""
 
     def faulty_row(n):
-        row = lucas_row(n)
-        if n == n_bad:
-            row = row[:k_bad] + (row[k_bad] + delta,) + row[k_bad + 1:]
-        return row
+        row = list(lucas_row(n))
+        for n_bad, k_bad, delta in faults:
+            if n == n_bad:
+                row[k_bad] += delta
+        return tuple(row)
 
     monkeypatch.setattr(alignment, "lucas_row", faulty_row)
 
@@ -249,7 +252,7 @@ def _pairs(first, last):
 @pytest.mark.parametrize("fault", SWEEP_FAULTS.values(), ids=SWEEP_FAULTS)
 def test_packed_sweep_matches_list_reference(monkeypatch, fault, workers):
     n_bad, k_bad, delta = fault
-    _inject_fault(monkeypatch, fault)
+    _inject_faults(monkeypatch, fault)
     if workers > 1:
         # Make sure a pool really starts, also on a one-CPU machine.
         monkeypatch.setattr(alignment.os, "cpu_count", lambda: workers)
@@ -265,7 +268,7 @@ def test_packed_sweep_matches_list_reference(monkeypatch, fault, workers):
 # Each faulty row of SWEEP_FAULTS lies in at least one of these ranges.
 @pytest.mark.parametrize("fault", SWEEP_FAULTS.values(), ids=SWEEP_FAULTS)
 def test_sweep_range_matches_list_reference_on_sub_ranges(monkeypatch, fault):
-    _inject_fault(monkeypatch, fault)
+    _inject_faults(monkeypatch, fault)
     _, failures = reference_sweep(120)
     for first, last in [(2, 40), (17, 17), (30, 120)]:
         expected = [f for f in failures if first <= f[0] <= last]
@@ -276,11 +279,71 @@ def test_sweep_range_matches_list_reference_on_sub_ranges(monkeypatch, fault):
 # anywhere, down to one row per range, changes nothing.
 @pytest.mark.parametrize("fault", SWEEP_FAULTS.values(), ids=SWEEP_FAULTS)
 def test_split_sweep_range_concatenates_to_whole(monkeypatch, fault):
-    _inject_fault(monkeypatch, fault)
+    _inject_faults(monkeypatch, fault)
     whole = alignment._sweep_range(2, 120)
     for ranges in ([(2, 24), (25, 25), (26, 33), (34, 120)], [(n, n) for n in range(2, 121)]):
         parts = [alignment._sweep_range(first, last) for first, last in ranges]
         assert (sum(c for c, _ in parts), [f for _, fs in parts for f in fs]) == whole
+
+
+@st.composite
+def _faults(draw):
+    """One to three (n, k, delta) in rows 2..60, deltas past any slot width included."""
+    deltas = st.one_of(
+        st.integers(-3, 3).filter(bool),
+        st.sampled_from([2**300, -(2**300), 2**300 - 1, -(2**4000)]),
+    )
+    faults = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(2, 60))
+        faults.append((n, draw(st.integers(0, n // 2)), draw(deltas)))
+    return faults
+
+
+# A faulty row differs from the additive chain, so it is evaluated by
+# Horner, while the rows around it are still proved by the chain.
+@settings(max_examples=60, deadline=None)
+@given(faults=_faults(), first=st.integers(2, 60), last=st.integers(2, 60))
+def test_sweep_with_random_faults_matches_list_reference(faults, first, last):
+    first, last = sorted((first, last))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _inject_faults(monkeypatch, *faults)
+        checked, failures = reference_sweep(60)
+        summary = identity_sweep(60)
+        assert (summary.pairs_checked, summary.failures) == (checked, failures)
+        expected = [f for f in failures if first <= f[0] <= last]
+        assert alignment._sweep_range(first, last) == (_pairs(first, last), expected)
+
+
+class _WatchedRow(tuple):
+    """A row of T that records its n when something iterates over it.
+
+    Comparing it with the chain's row does not iterate; Horner does."""
+
+    def __iter__(self):
+        self.evaluated.append(self.n)
+        return super().__iter__()
+
+
+# Only a row that differs from the additive chain is evaluated, also in a
+# range that starts past row 2, so the honest sweep is all induction.
+@pytest.mark.parametrize("fault", SWEEP_FAULTS.values(), ids=SWEEP_FAULTS)
+def test_sweep_range_evaluates_only_rows_that_differ(monkeypatch, fault):
+    _inject_faults(monkeypatch, fault)
+    faulty_row = alignment.lucas_row
+    evaluated = []
+
+    def watched_row(n):
+        row = _WatchedRow(faulty_row(n))
+        row.n, row.evaluated = n, evaluated
+        return row
+
+    monkeypatch.setattr(alignment, "lucas_row", watched_row)
+    n_bad, _, delta = fault
+    for first, last in [(2, 120), (17, 17), (30, 120)]:
+        evaluated.clear()
+        alignment._sweep_range(first, last)
+        assert set(evaluated) == ({n_bad} if delta and first <= n_bad <= last else set())
 
 
 def test_sweep_range_reads_each_row_of_t_once(monkeypatch):

@@ -319,6 +319,14 @@ class TestNegativeRationalC:
         assert bare == capsys.readouterr().out
         assert f"c={c}" in bare
 
+    @pytest.mark.parametrize("c", ["-1e5", "-2.5E+3", "-1e-3"])
+    def test_exponent_literal_matches_double_dash_form(self, c, capsys):
+        assert cli.main(["curve", "2", c, "1"]) == 0
+        bare = capsys.readouterr()
+        assert cli.main(["curve", "--", "2", c, "1"]) == 0
+        assert bare == capsys.readouterr()
+        assert bare.out.startswith("C_1 over R(g=2, c=-")
+
 
 EVERY_SUBCOMMAND = [
     ["triangle", "3"],
@@ -465,11 +473,13 @@ class TestInterruptedRuns:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "argv", [["sweep", "1500"], ["lockwood", "1000"]], ids=lambda argv: argv[0]
+        "argv", [["sweep", "8000"], ["lockwood", "1000"]], ids=lambda argv: argv[0]
     )
     def test_ctrl_c_stops_a_parallel_run(self, argv):
         # SIGINT goes to the whole process group, as from a terminal: the
-        # workers must not carry on with their queued chunks.
+        # workers must not carry on with their queued chunks.  Each request
+        # runs for well over ten times the wait before the interrupt
+        # (`sweep 8000 --workers 2` took about 26 s on 2 vCPUs).
         proc = subprocess.Popen(
             [sys.executable, "-m", "vertalign", *argv, "--workers", "2"],
             stdout=subprocess.PIPE,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import lucas_coeff_alt
+from vertalign import combinatorics
 from vertalign.combinatorics import (
     binomial,
     lucas_coeff,
@@ -142,6 +143,19 @@ class TestLucasRow:
     def test_row_length(self):
         for n in range(1, 80):
             assert len(lucas_row(n)) == n // 2 + 1
+
+
+class TestLucasRowsByAddition:
+    @pytest.mark.parametrize("first", [0, 1, 57])
+    def test_matches_sum_form_without_lucas_row(self, monkeypatch, first):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the additive chain read lucas_row")
+
+        monkeypatch.setattr(combinatorics, "lucas_row", forbidden)
+        rows = combinatorics._lucas_rows_by_addition(first)
+        for n in range(first, first + 60):
+            expected = tuple(lucas_coeff_alt(n, k) for k in range(n // 2 + 1)) if n else (2,)
+            assert next(rows) == expected
 
 
 class TestPascalRow:
