@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .alignment import aligned_entries, identity_sum, identity_sweep, map_row_ranges
 from .combinatorics import lucas_row, pascal_row
@@ -114,12 +114,59 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit_csv(header: list[str], rows: list[list]) -> str:
     # Every field is an int, a bool or ring text, none of which holds a comma,
-    # quote or line break, so csv.writer would quote nothing: a join is the same.
-    return "\n".join(",".join(map(str, row)) for row in [header, *rows])
+    # quote or line break, so csv.writer would quote nothing and write str()
+    # of each field, as "%s" does.
+    fmt = ",".join(["%s"] * len(header))
+    return "\n".join([",".join(header), *[fmt % tuple(row) for row in rows]])
 
 
 def _emit_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2)
+    return _json(payload, "\n")
+
+
+_PLAIN_INT = {int}
+
+
+def _json(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it; ``indent`` is
+    the newline and spaces that come before its closing bracket.
+
+    It equals json.dumps because it writes what the stdlib's pure-Python
+    encoder writes (``encode_basestring_ascii``, ``int.__repr__``, true,
+    false, null, ``","`` and ``": "``), at C speed for a list of plain ints.
+    Any other type, or a dict key that is not a str, raises TypeError.
+    """
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == _PLAIN_INT:
+            items = map(int.__repr__, value)
+        else:
+            items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str.
+        items = [
+            encode_basestring_ascii(key) + ": " + _json(item, inner)
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _columns(headers: list[str], rows: list[list[str]]) -> str:
@@ -140,7 +187,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(_emit_json({"n_max": args.n_max, "rows": rows}))
     elif args.format == "csv":
-        data = [[n, i, v] for n, row in enumerate(rows) for i, v in enumerate(row)]
+        data = [(n, i, v) for n, row in enumerate(rows) for i, v in enumerate(row)]
         print(_emit_csv(["n", "i", "value"], data))
     elif args.n_max <= _TRIANGLE_GRID_LIMIT:
         # Centered layout: row n occupies every other cell starting at

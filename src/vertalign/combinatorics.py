@@ -28,9 +28,9 @@ def binomial(m: int, r: int) -> int:
     """Generalized binomial coefficient C(m, r) for any integer ``m``.
 
     ``m >= 0`` is ``math.comb`` (0 when m < r).  ``m < 0`` gives the nonzero
-    alternating values, e.g. C(-1, 2) = 1, by the falling-factorial product
-    m(m-1)...(m-r+1)/r!, dividing by j at step j so every intermediate value
-    is an exact integer.
+    alternating values, e.g. C(-1, 2) = 1, by reflection (upper negation):
+    C(m, r) = (-1)^r C(r - m - 1, r), whose upper index is then >= r, so
+    ``math.comb`` computes it exactly.
 
     ``r < 0`` returns 0 by convention (empty lower index).
     """
@@ -38,10 +38,8 @@ def binomial(m: int, r: int) -> int:
         return 0
     if m >= 0:
         return math.comb(m, r)
-    result = 1
-    for j in range(1, r + 1):
-        result = result * (m - j + 1) // j
-    return result
+    value = math.comb(r - m - 1, r)
+    return -value if r & 1 else value
 
 
 def lucas_coeff(n: int, k: int) -> int:

@@ -5,7 +5,11 @@ The command line never runs these, so they live here rather than in
 without the library's code for the step under test:
 
 * ``lucas_coeff_alt``: T(n, k) by the sum form C(n-k, k) + C(n-k-1, k-1),
-  against ``lucas_coeff``'s quotient and ``lucas_row``'s ratio recurrence.
+  against ``lucas_coeff``'s quotient and ``lucas_row``'s ratio recurrence;
+  ``sum_form_rows`` holds the same sum form for every n <= n_max, built once
+  per session from Pascal's triangle.
+* ``binomial_falling`` / ``falling_row``: C(m, r) by the falling-factorial
+  product, against ``binomial()``'s reflection for m < 0.
 * ``binomial_expand``: (x + y)^n filled in from ``binomial()``, against the
   oracle's chain of products by x + y (``xy_symmetric_power``).
 * ``aligned_term`` / ``term_coefficient``: the oracle's building blocks
@@ -31,7 +35,9 @@ arithmetic on ``RingPolynomial``.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -54,6 +60,43 @@ def lucas_coeff_alt(n: int, k: int) -> int:
     if not 0 <= k < n:
         raise ValueError(f"lucas_coeff_alt requires 0 <= k < n, got k={k}, n={n}")
     return binomial(n - k, k) + binomial(n - k - 1, k - 1)
+
+
+@functools.cache
+def sum_form_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
+    """Row n, for 1 <= n <= n_max, is T(n, 0..n-1) by the sum form of
+    ``lucas_coeff_alt``, C(n-k, k) + C(n-k-1, k-1), zero past n//2.  Row 0
+    is empty.
+
+    Each binomial is read off Pascal's triangle built by additions, so the
+    rows share their work and call neither ``binomial()`` nor ``math.comb``.
+    """
+    rows = [[0] * (n // 2 + 1) for n in range(n_max + 1)]
+    pascal = [1]  # row m of Pascal's triangle
+    for m in range(n_max + 1):
+        for j in range(min(m, n_max - m) + 1):
+            rows[m + j][j] += pascal[j]  # C(n-k, k) at n = m + j, k = j
+            if m + j + 2 <= n_max:
+                rows[m + j + 2][j + 1] += pascal[j]  # C(n-k-1, k-1) at k = j + 1
+        pascal = [1, *map(operator.add, pascal, pascal[1:]), 1]
+    return ((),) + tuple(
+        tuple(rows[n]) + (0,) * (n - 1 - n // 2) for n in range(1, n_max + 1)
+    )
+
+
+def falling_row(m: int, r_max: int) -> list[int]:
+    """[C(m, 0), ..., C(m, r_max)] by the falling-factorial product
+    m(m-1)...(m-r+1)/r!, dividing by j at step j so that every value is an
+    exact integer."""
+    row = [1]
+    for j in range(1, r_max + 1):
+        row.append(row[-1] * (m - j + 1) // j)
+    return row
+
+
+def binomial_falling(m: int, r: int) -> int:
+    """C(m, r) for any integer m by the falling-factorial product; 0 for r < 0."""
+    return falling_row(m, r)[-1] if r >= 0 else 0
 
 
 # -- the expansion oracle ----------------------------------------------------

@@ -14,8 +14,8 @@ import sympy
 from _reference import (
     aligned_term,
     coefficient_facts,
-    lucas_coeff_alt,
     ring_power,
+    sum_form_rows,
     term_coefficient,
 )
 from vertalign.alignment import identity_sum, identity_sweep
@@ -117,17 +117,18 @@ def test_criterion_05_lucas_rows_and_cross_formula():
     assert lucas_row(5) == (1, 5, 5)
     assert lucas_row(6) == (1, 6, 9, 2)
     assert lucas_row(11) == (1, 11, 44, 77, 55, 11)
+    rows = sum_form_rows(1000)
     for n in range(1, 1001):
-        for k in range(n):
-            assert lucas_coeff(n, k) == lucas_coeff_alt(n, k)
+        assert tuple(lucas_coeff(n, k) for k in range(n)) == rows[n]
     _ok(5, "Lucas rows 5/6/11 and rational-vs-sum formulas agree for n <= 1000")
 
 
 def test_lucas_row_recurrence_matches_sum_form():
     # sweep, lockwood and verify-morphism read T only through lucas_row's
     # ratio recurrence; pin it to the sum form over criterion 05's range.
+    rows = sum_form_rows(1000)
     for n in range(1, 1001):
-        assert lucas_row(n) == tuple(lucas_coeff_alt(n, k) for k in range(n // 2 + 1))
+        assert lucas_row(n) == rows[n][: n // 2 + 1]
 
 
 # (sign, magnitude, zeta exponent multiplier, x exponent) per row, g = 5..11.

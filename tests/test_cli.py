@@ -200,6 +200,115 @@ class TestJsonOutputs:
         }
 
 
+def _json_against_reference(argv, capsys, monkeypatch) -> int:
+    """Run ``--format json`` argv; its output must be what json.dumps writes."""
+    received = []
+    emit = cli._emit_json
+
+    def recording(payload):
+        received.append(payload)
+        return emit(payload)
+
+    monkeypatch.setattr(cli, "_emit_json", recording)
+    code = cli.main(["--format", "json", *argv])
+    [payload] = received
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+    return code
+
+
+@contextlib.contextmanager
+def _no_int_digit_limit():
+    limit = cli._get_int_digits()
+    cli._set_int_digits(0)
+    try:
+        yield
+    finally:
+        cli._set_int_digits(limit)
+
+
+# m * 10**4300 + m: past the default int/str limit of 4,300 digits.
+_HUGE_INTS = st.integers(-(10**6), 10**6).filter(bool).map(lambda m: m * 10**4300 + m)
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _HUGE_INTS,
+    st.text(),
+    st.text(alphabet='"\\/\x00\x1f\x7f\n\t\r\u00e9\u2028\U0001f600a'),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.lists(st.integers() | st.booleans() | _HUGE_INTS),
+        st.dictionaries(st.text(), children),
+    ),
+    max_leaves=15,
+)
+
+
+class TestJsonEmitter:
+    """``_emit_json`` writes what ``json.dumps(payload, indent=2)`` writes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON_VALUES)
+    def test_matches_json_dumps(self, payload):
+        with _no_int_digit_limit():
+            assert cli._emit_json(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize(
+        "payload", [[], {}, (), [[]], {"a": {}}, {"a": [True, 1, False, -2]}, [None, "x"]]
+    )
+    def test_matches_json_dumps_on_edge_shapes(self, payload):
+        assert cli._emit_json(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [1.5, Fraction(1, 3), {1, 2}, [0.0], {"a": [1, Fraction(1, 2)]}, {1: "x"}],
+        ids=["float", "fraction", "set", "float-in-list", "fraction-in-dict", "int-key"],
+    )
+    def test_other_types_raise_type_error(self, payload):
+        with pytest.raises(TypeError):
+            cli._emit_json(payload)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["triangle", "12"],
+            ["aligned", "12", "6"],
+            ["identity", "12", "5"],
+            ["identity", "40", "33"],
+            ["sweep", "12"],
+            ["lucas-row", "30"],
+            ["lockwood", "10"],
+            ["table", "5", "11"],
+            *(
+                [command, "--", "7", c, i]
+                for command in ("curve", "verify-morphism")
+                for c in ("1", "-7/11", "3/5")
+                for i in ("0", "1")
+            ),
+        ],
+        ids=" ".join,
+    )
+    def test_every_command_matches_json_dumps(self, argv, capsys, monkeypatch):
+        assert _json_against_reference(argv, capsys, monkeypatch) == 0
+
+    @pytest.mark.parametrize(
+        "argv, fault",
+        [
+            (["identity", "4", "1"], _fail_identity),
+            (["sweep", "5"], _fail_sweep),
+            (["lockwood", "3"], _fail_lockwood),
+        ],
+        ids=["identity", "sweep", "lockwood"],
+    )
+    def test_failing_run_matches_json_dumps(self, argv, fault, capsys, monkeypatch):
+        fault(monkeypatch)
+        assert _json_against_reference(argv, capsys, monkeypatch) == 1
+
+
 def _csv_against_reference(argv, capsys, monkeypatch) -> int:
     """Run ``--format csv`` argv; its output must be what csv.writer writes."""
     received = []

@@ -2,10 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import lucas_coeff_alt
+from _reference import binomial_falling, falling_row, lucas_coeff_alt
 from vertalign import combinatorics
 from vertalign.combinatorics import (
     binomial,
@@ -60,6 +61,19 @@ class TestBinomial:
     @given(st.integers(-200, -1), st.integers(0, 50))
     def test_upper_negation(self, m, r):
         assert binomial(m, r) == (-1) ** r * binomial(r - m - 1, r)
+
+    def test_negative_upper_index_matches_falling_factorial(self):
+        # binomial() reflects m < 0 onto math.comb; the falling-factorial
+        # product shares no step with that.
+        for m in range(-300, 0):
+            assert [binomial(m, r) for r in range(401)] == falling_row(m, 400)
+
+    @given(st.integers(-10**6, 10**6), st.integers(-3, 300))
+    @settings(max_examples=200)
+    def test_matches_sympy_and_falling_factorial(self, m, r):
+        # sympy extends C(m, r) to negative m by the same convention, and is
+        # 0 for r < 0.
+        assert binomial(m, r) == binomial_falling(m, r) == int(sympy.binomial(m, r))
 
 
 class TestLucasCoeff:
