@@ -31,9 +31,6 @@ if TYPE_CHECKING:
     import multiprocessing.pool
 
 __all__ = [
-    "AlignedEntry",
-    "AlignedColumn",
-    "IdentityTerm",
     "IdentityReport",
     "SweepSummary",
     "aligned_entries",
@@ -45,30 +42,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AlignedEntry:
-    """One aligned entry: C(n-2k, i-k), i.e. entry i-k of row n-2k."""
-
-    k: int
-    value: int
-
-
-@dataclass(frozen=True)
-class AlignedColumn:
-    """The entries of Pascal's triangle vertically aligned with C(n, i).
-
-    ``entries[0]`` is the anchor C(n, i) itself; increasing k walks upward
-    through the triangle two rows at a time.
-    """
-
-    n: int
-    i: int
-    entries: tuple[AlignedEntry, ...]
-
-
-def aligned_entries(n: int, i: int) -> AlignedColumn:
+def aligned_entries(n: int, i: int) -> tuple[int, ...]:
     """Anchor C(n, i) plus everything vertically aligned above it.
 
+    Entry k is C(n-2k, i-k), entry i-k of row n-2k, so entry 0 is the anchor
+    and increasing k walks upward through the triangle two rows at a time.
     Covers k = 0..min(i, n//2); beyond that the would-be entries fall
     outside the triangle.  Requires 0 <= i <= n.
     """
@@ -76,49 +54,23 @@ def aligned_entries(n: int, i: int) -> AlignedColumn:
         raise ValueError(f"aligned_entries requires n >= 0, got n={n}")
     if not 0 <= i <= n:
         raise ValueError(f"aligned_entries requires 0 <= i <= n, got i={i}, n={n}")
-    entries = tuple(
-        AlignedEntry(k, binomial(n - 2 * k, i - k))
-        for k in range(min(i, n // 2) + 1)
-    )
-    return AlignedColumn(n, i, entries)
-
-
-@dataclass(frozen=True)
-class IdentityTerm:
-    """Term k of the dependence: signed_coefficient * binomial_value."""
-
-    k: int
-    signed_coefficient: int
-    binomial_value: int
-    product: int
+    return tuple(binomial(n - 2 * k, i - k) for k in range(min(i, n // 2) + 1))
 
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Full term-by-term evaluation of the alignment dependence at (n, i)."""
+    """Term-by-term evaluation of the alignment dependence at one (n, i).
 
-    n: int
-    i: int
-    terms: tuple[IdentityTerm, ...]
+    Term k is the pair ((-1)^k T(n, k), C(n-2k, i-k)); ``total`` is the sum
+    of their products.
+    """
+
+    terms: tuple[tuple[int, int], ...]
     total: int
-    holds: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "i": self.i,
-            "terms": [
-                {
-                    "k": t.k,
-                    "signed_coefficient": t.signed_coefficient,
-                    "binomial_value": t.binomial_value,
-                    "product": t.product,
-                }
-                for t in self.terms
-            ],
-            "total": self.total,
-            "holds": self.holds,
-        }
+    @property
+    def holds(self) -> bool:
+        return self.total == 0
 
 
 def identity_sum(n: int, i: int) -> IdentityReport:
@@ -133,22 +85,16 @@ def identity_sum(n: int, i: int) -> IdentityReport:
         raise ValueError(
             f"identity_sum requires 0 < i < n, got n={n}, i={i}"
         )
-    terms = []
-    total = 0
-    for k in range(i + 1):
-        coeff = (-1) ** k * lucas_coeff(n, k)
-        bval = binomial(n - 2 * k, i - k)
-        product = coeff * bval
-        total += product
-        terms.append(IdentityTerm(k, coeff, bval, product))
-    return IdentityReport(n, i, tuple(terms), total, total == 0)
+    terms = tuple(
+        ((-1) ** k * lucas_coeff(n, k), binomial(n - 2 * k, i - k)) for k in range(i + 1)
+    )
+    return IdentityReport(terms, sum(coeff * value for coeff, value in terms))
 
 
 @dataclass(frozen=True)
 class SweepSummary:
-    """Outcome of checking the dependence for every (n, i) up to n_max."""
+    """Outcome of checking the dependence for every (n, i) of a sweep."""
 
-    n_max: int
     pairs_checked: int
     failures: tuple[tuple[int, int, int], ...]  # (n, i, nonzero total)
 
@@ -289,4 +235,4 @@ def identity_sweep(n_max: int, workers: int = 1) -> SweepSummary:
     parts = map_row_ranges(_sweep_range, 2, n_max, workers)
     checked = sum(part_checked for part_checked, _ in parts)
     failures = [failure for _, part_failures in parts for failure in part_failures]
-    return SweepSummary(n_max, checked, tuple(failures))
+    return SweepSummary(checked, tuple(failures))

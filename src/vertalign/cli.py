@@ -169,13 +169,19 @@ def _json(value, indent: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _columns(headers: list[str], rows: list[list[str]]) -> str:
+def _records(header: list[str], rows: list[list]) -> list[dict]:
+    """The JSON form of a CSV table: one object per row, keyed by the header."""
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _columns(headers: list[str], rows: list[list]) -> str:
+    cells = [[str(cell) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
-    for row in rows:
+    for row in cells:
         for idx, cell in enumerate(row):
             widths[idx] = max(widths[idx], len(cell))
     lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for row in rows:
+    for row in cells:
         lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
 
@@ -206,45 +212,36 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
 
 
 def _cmd_aligned(args: argparse.Namespace) -> int:
-    column = aligned_entries(args.n, args.i)
-    entries = [
-        {"k": e.k, "row": column.n - 2 * e.k, "index": column.i - e.k, "value": e.value}
-        for e in column.entries
-    ]
+    n, i = args.n, args.i
+    header = ["k", "row", "index", "value"]
+    rows = [[k, n - 2 * k, i - k, value] for k, value in enumerate(aligned_entries(n, i))]
     if args.format == "json":
-        print(_emit_json({"n": column.n, "i": column.i, "entries": entries}))
+        print(_emit_json({"n": n, "i": i, "entries": _records(header, rows)}))
     elif args.format == "csv":
-        print(_emit_csv(
-            ["k", "row", "index", "value"],
-            [[e["k"], e["row"], e["index"], e["value"]] for e in entries],
-        ))
+        print(_emit_csv(header, rows))
     else:
-        print(f"entries vertically aligned with entry i={column.i} of row n={column.n}")
-        print(_columns(
-            ["k", "row", "index", "value"],
-            [[str(e["k"]), str(e["row"]), str(e["index"]), str(e["value"])] for e in entries],
-        ))
+        print(f"entries vertically aligned with entry i={i} of row n={n}")
+        print(_columns(header, rows))
     return 0
 
 
 def _cmd_identity(args: argparse.Namespace) -> int:
     report = identity_sum(args.n, args.i)
+    header = ["k", "signed_coefficient", "binomial_value", "product"]
+    rows = [[k, coeff, value, coeff * value] for k, (coeff, value) in enumerate(report.terms)]
     if args.format == "json":
-        print(_emit_json(report.to_dict()))
+        print(_emit_json({
+            "n": args.n,
+            "i": args.i,
+            "terms": _records(header, rows),
+            "total": report.total,
+            "holds": report.holds,
+        }))
     elif args.format == "csv":
-        print(_emit_csv(
-            ["k", "signed_coefficient", "binomial_value", "product"],
-            [[t.k, t.signed_coefficient, t.binomial_value, t.product] for t in report.terms],
-        ))
+        print(_emit_csv(header, rows))
     else:
-        print(f"alignment identity at n={report.n}, i={report.i}")
-        print(_columns(
-            ["k", "coefficient", "binomial", "product"],
-            [
-                [str(t.k), str(t.signed_coefficient), str(t.binomial_value), str(t.product)]
-                for t in report.terms
-            ],
-        ))
+        print(f"alignment identity at n={args.n}, i={args.i}")
+        print(_columns(["k", "coefficient", "binomial", "product"], rows))
         print(f"total = {report.total}")
         print(f"holds: {'yes' if report.holds else 'no'}")
     return 0 if report.holds else 1
@@ -255,7 +252,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     failures = [[n, i, total] for n, i, total in summary.failures]
     if args.format == "json":
         print(_emit_json({
-            "n_max": summary.n_max,
+            "n_max": args.n_max,
             "pairs_checked": summary.pairs_checked,
             "failures": failures,
         }))
@@ -263,7 +260,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(_emit_csv(["n", "i", "total"], failures))
     else:
         print(
-            f"checked {summary.pairs_checked} pairs with 2 <= n <= {summary.n_max}, 0 < i < n"
+            f"checked {summary.pairs_checked} pairs with 2 <= n <= {args.n_max}, 0 < i < n"
         )
         if failures:
             for n, i, total in failures:
@@ -313,32 +310,22 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
     return 0 if not failures else 1
 
 
-def _curve_payload(equation) -> dict:
-    return {
-        "g": equation.spec.g,
-        "c": str(equation.spec.c),
-        "i": equation.i,
-        "equation": equation.equation_text(),
-        "coefficients": [
-            {"x_exp": exp, "element": equation.f.coefficient(exp).to_text()}
-            for exp in range(equation.f.degree, -1, -1)
-        ],
-    }
-
-
 def _cmd_curve(args: argparse.Namespace) -> int:
     spec = make_ring(args.g, args.c)
     target = build_target(spec, args.i)
+    f = target.f
+    header = ["x_exp", "element"]
+    rows = [[exp, f.coefficient(exp).to_text()] for exp in range(f.degree, -1, -1)]
     if args.format == "json":
-        print(_emit_json(_curve_payload(target)))
+        print(_emit_json({
+            "g": spec.g,
+            "c": str(spec.c),
+            "i": args.i,
+            "equation": target.equation_text(),
+            "coefficients": _records(header, rows),
+        }))
     elif args.format == "csv":
-        print(_emit_csv(
-            ["x_exp", "element"],
-            [
-                [exp, target.f.coefficient(exp).to_text()]
-                for exp in range(target.f.degree, -1, -1)
-            ],
-        ))
+        print(_emit_csv(header, rows))
     else:
         print(f"C_{args.i} over R(g={args.g}, c={args.c}): {target.equation_text()}")
     return 0
@@ -351,13 +338,13 @@ def _cmd_verify_morphism(args: argparse.Namespace) -> int:
         print(_emit_json({
             "g": spec.g,
             "c": str(spec.c),
-            "i": report.i,
+            "i": args.i,
             "holds": report.holds,
             "source": report.source.equation_text(),
             "target": report.target.equation_text(),
             "pullback": report.pullback.to_text(),
             "residual": report.residual.to_text(),
-            "x_map_nonconstant": report.x_map_nonconstant,
+            "x_map_nonconstant": True,
         }))
     elif args.format == "csv":
         top = max(report.pullback.degree, report.source.f.degree, 0)
@@ -372,7 +359,7 @@ def _cmd_verify_morphism(args: argparse.Namespace) -> int:
         ]
         print(_emit_csv(["x_exp", "pullback", "source", "residual"], rows))
     else:
-        print(f"morphism check for g={spec.g}, c={spec.c}, i={report.i}")
+        print(f"morphism check for g={spec.g}, c={spec.c}, i={args.i}")
         print(f"source:   {report.source.equation_text()}")
         print(f"target:   {report.target.equation_text()}")
         print("x-map:    (x^2 + w)/x with w = zeta^i*c^(1/g) (nonconstant)")
@@ -384,32 +371,14 @@ def _cmd_verify_morphism(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     rows = table_rows(args.g_min, args.g_max)
+    header = ["k", "sign", "magnitude", "zeta_exp", "x_exp"]
+    by_g = [(g, [[k, (-1) ** k, t, k, g - 2 * k] for k, t in enumerate(row)]) for g, row in rows]
     if args.format == "json":
         print(_emit_json({
-            "rows": [
-                {
-                    "g": row.g,
-                    "coefficients": [
-                        {
-                            "k": e.k,
-                            "sign": e.sign,
-                            "magnitude": e.magnitude,
-                            "zeta_exp": e.zeta_exp,
-                            "x_exp": e.x_exp,
-                        }
-                        for e in row.entries
-                    ],
-                }
-                for row in rows
-            ],
+            "rows": [{"g": g, "coefficients": _records(header, terms)} for g, terms in by_g],
         }))
     elif args.format == "csv":
-        data = [
-            [row.g, e.k, e.sign, e.magnitude, e.zeta_exp, e.x_exp]
-            for row in rows
-            for e in row.entries
-        ]
-        print(_emit_csv(["g", "k", "sign", "magnitude", "zeta_exp", "x_exp"], data))
+        print(_emit_csv(["g", *header], [[g, *term] for g, terms in by_g for term in terms]))
     else:
         print(table_text(rows))
     return 0

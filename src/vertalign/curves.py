@@ -14,9 +14,9 @@ this module verifies that by full expansion, not by trusting it.
 Everything is verified at the level of defining equations.  For even g the
 exponent (g+1)/2 in the y-coordinate is a half-integer, so the map itself is
 not polynomial there; y^2 / x^{g+1} still is, and that is the object being
-checked.  Nonconstancy of the x-coordinate map is reported informationally,
-and no further geometric properties (genus, smoothness, behavior at
-infinity) are claimed.
+checked.  The x-coordinate map (x^2 + w)/x is never constant, and no
+further geometric properties (genus, smoothness, behavior at infinity) are
+claimed.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ __all__ = [
     "RingPolynomial",
     "CurveEquation",
     "MorphismReport",
-    "TableEntry",
-    "TableRow",
     "build_source",
     "build_target",
     "pullback_rhs",
@@ -115,11 +113,9 @@ def _coefficient_term(
 
 @dataclass(frozen=True)
 class CurveEquation:
-    """A hyperelliptic defining equation y^2 = f(x) over R(g, c)."""
+    """A hyperelliptic defining equation y^2 = f(x) over R(g, c) = f.spec."""
 
-    spec: RingSpec
     f: RingPolynomial
-    i: int | None  # the target's root index; None for the source
 
     def equation_text(self) -> str:
         """The equation as text.
@@ -129,7 +125,7 @@ class CurveEquation:
         the canonical u-form.
         """
         f = self.f
-        if self.spec.c == 1:
+        if f.spec.c == 1:
             f = f.substitute_u(1)
         return f"y^2 = {f.to_text()}"
 
@@ -139,8 +135,7 @@ def build_source(spec: RingSpec) -> CurveEquation:
     coeffs = [ring_zero(spec)] * (2 * spec.g + 2)
     coeffs[2 * spec.g + 1] = ring_one(spec)
     coeffs[1] = from_rational(spec, spec.c)
-    f = RingPolynomial(spec, tuple(coeffs))
-    return CurveEquation(spec, f, None)
+    return CurveEquation(RingPolynomial(spec, tuple(coeffs)))
 
 
 def _w_powers(spec: RingSpec, i: int, top: int) -> list[QuotientRingElement]:
@@ -180,8 +175,7 @@ def build_target(
     coeffs = [ring_zero(spec)] * (g + 1)
     for k, lucas in enumerate(lucas_row(g)):
         coeffs[g - 2 * k] = w_powers[k].scale((-1) ** k * lucas)
-    f = RingPolynomial(spec, tuple(coeffs))
-    return CurveEquation(spec, f, i)
+    return CurveEquation(RingPolynomial(spec, tuple(coeffs)))
 
 
 def pullback_rhs(
@@ -227,18 +221,14 @@ def pullback_rhs(
 class MorphismReport:
     """Result of checking pullback(target) == source at equation level.
 
-    ``x_map_nonconstant`` records the one morphism property that is visible
-    without geometry: the x-coordinate map (x^2 + w)/x is never constant.
-    g and c are those of ``source.spec``.
+    g and c are those of ``source.f.spec``.
     """
 
-    i: int
     holds: bool
     residual: RingPolynomial
     source: CurveEquation
     target: CurveEquation
     pullback: RingPolynomial
-    x_map_nonconstant: bool = True
 
 
 def verify_morphism(spec: RingSpec, i: int) -> MorphismReport:
@@ -253,7 +243,6 @@ def verify_morphism(spec: RingSpec, i: int) -> MorphismReport:
     pullback = pullback_rhs(spec, i, w_powers)
     residual = pullback - source.f
     return MorphismReport(
-        i=i,
         holds=residual.is_zero(),
         residual=residual,
         source=source,
@@ -262,59 +251,30 @@ def verify_morphism(spec: RingSpec, i: int) -> MorphismReport:
     )
 
 
-@dataclass(frozen=True)
-class TableEntry:
-    """One term of a tabulated target curve: sign*magnitude*zeta^(zeta_exp*i)*x^x_exp."""
-
-    k: int
-    sign: int
-    magnitude: int
-    zeta_exp: int
-    x_exp: int
-
-
-@dataclass(frozen=True)
-class TableRow:
-    g: int
-    entries: tuple[TableEntry, ...]
-
-    def equation_text(self) -> str:
-        """Row rendered with c = 1 and the zeta twist kept symbolic in i."""
-        return "y^2 = " + _terms_text(
-            (e.sign * e.magnitude, (_zeta_text(e.zeta_exp), _power_text("x", e.x_exp)))
-            for e in self.entries
-        )
-
-
 def _zeta_text(exponent: int) -> str:
     """zeta^(exponent*i), with i kept symbolic."""
     return "" if exponent == 0 else "zeta^i" if exponent == 1 else f"zeta^({exponent}i)"
 
 
-def table_rows(g_min: int, g_max: int) -> list[TableRow]:
-    """Target curves for g_min..g_max with c = 1 and symbolic zeta^{ik}."""
+def table_rows(g_min: int, g_max: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(g, T(g, .)) for g_min..g_max: the target curves with c = 1.
+
+    Term k of the curve for g is (-1)^k T(g, k) zeta^{ik} x^{g-2k}.
+    """
     if not 1 <= g_min <= g_max:
         raise ValueError(
             f"table_rows requires 1 <= g_min <= g_max, got {g_min}..{g_max}"
         )
-    rows = []
-    for g in range(g_min, g_max + 1):
-        entries = tuple(
-            TableEntry(
-                k=k,
-                sign=(-1) ** k,
-                magnitude=magnitude,
-                zeta_exp=k,
-                x_exp=g - 2 * k,
-            )
-            for k, magnitude in enumerate(lucas_row(g))
-        )
-        rows.append(TableRow(g, entries))
-    return rows
+    return [(g, lucas_row(g)) for g in range(g_min, g_max + 1)]
 
 
-def table_text(rows: list[TableRow]) -> str:
+def table_text(rows: list[tuple[int, tuple[int, ...]]]) -> str:
+    """The rows of ``table_rows`` as equations, the zeta twist kept symbolic in i."""
     lines = ["g    curve C_i (c = 1)"]
-    for row in rows:
-        lines.append(f"{row.g:<4} {row.equation_text()}")
+    for g, row in rows:
+        terms = _terms_text(
+            ((-1) ** k * t, (_zeta_text(k), _power_text("x", g - 2 * k)))
+            for k, t in enumerate(row)
+        )
+        lines.append(f"{g:<4} y^2 = {terms}")
     return "\n".join(lines)

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .combinatorics import lucas_row
+from .quotient_ring import _power_text, _terms_text
 
 __all__ = [
     "BivariatePolynomial",
@@ -83,16 +84,11 @@ class BivariatePolynomial:
     def to_text(self) -> str:
         """Canonical text form: graded-lex order with x > y, leading term first."""
         n = len(self.coeffs) - 1
-        parts = []
-        for b, coeff in enumerate(self.coeffs):
-            if not coeff:
-                continue
-            factors = [v if e == 1 else f"{v}^{e}" for v, e in (("x", n - b), ("y", b)) if e]
-            if abs(coeff) != 1 or not factors:
-                factors.insert(0, str(abs(coeff)))
-            sign = ("- " if coeff < 0 else "+ ") if parts else ("-" if coeff < 0 else "")
-            parts.append(sign + "*".join(factors))
-        return " ".join(parts) or "0"
+        return _terms_text(
+            (coeff, (_power_text("x", n - b), _power_text("y", b)))
+            for b, coeff in enumerate(self.coeffs)
+            if coeff
+        )
 
     def __repr__(self) -> str:
         return f"BivariatePolynomial({self.to_text()})"

@@ -21,8 +21,6 @@ without the library's code for the step under test:
   against ``curves.pullback_rhs``.
 * ``coefficient_facts``: closed forms of two target coefficients, against
   the coefficients ``curves.build_target`` builds.
-* ``identity_report_from_dict``: the inverse of ``IdentityReport.to_dict``,
-  for round-tripping the ``identity`` JSON payload.
 * ``reference_csv``: CSV text written by ``csv.writer``, against the plain
   join of ``cli._emit_csv``.
 
@@ -43,7 +41,6 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from vertalign import alignment, lockwood
-from vertalign.alignment import IdentityReport, IdentityTerm
 from vertalign.combinatorics import binomial, lucas_coeff
 from vertalign.curves import RingPolynomial
 from vertalign.lockwood import BivariatePolynomial
@@ -165,15 +162,6 @@ def reference_sweep(n_max: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
         checked += n - 1
         failures.extend((n, i, totals[i]) for i in range(1, n) if totals[i])
     return checked, tuple(failures)
-
-
-def identity_report_from_dict(data: dict) -> IdentityReport:
-    """Rebuild the report that ``IdentityReport.to_dict`` wrote."""
-    terms = tuple(
-        IdentityTerm(t["k"], t["signed_coefficient"], t["binomial_value"], t["product"])
-        for t in data["terms"]
-    )
-    return IdentityReport(data["n"], data["i"], terms, data["total"], data["holds"])
 
 
 def reference_csv(header: list[str], rows: list[list]) -> str:

@@ -6,6 +6,7 @@ the corresponding FAIL line.  Everything is integer or rational arithmetic,
 so there are no tolerances anywhere to tune.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from _reference import (
     sum_form_rows,
     term_coefficient,
 )
+import vertalign.cli as cli
 from vertalign.alignment import identity_sum, identity_sweep
 from vertalign.combinatorics import binomial, lucas_coeff, lucas_row
 from vertalign.curves import build_target, table_rows, verify_morphism
@@ -51,19 +53,14 @@ def _ok(num: int, text: str) -> None:
 
 def test_criterion_01_worked_example_11_3():
     report = identity_sum(11, 3)
-    assert [(t.signed_coefficient, t.binomial_value) for t in report.terms] == [
-        (1, 165),
-        (-11, 36),
-        (44, 7),
-        (-77, 1),
-    ]
+    assert report.terms == ((1, 165), (-11, 36), (44, 7), (-77, 1))
     assert report.total == 0 and report.holds
     _ok(1, "identity_sum(11, 3) reproduces 165 - 11*36 + 44*7 - 77*1 = 0")
 
 
 def test_criterion_02_worked_example_12_6():
     report = identity_sum(12, 6)
-    assert [(t.signed_coefficient, t.binomial_value) for t in report.terms] == [
+    assert report.terms == (
         (1, 924),
         (-12, 252),
         (54, 70),
@@ -71,7 +68,7 @@ def test_criterion_02_worked_example_12_6():
         (105, 6),
         (-36, 2),
         (2, 1),
-    ]
+    )
     assert report.total == 0 and report.holds
     _ok(2, "identity_sum(12, 6) reproduces the seven-term cancellation")
 
@@ -157,12 +154,18 @@ TABLE_ROWS_EXPECTED = {
 }
 
 
-def test_criterion_06_curve_table_5_to_11():
+def test_criterion_06_curve_table_5_to_11(capsys):
     rows = table_rows(5, 11)
-    assert [row.g for row in rows] == list(range(5, 12))
-    for row in rows:
-        got = [(e.sign, e.magnitude, e.zeta_exp, e.x_exp) for e in row.entries]
-        assert got == TABLE_ROWS_EXPECTED[row.g]
+    assert [g for g, _ in rows] == list(range(5, 12))
+    for g, row in rows:
+        assert list(row) == [magnitude for _, magnitude, _, _ in TABLE_ROWS_EXPECTED[g]]
+    # Sign, zeta exponent and x exponent are written by the command line.
+    assert cli.main(["--format", "json", "table", "5", "11"]) == 0
+    payload = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["g"] for row in payload] == list(range(5, 12))
+    for row in payload:
+        got = [(t["sign"], t["magnitude"], t["zeta_exp"], t["x_exp"]) for t in row["coefficients"]]
+        assert got == TABLE_ROWS_EXPECTED[row["g"]]
     _ok(6, "tabulated curves for g = 5..11 match coefficient-for-coefficient")
 
 

@@ -1,8 +1,11 @@
 import argparse
 import contextlib
+import csv
+import decimal
 import functools
 import io
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -17,18 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vertalign.cli as cli
-from _reference import identity_report_from_dict, reference_csv
+from _reference import binomial_falling, lucas_coeff_alt, reference_csv
+from test_acceptance import TABLE_ROWS_EXPECTED
 from vertalign import lockwood
 from vertalign.alignment import (
     IdentityReport,
-    IdentityTerm,
     SweepSummary,
     identity_sum,
     identity_sweep,
     map_row_ranges,
     pool_size,
 )
-from vertalign.combinatorics import lucas_row
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -63,14 +65,12 @@ def test_output_is_deterministic(capsys):
 # The mathematics never fails, so these fabricate failing results to pin down
 # the exit-code contract and the failure output.
 def _fail_identity(monkeypatch):
-    bad = IdentityReport(
-        n=4, i=1, terms=(IdentityTerm(0, 1, 4, 4),), total=4, holds=False
-    )
+    bad = IdentityReport(terms=((1, 4),), total=4)
     monkeypatch.setattr(cli, "identity_sum", lambda n, i: bad)
 
 
 def _fail_sweep(monkeypatch):
-    bad = SweepSummary(n_max=5, pairs_checked=10, failures=((3, 1, 7),))
+    bad = SweepSummary(pairs_checked=10, failures=((3, 1, 7),))
     monkeypatch.setattr(cli, "identity_sweep", lambda n_max, workers: bad)
 
 
@@ -155,7 +155,17 @@ class TestJsonOutputs:
     def test_identity_round_trips(self, capsys):
         assert cli.main(["--format", "json", "identity", "12", "6"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert identity_report_from_dict(payload) == identity_sum(12, 6)
+        report = identity_sum(12, 6)
+        assert payload == {
+            "n": 12,
+            "i": 6,
+            "terms": [
+                {"k": k, "signed_coefficient": coeff, "binomial_value": value, "product": coeff * value}
+                for k, (coeff, value) in enumerate(report.terms)
+            ],
+            "total": report.total,
+            "holds": report.holds,
+        }
 
     def test_format_flag_after_subcommand(self, capsys):
         assert cli.main(["identity", "12", "6", "--format", "json"]) == 0
@@ -181,8 +191,10 @@ class TestJsonOutputs:
         cli.main(["--format", "json", "verify-morphism", "5", "1", "0"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["holds"] is True
+        assert (payload["g"], payload["c"], payload["i"]) == (5, "1", 0)
         assert payload["target"] == "y^2 = x^5 - 5*x^3 + 5*x"
         assert payload["residual"] == "0"
+        assert payload["x_map_nonconstant"] is True
         cli.main(["--format", "json", "curve", "6", "1", "0"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["equation"] == "y^2 = x^6 - 6*x^4 + 9*x^2 - 2"
@@ -198,6 +210,99 @@ class TestJsonOutputs:
             "zeta_exp": 1,
             "x_exp": 3,
         }
+
+
+def _records_and_csv(argv, capsys) -> tuple[dict, list[str], list[list[str]]]:
+    """The ``--format json`` payload of argv, and the header and rows of its CSV."""
+    assert cli.main(["--format", "json", *argv]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert cli.main(["--format", "csv", *argv]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    return payload, header, rows
+
+
+def _assert_records_match_csv(records: list[dict], header: list[str], rows: list[list[str]]):
+    """Record j has the CSV header's keys, in order, and the values of CSV row j."""
+    assert len(records) == len(rows)
+    for record, row in zip(records, rows):
+        assert list(record) == header
+        assert [str(value) for value in record.values()] == row
+
+
+def _target_coefficient_text(g: int, exp: int) -> str:
+    """The coefficient of x^exp in C_0 over R(g, c): (-1)^k T(g, k) u^k at exp = g - 2k."""
+    k, odd = divmod(g - exp, 2)
+    if odd:
+        return "0"
+    if k == 0:
+        return "1"
+    power = "u" if k == 1 else f"u^{k}"
+    return f"{'-' if k % 2 else ''}{lucas_coeff_alt(g, k)}*{power}"
+
+
+class TestRecordsAgainstReferences:
+    """JSON records and CSV rows of the tabular commands, against values the
+    library does not compute: ``math.comb``, the sum form of T and the
+    tabulated curves of criterion 06."""
+
+    @pytest.mark.parametrize("n, i", [(12, 6), (11, 3), (9, 0), (7, 7), (20, 13), (1, 1)])
+    def test_aligned(self, n, i, capsys):
+        payload, header, rows = _records_and_csv(["aligned", str(n), str(i)], capsys)
+        assert header == ["k", "row", "index", "value"]
+        assert list(payload) == ["n", "i", "entries"]
+        assert payload == {
+            "n": n,
+            "i": i,
+            "entries": [
+                {"k": k, "row": n - 2 * k, "index": i - k, "value": math.comb(n - 2 * k, i - k)}
+                for k in range(min(i, n // 2) + 1)
+            ],
+        }
+        _assert_records_match_csv(payload["entries"], header, rows)
+
+    @pytest.mark.parametrize("n, i", [(11, 3), (12, 6), (2, 1), (20, 19), (40, 33)])
+    def test_identity(self, n, i, capsys):
+        payload, header, rows = _records_and_csv(["identity", str(n), str(i)], capsys)
+        assert header == ["k", "signed_coefficient", "binomial_value", "product"]
+        assert list(payload) == ["n", "i", "terms", "total", "holds"]
+        terms = []
+        for k in range(i + 1):
+            coeff = (-1) ** k * lucas_coeff_alt(n, k)
+            m = n - 2 * k
+            value = math.comb(m, i - k) if m >= 0 else binomial_falling(m, i - k)
+            terms.append({
+                "k": k, "signed_coefficient": coeff, "binomial_value": value, "product": coeff * value
+            })
+        assert payload == {"n": n, "i": i, "terms": terms, "total": 0, "holds": True}
+        _assert_records_match_csv(payload["terms"], header, rows)
+
+    @pytest.mark.parametrize("g", [1, 2, 5, 6, 9])
+    @pytest.mark.parametrize("c", ["1", "2", "-7/11"])
+    def test_curve(self, g, c, capsys):
+        payload, header, rows = _records_and_csv(["curve", "--", str(g), c, "0"], capsys)
+        assert header == ["x_exp", "element"]
+        assert list(payload) == ["g", "c", "i", "equation", "coefficients"]
+        assert (payload["g"], payload["c"], payload["i"]) == (g, c, 0)
+        assert payload["coefficients"] == [
+            {"x_exp": exp, "element": _target_coefficient_text(g, exp)}
+            for exp in range(g, -1, -1)
+        ]
+        _assert_records_match_csv(payload["coefficients"], header, rows)
+
+    def test_table(self, capsys):
+        payload, header, rows = _records_and_csv(["table", "5", "11"], capsys)
+        assert header == ["g", "k", "sign", "magnitude", "zeta_exp", "x_exp"]
+        assert list(payload) == ["rows"]
+        assert [row["g"] for row in payload["rows"]] == list(range(5, 12))
+        records = []
+        for row in payload["rows"]:
+            assert list(row) == ["g", "coefficients"]
+            assert row["coefficients"] == [
+                dict(zip(["k", "sign", "magnitude", "zeta_exp", "x_exp"], (k, *term)))
+                for k, term in enumerate(TABLE_ROWS_EXPECTED[row["g"]])
+            ]
+            records += [{"g": row["g"], **term} for term in row["coefficients"]]
+        _assert_records_match_csv(records, header, rows)
 
 
 def _json_against_reference(argv, capsys, monkeypatch) -> int:
@@ -484,12 +589,21 @@ def test_workers_accepted_and_ignored_by_other_commands(argv, capsys, monkeypatc
 
 @functools.cache
 def _lucas_row_25000_text() -> tuple[str, ...]:
-    limit = cli._get_int_digits()
-    cli._set_int_digits(0)
-    try:
-        return tuple(map(str, lucas_row(25000)))
-    finally:
-        cli._set_int_digits(limit)
+    """T(25000, k) as text, by the ratio recurrence in exact decimal arithmetic.
+
+    A Decimal prints in linear time, where str() of the 12,501 ints takes
+    seconds; Inexact and Rounded are trapped, so every step is exact.
+    """
+    n = 25000
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded]
+    )
+    t = decimal.Decimal(1)
+    text = ["1"]
+    for k in range(n // 2):
+        t = ctx.divide(ctx.multiply(t, (n - 2 * k) * (n - 2 * k - 1)), (k + 1) * (n - k - 1))
+        text.append(str(t))
+    return tuple(text)
 
 
 class TestHugeIntegers:
