@@ -11,8 +11,8 @@ the Lucas coefficients T(n, k) vanishes,
 The sum deliberately runs all the way to k = i.  Terms past min(i, n//2)
 vanish, but for two different reasons that are worth keeping observable:
 while 0 <= n-2k < i-k the binomial factor is 0, and once n-2k < 0 the
-binomial is nonzero again but T(n, k) = 0 takes over.  Reports list every
-term so both regimes can be checked.
+binomial is nonzero again but T(n, k) = 0 takes over.  ``identity_sum``
+lists every term so both regimes can be checked.
 
 Pure functions over immutable values; the sweep may fan out across worker
 processes and always merges results in canonical (n ascending) order.
@@ -22,23 +22,17 @@ from __future__ import annotations
 
 import os
 import signal
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, TypeVar
+from collections import namedtuple
+from collections.abc import Callable
 
 from .combinatorics import _lucas_rows_by_addition, binomial, lucas_coeff, lucas_row
 
-if TYPE_CHECKING:
-    import multiprocessing.pool
-
 __all__ = [
-    "IdentityReport",
     "SweepSummary",
     "aligned_entries",
     "identity_sum",
     "identity_sweep",
     "map_row_ranges",
-    "pool_size",
-    "worker_pool",
 ]
 
 
@@ -57,29 +51,14 @@ def aligned_entries(n: int, i: int) -> tuple[int, ...]:
     return tuple(binomial(n - 2 * k, i - k) for k in range(min(i, n // 2) + 1))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Term-by-term evaluation of the alignment dependence at one (n, i).
-
-    Term k is the pair ((-1)^k T(n, k), C(n-2k, i-k)); ``total`` is the sum
-    of their products.
-    """
-
-    terms: tuple[tuple[int, int], ...]
-    total: int
-
-    @property
-    def holds(self) -> bool:
-        return self.total == 0
-
-
-def identity_sum(n: int, i: int) -> IdentityReport:
+def identity_sum(n: int, i: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """Evaluate sum_{k=0}^{i} (-1)^k T(n,k) C(n-2k, i-k) term by term.
 
-    Only defined on the hypothesis 0 < i < n (at i = 0 or i = n the sum is
-    1, not 0, and returning it would invite misuse).  The report lists all
-    i+1 terms, including the vanishing tail, and ``holds`` records whether
-    the total is exactly zero.
+    Returns (terms, total).  Term k is the pair ((-1)^k T(n, k),
+    C(n-2k, i-k)), all i+1 of them including the vanishing tail, and
+    ``total`` is the sum of their products; the dependence holds exactly when
+    it is 0.  Only defined on the hypothesis 0 < i < n (at i = 0 or i = n
+    the sum is 1, not 0, and returning it would invite misuse).
     """
     if not 0 < i < n:
         raise ValueError(
@@ -88,15 +67,12 @@ def identity_sum(n: int, i: int) -> IdentityReport:
     terms = tuple(
         ((-1) ** k * lucas_coeff(n, k), binomial(n - 2 * k, i - k)) for k in range(i + 1)
     )
-    return IdentityReport(terms, sum(coeff * value for coeff, value in terms))
+    return terms, sum(coeff * value for coeff, value in terms)
 
 
-@dataclass(frozen=True)
-class SweepSummary:
-    """Outcome of checking the dependence for every (n, i) of a sweep."""
-
-    pairs_checked: int
-    failures: tuple[tuple[int, int, int], ...]  # (n, i, nonzero total)
+# Outcome of a sweep: the pairs checked and each failure as (n, i, nonzero
+# total).  A named tuple, as the benchmark's tracer reads ``pairs_checked``.
+SweepSummary = namedtuple("SweepSummary", ["pairs_checked", "failures"])
 
 
 def _sweep_range(n_start: int, n_end: int) -> tuple[int, list[tuple[int, int, int]]]:
@@ -174,51 +150,33 @@ def _sweep_range(n_start: int, n_end: int) -> tuple[int, list[tuple[int, int, in
     return checked, failures
 
 
-def pool_size(requested: int, tasks: int) -> int:
-    """Worker processes to start: no more than the tasks or the CPUs.
-
-    Starts nothing itself; every process pool in the package is sized here.
-    """
-    return min(requested, tasks, os.cpu_count() or 1)
-
-
-def worker_pool(workers: int) -> multiprocessing.pool.Pool:
-    """A pool of ``workers`` processes that leave Ctrl-C to the parent.
-
-    Every process pool in the package is started here.  The workers ignore
-    SIGINT, so an interrupt reaches only the parent, where it breaks the
-    wait for results; leaving the pool's ``with`` block then terminates the
-    workers instead of letting them finish the chunks already queued.
-    """
-    # Imported on first use: it loads sockets and threading, about 0.8 MB of
-    # resident memory, that a serial run never needs.
-    import multiprocessing
-
-    return multiprocessing.Pool(
-        workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
-    )
-
-
-_Part = TypeVar("_Part")
-
-
 def map_row_ranges(
-    check: Callable[[int, int], _Part], first: int, last: int, workers: int
-) -> list[_Part]:
+    check: Callable[[int, int], object], first: int, last: int, workers: int
+) -> list:
     """``check(start, end)`` over consecutive ranges of rows first..last.
 
-    With one worker (after :func:`pool_size`) that is the single call
-    ``check(first, last)``.  Otherwise the rows are cut into about four
+    Every process pool in the package is sized and started here.  Workers
+    are capped by the rows and the CPUs; with one left, this is the single
+    call ``check(first, last)``.  Otherwise the rows are cut into about four
     ranges per worker, because later rows cost more and many small ranges
-    balance the pool, and each range goes to :func:`worker_pool`.  Results
-    come back in range order either way, so merged reports stay canonical.
+    balance the pool.  The workers ignore SIGINT, so an interrupt reaches
+    only the parent, where it breaks the wait for results; leaving the
+    pool's ``with`` block then terminates the workers instead of letting
+    them finish the ranges already queued.  Results come back in range
+    order either way, so merged results stay canonical.
     """
-    workers = pool_size(workers, last - first + 1)
+    workers = min(workers, last - first + 1, os.cpu_count() or 1)
     if workers == 1:
         return [check(first, last)]
     chunk = max(1, (last - first + 1) // (4 * workers))
     ranges = [(start, min(start + chunk - 1, last)) for start in range(first, last + 1, chunk)]
-    with worker_pool(workers) as pool:
+    # Imported on first use: it loads sockets and threading, about 0.8 MB of
+    # resident memory, that a serial run never needs.
+    import multiprocessing
+
+    with multiprocessing.Pool(
+        workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+    ) as pool:
         return pool.starmap(check, ranges, chunksize=1)
 
 

@@ -85,14 +85,16 @@ def _workers(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads a negative p/q or exponent literal as a
-    positional.
+    """An ArgumentParser that reads every token starting ``-<digit>`` or
+    ``-.<digit>`` as a positional.
 
     argparse treats any token that starts with '-' as a flag unless it looks
     like a negative number, and its notion of a number stops at decimals, so
-    ``verify-morphism 4 -7/11 1`` or ``curve 2 -1e5 1`` would fail on a
-    missing ``i``.  Subparsers inherit the class, so every subcommand sees
-    the wider pattern.
+    ``verify-morphism 4 -7/11 1``, ``curve 2 -1e5 1`` or ``curve 2 -1_000
+    1`` would fail on a missing ``i``.  No flag starts that way, so the
+    token goes to its argument's type, which accepts it or names it in the
+    usage error.  Subparsers inherit the class, so every subcommand sees the
+    wider pattern.
 
     It also refuses a second ``--`` taken as a positional's value, which
     argparse would pass on as ``[]`` without calling the type (``curve -- 1
@@ -101,9 +103,7 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            r"^-(?:\d+|\d*\.\d+)(?:[eE][-+]?\d+)?$|^-\d+/\d+$"
-        )
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def _get_values(self, action, arg_strings):
         value = super()._get_values(action, arg_strings)
@@ -226,25 +226,26 @@ def _cmd_aligned(args: argparse.Namespace) -> int:
 
 
 def _cmd_identity(args: argparse.Namespace) -> int:
-    report = identity_sum(args.n, args.i)
+    terms, total = identity_sum(args.n, args.i)
+    holds = total == 0
     header = ["k", "signed_coefficient", "binomial_value", "product"]
-    rows = [[k, coeff, value, coeff * value] for k, (coeff, value) in enumerate(report.terms)]
+    rows = [[k, coeff, value, coeff * value] for k, (coeff, value) in enumerate(terms)]
     if args.format == "json":
         print(_emit_json({
             "n": args.n,
             "i": args.i,
             "terms": _records(header, rows),
-            "total": report.total,
-            "holds": report.holds,
+            "total": total,
+            "holds": holds,
         }))
     elif args.format == "csv":
         print(_emit_csv(header, rows))
     else:
         print(f"alignment identity at n={args.n}, i={args.i}")
         print(_columns(["k", "coefficient", "binomial", "product"], rows))
-        print(f"total = {report.total}")
-        print(f"holds: {'yes' if report.holds else 'no'}")
-    return 0 if report.holds else 1
+        print(f"total = {total}")
+        print(f"holds: {'yes' if holds else 'no'}")
+    return 0 if holds else 1
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -312,8 +313,7 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
 
 def _cmd_curve(args: argparse.Namespace) -> int:
     spec = make_ring(args.g, args.c)
-    target = build_target(spec, args.i)
-    f = target.f
+    f = build_target(spec, args.i)
     header = ["x_exp", "element"]
     rows = [[exp, f.coefficient(exp).to_text()] for exp in range(f.degree, -1, -1)]
     if args.format == "json":
@@ -321,52 +321,47 @@ def _cmd_curve(args: argparse.Namespace) -> int:
             "g": spec.g,
             "c": str(spec.c),
             "i": args.i,
-            "equation": target.equation_text(),
+            "equation": f.equation_text(),
             "coefficients": _records(header, rows),
         }))
     elif args.format == "csv":
         print(_emit_csv(header, rows))
     else:
-        print(f"C_{args.i} over R(g={args.g}, c={args.c}): {target.equation_text()}")
+        print(f"C_{args.i} over R(g={args.g}, c={args.c}): {f.equation_text()}")
     return 0
 
 
 def _cmd_verify_morphism(args: argparse.Namespace) -> int:
     spec = make_ring(args.g, args.c)
-    report = verify_morphism(spec, args.i)
+    source, target, pullback, residual = verify_morphism(spec, args.i)
+    holds = residual.is_zero()
     if args.format == "json":
         print(_emit_json({
             "g": spec.g,
             "c": str(spec.c),
             "i": args.i,
-            "holds": report.holds,
-            "source": report.source.equation_text(),
-            "target": report.target.equation_text(),
-            "pullback": report.pullback.to_text(),
-            "residual": report.residual.to_text(),
+            "holds": holds,
+            "source": source.equation_text(),
+            "target": target.equation_text(),
+            "pullback": pullback.to_text(),
+            "residual": residual.to_text(),
             "x_map_nonconstant": True,
         }))
     elif args.format == "csv":
-        top = max(report.pullback.degree, report.source.f.degree, 0)
         rows = [
-            [
-                exp,
-                report.pullback.coefficient(exp).to_text(),
-                report.source.f.coefficient(exp).to_text(),
-                report.residual.coefficient(exp).to_text(),
-            ]
-            for exp in range(top, -1, -1)
+            [exp, *(f.coefficient(exp).to_text() for f in (pullback, source, residual))]
+            for exp in range(max(pullback.degree, source.degree, 0), -1, -1)
         ]
         print(_emit_csv(["x_exp", "pullback", "source", "residual"], rows))
     else:
         print(f"morphism check for g={spec.g}, c={spec.c}, i={args.i}")
-        print(f"source:   {report.source.equation_text()}")
-        print(f"target:   {report.target.equation_text()}")
+        print(f"source:   {source.equation_text()}")
+        print(f"target:   {target.equation_text()}")
         print("x-map:    (x^2 + w)/x with w = zeta^i*c^(1/g) (nonconstant)")
-        print(f"pullback: y^2 = {report.pullback.to_text()}")
-        print(f"residual: {report.residual.to_text()}")
-        print(f"holds: {'yes' if report.holds else 'no'}")
-    return 0 if report.holds else 1
+        print(f"pullback: y^2 = {pullback.to_text()}")
+        print(f"residual: {residual.to_text()}")
+        print(f"holds: {'yes' if holds else 'no'}")
+    return 0 if holds else 1
 
 
 def _cmd_table(args: argparse.Namespace) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Iterator
+from collections.abc import Iterator
 
 __all__ = [
     "binomial",

@@ -11,17 +11,17 @@ target whose coefficients are the sign-alternating Lucas coefficients
 (-1)^k T(g, k) zeta^{ik} c^{k/g} makes the residual vanish identically, and
 this module verifies that by full expansion, not by trusting it.
 
-Everything is verified at the level of defining equations.  For even g the
-exponent (g+1)/2 in the y-coordinate is a half-integer, so the map itself is
-not polynomial there; y^2 / x^{g+1} still is, and that is the object being
-checked.  The x-coordinate map (x^2 + w)/x is never constant, and no
-further geometric properties (genus, smoothness, behavior at infinity) are
-claimed.
+Everything is verified at the level of defining equations: a curve
+y^2 = f(x) is held as its right-hand side f, a :class:`RingPolynomial`.  For
+even g the exponent (g+1)/2 in the y-coordinate is a half-integer, so the
+map itself is not polynomial there; y^2 / x^{g+1} still is, and that is the
+object being checked.  The x-coordinate map (x^2 + w)/x is never constant,
+and no further geometric properties (genus, smoothness, behavior at
+infinity) are claimed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -40,8 +40,6 @@ from .quotient_ring import (
 
 __all__ = [
     "RingPolynomial",
-    "CurveEquation",
-    "MorphismReport",
     "build_source",
     "build_target",
     "pullback_rhs",
@@ -51,18 +49,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class RingPolynomial:
-    """Univariate polynomial in x with R(g, c) coefficients, lowest first."""
+    """Univariate polynomial in x with R(g, c) coefficients, lowest first.
 
-    spec: RingSpec
-    coeffs: tuple[QuotientRingElement, ...]
+    A curve y^2 = f(x) is its right-hand side f.  Trailing zero
+    coefficients are dropped, so polynomials compare as the tuple
+    (spec, coeffs).
+    """
 
-    def __post_init__(self) -> None:
-        trimmed = list(self.coeffs)
+    __slots__ = ("spec", "coeffs")
+
+    def __init__(self, spec: RingSpec, coeffs: tuple[QuotientRingElement, ...]):
+        trimmed = list(coeffs)
         while trimmed and trimmed[-1].is_zero():
             trimmed.pop()
-        object.__setattr__(self, "coeffs", tuple(trimmed))
+        self.spec, self.coeffs = spec, tuple(trimmed)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RingPolynomial):
+            return NotImplemented
+        return (self.spec, self.coeffs) == (other.spec, other.coeffs)
 
     @property
     def degree(self) -> int:
@@ -98,6 +104,24 @@ class RingPolynomial:
             if not self.coeffs[exponent].is_zero()
         )
 
+    def equation_text(self) -> str:
+        """The curve y^2 = self as text.
+
+        When c = 1 the formal root u is specialized to the rational root 1,
+        which is how these curves are conventionally written; other c keep
+        the canonical u-form.
+        """
+        f = self.substitute_u(1) if self.spec.c == 1 else self
+        return f"y^2 = {f.to_text()}"
+
+    def __repr__(self) -> str:
+        return f"RingPolynomial(g={self.spec.g}, c={self.spec.c}, {self.to_text()})"
+
+
+# Only an alias: the benchmark's tracer (bench/tracer.py) wraps
+# ``CurveEquation.equation_text`` by that name.
+CurveEquation = RingPolynomial
+
 
 def _coefficient_term(
     element: QuotientRingElement, exponent: int
@@ -111,31 +135,12 @@ def _coefficient_term(
     return 1, (f"({element.to_text()})", xpart)
 
 
-@dataclass(frozen=True)
-class CurveEquation:
-    """A hyperelliptic defining equation y^2 = f(x) over R(g, c) = f.spec."""
-
-    f: RingPolynomial
-
-    def equation_text(self) -> str:
-        """The equation as text.
-
-        When c = 1 the formal root u is specialized to the rational root 1,
-        which is how these curves are conventionally written; other c keep
-        the canonical u-form.
-        """
-        f = self.f
-        if f.spec.c == 1:
-            f = f.substitute_u(1)
-        return f"y^2 = {f.to_text()}"
-
-
-def build_source(spec: RingSpec) -> CurveEquation:
+def build_source(spec: RingSpec) -> RingPolynomial:
     """The curve y^2 = x^{2g+1} + c x over R(g, c)."""
     coeffs = [ring_zero(spec)] * (2 * spec.g + 2)
     coeffs[2 * spec.g + 1] = ring_one(spec)
     coeffs[1] = from_rational(spec, spec.c)
-    return CurveEquation(RingPolynomial(spec, tuple(coeffs)))
+    return RingPolynomial(spec, tuple(coeffs))
 
 
 def _w_powers(spec: RingSpec, i: int, top: int) -> list[QuotientRingElement]:
@@ -158,7 +163,7 @@ def _w_powers(spec: RingSpec, i: int, top: int) -> list[QuotientRingElement]:
 
 def build_target(
     spec: RingSpec, i: int, w_powers: list[QuotientRingElement] | None = None
-) -> CurveEquation:
+) -> RingPolynomial:
     """The degree-g curve with coefficients (-1)^k T(g,k) zeta^{ik} c^{k/g}.
 
     Only the exponents g-2k occur, so consecutive coefficients alternate
@@ -175,7 +180,7 @@ def build_target(
     coeffs = [ring_zero(spec)] * (g + 1)
     for k, lucas in enumerate(lucas_row(g)):
         coeffs[g - 2 * k] = w_powers[k].scale((-1) ** k * lucas)
-    return CurveEquation(RingPolynomial(spec, tuple(coeffs)))
+    return RingPolynomial(spec, tuple(coeffs))
 
 
 def pullback_rhs(
@@ -217,38 +222,21 @@ def pullback_rhs(
     return RingPolynomial(spec, tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class MorphismReport:
-    """Result of checking pullback(target) == source at equation level.
-
-    g and c are those of ``source.f.spec``.
-    """
-
-    holds: bool
-    residual: RingPolynomial
-    source: CurveEquation
-    target: CurveEquation
-    pullback: RingPolynomial
-
-
-def verify_morphism(spec: RingSpec, i: int) -> MorphismReport:
+def verify_morphism(
+    spec: RingSpec, i: int
+) -> tuple[RingPolynomial, RingPolynomial, RingPolynomial, RingPolynomial]:
     """Expand the pullback of the target and compare with x^{2g+1} + c x.
 
-    w^0..w^g are computed once, for the target and the pullback both, and
-    a bad ``i`` is refused before any of them.
+    Returns (source, target, pullback, residual), where residual is
+    pullback - source; the morphism holds exactly when it is zero.  w^0..w^g
+    are computed once, for the target and the pullback both, and a bad
+    ``i`` is refused before any of them.
     """
     w_powers = _w_powers(spec, i, spec.g)
     source = build_source(spec)
     target = build_target(spec, i, w_powers)
     pullback = pullback_rhs(spec, i, w_powers)
-    residual = pullback - source.f
-    return MorphismReport(
-        holds=residual.is_zero(),
-        residual=residual,
-        source=source,
-        target=target,
-        pullback=pullback,
-    )
+    return source, target, pullback, pullback - source
 
 
 def _zeta_text(exponent: int) -> str:

@@ -22,7 +22,7 @@ every sum in full.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .combinatorics import lucas_row
 from .quotient_ring import _power_text, _terms_text

@@ -22,10 +22,9 @@ Specs and elements are immutable; all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Sequence
 
 from .cyclotomic import cyclotomic
 
@@ -41,24 +40,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class RingSpec:
     """R(g, c), set by g and c alone; the u-basis width is g.
 
     ``phi_g`` (the cached ``cyclotomic(g)``) and ``deg_z`` = phi(g), the
     z-basis width, are derived from g, take no part in equality or hashing,
-    and are stored because every ring product reads them.
+    and are stored because every ring product reads them.  Specs compare as
+    the tuple (g, c), which returns early when both hold the same c object.
     """
 
-    g: int
-    c: Fraction
-    phi_g: tuple[int, ...] = field(init=False, compare=False)
-    deg_z: int = field(init=False, compare=False)
+    __slots__ = ("g", "c", "phi_g", "deg_z")
 
-    def __post_init__(self) -> None:
-        phi_g = cyclotomic(self.g)
-        object.__setattr__(self, "phi_g", phi_g)
-        object.__setattr__(self, "deg_z", len(phi_g) - 1)
+    def __init__(self, g: int, c: Fraction):
+        self.g, self.c = g, c
+        self.phi_g = cyclotomic(g)
+        self.deg_z = len(self.phi_g) - 1
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RingSpec):
+            return NotImplemented
+        return (self.g, self.c) == (other.g, other.c)
+
+    def __hash__(self) -> int:
+        return hash((self.g, self.c))
+
+    def __repr__(self) -> str:
+        return f"RingSpec(g={self.g}, c={self.c})"
 
 
 def make_ring(g: int, c: Fraction | int) -> RingSpec:
@@ -240,7 +247,9 @@ def _scaled(cols: Mapping[int, Sequence[int]], factor: int) -> Mapping[int, Sequ
 
 
 def _common_spec(x: QuotientRingElement, y: QuotientRingElement) -> RingSpec:
-    if x.spec != y.spec:
+    # Elements of one ring share its spec object, so ``is`` settles nearly
+    # every call without the tuple comparison.
+    if x.spec is not y.spec and x.spec != y.spec:
         raise ValueError(
             f"ring mismatch: R({x.spec.g}, {x.spec.c}) vs R({y.spec.g}, {y.spec.c})"
         )

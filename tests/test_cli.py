@@ -23,14 +23,7 @@ import vertalign.cli as cli
 from _reference import binomial_falling, lucas_coeff_alt, reference_csv
 from test_acceptance import TABLE_ROWS_EXPECTED
 from vertalign import lockwood
-from vertalign.alignment import (
-    IdentityReport,
-    SweepSummary,
-    identity_sum,
-    identity_sweep,
-    map_row_ranges,
-    pool_size,
-)
+from vertalign.alignment import SweepSummary, identity_sum, identity_sweep, map_row_ranges
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -65,7 +58,7 @@ def test_output_is_deterministic(capsys):
 # The mathematics never fails, so these fabricate failing results to pin down
 # the exit-code contract and the failure output.
 def _fail_identity(monkeypatch):
-    bad = IdentityReport(terms=((1, 4),), total=4)
+    bad = ((1, 4),), 4
     monkeypatch.setattr(cli, "identity_sum", lambda n, i: bad)
 
 
@@ -155,16 +148,16 @@ class TestJsonOutputs:
     def test_identity_round_trips(self, capsys):
         assert cli.main(["--format", "json", "identity", "12", "6"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        report = identity_sum(12, 6)
+        terms, total = identity_sum(12, 6)
         assert payload == {
             "n": 12,
             "i": 6,
             "terms": [
                 {"k": k, "signed_coefficient": coeff, "binomial_value": value, "product": coeff * value}
-                for k, (coeff, value) in enumerate(report.terms)
+                for k, (coeff, value) in enumerate(terms)
             ],
-            "total": report.total,
-            "holds": report.holds,
+            "total": total,
+            "holds": total == 0,
         }
 
     def test_format_flag_after_subcommand(self, capsys):
@@ -533,13 +526,22 @@ class TestNegativeRationalC:
         assert bare == capsys.readouterr().out
         assert f"c={c}" in bare
 
-    @pytest.mark.parametrize("c", ["-1e5", "-2.5E+3", "-1e-3"])
+    @pytest.mark.parametrize(
+        "c", ["-1e5", "-2.5E+3", "-1e-3", "-1_000", "-1.", "-1.e3", "-1/1_0", "-1e1_0"]
+    )
     def test_exponent_literal_matches_double_dash_form(self, c, capsys):
         assert cli.main(["curve", "2", c, "1"]) == 0
         bare = capsys.readouterr()
         assert cli.main(["curve", "--", "2", c, "1"]) == 0
         assert bare == capsys.readouterr()
         assert bare.out.startswith("C_1 over R(g=2, c=-")
+
+    def test_malformed_negative_is_named(self, capsys):
+        # Read as c, not as a flag: the usage error names the token.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["curve", "2", "-1x", "0"])
+        assert excinfo.value.code == 2
+        assert "'-1x'" in capsys.readouterr().err
 
 
 EVERY_SUBCOMMAND = [
@@ -766,11 +768,15 @@ class _RecordingPool:
 class TestWorkerCap:
     def test_pool_size_caps_at_tasks_and_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert pool_size(10**6, 100) == 4
-        assert pool_size(10**6, 3) == 3
-        assert pool_size(2, 100) == 2
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+        for last, workers in [(100, 10**6), (3, 10**6), (100, 2)]:
+            map_row_ranges(lambda start, end: None, 1, last, workers)
+        assert _RecordingPool.sizes == [4, 3, 2]
+        # Without a CPU count, one worker: the rows are checked in-process.
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert pool_size(10**6, 100) == 1
+        assert map_row_ranges(lambda start, end: (start, end), 1, 100, 10**6) == [(1, 100)]
+        assert _RecordingPool.sizes == [4, 3, 2]
 
     def test_huge_request_starts_capped_pools(self, monkeypatch, capsys):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
