@@ -25,7 +25,7 @@ import signal
 from collections import namedtuple
 from collections.abc import Callable
 
-from .combinatorics import _lucas_rows_by_addition, binomial, lucas_coeff, lucas_row
+from .combinatorics import _lucas_rows_by_addition, aligned_column, lucas_coeff, lucas_row
 
 __all__ = [
     "SweepSummary",
@@ -42,13 +42,14 @@ def aligned_entries(n: int, i: int) -> tuple[int, ...]:
     Entry k is C(n-2k, i-k), entry i-k of row n-2k, so entry 0 is the anchor
     and increasing k walks upward through the triangle two rows at a time.
     Covers k = 0..min(i, n//2); beyond that the would-be entries fall
-    outside the triangle.  Requires 0 <= i <= n.
+    outside the triangle.  Requires 0 <= i <= n.  The column is one
+    checked ratio walk, :func:`~vertalign.combinatorics.aligned_column`.
     """
     if n < 0:
         raise ValueError(f"aligned_entries requires n >= 0, got n={n}")
     if not 0 <= i <= n:
         raise ValueError(f"aligned_entries requires 0 <= i <= n, got i={i}, n={n}")
-    return tuple(binomial(n - 2 * k, i - k) for k in range(min(i, n // 2) + 1))
+    return aligned_column(n, i, min(i, n // 2) + 1)
 
 
 def identity_sum(n: int, i: int) -> tuple[tuple[tuple[int, int], ...], int]:
@@ -59,13 +60,18 @@ def identity_sum(n: int, i: int) -> tuple[tuple[tuple[int, int], ...], int]:
     ``total`` is the sum of their products; the dependence holds exactly when
     it is 0.  Only defined on the hypothesis 0 < i < n (at i = 0 or i = n
     the sum is 1, not 0, and returning it would invite misuse).
+
+    T(n, k) is the closed form :func:`lucas_coeff` and the column one
+    checked ratio walk seeded by ``binomial()``, so this path reads neither
+    :func:`lucas_row`, the additive chain, nor the expansion oracle.
     """
     if not 0 < i < n:
         raise ValueError(
             f"identity_sum requires 0 < i < n, got n={n}, i={i}"
         )
     terms = tuple(
-        ((-1) ** k * lucas_coeff(n, k), binomial(n - 2 * k, i - k)) for k in range(i + 1)
+        ((-1) ** k * lucas_coeff(n, k), value)
+        for k, value in enumerate(aligned_column(n, i, i + 1))
     )
     return terms, sum(coeff * value for coeff, value in terms)
 

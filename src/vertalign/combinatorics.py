@@ -17,9 +17,11 @@ import operator
 from collections.abc import Iterator
 
 __all__ = [
+    "aligned_column",
     "binomial",
     "lucas_coeff",
     "lucas_row",
+    "pascal_halves",
     "pascal_row",
 ]
 
@@ -40,6 +42,33 @@ def binomial(m: int, r: int) -> int:
         return math.comb(m, r)
     value = math.comb(r - m - 1, r)
     return -value if r & 1 else value
+
+
+def aligned_column(n: int, i: int, count: int) -> tuple[int, ...]:
+    """C(n-2k, i-k) for k = 0..count-1: C(n, i) and the entries aligned above it.
+
+    Walks up the column by the exact ratio
+
+        C(m-2, r-1) = C(m, r) * r(m-r) / (m(m-1)),
+
+    which holds for every integer m outside {0, 1}, and checks each division
+    to leave no remainder.  Where the ratio is 0/0 (m is 0 or 1) or the entry
+    just reached is 0 (0 <= m < r, or r < 0), the next entry is read from
+    :func:`binomial` instead; that reseeds the walk when it leaves the zero
+    band for the band of negative m, where the entries are nonzero again.
+    """
+    column = [binomial(n, i)] if count > 0 else []
+    for k in range(count - 1):
+        m, r, value = n - 2 * k, i - k, column[-1]
+        scale = m * (m - 1)
+        if value and scale:
+            value, rest = divmod(value * (r * (m - r)), scale)
+            if rest:
+                raise AssertionError(f"C({m - 2}, {r - 1}) ratio left remainder {rest}")
+        else:
+            value = binomial(m - 2, r - 1)
+        column.append(value)
+    return tuple(column)
 
 
 def lucas_coeff(n: int, k: int) -> int:
@@ -95,6 +124,21 @@ def _lucas_rows_by_addition(first: int) -> Iterator[tuple[int, ...]]:
         if n >= first:
             yield older
         older, old = old, (old[0], *map(operator.add, old[1:] + (0,), older))
+
+
+def pascal_halves(n_max: int) -> Iterator[tuple[int, ...]]:
+    """Left halves of Pascal's rows, C(n, 0..n//2) for n = 0..n_max.
+
+    Each half-row comes from the one before by additions alone:
+    C(n+1, i) = C(n, i-1) + C(n, i), where for odd n the entry C(n, n//2 + 1)
+    past the half is its mirror image C(n, n//2).  Yields nothing when
+    n_max < 0.
+    """
+    half = (1,)
+    for n in range(n_max + 1):
+        yield half
+        upper = half[1:] + half[-1:] if n & 1 else half[1:]
+        half = (1, *map(operator.add, half, upper))
 
 
 def pascal_row(n: int) -> list[int]:

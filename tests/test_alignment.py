@@ -11,7 +11,7 @@ from _reference import (
     lucas_coeff_alt,
     reference_sweep,
 )
-from vertalign import alignment
+from vertalign import alignment, combinatorics
 from vertalign.alignment import aligned_entries, identity_sum, identity_sweep
 from vertalign.combinatorics import binomial, lucas_coeff, lucas_row, pascal_row
 from vertalign.lockwood import BivariatePolynomial, verify_lockwood
@@ -340,7 +340,8 @@ def test_sweep_range_reads_each_row_of_t_once(monkeypatch):
         raise AssertionError("the packed sweep called binomial() or lucas_coeff()")
 
     monkeypatch.setattr(alignment, "lucas_row", counted_row)
-    monkeypatch.setattr(alignment, "binomial", forbidden)
+    monkeypatch.setattr(combinatorics, "binomial", forbidden)
+    monkeypatch.setattr(alignment, "aligned_column", forbidden)
     monkeypatch.setattr(alignment, "lucas_coeff", forbidden)
     assert alignment._sweep_range(2, 150) == (_pairs(2, 150), [])
     assert calls == list(range(2, 151))
@@ -369,3 +370,23 @@ def test_identity_path_never_calls_the_oracle(monkeypatch):
         aligned_entries(n, n // 2)
         assert all(identity_sum(n, i)[1] == 0 for i in range(1, n))
     assert identity_sweep(60).failures == ()
+
+
+def test_identity_path_reads_neither_lucas_row_nor_the_chain(monkeypatch):
+    # The identity's T is the closed form and its column a ratio walk seeded
+    # by binomial(); neither may come from the routes the sweep and the
+    # oracle check it against.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the identity path left its own routes")
+
+    for module in (alignment, combinatorics):
+        monkeypatch.setattr(module, "lucas_row", forbidden)
+        monkeypatch.setattr(module, "_lucas_rows_by_addition", forbidden)
+    monkeypatch.setattr(BivariatePolynomial, "__init__", forbidden)
+    for n in range(2, 40):
+        for i in range(1, n):
+            column = [binomial(n - 2 * k, i - k) for k in range(i + 1)]
+            assert aligned_entries(n, i) == tuple(column[: n // 2 + 1])
+            terms, total = identity_sum(n, i)
+            assert [value for _, value in terms] == column
+            assert total == 0

@@ -373,7 +373,6 @@ class TestJsonEmitter:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["triangle", "12"],
             ["aligned", "12", "6"],
             ["identity", "12", "5"],
             ["identity", "40", "33"],
@@ -444,7 +443,6 @@ class TestCsvOutputs:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["triangle", "12"],
             ["aligned", "12", "6"],
             ["identity", "12", "5"],
             ["sweep", "12"],
@@ -475,6 +473,39 @@ class TestCsvOutputs:
     def test_failing_run_matches_csv_writer(self, argv, fault, capsys, monkeypatch):
         fault(monkeypatch)
         assert _csv_against_reference(argv, capsys, monkeypatch) == 1
+
+
+def _triangle_text(rows: list[list[int]]) -> str:
+    """The text layout of ``rows``: centered up to 20 rows, then one line a row."""
+    n_max = len(rows) - 1
+    if n_max > 20:
+        return "\n".join(f"row {n}: {' '.join(map(str, row))}" for n, row in enumerate(rows))
+    width = max(len(str(v)) for row in rows for v in row)
+    return "\n".join(
+        " " * ((width + 1) * (n_max - n))
+        + (" " * (width + 2)).join(str(v).rjust(width) for v in row)
+        for n, row in enumerate(rows)
+    )
+
+
+class TestTriangleOutput:
+    # The triangle writes its own text in every format, so it is compared
+    # byte for byte with references fed rows of math.comb, across the switch
+    # from the centered grid to the list (n_max 20/21) and at a size with
+    # long, odd and even rows.
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_matches_reference(self, fmt, capsys):
+        for n_max in [*range(41), 299]:
+            rows = [[math.comb(n, i) for i in range(n + 1)] for n in range(n_max + 1)]
+            if fmt == "json":
+                expected = json.dumps({"n_max": n_max, "rows": rows}, indent=2)
+            elif fmt == "csv":
+                cells = [[n, i, v] for n, row in enumerate(rows) for i, v in enumerate(row)]
+                expected = reference_csv(["n", "i", "value"], cells)
+            else:
+                expected = _triangle_text(rows)
+            assert cli.main(["--format", fmt, "triangle", str(n_max)]) == 0
+            assert capsys.readouterr().out == expected + "\n", n_max
 
 
 class TestModes:

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from _reference import binomial_falling, falling_row, lucas_coeff_alt
 from vertalign import combinatorics
 from vertalign.combinatorics import (
+    aligned_column,
     binomial,
     lucas_coeff,
     lucas_row,
+    pascal_halves,
     pascal_row,
 )
 
@@ -74,6 +76,32 @@ class TestBinomial:
         # sympy extends C(m, r) to negative m by the same convention, and is
         # 0 for r < 0.
         assert binomial(m, r) == binomial_falling(m, r) == int(sympy.binomial(m, r))
+
+
+class TestAlignedColumn:
+    def test_matches_binomial_in_every_band(self):
+        # k <= i runs through the nonzero band, the zero band 0 <= n-2k < i-k
+        # and the band n-2k < 0, where the walk is reseeded.
+        for n in range(81):
+            for i in range(n + 1):
+                expected = tuple(binomial(n - 2 * k, i - k) for k in range(i + 1))
+                assert aligned_column(n, i, i + 1) == expected, (n, i)
+
+    @pytest.mark.parametrize("n, i", [(1000, 875), (999, 500)])
+    def test_matches_sympy(self, n, i):
+        assert aligned_column(n, i, i + 1) == tuple(
+            int(sympy.binomial(n - 2 * k, i - k)) for k in range(i + 1)
+        )
+
+    def test_every_ratio_step_checks_its_remainder(self, monkeypatch):
+        # A wrong seed C(12, 6) = 925 (it is 924) leaves a remainder at the
+        # first step instead of walking on with wrong values.
+        honest = combinatorics.binomial
+        monkeypatch.setattr(
+            combinatorics, "binomial", lambda m, r: 925 if (m, r) == (12, 6) else honest(m, r)
+        )
+        with pytest.raises(AssertionError, match=r"C\(10, 5\) ratio left remainder 36"):
+            aligned_column(12, 6, 7)
 
 
 class TestLucasCoeff:
@@ -170,6 +198,18 @@ class TestLucasRowsByAddition:
         for n in range(first, first + 60):
             expected = tuple(lucas_coeff_alt(n, k) for k in range(n // 2 + 1)) if n else (2,)
             assert next(rows) == expected
+
+
+class TestPascalHalves:
+    def test_mirrored_halves_are_the_rows(self):
+        for n, half in enumerate(pascal_halves(500)):
+            assert len(half) == n // 2 + 1
+            row = [*half, *half[: (n + 1) // 2][::-1]]
+            assert row == pascal_row(n) == [math.comb(n, i) for i in range(n + 1)], n
+        assert n == 500
+
+    def test_no_rows_below_zero(self):
+        assert list(pascal_halves(-1)) == []
 
 
 class TestPascalRow:
