@@ -1,37 +1,35 @@
 """Brute-force expansion oracle for the alignment dependence.
 
-Expands both sides of the two-variable identity
+Expands the right-hand side of the two-variable identity
 
     x^n + y^n = sum_{k=0}^{n//2} (-1)^k * T(n, k) * (xy)^k * (x+y)^{n-2k}
 
-in exact integer arithmetic and matches coefficients.  Extracting the
-coefficient of x^{n-i} y^i from the right-hand side reproduces, term for
-term, the signed sum checked by :mod:`vertalign.alignment` - so this module
-is the independent verification path for that one.
+in exact integer arithmetic and compares it with x^n + y^n in full.  Its
+coefficient of x^{n-i} y^i is the signed sum checked by
+:mod:`vertalign.alignment`, so this module is the independent check of that
+one.  A form of degree n is one row of n + 1 integers indexed by the power
+of y.  The sum is expanded by Horner in (x + y)^2 (see :func:`lockwood_rhs`);
+each factor x + y is one pass of additions, so no power of (x + y) is stored
+and no two big rows are multiplied.
 
-Every term of the identity is homogeneous of degree n, so each polynomial
-here is stored as one row of n + 1 integers indexed by the power of y.
-
-To keep the routes independent, powers of (x + y) are built by iterated
-polynomial multiplication and T(n, k) comes from the ratio recurrence of
-:func:`vertalign.combinatorics.lucas_row`; this module does not import
-:func:`vertalign.combinatorics.binomial` at all.  A range of n (the
-``lockwood`` command) shares one chain of powers of (x + y) and expands
-every sum in full.
+What stays independent of what: T(n, k) comes from the ratio recurrence
+of :func:`vertalign.combinatorics.lucas_row`, and this module does not
+import :func:`vertalign.combinatorics.binomial` at all.  The ``sweep``
+route evaluates the same polynomial by Horner in (1 + S)^2 on one packed
+int, but only for rows that differ from its additive chain of T; the two
+share the scheme and no code, and :mod:`vertalign.alignment` binds nothing
+from here.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from operator import add
 
 from .combinatorics import lucas_row
 from .quotient_ring import _power_text, _terms_text
 
-__all__ = [
-    "BivariatePolynomial",
-    "lockwood_rhs",
-    "verify_lockwood",
-]
+__all__ = ["BivariatePolynomial", "lockwood_rhs", "verify_lockwood"]
 
 
 class BivariatePolynomial:
@@ -60,13 +58,14 @@ class BivariatePolynomial:
             return NotImplemented
         if len(self.coeffs) != len(other.coeffs):
             raise ValueError("cannot add forms of different degree")
-        # Lists, not generators: tuple() grows a generator's output by
-        # realloc, which fragments the heap of a long run of large forms.
         return BivariatePolynomial([p + q for p, q in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         return self + other * -1
 
+    # Form-by-form products remain only for the benchmark tracer's
+    # ``lockwood.poly_mul`` and the tests' reference chain of (x + y)^m;
+    # the oracle itself multiplies by x + y with one pass of additions.
     def __mul__(self, other: "BivariatePolynomial | int") -> "BivariatePolynomial":
         if isinstance(other, int):
             return BivariatePolynomial([c * other for c in self.coeffs])
@@ -94,31 +93,9 @@ class BivariatePolynomial:
         return f"BivariatePolynomial({self.to_text()})"
 
 
-_ONE = BivariatePolynomial((1,))
-_X_PLUS_Y = BivariatePolynomial((1, 1))
-
-
-def _powers(top: int) -> list[BivariatePolynomial]:
-    """(x + y)^0..(x + y)^top, each the one before times x + y."""
-    powers = [_ONE]
-    for _ in range(top):
-        powers.append(powers[-1] * _X_PLUS_Y)
-    return powers
-
-
-def _expand(n: int, powers: list[BivariatePolynomial]) -> BivariatePolynomial:
-    """sum_k (-1)^k T(n,k) (xy)^k (x+y)^{n-2k}, reading (x+y)^m from ``powers``.
-
-    Multiplying by (xy)^k moves a row k places along, so term k adds the
-    n - 2k + 1 entries of (x+y)^{n-2k} into slots k..n-k of one list.
-    """
-    total = [0] * (n + 1)
-    for k, lucas in enumerate(lucas_row(n)):
-        weight = -lucas if k & 1 else lucas
-        row = powers[n - 2 * k].coeffs
-        end = k + len(row)
-        total[k:end] = [t + weight * c for t, c in zip(total[k:end], row)]
-    return BivariatePolynomial(total)
+def _times_x_plus_y(h: list[int]) -> list[int]:
+    """The form ``h`` times x + y: one pass of additions."""
+    return [*map(add, h + [0], [0] + h)]
 
 
 def _x_n_plus_y_n(n: int) -> BivariatePolynomial:
@@ -128,14 +105,19 @@ def _x_n_plus_y_n(n: int) -> BivariatePolynomial:
 def lockwood_rhs(n: int) -> BivariatePolynomial:
     """Expand sum_{k=0}^{n//2} (-1)^k T(n,k) (xy)^k (x+y)^{n-2k} exactly.
 
-    The interior terms cancel completely, leaving x^n + y^n; callers check
-    that rather than trust it.  Powers of (x + y) come from one
-    iterated-multiplication chain shared across the k terms, and T(n, k)
-    from :func:`~vertalign.combinatorics.lucas_row`.
+    The interior terms cancel, leaving x^n + y^n; callers check that rather
+    than trust it.  Horner in (x + y)^2: h_0 = T(n, 0) and h_k =
+    (x+y)^2 h_{k-1} + (-1)^k T(n,k) (xy)^k, where (xy)^k is slot k of the
+    degree-2k form h_k; one more factor x + y follows when n is odd.
     """
     if n < 1:
         raise ValueError(f"lockwood_rhs requires n >= 1, got n={n}")
-    return _expand(n, _powers(n))
+    row = lucas_row(n)
+    h = [row[0]]
+    for k in range(1, len(row)):
+        h = _times_x_plus_y(_times_x_plus_y(h))
+        h[k] += -row[k] if k & 1 else row[k]
+    return BivariatePolynomial(_times_x_plus_y(h) if n & 1 else h)
 
 
 def verify_lockwood(n: int) -> bool:
@@ -144,11 +126,5 @@ def verify_lockwood(n: int) -> bool:
 
 
 def _verify_range(n_start: int, n_end: int) -> list[int]:
-    """The n in n_start..n_end for which the expansion is not x^n + y^n.
-
-    One chain (x + y)^0..(x + y)^{n_end} serves every n of the range, where
-    :func:`verify_lockwood` builds one per n; each sum is still expanded in
-    full and compared with x^n + y^n.
-    """
-    powers = _powers(n_end)
-    return [n for n in range(n_start, n_end + 1) if _expand(n, powers) != _x_n_plus_y_n(n)]
+    """The n in n_start..n_end for which the expansion is not x^n + y^n."""
+    return [n for n in range(n_start, n_end + 1) if not verify_lockwood(n)]

@@ -10,10 +10,12 @@ without the library's code for the step under test:
   per session from Pascal's triangle.
 * ``binomial_falling`` / ``falling_row``: C(m, r) by the falling-factorial
   product, against ``binomial()``'s reflection for m < 0.
-* ``binomial_expand``: (x + y)^n filled in from ``binomial()``, against the
-  oracle's chain of products by x + y (``xy_symmetric_power``).
-* ``aligned_term`` / ``term_coefficient``: the oracle's building blocks
-  (xy)^k (x + y)^{n-2k} and their coefficients, against C(n-2k, i-k).
+* ``binomial_expand``: (x + y)^n filled in from ``binomial()``, against a
+  chain of form-by-form products by x + y (``xy_symmetric_power``).
+* ``aligned_term`` / ``term_coefficient``: the terms (xy)^k (x + y)^{n-2k}
+  of the oracle's sum and their coefficients, against C(n-2k, i-k); with
+  ``binomial_expand`` and ``shift_xy`` they also give the sum term by term,
+  against the oracle's Horner expansion ``lockwood_rhs``.
 * ``reference_sweep``: the list-based Pascal-row sweep, against the packed
   sweep of ``alignment._sweep_range``.
 * ``reference_pullback``: the morphism pullback expanded entirely over
@@ -25,9 +27,9 @@ without the library's code for the step under test:
   join of ``cli._emit_csv``.
 
 The rest are the small helpers these routes and the tests build with:
-``xy_symmetric_power`` (the oracle's own chain, for comparison with
-``binomial_expand``), ``shift_xy``, ``ring_power`` and the ``ring_poly_*``
-arithmetic on ``RingPolynomial``.
+``xy_symmetric_power`` (iterated ``BivariatePolynomial`` products, for
+comparison with ``binomial_expand``), ``shift_xy``, ``ring_power`` and the
+``ring_poly_*`` arithmetic on ``RingPolynomial``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from vertalign import alignment, lockwood
+from vertalign import alignment
 from vertalign.combinatorics import binomial, lucas_coeff
 from vertalign.curves import RingPolynomial
 from vertalign.lockwood import BivariatePolynomial
@@ -107,10 +109,13 @@ def binomial_expand(n: int) -> BivariatePolynomial:
 
 
 def xy_symmetric_power(m: int) -> BivariatePolynomial:
-    """(x + y)^m from the oracle's own chain of products by x + y."""
+    """(x + y)^m as a chain of m form-by-form products by x + y."""
     if m < 0:
         raise ValueError(f"xy_symmetric_power requires m >= 0, got m={m}")
-    return lockwood._powers(m)[-1]
+    power = BivariatePolynomial((1,))
+    for _ in range(m):
+        power = power * BivariatePolynomial((1, 1))
+    return power
 
 
 def shift_xy(p: BivariatePolynomial, k: int) -> BivariatePolynomial:

@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import tracemalloc
+from unittest import mock
 
 import pytest
 import sympy
@@ -148,6 +150,27 @@ class TestLockwoodRhs:
             assert verify_lockwood(n)
 
 
+@st.composite
+def _signed_rows(draw):
+    n = draw(st.integers(1, 40))
+    row = draw(st.lists(st.integers(-(10**30), 10**30), min_size=n // 2 + 1, max_size=n // 2 + 1))
+    return n, tuple(row)
+
+
+class TestHornerExpansion:
+    @given(_signed_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_term_by_term_sum_for_any_row(self, case):
+        # With arbitrary signed t_k in place of T(n, k), every slot of the
+        # Horner result must equal sum_k (-1)^k t_k (xy)^k (x+y)^{n-2k}.
+        n, row = case
+        expected = BivariatePolynomial((0,) * (n + 1))
+        for k, t in enumerate(row):
+            expected = expected + shift_xy(binomial_expand(n - 2 * k), k) * (-t if k & 1 else t)
+        with mock.patch.object(lockwood, "lucas_row", lambda m: row):
+            assert lockwood_rhs(n) == expected
+
+
 class TestIndependence:
     def test_oracle_does_not_import_binomial(self):
         assert "binomial" not in vars(lockwood)
@@ -176,22 +199,28 @@ class TestVerifyRange:
         assert _verify_range(1, 120) == []
         assert _verify_range(45, 60) == []
 
-    @pytest.mark.parametrize("n_max", [1, 40, 150])
-    def test_one_chain_per_range(self, monkeypatch, n_max):
-        # verify_lockwood(n) for each n builds (x + y)^1..(x + y)^n anew,
-        # n (n + 1) / 2 products by x + y in all; the range shares one chain.
-        products = 0
-        multiply = BivariatePolynomial.__mul__
+    def test_range_stores_no_chain(self):
+        # A chain (x + y)^0..(x + y)^150 kept for the whole range peaks near
+        # 0.56 MB; one Horner row per n stays far below that.
+        tracemalloc.start()
+        try:
+            assert _verify_range(1, 150) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 << 10
 
-        def counting(self, other):
-            nonlocal products
-            if isinstance(other, BivariatePolynomial) and (1, 1) in (self.coeffs, other.coeffs):
-                products += 1
-            return multiply(self, other)
+    def test_range_calls_verify_lockwood_per_n(self, monkeypatch):
+        # The range goes through the one traced oracle entry point, once per n.
+        seen = []
 
-        monkeypatch.setattr(BivariatePolynomial, "__mul__", counting)
-        assert _verify_range(1, n_max) == []
-        assert products == n_max
+        def counting(n):
+            seen.append(n)
+            return verify_lockwood(n)
+
+        monkeypatch.setattr(lockwood, "verify_lockwood", counting)
+        assert _verify_range(3, 9) == []
+        assert seen == list(range(3, 10))
 
 
 class TestTermCoefficient:
