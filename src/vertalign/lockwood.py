@@ -12,13 +12,23 @@ of y.  The sum is expanded by Horner in (x + y)^2 (see :func:`lockwood_rhs`);
 each factor x + y is one pass of additions, so no power of (x + y) is stored
 and no two big rows are multiplied.
 
+Every term (xy)^k (x+y)^{n-2k} is symmetric in x and y, so the sum is too,
+for any coefficients in place of T(n, k), and so is each partial Horner
+form.  The pass therefore computes slots 0..d//2 of each degree-d form and
+mirrors the half once at the end; only the final comparison with x^n + y^n
+sees all n + 1 slots.  The symmetry is a fact about the terms, not about T,
+and the terms are linearly independent, so a wrong T(n, k) still gives a
+symmetric form that is not x^n + y^n.
+
 What stays independent of what: T(n, k) comes from the ratio recurrence
 of :func:`vertalign.combinatorics.lucas_row`, and this module does not
 import :func:`vertalign.combinatorics.binomial` at all.  The ``sweep``
 route evaluates the same polynomial by Horner in (1 + S)^2 on one packed
-int, but only for rows that differ from its additive chain of T; the two
-share the scheme and no code, and :mod:`vertalign.alignment` binds nothing
-from here.
+int, but only for rows that differ from its additive chain of T; the
+``verify-morphism`` route expands its own sum over Z[x, w] by the Pascal
+recurrence of (x^2 + w)^m.  The half-form pass here shares no code with
+either, and neither :mod:`vertalign.alignment` nor :mod:`vertalign.curves`
+binds anything from here.
 """
 
 from __future__ import annotations
@@ -93,9 +103,15 @@ class BivariatePolynomial:
         return f"BivariatePolynomial({self.to_text()})"
 
 
-def _times_x_plus_y(h: list[int]) -> list[int]:
-    """The form ``h`` times x + y: one pass of additions."""
-    return [*map(add, h + [0], [0] + h)]
+def _half_times_x_plus_y(h: list[int], d: int) -> list[int]:
+    """Half of (x + y) times the symmetric form of degree ``d`` whose slots
+    0..d//2 are ``h``: slots 0..(d+1)//2, one pass of additions.
+
+    From odd ``d`` the new centre slot is h[-1] plus its mirror, h[-1] again.
+    """
+    if d & 1:
+        return [*map(add, h + h[-1:], [0] + h)]
+    return [*map(add, h, [0] + h[:-1])]
 
 
 def _x_n_plus_y_n(n: int) -> BivariatePolynomial:
@@ -107,17 +123,22 @@ def lockwood_rhs(n: int) -> BivariatePolynomial:
 
     The interior terms cancel, leaving x^n + y^n; callers check that rather
     than trust it.  Horner in (x + y)^2: h_0 = T(n, 0) and h_k =
-    (x+y)^2 h_{k-1} + (-1)^k T(n,k) (xy)^k, where (xy)^k is slot k of the
-    degree-2k form h_k; one more factor x + y follows when n is odd.
+    (x+y)^2 h_{k-1} + (-1)^k T(n,k) (xy)^k, with one more factor x + y when
+    n is odd.  Each term (xy)^k (x+y)^{n-2k} is symmetric in x and y, so
+    every h_k is, whatever the coefficients: only slots 0..d//2 of each
+    degree-d form are computed, (xy)^k lands in the last slot of the
+    degree-2k half, and the result is that half followed by its mirror.
     """
     if n < 1:
         raise ValueError(f"lockwood_rhs requires n >= 1, got n={n}")
     row = lucas_row(n)
     h = [row[0]]
     for k in range(1, len(row)):
-        h = _times_x_plus_y(_times_x_plus_y(h))
+        h = _half_times_x_plus_y(_half_times_x_plus_y(h, 2 * k - 2), 2 * k - 1)
         h[k] += -row[k] if k & 1 else row[k]
-    return BivariatePolynomial(_times_x_plus_y(h) if n & 1 else h)
+    if n & 1:
+        h = _half_times_x_plus_y(h, n - 1)
+    return BivariatePolynomial(h + h[(n & 1) - 2::-1])
 
 
 def verify_lockwood(n: int) -> bool:

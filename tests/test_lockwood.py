@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference
@@ -126,6 +126,22 @@ class TestLockwoodRhs:
     def test_verify_range(self):
         assert all(verify_lockwood(n) for n in range(1, 61))
 
+    @pytest.mark.parametrize("n", [100, 101])
+    def test_adds_each_mirror_pair_once(self, monkeypatch, n):
+        # Only slots 0..d//2 of each symmetric form are added: 2,600 additions
+        # at n = 100 and 2,651 at n = 101, where adding both mirror halves
+        # takes 5,150 and 5,252.
+        calls = 0
+
+        def counting(p, q):
+            nonlocal calls
+            calls += 1
+            return p + q
+
+        monkeypatch.setattr(lockwood, "add", counting)
+        assert lockwood_rhs(n) == x_n_plus_y_n(n)
+        assert calls <= (n // 2 + 1) ** 2 + n
+
     def test_never_reaches_binomial(self, monkeypatch):
         # Every module that binds binomial, the test reference included,
         # gets one that raises, so only binomial_expand may fail; the
@@ -159,6 +175,13 @@ def _signed_rows(draw):
 
 class TestHornerExpansion:
     @given(_signed_rows())
+    # Non-palindromic signed rows at both mirror parities and the degree-0/1
+    # edges, checked whatever the draw.
+    @example((1, (-7,)))
+    @example((2, (5, -3)))
+    @example((3, (-2, 9)))
+    @example((39, tuple((-3) ** k + k for k in range(20))))
+    @example((40, tuple((-3) ** k - 10**25 * k for k in range(21))))
     @settings(max_examples=150, deadline=None)
     def test_matches_term_by_term_sum_for_any_row(self, case):
         # With arbitrary signed t_k in place of T(n, k), every slot of the
