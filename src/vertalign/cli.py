@@ -12,6 +12,13 @@ closed output pipe) and 130 (Ctrl-C) say the run was cut short, not how a
 verification came out.  All numeric output is exact decimal or
 exact-fraction text; nothing is ever rounded.
 
+The tabular commands (aligned, identity, curve, table) render one header and
+one list of rows, in bulk.  A JSON record list is one ``%s`` template per
+header and nesting depth, built once and filled by one ``%`` per row; it
+reads as ``json.dumps(indent=2)`` writes the same records.  Text columns are
+built column by column: each column's cells are written and right-aligned
+to their widest cell in one pass, then the lines are joined.
+
 ``main`` may be called any number of times in one process: the parser is
 built on the first call and reused, and each call dispatches to the
 ``_cmd_*`` handler that the module holds at that moment.
@@ -121,6 +128,10 @@ def _emit_csv(header: list[str], rows: list[list]) -> str:
     return "\n".join([",".join(header), *[fmt % tuple(row) for row in rows]])
 
 
+class _Rendered(str):
+    """Text that is already JSON, which ``_json`` writes as it is."""
+
+
 def _emit_json(payload: dict) -> str:
     return _json(payload, "\n")
 
@@ -135,10 +146,13 @@ def _json(value, indent: str) -> str:
     It equals json.dumps because it writes what the stdlib's pure-Python
     encoder writes (``encode_basestring_ascii``, ``int.__repr__``, true,
     false, null, ``","`` and ``": "``), at C speed for a list of plain ints.
+    Records from ``_records`` are already JSON and are written unchanged.
     Any other type, or a dict key that is not a str, raises TypeError.
     """
     if type(value) is int:
         return int.__repr__(value)
+    if type(value) is _Rendered:
+        return value
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -170,21 +184,53 @@ def _json(value, indent: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _records(header: list[str], rows: list[list]) -> list[dict]:
-    """The JSON form of a CSV table: one object per row, keyed by the header."""
-    return [dict(zip(header, row)) for row in rows]
+# Text of a record cell by its exact type: what _json writes for that type.
+_CELL_TEXT = {int: int.__repr__, str: encode_basestring_ascii}
+
+
+@functools.cache
+def _record_template(header: tuple[str, ...], depth: int) -> str:
+    """One record of ``header`` as ``json.dumps(indent=2)`` writes it inside
+    ``depth`` containers, with ``%s`` for each value."""
+    indent = "\n" + "  " * (depth + 1)
+    keys = [encode_basestring_ascii(key).replace("%", "%%") for key in header]
+    return "{" + ",".join(indent + "  " + key + ": %s" for key in keys) + indent + "}"
+
+
+def _records(header: list[str], rows: list[list], depth: int) -> _Rendered:
+    """The JSON form of a CSV table, one object per row keyed by the header,
+    for a list that sits inside ``depth`` containers of the payload.
+
+    Each column's cells are written by one ``map`` over their type's text
+    and each row fills the header's template by one ``%``, so an int cell
+    reads as ``int.__repr__`` and a str cell as ``encode_basestring_ascii``,
+    as in ``_json``.  Any other cell type raises TypeError.
+    """
+    if not rows:
+        return _Rendered("[]")
+    columns = []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        if not kinds <= _CELL_TEXT.keys():
+            name = next(kind for kind in kinds if kind not in _CELL_TEXT).__name__
+            raise TypeError(f"Object of type {name} is not JSON serializable")
+        if len(kinds) == 1:
+            columns.append(map(_CELL_TEXT[kinds.pop()], column))
+        else:
+            columns.append([_CELL_TEXT[type(cell)](cell) for cell in column])
+    template = _record_template(tuple(header), depth)
+    indent = "\n" + "  " * depth
+    records = map(template.__mod__, zip(*columns))
+    return _Rendered("[" + indent + "  " + ("," + indent + "  ").join(records) + indent + "]")
 
 
 def _columns(headers: list[str], rows: list[list]) -> str:
-    cells = [[str(cell) for cell in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in cells:
-        for idx, cell in enumerate(row):
-            widths[idx] = max(widths[idx], len(cell))
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for row in cells:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
+    """Right-aligned text columns under their headers, two spaces apart."""
+    columns = []
+    for column in zip(headers, *rows):
+        cells = [*map(str, column)]
+        columns.append(map(str.rjust, cells, itertools.repeat(max(map(len, cells)))))
+    return "\n".join(map("  ".join, zip(*columns)))
 
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
@@ -232,7 +278,7 @@ def _cmd_aligned(args: argparse.Namespace) -> int:
     header = ["k", "row", "index", "value"]
     rows = [[k, n - 2 * k, i - k, value] for k, value in enumerate(aligned_entries(n, i))]
     if args.format == "json":
-        print(_emit_json({"n": n, "i": i, "entries": _records(header, rows)}))
+        print(_emit_json({"n": n, "i": i, "entries": _records(header, rows, 1)}))
     elif args.format == "csv":
         print(_emit_csv(header, rows))
     else:
@@ -250,7 +296,7 @@ def _cmd_identity(args: argparse.Namespace) -> int:
         print(_emit_json({
             "n": args.n,
             "i": args.i,
-            "terms": _records(header, rows),
+            "terms": _records(header, rows, 1),
             "total": total,
             "holds": holds,
         }))
@@ -294,8 +340,7 @@ def _cmd_lucas_row(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         print(_emit_csv(["k", "coefficient"], list(enumerate(row))))
     else:
-        values = " ".join(str(v) for v in row)
-        print(f"T({args.n}, k) for k = 0..{args.n // 2}: {values}")
+        print(f"T({args.n}, k) for k = 0..{args.n // 2}: " + " ".join(map(str, row)))
     return 0
 
 
@@ -338,7 +383,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
             "c": str(spec.c),
             "i": args.i,
             "equation": f.equation_text(),
-            "coefficients": _records(header, rows),
+            "coefficients": _records(header, rows, 1),
         }))
     elif args.format == "csv":
         print(_emit_csv(header, rows))
@@ -386,7 +431,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     by_g = [(g, [[k, (-1) ** k, t, k, g - 2 * k] for k, t in enumerate(row)]) for g, row in rows]
     if args.format == "json":
         print(_emit_json({
-            "rows": [{"g": g, "coefficients": _records(header, terms)} for g, terms in by_g],
+            "rows": [{"g": g, "coefficients": _records(header, terms, 3)} for g, terms in by_g],
         }))
     elif args.format == "csv":
         print(_emit_csv(["g", *header], [[g, *term] for g, terms in by_g for term in terms]))

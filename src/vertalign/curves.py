@@ -257,12 +257,18 @@ def table_rows(g_min: int, g_max: int) -> list[tuple[int, tuple[int, ...]]]:
 
 
 def table_text(rows: list[tuple[int, tuple[int, ...]]]) -> str:
-    """The rows of ``table_rows`` as equations, the zeta twist kept symbolic in i."""
+    """The rows of ``table_rows`` as equations, the zeta twist kept symbolic in i.
+
+    Term k is (-1)^k T(g, k) zeta^(ki) x^(g-2k), written as ``_terms_text``
+    would write it.  Each term's text is built directly: T(g, 0) = 1 makes
+    the first term x^g, and every later term is its sign, T(g, k) >= 2, its
+    zeta factor and its x factor unless g = 2k.
+    """
     lines = ["g    curve C_i (c = 1)"]
     for g, row in rows:
-        terms = _terms_text(
-            ((-1) ** k * t, (_zeta_text(k), _power_text("x", g - 2 * k)))
-            for k, t in enumerate(row)
-        )
-        lines.append(f"{g:<4} y^2 = {terms}")
+        terms = [_power_text("x", g)]
+        for k in range(1, len(row)):
+            x = _power_text("x", g - 2 * k)
+            terms.append(f"{'- ' if k & 1 else '+ '}{row[k]}*{_zeta_text(k)}{'*' if x else ''}{x}")
+        lines.append(f"{g:<4} y^2 = " + " ".join(terms))
     return "\n".join(lines)

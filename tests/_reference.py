@@ -25,6 +25,8 @@ without the library's code for the step under test:
   the coefficients ``curves.build_target`` builds.
 * ``reference_csv``: CSV text written by ``csv.writer``, against the plain
   join of ``cli._emit_csv``.
+* ``reference_columns``: text columns padded cell by cell, against the
+  column-by-column ``cli._columns``.
 
 The rest are the small helpers these routes and the tests build with:
 ``xy_symmetric_power`` (iterated ``BivariatePolynomial`` products, for
@@ -176,6 +178,20 @@ def reference_csv(header: list[str], rows: list[list]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue().rstrip("\n")
+
+
+def reference_columns(headers: list[str], rows: list[list]) -> str:
+    """``headers`` over ``rows``, each column right-aligned to its widest
+    cell and two spaces apart, widened and padded one cell at a time."""
+    cells = [[str(cell) for cell in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in cells:
+        for idx, cell in enumerate(row):
+            widths[idx] = max(widths[idx], len(cell))
+    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
+    for row in cells:
+        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+    return "\n".join(lines)
 
 
 # -- polynomials over R(g, c) ------------------------------------------------

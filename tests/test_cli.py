@@ -3,6 +3,7 @@ import contextlib
 import csv
 import decimal
 import functools
+import importlib.util
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vertalign.cli as cli
-from _reference import binomial_falling, lucas_coeff_alt, reference_csv
+from _reference import binomial_falling, lucas_coeff_alt, reference_columns, reference_csv
 from test_acceptance import TABLE_ROWS_EXPECTED
 from vertalign import lockwood
 from vertalign.alignment import SweepSummary, identity_sum, identity_sweep, map_row_ranges
@@ -298,19 +299,70 @@ class TestRecordsAgainstReferences:
         _assert_records_match_csv(records, header, rows)
 
 
-def _json_against_reference(argv, capsys, monkeypatch) -> int:
-    """Run ``--format json`` argv; its output must be what json.dumps writes."""
-    received = []
-    emit = cli._emit_json
+def _reference_payload(argv: list[str]) -> dict:
+    """The ``--format json`` payload of argv, built from the library's results
+    with one dict per record, not by ``cli``'s record templates.
 
-    def recording(payload):
-        received.append(payload)
-        return emit(payload)
+    Results are read through the names ``cli`` binds, so a fault patched in
+    there reaches this payload too.
+    """
+    command, *words = [word for word in argv if word != "--"]
+    if command in ("curve", "verify-morphism"):
+        g, c, i = int(words[0]), Fraction(words[1]), int(words[2])
+        spec = cli.make_ring(g, c)
+        head = {"g": g, "c": str(spec.c), "i": i}
+        if command == "curve":
+            f = cli.build_target(spec, i)
+            return {**head, "equation": f.equation_text(), "coefficients": [
+                {"x_exp": exp, "element": f.coefficient(exp).to_text()}
+                for exp in range(f.degree, -1, -1)
+            ]}
+        source, target, pullback, residual = cli.verify_morphism(spec, i)
+        return {**head, "holds": residual.is_zero(), "source": source.equation_text(),
+                "target": target.equation_text(), "pullback": pullback.to_text(),
+                "residual": residual.to_text(), "x_map_nonconstant": True}
+    numbers = [int(word) for word in words]
+    if command == "aligned":
+        n, i = numbers
+        return {"n": n, "i": i, "entries": [
+            {"k": k, "row": n - 2 * k, "index": i - k, "value": value}
+            for k, value in enumerate(cli.aligned_entries(n, i))
+        ]}
+    if command == "identity":
+        n, i = numbers
+        terms, total = cli.identity_sum(n, i)
+        return {"n": n, "i": i, "terms": [
+            {"k": k, "signed_coefficient": coeff, "binomial_value": value,
+             "product": coeff * value}
+            for k, (coeff, value) in enumerate(terms)
+        ], "total": total, "holds": total == 0}
+    if command == "sweep":
+        (n_max,) = numbers
+        summary = cli.identity_sweep(n_max, workers=1)
+        return {"n_max": n_max, "pairs_checked": summary.pairs_checked,
+                "failures": [list(failure) for failure in summary.failures]}
+    if command == "lucas-row":
+        (n,) = numbers
+        return {"n": n, "coefficients": list(cli.lucas_row(n))}
+    if command == "lockwood":
+        (n_max,) = numbers
+        failures = cli._verify_range(1, n_max)
+        return {"n_max": n_max, "checked": n_max, "all_hold": not failures, "failures": failures}
+    assert command == "table", command
+    return {"rows": [
+        {"g": g, "coefficients": [
+            {"k": k, "sign": (-1) ** k, "magnitude": t, "zeta_exp": k, "x_exp": g - 2 * k}
+            for k, t in enumerate(row)
+        ]}
+        for g, row in cli.table_rows(*numbers)
+    ]}
 
-    monkeypatch.setattr(cli, "_emit_json", recording)
+
+def _json_against_reference(argv, capsys) -> int:
+    """Run ``--format json`` argv; its output must be what json.dumps writes
+    for ``_reference_payload(argv)``."""
     code = cli.main(["--format", "json", *argv])
-    [payload] = received
-    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+    assert capsys.readouterr().out == json.dumps(_reference_payload(argv), indent=2) + "\n"
     return code
 
 
@@ -389,8 +441,8 @@ class TestJsonEmitter:
         ],
         ids=" ".join,
     )
-    def test_every_command_matches_json_dumps(self, argv, capsys, monkeypatch):
-        assert _json_against_reference(argv, capsys, monkeypatch) == 0
+    def test_every_command_matches_json_dumps(self, argv, capsys):
+        assert _json_against_reference(argv, capsys) == 0
 
     @pytest.mark.parametrize(
         "argv, fault",
@@ -403,7 +455,94 @@ class TestJsonEmitter:
     )
     def test_failing_run_matches_json_dumps(self, argv, fault, capsys, monkeypatch):
         fault(monkeypatch)
-        assert _json_against_reference(argv, capsys, monkeypatch) == 1
+        assert _json_against_reference(argv, capsys) == 1
+
+
+def _pointwise_json_requests(seeds) -> list[tuple[str, ...]]:
+    """The distinct ``--format json`` requests of the benchmark's pointwise
+    passes for ``seeds``, read from ``bench/workloads.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    stream = [argv for seed in seeds for argv in workloads.generate("pointwise", seed)]
+    return sorted({tuple(argv[2:]) for argv in stream if argv[:2] == ["--format", "json"]})
+
+
+def _record_list(command: str, payload: dict) -> list[dict] | None:
+    """The records of a tabular command's payload, flattened as its CSV is."""
+    if command == "table":
+        return [{"g": row["g"], **term} for row in payload["rows"] for term in row["coefficients"]]
+    key = {"aligned": "entries", "identity": "terms", "curve": "coefficients"}.get(command)
+    return payload[key] if key else None
+
+
+class TestRecordTemplates:
+    """Records written by one template per header read back as the stdlib
+    writes them, and hold the values of the same request's CSV rows."""
+
+    @pytest.mark.parametrize("argv", _pointwise_json_requests((1, 2)), ids=" ".join)
+    def test_pointwise_requests(self, argv, capsys):
+        assert cli.main(["--format", "json", *argv]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2) + "\n"
+        records = _record_list(argv[0], payload)
+        if records is not None:
+            assert cli.main(["--format", "csv", *argv]) == 0
+            header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+            _assert_records_match_csv(records, header, rows)
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    @pytest.mark.parametrize("rows", [[[0, "a\u00e9\"", -(10**30)], [7, "", 5]], []], ids=["rows", "empty"])
+    def test_matches_json_dumps_at_depth(self, depth, rows):
+        # Keys with a quote and a %s, text cells that need escaping.
+        header = ["k", "text", 'say "%s"']
+        payload, expected = cli._records(header, rows, depth), [dict(zip(header, row)) for row in rows]
+        for _ in range(depth):
+            payload, expected = [payload], [expected]
+        assert cli._emit_json(payload) == json.dumps(expected, indent=2)
+
+    @pytest.mark.parametrize("cell", [True, 1.5, Fraction(1, 3)], ids=["bool", "float", "fraction"])
+    def test_other_cell_types_raise_type_error(self, cell):
+        with pytest.raises(TypeError):
+            cli._records(["a", "b"], [[1, "x"], [2, cell]], 1)
+
+
+_COLUMN_CELLS = st.one_of(st.integers(), _HUGE_INTS, st.text(max_size=4))
+
+
+@st.composite
+def _column_tables(draw) -> tuple[list[str], list[list]]:
+    """Headers and rows of one width; headers from empty to wider than most cells."""
+    width = draw(st.integers(1, 5))
+    headers = draw(st.lists(st.text(max_size=12), min_size=width, max_size=width))
+    rows = draw(st.lists(
+        st.lists(_COLUMN_CELLS, min_size=width, max_size=width), min_size=1, max_size=6
+    ))
+    return headers, rows
+
+
+class TestColumns:
+    """``_columns`` lays text out as the cell-by-cell reference does."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_column_tables())
+    def test_matches_reference(self, table):
+        with _no_int_digit_limit():
+            assert cli._columns(*table) == reference_columns(*table)
+
+    @pytest.mark.parametrize(
+        "headers, rows",
+        [
+            (["k", "value"], [[0, -(10**40)]]),
+            (["a_wide_header", "b"], [[1, "x"]]),
+            (["k", "v"], [[-3, 12], [10, -4]]),
+        ],
+        ids=["single-row", "wide-header", "signed"],
+    )
+    def test_matches_reference_on_examples(self, headers, rows):
+        assert cli._columns(headers, rows) == reference_columns(headers, rows)
 
 
 def _csv_against_reference(argv, capsys, monkeypatch) -> int:

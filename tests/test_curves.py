@@ -25,6 +25,8 @@ from vertalign.curves import (
 from vertalign.lockwood import BivariatePolynomial, lockwood_rhs
 from vertalign.quotient_ring import (
     QuotientRingElement,
+    _power_text,
+    _terms_text,
     from_rational,
     make_ring,
     ring_one,
@@ -330,6 +332,20 @@ class TestTable:
             "y^2 = x^10 - 10*zeta^i*x^8 + 35*zeta^(2i)*x^6 - 50*zeta^(3i)*x^4"
             " + 25*zeta^(4i)*x^2 - 2*zeta^(5i)"
         )
+
+    def test_matches_terms_text(self):
+        # Each term written directly, against the signed (q, factors) route of
+        # _terms_text that ring elements and polynomials are written by.
+        rows = table_rows(1, 150)
+        expected = [
+            f"{g:<4} y^2 = " + _terms_text(
+                ((-1) ** k * t, (f"zeta^({k}i)" if k > 1 else "zeta^i" if k else "",
+                                 _power_text("x", g - 2 * k)))
+                for k, t in enumerate(row)
+            )
+            for g, row in rows
+        ]
+        assert table_text(rows).splitlines()[1:] == expected
 
     def test_g1_single_term(self):
         assert table_text(table_rows(1, 1)).splitlines()[1] == "1    y^2 = x"
