@@ -14,6 +14,11 @@ while 0 <= n-2k < i-k the binomial factor is 0, and once n-2k < 0 the
 binomial is nonzero again but T(n, k) = 0 takes over.  ``identity_sum``
 lists every term so both regimes can be checked.
 
+``identity_sum`` takes both factors from checked walks in ``combinatorics``:
+T(n, 0..i) down the shallow diagonal C(n-k, k), the column up from C(n, i).
+The sweep takes T from ``lucas_row`` and proves it against the additive
+chain instead, so the two routes share no arithmetic.
+
 Pure functions over immutable values; the sweep may fan out across worker
 processes and always merges results in canonical (n ascending) order.
 """
@@ -25,7 +30,7 @@ import signal
 from collections import namedtuple
 from collections.abc import Callable
 
-from .combinatorics import _lucas_rows_by_addition, aligned_column, lucas_coeff, lucas_row
+from .combinatorics import _lucas_coeffs, _lucas_rows_by_addition, aligned_column, lucas_row
 
 __all__ = [
     "SweepSummary",
@@ -61,17 +66,21 @@ def identity_sum(n: int, i: int) -> tuple[tuple[tuple[int, int], ...], int]:
     it is 0.  Only defined on the hypothesis 0 < i < n (at i = 0 or i = n
     the sum is 1, not 0, and returning it would invite misuse).
 
-    T(n, k) is the closed form :func:`lucas_coeff` and the column one
-    checked ratio walk seeded by ``binomial()``, so this path reads neither
-    :func:`lucas_row`, the additive chain, nor the expansion oracle.
+    Two checked walks supply the terms: T(n, 0..i) is the closed form
+    n * C(n-k, k) / (n-k) with C(n-k, k) walked down the shallow diagonal
+    from C(n, 0) = 1 (``combinatorics._lucas_coeffs``), and the column is
+    walked up from C(n, i), seeded and reseeded by ``binomial()``.  So this
+    path reads neither :func:`lucas_row`, the additive chain, nor the
+    expansion oracle, and calls ``binomial()`` only inside
+    :func:`aligned_column`.
     """
     if not 0 < i < n:
         raise ValueError(
             f"identity_sum requires 0 < i < n, got n={n}, i={i}"
         )
     terms = tuple(
-        ((-1) ** k * lucas_coeff(n, k), value)
-        for k, value in enumerate(aligned_column(n, i, i + 1))
+        (-t if k & 1 else t, value)
+        for k, (t, value) in enumerate(zip(_lucas_coeffs(n, i + 1), aligned_column(n, i, i + 1)))
     )
     return terms, sum(coeff * value for coeff, value in terms)
 

@@ -375,6 +375,9 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
 def _cmd_curve(args: argparse.Namespace) -> int:
     spec = make_ring(args.g, args.c)
     f = build_target(spec, args.i)
+    if args.format == "text":
+        print(f"C_{args.i} over R(g={args.g}, c={args.c}): {f.equation_text()}")
+        return 0
     header = ["x_exp", "element"]
     rows = [[exp, f.coefficient(exp).to_text()] for exp in range(f.degree, -1, -1)]
     if args.format == "json":
@@ -385,10 +388,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
             "equation": f.equation_text(),
             "coefficients": _records(header, rows, 1),
         }))
-    elif args.format == "csv":
-        print(_emit_csv(header, rows))
     else:
-        print(f"C_{args.i} over R(g={args.g}, c={args.c}): {f.equation_text()}")
+        print(_emit_csv(header, rows))
     return 0
 
 
@@ -427,16 +428,17 @@ def _cmd_verify_morphism(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     rows = table_rows(args.g_min, args.g_max)
+    if args.format == "text":
+        print(table_text(rows))
+        return 0
     header = ["k", "sign", "magnitude", "zeta_exp", "x_exp"]
     by_g = [(g, [[k, (-1) ** k, t, k, g - 2 * k] for k, t in enumerate(row)]) for g, row in rows]
     if args.format == "json":
         print(_emit_json({
             "rows": [{"g": g, "coefficients": _records(header, terms, 3)} for g, terms in by_g],
         }))
-    elif args.format == "csv":
-        print(_emit_csv(["g", *header], [[g, *term] for g, terms in by_g for term in terms]))
     else:
-        print(table_text(rows))
+        print(_emit_csv(["g", *header], [[g, *term] for g, terms in by_g for term in terms]))
     return 0
 
 

@@ -93,6 +93,38 @@ def lucas_coeff(n: int, k: int) -> int:
     return value
 
 
+def _lucas_coeffs(n: int, count: int) -> list[int]:
+    """T(n, k) for k = 0..count-1, each the closed form n * C(n-k, k) / (n-k).
+
+    C(n-k, k) walks down the shallow diagonal from C(n, 0) = 1 by the exact
+    ratio
+
+        C(n-k, k) = C(n-k+1, k-1) * (n-2k+2)(n-2k+1) / (k(n-k+1)),
+
+    and both divisions of every step, the ratio's and the closed form's, are
+    checked to leave no remainder.  Past k = n//2 the ratio reaches 0 and the
+    walk stays there.  It calls neither :func:`binomial` nor
+    :func:`lucas_coeff`, and shares no arithmetic with :func:`lucas_row`.
+
+    Requires ``0 <= count <= n``, as the closed form divides by n - k.
+    """
+    if not 0 <= count <= n:
+        raise ValueError(f"_lucas_coeffs requires 0 <= count <= n, got count={count}, n={n}")
+    coeffs = []
+    diagonal = 1  # C(n-k, k)
+    for k in range(count):
+        if k:
+            step = (n - 2 * k + 2) * (n - 2 * k + 1)
+            diagonal, rest = divmod(diagonal * step, k * (n - k + 1))
+            if rest:
+                raise AssertionError(f"C({n - k}, {k}) ratio left remainder {rest}")
+        value, rest = divmod(n * diagonal, n - k)
+        if rest:
+            raise AssertionError(f"T({n}, {k}) = n*C(n-k,k)/(n-k) left remainder {rest}")
+        coeffs.append(value)
+    return coeffs
+
+
 def lucas_row(n: int) -> tuple[int, ...]:
     """All nonvanishing Lucas coefficients of row ``n``: T(n, 0..n//2), unsigned.
 

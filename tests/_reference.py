@@ -5,7 +5,8 @@ The command line never runs these, so they live here rather than in
 without the library's code for the step under test:
 
 * ``lucas_coeff_alt``: T(n, k) by the sum form C(n-k, k) + C(n-k-1, k-1),
-  against ``lucas_coeff``'s quotient and ``lucas_row``'s ratio recurrence;
+  against ``lucas_coeff``'s quotient, the diagonal walk ``_lucas_coeffs``
+  and ``lucas_row``'s ratio recurrence;
   ``sum_form_rows`` holds the same sum form for every n <= n_max, built once
   per session from Pascal's triangle.
 * ``binomial_falling`` / ``falling_row``: C(m, r) by the falling-factorial

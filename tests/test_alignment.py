@@ -11,7 +11,7 @@ from _reference import (
     lucas_coeff_alt,
     reference_sweep,
 )
-from vertalign import alignment, combinatorics
+from vertalign import alignment, cli, combinatorics
 from vertalign.alignment import aligned_entries, identity_sum, identity_sweep
 from vertalign.combinatorics import binomial, lucas_coeff, lucas_row, pascal_row
 from vertalign.lockwood import BivariatePolynomial, verify_lockwood
@@ -127,6 +127,69 @@ class TestIdentitySum:
                 assert tail == -expansion.coeffs[i]
                 if tail_poly is not None:
                     assert tail == tail_poly.coeffs[i]
+
+    @pytest.mark.parametrize(
+        "n, i, k_bad, delta",
+        [
+            (17, 8, 3, 5),  # nonzero band
+            (40, 30, 7, -1),
+            (12, 11, 8, 2),  # past n//2, where C(-4, 3) = -20 meets T(12, 8) = 0
+            (25, 12, 0, 1),  # T(25, 0) weighs the anchor C(25, 12)
+        ],
+    )
+    def test_faulty_t_reports_its_exact_total(self, monkeypatch, capsys, n, i, k_bad, delta):
+        # Perturb T(n, k_bad) as identity_sum reads it: the total must be
+        # exactly the perturbation times its signed column entry, and the
+        # CLI must report the dependence as failing.
+        honest = alignment._lucas_coeffs
+
+        def faulty_coeffs(n_walk, count):
+            coeffs = honest(n_walk, count)
+            if n_walk == n:
+                coeffs[k_bad] += delta
+            return coeffs
+
+        monkeypatch.setattr(alignment, "_lucas_coeffs", faulty_coeffs)
+        expected = (-1) ** k_bad * delta * binomial(n - 2 * k_bad, i - k_bad)
+        assert expected
+        terms, total = identity_sum(n, i)
+        assert total == expected
+        assert terms[k_bad][0] == (-1) ** k_bad * (lucas_coeff(n, k_bad) + delta)
+        assert cli.main(["identity", str(n), str(i)]) == 1
+        out = capsys.readouterr().out
+        assert out.endswith(f"total = {expected}\nholds: no\n")
+
+    def test_calls_binomial_only_to_seed_the_column(self, monkeypatch):
+        # identity_sum takes T from its own walk: no lucas_coeff() call, and
+        # binomial() only inside aligned_column, once for the seed C(n, i)
+        # and once per reseed, where m = n - 2k is 0 or 1 or the entry
+        # C(m, r) is in the zero band 0 <= m < r.
+        inside, binomial_calls = [], []
+        honest_binomial, honest_column = combinatorics.binomial, alignment.aligned_column
+
+        def counted_binomial(m, r):
+            assert inside, "binomial() called outside aligned_column"
+            binomial_calls.append((m, r))
+            return honest_binomial(m, r)
+
+        def column(*args):
+            inside.append(True)
+            try:
+                return honest_column(*args)
+            finally:
+                inside.pop()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("identity_sum called lucas_coeff()")
+
+        monkeypatch.setattr(combinatorics, "binomial", counted_binomial)
+        monkeypatch.setattr(combinatorics, "lucas_coeff", forbidden)
+        monkeypatch.setattr(alignment, "aligned_column", column)
+        for n, i in [*((n, i) for n in range(2, 61) for i in range(1, n)), (1000, 875), (999, 500)]:
+            binomial_calls.clear()
+            assert identity_sum(n, i)[1] == 0
+            reseeds = sum(n - 2 * k in (0, 1) or 0 <= n - 2 * k < i - k for k in range(i))
+            assert len(binomial_calls) == 1 + reseeds, (n, i)
 
 
 class TestIdentitySweep:
@@ -337,12 +400,13 @@ def test_sweep_range_reads_each_row_of_t_once(monkeypatch):
         return lucas_row(n)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the packed sweep called binomial() or lucas_coeff()")
+        raise AssertionError("the packed sweep used the identity's binomials or T")
 
     monkeypatch.setattr(alignment, "lucas_row", counted_row)
     monkeypatch.setattr(combinatorics, "binomial", forbidden)
+    monkeypatch.setattr(combinatorics, "lucas_coeff", forbidden)
     monkeypatch.setattr(alignment, "aligned_column", forbidden)
-    monkeypatch.setattr(alignment, "lucas_coeff", forbidden)
+    monkeypatch.setattr(alignment, "_lucas_coeffs", forbidden)
     assert alignment._sweep_range(2, 150) == (_pairs(2, 150), [])
     assert calls == list(range(2, 151))
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from _reference import binomial_falling, falling_row, lucas_coeff_alt
 from vertalign import combinatorics
 from vertalign.combinatorics import (
+    _lucas_coeffs,
     aligned_column,
     binomial,
     lucas_coeff,
@@ -102,6 +103,46 @@ class TestAlignedColumn:
         )
         with pytest.raises(AssertionError, match=r"C\(10, 5\) ratio left remainder 36"):
             aligned_column(12, 6, 7)
+
+
+class TestLucasCoeffs:
+    def test_matches_closed_and_sum_forms(self):
+        # Whole rows through both bands, C(n-k, k) nonzero up to k = n//2 and
+        # 0 after it; then every count up to n = 120 (to 300 that takes about
+        # 3 s), and past it the counts at the ends of both bands.
+        for n in range(1, 301):
+            full = _lucas_coeffs(n, n)
+            assert full == [lucas_coeff(n, k) for k in range(n)], n
+            assert full == [lucas_coeff_alt(n, k) for k in range(n)], n
+            counts = range(n + 1) if n <= 120 else {0, 1, n // 2, n // 2 + 1, n // 2 + 2, n - 1, n}
+            for count in counts:
+                assert _lucas_coeffs(n, count) == full[:count], (n, count)
+
+    @pytest.mark.parametrize("n, count", [(5, 6), (1, 2), (0, 1), (-3, 0), (5, -1)])
+    def test_count_past_n_raises(self, n, count):
+        with pytest.raises(ValueError, match="0 <= count <= n"):
+            _lucas_coeffs(n, count)
+
+    @pytest.mark.parametrize(
+        "delta, message",
+        [
+            # C(10, 2) read as 46: the closed form 12 * 46 / 10 is not whole.
+            (1, r"T\(12, 2\) = n\*C\(n-k,k\)/\(n-k\) left remainder 2"),
+            # C(10, 2) read as 50 passes the closed form (T = 60), so the next
+            # ratio step, 50 * 8 * 7 / (3 * 10), has to catch it.
+            (5, r"C\(9, 3\) ratio left remainder 10"),
+        ],
+    )
+    def test_every_division_checks_its_remainder(self, monkeypatch, delta, message):
+        # The step from C(11, 1) to C(10, 2) at n = 12 is the walk's only
+        # division by 2 * 11 = 22; it hands the next divisions a wrong seed.
+        def wrong_step(a, b):
+            value, rest = divmod(a, b)
+            return (value + delta, rest) if b == 22 else (value, rest)
+
+        monkeypatch.setattr(combinatorics, "divmod", wrong_step, raising=False)
+        with pytest.raises(AssertionError, match=message):
+            _lucas_coeffs(12, 12)
 
 
 class TestLucasCoeff:
