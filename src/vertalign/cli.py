@@ -1,7 +1,7 @@
 """Command-line surface for every verification in the package.
 
-Subcommands: triangle, aligned, identity, sweep, lucas-row, lockwood, curve,
-verify-morphism, table.  Global flags ``--format {text,json,csv}`` and
+The subcommands, their help lines and their positionals are declared once,
+in ``_COMMANDS``.  Global flags ``--format {text,json,csv}`` and
 ``--workers N`` may be given before or after the subcommand; every command
 accepts ``--workers``, and only sweep and lockwood use it.
 
@@ -13,11 +13,13 @@ verification came out.  All numeric output is exact decimal or
 exact-fraction text; nothing is ever rounded.
 
 The tabular commands (aligned, identity, curve, table) render one header and
-one list of rows, in bulk.  A JSON record list is one ``%s`` template per
-header and nesting depth, built once and filled by one ``%`` per row; it
-reads as ``json.dumps(indent=2)`` writes the same records.  Text columns are
-built column by column: each column's cells are written and right-aligned
-to their widest cell in one pass, then the lines are joined.
+one list of rows, in bulk.  For JSON they hand the pair to ``_json`` as
+``_Records``, and ``_json`` places the records at the indent where it meets
+them: one ``%s`` template per header and indent, built once and filled by
+one ``%`` per row, which reads as ``json.dumps(indent=2)`` writes the same
+records.  Text columns are built column by column: each column's cells are
+written and right-aligned to their widest cell in one pass, then the lines
+are joined.
 
 ``main`` may be called any number of times in one process: the parser is
 built on the first call and reused, and each call dispatches to the
@@ -32,6 +34,7 @@ import itertools
 import os
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -50,9 +53,10 @@ _TRIANGLE_GRID_LIMIT = 20  # beyond this, centered text rendering is unreadable
 _EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
 
 
-def _rational(text: str) -> Fraction:
-    """``text`` as a Fraction whose numerator and denominator, written out,
-    have no more digits than ``int()`` reads (4,300 if unlimited).
+def _nonzero_rational(text: str) -> Fraction:
+    """``text`` as a nonzero Fraction whose numerator and denominator,
+    written out, have no more digits than ``int()`` reads (4,300 if
+    unlimited).
 
     In exponent form, a nonzero mantissa times 10**e puts more than
     |e| - len(text) digits in one of them, so a longer e is refused before
@@ -72,11 +76,6 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(
             f"expected an integer or p/q rational, got {text!r}"
         )
-    return value
-
-
-def _nonzero_rational(text: str) -> Fraction:
-    value = _rational(text)
     if value == 0:
         raise argparse.ArgumentTypeError("c must be nonzero")
     return value
@@ -128,31 +127,27 @@ def _emit_csv(header: list[str], rows: list[list]) -> str:
     return "\n".join([",".join(header), *[fmt % tuple(row) for row in rows]])
 
 
-class _Rendered(str):
-    """Text that is already JSON, which ``_json`` writes as it is."""
-
-
-def _emit_json(payload: dict) -> str:
-    return _json(payload, "\n")
-
+# A table that ``_json`` writes as a list of records, one per row keyed by
+# the header, at the indent where it meets the table.
+_Records = namedtuple("_Records", ["header", "rows"])
 
 _PLAIN_INT = {int}
 
 
-def _json(value, indent: str) -> str:
+def _json(value, indent: str = "\n") -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it; ``indent`` is
     the newline and spaces that come before its closing bracket.
 
     It equals json.dumps because it writes what the stdlib's pure-Python
     encoder writes (``encode_basestring_ascii``, ``int.__repr__``, true,
     false, null, ``","`` and ``": "``), at C speed for a list of plain ints.
-    Records from ``_records`` are already JSON and are written unchanged.
-    Any other type, or a dict key that is not a str, raises TypeError.
+    ``_Records`` are written as the list of their records.  Any other type,
+    or a dict key that is not a str, raises TypeError.
     """
     if type(value) is int:
         return int.__repr__(value)
-    if type(value) is _Rendered:
-        return value
+    if type(value) is _Records:
+        return _records(*value, indent)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -189,39 +184,36 @@ _CELL_TEXT = {int: int.__repr__, str: encode_basestring_ascii}
 
 
 @functools.cache
-def _record_template(header: tuple[str, ...], depth: int) -> str:
-    """One record of ``header`` as ``json.dumps(indent=2)`` writes it inside
-    ``depth`` containers, with ``%s`` for each value."""
-    indent = "\n" + "  " * (depth + 1)
+def _record_template(header: tuple[str, ...], indent: str) -> str:
+    """One record of ``header`` as ``json.dumps(indent=2)`` writes it in a
+    list closed at ``indent``, with ``%s`` for each value."""
+    inner = indent + "  "
     keys = [encode_basestring_ascii(key).replace("%", "%%") for key in header]
-    return "{" + ",".join(indent + "  " + key + ": %s" for key in keys) + indent + "}"
+    return "{" + ",".join(inner + "  " + key + ": %s" for key in keys) + inner + "}"
 
 
-def _records(header: list[str], rows: list[list], depth: int) -> _Rendered:
-    """The JSON form of a CSV table, one object per row keyed by the header,
-    for a list that sits inside ``depth`` containers of the payload.
+def _records(header: list[str], rows: list[list], indent: str) -> str:
+    """The JSON list of one object per row keyed by the header, closed at
+    ``indent``.
 
     Each column's cells are written by one ``map`` over their type's text
     and each row fills the header's template by one ``%``, so an int cell
     reads as ``int.__repr__`` and a str cell as ``encode_basestring_ascii``,
-    as in ``_json``.  Any other cell type raises TypeError.
+    as in ``_json``.  A column of any other type, or of more than one,
+    raises TypeError.
     """
     if not rows:
-        return _Rendered("[]")
+        return "[]"
     columns = []
     for column in zip(*rows):
         kinds = set(map(type, column))
-        if not kinds <= _CELL_TEXT.keys():
-            name = next(kind for kind in kinds if kind not in _CELL_TEXT).__name__
-            raise TypeError(f"Object of type {name} is not JSON serializable")
-        if len(kinds) == 1:
-            columns.append(map(_CELL_TEXT[kinds.pop()], column))
-        else:
-            columns.append([_CELL_TEXT[type(cell)](cell) for cell in column])
-    template = _record_template(tuple(header), depth)
-    indent = "\n" + "  " * depth
-    records = map(template.__mod__, zip(*columns))
-    return _Rendered("[" + indent + "  " + ("," + indent + "  ").join(records) + indent + "]")
+        if len(kinds) > 1 or not kinds <= _CELL_TEXT.keys():
+            names = " and ".join(sorted(kind.__name__ for kind in kinds))
+            raise TypeError(f"Column of type {names} is not JSON serializable")
+        columns.append(map(_CELL_TEXT[kinds.pop()], column))
+    inner = indent + "  "
+    records = map(_record_template(tuple(header), indent).__mod__, zip(*columns))
+    return "[" + inner + ("," + inner).join(records) + indent + "]"
 
 
 def _columns(headers: list[str], rows: list[list]) -> str:
@@ -278,7 +270,7 @@ def _cmd_aligned(args: argparse.Namespace) -> int:
     header = ["k", "row", "index", "value"]
     rows = [[k, n - 2 * k, i - k, value] for k, value in enumerate(aligned_entries(n, i))]
     if args.format == "json":
-        print(_emit_json({"n": n, "i": i, "entries": _records(header, rows, 1)}))
+        print(_json({"n": n, "i": i, "entries": _Records(header, rows)}))
     elif args.format == "csv":
         print(_emit_csv(header, rows))
     else:
@@ -293,10 +285,10 @@ def _cmd_identity(args: argparse.Namespace) -> int:
     header = ["k", "signed_coefficient", "binomial_value", "product"]
     rows = [[k, coeff, value, coeff * value] for k, (coeff, value) in enumerate(terms)]
     if args.format == "json":
-        print(_emit_json({
+        print(_json({
             "n": args.n,
             "i": args.i,
-            "terms": _records(header, rows, 1),
+            "terms": _Records(header, rows),
             "total": total,
             "holds": holds,
         }))
@@ -312,9 +304,9 @@ def _cmd_identity(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     summary = identity_sweep(args.n_max, workers=args.workers)
-    failures = [[n, i, total] for n, i, total in summary.failures]
+    failures = summary.failures
     if args.format == "json":
-        print(_emit_json({
+        print(_json({
             "n_max": args.n_max,
             "pairs_checked": summary.pairs_checked,
             "failures": failures,
@@ -336,7 +328,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_lucas_row(args: argparse.Namespace) -> int:
     row = lucas_row(args.n)
     if args.format == "json":
-        print(_emit_json({"n": args.n, "coefficients": list(row)}))
+        print(_json({"n": args.n, "coefficients": list(row)}))
     elif args.format == "csv":
         print(_emit_csv(["k", "coefficient"], list(enumerate(row))))
     else:
@@ -350,7 +342,7 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
     parts = map_row_ranges(_verify_range, 1, args.n_max, args.workers)
     failures = [n for part in parts for n in part]
     if args.format == "json":
-        print(_emit_json({
+        print(_json({
             "n_max": args.n_max,
             "checked": args.n_max,
             "all_hold": not failures,
@@ -381,12 +373,12 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     header = ["x_exp", "element"]
     rows = [[exp, f.coefficient(exp).to_text()] for exp in range(f.degree, -1, -1)]
     if args.format == "json":
-        print(_emit_json({
+        print(_json({
             "g": spec.g,
             "c": str(spec.c),
             "i": args.i,
             "equation": f.equation_text(),
-            "coefficients": _records(header, rows, 1),
+            "coefficients": _Records(header, rows),
         }))
     else:
         print(_emit_csv(header, rows))
@@ -398,7 +390,7 @@ def _cmd_verify_morphism(args: argparse.Namespace) -> int:
     source, target, pullback, residual = verify_morphism(spec, args.i)
     holds = residual.is_zero()
     if args.format == "json":
-        print(_emit_json({
+        print(_json({
             "g": spec.g,
             "c": str(spec.c),
             "i": args.i,
@@ -434,12 +426,30 @@ def _cmd_table(args: argparse.Namespace) -> int:
     header = ["k", "sign", "magnitude", "zeta_exp", "x_exp"]
     by_g = [(g, [[k, (-1) ** k, t, k, g - 2 * k] for k, t in enumerate(row)]) for g, row in rows]
     if args.format == "json":
-        print(_emit_json({
-            "rows": [{"g": g, "coefficients": _records(header, terms, 3)} for g, terms in by_g],
+        print(_json({
+            "rows": [{"g": g, "coefficients": _Records(header, terms)} for g, terms in by_g],
         }))
     else:
         print(_emit_csv(["g", *header], [[g, *term] for g, terms in by_g for term in terms]))
     return 0
+
+
+# Each subcommand's help line and positionals, in ``-h`` order.  ``c`` is
+# read by ``_nonzero_rational``, every other positional by ``int``.
+_COMMANDS = {
+    "triangle": ("render Pascal's triangle", ["n_max"]),
+    "aligned": ("entries vertically aligned with C(n, i)", ["n", "i"]),
+    "identity": ("evaluate the alignment identity at (n, i)", ["n", "i"]),
+    "sweep": ("check the identity for all pairs up to n_max", ["n_max"]),
+    "lucas-row": ("Lucas coefficient triangle row T(n, .)", ["n"]),
+    "lockwood": ("verify the x^n + y^n expansion identity for n = 1..n_max", ["n_max"]),
+    "curve": ("build the target curve C_i over R(g, c)", ["g", "c", "i"]),
+    "verify-morphism": (
+        "check that pulling back C_i reproduces y^2 = x^(2g+1) + c*x",
+        ["g", "c", "i"],
+    ),
+    "table": ("tabulate target curves for a range of g", ["g_min", "g_max"]),
+}
 
 
 @functools.cache
@@ -468,59 +478,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=_workers, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("triangle", parents=[common], help="render Pascal's triangle")
-    p.add_argument("n_max", type=int)
-
-    p = sub.add_parser(
-        "aligned", parents=[common], help="entries vertically aligned with C(n, i)"
-    )
-    p.add_argument("n", type=int)
-    p.add_argument("i", type=int)
-
-    p = sub.add_parser(
-        "identity", parents=[common], help="evaluate the alignment identity at (n, i)"
-    )
-    p.add_argument("n", type=int)
-    p.add_argument("i", type=int)
-
-    p = sub.add_parser(
-        "sweep", parents=[common], help="check the identity for all pairs up to n_max"
-    )
-    p.add_argument("n_max", type=int)
-
-    p = sub.add_parser(
-        "lucas-row", parents=[common], help="Lucas coefficient triangle row T(n, .)"
-    )
-    p.add_argument("n", type=int)
-
-    p = sub.add_parser(
-        "lockwood",
-        parents=[common],
-        help="verify the x^n + y^n expansion identity for n = 1..n_max",
-    )
-    p.add_argument("n_max", type=int)
-
-    p = sub.add_parser(
-        "curve", parents=[common], help="build the target curve C_i over R(g, c)"
-    )
-    p.add_argument("g", type=int)
-    p.add_argument("c", type=_nonzero_rational)
-    p.add_argument("i", type=int)
-
-    p = sub.add_parser(
-        "verify-morphism",
-        parents=[common],
-        help="check that pulling back C_i reproduces y^2 = x^(2g+1) + c*x",
-    )
-    p.add_argument("g", type=int)
-    p.add_argument("c", type=_nonzero_rational)
-    p.add_argument("i", type=int)
-
-    p = sub.add_parser(
-        "table", parents=[common], help="tabulate target curves for a range of g"
-    )
-    p.add_argument("g_min", type=int)
-    p.add_argument("g_max", type=int)
+    for command, (help_line, positionals) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_line)
+        for name in positionals:
+            p.add_argument(name, type=_nonzero_rational if name == "c" else int)
 
     return parser
 

@@ -26,6 +26,7 @@ import importlib.util
 import io
 import json
 import os
+import shlex
 import sys
 from pathlib import Path
 
@@ -85,6 +86,21 @@ def run(main, argv: list[str]) -> bytes:
         except Exception as exc:  # recorded without a traceback, whose paths name ROOT
             code = f"exception {type(exc).__name__}: {exc}"
     return json.dumps([code, out.getvalue(), err.getvalue()]).encode()
+
+
+def help_and_usage(main) -> str:
+    """The text of ``tests/golden/help.txt``: argv, exit code, stdout and
+    stderr of ``-h``, each ``<command> -h`` and every usage error.  Run it
+    with ``COLUMNS=80``; to write the file from the tree at ROOT,
+
+        COLUMNS=80 python -c 'import sys; sys.path[:0] = ["ROOT/src", "ROOT/tests"]; from output_digest import help_and_usage; from vertalign.cli import main; sys.stdout.write(help_and_usage(main))' > ROOT/tests/golden/help.txt
+    """
+    parts = []
+    for argv in [["-h"], *([command, "-h"] for command in COMMANDS), *USAGE_ERRORS]:
+        code, out, err = json.loads(run(main, argv))
+        parts.append(f"$ vertalign {shlex.join(argv)}\nexit {code}\n")
+        parts += [f"--- {name}\n{text}" for name, text in (("stdout", out), ("stderr", err)) if text]
+    return "".join(parts)
 
 
 def main() -> int:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import vertalign.cli as cli
 from _reference import binomial_falling, lucas_coeff_alt, reference_columns, reference_csv
+from output_digest import help_and_usage
 from test_acceptance import TABLE_ROWS_EXPECTED
 from vertalign import lockwood
 from vertalign.alignment import SweepSummary, identity_sum, identity_sweep, map_row_ranges
@@ -46,6 +47,18 @@ def test_golden_output(argv, filename, capsys):
     assert cli.main(argv) == 0
     captured = capsys.readouterr().out
     assert captured == (GOLDEN / filename).read_text()
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 13),
+    reason="Python 3.13's argparse wraps the top-level usage differently (the "
+    "'...' after the subcommand choices moves onto their line); the golden bytes "
+    "are the same on 3.10, 3.11 and 3.12",
+)
+def test_help_and_usage_errors(monkeypatch):
+    # -h, each <command> -h and the usage errors of tests/output_digest.py.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert help_and_usage(cli.main) == (GOLDEN / "help.txt").read_text()
 
 
 def test_output_is_deterministic(capsys):
@@ -399,19 +412,19 @@ _JSON_VALUES = st.recursive(
 
 
 class TestJsonEmitter:
-    """``_emit_json`` writes what ``json.dumps(payload, indent=2)`` writes."""
+    """``_json`` writes what ``json.dumps(payload, indent=2)`` writes."""
 
     @settings(max_examples=200, deadline=None)
     @given(_JSON_VALUES)
     def test_matches_json_dumps(self, payload):
         with _no_int_digit_limit():
-            assert cli._emit_json(payload) == json.dumps(payload, indent=2)
+            assert cli._json(payload) == json.dumps(payload, indent=2)
 
     @pytest.mark.parametrize(
         "payload", [[], {}, (), [[]], {"a": {}}, {"a": [True, 1, False, -2]}, [None, "x"]]
     )
     def test_matches_json_dumps_on_edge_shapes(self, payload):
-        assert cli._emit_json(payload) == json.dumps(payload, indent=2)
+        assert cli._json(payload) == json.dumps(payload, indent=2)
 
     @pytest.mark.parametrize(
         "payload",
@@ -420,7 +433,7 @@ class TestJsonEmitter:
     )
     def test_other_types_raise_type_error(self, payload):
         with pytest.raises(TypeError):
-            cli._emit_json(payload)
+            cli._json(payload)
 
     @pytest.mark.parametrize(
         "argv",
@@ -498,15 +511,24 @@ class TestRecordTemplates:
     def test_matches_json_dumps_at_depth(self, depth, rows):
         # Keys with a quote and a %s, text cells that need escaping.
         header = ["k", "text", 'say "%s"']
-        payload, expected = cli._records(header, rows, depth), [dict(zip(header, row)) for row in rows]
+        payload, expected = cli._Records(header, rows), [dict(zip(header, row)) for row in rows]
         for _ in range(depth):
             payload, expected = [payload], [expected]
-        assert cli._emit_json(payload) == json.dumps(expected, indent=2)
+        assert cli._json(payload) == json.dumps(expected, indent=2)
 
     @pytest.mark.parametrize("cell", [True, 1.5, Fraction(1, 3)], ids=["bool", "float", "fraction"])
     def test_other_cell_types_raise_type_error(self, cell):
         with pytest.raises(TypeError):
-            cli._records(["a", "b"], [[1, "x"], [2, cell]], 1)
+            cli._json(cli._Records(["a", "b"], [[1, "x"], [2, cell]]))
+
+    @pytest.mark.parametrize(
+        "column",
+        [[1, "2"], [True, False], [1.5, 2.5], [Fraction(1, 3)] * 2],
+        ids=["int-and-str", "bool", "float", "fraction"],
+    )
+    def test_column_of_mixed_or_other_type_raises_type_error(self, column):
+        with pytest.raises(TypeError):
+            cli._json(cli._Records(["a", "b"], [[k, cell] for k, cell in enumerate(column)]))
 
 
 _COLUMN_CELLS = st.one_of(st.integers(), _HUGE_INTS, st.text(max_size=4))
