@@ -4,37 +4,42 @@ Expands the right-hand side of the two-variable identity
 
     x^n + y^n = sum_{k=0}^{n//2} (-1)^k * T(n, k) * (xy)^k * (x+y)^{n-2k}
 
-in exact integer arithmetic and compares it with x^n + y^n in full.  Its
+in exact integer arithmetic and compares it with x^n + y^n.  Its
 coefficient of x^{n-i} y^i is the signed sum checked by
 :mod:`vertalign.alignment`, so this module is the independent check of that
 one.  A form of degree n is one row of n + 1 integers indexed by the power
-of y.  The sum is expanded by Horner in (x + y)^2 (see :func:`lockwood_rhs`);
-each factor x + y is one pass of additions, so no power of (x + y) is stored
-and no two big rows are multiplied.
+of y.  The sum is expanded by Horner in (x + y)^2 (see
+:func:`_packed_half`), so no power of (x + y) is stored and no two big
+rows are multiplied.
 
 Every term (xy)^k (x+y)^{n-2k} is symmetric in x and y, so the sum is too,
 for any coefficients in place of T(n, k), and so is each partial Horner
-form.  The pass therefore computes slots 0..d//2 of each degree-d form and
-mirrors the half once at the end; only the final comparison with x^n + y^n
-sees all n + 1 slots.  The symmetry is a fact about the terms, not about T,
-and the terms are linearly independent, so a wrong T(n, k) still gives a
-symmetric form that is not x^n + y^n.
+form.  The pass therefore keeps slots 0..d//2 of each degree-d form, packed
+in one int as balanced base-2^W digits, slot j at bits jW.  Each Horner
+step is a few whole-int shifts and adds; only the two top digits are read,
+by rounded shifts of O(W) bits, to put in the mirror slot and cut the slot
+above the half.  W is a bound on every slot of every Horner state, computed
+from the row of T in use, so the digits never overflow.  The half of
+x^n + y^n packs to 1, which is all :func:`verify_lockwood` compares;
+:func:`lockwood_rhs` unpacks the half and mirrors it into the full form.
+The symmetry is a fact about the terms, not about T, and the terms are
+linearly independent, so a wrong T(n, k) still gives a symmetric form that
+is not x^n + y^n.
 
 What stays independent of what: T(n, k) comes from the ratio recurrence
 of :func:`vertalign.combinatorics.lucas_row`, and this module does not
 import :func:`vertalign.combinatorics.binomial` at all.  The ``sweep``
-route evaluates the same polynomial by Horner in (1 + S)^2 on one packed
-int, but only for rows that differ from its additive chain of T; the
-``verify-morphism`` route expands its own sum over Z[x, w] by the Pascal
-recurrence of (x^2 + w)^m.  The half-form pass here shares no code with
-either, and neither :mod:`vertalign.alignment` nor :mod:`vertalign.curves`
-binds anything from here.
+route also packs by Horner, in (1 + S)^2, but full forms, and only for rows
+that differ from its additive chain of T; it reads no digit until the end.
+The ``verify-morphism`` route expands its own sum over Z[x, w] by the
+Pascal recurrence of (x^2 + w)^m.  The half-form pass here shares no code
+with either, and neither :mod:`vertalign.alignment` nor
+:mod:`vertalign.curves` binds anything from here.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from operator import add
 
 from .combinatorics import lucas_row
 from .quotient_ring import _power_text, _terms_text
@@ -74,8 +79,8 @@ class BivariatePolynomial:
         return self + other * -1
 
     # Form-by-form products remain only for the benchmark tracer's
-    # ``lockwood.poly_mul`` and the tests' reference chain of (x + y)^m;
-    # the oracle itself multiplies by x + y with one pass of additions.
+    # ``lockwood.poly_mul``, ``__sub__`` and the tests' reference chain of
+    # (x + y)^m; the oracle itself multiplies by x + y on a packed int.
     def __mul__(self, other: "BivariatePolynomial | int") -> "BivariatePolynomial":
         if isinstance(other, int):
             return BivariatePolynomial([c * other for c in self.coeffs])
@@ -103,15 +108,64 @@ class BivariatePolynomial:
         return f"BivariatePolynomial({self.to_text()})"
 
 
-def _half_times_x_plus_y(h: list[int], d: int) -> list[int]:
-    """Half of (x + y) times the symmetric form of degree ``d`` whose slots
-    0..d//2 are ``h``: slots 0..(d+1)//2, one pass of additions.
+def _packed_half(n: int) -> tuple[int, int]:
+    """Half of sum_{k=0}^{n//2} (-1)^k T(n,k) (xy)^k (x+y)^{n-2k}, packed.
 
-    From odd ``d`` the new centre slot is h[-1] plus its mirror, h[-1] again.
+    Returns ``(h, W)``: slot j of the half, the coefficient of
+    x^{n-j} y^j for 0 <= j <= n//2, is balanced base-2^W digit j of h, so
+    h = sum_j c_j 2^{jW} with every |c_j| < 2^{W-1}.
+
+    Horner in (x + y)^2: h_0 = T(n, 0) and h_k = (x+y)^2 h_{k-1} +
+    (-1)^k T(n,k) (xy)^k, with one more factor x + y when n is odd.  Each
+    h_k has degree 2k, and only its slots 0..k are kept.  On the packed
+    half of h_{k-1} (slots 0..k-1), G = h + (h << (W+1)) + (h << 2W) is
+    right in slots 0..k-1.  Slot k of (x+y)^2 h_{k-1} also takes slot k of
+    h_{k-1}, which is not stored: by symmetry it equals slot k-2.  And G has
+    a slot k+1, which lies above the half.  So step k adds
+    (h_{k-2} + (-1)^k T(n,k) - (h_{k-1} << W)) << kW: the mirror slot, the
+    term (xy)^k, and slot k+1 taken out.  The last factor x + y for odd n
+    takes out its slot above the half the same way.
+
+    The two top digits are read without unpacking the rest.  When the
+    digits below slot j sum to less than 2^{jW-1} in absolute value,
+    ((h >> (jW - 1)) + 1) >> 1 rounds h / 2^{jW} to the nearest int, which
+    is slots j and up of h.  With j = k-2 that is the two-slot value
+    q = h_{k-2} + h_{k-1} 2^W, read by shifts of O(W) bits; for k <= 2 it is
+    h << (2-k)W, slot -1 being 0.  Then h_{k-1} is q rounded by 2^W, and the
+    correction is q - (h_{k-1} << (W+1)) + (-1)^k T(n,k).
+
+    The width.  Let B = sum_k |T(n,k)| 2^{n-2k}, from the row in use, and
+    W = 1 + bit_length(B), so 2^{W-1} > B.  Slot i of h_k is
+    sum_{j<=k} (-1)^j T(n,j) C(2k-2j, i-j), and C(2k-2j, .) <= 2^{2k-2j}, so
+    its absolute value is at most sum_{j<=k} |T(n,j)| 2^{2k-2j} <=
+    2^{2k-n} B <= B, as 2k <= n; the last factor for odd n gives at most
+    B too.  So every Horner state, not only the last, has digits in
+    (-2^{W-1}, 2^{W-1}): they are unique, and every rounded shift above
+    reads them exactly.  A wrong T widens the slots instead of
+    overflowing them.
     """
-    if d & 1:
-        return [*map(add, h + h[-1:], [0] + h)]
-    return [*map(add, h, [0] + h[:-1])]
+    if n < 1:
+        raise ValueError(f"lockwood_rhs requires n >= 1, got n={n}")
+    row = lucas_row(n)
+    bound = 0  # B, by Horner in 4 over k and one more doubling for odd n
+    for t in row:
+        bound = (bound << 2) + abs(t)
+    width = 1 + (bound << (n & 1)).bit_length()
+    h = row[0]
+    for k in range(1, len(row)):
+        if k > 2:
+            q = ((h >> ((k - 2) * width - 1)) + 1) >> 1
+        else:
+            q = h << ((2 - k) * width)
+        top = ((q >> (width - 1)) + 1) >> 1
+        t = row[k]
+        q += (-t if k & 1 else t) - (top << (width + 1))
+        h += (h << (width + 1)) + (h << (2 * width)) + (q << (k * width))
+    if n & 1:
+        m = n // 2
+        top = ((h >> (m * width - 1)) + 1) >> 1 if m else h
+        h += (h << width) - (top << ((m + 1) * width))
+    return h, width
 
 
 def _x_n_plus_y_n(n: int) -> BivariatePolynomial:
@@ -122,28 +176,30 @@ def lockwood_rhs(n: int) -> BivariatePolynomial:
     """Expand sum_{k=0}^{n//2} (-1)^k T(n,k) (xy)^k (x+y)^{n-2k} exactly.
 
     The interior terms cancel, leaving x^n + y^n; callers check that rather
-    than trust it.  Horner in (x + y)^2: h_0 = T(n, 0) and h_k =
-    (x+y)^2 h_{k-1} + (-1)^k T(n,k) (xy)^k, with one more factor x + y when
-    n is odd.  Each term (xy)^k (x+y)^{n-2k} is symmetric in x and y, so
-    every h_k is, whatever the coefficients: only slots 0..d//2 of each
-    degree-d form are computed, (xy)^k lands in the last slot of the
-    degree-2k half, and the result is that half followed by its mirror.
+    than trust it.  The half comes from :func:`_packed_half`; its n//2 + 1
+    balanced digits are unpacked from the bottom and followed by their
+    mirror.
     """
-    if n < 1:
-        raise ValueError(f"lockwood_rhs requires n >= 1, got n={n}")
-    row = lucas_row(n)
-    h = [row[0]]
-    for k in range(1, len(row)):
-        h = _half_times_x_plus_y(_half_times_x_plus_y(h, 2 * k - 2), 2 * k - 1)
-        h[k] += -row[k] if k & 1 else row[k]
-    if n & 1:
-        h = _half_times_x_plus_y(h, n - 1)
-    return BivariatePolynomial(h + h[(n & 1) - 2::-1])
+    h, width = _packed_half(n)
+    mask = (1 << width) - 1
+    half = []
+    for _ in range(n // 2 + 1):
+        digit = h & mask
+        if digit >> (width - 1):
+            digit -= 1 << width
+        half.append(digit)
+        h = (h - digit) >> width
+    return BivariatePolynomial(half + half[(n & 1) - 2::-1])
 
 
 def verify_lockwood(n: int) -> bool:
-    """True iff the expanded sum collapses to exactly x^n + y^n."""
-    return lockwood_rhs(n) == _x_n_plus_y_n(n)
+    """True iff the expanded sum collapses to exactly x^n + y^n.
+
+    The half of x^n + y^n is slots 1, 0, ..., 0 for every n >= 1, so its
+    packed value is 1; the digits being unique, the sum is x^n + y^n
+    exactly when :func:`_packed_half` returns h == 1.  No form is built.
+    """
+    return _packed_half(n)[0] == 1
 
 
 def _verify_range(n_start: int, n_end: int) -> list[int]:

@@ -16,7 +16,11 @@ without the library's code for the step under test:
 * ``aligned_term`` / ``term_coefficient``: the terms (xy)^k (x + y)^{n-2k}
   of the oracle's sum and their coefficients, against C(n-2k, i-k); with
   ``binomial_expand`` and ``shift_xy`` they also give the sum term by term,
-  against the oracle's Horner expansion ``lockwood_rhs``.
+  against the oracle's Horner expansion: ``lockwood_rhs``, the half-form
+  packed in one int by ``_packed_half``, unpacked and mirrored.  Unlike the
+  sweep's packed path, which evaluates full forms and only for rows that
+  differ from its chain, the oracle packs half-forms and reads their two
+  top digits at every step.
 * ``reference_sweep``: the list-based Pascal-row sweep, against the packed
   sweep of ``alignment._sweep_range``.
 * ``reference_pullback``: the morphism pullback expanded entirely over

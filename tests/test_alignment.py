@@ -11,7 +11,7 @@ from _reference import (
     lucas_coeff_alt,
     reference_sweep,
 )
-from vertalign import alignment, cli, combinatorics
+from vertalign import alignment, cli, combinatorics, lockwood
 from vertalign.alignment import aligned_entries, identity_sum, identity_sweep
 from vertalign.combinatorics import binomial, lucas_coeff, lucas_row, pascal_row
 from vertalign.lockwood import BivariatePolynomial, verify_lockwood
@@ -427,7 +427,9 @@ def test_identity_path_never_calls_the_oracle(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the identity path used the expansion oracle")
 
+    # The oracle's packed pass builds no form, so both are forbidden.
     monkeypatch.setattr(BivariatePolynomial, "__init__", forbidden)
+    monkeypatch.setattr(lockwood, "_packed_half", forbidden)
     with pytest.raises(AssertionError):
         verify_lockwood(3)
     for n in range(2, 40):

@@ -18,7 +18,7 @@ from _reference import (
     xy_symmetric_power,
 )
 from vertalign import alignment, curves, lockwood
-from vertalign.combinatorics import binomial
+from vertalign.combinatorics import binomial, lucas_row
 from vertalign.lockwood import BivariatePolynomial, _verify_range, lockwood_rhs, verify_lockwood
 
 
@@ -126,22 +126,6 @@ class TestLockwoodRhs:
     def test_verify_range(self):
         assert all(verify_lockwood(n) for n in range(1, 61))
 
-    @pytest.mark.parametrize("n", [100, 101])
-    def test_adds_each_mirror_pair_once(self, monkeypatch, n):
-        # Only slots 0..d//2 of each symmetric form are added: 2,600 additions
-        # at n = 100 and 2,651 at n = 101, where adding both mirror halves
-        # takes 5,150 and 5,252.
-        calls = 0
-
-        def counting(p, q):
-            nonlocal calls
-            calls += 1
-            return p + q
-
-        monkeypatch.setattr(lockwood, "add", counting)
-        assert lockwood_rhs(n) == x_n_plus_y_n(n)
-        assert calls <= (n // 2 + 1) ** 2 + n
-
     def test_never_reaches_binomial(self, monkeypatch):
         # Every module that binds binomial, the test reference included,
         # gets one that raises, so only binomial_expand may fail; the
@@ -173,25 +157,72 @@ def _signed_rows(draw):
     return n, tuple(row)
 
 
+def _faulted(n, k, delta):
+    row = list(lucas_row(n))
+    row[k] += delta
+    return n, tuple(row)
+
+
+def _any_signed_row(test):
+    """Run ``test`` on drawn (n, row) pairs and on fixed edge cases."""
+    edges = [
+        # The digit-reading edges: no Horner step (n = 1); the steps that
+        # read slot -1 (k = 1) or slot 0 (k = 2) as their lower digit
+        # (n = 2..5); the first rounded shift of h (k = 3, n = 6, 7); the
+        # last factor x + y, read whole (n = 1) or by a rounded shift.
+        (1, (-7,)),
+        (1, lucas_row(1)),
+        (2, (5, -3)),
+        (3, (-2, 9)),
+        (4, (3, -8, 2)),
+        (4, lucas_row(4)),
+        (5, (-1, 6, -4)),
+        (5, lucas_row(5)),
+        (6, (4, -1, 7, -9)),
+        (7, (-5, 2, 0, 8)),
+        # Non-palindromic signed rows at both mirror parities.
+        (39, tuple((-3) ** k + k for k in range(20))),
+        (40, tuple((-3) ** k - 10**25 * k for k in range(21))),
+        # Honest rows with faults, as in the sweep's SWEEP_FAULTS.  T(20, 10)
+        # is weighted by C(0, 0), so its centre digit 2**4000 meets the
+        # width with no slack: one bit less and it would read as -2**4000
+        # with a carry.  T(25, 0) moves every slot of row 25 by C(25, i);
+        # T(33, 5) puts a 4000-bit fault mid-row.
+        _faulted(20, 10, 2**4000),
+        _faulted(25, 0, 1),
+        _faulted(33, 5, -(2**4000)),
+    ]
+    for case in reversed(edges):
+        test = example(case)(test)
+    return settings(max_examples=150, deadline=None)(given(_signed_rows())(test))
+
+
 class TestHornerExpansion:
-    @given(_signed_rows())
-    # Non-palindromic signed rows at both mirror parities and the degree-0/1
-    # edges, checked whatever the draw.
-    @example((1, (-7,)))
-    @example((2, (5, -3)))
-    @example((3, (-2, 9)))
-    @example((39, tuple((-3) ** k + k for k in range(20))))
-    @example((40, tuple((-3) ** k - 10**25 * k for k in range(21))))
-    @settings(max_examples=150, deadline=None)
+    @_any_signed_row
     def test_matches_term_by_term_sum_for_any_row(self, case):
         # With arbitrary signed t_k in place of T(n, k), every slot of the
-        # Horner result must equal sum_k (-1)^k t_k (xy)^k (x+y)^{n-2k}.
+        # Horner result must equal sum_k (-1)^k t_k (xy)^k (x+y)^{n-2k}, and
+        # the packed check must agree with comparing the full form.
         n, row = case
         expected = BivariatePolynomial((0,) * (n + 1))
         for k, t in enumerate(row):
             expected = expected + shift_xy(binomial_expand(n - 2 * k), k) * (-t if k & 1 else t)
         with mock.patch.object(lockwood, "lucas_row", lambda m: row):
             assert lockwood_rhs(n) == expected
+            assert verify_lockwood(n) == (lockwood_rhs(n) == x_n_plus_y_n(n))
+
+    @_any_signed_row
+    def test_packed_half_holds_no_slot_above_the_centre(self, case):
+        # Only slots 0..n//2 are packed: after n//2 + 1 balanced digits
+        # nothing is left, so a pass that kept the full form, or left the
+        # slot above the half uncut at some step, fails here.
+        n, row = case
+        with mock.patch.object(lockwood, "lucas_row", lambda m: row):
+            h, width = lockwood._packed_half(n)
+        for _ in range(n // 2 + 1):
+            digit = ((h + (1 << (width - 1))) & ((1 << width) - 1)) - (1 << (width - 1))
+            h = (h - digit) >> width
+        assert h == 0
 
 
 class TestIndependence:
