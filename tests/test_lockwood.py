@@ -126,6 +126,25 @@ class TestLockwoodRhs:
     def test_verify_range(self):
         assert all(verify_lockwood(n) for n in range(1, 61))
 
+    @pytest.mark.parametrize("n", [100, 101])
+    def test_adds_each_mirror_pair_once(self, n):
+        # Only slots 0..n//2 of the symmetric sum are packed, so each mirror
+        # pair is held once: the honest half is 1, 0, ..., 0.  With T(n, k)
+        # one larger at k = n//4, the residual (-1)^k (xy)^k (x+y)^{n-2k}
+        # fills the centre slot, so the half has exactly n//2 + 1 digits,
+        # and lockwood_rhs must mirror them into every slot of the form.
+        assert lockwood._packed_half(n)[0] == 1
+        assert lockwood_rhs(n) == x_n_plus_y_n(n)
+        k = n // 4
+        row = list(lucas_row(n))
+        row[k] += 1
+        with mock.patch.object(lockwood, "lucas_row", lambda m: tuple(row)):
+            h, width = lockwood._packed_half(n)
+            rhs = lockwood_rhs(n)
+        assert 1 << ((n // 2) * width - 1) <= abs(h) < 1 << ((n // 2 + 1) * width - 1)
+        residual = shift_xy(binomial_expand(n - 2 * k), k) * (-1 if k & 1 else 1)
+        assert rhs == x_n_plus_y_n(n) + residual
+
     def test_never_reaches_binomial(self, monkeypatch):
         # Every module that binds binomial, the test reference included,
         # gets one that raises, so only binomial_expand may fail; the
