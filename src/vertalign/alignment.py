@@ -114,24 +114,16 @@ def _sweep_range(n_start: int, n_end: int) -> tuple[int, list[tuple[int, int, in
     built from n = 0 by additions alone, fast-forwarding to ``n_start``,
     and never reads :func:`lucas_row`.
 
-    Only a row of T that differs from R(n) is evaluated, at S = 2^{W_n},
-    by homogeneous Horner in S and Q = (1 + S)^2: with n = 2m + r,
+    Only a row of T that differs from R(n) is evaluated, on a plain list
+    of the coefficients of S^0..S^n, by Horner in S and Q = (1 + S)^2: with
+    n = 2m + r,
 
         h_0 = T(n, 0),  h_k = h_{k-1} Q + (-1)^k T(n, k) S^k,  P_n = h_m (1 + S)^r,
 
-    and multiplying by Q or 1 + S is shifts and adds, so no Pascal row is
-    stored and no multi-digit T meets a big operand in a product.
-
-    Each |total_i| is at most B_n = sum_k |T(n, k)| 2^{n-2k}, because
-    C(n-2k, j) <= 2^{n-2k}.  W_n is the least width with 2^{W_n - 1} > B_n,
-    computed from the row of T in use (so a wrong T widens the slots instead
-    of overflowing them).  Then every total is a digit in
-    (-2^{W_n - 1}, 2^{W_n - 1}), the balanced base-2^{W_n} digits of P_n are
-    unique, and P_n equals 1 + 2^{nW_n} exactly when the interior totals
-    (0 < i < n) are all 0 and the ends are T(n, 0) = 1.  On any other value
-    every slot is unpacked and each nonzero interior (n, i, total) is
-    reported; the ends are not, as the dependence is only claimed for
-    0 < i < n.
+    so no Pascal row is stored.  h_k has degree 2k <= n, so every state fits
+    the n + 1 slots.  Each nonzero interior total (0 < i < n) is reported
+    as (n, i, total); the ends are not, as the dependence is only claimed
+    for 0 < i < n.
 
     This path calls neither ``binomial()`` nor ``lucas_coeff()``.
     """
@@ -142,26 +134,13 @@ def _sweep_range(n_start: int, n_end: int) -> tuple[int, list[tuple[int, int, in
         checked += n - 1
         if lucas == proved:
             continue
-        bound = 0  # B_n, by Horner in 4 over k and one more doubling for odd n
-        for t in lucas:
-            bound = (bound << 2) + abs(t)
-        width = 1 + (bound << (n & 1)).bit_length()
-        acc = 0  # h_k, by Horner in S and Q
+        acc = [0] * (n + 1)  # h_k, by Horner in S and Q
         for k, t in enumerate(lucas):
-            acc += (acc << (width + 1)) + (acc << (2 * width))
-            acc += (-t if k & 1 else t) << (k * width)
+            acc = [a + 2 * b + c for a, b, c in zip(acc, [0] + acc, [0, 0] + acc)]
+            acc[k] += -t if k & 1 else t
         if n & 1:
-            acc += acc << width
-        if acc == 1 + (1 << (n * width)):
-            continue
-        mask = (1 << width) - 1
-        for i in range(n + 1):
-            total = acc & mask
-            if total >> (width - 1):
-                total -= 1 << width
-            acc = (acc - total) >> width
-            if total and 0 < i < n:
-                failures.append((n, i, total))
+            acc = [a + b for a, b in zip(acc, [0] + acc)]
+        failures.extend((n, i, acc[i]) for i in range(1, n) if acc[i])
     return checked, failures
 
 

@@ -29,8 +29,8 @@ is not x^n + y^n.
 What stays independent of what: T(n, k) comes from the ratio recurrence
 of :func:`vertalign.combinatorics.lucas_row`, and this module does not
 import :func:`vertalign.combinatorics.binomial` at all.  The ``sweep``
-route also packs by Horner, in (1 + S)^2, but full forms, and only for rows
-that differ from its additive chain of T; it reads no digit until the end.
+route also runs Horner in (1 + S)^2, but on full forms held as plain lists,
+and only for rows that differ from its additive chain of T.
 The ``verify-morphism`` route expands its own sum over Z[x, w] by the
 Pascal recurrence of (x^2 + w)^m.  The half-form pass here shares no code
 with either, and neither :mod:`vertalign.alignment` nor

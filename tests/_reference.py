@@ -18,11 +18,11 @@ without the library's code for the step under test:
   ``binomial_expand`` and ``shift_xy`` they also give the sum term by term,
   against the oracle's Horner expansion: ``lockwood_rhs``, the half-form
   packed in one int by ``_packed_half``, unpacked and mirrored.  Unlike the
-  sweep's packed path, which evaluates full forms and only for rows that
+  sweep, which evaluates full forms on a plain list and only for rows that
   differ from its chain, the oracle packs half-forms and reads their two
   top digits at every step.
-* ``reference_sweep``: the list-based Pascal-row sweep, against the packed
-  sweep of ``alignment._sweep_range``.
+* ``reference_sweep``: the Pascal-row sweep, against the chain and the
+  Horner pass of ``alignment._sweep_range``.
 * ``reference_pullback``: the morphism pullback expanded entirely over
   R(g, c) with ``RingPolynomial`` products and T from ``lucas_coeff``,
   against ``curves.pullback_rhs``.
@@ -153,7 +153,7 @@ def term_coefficient(n: int, k: int, i: int) -> int:
 
 
 def reference_sweep(n_max: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    """The list-based sweep that the packed one replaced.
+    """The sweep summed over stored Pascal rows, with no chain and no Horner.
 
     Rows are lists built by the Pascal recurrence, and row n of totals is
     accumulated slice by slice.  T comes from the ``lucas_row`` that

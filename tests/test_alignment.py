@@ -261,11 +261,12 @@ class TestIdentitySweep:
         assert summary.pairs_checked == 24 * 25 // 2
 
 
-# (n, k, delta) added to T(n, k).  2**4000 is far past the honest slot
-# width.  T(20, 10) weighs row 0 of Pascal's triangle, C(0, 0) = 2^0, so
-# its total 2**4000 meets the width bound with no slack: one bit less and
-# that digit would read as -2**4000 with a carry.  T(25, 0) weighs the
-# whole of row 25, so every total of that row moves by C(25, i).
+# (n, k, delta) added to T(n, k).  2**4000 dwarfs every honest total.
+# T(20, 10) weighs row 0 of Pascal's triangle, C(0, 0), so its total is the
+# delta alone, at the centre slot i = 10.  T(25, 0) weighs the whole of row
+# 25, so every total of that row moves by C(25, i).  Rows 2 and 3 are the
+# shortest even and odd rows: row 2's last Horner state fills every slot of
+# its list, and row 3 takes the extra factor 1 + S.
 SWEEP_FAULTS = {
     "honest": (2, 0, 0),
     "T(17,3)+5": (17, 3, 5),
@@ -273,6 +274,9 @@ SWEEP_FAULTS = {
     "T(33,5)+2**4000": (33, 5, 2**4000),
     "T(20,10)+2**4000": (20, 10, 2**4000),
     "T(25,0)+1": (25, 0, 1),
+    "T(2,1)+1": (2, 1, 1),
+    "T(3,1)-1": (3, 1, -1),
+    "T(3,0)+2**4000": (3, 0, 2**4000),
 }
 
 
@@ -321,8 +325,8 @@ def test_sweep_range_matches_list_reference_on_sub_ranges(monkeypatch, fault):
         assert alignment._sweep_range(first, last) == (_pairs(first, last), expected)
 
 
-# A row's slot width depends on that row alone, so splitting a range
-# anywhere, down to one row per range, changes nothing.
+# A row is checked on its own, so splitting a range anywhere, down to one
+# row per range, changes nothing.
 @pytest.mark.parametrize("fault", SWEEP_FAULTS.values(), ids=SWEEP_FAULTS)
 def test_split_sweep_range_concatenates_to_whole(monkeypatch, fault):
     _inject_faults(monkeypatch, fault)
@@ -334,7 +338,7 @@ def test_split_sweep_range_concatenates_to_whole(monkeypatch, fault):
 
 @st.composite
 def _faults(draw):
-    """One to three (n, k, delta) in rows 2..60, deltas past any slot width included."""
+    """One to three (n, k, delta) in rows 2..60, deltas far past any honest total included."""
     deltas = st.one_of(
         st.integers(-3, 3).filter(bool),
         st.sampled_from([2**300, -(2**300), 2**300 - 1, -(2**4000)]),
@@ -400,7 +404,7 @@ def test_sweep_range_reads_each_row_of_t_once(monkeypatch):
         return lucas_row(n)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the packed sweep used the identity's binomials or T")
+        raise AssertionError("the sweep used the identity's binomials or T")
 
     monkeypatch.setattr(alignment, "lucas_row", counted_row)
     monkeypatch.setattr(combinatorics, "binomial", forbidden)
@@ -412,8 +416,8 @@ def test_sweep_range_reads_each_row_of_t_once(monkeypatch):
 
 
 def test_sweep_range_stores_no_rows():
-    # Storing every Pascal row 0..400 at one shared width takes about 5.6 MB;
-    # one row's Horner value at its own width is n * W_n bits, under 0.1 MB.
+    # Storing every Pascal row 0..400 as lists takes about 4.8 MB; an
+    # honest row is proved against the chain, which keeps two rows of T.
     tracemalloc.start()
     try:
         assert alignment._sweep_range(2, 400) == (_pairs(2, 400), [])

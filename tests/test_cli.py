@@ -24,6 +24,7 @@ import vertalign.cli as cli
 from _reference import binomial_falling, lucas_coeff_alt, reference_columns, reference_csv
 from output_digest import help_and_usage
 from test_acceptance import TABLE_ROWS_EXPECTED
+from test_curves import _fail_morphism
 from vertalign import lockwood
 from vertalign.alignment import SweepSummary, identity_sum, identity_sweep, map_row_ranges
 
@@ -86,6 +87,10 @@ def _fail_lockwood(monkeypatch):
         return [2] if n_start <= 2 <= n_end else []
 
     monkeypatch.setattr(cli, "_verify_range", fails_at_2)
+
+
+# T(9, 2) + 1 leaves w^2 x^5 (x^2 + w)^5 in the residual: x^5, x^7, ..., x^15.
+_MORPHISM_ARGV = ["verify-morphism", "--", "9", "-7/11", "1"]
 
 
 class TestExitCodes:
@@ -156,6 +161,20 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "fails for n in [2]" in out
         assert "residual for n=2:" in out
+
+    def test_morphism_failure_is_one(self, capsys, monkeypatch):
+        _fail_morphism(monkeypatch)
+        assert cli.main(_MORPHISM_ARGV) == 1
+        out = capsys.readouterr().out
+        assert "holds: no" in out
+        assert "residual: 0" not in out
+        assert cli.main(["--format", "json", *_MORPHISM_ARGV]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["holds"] is False and payload["residual"] != "0"
+        assert cli.main(["--format", "csv", *_MORPHISM_ARGV]) == 1
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert header == ["x_exp", "pullback", "source", "residual"]
+        assert [int(row[0]) for row in rows if row[3] != "0"] == [15, 13, 11, 9, 7, 5]
 
 
 class TestJsonOutputs:
@@ -463,8 +482,9 @@ class TestJsonEmitter:
             (["identity", "4", "1"], _fail_identity),
             (["sweep", "5"], _fail_sweep),
             (["lockwood", "3"], _fail_lockwood),
+            (_MORPHISM_ARGV, _fail_morphism),
         ],
-        ids=["identity", "sweep", "lockwood"],
+        ids=["identity", "sweep", "lockwood", "verify-morphism"],
     )
     def test_failing_run_matches_json_dumps(self, argv, fault, capsys, monkeypatch):
         fault(monkeypatch)
@@ -628,8 +648,9 @@ class TestCsvOutputs:
             (["identity", "4", "1"], _fail_identity),
             (["sweep", "5"], _fail_sweep),
             (["lockwood", "3"], _fail_lockwood),
+            (_MORPHISM_ARGV, _fail_morphism),
         ],
-        ids=["identity", "sweep", "lockwood"],
+        ids=["identity", "sweep", "lockwood", "verify-morphism"],
     )
     def test_failing_run_matches_csv_writer(self, argv, fault, capsys, monkeypatch):
         fault(monkeypatch)

@@ -11,7 +11,7 @@ from _reference import (
     ring_poly_scale,
 )
 import vertalign.cli as cli
-from vertalign import combinatorics
+from vertalign import combinatorics, curves
 from vertalign.combinatorics import lucas_coeff, lucas_row
 from vertalign.curves import (
     RingPolynomial,
@@ -212,6 +212,23 @@ class TestPullback:
             assert pullback_rhs(spec, g % 2) == build_source(spec)
 
 
+def _fail_morphism(monkeypatch):
+    """Add 1 to T(9, 2) in the rows of T that ``curves`` reads."""
+    honest = curves.lucas_row
+
+    def faulty_row(g):
+        row = list(honest(g))
+        if g == 9:
+            row[2] += 1
+        return tuple(row)
+
+    monkeypatch.setattr(curves, "lucas_row", faulty_row)
+
+
+def _nonzero_exponents(f: RingPolynomial) -> list[int]:
+    return [exp for exp in range(f.degree + 1) if not f.coefficient(exp).is_zero()]
+
+
 class TestVerifyMorphism:
     @pytest.mark.parametrize(
         "g, c, i",
@@ -265,6 +282,21 @@ class TestVerifyMorphism:
         monkeypatch.setattr(QuotientRingElement, "__add__", counting_add)
         assert verify_morphism(make_ring(g, Fraction(-7, 11)), 1)[3].is_zero()
         assert calls == {"mul": g + 1, "add": 2}
+
+    # Negative controls: a fault in either input of the pullback leaves a
+    # nonzero residual, at exactly the x-powers that input reaches.
+    def test_wrong_lucas_coefficient_leaves_its_terms(self, monkeypatch):
+        # T(9, 2) + 1 adds w^2 x^5 (x^2 + w)^5 to the pullback: x^5..x^15.
+        _fail_morphism(monkeypatch)
+        residual = verify_morphism(make_ring(9, Fraction(-7, 11)), 1)[3]
+        assert _nonzero_exponents(residual) == [5, 7, 9, 11, 13, 15]
+
+    def test_wrong_w_leaves_only_the_linear_term(self, monkeypatch):
+        # w = 2 zeta u scales each w^b by 2^b; the honest weights vanish
+        # except at b = 0 and b = g, and only w^g = 2^g c misses c, at x^1.
+        monkeypatch.setattr(curves, "root_power", lambda spec, e: root_power(spec, e).scale(2))
+        residual = verify_morphism(make_ring(9, Fraction(-7, 11)), 1)[3]
+        assert _nonzero_exponents(residual) == [1]
 
     def test_report_carries_equations(self):
         source, target, pullback, _ = verify_morphism(make_ring(6, 1), 0)
