@@ -13,14 +13,11 @@ of y.  The sum is expanded by Horner in (x + y)^2 (see
 rows are multiplied.
 
 Every term (xy)^k (x+y)^{n-2k} is symmetric in x and y, so the sum is too,
-for any coefficients in place of T(n, k), and so is each partial Horner
-form.  The pass therefore keeps slots 0..d//2 of each degree-d form, packed
-in one int as balanced base-2^W digits, slot j at bits jW.  Each Horner
-step is a few whole-int shifts and adds; only the two top digits are read,
-by rounded shifts of O(W) bits, to put in the mirror slot and cut the slot
-above the half.  W is a bound on every slot of every Horner state, computed
-from the row of T in use, so the digits never overflow.  The half of
-x^n + y^n packs to 1, which is all :func:`verify_lockwood` compares;
+for any coefficients in place of T(n, k).  Each Horner form is packed in
+one int at x = 1, y = 2^W and reduced modulo 2^{(n//2+1)W}, which keeps
+slots 0..n//2; W bounds every slot of the final form, from the row of T in
+use, so the residue fixes their balanced digits.  The half of x^n + y^n
+packs to 1, which is all :func:`verify_lockwood` compares;
 :func:`lockwood_rhs` unpacks the half and mirrors it into the full form.
 The symmetry is a fact about the terms, not about T, and the terms are
 linearly independent, so a wrong T(n, k) still gives a symmetric form that
@@ -32,7 +29,7 @@ import :func:`vertalign.combinatorics.binomial` at all.  The ``sweep``
 route also runs Horner in (1 + S)^2, but on full forms held as plain lists,
 and only for rows that differ from its additive chain of T.
 The ``verify-morphism`` route expands its own sum over Z[x, w] by the
-Pascal recurrence of (x^2 + w)^m.  The half-form pass here shares no code
+Pascal recurrence of (x^2 + w)^m.  The masked pass here shares no code
 with either, and neither :mod:`vertalign.alignment` nor
 :mod:`vertalign.curves` binds anything from here.
 """
@@ -116,55 +113,37 @@ def _packed_half(n: int) -> tuple[int, int]:
     h = sum_j c_j 2^{jW} with every |c_j| < 2^{W-1}.
 
     Horner in (x + y)^2: h_0 = T(n, 0) and h_k = (x+y)^2 h_{k-1} +
-    (-1)^k T(n,k) (xy)^k, with one more factor x + y when n is odd.  Each
-    h_k has degree 2k, and only its slots 0..k are kept.  On the packed
-    half of h_{k-1} (slots 0..k-1), G = h + (h << (W+1)) + (h << 2W) is
-    right in slots 0..k-1.  Slot k of (x+y)^2 h_{k-1} also takes slot k of
-    h_{k-1}, which is not stored: by symmetry it equals slot k-2.  And G has
-    a slot k+1, which lies above the half.  So step k adds
-    (h_{k-2} + (-1)^k T(n,k) - (h_{k-1} << W)) << kW: the mirror slot, the
-    term (xy)^k, and slot k+1 taken out.  The last factor x + y for odd n
-    takes out its slot above the half the same way.
+    (-1)^k T(n,k) (xy)^k, with one more factor x + y when n is odd.  At
+    x = 1, y = 2^W a form is one int, and (x+y)^2 h is
+    h + (h << (W+1)) + (h << 2W).  Three facts make the pass exact:
 
-    The two top digits are read without unpacking the rest.  When the
-    digits below slot j sum to less than 2^{jW-1} in absolute value,
-    ((h >> (jW - 1)) + 1) >> 1 rounds h / 2^{jW} to the nearest int, which
-    is slots j and up of h.  With j = k-2 that is the two-slot value
-    q = h_{k-2} + h_{k-1} 2^W, read by shifts of O(W) bits; for k <= 2 it is
-    h << (2-k)W, slot -1 being 0.  Then h_{k-1} is q rounded by 2^W, and the
-    correction is q - (h_{k-1} << (W+1)) + (-1)^k T(n,k).
-
-    The width.  Let B = sum_k |T(n,k)| 2^{n-2k}, from the row in use, and
-    W = 1 + bit_length(B), so 2^{W-1} > B.  Slot i of h_k is
-    sum_{j<=k} (-1)^j T(n,j) C(2k-2j, i-j), and C(2k-2j, .) <= 2^{2k-2j}, so
-    its absolute value is at most sum_{j<=k} |T(n,j)| 2^{2k-2j} <=
-    2^{2k-n} B <= B, as 2k <= n; the last factor for odd n gives at most
-    B too.  So every Horner state, not only the last, has digits in
-    (-2^{W-1}, 2^{W-1}): they are unique, and every rounded shift above
-    reads them exactly.  A wrong T widens the slots instead of
-    overflowing them.
+    * Slots above n//2 vanish modulo 2^{(n//2+1)W}, and Horner only adds
+      and multiplies, so Horner on residues gives the residue of the final
+      form's low half, sum_{j<=n//2} c_j 2^{jW}.
+    * Let B = sum_k |T(n,k)| 2^{n-2k}, from the row in use, and
+      W = 1 + bit_length(B), so 2^{W-1} > B.  Slot i of the final form is
+      sum_k (-1)^k T(n,k) C(n-2k, i-k), and C(n-2k, .) <= 2^{n-2k}, so
+      |c_i| <= B < 2^{W-1}.  Only the final slots need this bound; a
+      wrong T widens the slots instead of overflowing them.
+    * So |sum_{j<=n//2} c_j 2^{jW}| < 2^{(n//2+1)W-1}: recentred into
+      that range once, the residue is the half, with digits c_j.
     """
     if n < 1:
-        raise ValueError(f"lockwood_rhs requires n >= 1, got n={n}")
+        raise ValueError(f"the Lockwood oracle requires n >= 1, got n={n}")
     row = lucas_row(n)
     bound = 0  # B, by Horner in 4 over k and one more doubling for odd n
     for t in row:
         bound = (bound << 2) + abs(t)
     width = 1 + (bound << (n & 1)).bit_length()
+    mask = (1 << ((n // 2 + 1) * width)) - 1
     h = row[0]
     for k in range(1, len(row)):
-        if k > 2:
-            q = ((h >> ((k - 2) * width - 1)) + 1) >> 1
-        else:
-            q = h << ((2 - k) * width)
-        top = ((q >> (width - 1)) + 1) >> 1
-        t = row[k]
-        q += (-t if k & 1 else t) - (top << (width + 1))
-        h += (h << (width + 1)) + (h << (2 * width)) + (q << (k * width))
+        term = -row[k] if k & 1 else row[k]
+        h = (h + (h << (width + 1)) + (h << (2 * width)) + (term << (k * width))) & mask
     if n & 1:
-        m = n // 2
-        top = ((h >> (m * width - 1)) + 1) >> 1 if m else h
-        h += (h << width) - (top << ((m + 1) * width))
+        h = (h + (h << width)) & mask
+    if h > mask >> 1:
+        h -= mask + 1
     return h, width
 
 
@@ -176,9 +155,8 @@ def lockwood_rhs(n: int) -> BivariatePolynomial:
     """Expand sum_{k=0}^{n//2} (-1)^k T(n,k) (xy)^k (x+y)^{n-2k} exactly.
 
     The interior terms cancel, leaving x^n + y^n; callers check that rather
-    than trust it.  The half comes from :func:`_packed_half`; its n//2 + 1
-    balanced digits are unpacked from the bottom and followed by their
-    mirror.
+    than trust it.  The n//2 + 1 digits of :func:`_packed_half` are
+    unpacked from the bottom and followed by their mirror.
     """
     h, width = _packed_half(n)
     mask = (1 << width) - 1

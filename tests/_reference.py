@@ -16,11 +16,11 @@ without the library's code for the step under test:
 * ``aligned_term`` / ``term_coefficient``: the terms (xy)^k (x + y)^{n-2k}
   of the oracle's sum and their coefficients, against C(n-2k, i-k); with
   ``binomial_expand`` and ``shift_xy`` they also give the sum term by term,
-  against the oracle's Horner expansion: ``lockwood_rhs``, the half-form
-  packed in one int by ``_packed_half``, unpacked and mirrored.  Unlike the
-  sweep, which evaluates full forms on a plain list and only for rows that
-  differ from its chain, the oracle packs half-forms and reads their two
-  top digits at every step.
+  against the oracle's Horner expansion: ``lockwood_rhs``, the half
+  ``_packed_half`` leaves in one int modulo 2^{(n//2+1)W}, unpacked and
+  mirrored.  Unlike the sweep, which evaluates full forms on a plain list
+  and only for rows that differ from its chain, the oracle packs every
+  form at y = 2^W and keeps only its residue.
 * ``reference_sweep``: the Pascal-row sweep, against the chain and the
   Horner pass of ``alignment._sweep_range``.
 * ``reference_pullback``: the morphism pullback expanded entirely over

@@ -123,6 +123,12 @@ class TestLockwoodRhs:
         with pytest.raises(ValueError):
             lockwood_rhs(0)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_verify_rejects_n_below_one(self, n):
+        # The error names the oracle, not lockwood_rhs, which was not called.
+        with pytest.raises(ValueError, match="the Lockwood oracle requires n >= 1"):
+            verify_lockwood(n)
+
     def test_verify_range(self):
         assert all(verify_lockwood(n) for n in range(1, 61))
 
@@ -185,10 +191,9 @@ def _faulted(n, k, delta):
 def _any_signed_row(test):
     """Run ``test`` on drawn (n, row) pairs and on fixed edge cases."""
     edges = [
-        # The digit-reading edges: no Horner step (n = 1); the steps that
-        # read slot -1 (k = 1) or slot 0 (k = 2) as their lower digit
-        # (n = 2..5); the first rounded shift of h (k = 3, n = 6, 7); the
-        # last factor x + y, read whole (n = 1) or by a rounded shift.
+        # Short rows at both parities: no Horner step (n = 1), one to three
+        # masked steps (n = 2..7), and the last factor x + y for odd n on a
+        # mask of one slot (n = 1) or more.
         (1, (-7,)),
         (1, lucas_row(1)),
         (2, (5, -3)),
@@ -205,9 +210,12 @@ def _any_signed_row(test):
         # Honest rows with faults, as in the sweep's SWEEP_FAULTS.  T(20, 10)
         # is weighted by C(0, 0), so its centre digit 2**4000 meets the
         # width with no slack: one bit less and it would read as -2**4000
-        # with a carry.  T(25, 0) moves every slot of row 25 by C(25, i);
-        # T(33, 5) puts a 4000-bit fault mid-row.
+        # with a carry.  T(21, 10) is its odd-n twin: the fault lands in
+        # slots 10 and 11, so a mask one slot short fails at both parities.
+        # T(25, 0) moves every slot of row 25 by C(25, i); T(33, 5) puts a
+        # 4000-bit fault mid-row.
         _faulted(20, 10, 2**4000),
+        _faulted(21, 10, 2**4000),
         _faulted(25, 0, 1),
         _faulted(33, 5, -(2**4000)),
     ]
@@ -233,8 +241,8 @@ class TestHornerExpansion:
     @_any_signed_row
     def test_packed_half_holds_no_slot_above_the_centre(self, case):
         # Only slots 0..n//2 are packed: after n//2 + 1 balanced digits
-        # nothing is left, so a pass that kept the full form, or left the
-        # slot above the half uncut at some step, fails here.
+        # nothing is left, so a pass that kept a slot above the half, or
+        # left the residue uncentred, fails here.
         n, row = case
         with mock.patch.object(lockwood, "lucas_row", lambda m: row):
             h, width = lockwood._packed_half(n)
