@@ -23,7 +23,8 @@ infinity) are claimed.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import repeat, zip_longest
+from operator import add, mul
 
 from .combinatorics import lucas_row
 from .quotient_ring import (
@@ -92,9 +93,9 @@ class RingPolynomial:
         ))
 
     def substitute_u(self, value: Fraction | int) -> "RingPolynomial":
-        return RingPolynomial(
-            self.spec, tuple(p.substitute_u(value) for p in self.coeffs)
-        )
+        return RingPolynomial(self.spec, tuple(
+            p if p.is_zero() else p.substitute_u(value) for p in self.coeffs
+        ))
 
     def to_text(self) -> str:
         """Terms in descending x-degree with canonically rendered coefficients."""
@@ -147,8 +148,9 @@ def _w_powers(spec: RingSpec, i: int, top: int) -> list[QuotientRingElement]:
     """w^0..w^top for w = zeta^i c^{1/g}, by repeated multiplication by w.
 
     Each product reduces through Phi_g and u^g = c, so the list costs top + 1
-    ring products; the target and the pullback both read it.  ``i`` selects
-    which g-th root of unity twists w and must be 0 or 1; it is checked here,
+    ring products.  The target reads w^0..w^{g//2}; the pullback reads
+    w^0..w^{ceil(g/2)} and makes w^g from two of them.  ``i`` selects which
+    g-th root of unity twists w and must be 0 or 1; it is checked here,
     before any ring product, for every caller.
     """
     if i not in (0, 1):
@@ -171,8 +173,8 @@ def build_target(
     and T(g, k) comes from ``lucas_row``, the same values the pullback
     reads, so a fault in either leaves a nonzero residual.  ``i`` must be
     0 or 1 (see ``_w_powers``).  ``w_powers``, if given, is
-    ``_w_powers(spec, i, top)`` for some top >= g//2, already computed by
-    the caller.
+    ``_w_powers(spec, i, top)`` for some top >= g//2 (``verify_morphism``
+    passes top = ceil(g/2)), already computed by the caller.
     """
     g = spec.g
     if w_powers is None:
@@ -198,27 +200,34 @@ def pullback_rhs(
     Pascal recurrence and the T(g, k) from ``lucas_row``, as for the
     target, so this path calls neither ``binomial()``, ``lucas_coeff()`` nor
     the ``lockwood`` oracle.  The polynomial is homogeneous, so one integer weight
-    per w-exponent b, at x^{2g+1-2b}, holds it.  Then each w^b is mapped into
-    R(g, c) through ``_w_powers``: g + 1 ring products in all, none if the
-    caller passes ``w_powers`` = ``_w_powers(spec, i, g)``.
+    per w-exponent b, at x^{2g+1-2b}, holds it.  Then each nonzero weight is
+    mapped into R(g, c) as weight * w^b, with w^b read from ``w_powers`` =
+    ``_w_powers(spec, i, top)`` for some top >= ceil(g/2) (computed here
+    with top = ceil(g/2) if not given); a power above the list is the one
+    product w^top * w^(b-top).  An honest run has nonzero weights at b = 0
+    and b = g only, so w^g = c is still checked by a ring product, reduced
+    through Phi_g and u^g = c.
     """
     g = spec.g
     if w_powers is None:
-        w_powers = _w_powers(spec, i, g)
+        w_powers = _w_powers(spec, i, (g + 1) // 2)
+    top = len(w_powers) - 1
     lucas = lucas_row(g)
     weights = [0] * (g + 1)
     row = [1]  # (x^2 + w)^m by w-exponent
     for m in range(g + 1):
         if m:
-            row = [p + q for p, q in zip(row + [0], [0] + row)]
+            row = list(map(add, row + [0], [0] + row))
         if (g - m) % 2 == 0:
             k = (g - m) // 2
             signed = (-1) ** k * lucas[k]
-            for j, entry in enumerate(row):
-                weights[k + j] += signed * entry
+            span = slice(k, k + m + 1)
+            weights[span] = map(add, weights[span], map(mul, row, repeat(signed)))
     coeffs = [ring_zero(spec)] * (2 * g + 2)
-    for b, (weight, w_to_b) in enumerate(zip(weights, w_powers)):
-        coeffs[2 * g + 1 - 2 * b] = w_to_b.scale(weight)
+    for b, weight in enumerate(weights):
+        if weight:
+            w_to_b = w_powers[b] if b <= top else w_powers[top] * w_powers[b - top]
+            coeffs[2 * g + 1 - 2 * b] = w_to_b.scale(weight)
     return RingPolynomial(spec, tuple(coeffs))
 
 
@@ -228,11 +237,12 @@ def verify_morphism(
     """Expand the pullback of the target and compare with x^{2g+1} + c x.
 
     Returns (source, target, pullback, residual), where residual is
-    pullback - source; the morphism holds exactly when it is zero.  w^0..w^g
-    are computed once, for the target and the pullback both, and a bad
-    ``i`` is refused before any of them.
+    pullback - source; the morphism holds exactly when it is zero.
+    w^0..w^{ceil(g/2)} are computed once, for the target and the pullback
+    both, and a bad ``i`` is refused before any of them; with w^g, an honest
+    run makes ceil(g/2) + 2 ring products (g >= 2).
     """
-    w_powers = _w_powers(spec, i, spec.g)
+    w_powers = _w_powers(spec, i, (spec.g + 1) // 2)
     source = build_source(spec)
     target = build_target(spec, i, w_powers)
     pullback = pullback_rhs(spec, i, w_powers)

@@ -117,10 +117,14 @@ class QuotientRingElement:
         }, den)
         self.spec, self._cols, self._den = element.spec, element._cols, element._den
 
-    def entries(self) -> dict[tuple[int, int], Fraction]:
-        """Nonzero coefficients keyed by (a, b)."""
+    def entries(self) -> dict[tuple[int, int], Fraction | int]:
+        """Nonzero coefficients keyed by (a, b).
+
+        Each is a plain int when the denominator is 1, else a ``Fraction``
+        in lowest terms.
+        """
         return {
-            (a, b): Fraction(v, self._den)
+            (a, b): v if self._den == 1 else Fraction(v, self._den)
             for b, col in sorted(self._cols.items())
             for a, v in enumerate(col)
             if v

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from _reference import (
     reference_pullback,
     ring_poly_add,
     ring_poly_scale,
+    ring_power,
 )
 import vertalign.cli as cli
 from vertalign import combinatorics, curves
@@ -212,17 +214,22 @@ class TestPullback:
             assert pullback_rhs(spec, g % 2) == build_source(spec)
 
 
-def _fail_morphism(monkeypatch):
-    """Add 1 to T(9, 2) in the rows of T that ``curves`` reads."""
+def _fault_lucas(monkeypatch, g_fault, k, delta):
+    """Add delta to T(g_fault, k) in the rows of T that ``curves`` reads."""
     honest = curves.lucas_row
 
     def faulty_row(g):
         row = list(honest(g))
-        if g == 9:
-            row[2] += 1
+        if g == g_fault:
+            row[k] += delta
         return tuple(row)
 
     monkeypatch.setattr(curves, "lucas_row", faulty_row)
+
+
+def _fail_morphism(monkeypatch):
+    """Add 1 to T(9, 2) in the rows of T that ``curves`` reads."""
+    _fault_lucas(monkeypatch, 9, 2, 1)
 
 
 def _nonzero_exponents(f: RingPolynomial) -> list[int]:
@@ -248,8 +255,8 @@ class TestVerifyMorphism:
 
     def test_holds_for_large_genus(self):
         # Well past criterion 08's g <= 40; c cycles through non-unit
-        # rationals of both signs and i alternates.  The loop takes 6-9 s on
-        # a 2-vCPU VM; the budget leaves room for that machine's speed drift,
+        # rationals of both signs and i alternates.  The loop takes under 1 s
+        # on a 2-vCPU VM; the budget leaves room for that machine's speed drift,
         # while an expansion with O(g^2) ring products needs several minutes.
         cs = (Fraction(3, 5), Fraction(-7, 11), Fraction(2), Fraction(-3))
         start = time.perf_counter()
@@ -261,11 +268,14 @@ class TestVerifyMorphism:
             assert pullback == source, (g, c, i)
         assert time.perf_counter() - start < 30.0
 
-    @pytest.mark.parametrize("g", [1, 2, 7, 40, 80])
+    @pytest.mark.parametrize("g", [1, 2, 7, 40, 79, 80])
     def test_w_powers_once_and_residual_adds_only_overlaps(self, g, monkeypatch):
-        # w^0..w^g serve the target and the pullback both: g + 1 products.
-        # The residual adds only where pullback and source both have a
-        # nonzero coefficient, at x^(2g+1) and x.
+        # w = zeta^i u is one product and w^1..w^ceil(g/2), which serve the
+        # target and the pullback both, ceil(g/2) more.  The honest weights
+        # vanish except at b = 0 and b = g, so the pullback adds one product,
+        # w^g = w^ceil(g/2) * w^(g//2), when g > 1.  The residual adds only
+        # where pullback and source both have a nonzero coefficient, at
+        # x^(2g+1) and x.
         calls = {"mul": 0, "add": 0}
         mul, add = QuotientRingElement.__mul__, QuotientRingElement.__add__
 
@@ -281,7 +291,7 @@ class TestVerifyMorphism:
         monkeypatch.setattr(QuotientRingElement, "__rmul__", counting_mul)
         monkeypatch.setattr(QuotientRingElement, "__add__", counting_add)
         assert verify_morphism(make_ring(g, Fraction(-7, 11)), 1)[3].is_zero()
-        assert calls == {"mul": g + 1, "add": 2}
+        assert calls == {"mul": (g + 1) // 2 + 1 + (g > 1), "add": 2}
 
     # Negative controls: a fault in either input of the pullback leaves a
     # nonzero residual, at exactly the x-powers that input reaches.
@@ -290,6 +300,26 @@ class TestVerifyMorphism:
         _fail_morphism(monkeypatch)
         residual = verify_morphism(make_ring(9, Fraction(-7, 11)), 1)[3]
         assert _nonzero_exponents(residual) == [5, 7, 9, 11, 13, 15]
+
+    @pytest.mark.parametrize("g, k", [(9, 2), (12, 3), (13, 6)])
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_wrong_lucas_coefficient_leaves_its_exact_residual(self, g, k, i, monkeypatch):
+        # T(g, k) + delta adds delta (-1)^k w^k x^(2k+1) (x^2 + w)^(g-2k) to
+        # the pullback: delta (-1)^k C(g-2k, b-k) w^b at x^(2g+1-2b) for
+        # k <= b <= g-k.  The faults reach b > ceil(g/2), whose w^b is one
+        # product of two listed powers; at g = 12 (phi = 4) that product
+        # reduces through Phi_12 as well.
+        delta = 3
+        _fault_lucas(monkeypatch, g, k, delta)
+        spec = make_ring(g, Fraction(-7, 11))
+        residual = verify_morphism(spec, i)[3]
+        w = zeta_power(spec, i) * root_power(spec, 1)
+        expected = [ring_zero(spec)] * (2 * g + 2)
+        for b in range(k, g - k + 1):
+            expected[2 * g + 1 - 2 * b] = ring_power(w, b).scale(
+                delta * (-1) ** k * math.comb(g - 2 * k, b - k)
+            )
+        assert residual == RingPolynomial(spec, tuple(expected))
 
     def test_wrong_w_leaves_only_the_linear_term(self, monkeypatch):
         # w = 2 zeta u scales each w^b by 2^b; the honest weights vanish

@@ -213,6 +213,30 @@ class TestElementBasics:
         assert from_rational(spec, Fraction(5, 3)).entries() == {(0, 0): Fraction(5, 3)}
         assert set(zeta_power(spec, 1).entries()) - {(0, 0)}
 
+    def test_entries_are_ints_exactly_when_the_denominator_is_one(self):
+        rng = random.Random(97531)
+        for spec in SPECS:
+            integral = QuotientRingElement(spec, {(0, 0): 4, (0, spec.g - 1): -3})
+            for x in [integral] + [random_element(spec, rng) for _ in range(20)]:
+                entries = x.entries()
+                # Each value equals q_{a,b} = _cols[b][a] / _den as a Fraction.
+                assert entries == {
+                    (a, b): Fraction(v, x._den)
+                    for b, col in x._cols.items() for a, v in enumerate(col) if v
+                }
+                kinds = {type(q) for q in entries.values()}
+                assert kinds <= ({int} if x._den == 1 else {Fraction}), (spec, x)
+                assert QuotientRingElement(spec, x.entries()) == x
+
+    def test_text_form_for_both_kinds_of_entries(self):
+        spec = make_ring(6, 2)
+        integral = QuotientRingElement(spec, {(0, 1): 3, (1, 0): -1, (1, 2): 2})
+        assert integral._den == 1
+        assert integral.to_text() == "3*u - z + 2*z*u^2"
+        fractional = integral.scale(Fraction(1, 4))
+        assert fractional._den == 4
+        assert fractional.to_text() == "3/4*u - 1/4*z + 1/2*z*u^2"
+
     def test_text_form(self):
         spec = make_ring(6, 2)
         assert ring_zero(spec).to_text() == "0"
