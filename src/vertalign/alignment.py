@@ -16,8 +16,9 @@ lists every term so both regimes can be checked.
 
 ``identity_sum`` takes both factors from checked walks in ``combinatorics``:
 T(n, 0..i) down the shallow diagonal C(n-k, k), the column up from C(n, i).
-The sweep takes T from ``lucas_row`` and proves it against the additive
-chain instead, so the two routes share no arithmetic.
+The sweep instead builds T by the additive chain and checks each row against
+T's defining ratio, multiplied out, so the two routes share no arithmetic.
+It reads ``lucas_row`` only for a row that fails that check.
 
 Pure functions over immutable values; the sweep may fan out across worker
 processes and always merges results in canonical (n ascending) order.
@@ -30,7 +31,13 @@ import signal
 from collections import namedtuple
 from collections.abc import Callable
 
-from .combinatorics import _lucas_coeffs, _lucas_rows_by_addition, aligned_column, lucas_row
+from .combinatorics import (
+    _is_lucas_row,
+    _lucas_coeffs,
+    _lucas_rows_by_addition,
+    aligned_column,
+    lucas_row,
+)
 
 __all__ = [
     "SweepSummary",
@@ -94,8 +101,7 @@ def _sweep_range(n_start: int, n_end: int) -> tuple[int, list[tuple[int, int, in
     """Check all pairs with n in [n_start, n_end], by induction on n.
 
     Row n is checked on its own, so a range's result is the concatenation
-    of its rows' results.  With T from one call of :func:`lucas_row`, the
-    polynomial
+    of its rows' results.  The polynomial
 
         P_n(S) = sum_k (-1)^k T(n, k) S^k (1 + S)^{n-2k} = sum_i total_i S^i
 
@@ -111,12 +117,21 @@ def _sweep_range(n_start: int, n_end: int) -> tuple[int, list[tuple[int, int, in
     Q_n = (1 + S) Q_{n-1} - S Q_{n-2}, so Q_n = 1 + S^n for every n by
     induction.  Hence a row with T(n) == R(n) has P_n = Q_n = 1 + S^n: all
     its interior totals are 0, and it needs no evaluation.  The chain is
-    built from n = 0 by additions alone, fast-forwarding to ``n_start``,
-    and never reads :func:`lucas_row`.
+    built from n = 0 by additions alone, fast-forwarding to ``n_start``.
 
-    Only a row of T that differs from R(n) is evaluated, on a plain list
-    of the coefficients of S^0..S^n, by Horner in S and Q = (1 + S)^2: with
-    n = 2m + r,
+    T(n) == R(n) is checked without computing T(n).  T(n, 0) = 1 and
+    T(n, k) k(n-k) = T(n, k-1) (n-2k+2)(n-2k+1) for 1 <= k <= n//2, and as
+    k(n-k) != 0 there, the first entry and this ratio fix the whole row:
+    T(n) is the only row of n//2 + 1 entries that satisfies both.
+    ``combinatorics._is_lucas_row`` tests exactly that, by multiplication
+    alone, so an honest row reads neither :func:`lucas_row` nor any
+    division.
+
+    Only a row whose R(n) fails that check is evaluated, with T from
+    :func:`lucas_row`, so failures are reported for T whatever R(n) holds;
+    a wrong chain row over an honest T reports nothing.  The evaluation runs
+    on a plain list of the coefficients of S^0..S^n, by Horner in S and
+    Q = (1 + S)^2: with n = 2m + r,
 
         h_0 = T(n, 0),  h_k = h_{k-1} Q + (-1)^k T(n, k) S^k,  P_n = h_m (1 + S)^r,
 
@@ -130,10 +145,10 @@ def _sweep_range(n_start: int, n_end: int) -> tuple[int, list[tuple[int, int, in
     checked = 0
     failures: list[tuple[int, int, int]] = []
     for n, proved in zip(range(n_start, n_end + 1), _lucas_rows_by_addition(n_start)):
-        lucas = lucas_row(n)
         checked += n - 1
-        if lucas == proved:
+        if _is_lucas_row(n, proved):
             continue
+        lucas = lucas_row(n)
         acc = [0] * (n + 1)  # h_k, by Horner in S and Q
         for k, t in enumerate(lucas):
             acc = [a + 2 * b + c for a, b, c in zip(acc, [0] + acc, [0, 0] + acc)]

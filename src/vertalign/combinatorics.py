@@ -143,6 +143,27 @@ def lucas_row(n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
+def _is_lucas_row(n: int, row: tuple[int, ...]) -> bool:
+    """Whether ``row`` is T(n, 0..n//2), by :func:`lucas_row`'s ratio multiplied out.
+
+    True exactly when the row has n//2 + 1 entries, row[0] = 1 and
+    row[k] * k(n-k) = row[k-1] * (n-2k+2)(n-2k+1) for 1 <= k <= n//2.  As
+    k(n-k) != 0 there, row[0] and the ratio fix every entry, so T(n) is the
+    only row that passes; row[0] = 1 rejects its integer multiples, and the
+    length rejects a truncated row or one with a trailing 0.  It makes no
+    division and calls neither :func:`binomial`, :func:`lucas_coeff` nor
+    :func:`lucas_row`.
+    """
+    half = n // 2
+    if len(row) != half + 1 or row[0] != 1:
+        return False
+    k_factors = map(operator.mul, range(1, half + 1), range(n - 1, n - half - 1, -1))
+    m_factors = map(operator.mul, range(n, n - 2 * half, -2), range(n - 1, n - 2 * half, -2))
+    lower = map(operator.mul, row[1:], k_factors)  # row[k] * k(n-k)
+    upper = map(operator.mul, row, m_factors)  # row[k-1] * (n-2k+2)(n-2k+1)
+    return all(map(operator.eq, lower, upper))
+
+
 def _lucas_rows_by_addition(first: int) -> Iterator[tuple[int, ...]]:
     """Rows T(n, 0..n//2) for n = first, first + 1, ..., by additions alone.
 

@@ -26,8 +26,10 @@ is not x^n + y^n.
 What stays independent of what: T(n, k) comes from the ratio recurrence
 of :func:`vertalign.combinatorics.lucas_row`, and this module does not
 import :func:`vertalign.combinatorics.binomial` at all.  The ``sweep``
-route also runs Horner in (1 + S)^2, but on full forms held as plain lists,
-and only for rows that differ from its additive chain of T.
+route shares no code for T with this module: it builds T by an additive
+chain and checks each chain row against T's ratio multiplied out, reading
+``lucas_row`` only for a row that fails.  It also runs Horner in
+(1 + S)^2, but on full forms held as plain lists, and only for such rows.
 The ``verify-morphism`` route expands its own sum over Z[x, w] by the
 Pascal recurrence of (x^2 + w)^m.  The masked pass here shares no code
 with either, and neither :mod:`vertalign.alignment` nor

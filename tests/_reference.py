@@ -19,8 +19,8 @@ without the library's code for the step under test:
   against the oracle's Horner expansion: ``lockwood_rhs``, the half
   ``_packed_half`` leaves in one int modulo 2^{(n//2+1)W}, unpacked and
   mirrored.  Unlike the sweep, which evaluates full forms on a plain list
-  and only for rows that differ from its chain, the oracle packs every
-  form at y = 2^W and keeps only its residue.
+  and only for rows whose chain row fails its ratio check, the oracle
+  packs every form at y = 2^W and keeps only its residue.
 * ``reference_sweep``: the Pascal-row sweep, against the chain and the
   Horner pass of ``alignment._sweep_range``.
 * ``reference_pullback``: the morphism pullback expanded entirely over
@@ -157,7 +157,8 @@ def reference_sweep(n_max: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
 
     Rows are lists built by the Pascal recurrence, and row n of totals is
     accumulated slice by slice.  T comes from the ``lucas_row`` that
-    ``alignment`` reads, so a fault injected there reaches both routes.
+    ``alignment`` reads for a row that fails its ratio check, so a fault
+    injected there and in that check reaches both routes.
     """
     rows = [[1]]
     for m in range(1, n_max + 1):

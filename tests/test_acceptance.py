@@ -121,8 +121,9 @@ def test_criterion_05_lucas_rows_and_cross_formula():
 
 
 def test_lucas_row_recurrence_matches_sum_form():
-    # sweep, lockwood and verify-morphism read T only through lucas_row's
-    # ratio recurrence; pin it to the sum form over criterion 05's range.
+    # lockwood and verify-morphism read T only through lucas_row's ratio
+    # recurrence, and sweep checks its chain against the same ratio; pin it
+    # to the sum form over criterion 05's range.
     rows = sum_form_rows(1000)
     for n in range(1, 1001):
         assert lucas_row(n) == rows[n][: n // 2 + 1]

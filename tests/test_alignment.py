@@ -13,7 +13,7 @@ from _reference import (
 )
 from vertalign import alignment, cli, combinatorics, lockwood
 from vertalign.alignment import aligned_entries, identity_sum, identity_sweep
-from vertalign.combinatorics import binomial, lucas_coeff, lucas_row, pascal_row
+from vertalign.combinatorics import _is_lucas_row, binomial, lucas_coeff, lucas_row, pascal_row
 from vertalign.lockwood import BivariatePolynomial, verify_lockwood
 
 
@@ -236,16 +236,10 @@ class TestIdentitySweep:
         # definition gives for the perturbed value, and nothing else.
         n_bad, k_bad, delta = 17, 3, 5
 
-        def faulty_row(n):
-            row = lucas_row(n)
-            if n == n_bad:
-                row = row[:k_bad] + (row[k_bad] + delta,) + row[k_bad + 1:]
-            return row
-
         def faulty_t(n, k):
             return lucas_coeff_alt(n, k) + (delta if (n, k) == (n_bad, k_bad) else 0)
 
-        monkeypatch.setattr(alignment, "lucas_row", faulty_row)
+        _inject_faults(monkeypatch, (n_bad, k_bad, delta))
         summary = identity_sweep(25)
         expected = []
         for n in range(2, 26):
@@ -281,8 +275,12 @@ SWEEP_FAULTS = {
 
 
 def _inject_faults(monkeypatch, *faults):
-    """Add delta to T(n, k), for each (n, k, delta), in the rows of T that
-    ``alignment`` reads."""
+    """Add delta to T(n, k), for each (n, k, delta), as ``alignment`` sees T.
+
+    The sweep reads T twice: ``_is_lucas_row`` pins it for the chain's row,
+    and ``lucas_row`` gives the row that a failed check evaluates.  For a
+    faulted n the check then passes the faulty row alone."""
+    faulted = {n_bad for n_bad, _, _ in faults}
 
     def faulty_row(n):
         row = list(lucas_row(n))
@@ -291,7 +289,11 @@ def _inject_faults(monkeypatch, *faults):
                 row[k_bad] += delta
         return tuple(row)
 
+    def faulty_check(n, row):
+        return row == faulty_row(n) if n in faulted else _is_lucas_row(n, row)
+
     monkeypatch.setattr(alignment, "lucas_row", faulty_row)
+    monkeypatch.setattr(alignment, "_is_lucas_row", faulty_check)
 
 
 def _pairs(first, last):
@@ -365,54 +367,59 @@ def test_sweep_with_random_faults_matches_list_reference(faults, first, last):
         assert alignment._sweep_range(first, last) == (_pairs(first, last), expected)
 
 
-class _WatchedRow(tuple):
-    """A row of T that records its n when something iterates over it.
-
-    Comparing it with the chain's row does not iterate; Horner does."""
-
-    def __iter__(self):
-        self.evaluated.append(self.n)
-        return super().__iter__()
-
-
-# Only a row that differs from the additive chain is evaluated, also in a
-# range that starts past row 2, so the honest sweep is all induction.
+# Only a faulted row fails the ratio check, reads lucas_row and is
+# evaluated, also in a range that starts past row 2, so the honest sweep is
+# all induction.
 @pytest.mark.parametrize("fault", SWEEP_FAULTS.values(), ids=SWEEP_FAULTS)
 def test_sweep_range_evaluates_only_rows_that_differ(monkeypatch, fault):
     _inject_faults(monkeypatch, fault)
     faulty_row = alignment.lucas_row
     evaluated = []
 
-    def watched_row(n):
-        row = _WatchedRow(faulty_row(n))
-        row.n, row.evaluated = n, evaluated
-        return row
+    def counted_row(n):
+        evaluated.append(n)
+        return faulty_row(n)
 
-    monkeypatch.setattr(alignment, "lucas_row", watched_row)
+    monkeypatch.setattr(alignment, "lucas_row", counted_row)
     n_bad, _, delta = fault
     for first, last in [(2, 120), (17, 17), (30, 120)]:
         evaluated.clear()
         alignment._sweep_range(first, last)
-        assert set(evaluated) == ({n_bad} if delta and first <= n_bad <= last else set())
+        assert evaluated == ([n_bad] if delta and first <= n_bad <= last else [])
 
 
-def test_sweep_range_reads_each_row_of_t_once(monkeypatch):
-    calls = []
-
-    def counted_row(n):
-        calls.append(n)
-        return lucas_row(n)
-
+def test_sweep_range_reads_no_row_of_t_when_honest(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("the sweep used the identity's binomials or T")
+        raise AssertionError("the honest sweep used lucas_row or the identity's binomials or T")
 
-    monkeypatch.setattr(alignment, "lucas_row", counted_row)
+    for module in (alignment, combinatorics):
+        monkeypatch.setattr(module, "lucas_row", forbidden)
     monkeypatch.setattr(combinatorics, "binomial", forbidden)
     monkeypatch.setattr(combinatorics, "lucas_coeff", forbidden)
     monkeypatch.setattr(alignment, "aligned_column", forbidden)
     monkeypatch.setattr(alignment, "_lucas_coeffs", forbidden)
     assert alignment._sweep_range(2, 150) == (_pairs(2, 150), [])
-    assert calls == list(range(2, 151))
+
+
+def test_sweep_range_checks_the_chain_rather_than_trusting_it(monkeypatch):
+    # A wrong entry R(17, 3) + 5 in the chain's output, with its internal
+    # state left alone, fails the check, so row 17 is evaluated from
+    # lucas_row's honest T and reports nothing.
+    honest_chain = alignment._lucas_rows_by_addition
+    calls = []
+
+    def faulty_chain(first):
+        for n, row in enumerate(honest_chain(first), first):
+            yield row[:3] + (row[3] + 5,) + row[4:] if n == 17 else row
+
+    def counted_row(n):
+        calls.append(n)
+        return lucas_row(n)
+
+    monkeypatch.setattr(alignment, "_lucas_rows_by_addition", faulty_chain)
+    monkeypatch.setattr(alignment, "lucas_row", counted_row)
+    assert alignment._sweep_range(2, 40) == (_pairs(2, 40), [])
+    assert calls == [17]
 
 
 def test_sweep_range_stores_no_rows():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from _reference import binomial_falling, falling_row, lucas_coeff_alt
 from vertalign import combinatorics
 from vertalign.combinatorics import (
+    _is_lucas_row,
     _lucas_coeffs,
     aligned_column,
     binomial,
@@ -226,6 +227,26 @@ class TestLucasRow:
     def test_row_length(self):
         for n in range(1, 80):
             assert len(lucas_row(n)) == n // 2 + 1
+
+
+class TestIsLucasRow:
+    def test_accepts_every_row_of_lucas_row(self):
+        # The sweep proves rows with this check and reads lucas_row only for
+        # a row that fails it, so this ties lucas_row to the check.
+        assert all(_is_lucas_row(n, lucas_row(n)) for n in range(2, 1001))
+
+    def test_rejects_every_other_row(self):
+        # Multiples of T pass every ratio, as do a truncated row and one
+        # with a trailing 0 as far as the ratios reach.
+        for n in range(2, 61):
+            row = lucas_row(n)
+            wrong = [row[:-1], row + (0,)] + [tuple(c * t for t in row) for c in (0, -1, 2)]
+            wrong += [
+                row[:k] + (row[k] + delta,) + row[k + 1:]
+                for k in range(len(row))
+                for delta in (1, -1, 2**4000)
+            ]
+            assert [bad for bad in wrong if _is_lucas_row(n, bad)] == [], n
 
 
 class TestLucasRowsByAddition:
