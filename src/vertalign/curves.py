@@ -11,6 +11,14 @@ target whose coefficients are the sign-alternating Lucas coefficients
 (-1)^k T(g, k) zeta^{ik} c^{k/g} makes the residual vanish identically, and
 this module verifies that by full expansion, not by trusting it.
 
+That target's right-hand side is the Dickson polynomial
+
+    D_g(x, w) = sum_k (-1)^k T(g, k) w^k x^{g-2k}
+
+(R. Lidl, G. L. Mullen and G. Turnwald, *Dickson Polynomials*, 1993), and
+the pullback is its functional equation D_g(s + w/s, w) = s^g + (w/s)^g at
+s = x, times x^{g+1}: x^{2g+1} + w^g x, where w^g = c.
+
 Everything is verified at the level of defining equations: a curve
 y^2 = f(x) is held as its right-hand side f, a :class:`RingPolynomial`.  For
 even g the exponent (g+1)/2 in the y-coordinate is a half-integer, so the
@@ -185,6 +193,30 @@ def build_target(
     return RingPolynomial(spec, tuple(coeffs))
 
 
+def _pullback_weights(g: int, lucas: tuple[int, ...]) -> list[int]:
+    """The pullback over Z[x, w]: the integer weight of w^b, at x^{2g+1-2b}, per b.
+
+    sum_k (-1)^k lucas[k] w^k x^{2k+1} (x^2 + w)^{g-2k} is homogeneous, so
+    one weight per w-exponent b = 0..g holds it.  The rows of (x^2 + w)^m
+    come from the additive Pascal recurrence; no ring is built.  Put y = w/x
+    in the ``lockwood`` oracle's sum for x^g + y^g and multiply by x^{g+1}:
+    it becomes this sum, with the coefficient of x^{g-b} y^b at w^b.  So the
+    weights equal ``lockwood_rhs(g).coeffs`` for the same T, which the tests
+    check; the two routes share no code.
+    """
+    weights = [0] * (g + 1)
+    row = [1]  # (x^2 + w)^m by w-exponent
+    for m in range(g + 1):
+        if m:
+            row = list(map(add, row + [0], [0] + row))
+        if (g - m) % 2 == 0:
+            k = (g - m) // 2
+            signed = (-1) ** k * lucas[k]
+            span = slice(k, k + m + 1)
+            weights[span] = map(add, weights[span], map(mul, row, repeat(signed)))
+    return weights
+
+
 def pullback_rhs(
     spec: RingSpec, i: int, w_powers: list[QuotientRingElement] | None = None
 ) -> RingPolynomial:
@@ -196,11 +228,10 @@ def pullback_rhs(
         sum_k (-1)^k T(g,k) w^k x^{2k+1} (x^2 + w)^{g-2k},   w = zeta^i c^{1/g},
 
     which this function expands fully, in two steps.  First the sum is
-    expanded over Z[x, w]: the rows of (x^2 + w)^m come from the additive
-    Pascal recurrence and the T(g, k) from ``lucas_row``, as for the
-    target, so this path calls neither ``binomial()``, ``lucas_coeff()`` nor
-    the ``lockwood`` oracle.  The polynomial is homogeneous, so one integer weight
-    per w-exponent b, at x^{2g+1-2b}, holds it.  Then each nonzero weight is
+    expanded over Z[x, w] by ``_pullback_weights``, with the T(g, k) from
+    ``lucas_row``, as for the target, so this path calls neither
+    ``binomial()``, ``lucas_coeff()`` nor the ``lockwood`` oracle: one
+    integer weight per w-exponent b, at x^{2g+1-2b}.  Then each nonzero weight is
     mapped into R(g, c) as weight * w^b, with w^b read from ``w_powers`` =
     ``_w_powers(spec, i, top)`` for some top >= ceil(g/2) (computed here
     with top = ceil(g/2) if not given); a power above the list is the one
@@ -212,19 +243,8 @@ def pullback_rhs(
     if w_powers is None:
         w_powers = _w_powers(spec, i, (g + 1) // 2)
     top = len(w_powers) - 1
-    lucas = lucas_row(g)
-    weights = [0] * (g + 1)
-    row = [1]  # (x^2 + w)^m by w-exponent
-    for m in range(g + 1):
-        if m:
-            row = list(map(add, row + [0], [0] + row))
-        if (g - m) % 2 == 0:
-            k = (g - m) // 2
-            signed = (-1) ** k * lucas[k]
-            span = slice(k, k + m + 1)
-            weights[span] = map(add, weights[span], map(mul, row, repeat(signed)))
     coeffs = [ring_zero(spec)] * (2 * g + 2)
-    for b, weight in enumerate(weights):
+    for b, weight in enumerate(_pullback_weights(g, lucas_row(g))):
         if weight:
             w_to_b = w_powers[b] if b <= top else w_powers[top] * w_powers[b - top]
             coeffs[2 * g + 1 - 2 * b] = w_to_b.scale(weight)

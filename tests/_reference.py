@@ -32,6 +32,9 @@ without the library's code for the step under test:
   join of ``cli._emit_csv``.
 * ``reference_columns``: text columns padded cell by cell, against the
   column-by-column ``cli._columns``.
+* ``TABLE_ROWS_EXPECTED``: the target curves for g = 5..11 written out by
+  hand, term by term, against ``curves.table_rows`` and the ``table``
+  command's JSON.
 
 The rest are the small helpers these routes and the tests build with:
 ``xy_symmetric_power`` (iterated ``BivariatePolynomial`` products, for
@@ -300,3 +303,31 @@ def coefficient_facts(g: int) -> CoefficientFacts:
         last = g * (-1) ** ((g - 1) // 2)
         last_exponent = 1
     return CoefficientFacts(g=g, second=-g, last=last, last_exponent=last_exponent)
+
+
+# -- fixed data --------------------------------------------------------------
+
+# (sign, magnitude, zeta exponent multiplier, x exponent) per row, g = 5..11.
+TABLE_ROWS_EXPECTED = {
+    5: [(1, 1, 0, 5), (-1, 5, 1, 3), (1, 5, 2, 1)],
+    6: [(1, 1, 0, 6), (-1, 6, 1, 4), (1, 9, 2, 2), (-1, 2, 3, 0)],
+    7: [(1, 1, 0, 7), (-1, 7, 1, 5), (1, 14, 2, 3), (-1, 7, 3, 1)],
+    8: [(1, 1, 0, 8), (-1, 8, 1, 6), (1, 20, 2, 4), (-1, 16, 3, 2), (1, 2, 4, 0)],
+    9: [(1, 1, 0, 9), (-1, 9, 1, 7), (1, 27, 2, 5), (-1, 30, 3, 3), (1, 9, 4, 1)],
+    10: [
+        (1, 1, 0, 10),
+        (-1, 10, 1, 8),
+        (1, 35, 2, 6),
+        (-1, 50, 3, 4),
+        (1, 25, 4, 2),
+        (-1, 2, 5, 0),
+    ],
+    11: [
+        (1, 1, 0, 11),
+        (-1, 11, 1, 9),
+        (1, 44, 2, 7),
+        (-1, 77, 3, 5),
+        (1, 55, 4, 3),
+        (-1, 11, 5, 1),
+    ],
+}

@@ -13,6 +13,7 @@ from fractions import Fraction
 import sympy
 
 from _reference import (
+    TABLE_ROWS_EXPECTED,
     aligned_term,
     coefficient_facts,
     ring_power,
@@ -127,32 +128,6 @@ def test_lucas_row_recurrence_matches_sum_form():
     rows = sum_form_rows(1000)
     for n in range(1, 1001):
         assert lucas_row(n) == rows[n][: n // 2 + 1]
-
-
-# (sign, magnitude, zeta exponent multiplier, x exponent) per row, g = 5..11.
-TABLE_ROWS_EXPECTED = {
-    5: [(1, 1, 0, 5), (-1, 5, 1, 3), (1, 5, 2, 1)],
-    6: [(1, 1, 0, 6), (-1, 6, 1, 4), (1, 9, 2, 2), (-1, 2, 3, 0)],
-    7: [(1, 1, 0, 7), (-1, 7, 1, 5), (1, 14, 2, 3), (-1, 7, 3, 1)],
-    8: [(1, 1, 0, 8), (-1, 8, 1, 6), (1, 20, 2, 4), (-1, 16, 3, 2), (1, 2, 4, 0)],
-    9: [(1, 1, 0, 9), (-1, 9, 1, 7), (1, 27, 2, 5), (-1, 30, 3, 3), (1, 9, 4, 1)],
-    10: [
-        (1, 1, 0, 10),
-        (-1, 10, 1, 8),
-        (1, 35, 2, 6),
-        (-1, 50, 3, 4),
-        (1, 25, 4, 2),
-        (-1, 2, 5, 0),
-    ],
-    11: [
-        (1, 1, 0, 11),
-        (-1, 11, 1, 9),
-        (1, 44, 2, 7),
-        (-1, 77, 3, 5),
-        (1, 55, 4, 3),
-        (-1, 11, 5, 1),
-    ],
-}
 
 
 def test_criterion_06_curve_table_5_to_11(capsys):

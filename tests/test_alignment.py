@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _faults import fault_chain, fault_identity, fault_sweep, forbid
 from _reference import (
     aligned_term,
     binomial_expand,
@@ -13,7 +14,7 @@ from _reference import (
 )
 from vertalign import alignment, cli, combinatorics, lockwood
 from vertalign.alignment import aligned_entries, identity_sum, identity_sweep
-from vertalign.combinatorics import _is_lucas_row, binomial, lucas_coeff, lucas_row, pascal_row
+from vertalign.combinatorics import binomial, lucas_coeff, lucas_row, pascal_row
 from vertalign.lockwood import BivariatePolynomial, verify_lockwood
 
 
@@ -141,15 +142,7 @@ class TestIdentitySum:
         # Perturb T(n, k_bad) as identity_sum reads it: the total must be
         # exactly the perturbation times its signed column entry, and the
         # CLI must report the dependence as failing.
-        honest = alignment._lucas_coeffs
-
-        def faulty_coeffs(n_walk, count):
-            coeffs = honest(n_walk, count)
-            if n_walk == n:
-                coeffs[k_bad] += delta
-            return coeffs
-
-        monkeypatch.setattr(alignment, "_lucas_coeffs", faulty_coeffs)
+        fault_identity(monkeypatch, n, k_bad, delta)
         expected = (-1) ** k_bad * delta * binomial(n - 2 * k_bad, i - k_bad)
         assert expected
         terms, total = identity_sum(n, i)
@@ -179,11 +172,8 @@ class TestIdentitySum:
             finally:
                 inside.pop()
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("identity_sum called lucas_coeff()")
-
         monkeypatch.setattr(combinatorics, "binomial", counted_binomial)
-        monkeypatch.setattr(combinatorics, "lucas_coeff", forbidden)
+        forbid(monkeypatch, "identity_sum called lucas_coeff()", (combinatorics, "lucas_coeff"))
         monkeypatch.setattr(alignment, "aligned_column", column)
         for n, i in [*((n, i) for n in range(2, 61) for i in range(1, n)), (1000, 875), (999, 500)]:
             binomial_calls.clear()
@@ -239,7 +229,7 @@ class TestIdentitySweep:
         def faulty_t(n, k):
             return lucas_coeff_alt(n, k) + (delta if (n, k) == (n_bad, k_bad) else 0)
 
-        _inject_faults(monkeypatch, (n_bad, k_bad, delta))
+        fault_sweep(monkeypatch, (n_bad, k_bad, delta))
         summary = identity_sweep(25)
         expected = []
         for n in range(2, 26):
@@ -274,28 +264,6 @@ SWEEP_FAULTS = {
 }
 
 
-def _inject_faults(monkeypatch, *faults):
-    """Add delta to T(n, k), for each (n, k, delta), as ``alignment`` sees T.
-
-    The sweep reads T twice: ``_is_lucas_row`` pins it for the chain's row,
-    and ``lucas_row`` gives the row that a failed check evaluates.  For a
-    faulted n the check then passes the faulty row alone."""
-    faulted = {n_bad for n_bad, _, _ in faults}
-
-    def faulty_row(n):
-        row = list(lucas_row(n))
-        for n_bad, k_bad, delta in faults:
-            if n == n_bad:
-                row[k_bad] += delta
-        return tuple(row)
-
-    def faulty_check(n, row):
-        return row == faulty_row(n) if n in faulted else _is_lucas_row(n, row)
-
-    monkeypatch.setattr(alignment, "lucas_row", faulty_row)
-    monkeypatch.setattr(alignment, "_is_lucas_row", faulty_check)
-
-
 def _pairs(first, last):
     return sum(n - 1 for n in range(first, last + 1))
 
@@ -304,7 +272,7 @@ def _pairs(first, last):
 @pytest.mark.parametrize("fault", SWEEP_FAULTS.values(), ids=SWEEP_FAULTS)
 def test_packed_sweep_matches_list_reference(monkeypatch, fault, workers):
     n_bad, k_bad, delta = fault
-    _inject_faults(monkeypatch, fault)
+    fault_sweep(monkeypatch, fault)
     if workers > 1:
         # Make sure a pool really starts, also on a one-CPU machine.
         monkeypatch.setattr(alignment.os, "cpu_count", lambda: workers)
@@ -320,7 +288,7 @@ def test_packed_sweep_matches_list_reference(monkeypatch, fault, workers):
 # Each faulty row of SWEEP_FAULTS lies in at least one of these ranges.
 @pytest.mark.parametrize("fault", SWEEP_FAULTS.values(), ids=SWEEP_FAULTS)
 def test_sweep_range_matches_list_reference_on_sub_ranges(monkeypatch, fault):
-    _inject_faults(monkeypatch, fault)
+    fault_sweep(monkeypatch, fault)
     _, failures = reference_sweep(120)
     for first, last in [(2, 40), (17, 17), (30, 120)]:
         expected = [f for f in failures if first <= f[0] <= last]
@@ -331,7 +299,7 @@ def test_sweep_range_matches_list_reference_on_sub_ranges(monkeypatch, fault):
 # row per range, changes nothing.
 @pytest.mark.parametrize("fault", SWEEP_FAULTS.values(), ids=SWEEP_FAULTS)
 def test_split_sweep_range_concatenates_to_whole(monkeypatch, fault):
-    _inject_faults(monkeypatch, fault)
+    fault_sweep(monkeypatch, fault)
     whole = alignment._sweep_range(2, 120)
     for ranges in ([(2, 24), (25, 25), (26, 33), (34, 120)], [(n, n) for n in range(2, 121)]):
         parts = [alignment._sweep_range(first, last) for first, last in ranges]
@@ -339,7 +307,7 @@ def test_split_sweep_range_concatenates_to_whole(monkeypatch, fault):
 
 
 @st.composite
-def _faults(draw):
+def _fault_lists(draw):
     """One to three (n, k, delta) in rows 2..60, deltas far past any honest total included."""
     deltas = st.one_of(
         st.integers(-3, 3).filter(bool),
@@ -355,11 +323,11 @@ def _faults(draw):
 # A faulty row differs from the additive chain, so it is evaluated by
 # Horner, while the rows around it are still proved by the chain.
 @settings(max_examples=60, deadline=None)
-@given(faults=_faults(), first=st.integers(2, 60), last=st.integers(2, 60))
+@given(faults=_fault_lists(), first=st.integers(2, 60), last=st.integers(2, 60))
 def test_sweep_with_random_faults_matches_list_reference(faults, first, last):
     first, last = sorted((first, last))
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _inject_faults(monkeypatch, *faults)
+        fault_sweep(monkeypatch, *faults)
         checked, failures = reference_sweep(60)
         summary = identity_sweep(60)
         assert (summary.pairs_checked, summary.failures) == (checked, failures)
@@ -372,7 +340,7 @@ def test_sweep_with_random_faults_matches_list_reference(faults, first, last):
 # all induction.
 @pytest.mark.parametrize("fault", SWEEP_FAULTS.values(), ids=SWEEP_FAULTS)
 def test_sweep_range_evaluates_only_rows_that_differ(monkeypatch, fault):
-    _inject_faults(monkeypatch, fault)
+    fault_sweep(monkeypatch, fault)
     faulty_row = alignment.lucas_row
     evaluated = []
 
@@ -389,15 +357,16 @@ def test_sweep_range_evaluates_only_rows_that_differ(monkeypatch, fault):
 
 
 def test_sweep_range_reads_no_row_of_t_when_honest(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the honest sweep used lucas_row or the identity's binomials or T")
-
-    for module in (alignment, combinatorics):
-        monkeypatch.setattr(module, "lucas_row", forbidden)
-    monkeypatch.setattr(combinatorics, "binomial", forbidden)
-    monkeypatch.setattr(combinatorics, "lucas_coeff", forbidden)
-    monkeypatch.setattr(alignment, "aligned_column", forbidden)
-    monkeypatch.setattr(alignment, "_lucas_coeffs", forbidden)
+    forbid(
+        monkeypatch,
+        "the honest sweep used lucas_row or the identity's binomials or T",
+        (alignment, "lucas_row"),
+        (combinatorics, "lucas_row"),
+        (combinatorics, "binomial"),
+        (combinatorics, "lucas_coeff"),
+        (alignment, "aligned_column"),
+        (alignment, "_lucas_coeffs"),
+    )
     assert alignment._sweep_range(2, 150) == (_pairs(2, 150), [])
 
 
@@ -405,18 +374,13 @@ def test_sweep_range_checks_the_chain_rather_than_trusting_it(monkeypatch):
     # A wrong entry R(17, 3) + 5 in the chain's output, with its internal
     # state left alone, fails the check, so row 17 is evaluated from
     # lucas_row's honest T and reports nothing.
-    honest_chain = alignment._lucas_rows_by_addition
     calls = []
-
-    def faulty_chain(first):
-        for n, row in enumerate(honest_chain(first), first):
-            yield row[:3] + (row[3] + 5,) + row[4:] if n == 17 else row
 
     def counted_row(n):
         calls.append(n)
         return lucas_row(n)
 
-    monkeypatch.setattr(alignment, "_lucas_rows_by_addition", faulty_chain)
+    fault_chain(monkeypatch, 17, 3, 5)
     monkeypatch.setattr(alignment, "lucas_row", counted_row)
     assert alignment._sweep_range(2, 40) == (_pairs(2, 40), [])
     assert calls == [17]
@@ -435,12 +399,13 @@ def test_sweep_range_stores_no_rows():
 
 
 def test_identity_path_never_calls_the_oracle(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the identity path used the expansion oracle")
-
     # The oracle's packed pass builds no form, so both are forbidden.
-    monkeypatch.setattr(BivariatePolynomial, "__init__", forbidden)
-    monkeypatch.setattr(lockwood, "_packed_half", forbidden)
+    forbid(
+        monkeypatch,
+        "the identity path used the expansion oracle",
+        (BivariatePolynomial, "__init__"),
+        (lockwood, "_packed_half"),
+    )
     with pytest.raises(AssertionError):
         verify_lockwood(3)
     for n in range(2, 40):
@@ -453,13 +418,15 @@ def test_identity_path_reads_neither_lucas_row_nor_the_chain(monkeypatch):
     # The identity's T is the closed form and its column a ratio walk seeded
     # by binomial(); neither may come from the routes the sweep and the
     # oracle check it against.
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the identity path left its own routes")
-
-    for module in (alignment, combinatorics):
-        monkeypatch.setattr(module, "lucas_row", forbidden)
-        monkeypatch.setattr(module, "_lucas_rows_by_addition", forbidden)
-    monkeypatch.setattr(BivariatePolynomial, "__init__", forbidden)
+    forbid(
+        monkeypatch,
+        "the identity path left its own routes",
+        (alignment, "lucas_row"),
+        (combinatorics, "lucas_row"),
+        (alignment, "_lucas_rows_by_addition"),
+        (combinatorics, "_lucas_rows_by_addition"),
+        (BivariatePolynomial, "__init__"),
+    )
     for n in range(2, 40):
         for i in range(1, n):
             column = [binomial(n - 2 * k, i - k) for k in range(i + 1)]

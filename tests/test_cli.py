@@ -21,10 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vertalign.cli as cli
-from _reference import binomial_falling, lucas_coeff_alt, reference_columns, reference_csv
+from _faults import fail_morphism, fault_lucas_row, forbid
+from _reference import (
+    TABLE_ROWS_EXPECTED,
+    binomial_falling,
+    lucas_coeff_alt,
+    reference_columns,
+    reference_csv,
+)
 from output_digest import help_and_usage
-from test_acceptance import TABLE_ROWS_EXPECTED
-from test_curves import _fail_morphism
 from vertalign import lockwood
 from vertalign.alignment import SweepSummary, identity_sum, identity_sweep, map_row_ranges
 
@@ -163,7 +168,7 @@ class TestExitCodes:
         assert "residual for n=2:" in out
 
     def test_morphism_failure_is_one(self, capsys, monkeypatch):
-        _fail_morphism(monkeypatch)
+        fail_morphism(monkeypatch)
         assert cli.main(_MORPHISM_ARGV) == 1
         out = capsys.readouterr().out
         assert "holds: no" in out
@@ -482,7 +487,7 @@ class TestJsonEmitter:
             (["identity", "4", "1"], _fail_identity),
             (["sweep", "5"], _fail_sweep),
             (["lockwood", "3"], _fail_lockwood),
-            (_MORPHISM_ARGV, _fail_morphism),
+            (_MORPHISM_ARGV, fail_morphism),
         ],
         ids=["identity", "sweep", "lockwood", "verify-morphism"],
     )
@@ -648,7 +653,7 @@ class TestCsvOutputs:
             (["identity", "4", "1"], _fail_identity),
             (["sweep", "5"], _fail_sweep),
             (["lockwood", "3"], _fail_lockwood),
-            (_MORPHISM_ARGV, _fail_morphism),
+            (_MORPHISM_ARGV, fail_morphism),
         ],
         ids=["identity", "sweep", "lockwood", "verify-morphism"],
     )
@@ -712,14 +717,8 @@ class TestModes:
     @pytest.mark.parametrize("fault", [False, True], ids=["honest", "T(17,3)+5"])
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_lockwood_workers_match_serial(self, capsys, monkeypatch, fmt, fault):
-        honest = lockwood.lucas_row
-
-        def faulty_row(n):
-            row = honest(n)
-            return row[:3] + (row[3] + 5,) + row[4:] if n == 17 else row
-
         if fault:
-            monkeypatch.setattr(lockwood, "lucas_row", faulty_row)
+            fault_lucas_row(monkeypatch, lockwood, (17, 3, 5))
         # Two CPUs as far as the pool cap knows, so a pool of two really starts.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         serial_code = cli.main(["--format", fmt, "lockwood", "60"])
@@ -842,10 +841,7 @@ class TestHugeIntegers:
         not 0 < cli._get_int_digits() < 5000, reason="needs an int/str digit limit below 5,000"
     )
     def test_huge_argument_refused_at_parse_time(self, capsys, monkeypatch):
-        def forbidden(n):
-            raise AssertionError("a 5,000-digit argument got past the parser")
-
-        monkeypatch.setattr(cli, "lucas_row", forbidden)
+        forbid(monkeypatch, "a 5,000-digit argument got past the parser", (cli, "lucas_row"))
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["lucas-row", "9" * 5000])
         assert excinfo.value.code == 2
@@ -860,10 +856,7 @@ class TestExponentFormC:
     )
     @pytest.mark.parametrize("c", ["1e4300", "-1e4300", "1e-4300"])
     def test_past_the_limit_is_usage(self, c, capsys, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError(f"c = {c} got past the parser")
-
-        monkeypatch.setattr(cli, "make_ring", forbidden)
+        forbid(monkeypatch, f"c = {c} got past the parser", (cli, "make_ring"))
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["curve", "--", "2", c, "0"])
         assert excinfo.value.code == 2

@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _faults import forbid, perturbed
 from _reference import binomial_falling, falling_row, lucas_coeff_alt
 from vertalign import combinatorics
 from vertalign.combinatorics import (
@@ -242,9 +243,7 @@ class TestIsLucasRow:
             row = lucas_row(n)
             wrong = [row[:-1], row + (0,)] + [tuple(c * t for t in row) for c in (0, -1, 2)]
             wrong += [
-                row[:k] + (row[k] + delta,) + row[k + 1:]
-                for k in range(len(row))
-                for delta in (1, -1, 2**4000)
+                perturbed(row, k, delta) for k in range(len(row)) for delta in (1, -1, 2**4000)
             ]
             assert [bad for bad in wrong if _is_lucas_row(n, bad)] == [], n
 
@@ -252,10 +251,7 @@ class TestIsLucasRow:
 class TestLucasRowsByAddition:
     @pytest.mark.parametrize("first", [0, 1, 57])
     def test_matches_sum_form_without_lucas_row(self, monkeypatch, first):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the additive chain read lucas_row")
-
-        monkeypatch.setattr(combinatorics, "lucas_row", forbidden)
+        forbid(monkeypatch, "the additive chain read lucas_row", (combinatorics, "lucas_row"))
         rows = combinatorics._lucas_rows_by_addition(first)
         for n in range(first, first + 60):
             expected = tuple(lucas_coeff_alt(n, k) for k in range(n // 2 + 1)) if n else (2,)

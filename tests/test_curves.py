@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from _faults import fail_morphism, fault_lucas_row, forbid
 from _reference import (
     coefficient_facts,
     reference_pullback,
@@ -13,7 +14,7 @@ from _reference import (
     ring_power,
 )
 import vertalign.cli as cli
-from vertalign import combinatorics, curves
+from vertalign import combinatorics, curves, lockwood
 from vertalign.combinatorics import lucas_coeff, lucas_row
 from vertalign.curves import (
     RingPolynomial,
@@ -138,12 +139,13 @@ class TestBuildTarget:
 
     def test_rejects_bad_twist_index(self, monkeypatch):
         # Refused before any ring product, also by verify_morphism.
-        def forbidden(*args, **kwargs):
-            raise AssertionError("ring work before the twist index was checked")
-
         spec = make_ring(5, 1)
-        monkeypatch.setattr(QuotientRingElement, "__mul__", forbidden)
-        monkeypatch.setattr(QuotientRingElement, "__rmul__", forbidden)
+        forbid(
+            monkeypatch,
+            "ring work before the twist index was checked",
+            (QuotientRingElement, "__mul__"),
+            (QuotientRingElement, "__rmul__"),
+        )
         for bad in (-1, 2, 5):
             for build in (build_target, pullback_rhs, verify_morphism):
                 with pytest.raises(ValueError):
@@ -182,6 +184,21 @@ class TestPullback:
                 w_to_b = w_to_b * w
             assert RingPolynomial(spec, tuple(rebuilt)) == pullback_rhs(spec, i)
 
+    def test_integer_stage_is_the_oracle_row(self, monkeypatch):
+        # Put y = w/x in the oracle's sum for x^g + y^g and multiply by
+        # x^(g+1): it becomes the pullback, with the coefficient of
+        # x^(g-b) y^b at w^b.  The two routes share no code, so their rows
+        # must agree for the same T, honest and faulted in both, where a
+        # fault leaves the row of x^g + y^g.
+        for g in range(1, 201):
+            assert curves._pullback_weights(g, lucas_row(g)) == list(lockwood_rhs(g).coeffs), g
+        faults = [(9, 2, 1), (12, 3, 3), (13, 6, -2), (101, 30, 2**100)]
+        for module in (curves, lockwood):
+            fault_lucas_row(monkeypatch, module, *faults)
+        for g, _, _ in faults:
+            weights = curves._pullback_weights(g, curves.lucas_row(g))
+            assert weights == list(lockwood_rhs(g).coeffs) != [1] + [0] * (g - 1) + [1], g
+
     @pytest.mark.parametrize("c", [1, 2, -1, Fraction(3, 5), Fraction(-7, 11)], ids=str)
     def test_matches_all_ring_reference(self, c):
         for g in range(1, 21):
@@ -204,32 +221,15 @@ class TestPullback:
         assert len(calls) <= g + 1
 
     def test_calls_no_binomial_and_no_bivariate_oracle(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("pullback_rhs left its own expansion route")
-
-        monkeypatch.setattr(combinatorics, "binomial", forbidden)
-        monkeypatch.setattr(BivariatePolynomial, "__mul__", forbidden)
+        forbid(
+            monkeypatch,
+            "pullback_rhs left its own expansion route",
+            (combinatorics, "binomial"),
+            (BivariatePolynomial, "__mul__"),
+        )
         for g in (2, 9, 16):
             spec = make_ring(g, Fraction(3, 5))
             assert pullback_rhs(spec, g % 2) == build_source(spec)
-
-
-def _fault_lucas(monkeypatch, g_fault, k, delta):
-    """Add delta to T(g_fault, k) in the rows of T that ``curves`` reads."""
-    honest = curves.lucas_row
-
-    def faulty_row(g):
-        row = list(honest(g))
-        if g == g_fault:
-            row[k] += delta
-        return tuple(row)
-
-    monkeypatch.setattr(curves, "lucas_row", faulty_row)
-
-
-def _fail_morphism(monkeypatch):
-    """Add 1 to T(9, 2) in the rows of T that ``curves`` reads."""
-    _fault_lucas(monkeypatch, 9, 2, 1)
 
 
 def _nonzero_exponents(f: RingPolynomial) -> list[int]:
@@ -297,7 +297,7 @@ class TestVerifyMorphism:
     # nonzero residual, at exactly the x-powers that input reaches.
     def test_wrong_lucas_coefficient_leaves_its_terms(self, monkeypatch):
         # T(9, 2) + 1 adds w^2 x^5 (x^2 + w)^5 to the pullback: x^5..x^15.
-        _fail_morphism(monkeypatch)
+        fail_morphism(monkeypatch)
         residual = verify_morphism(make_ring(9, Fraction(-7, 11)), 1)[3]
         assert _nonzero_exponents(residual) == [5, 7, 9, 11, 13, 15]
 
@@ -310,7 +310,7 @@ class TestVerifyMorphism:
         # product of two listed powers; at g = 12 (phi = 4) that product
         # reduces through Phi_12 as well.
         delta = 3
-        _fault_lucas(monkeypatch, g, k, delta)
+        fault_lucas_row(monkeypatch, curves, (g, k, delta))
         spec = make_ring(g, Fraction(-7, 11))
         residual = verify_morphism(spec, i)[3]
         w = zeta_power(spec, i) * root_power(spec, 1)

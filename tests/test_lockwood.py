@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import _reference
 import vertalign
+from _faults import fault_lucas_row, forbid, perturbed
 from _reference import (
     aligned_term,
     binomial_expand,
@@ -133,7 +134,7 @@ class TestLockwoodRhs:
         assert all(verify_lockwood(n) for n in range(1, 61))
 
     @pytest.mark.parametrize("n", [100, 101])
-    def test_adds_each_mirror_pair_once(self, n):
+    def test_adds_each_mirror_pair_once(self, n, monkeypatch):
         # Only slots 0..n//2 of the symmetric sum are packed, so each mirror
         # pair is held once: the honest half is 1, 0, ..., 0.  With T(n, k)
         # one larger at k = n//4, the residual (-1)^k (xy)^k (x+y)^{n-2k}
@@ -142,11 +143,9 @@ class TestLockwoodRhs:
         assert lockwood._packed_half(n)[0] == 1
         assert lockwood_rhs(n) == x_n_plus_y_n(n)
         k = n // 4
-        row = list(lucas_row(n))
-        row[k] += 1
-        with mock.patch.object(lockwood, "lucas_row", lambda m: tuple(row)):
-            h, width = lockwood._packed_half(n)
-            rhs = lockwood_rhs(n)
+        fault_lucas_row(monkeypatch, lockwood, (n, k, 1))
+        h, width = lockwood._packed_half(n)
+        rhs = lockwood_rhs(n)
         assert 1 << ((n // 2) * width - 1) <= abs(h) < 1 << ((n // 2 + 1) * width - 1)
         residual = shift_xy(binomial_expand(n - 2 * k), k) * (-1 if k & 1 else 1)
         assert rhs == x_n_plus_y_n(n) + residual
@@ -155,19 +154,17 @@ class TestLockwoodRhs:
         # Every module that binds binomial, the test reference included,
         # gets one that raises, so only binomial_expand may fail; the
         # T(n, k) and the powers of (x + y) must come from elsewhere.
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the expansion oracle called binomial()")
-
         modules = [
             importlib.import_module(f"vertalign.{info.name}")
             for info in pkgutil.iter_modules(vertalign.__path__)
         ]
-        bound = []
-        for module in modules + [_reference]:
-            if getattr(module, "binomial", None) is binomial:
-                monkeypatch.setattr(module, "binomial", forbidden)
-                bound.append(module.__name__)
-        assert {"vertalign.combinatorics", "_reference"} <= set(bound)
+        bound = [m for m in modules + [_reference] if getattr(m, "binomial", None) is binomial]
+        assert {"vertalign.combinatorics", "_reference"} <= {m.__name__ for m in bound}
+        forbid(
+            monkeypatch,
+            "the expansion oracle called binomial()",
+            *((module, "binomial") for module in bound),
+        )
         with pytest.raises(AssertionError):
             binomial_expand(3)
         for n in range(1, 61):
@@ -179,12 +176,6 @@ class TestLockwoodRhs:
 def _signed_rows(draw):
     n = draw(st.integers(1, 40))
     row = draw(st.lists(st.integers(-(10**30), 10**30), min_size=n // 2 + 1, max_size=n // 2 + 1))
-    return n, tuple(row)
-
-
-def _faulted(n, k, delta):
-    row = list(lucas_row(n))
-    row[k] += delta
     return n, tuple(row)
 
 
@@ -214,10 +205,10 @@ def _any_signed_row(test):
         # slots 10 and 11, so a mask one slot short fails at both parities.
         # T(25, 0) moves every slot of row 25 by C(25, i); T(33, 5) puts a
         # 4000-bit fault mid-row.
-        _faulted(20, 10, 2**4000),
-        _faulted(21, 10, 2**4000),
-        _faulted(25, 0, 1),
-        _faulted(33, 5, -(2**4000)),
+        (20, perturbed(lucas_row(20), 10, 2**4000)),
+        (21, perturbed(lucas_row(21), 10, 2**4000)),
+        (25, perturbed(lucas_row(25), 0, 1)),
+        (33, perturbed(lucas_row(33), 5, -(2**4000))),
     ]
     for case in reversed(edges):
         test = example(case)(test)
@@ -266,13 +257,7 @@ class TestIndependence:
 class TestVerifyRange:
     @pytest.mark.parametrize("n_start, n_end", [(1, 60), (10, 30), (17, 17)])
     def test_fault_reported_as_by_verify_lockwood(self, monkeypatch, n_start, n_end):
-        honest = lockwood.lucas_row
-
-        def faulty_row(n):
-            row = honest(n)
-            return row[:3] + (row[3] + 5,) + row[4:] if n == 17 else row
-
-        monkeypatch.setattr(lockwood, "lucas_row", faulty_row)
+        fault_lucas_row(monkeypatch, lockwood, (17, 3, 5))
         per_n = [n for n in range(n_start, n_end + 1) if not verify_lockwood(n)]
         assert _verify_range(n_start, n_end) == per_n == [17]
 
