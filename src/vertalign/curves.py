@@ -31,8 +31,7 @@ infinity) are claimed.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat, zip_longest
-from operator import add, mul
+from itertools import zip_longest
 
 from .combinatorics import lucas_row
 from .quotient_ring import (
@@ -197,23 +196,40 @@ def _pullback_weights(g: int, lucas: tuple[int, ...]) -> list[int]:
     """The pullback over Z[x, w]: the integer weight of w^b, at x^{2g+1-2b}, per b.
 
     sum_k (-1)^k lucas[k] w^k x^{2k+1} (x^2 + w)^{g-2k} is homogeneous, so
-    one weight per w-exponent b = 0..g holds it.  The rows of (x^2 + w)^m
-    come from the additive Pascal recurrence; no ring is built.  Put y = w/x
-    in the ``lockwood`` oracle's sum for x^g + y^g and multiply by x^{g+1}:
-    it becomes this sum, with the coefficient of x^{g-b} y^b at w^b.  So the
-    weights equal ``lockwood_rhs(g).coeffs`` for the same T, which the tests
-    check; the two routes share no code.
+    one weight per w-exponent b = 0..g holds it.  The sum is taken term by
+    term at x^2 = 1, w = 2^V, where a polynomial in w is one int: the rows
+    (x^2 + w)^m come from the additive Pascal recurrence, one step
+    ``row += row << V`` each, and term k adds (-1)^k lucas[k] row << kV.
+    No slot is masked and no ring is built.  With
+    S = sum_k |lucas[k]| 2^{g-2k}, from the row in use, and
+    V = 1 + bit_length(S), every weight is at most S < 2^{V-1} in size
+    (C(m, j) <= 2^m), so the g + 1 balanced base-2^V digits of the total
+    are the weights, even for a faulted row.
+
+    Put y = w/x in the ``lockwood`` oracle's sum for x^g + y^g and multiply
+    by x^{g+1}: it becomes this sum, with the coefficient of x^{g-b} y^b at
+    w^b.  So the weights equal ``lockwood_rhs(g).coeffs`` for the same T,
+    which the tests check.  The two share no code: here an explicit sum of
+    unmasked Pascal rows, there masked Horner in (x + y)^2.
     """
-    weights = [0] * (g + 1)
-    row = [1]  # (x^2 + w)^m by w-exponent
+    width = 1 + sum(abs(t) << (g - 2 * k) for k, t in enumerate(lucas)).bit_length()
+    total = 0
+    row = 1  # (x^2 + w)^m at x^2 = 1, w = 2^width
     for m in range(g + 1):
         if m:
-            row = list(map(add, row + [0], [0] + row))
+            row += row << width
         if (g - m) % 2 == 0:
             k = (g - m) // 2
-            signed = (-1) ** k * lucas[k]
-            span = slice(k, k + m + 1)
-            weights[span] = map(add, weights[span], map(mul, row, repeat(signed)))
+            total += ((-lucas[k] if k & 1 else lucas[k]) * row) << (k * width)
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    weights = []
+    for _ in range(g + 1):
+        digit = total & mask
+        total >>= width
+        if digit >= half:
+            digit -= mask + 1
+            total += 1
+        weights.append(digit)
     return weights
 
 

@@ -30,10 +30,11 @@ route shares no code for T with this module: it builds T by an additive
 chain and checks each chain row against T's ratio multiplied out, reading
 ``lucas_row`` only for a row that fails.  It also runs Horner in
 (1 + S)^2, but on full forms held as plain lists, and only for such rows.
-The ``verify-morphism`` route expands its own sum over Z[x, w] by the
-Pascal recurrence of (x^2 + w)^m.  The masked pass here shares no code
-with either, and neither :mod:`vertalign.alignment` nor
-:mod:`vertalign.curves` binds anything from here.
+The ``verify-morphism`` route expands its own sum over Z[x, w] term by
+term, from packed but unmasked Pascal rows of (x^2 + w)^m.  The masked
+Horner pass here shares no code with either, and neither
+:mod:`vertalign.alignment` nor :mod:`vertalign.curves` binds anything from
+here.
 """
 
 from __future__ import annotations

@@ -43,18 +43,21 @@ __all__ = [
 class RingSpec:
     """R(g, c), set by g and c alone; the u-basis width is g.
 
-    ``phi_g`` (the cached ``cyclotomic(g)``) and ``deg_z`` = phi(g), the
-    z-basis width, are derived from g, take no part in equality or hashing,
-    and are stored because every ring product reads them.  Specs compare as
-    the tuple (g, c), which returns early when both hold the same c object.
+    ``phi_g`` (the cached ``cyclotomic(g)``), ``deg_z`` = phi(g), the
+    z-basis width, and ``phi_low``, the pairs (j, Phi_g[j]) of Phi_g's
+    nonzero coefficients below z^phi(g), are derived from g, take no part
+    in equality or hashing, and are stored because every ring product reads
+    them.  Specs compare as the tuple (g, c), which returns early when both
+    hold the same c object.
     """
 
-    __slots__ = ("g", "c", "phi_g", "deg_z")
+    __slots__ = ("g", "c", "phi_g", "deg_z", "phi_low")
 
     def __init__(self, g: int, c: Fraction):
         self.g, self.c = g, c
         self.phi_g = cyclotomic(g)
         self.deg_z = len(self.phi_g) - 1
+        self.phi_low = tuple((j, p) for j, p in enumerate(self.phi_g[:-1]) if p)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingSpec):
@@ -78,10 +81,12 @@ def make_ring(g: int, c: Fraction | int) -> RingSpec:
     return RingSpec(g, c)
 
 
-def _reduce_z(coeffs: list[int], phi: tuple[int, ...]) -> list[int]:
-    """Remainder of a z-polynomial (dense, lowest first) modulo monic phi."""
-    width = len(phi) - 1
-    low = [(j, p) for j, p in enumerate(phi[:width]) if p]
+def _reduce_z(coeffs: list[int], spec: RingSpec) -> list[int]:
+    """Remainder of a z-polynomial (dense, lowest first) modulo Phi_g.
+
+    Only the entries at z^phi(g) and above are visited, top down.
+    """
+    width, low = spec.deg_z, spec.phi_low
     for top in range(len(coeffs) - 1, width - 1, -1):
         factor = coeffs[top]
         if factor:
@@ -176,12 +181,26 @@ class QuotientRingElement:
         return self + (-other)
 
     def __mul__(self, other: "QuotientRingElement | Fraction | int") -> "QuotientRingElement":
+        """The product, reduced through Phi_g and u^g = c.
+
+        When either factor is one term q z^a u^b, each u-column of the other
+        moves to column b1 + b (times c past u^g), shifts a places in z and
+        is scaled once; only its a entries past z^phi(g) are reduced.  Any
+        other pair is multiplied column by column and each column of the
+        product reduced once.  The two paths share only ``_reduce_z`` and
+        ``_element``; the tests check each against sympy's reduction modulo
+        u^g - c and Phi_g, which shares no code with either.
+        """
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
         if not isinstance(other, QuotientRingElement):
             return NotImplemented
         spec = _common_spec(self, other)
         g, width = spec.g, spec.deg_z
+        if _is_one_term(other, width):
+            return _times_term(self, other, spec)
+        if _is_one_term(self, width):
+            return _times_term(other, self, spec)
         # u^g folds back to c = p/q.  Over the common denominator q, a
         # wrapped product is scaled by p and the rest by q; q is needed only
         # when some product wraps.
@@ -208,7 +227,7 @@ class QuotientRingElement:
                         lead = v1 * factor
                         for a2, v2 in col2:
                             target[a1 + a2] += lead * v2
-        cols = {b: _reduce_z(vec, spec.phi_g) for b, vec in acc.items()}
+        cols = {b: _reduce_z(vec, spec) for b, vec in acc.items()}
         return _element(spec, cols, self._den * other._den * q)
 
     __rmul__ = __mul__
@@ -218,6 +237,8 @@ class QuotientRingElement:
 
     def to_text(self) -> str:
         """Canonical text: q*z^a*u^b terms in ascending lexicographic (a, b)."""
+        if not self._cols:
+            return "0"
         return _terms_text(
             (q, (_power_text("z", a), _power_text("u", b)))
             for (a, b), q in sorted(self.entries().items())
@@ -244,10 +265,46 @@ def _element(spec: RingSpec, cols: Mapping[int, Sequence[int]], den: int) -> Quo
     return element
 
 
+def _is_one_term(x: QuotientRingElement, width: int) -> bool:
+    """Whether x is a single term q z^a u^b with q != 0."""
+    if len(x._cols) != 1:
+        return False
+    (col,) = x._cols.values()
+    return col.count(0) == width - 1
+
+
+def _times_term(
+    x: QuotientRingElement, term: QuotientRingElement, spec: RingSpec
+) -> QuotientRingElement:
+    """x * term, where term is one term v/d z^a u^b (see ``__mul__``).
+
+    Column b1 of x lands in column b1 + b, or b1 + b - g times c = p/q past
+    u^g.  Over the common denominator q, a wrapped column is scaled by p and
+    the rest by q; q is needed only when some column wraps.  The column is
+    shifted a places in z, so only its top a entries overflow Phi_g.
+    """
+    g = spec.g
+    ((b, col),) = term._cols.items()
+    a = next(j for j, v in enumerate(col) if v)
+    v = col[a]
+    p, q = spec.c.numerator, spec.c.denominator
+    if max(x._cols, default=0) + b < g:
+        q = 1
+    shift = [0] * a
+    cols = {}
+    for b1, col1 in x._cols.items():
+        b2, lead = b1 + b, v * q
+        if b2 >= g:
+            b2, lead = b2 - g, v * p
+        scaled = list(col1) if lead == 1 else [lead * v1 for v1 in col1]
+        cols[b2] = _reduce_z(shift + scaled, spec)
+    return _element(spec, cols, x._den * term._den * q)
+
+
 def _scaled(cols: Mapping[int, Sequence[int]], factor: int) -> Mapping[int, Sequence[int]]:
     if factor == 1:
         return cols
-    return {b: tuple(factor * v for v in col) for b, col in cols.items()}
+    return {b: tuple([factor * v for v in col]) for b, col in cols.items()}
 
 
 def _common_spec(x: QuotientRingElement, y: QuotientRingElement) -> RingSpec:
@@ -301,7 +358,7 @@ def zeta_power(spec: RingSpec, m: int) -> QuotientRingElement:
     m %= spec.g
     vec = [0] * max(m + 1, spec.deg_z)
     vec[m] = 1
-    return _element(spec, {0: _reduce_z(vec, spec.phi_g)}, 1)
+    return _element(spec, {0: _reduce_z(vec, spec)}, 1)
 
 
 def root_power(spec: RingSpec, k: int) -> QuotientRingElement:

@@ -26,6 +26,9 @@ without the library's code for the step under test:
 * ``reference_pullback``: the morphism pullback expanded entirely over
   R(g, c) with ``RingPolynomial`` products and T from ``lucas_coeff``,
   against ``curves.pullback_rhs``.
+* ``pullback_weights_by_rows``: the pullback's integer weights summed over
+  Pascal rows held as lists, for any row of T, against the packed rows of
+  ``curves._pullback_weights``.
 * ``coefficient_facts``: closed forms of two target coefficients, against
   the coefficients ``curves.build_target`` builds.
 * ``reference_csv``: CSV text written by ``csv.writer``, against the plain
@@ -50,7 +53,7 @@ import io
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 
 from vertalign import alignment
 from vertalign.combinatorics import binomial, lucas_coeff
@@ -272,6 +275,26 @@ def reference_pullback(spec, i: int) -> RingPolynomial:
         term = ring_poly_shift(ring_poly_scale(powers[g - 2 * k], factor), 2 * k + 1)
         total = ring_poly_add(total, term)
     return total
+
+
+def pullback_weights_by_rows(g: int, lucas: tuple[int, ...]) -> list[int]:
+    """The weights of ``curves._pullback_weights``, one list entry per w^b.
+
+    sum_k (-1)^k lucas[k] w^k x^{2k+1} (x^2 + w)^{g-2k}, with the rows of
+    (x^2 + w)^m built by the additive Pascal recurrence on lists, each added
+    into the slice of weights it reaches.
+    """
+    weights = [0] * (g + 1)
+    row = [1]  # (x^2 + w)^m by w-exponent
+    for m in range(g + 1):
+        if m:
+            row = list(map(operator.add, row + [0], [0] + row))
+        if (g - m) % 2 == 0:
+            k = (g - m) // 2
+            signed = (-1) ** k * lucas[k]
+            span = slice(k, k + m + 1)
+            weights[span] = map(operator.add, weights[span], map(operator.mul, row, repeat(signed)))
+    return weights
 
 
 # -- target coefficients -----------------------------------------------------

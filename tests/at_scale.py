@@ -129,10 +129,29 @@ def morphism_fault_401():
 def morphism_weights():
     """The pullback's integer stage is the oracle's row at g = 800.
 
-    The tests compare the two routes for g <= 200; they share no code.
+    The tests compare the two routes for g <= 200.  They share no code: the
+    pullback sums packed, unmasked Pascal rows of (x^2 + w)^m term by term,
+    the oracle runs masked Horner in (x + y)^2.
     """
     weights = curves._pullback_weights(800, lucas_row(800))
     assert weights == list(lockwood.lockwood_rhs(800).coeffs)
+
+
+@check
+def morphism_csv(path):
+    """``--format csv verify-morphism -- 401 3/5 0``: one row per x-power.
+
+    The output digest reaches only g <= 12 in CSV.  There must be 804 data
+    rows, x^803 down to x^0, each with its pullback cell equal to its source
+    cell and its residual cell exactly ``0``.
+    """
+    with open(path, newline="") as file:
+        header, *rows = csv.reader(file)
+    assert header == ["x_exp", "pullback", "source", "residual"], header
+    assert [row[0] for row in rows] == [str(e) for e in range(803, -1, -1)], len(rows)
+    assert all(row[1] == row[2] and row[3] == "0" for row in rows), [
+        row for row in rows if row[1] != row[2] or row[3] != "0"
+    ][:3]
 
 
 @check

@@ -1,13 +1,15 @@
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from _faults import fail_morphism, fault_lucas_row, forbid
+from _faults import fail_morphism, fault_lucas_row, forbid, perturbed
 from _reference import (
     coefficient_facts,
+    pullback_weights_by_rows,
     reference_pullback,
     ring_poly_add,
     ring_poly_scale,
@@ -198,6 +200,19 @@ class TestPullback:
         for g, _, _ in faults:
             weights = curves._pullback_weights(g, curves.lucas_row(g))
             assert weights == list(lockwood_rhs(g).coeffs) != [1] + [0] * (g - 1) + [1], g
+
+    def test_packed_weights_match_list_rows(self):
+        # The packed rows must unpack to the list rows' weights for any row
+        # of T: honest, each entry off by one, and one entry off by 2^4000,
+        # whose size then sets the slot width.
+        rng = random.Random(2027)
+        for g in range(1, 61):
+            honest = lucas_row(g)
+            rows = [honest]
+            rows += [perturbed(honest, k, rng.choice((-1, 1))) for k in range(len(honest))]
+            rows.append(perturbed(honest, rng.randrange(len(honest)), rng.choice((-1, 1)) << 4000))
+            for row in rows:
+                assert curves._pullback_weights(g, row) == pullback_weights_by_rows(g, row), g
 
     @pytest.mark.parametrize("c", [1, 2, -1, Fraction(3, 5), Fraction(-7, 11)], ids=str)
     def test_matches_all_ring_reference(self, c):

@@ -308,3 +308,24 @@ class TestAgainstSympy:
             u = root_power(spec, 1)
             assert ring_power(u, spec.g) * from_rational(spec, 1 / spec.c) == ring_one(spec)
             assert x.scale(Fraction(1, 7)) + x.scale(Fraction(6, 7)) == x
+
+    @pytest.mark.parametrize("c", [1, -1, Fraction(3, 5), Fraction(-7, 11)], ids=str)
+    def test_one_term_products_match_sympy_reduction(self, c):
+        # A single term q z^a u^b on either side of * takes the shift path.
+        # x holds z^(phi(g)-1) u^(g-1), so a = phi(g) - 1 overflows into
+        # Phi_g (when phi(g) > 1) and b = g - 1 wraps past u^g (when g > 1);
+        # that corner alone is a single term too.
+        rng = random.Random(f"one-term:{c}")
+        for g in range(1, 13):
+            spec = make_ring(g, c)
+            corner = QuotientRingElement(spec, {(spec.deg_z - 1, g - 1): Fraction(2, 3)})
+            x = random_element(spec, rng, 0.3) + corner
+            top = (spec.deg_z - 1, rng.randrange(g))
+            wrap = (rng.randrange(spec.deg_z), g - 1)
+            cases = [(top, -3), (wrap, 5), ((0, 0), Fraction(-5, 3)), (top, Fraction(7, 2))]
+            for (a, b), q in cases:
+                term = QuotientRingElement(spec, {(a, b): q})
+                expected = self.reduced_entries(spec, self.as_sympy(x) * self.as_sympy(term))
+                assert (x * term).entries() == (term * x).entries() == expected, (g, a, b, q)
+                both = self.reduced_entries(spec, self.as_sympy(term) * self.as_sympy(corner))
+                assert (term * corner).entries() == both, (g, a, b, q)
