@@ -38,6 +38,7 @@ from .quotient_ring import (
     QuotientRingElement,
     RingSpec,
     _power_text,
+    _root_of_c,
     _terms_text,
     from_rational,
     ring_one,
@@ -100,9 +101,9 @@ class RingPolynomial:
         ))
 
     def substitute_u(self, value: Fraction | int) -> "RingPolynomial":
-        return RingPolynomial(self.spec, tuple(
-            p if p.is_zero() else p.substitute_u(value) for p in self.coeffs
-        ))
+        """Every coefficient's ``substitute_u``, with value^g = c checked once."""
+        value = _root_of_c(self.spec, value)
+        return RingPolynomial(self.spec, tuple(p._at_root(value) for p in self.coeffs))
 
     def to_text(self) -> str:
         """Terms in descending x-degree with canonically rendered coefficients."""
@@ -171,7 +172,10 @@ def _w_powers(spec: RingSpec, i: int, top: int) -> list[QuotientRingElement]:
 
 
 def build_target(
-    spec: RingSpec, i: int, w_powers: list[QuotientRingElement] | None = None
+    spec: RingSpec,
+    i: int,
+    w_powers: list[QuotientRingElement] | None = None,
+    lucas: tuple[int, ...] | None = None,
 ) -> RingPolynomial:
     """The degree-g curve with coefficients (-1)^k T(g,k) zeta^{ik} c^{k/g}.
 
@@ -181,14 +185,17 @@ def build_target(
     reads, so a fault in either leaves a nonzero residual.  ``i`` must be
     0 or 1 (see ``_w_powers``).  ``w_powers``, if given, is
     ``_w_powers(spec, i, top)`` for some top >= g//2 (``verify_morphism``
-    passes top = ceil(g/2)), already computed by the caller.
+    passes top = ceil(g/2)), and ``lucas``, if given, is ``lucas_row(g)``,
+    both already computed by the caller.
     """
     g = spec.g
     if w_powers is None:
         w_powers = _w_powers(spec, i, g // 2)
+    if lucas is None:
+        lucas = lucas_row(g)
     coeffs = [ring_zero(spec)] * (g + 1)
-    for k, lucas in enumerate(lucas_row(g)):
-        coeffs[g - 2 * k] = w_powers[k].scale((-1) ** k * lucas)
+    for k, t in enumerate(lucas):
+        coeffs[g - 2 * k] = w_powers[k].scale((-1) ** k * t)
     return RingPolynomial(spec, tuple(coeffs))
 
 
@@ -234,7 +241,10 @@ def _pullback_weights(g: int, lucas: tuple[int, ...]) -> list[int]:
 
 
 def pullback_rhs(
-    spec: RingSpec, i: int, w_powers: list[QuotientRingElement] | None = None
+    spec: RingSpec,
+    i: int,
+    w_powers: list[QuotientRingElement] | None = None,
+    lucas: tuple[int, ...] | None = None,
 ) -> RingPolynomial:
     """The target right-hand side after substitution and clearing x^{g+1}.
 
@@ -245,7 +255,7 @@ def pullback_rhs(
 
     which this function expands fully, in two steps.  First the sum is
     expanded over Z[x, w] by ``_pullback_weights``, with the T(g, k) from
-    ``lucas_row``, as for the target, so this path calls neither
+    ``lucas`` or else ``lucas_row``, as for the target, so this path calls neither
     ``binomial()``, ``lucas_coeff()`` nor the ``lockwood`` oracle: one
     integer weight per w-exponent b, at x^{2g+1-2b}.  Then each nonzero weight is
     mapped into R(g, c) as weight * w^b, with w^b read from ``w_powers`` =
@@ -258,9 +268,11 @@ def pullback_rhs(
     g = spec.g
     if w_powers is None:
         w_powers = _w_powers(spec, i, (g + 1) // 2)
+    if lucas is None:
+        lucas = lucas_row(g)
     top = len(w_powers) - 1
     coeffs = [ring_zero(spec)] * (2 * g + 2)
-    for b, weight in enumerate(_pullback_weights(g, lucas_row(g))):
+    for b, weight in enumerate(_pullback_weights(g, lucas)):
         if weight:
             w_to_b = w_powers[b] if b <= top else w_powers[top] * w_powers[b - top]
             coeffs[2 * g + 1 - 2 * b] = w_to_b.scale(weight)
@@ -274,14 +286,15 @@ def verify_morphism(
 
     Returns (source, target, pullback, residual), where residual is
     pullback - source; the morphism holds exactly when it is zero.
-    w^0..w^{ceil(g/2)} are computed once, for the target and the pullback
-    both, and a bad ``i`` is refused before any of them; with w^g, an honest
-    run makes ceil(g/2) + 2 ring products (g >= 2).
+    w^0..w^{ceil(g/2)} and the row T(g, .) are computed once, for the
+    target and the pullback both, and a bad ``i`` is refused before any of
+    them; with w^g, an honest run makes ceil(g/2) + 2 ring products (g >= 2).
     """
     w_powers = _w_powers(spec, i, (spec.g + 1) // 2)
+    lucas = lucas_row(spec.g)
     source = build_source(spec)
-    target = build_target(spec, i, w_powers)
-    pullback = pullback_rhs(spec, i, w_powers)
+    target = build_target(spec, i, w_powers, lucas)
+    pullback = pullback_rhs(spec, i, w_powers, lucas)
     return source, target, pullback, pullback - source
 
 

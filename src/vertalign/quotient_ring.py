@@ -3,10 +3,13 @@
 The class of z models a primitive g-th root of unity zeta (fixed, once and
 for all, as z mod Phi_g); the class of u models a formal g-th root of the
 nonzero rational c.  Elements are kept fully reduced in the monomial basis
-z^a u^b with 0 <= a < phi(g) and 0 <= b < g.  An element is stored as its
-nonzero u-columns, each a tuple of phi(g) integers, over one positive
-denominator in lowest terms (its gcd with every numerator is 1), so equal
-elements have equal fields and equality is plain field comparison.
+z^a u^b with 0 <= a < phi(g) and 0 <= b < g.  An element is stored as a
+dict of its nonzero integer numerators, keyed by (a, b), over one positive
+denominator in lowest terms (its gcd with every numerator is 1, and 1 for
+zero), so equal elements have equal fields and equality is plain field
+comparison.  Every operation costs the nonzero terms it reads, not the
+phi(g) * g slots of the basis: nearly every element of a morphism check
+(w^k = zeta^{ik} u^k, the curves' coefficients) has one or a few.
 
 R(g, c) is treated as a commutative ring, not a field: for special c (for
 instance c = 1, where u^g - c factors) it is not a field, but every identity
@@ -22,9 +25,8 @@ Specs and elements are immutable; all operations are pure.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from operator import add
 
 from .cyclotomic import cyclotomic
 
@@ -81,46 +83,59 @@ def make_ring(g: int, c: Fraction | int) -> RingSpec:
     return RingSpec(g, c)
 
 
-def _reduce_z(coeffs: list[int], spec: RingSpec) -> list[int]:
-    """Remainder of a z-polynomial (dense, lowest first) modulo Phi_g.
+def _reduce_z(terms: dict[tuple[int, int], int], spec: RingSpec) -> dict[tuple[int, int], int]:
+    """``terms`` with every key (a, b) at a >= phi(g) reduced modulo Phi_g, in place.
 
-    Only the entries at z^phi(g) and above are visited, top down.
+    z^a = -sum_j Phi_g[j] z^(a - phi(g) + j) for a >= phi(g), so reducing
+    level a adds only to lower levels.  The levels are visited from the top
+    down, each complete when it is reached, and only through Phi_g's nonzero
+    lower terms.
     """
     width, low = spec.deg_z, spec.phi_low
-    for top in range(len(coeffs) - 1, width - 1, -1):
-        factor = coeffs[top]
-        if factor:
-            base = top - width
-            for j, p in low:
-                coeffs[base + j] -= factor * p
-    del coeffs[width:]
-    return coeffs
+    over: dict[int, dict[int, int]] = {}
+    for key in [key for key in terms if key[0] >= width]:
+        over.setdefault(key[0], {})[key[1]] = terms.pop(key)
+    for a in range(max(over, default=0), width - 1, -1):
+        level = over.pop(a, None)
+        if not level:
+            continue
+        for j, p in low:
+            t = a - width + j
+            if t >= width:
+                target = over.setdefault(t, {})
+                for b, v in level.items():
+                    target[b] = target.get(b, 0) - v * p
+            else:
+                for b, v in level.items():
+                    key = (t, b)
+                    terms[key] = terms.get(key, 0) - v * p
+    return terms
 
 
 class QuotientRingElement:
     """A fully reduced element sum_{a,b} q_{a,b} z^a u^b of R(g, c).
 
-    ``_cols[b][a] / _den`` is q_{a,b}.  ``_cols`` holds only the nonzero
-    u-columns, so the zero element has none, and ``_den`` is positive and in
-    lowest terms.  Immutable; build new elements with the operators and the
-    module's constructors.
+    ``_terms[(a, b)] / _den`` is q_{a,b}.  ``_terms`` holds only nonzero
+    numerators, so the zero element has none, and ``_den`` is positive and in
+    lowest terms (1 for the zero element).  Immutable; build new elements
+    with the operators and the module's constructors.
     """
 
-    __slots__ = ("spec", "_cols", "_den")
+    __slots__ = ("spec", "_terms", "_den")
 
     def __init__(self, spec: RingSpec, entries: Mapping[tuple[int, int], Fraction | int]):
-        cols: dict[int, list[Fraction]] = {}
+        values = {}
         for (a, b), value in entries.items():
             if not 0 <= a < spec.deg_z or not 0 <= b < spec.g:
                 raise ValueError(
                     f"basis index ({a}, {b}) outside 0<={a}<{spec.deg_z}, 0<={b}<{spec.g}"
                 )
-            cols.setdefault(b, [Fraction(0)] * spec.deg_z)[a] += Fraction(value)
-        den = math.lcm(*(q.denominator for col in cols.values() for q in col))
+            values[a, b] = Fraction(value)
+        den = math.lcm(*(q.denominator for q in values.values()))
         element = _element(spec, {
-            b: [q.numerator * (den // q.denominator) for q in col] for b, col in cols.items()
+            key: q.numerator * (den // q.denominator) for key, q in values.items()
         }, den)
-        self.spec, self._cols, self._den = element.spec, element._cols, element._den
+        self.spec, self._terms, self._den = element.spec, element._terms, element._den
 
     def entries(self) -> dict[tuple[int, int], Fraction | int]:
         """Nonzero coefficients keyed by (a, b).
@@ -128,116 +143,109 @@ class QuotientRingElement:
         Each is a plain int when the denominator is 1, else a ``Fraction``
         in lowest terms.
         """
-        return {
-            (a, b): v if self._den == 1 else Fraction(v, self._den)
-            for b, col in sorted(self._cols.items())
-            for a, v in enumerate(col)
-            if v
-        }
+        den = self._den
+        if den == 1:
+            return dict(self._terms)
+        return {key: Fraction(v, den) for key, v in self._terms.items()}
 
     def is_zero(self) -> bool:
-        return not self._cols
+        return not self._terms
 
     def substitute_u(self, value: Fraction | int) -> "QuotientRingElement":
         """Collapse u to a concrete rational g-th root of c.
 
         Only legal when value^g = c (then u -> value extends to a ring map
-        into Q[z]/(Phi_g), embedded back as the b = 0 column).  Used to
+        into Q[z]/(Phi_g), embedded back as the b = 0 terms).  Used to
         render curves over c = 1 the way they are usually written, with
         c^{k/g} read as 1 rather than as a formal root.
         """
-        value = Fraction(value)
-        if value ** self.spec.g != self.spec.c:
-            raise ValueError(
-                f"substitute_u requires value^g == c, got value={value}, c={self.spec.c}"
-            )
+        return self._at_root(_root_of_c(self.spec, value))
+
+    def _at_root(self, value: Fraction) -> "QuotientRingElement":
+        """``substitute_u`` for a value already known to satisfy value^g = c."""
+        if not self._terms:
+            return self
         p, q = value.numerator, value.denominator
-        top = max(self._cols, default=0)
-        acc = [0] * self.spec.deg_z
-        for b, col in self._cols.items():
-            weight = p**b * q ** (top - b)
-            acc = [s + v * weight for s, v in zip(acc, col)]
-        return _element(self.spec, {0: acc}, self._den * q**top)
+        top = max(b for _, b in self._terms)
+        acc: dict[tuple[int, int], int] = {}
+        for (a, b), v in self._terms.items():
+            acc[a, 0] = acc.get((a, 0), 0) + v * p**b * q ** (top - b)
+        return _element(self.spec, acc, self._den * q**top)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuotientRingElement):
             return NotImplemented
         return (
-            self.spec == other.spec and self._den == other._den and self._cols == other._cols
+            self.spec == other.spec and self._den == other._den and self._terms == other._terms
         )
 
     def __add__(self, other: "QuotientRingElement") -> "QuotientRingElement":
         spec = _common_spec(self, other)
         den = math.lcm(self._den, other._den)
-        cols = dict(_scaled(self._cols, den // self._den))
-        for b, col in _scaled(other._cols, den // other._den).items():
-            cols[b] = tuple(map(add, cols[b], col)) if b in cols else col
-        return _element(spec, cols, den)
+        f, h = den // self._den, den // other._den
+        terms = {key: f * v for key, v in self._terms.items()}
+        for key, v in other._terms.items():
+            terms[key] = terms.get(key, 0) + h * v
+        return _element(spec, terms, den)
 
     def __neg__(self) -> "QuotientRingElement":
-        return _element(self.spec, _scaled(self._cols, -1), self._den)
+        return _element(self.spec, {key: -v for key, v in self._terms.items()}, self._den)
 
     def __sub__(self, other: "QuotientRingElement") -> "QuotientRingElement":
         return self + (-other)
 
     def __mul__(self, other: "QuotientRingElement | Fraction | int") -> "QuotientRingElement":
-        """The product, reduced through Phi_g and u^g = c.
+        """The product, reduced through u^g = c and Phi_g.
 
-        When either factor is one term q z^a u^b, each u-column of the other
-        moves to column b1 + b (times c past u^g), shifts a places in z and
-        is scaled once; only its a entries past z^phi(g) are reduced.  Any
-        other pair is multiplied column by column and each column of the
-        product reduced once.  The two paths share only ``_reduce_z`` and
-        ``_element``; the tests check each against sympy's reduction modulo
-        u^g - c and Phi_g, which shares no code with either.
+        Each pair of nonzero terms v1 z^a1 u^b1 and v2 z^a2 u^b2 adds v1 v2
+        at (a1 + a2, b1 + b2), with u^g folded back to c past u^g; the keys
+        at z^phi(g) and above are then reduced by ``_reduce_z``.  So a
+        product costs its pairs of nonzero terms, on one path for every
+        shape of factor.  The tests check it against sympy's reduction
+        modulo u^g - c and Phi_g, which shares no code with it, for
+        one-term, few-term and dense factors and for Phi_g with many terms.
         """
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
         if not isinstance(other, QuotientRingElement):
             return NotImplemented
         spec = _common_spec(self, other)
-        g, width = spec.g, spec.deg_z
-        if _is_one_term(other, width):
-            return _times_term(self, other, spec)
-        if _is_one_term(self, width):
-            return _times_term(other, self, spec)
-        # u^g folds back to c = p/q.  Over the common denominator q, a
-        # wrapped product is scaled by p and the rest by q; q is needed only
-        # when some product wraps.
-        p, q = spec.c.numerator, spec.c.denominator
-        if max(self._cols, default=0) + max(other._cols, default=0) < g:
-            q = 1
-        terms = [
-            (b2, [(a2, v2) for a2, v2 in enumerate(col2) if v2])
-            for b2, col2 in other._cols.items()
-        ]
-        # Accumulate u-columns of the product before a single z-reduction
-        # per column.
-        acc: dict[int, list[int]] = {}
-        for b1, col1 in self._cols.items():
-            for b2, col2 in terms:
-                b, factor = b1 + b2, q
-                if b >= g:
-                    b, factor = b - g, p
-                target = acc.get(b)
-                if target is None:
-                    target = acc[b] = [0] * (2 * width - 1)
-                for a1, v1 in enumerate(col1):
-                    if v1:
-                        lead = v1 * factor
-                        for a2, v2 in col2:
-                            target[a1 + a2] += lead * v2
-        cols = {b: _reduce_z(vec, spec) for b, vec in acc.items()}
-        return _element(spec, cols, self._den * other._den * q)
+        g = spec.g
+        right = other._terms.items()
+        acc: dict[tuple[int, int], int] = {}
+        wrapped: dict[tuple[int, int], int] = {}
+        for (a1, b1), v1 in self._terms.items():
+            for (a2, b2), v2 in right:
+                b = b1 + b2
+                if b < g:
+                    key = (a1 + a2, b)
+                    acc[key] = acc.get(key, 0) + v1 * v2
+                else:
+                    key = (a1 + a2, b - g)
+                    wrapped[key] = wrapped.get(key, 0) + v1 * v2
+        den = self._den * other._den
+        if wrapped:
+            # u^g folds back to c = p/q: over the common denominator q, the
+            # wrapped sums are scaled by p and the rest by q.
+            p, q = spec.c.numerator, spec.c.denominator
+            if q != 1:
+                acc = {key: q * v for key, v in acc.items()}
+                den *= q
+            for key, v in wrapped.items():
+                acc[key] = acc.get(key, 0) + p * v
+        return _element(spec, _reduce_z(acc, spec), den)
 
     __rmul__ = __mul__
 
     def scale(self, q: Fraction | int) -> "QuotientRingElement":
-        return _element(self.spec, _scaled(self._cols, q.numerator), self._den * q.denominator)
+        n = q.numerator
+        return _element(
+            self.spec, {key: n * v for key, v in self._terms.items()}, self._den * q.denominator
+        )
 
     def to_text(self) -> str:
         """Canonical text: q*z^a*u^b terms in ascending lexicographic (a, b)."""
-        if not self._cols:
+        if not self._terms:
             return "0"
         return _terms_text(
             (q, (_power_text("z", a), _power_text("u", b)))
@@ -248,63 +256,30 @@ class QuotientRingElement:
         return f"QuotientRingElement(g={self.spec.g}, c={self.spec.c}, {self.to_text()})"
 
 
-def _element(spec: RingSpec, cols: Mapping[int, Sequence[int]], den: int) -> QuotientRingElement:
-    """The element cols/den: zero columns dropped, den > 0 in lowest terms."""
-    cols = {b: tuple(col) for b, col in cols.items() if any(col)}
+def _element(
+    spec: RingSpec, terms: Mapping[tuple[int, int], int], den: int
+) -> QuotientRingElement:
+    """The element terms/den: zero terms dropped, den > 0 in lowest terms."""
+    terms = {key: v for key, v in terms.items() if v}
     if den != 1:
-        common = den
-        for col in cols.values():
-            common = math.gcd(common, *col)
-            if common == 1:
-                break
+        # With no terms left the gcd is den itself, so zero gets den 1.
+        common = math.gcd(den, *terms.values())
         if common != 1:
-            cols = {b: tuple(v // common for v in col) for b, col in cols.items()}
+            terms = {key: v // common for key, v in terms.items()}
             den //= common
     element = object.__new__(QuotientRingElement)
-    element.spec, element._cols, element._den = spec, cols, den
+    element.spec, element._terms, element._den = spec, terms, den
     return element
 
 
-def _is_one_term(x: QuotientRingElement, width: int) -> bool:
-    """Whether x is a single term q z^a u^b with q != 0."""
-    if len(x._cols) != 1:
-        return False
-    (col,) = x._cols.values()
-    return col.count(0) == width - 1
-
-
-def _times_term(
-    x: QuotientRingElement, term: QuotientRingElement, spec: RingSpec
-) -> QuotientRingElement:
-    """x * term, where term is one term v/d z^a u^b (see ``__mul__``).
-
-    Column b1 of x lands in column b1 + b, or b1 + b - g times c = p/q past
-    u^g.  Over the common denominator q, a wrapped column is scaled by p and
-    the rest by q; q is needed only when some column wraps.  The column is
-    shifted a places in z, so only its top a entries overflow Phi_g.
-    """
-    g = spec.g
-    ((b, col),) = term._cols.items()
-    a = next(j for j, v in enumerate(col) if v)
-    v = col[a]
-    p, q = spec.c.numerator, spec.c.denominator
-    if max(x._cols, default=0) + b < g:
-        q = 1
-    shift = [0] * a
-    cols = {}
-    for b1, col1 in x._cols.items():
-        b2, lead = b1 + b, v * q
-        if b2 >= g:
-            b2, lead = b2 - g, v * p
-        scaled = list(col1) if lead == 1 else [lead * v1 for v1 in col1]
-        cols[b2] = _reduce_z(shift + scaled, spec)
-    return _element(spec, cols, x._den * term._den * q)
-
-
-def _scaled(cols: Mapping[int, Sequence[int]], factor: int) -> Mapping[int, Sequence[int]]:
-    if factor == 1:
-        return cols
-    return {b: tuple([factor * v for v in col]) for b, col in cols.items()}
+def _root_of_c(spec: RingSpec, value: Fraction | int) -> Fraction:
+    """``value`` as a Fraction, checked to be a g-th root of c."""
+    value = Fraction(value)
+    if value ** spec.g != spec.c:
+        raise ValueError(
+            f"substitute_u requires value^g == c, got value={value}, c={spec.c}"
+        )
+    return value
 
 
 def _common_spec(x: QuotientRingElement, y: QuotientRingElement) -> RingSpec:
@@ -349,16 +324,12 @@ def ring_one(spec: RingSpec) -> QuotientRingElement:
 
 def from_rational(spec: RingSpec, q: Fraction | int) -> QuotientRingElement:
     """Embed a rational as a ring element (the (a, b) = (0, 0) slot)."""
-    column = (q.numerator,) + (0,) * (spec.deg_z - 1)
-    return _element(spec, {0: column}, q.denominator)
+    return _element(spec, {(0, 0): q.numerator}, q.denominator)
 
 
 def zeta_power(spec: RingSpec, m: int) -> QuotientRingElement:
     """zeta^m as a ring element: z^{m mod g} reduced modulo Phi_g."""
-    m %= spec.g
-    vec = [0] * max(m + 1, spec.deg_z)
-    vec[m] = 1
-    return _element(spec, {0: _reduce_z(vec, spec)}, 1)
+    return _element(spec, _reduce_z({(m % spec.g, 0): 1}, spec), 1)
 
 
 def root_power(spec: RingSpec, k: int) -> QuotientRingElement:

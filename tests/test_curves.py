@@ -16,7 +16,7 @@ from _reference import (
     ring_power,
 )
 import vertalign.cli as cli
-from vertalign import combinatorics, curves, lockwood
+from vertalign import combinatorics, curves, lockwood, quotient_ring
 from vertalign.combinatorics import lucas_coeff, lucas_row
 from vertalign.curves import (
     RingPolynomial,
@@ -308,6 +308,20 @@ class TestVerifyMorphism:
         assert verify_morphism(make_ring(g, Fraction(-7, 11)), 1)[3].is_zero()
         assert calls == {"mul": (g + 1) // 2 + 1 + (g > 1), "add": 2}
 
+    def test_one_row_of_t_reaches_target_and_pullback(self, monkeypatch):
+        # verify_morphism reads T(g, .) once and hands the row to both
+        # curves, so a fault injected through curves.lucas_row reaches the
+        # target's coefficient as well as the pullback's residual.
+        fail_morphism(monkeypatch)
+        faulty, calls = curves.lucas_row, []
+        monkeypatch.setattr(curves, "lucas_row", lambda g: calls.append(g) or faulty(g))
+        spec = make_ring(9, Fraction(-7, 11))
+        _, target, _, residual = verify_morphism(spec, 1)
+        assert calls == [9]
+        w = zeta_power(spec, 1) * root_power(spec, 1)
+        assert target.coefficient(5) == ring_power(w, 2).scale(lucas_coeff(9, 2) + 1)
+        assert not residual.is_zero()
+
     # Negative controls: a fault in either input of the pullback leaves a
     # nonzero residual, at exactly the x-powers that input reaches.
     def test_wrong_lucas_coefficient_leaves_its_terms(self, monkeypatch):
@@ -394,6 +408,26 @@ class TestUnitRootSpecialization:
             row = lucas_row(g)
             for k in range(g // 2 + 1):
                 assert f.coefficient(g - 2 * k) == from_rational(spec, (-1) ** k * row[k])
+
+    def test_polynomial_checks_the_root_once(self, monkeypatch):
+        # value^g = c is checked once per polynomial, not per coefficient;
+        # each coefficient is then what its own substitute_u gives.
+        spec = make_ring(6, 1)
+        f = build_target(spec, 1)
+        expected = [p.substitute_u(-1) for p in f.coeffs]
+        checks = []
+        honest = curves._root_of_c
+
+        def counting(spec, value):
+            checks.append(value)
+            return honest(spec, value)
+
+        monkeypatch.setattr(curves, "_root_of_c", counting)
+        monkeypatch.setattr(quotient_ring, "_root_of_c", counting)
+        assert f.substitute_u(-1).coeffs == tuple(expected)
+        assert checks == [-1]
+        with pytest.raises(ValueError):
+            f.substitute_u(2)
 
 
 class TestTable:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -219,14 +220,41 @@ class TestElementBasics:
             integral = QuotientRingElement(spec, {(0, 0): 4, (0, spec.g - 1): -3})
             for x in [integral] + [random_element(spec, rng) for _ in range(20)]:
                 entries = x.entries()
-                # Each value equals q_{a,b} = _cols[b][a] / _den as a Fraction.
-                assert entries == {
-                    (a, b): Fraction(v, x._den)
-                    for b, col in x._cols.items() for a, v in enumerate(col) if v
-                }
+                # Each value equals q_{a,b} = _terms[(a, b)] / _den as a Fraction.
+                assert entries == {key: Fraction(v, x._den) for key, v in x._terms.items()}
                 kinds = {type(q) for q in entries.values()}
                 assert kinds <= ({int} if x._den == 1 else {Fraction}), (spec, x)
                 assert QuotientRingElement(spec, x.entries()) == x
+
+    def test_results_are_canonical(self):
+        # No zero numerator is stored, every key is a basis index, and the
+        # denominator is positive and in lowest terms: 1 for zero.
+        def assert_canonical(x):
+            spec = x.spec
+            assert all(x._terms.values()), x
+            assert all(0 <= a < spec.deg_z and 0 <= b < spec.g for a, b in x._terms), x
+            assert x._den > 0 and math.gcd(x._den, *x._terms.values()) == 1, x
+            assert x._terms or x._den == 1, x
+
+        rng = random.Random(13579)
+        for spec in SPECS:
+            for _ in range(20):
+                x, y = random_element(spec, rng), random_element(spec, rng)
+                q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                results = [x + y, x - y, x * y, x.scale(q), -x]
+                # Results that cancel to zero, from operands with denominators.
+                results += [x - x, x + (-x), x * ring_zero(spec), x.scale(0)]
+                results.append(x.scale(Fraction(1, 3)) + x.scale(Fraction(-1, 3)))
+                for result in results:
+                    assert_canonical(result)
+                for zero in results[5:]:
+                    assert zero == ring_zero(spec) and zero._den == 1
+            # A product and a sum whose fractions cancel to an integer.
+            half = from_rational(spec, Fraction(1, 2))
+            assert_canonical(half * from_rational(spec, 2))
+            assert (half + half)._den == 1
+            u = root_power(spec, 1)
+            assert_canonical(ring_power(u, spec.g) * from_rational(spec, 1 / spec.c))
 
     def test_text_form_for_both_kinds_of_entries(self):
         spec = make_ring(6, 2)
@@ -311,7 +339,7 @@ class TestAgainstSympy:
 
     @pytest.mark.parametrize("c", [1, -1, Fraction(3, 5), Fraction(-7, 11)], ids=str)
     def test_one_term_products_match_sympy_reduction(self, c):
-        # A single term q z^a u^b on either side of * takes the shift path.
+        # A single term q z^a u^b on either side of *.
         # x holds z^(phi(g)-1) u^(g-1), so a = phi(g) - 1 overflows into
         # Phi_g (when phi(g) > 1) and b = g - 1 wraps past u^g (when g > 1);
         # that corner alone is a single term too.
@@ -329,3 +357,36 @@ class TestAgainstSympy:
                 assert (x * term).entries() == (term * x).entries() == expected, (g, a, b, q)
                 both = self.reduced_entries(spec, self.as_sympy(term) * self.as_sympy(corner))
                 assert (term * corner).entries() == both, (g, a, b, q)
+
+    @pytest.mark.parametrize("g", [30, 105])
+    def test_products_match_sympy_where_phi_has_many_terms(self, g):
+        # Phi_30 has 7 nonzero terms and phi(30) = 8; Phi_105 has 33, with
+        # -2 at z^7 and z^41, and phi(105) = 48.  Each factor is one term, a few
+        # terms or every z-slot of two u-columns, and each holds u^(g-1), so
+        # its products wrap past u^g to c = -7/11.
+        spec = make_ring(g, Fraction(-7, 11))
+        width = spec.deg_z
+        if g == 105:
+            assert -2 in dict(spec.phi_low).values()
+        # The corner's square overflows at z^(2 phi(g) - 2); Phi_g has a term
+        # z^(phi(g) - 1), so folding it lands at or above z^phi(g) again.
+        assert any(width - 2 + j >= width for j, _ in spec.phi_low)
+        rng = random.Random(f"many-terms:{g}")
+
+        def rational():
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+
+        corner = QuotientRingElement(spec, {(width - 1, g - 1): rational()})
+        few = QuotientRingElement(spec, {
+            (width - 1, g - 2): rational(), (width - 2, 1): rational(), (0, g - 1): rational()
+        })
+        dense = QuotientRingElement(
+            spec, {(a, b): rational() for a in range(width) for b in (0, g - 1)}
+        )
+        shapes = {"corner": corner, "few": few, "dense": dense}
+        for name_x, x in shapes.items():
+            for name_y, y in shapes.items():
+                if name_x > name_y:
+                    continue
+                expected = self.reduced_entries(spec, self.as_sympy(x) * self.as_sympy(y))
+                assert (x * y).entries() == (y * x).entries() == expected, (name_x, name_y)
