@@ -136,7 +136,8 @@ def lucas_row(n: int) -> tuple[int, ...]:
         raise ValueError(f"lucas_row requires n >= 1, got n={n}")
     row = [1]
     for k in range(1, n // 2 + 1):
-        value, rest = divmod(row[-1] * (n - 2 * k + 2) * (n - 2 * k + 1), k * (n - k))
+        # The two small factors first: one big-int multiplication per step.
+        value, rest = divmod(row[-1] * ((n - 2 * k + 2) * (n - 2 * k + 1)), k * (n - k))
         if rest:
             raise AssertionError(f"T({n}, {k}) ratio recurrence left remainder {rest}")
         row.append(value)

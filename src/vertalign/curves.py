@@ -30,13 +30,14 @@ infinity) are claimed.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from itertools import zip_longest
 
 from .combinatorics import lucas_row
 from .quotient_ring import (
     QuotientRingElement,
     RingSpec,
+    _entries_text,
     _power_text,
     _root_of_c,
     _terms_text,
@@ -59,20 +60,19 @@ __all__ = [
 
 
 class RingPolynomial:
-    """Univariate polynomial in x with R(g, c) coefficients, lowest first.
+    """Univariate polynomial in x with R(g, c) coefficients.
 
-    A curve y^2 = f(x) is its right-hand side f.  Trailing zero
-    coefficients are dropped, so polynomials compare as the tuple
-    (spec, coeffs).
+    A curve y^2 = f(x) is its right-hand side f.  ``coeffs`` maps each
+    exponent to its coefficient and holds only the nonzero ones, so the zero
+    polynomial holds none and polynomials compare as the pair
+    (spec, coeffs).  Operations cost the nonzero coefficients they read.
     """
 
     __slots__ = ("spec", "coeffs")
 
-    def __init__(self, spec: RingSpec, coeffs: tuple[QuotientRingElement, ...]):
-        trimmed = list(coeffs)
-        while trimmed and trimmed[-1].is_zero():
-            trimmed.pop()
-        self.spec, self.coeffs = spec, tuple(trimmed)
+    def __init__(self, spec: RingSpec, coeffs: Mapping[int, QuotientRingElement]):
+        self.spec = spec
+        self.coeffs = {e: p for e, p in coeffs.items() if not p.is_zero()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingPolynomial):
@@ -81,36 +81,37 @@ class RingPolynomial:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        """The largest exponent held, or -1 for the zero polynomial."""
+        return max(self.coeffs, default=-1)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def coefficient(self, exponent: int) -> QuotientRingElement:
-        if 0 <= exponent < len(self.coeffs):
-            return self.coeffs[exponent]
-        return ring_zero(self.spec)
+        p = self.coeffs.get(exponent)
+        return ring_zero(self.spec) if p is None else p
 
     def __sub__(self, other: "RingPolynomial") -> "RingPolynomial":
-        """Coefficient by coefficient; a pair with a zero side needs no addition."""
+        """Coefficient by coefficient; an exponent held by one side needs no addition."""
         if self.spec != other.spec:
             raise ValueError("ring mismatch between polynomials")
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=ring_zero(self.spec))
-        return RingPolynomial(self.spec, tuple(
-            p if q.is_zero() else -q if p.is_zero() else p - q for p, q in pairs
-        ))
+        coeffs = dict(self.coeffs)
+        for e, q in other.coeffs.items():
+            p = coeffs.get(e)
+            coeffs[e] = -q if p is None else p - q
+        return RingPolynomial(self.spec, coeffs)
 
     def substitute_u(self, value: Fraction | int) -> "RingPolynomial":
         """Every coefficient's ``substitute_u``, with value^g = c checked once."""
         value = _root_of_c(self.spec, value)
-        return RingPolynomial(self.spec, tuple(p._at_root(value) for p in self.coeffs))
+        return RingPolynomial(
+            self.spec, {e: p._at_root(value) for e, p in self.coeffs.items()}
+        )
 
     def to_text(self) -> str:
         """Terms in descending x-degree with canonically rendered coefficients."""
         return _terms_text(
-            _coefficient_term(self.coeffs[exponent], exponent)
-            for exponent in range(len(self.coeffs) - 1, -1, -1)
-            if not self.coeffs[exponent].is_zero()
+            _coefficient_term(self.coeffs[e], e) for e in sorted(self.coeffs, reverse=True)
         )
 
     def equation_text(self) -> str:
@@ -141,15 +142,12 @@ def _coefficient_term(
     if len(entries) == 1:
         (((a, b), q),) = entries.items()
         return q, (_power_text("z", a), _power_text("u", b), xpart)
-    return 1, (f"({element.to_text()})", xpart)
+    return 1, (f"({_entries_text(entries)})", xpart)
 
 
 def build_source(spec: RingSpec) -> RingPolynomial:
-    """The curve y^2 = x^{2g+1} + c x over R(g, c)."""
-    coeffs = [ring_zero(spec)] * (2 * spec.g + 2)
-    coeffs[2 * spec.g + 1] = ring_one(spec)
-    coeffs[1] = from_rational(spec, spec.c)
-    return RingPolynomial(spec, tuple(coeffs))
+    """The curve y^2 = x^{2g+1} + c x over R(g, c): two nonzero coefficients."""
+    return RingPolynomial(spec, {2 * spec.g + 1: ring_one(spec), 1: from_rational(spec, spec.c)})
 
 
 def _w_powers(spec: RingSpec, i: int, top: int) -> list[QuotientRingElement]:
@@ -179,8 +177,8 @@ def build_target(
 ) -> RingPolynomial:
     """The degree-g curve with coefficients (-1)^k T(g,k) zeta^{ik} c^{k/g}.
 
-    Only the exponents g-2k occur, so consecutive coefficients alternate
-    between nonzero and zero.  zeta^{ik} c^{k/g} is w^k from ``_w_powers``
+    Only the exponents g-2k occur, one coefficient each, built straight
+    into the polynomial's map.  zeta^{ik} c^{k/g} is w^k from ``_w_powers``
     and T(g, k) comes from ``lucas_row``, the same values the pullback
     reads, so a fault in either leaves a nonzero residual.  ``i`` must be
     0 or 1 (see ``_w_powers``).  ``w_powers``, if given, is
@@ -193,10 +191,9 @@ def build_target(
         w_powers = _w_powers(spec, i, g // 2)
     if lucas is None:
         lucas = lucas_row(g)
-    coeffs = [ring_zero(spec)] * (g + 1)
-    for k, t in enumerate(lucas):
-        coeffs[g - 2 * k] = w_powers[k].scale((-1) ** k * t)
-    return RingPolynomial(spec, tuple(coeffs))
+    return RingPolynomial(
+        spec, {g - 2 * k: w_powers[k].scale((-1) ** k * t) for k, t in enumerate(lucas)}
+    )
 
 
 def _pullback_weights(g: int, lucas: tuple[int, ...]) -> list[int]:
@@ -257,13 +254,14 @@ def pullback_rhs(
     expanded over Z[x, w] by ``_pullback_weights``, with the T(g, k) from
     ``lucas`` or else ``lucas_row``, as for the target, so this path calls neither
     ``binomial()``, ``lucas_coeff()`` nor the ``lockwood`` oracle: one
-    integer weight per w-exponent b, at x^{2g+1-2b}.  Then each nonzero weight is
-    mapped into R(g, c) as weight * w^b, with w^b read from ``w_powers`` =
-    ``_w_powers(spec, i, top)`` for some top >= ceil(g/2) (computed here
-    with top = ceil(g/2) if not given); a power above the list is the one
-    product w^top * w^(b-top).  An honest run has nonzero weights at b = 0
-    and b = g only, so w^g = c is still checked by a ring product, reduced
-    through Phi_g and u^g = c.
+    integer weight per w-exponent b, at x^{2g+1-2b}.  Then each nonzero weight
+    becomes the coefficient weight * w^b of x^{2g+1-2b} in R(g, c), with w^b
+    read from ``w_powers`` = ``_w_powers(spec, i, top)`` for some
+    top >= ceil(g/2) (computed here with top = ceil(g/2) if not given); a
+    power above the list is the one product w^top * w^(b-top).  Only those
+    coefficients are stored: an honest run has nonzero weights at b = 0 and
+    b = g only, so the pullback holds x^{2g+1} and x^1, and w^g = c is still
+    checked by a ring product, reduced through Phi_g and u^g = c.
     """
     g = spec.g
     if w_powers is None:
@@ -271,12 +269,12 @@ def pullback_rhs(
     if lucas is None:
         lucas = lucas_row(g)
     top = len(w_powers) - 1
-    coeffs = [ring_zero(spec)] * (2 * g + 2)
+    coeffs = {}
     for b, weight in enumerate(_pullback_weights(g, lucas)):
         if weight:
             w_to_b = w_powers[b] if b <= top else w_powers[top] * w_powers[b - top]
             coeffs[2 * g + 1 - 2 * b] = w_to_b.scale(weight)
-    return RingPolynomial(spec, tuple(coeffs))
+    return RingPolynomial(spec, coeffs)
 
 
 def verify_morphism(

@@ -247,10 +247,7 @@ class QuotientRingElement:
         """Canonical text: q*z^a*u^b terms in ascending lexicographic (a, b)."""
         if not self._terms:
             return "0"
-        return _terms_text(
-            (q, (_power_text("z", a), _power_text("u", b)))
-            for (a, b), q in sorted(self.entries().items())
-        )
+        return _entries_text(self.entries())
 
     def __repr__(self) -> str:
         return f"QuotientRingElement(g={self.spec.g}, c={self.spec.c}, {self.to_text()})"
@@ -295,6 +292,13 @@ def _common_spec(x: QuotientRingElement, y: QuotientRingElement) -> RingSpec:
 def _power_text(name: str, exponent: int) -> str:
     """``name^exponent``: empty for 0, bare ``name`` for 1."""
     return "" if exponent == 0 else name if exponent == 1 else f"{name}^{exponent}"
+
+
+def _entries_text(entries: Mapping[tuple[int, int], Fraction | int]) -> str:
+    """``to_text`` of the element whose ``entries()`` are ``entries``."""
+    return _terms_text(
+        (q, (_power_text("z", a), _power_text("u", b))) for (a, b), q in sorted(entries.items())
+    )
 
 
 def _terms_text(terms: Iterable[tuple[Fraction | int, Iterable[str]]]) -> str:

@@ -217,32 +217,43 @@ def ring_power(x: QuotientRingElement, exponent: int) -> QuotientRingElement:
     return result
 
 
+def ring_poly_dense(p: RingPolynomial) -> list[QuotientRingElement]:
+    """The coefficients of x^0..x^degree, zeros included.
+
+    The ``ring_poly_*`` helpers compute on these dense lists and map the
+    result back by exponent, sharing no code with ``RingPolynomial``'s
+    sparse arithmetic.
+    """
+    return [p.coefficient(e) for e in range(p.degree + 1)]
+
+
 def ring_poly_add(p: RingPolynomial, q: RingPolynomial) -> RingPolynomial:
     if p.spec != q.spec:
         raise ValueError("ring mismatch between polynomials")
-    pairs = zip_longest(p.coeffs, q.coeffs, fillvalue=ring_zero(p.spec))
-    return RingPolynomial(p.spec, tuple(a + b for a, b in pairs))
+    pairs = zip_longest(ring_poly_dense(p), ring_poly_dense(q), fillvalue=ring_zero(p.spec))
+    return RingPolynomial(p.spec, dict(enumerate(a + b for a, b in pairs)))
 
 
 def ring_poly_mul(p: RingPolynomial, q: RingPolynomial) -> RingPolynomial:
     if p.spec != q.spec:
         raise ValueError("ring mismatch between polynomials")
     if p.is_zero() or q.is_zero():
-        return RingPolynomial(p.spec, ())
-    acc = [ring_zero(p.spec)] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, a in enumerate(p.coeffs):
+        return RingPolynomial(p.spec, {})
+    p_dense, q_dense = ring_poly_dense(p), ring_poly_dense(q)
+    acc = [ring_zero(p.spec)] * (len(p_dense) + len(q_dense) - 1)
+    for i, a in enumerate(p_dense):
         if a.is_zero():
             continue
-        for j, b in enumerate(q.coeffs):
+        for j, b in enumerate(q_dense):
             if not b.is_zero():
                 acc[i + j] = acc[i + j] + a * b
-    return RingPolynomial(p.spec, tuple(acc))
+    return RingPolynomial(p.spec, dict(enumerate(acc)))
 
 
 def ring_poly_scale(
     p: RingPolynomial, factor: QuotientRingElement | Fraction | int
 ) -> RingPolynomial:
-    return RingPolynomial(p.spec, tuple(a * factor for a in p.coeffs))
+    return RingPolynomial(p.spec, dict(enumerate(a * factor for a in ring_poly_dense(p))))
 
 
 def ring_poly_shift(p: RingPolynomial, exponent: int) -> RingPolynomial:
@@ -251,7 +262,8 @@ def ring_poly_shift(p: RingPolynomial, exponent: int) -> RingPolynomial:
         raise ValueError("shift exponent must be nonnegative")
     if p.is_zero():
         return p
-    return RingPolynomial(p.spec, (ring_zero(p.spec),) * exponent + p.coeffs)
+    dense = [ring_zero(p.spec)] * exponent + ring_poly_dense(p)
+    return RingPolynomial(p.spec, dict(enumerate(dense)))
 
 
 def reference_pullback(spec, i: int) -> RingPolynomial:
@@ -262,11 +274,11 @@ def reference_pullback(spec, i: int) -> RingPolynomial:
     """
     g = spec.g
     w = zeta_power(spec, i) * root_power(spec, 1)
-    base = RingPolynomial(spec, (w, ring_zero(spec), ring_one(spec)))  # x^2 + w
-    powers = [RingPolynomial(spec, (ring_one(spec),))]
+    base = RingPolynomial(spec, {0: w, 2: ring_one(spec)})  # x^2 + w
+    powers = [RingPolynomial(spec, {0: ring_one(spec)})]
     for _ in range(g):
         powers.append(ring_poly_mul(powers[-1], base))
-    total = RingPolynomial(spec, ())
+    total = RingPolynomial(spec, {})
     w_to_k = ring_one(spec)
     for k in range(g // 2 + 1):
         if k:

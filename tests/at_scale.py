@@ -1,9 +1,10 @@
 """Checks at sizes the tier-1 tests do not reach, run one by name.
 
-    python tests/at_scale.py NAME [FILE...]
+    python tests/at_scale.py NAME [ARG...]
 
-runs the check NAME, with the files a file check reads (vertalign must be
-importable, for example with ``PYTHONPATH=src``).  A check that fails
+runs the check NAME with its arguments: the files a file check reads, and
+any size it takes (vertalign must be importable, for example with
+``PYTHONPATH=src``).  A check that fails
 raises AssertionError, so the exit status is 1; an unknown NAME exits 2 and
 lists the checks.  CI runs each one in ``.github/workflows/tier1.yml`` under
 a ``timeout``; the fault checks inject T through ``tests/_faults.py``.
@@ -120,7 +121,7 @@ def morphism_fault_401():
     expected[803 - 2 * 251:803 - 2 * 150 + 1:2] = [
         powers[b].scale(math.comb(101, b - 150)) for b in range(251, 149, -1)
     ]
-    assert residual == curves.RingPolynomial(spec, tuple(expected)), [
+    assert residual == curves.RingPolynomial(spec, dict(enumerate(expected))), [
         e for e in range(804) if residual.coefficient(e) != expected[e]
     ][:5]
 
@@ -138,17 +139,18 @@ def morphism_weights():
 
 
 @check
-def morphism_csv(path):
-    """``--format csv verify-morphism -- 401 3/5 0``: one row per x-power.
+def morphism_csv(path, g):
+    """``--format csv verify-morphism -- G C I`` of an honest check at genus G.
 
-    The output digest reaches only g <= 12 in CSV.  There must be 804 data
-    rows, x^803 down to x^0, each with its pullback cell equal to its source
-    cell and its residual cell exactly ``0``.
+    The output digest reaches only g <= 12 in CSV.  There must be 2G + 2
+    data rows, x^(2G+1) down to x^0, each with its pullback cell equal to
+    its source cell and its residual cell exactly ``0``.
     """
+    top = 2 * int(g) + 1
     with open(path, newline="") as file:
         header, *rows = csv.reader(file)
     assert header == ["x_exp", "pullback", "source", "residual"], header
-    assert [row[0] for row in rows] == [str(e) for e in range(803, -1, -1)], len(rows)
+    assert [row[0] for row in rows] == [str(e) for e in range(top, -1, -1)], len(rows)
     assert all(row[1] == row[2] and row[3] == "0" for row in rows), [
         row for row in rows if row[1] != row[2] or row[3] != "0"
     ][:3]
@@ -219,7 +221,7 @@ def records(command, json_path, csv_path):
 
 def main(argv):
     if not argv or argv[0] not in CHECKS:
-        print(f"usage: at_scale.py NAME [FILE...]; NAME is one of: {' '.join(CHECKS)}",
+        print(f"usage: at_scale.py NAME [ARG...]; NAME is one of: {' '.join(CHECKS)}",
               file=sys.stderr)
         return 2
     name, *args = argv

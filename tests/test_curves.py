@@ -48,10 +48,10 @@ class TestRingPolynomial:
         spec = make_ring(5, Fraction(3, 5))
         zero, one, w = ring_zero(spec), ring_one(spec), zeta_power(spec, 1) * root_power(spec, 1)
         polys = [
-            RingPolynomial(spec, ()),
-            RingPolynomial(spec, (w, zero, one)),
-            RingPolynomial(spec, (zero, w * 3, one, w)),
-            RingPolynomial(spec, (w, one * 2)),
+            RingPolynomial(spec, {}),
+            RingPolynomial(spec, dict(enumerate((w, zero, one)))),
+            RingPolynomial(spec, dict(enumerate((zero, w * 3, one, w)))),
+            RingPolynomial(spec, dict(enumerate((w, one * 2)))),
         ]
         for p in polys:
             for q in polys:
@@ -62,14 +62,103 @@ class TestRingPolynomial:
     def test_equality_is_spec_and_coefficients(self):
         spec = make_ring(5, Fraction(3, 5))
         one = ring_one(spec)
-        polys = [RingPolynomial(spec, coeffs) for coeffs in [(), (one,), (one, one)]]
+        polys = [RingPolynomial(spec, dict(enumerate(c))) for c in [(), (one,), (one, one)]]
         for p in polys:
             for q in polys:
                 assert (p == q) == (p is q)
-        # Trailing zeros are dropped; an equal spec built apart still matches.
+        # Zero coefficients are dropped; an equal spec built apart still matches.
         same = make_ring(5, Fraction(3, 5))
-        assert RingPolynomial(same, (ring_one(same), ring_zero(same))) == polys[1]
-        assert RingPolynomial(make_ring(5, 3), ()) != polys[0]
+        assert RingPolynomial(same, dict(enumerate((ring_one(same), ring_zero(same))))) == polys[1]
+        assert RingPolynomial(make_ring(5, 3), {}) != polys[0]
+
+
+class TestSparseForm:
+    """``coeffs`` holds exactly the nonzero x-coefficients, keyed by exponent."""
+
+    spec = make_ring(5, 1)
+
+    @staticmethod
+    def assert_canonical(p):
+        assert all(not v.is_zero() for v in p.coeffs.values()), p.coeffs
+
+    def test_zeros_are_dropped_at_every_position(self):
+        spec = self.spec
+        zero, one, z = ring_zero(spec), ring_one(spec), zeta_power(spec, 1)
+        p = RingPolynomial(spec, {0: zero, 1: one, 2: zero, 3: z, 4: zero})
+        self.assert_canonical(p)
+        assert p.coeffs == {1: one, 3: z}
+        assert p.degree == 3
+        assert (p.coefficient(0), p.coefficient(2), p.coefficient(4)) == (zero,) * 3
+
+    def test_difference_is_canonical(self):
+        spec = self.spec
+        one, z = ring_one(spec), zeta_power(spec, 1)
+        p = RingPolynomial(spec, {1: one, 3: z})
+        q = RingPolynomial(spec, {3: z, 4: z})
+        assert (p - p).coeffs == {}
+        # x^3 cancels; x^4, held only by q, is kept negated.
+        assert (p - q).coeffs == {1: one, 4: -z}
+        assert (q - p).coeffs == {1: -one, 4: z}
+        for r in (p - p, p - q, q - p):
+            self.assert_canonical(r)
+
+    def test_substitution_that_collapses_a_coefficient_drops_it(self):
+        # z*u - z is nonzero in R(5, 1) but vanishes at u = 1.
+        spec = self.spec
+        z, u = zeta_power(spec, 1), root_power(spec, 1)
+        p = RingPolynomial(spec, {2: z * u - z, 1: u})
+        assert sorted(p.coeffs) == [1, 2]
+        f = p.substitute_u(1)
+        self.assert_canonical(f)
+        assert f.coeffs == {1: ring_one(spec)}
+        assert f.degree == 1
+
+    def test_zero_polynomial(self):
+        spec = self.spec
+        p = RingPolynomial(spec, {0: ring_zero(spec)})
+        assert p.coeffs == {} and p.is_zero() and p.degree == -1
+        for e in (0, 1, 7):
+            assert p.coefficient(e) == ring_zero(spec)
+        assert p.to_text() == "0"
+
+    def test_equality_ignores_insertion_order(self):
+        spec = self.spec
+        one, z = ring_one(spec), zeta_power(spec, 1)
+        a = RingPolynomial(spec, {3: z, 1: one, 0: z})
+        b = RingPolynomial(spec, {0: z, 1: one, 3: z})
+        assert list(a.coeffs) != list(b.coeffs)
+        assert a == b and a.to_text() == b.to_text()
+
+    @pytest.mark.parametrize(
+        "g, c, i", [(1, 1, 0), (2, Fraction(-3, 7), 1), (12, 1, 0), (30, Fraction(-7, 11), 1)]
+    )
+    def test_honest_check_stores_only_the_source_terms(self, g, c, i):
+        source, target, pullback, residual = verify_morphism(make_ring(g, c), i)
+        assert residual.coeffs == {}
+        assert sorted(pullback.coeffs) == sorted(source.coeffs) == [1, 2 * g + 1]
+        assert sorted(target.coeffs) == list(range(g % 2, g + 1, 2))
+        for p in (source, target, pullback):
+            self.assert_canonical(p)
+
+    def test_rendering_reads_each_coefficients_entries_once(self, monkeypatch):
+        # At g = 30 (phi = 8), with i = 1, each w^k past z^8 has several
+        # terms; such a coefficient renders in parentheses from the one
+        # entries() read that also tells it apart from a single term.
+        target = build_target(make_ring(30, Fraction(-7, 11)), 1)
+        multi = [p for p in target.coeffs.values() if len(p.entries()) > 1]
+        assert multi
+        expected = target.to_text()
+        assert all(f"({p.to_text()})" in expected for p in multi)
+        calls = []
+        honest = QuotientRingElement.entries
+
+        def counting(self):
+            calls.append(self)
+            return honest(self)
+
+        monkeypatch.setattr(QuotientRingElement, "entries", counting)
+        assert target.to_text() == expected
+        assert len(calls) == len(target.coeffs)
 
 
 class TestBuildSource:
@@ -184,7 +273,7 @@ class TestPullback:
                 a = g - b
                 rebuilt[2 * a + 1] = rebuilt[2 * a + 1] + w_to_b.scale(coeff)
                 w_to_b = w_to_b * w
-            assert RingPolynomial(spec, tuple(rebuilt)) == pullback_rhs(spec, i)
+            assert RingPolynomial(spec, dict(enumerate(rebuilt))) == pullback_rhs(spec, i)
 
     def test_integer_stage_is_the_oracle_row(self, monkeypatch):
         # Put y = w/x in the oracle's sum for x^g + y^g and multiply by
@@ -348,7 +437,7 @@ class TestVerifyMorphism:
             expected[2 * g + 1 - 2 * b] = ring_power(w, b).scale(
                 delta * (-1) ** k * math.comb(g - 2 * k, b - k)
             )
-        assert residual == RingPolynomial(spec, tuple(expected))
+        assert residual == RingPolynomial(spec, dict(enumerate(expected)))
 
     def test_wrong_w_leaves_only_the_linear_term(self, monkeypatch):
         # w = 2 zeta u scales each w^b by 2^b; the honest weights vanish
@@ -414,7 +503,7 @@ class TestUnitRootSpecialization:
         # each coefficient is then what its own substitute_u gives.
         spec = make_ring(6, 1)
         f = build_target(spec, 1)
-        expected = [p.substitute_u(-1) for p in f.coeffs]
+        expected = {e: p.substitute_u(-1) for e, p in f.coeffs.items()}
         checks = []
         honest = curves._root_of_c
 
@@ -424,7 +513,7 @@ class TestUnitRootSpecialization:
 
         monkeypatch.setattr(curves, "_root_of_c", counting)
         monkeypatch.setattr(quotient_ring, "_root_of_c", counting)
-        assert f.substitute_u(-1).coeffs == tuple(expected)
+        assert f.substitute_u(-1).coeffs == expected
         assert checks == [-1]
         with pytest.raises(ValueError):
             f.substitute_u(2)
