@@ -40,7 +40,7 @@ from json.encoder import encode_basestring_ascii
 
 from .alignment import aligned_entries, identity_sum, identity_sweep, map_row_ranges
 from .combinatorics import lucas_row, pascal_halves
-from .curves import build_target, table_rows, table_text, verify_morphism
+from .curves import RingPolynomial, build_target, table_rows, table_text, verify_morphism
 from .lockwood import _verify_range, _x_n_plus_y_n, lockwood_rhs
 from .quotient_ring import make_ring
 
@@ -364,6 +364,12 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
     return 0 if not failures else 1
 
 
+def _coefficient_cell(f: RingPolynomial, exp: int) -> str:
+    """The text of f's coefficient of x^exp: ``0`` where f holds none."""
+    p = f.coeffs.get(exp)
+    return "0" if p is None else p.to_text()
+
+
 def _cmd_curve(args: argparse.Namespace) -> int:
     spec = make_ring(args.g, args.c)
     f = build_target(spec, args.i)
@@ -371,7 +377,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         print(f"C_{args.i} over R(g={args.g}, c={args.c}): {f.equation_text()}")
         return 0
     header = ["x_exp", "element"]
-    rows = [[exp, f.coefficient(exp).to_text()] for exp in range(f.degree, -1, -1)]
+    rows = [[exp, _coefficient_cell(f, exp)] for exp in range(f.degree, -1, -1)]
     if args.format == "json":
         print(_json({
             "g": spec.g,
@@ -403,7 +409,7 @@ def _cmd_verify_morphism(args: argparse.Namespace) -> int:
         }))
     elif args.format == "csv":
         rows = [
-            [exp, *(f.coefficient(exp).to_text() for f in (pullback, source, residual))]
+            [exp, *(_coefficient_cell(f, exp) for f in (pullback, source, residual))]
             for exp in range(max(pullback.degree, source.degree, 0), -1, -1)
         ]
         print(_emit_csv(["x_exp", "pullback", "source", "residual"], rows))

@@ -39,11 +39,10 @@ from .quotient_ring import (
     RingSpec,
     _entries_text,
     _power_text,
-    _root_of_c,
     _terms_text,
+    _u_to_one,
     from_rational,
     ring_one,
-    ring_zero,
     root_power,
     zeta_power,
 )
@@ -87,10 +86,6 @@ class RingPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, exponent: int) -> QuotientRingElement:
-        p = self.coeffs.get(exponent)
-        return ring_zero(self.spec) if p is None else p
-
     def __sub__(self, other: "RingPolynomial") -> "RingPolynomial":
         """Coefficient by coefficient; an exponent held by one side needs no addition."""
         if self.spec != other.spec:
@@ -101,13 +96,6 @@ class RingPolynomial:
             coeffs[e] = -q if p is None else p - q
         return RingPolynomial(self.spec, coeffs)
 
-    def substitute_u(self, value: Fraction | int) -> "RingPolynomial":
-        """Every coefficient's ``substitute_u``, with value^g = c checked once."""
-        value = _root_of_c(self.spec, value)
-        return RingPolynomial(
-            self.spec, {e: p._at_root(value) for e, p in self.coeffs.items()}
-        )
-
     def to_text(self) -> str:
         """Terms in descending x-degree with canonically rendered coefficients."""
         return _terms_text(
@@ -117,11 +105,14 @@ class RingPolynomial:
     def equation_text(self) -> str:
         """The curve y^2 = self as text.
 
-        When c = 1 the formal root u is specialized to the rational root 1,
-        which is how these curves are conventionally written; other c keep
+        When c = 1 the formal root u is read as 1, which is how these curves
+        are conventionally written: each coefficient is folded by
+        ``_u_to_one``, and one that folds to zero is dropped.  Other c keep
         the canonical u-form.
         """
-        f = self.substitute_u(1) if self.spec.c == 1 else self
+        f = self
+        if self.spec.c == 1:
+            f = RingPolynomial(self.spec, {e: _u_to_one(p) for e, p in self.coeffs.items()})
         return f"y^2 = {f.to_text()}"
 
     def __repr__(self) -> str:
@@ -150,21 +141,21 @@ def build_source(spec: RingSpec) -> RingPolynomial:
     return RingPolynomial(spec, {2 * spec.g + 1: ring_one(spec), 1: from_rational(spec, spec.c)})
 
 
-def _w_powers(spec: RingSpec, i: int, top: int) -> list[QuotientRingElement]:
-    """w^0..w^top for w = zeta^i c^{1/g}, by repeated multiplication by w.
+def _w_powers(spec: RingSpec, i: int) -> list[QuotientRingElement]:
+    """w^0..w^{ceil(g/2)} for w = zeta^i c^{1/g}, by repeated multiplication by w.
 
-    Each product reduces through Phi_g and u^g = c, so the list costs top + 1
-    ring products.  The target reads w^0..w^{g//2}; the pullback reads
-    w^0..w^{ceil(g/2)} and makes w^g from two of them.  ``i`` selects which
-    g-th root of unity twists w and must be 0 or 1; it is checked here,
-    before any ring product, for every caller.
+    Each product reduces through Phi_g and u^g = c, so the list costs
+    ceil(g/2) + 1 ring products.  The target reads w^0..w^{g//2}; the
+    pullback reads the whole list and makes w^g from two of its powers.
+    ``i`` selects which g-th root of unity twists w and must be 0 or 1; it
+    is checked here, before any ring product, for every caller.
     """
     if i not in (0, 1):
         # Named for the target curve, which every command that reads i builds.
         raise ValueError(f"build_target requires i in {{0, 1}}, got i={i}")
     w = zeta_power(spec, i) * root_power(spec, 1)
     powers = [ring_one(spec)]
-    for _ in range(top):
+    for _ in range((spec.g + 1) // 2):
         powers.append(powers[-1] * w)
     return powers
 
@@ -182,13 +173,12 @@ def build_target(
     and T(g, k) comes from ``lucas_row``, the same values the pullback
     reads, so a fault in either leaves a nonzero residual.  ``i`` must be
     0 or 1 (see ``_w_powers``).  ``w_powers``, if given, is
-    ``_w_powers(spec, i, top)`` for some top >= g//2 (``verify_morphism``
-    passes top = ceil(g/2)), and ``lucas``, if given, is ``lucas_row(g)``,
-    both already computed by the caller.
+    ``_w_powers(spec, i)`` and ``lucas``, if given, is ``lucas_row(g)``,
+    both already computed by the caller (``verify_morphism``).
     """
     g = spec.g
     if w_powers is None:
-        w_powers = _w_powers(spec, i, g // 2)
+        w_powers = _w_powers(spec, i)
     if lucas is None:
         lucas = lucas_row(g)
     return RingPolynomial(
@@ -256,19 +246,19 @@ def pullback_rhs(
     ``binomial()``, ``lucas_coeff()`` nor the ``lockwood`` oracle: one
     integer weight per w-exponent b, at x^{2g+1-2b}.  Then each nonzero weight
     becomes the coefficient weight * w^b of x^{2g+1-2b} in R(g, c), with w^b
-    read from ``w_powers`` = ``_w_powers(spec, i, top)`` for some
-    top >= ceil(g/2) (computed here with top = ceil(g/2) if not given); a
-    power above the list is the one product w^top * w^(b-top).  Only those
-    coefficients are stored: an honest run has nonzero weights at b = 0 and
-    b = g only, so the pullback holds x^{2g+1} and x^1, and w^g = c is still
-    checked by a ring product, reduced through Phi_g and u^g = c.
+    read from ``w_powers`` = ``_w_powers(spec, i)`` (computed here if not
+    given), which ends at top = ceil(g/2); a power above the list is the one
+    product w^top * w^(b-top).  Only those coefficients are stored: an
+    honest run has nonzero weights at b = 0 and b = g only, so the pullback
+    holds x^{2g+1} and x^1, and w^g = c is still checked by a ring product,
+    reduced through Phi_g and u^g = c.
     """
     g = spec.g
     if w_powers is None:
-        w_powers = _w_powers(spec, i, (g + 1) // 2)
+        w_powers = _w_powers(spec, i)
     if lucas is None:
         lucas = lucas_row(g)
-    top = len(w_powers) - 1
+    top = (g + 1) // 2
     coeffs = {}
     for b, weight in enumerate(_pullback_weights(g, lucas)):
         if weight:
@@ -288,7 +278,7 @@ def verify_morphism(
     target and the pullback both, and a bad ``i`` is refused before any of
     them; with w^g, an honest run makes ceil(g/2) + 2 ring products (g >= 2).
     """
-    w_powers = _w_powers(spec, i, (spec.g + 1) // 2)
+    w_powers = _w_powers(spec, i)
     lucas = lucas_row(spec.g)
     source = build_source(spec)
     target = build_target(spec, i, w_powers, lucas)

@@ -34,7 +34,6 @@ __all__ = [
     "RingSpec",
     "QuotientRingElement",
     "make_ring",
-    "ring_zero",
     "ring_one",
     "from_rational",
     "zeta_power",
@@ -151,27 +150,6 @@ class QuotientRingElement:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def substitute_u(self, value: Fraction | int) -> "QuotientRingElement":
-        """Collapse u to a concrete rational g-th root of c.
-
-        Only legal when value^g = c (then u -> value extends to a ring map
-        into Q[z]/(Phi_g), embedded back as the b = 0 terms).  Used to
-        render curves over c = 1 the way they are usually written, with
-        c^{k/g} read as 1 rather than as a formal root.
-        """
-        return self._at_root(_root_of_c(self.spec, value))
-
-    def _at_root(self, value: Fraction) -> "QuotientRingElement":
-        """``substitute_u`` for a value already known to satisfy value^g = c."""
-        if not self._terms:
-            return self
-        p, q = value.numerator, value.denominator
-        top = max(b for _, b in self._terms)
-        acc: dict[tuple[int, int], int] = {}
-        for (a, b), v in self._terms.items():
-            acc[a, 0] = acc.get((a, 0), 0) + v * p**b * q ** (top - b)
-        return _element(self.spec, acc, self._den * q**top)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuotientRingElement):
             return NotImplemented
@@ -194,8 +172,8 @@ class QuotientRingElement:
     def __sub__(self, other: "QuotientRingElement") -> "QuotientRingElement":
         return self + (-other)
 
-    def __mul__(self, other: "QuotientRingElement | Fraction | int") -> "QuotientRingElement":
-        """The product, reduced through u^g = c and Phi_g.
+    def __mul__(self, other: "QuotientRingElement") -> "QuotientRingElement":
+        """The product of two elements of one ring, reduced through u^g = c and Phi_g.
 
         Each pair of nonzero terms v1 z^a1 u^b1 and v2 z^a2 u^b2 adds v1 v2
         at (a1 + a2, b1 + b2), with u^g folded back to c past u^g; the keys
@@ -204,9 +182,8 @@ class QuotientRingElement:
         shape of factor.  The tests check it against sympy's reduction
         modulo u^g - c and Phi_g, which shares no code with it, for
         one-term, few-term and dense factors and for Phi_g with many terms.
+        A rational factor is not an element: ``scale`` multiplies by one.
         """
-        if isinstance(other, (Fraction, int)):
-            return self.scale(other)
         if not isinstance(other, QuotientRingElement):
             return NotImplemented
         spec = _common_spec(self, other)
@@ -238,6 +215,7 @@ class QuotientRingElement:
     __rmul__ = __mul__
 
     def scale(self, q: Fraction | int) -> "QuotientRingElement":
+        """The product with the rational q; ``*`` takes ring elements only."""
         n = q.numerator
         return _element(
             self.spec, {key: n * v for key, v in self._terms.items()}, self._den * q.denominator
@@ -269,14 +247,17 @@ def _element(
     return element
 
 
-def _root_of_c(spec: RingSpec, value: Fraction | int) -> Fraction:
-    """``value`` as a Fraction, checked to be a g-th root of c."""
-    value = Fraction(value)
-    if value ** spec.g != spec.c:
-        raise ValueError(
-            f"substitute_u requires value^g == c, got value={value}, c={spec.c}"
-        )
-    return value
+def _u_to_one(x: QuotientRingElement) -> QuotientRingElement:
+    """x with u -> 1, for x in R(g, 1): each z^a u^b becomes z^a.
+
+    u^g - 1 vanishes at u = 1, so this is a ring map into Q[z]/(Phi_g),
+    embedded back as the b = 0 terms.  Numerators that land on the same a
+    are summed, and what cancels is dropped by ``_element``.
+    """
+    acc: dict[tuple[int, int], int] = {}
+    for (a, _), v in x._terms.items():
+        acc[a, 0] = acc.get((a, 0), 0) + v
+    return _element(x.spec, acc, x._den)
 
 
 def _common_spec(x: QuotientRingElement, y: QuotientRingElement) -> RingSpec:
@@ -316,10 +297,6 @@ def _terms_text(terms: Iterable[tuple[Fraction | int, Iterable[str]]]) -> str:
         sign = ("- " if q < 0 else "+ ") if parts else ("-" if q < 0 else "")
         parts.append(sign + "*".join(body))
     return " ".join(parts) or "0"
-
-
-def ring_zero(spec: RingSpec) -> QuotientRingElement:
-    return _element(spec, {}, 1)
 
 
 def ring_one(spec: RingSpec) -> QuotientRingElement:

@@ -52,14 +52,19 @@ import functools
 import io
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat, zip_longest
 
 from vertalign import alignment
 from vertalign.combinatorics import binomial, lucas_coeff
 from vertalign.curves import RingPolynomial
 from vertalign.lockwood import BivariatePolynomial
-from vertalign.quotient_ring import QuotientRingElement, ring_one, ring_zero, root_power, zeta_power
+from vertalign.quotient_ring import (
+    QuotientRingElement,
+    from_rational,
+    ring_one,
+    root_power,
+    zeta_power,
+)
 
 
 # -- combinatorics -----------------------------------------------------------
@@ -224,13 +229,14 @@ def ring_poly_dense(p: RingPolynomial) -> list[QuotientRingElement]:
     result back by exponent, sharing no code with ``RingPolynomial``'s
     sparse arithmetic.
     """
-    return [p.coefficient(e) for e in range(p.degree + 1)]
+    zero = from_rational(p.spec, 0)
+    return [p.coeffs.get(e, zero) for e in range(p.degree + 1)]
 
 
 def ring_poly_add(p: RingPolynomial, q: RingPolynomial) -> RingPolynomial:
     if p.spec != q.spec:
         raise ValueError("ring mismatch between polynomials")
-    pairs = zip_longest(ring_poly_dense(p), ring_poly_dense(q), fillvalue=ring_zero(p.spec))
+    pairs = zip_longest(ring_poly_dense(p), ring_poly_dense(q), fillvalue=from_rational(p.spec, 0))
     return RingPolynomial(p.spec, dict(enumerate(a + b for a, b in pairs)))
 
 
@@ -240,7 +246,7 @@ def ring_poly_mul(p: RingPolynomial, q: RingPolynomial) -> RingPolynomial:
     if p.is_zero() or q.is_zero():
         return RingPolynomial(p.spec, {})
     p_dense, q_dense = ring_poly_dense(p), ring_poly_dense(q)
-    acc = [ring_zero(p.spec)] * (len(p_dense) + len(q_dense) - 1)
+    acc = [from_rational(p.spec, 0)] * (len(p_dense) + len(q_dense) - 1)
     for i, a in enumerate(p_dense):
         if a.is_zero():
             continue
@@ -250,9 +256,7 @@ def ring_poly_mul(p: RingPolynomial, q: RingPolynomial) -> RingPolynomial:
     return RingPolynomial(p.spec, dict(enumerate(acc)))
 
 
-def ring_poly_scale(
-    p: RingPolynomial, factor: QuotientRingElement | Fraction | int
-) -> RingPolynomial:
+def ring_poly_scale(p: RingPolynomial, factor: QuotientRingElement) -> RingPolynomial:
     return RingPolynomial(p.spec, dict(enumerate(a * factor for a in ring_poly_dense(p))))
 
 
@@ -262,7 +266,7 @@ def ring_poly_shift(p: RingPolynomial, exponent: int) -> RingPolynomial:
         raise ValueError("shift exponent must be nonnegative")
     if p.is_zero():
         return p
-    dense = [ring_zero(p.spec)] * exponent + ring_poly_dense(p)
+    dense = [from_rational(p.spec, 0)] * exponent + ring_poly_dense(p)
     return RingPolynomial(p.spec, dict(enumerate(dense)))
 
 

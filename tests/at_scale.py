@@ -23,7 +23,7 @@ import pytest
 from _faults import fault_chain, fault_lucas_row, fault_sweep
 from vertalign import alignment, curves, lockwood
 from vertalign.combinatorics import lucas_row
-from vertalign.quotient_ring import make_ring, ring_zero
+from vertalign.quotient_ring import from_rational, make_ring, ring_one, root_power, zeta_power
 
 CHECKS = {}
 
@@ -110,19 +110,23 @@ def morphism_fault_401():
 
     The tests fault g <= 13 only.  The residual must be exactly
     C(101, b - 150) w^b at x^(803 - 2b) for 150 <= b <= 251, with w^b from
-    the plain list of powers ``_w_powers(spec, 1, 401)``, and zero elsewhere.
+    its own loop of products by w = zeta u, and zero elsewhere.
     """
     spec = make_ring(401, Fraction(3, 5))
     with pytest.MonkeyPatch.context() as mp:
         fault_lucas_row(mp, curves, (401, 150, 1))
         residual = curves.verify_morphism(spec, 1)[3]
-    powers = curves._w_powers(spec, 1, 401)
-    expected = [ring_zero(spec)] * 804
+    w = zeta_power(spec, 1) * root_power(spec, 1)
+    powers = [ring_one(spec)]
+    for _ in range(251):
+        powers.append(powers[-1] * w)
+    zero = from_rational(spec, 0)
+    expected = [zero] * 804
     expected[803 - 2 * 251:803 - 2 * 150 + 1:2] = [
         powers[b].scale(math.comb(101, b - 150)) for b in range(251, 149, -1)
     ]
     assert residual == curves.RingPolynomial(spec, dict(enumerate(expected))), [
-        e for e in range(804) if residual.coefficient(e) != expected[e]
+        e for e in range(804) if residual.coeffs.get(e, zero) != expected[e]
     ][:5]
 
 
@@ -154,6 +158,25 @@ def morphism_csv(path, g):
     assert all(row[1] == row[2] and row[3] == "0" for row in rows), [
         row for row in rows if row[1] != row[2] or row[3] != "0"
     ][:3]
+
+
+@check
+def curve_csv(path, g):
+    """``--format csv curve -- G C I`` of the target curve at genus G.
+
+    The output digest reaches only g <= 7 in CSV.  The target holds only
+    x^G, x^(G-2), ..., so there must be G + 1 data rows, x^G down to x^0,
+    a cell of ``1`` at x^G, a nonzero cell at each exponent of G's parity,
+    and a cell of exactly ``0`` at each of the other parity.
+    """
+    g = int(g)
+    with open(path, newline="") as file:
+        header, *rows = csv.reader(file)
+    assert header == ["x_exp", "element"], header
+    assert [row[0] for row in rows] == [str(e) for e in range(g, -1, -1)], len(rows)
+    assert rows[0][1] == "1", rows[0]
+    zeros = [int(e) for e, cell in rows if cell == "0"]
+    assert zeros == list(range(g - 1, -1, -2)), zeros[:3]
 
 
 @check

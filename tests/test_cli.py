@@ -30,8 +30,9 @@ from _reference import (
     reference_csv,
 )
 from output_digest import help_and_usage
-from vertalign import lockwood
+from vertalign import lockwood, quotient_ring
 from vertalign.alignment import SweepSummary, identity_sum, identity_sweep, map_row_ranges
+from vertalign.quotient_ring import QuotientRingElement, from_rational
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -351,7 +352,7 @@ def _reference_payload(argv: list[str]) -> dict:
         if command == "curve":
             f = cli.build_target(spec, i)
             return {**head, "equation": f.equation_text(), "coefficients": [
-                {"x_exp": exp, "element": f.coefficient(exp).to_text()}
+                {"x_exp": exp, "element": f.coeffs.get(exp, from_rational(spec, 0)).to_text()}
                 for exp in range(f.degree, -1, -1)
             ]}
         source, target, pullback, residual = cli.verify_morphism(spec, i)
@@ -660,6 +661,59 @@ class TestCsvOutputs:
     def test_failing_run_matches_csv_writer(self, argv, fault, capsys, monkeypatch):
         fault(monkeypatch)
         assert _csv_against_reference(argv, capsys, monkeypatch) == 1
+
+
+class TestCoefficientCells:
+    """The rows of ``curve`` and ``verify-morphism`` read each curve's stored
+    coefficients and write ``0`` for an exponent the curve does not hold."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--format", "csv", "verify-morphism", "--", "30", "-7/11", "1"],
+            ["--format", "json", "curve", "--", "30", "-7/11", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_rows_build_no_element(self, argv, capsys, monkeypatch):
+        # The curves are built before the counting starts; what remains is
+        # writing the rows, which renders each stored coefficient once.
+        spec = cli.make_ring(30, Fraction(-7, 11))
+        if "curve" in argv:
+            target = cli.build_target(spec, 1)
+            monkeypatch.setattr(cli, "build_target", lambda spec, i: target)
+            written = {"element": target}
+        else:
+            results = cli.verify_morphism(spec, 1)
+            monkeypatch.setattr(cli, "verify_morphism", lambda spec, i: results)
+            source, _, pullback, residual = results
+            written = {"pullback": pullback, "source": source, "residual": residual}
+        rendered, built = [], []
+        to_text, element = QuotientRingElement.to_text, quotient_ring._element
+        monkeypatch.setattr(
+            QuotientRingElement, "to_text", lambda self: rendered.append(id(self)) or to_text(self)
+        )
+        monkeypatch.setattr(
+            quotient_ring, "_element", lambda *args: built.append(args) or element(*args)
+        )
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert built == []
+        stored = [id(p) for f in written.values() for p in f.coeffs.values()]
+        assert sorted(rendered) == sorted(stored)
+        if "curve" in argv:
+            records = json.loads(out)["coefficients"]
+        else:
+            header, *rows = csv.reader(io.StringIO(out))
+            records = [dict(zip(header, row)) for row in rows]
+        # x^g down to x^0 for the target, x^(2g+1) down to x^0 for the check.
+        top = 30 if "curve" in argv else 61
+        assert [int(record["x_exp"]) for record in records] == list(range(top, -1, -1))
+        for record in records:
+            exp = int(record["x_exp"])
+            for name, f in written.items():
+                p = f.coeffs.get(exp)
+                assert record[name] == ("0" if p is None else to_text(p)), (exp, name)
 
 
 def _triangle_text(rows: list[list[int]]) -> str:

@@ -9,6 +9,7 @@ import pytest
 from _faults import fail_morphism, fault_lucas_row, forbid, perturbed
 from _reference import (
     coefficient_facts,
+    lucas_coeff_alt,
     pullback_weights_by_rows,
     reference_pullback,
     ring_poly_add,
@@ -35,7 +36,6 @@ from vertalign.quotient_ring import (
     from_rational,
     make_ring,
     ring_one,
-    ring_zero,
     root_power,
     zeta_power,
 )
@@ -46,16 +46,17 @@ class TestRingPolynomial:
         # Every zero pattern of a pair: both zero, either one, neither;
         # different lengths; and a difference that cancels to nothing.
         spec = make_ring(5, Fraction(3, 5))
-        zero, one, w = ring_zero(spec), ring_one(spec), zeta_power(spec, 1) * root_power(spec, 1)
+        zero, one = from_rational(spec, 0), ring_one(spec)
+        w = zeta_power(spec, 1) * root_power(spec, 1)
         polys = [
             RingPolynomial(spec, {}),
             RingPolynomial(spec, dict(enumerate((w, zero, one)))),
-            RingPolynomial(spec, dict(enumerate((zero, w * 3, one, w)))),
-            RingPolynomial(spec, dict(enumerate((w, one * 2)))),
+            RingPolynomial(spec, dict(enumerate((zero, w.scale(3), one, w)))),
+            RingPolynomial(spec, dict(enumerate((w, one.scale(2))))),
         ]
         for p in polys:
             for q in polys:
-                negated = ring_poly_scale(q, -1)
+                negated = ring_poly_scale(q, from_rational(spec, -1))
                 assert p - q == ring_poly_add(p, negated), (p.to_text(), q.to_text())
             assert (p - p).is_zero()
 
@@ -68,7 +69,8 @@ class TestRingPolynomial:
                 assert (p == q) == (p is q)
         # Zero coefficients are dropped; an equal spec built apart still matches.
         same = make_ring(5, Fraction(3, 5))
-        assert RingPolynomial(same, dict(enumerate((ring_one(same), ring_zero(same))))) == polys[1]
+        padded = dict(enumerate((ring_one(same), from_rational(same, 0))))
+        assert RingPolynomial(same, padded) == polys[1]
         assert RingPolynomial(make_ring(5, 3), {}) != polys[0]
 
 
@@ -83,12 +85,12 @@ class TestSparseForm:
 
     def test_zeros_are_dropped_at_every_position(self):
         spec = self.spec
-        zero, one, z = ring_zero(spec), ring_one(spec), zeta_power(spec, 1)
+        zero, one, z = from_rational(spec, 0), ring_one(spec), zeta_power(spec, 1)
         p = RingPolynomial(spec, {0: zero, 1: one, 2: zero, 3: z, 4: zero})
         self.assert_canonical(p)
         assert p.coeffs == {1: one, 3: z}
         assert p.degree == 3
-        assert (p.coefficient(0), p.coefficient(2), p.coefficient(4)) == (zero,) * 3
+        assert all(e not in p.coeffs for e in (0, 2, 4))
 
     def test_difference_is_canonical(self):
         spec = self.spec
@@ -103,22 +105,21 @@ class TestSparseForm:
             self.assert_canonical(r)
 
     def test_substitution_that_collapses_a_coefficient_drops_it(self):
-        # z*u - z is nonzero in R(5, 1) but vanishes at u = 1.
+        # z*u - z is nonzero in R(5, 1) but folds to zero at u = 1, so the
+        # equation is written without an x^2 term.
         spec = self.spec
         z, u = zeta_power(spec, 1), root_power(spec, 1)
         p = RingPolynomial(spec, {2: z * u - z, 1: u})
         assert sorted(p.coeffs) == [1, 2]
-        f = p.substitute_u(1)
-        self.assert_canonical(f)
-        assert f.coeffs == {1: ring_one(spec)}
-        assert f.degree == 1
+        assert p.to_text() == "(-z + z*u)*x^2 + u*x"
+        assert p.equation_text() == "y^2 = x"
 
     def test_zero_polynomial(self):
         spec = self.spec
-        p = RingPolynomial(spec, {0: ring_zero(spec)})
+        p = RingPolynomial(spec, {0: from_rational(spec, 0)})
         assert p.coeffs == {} and p.is_zero() and p.degree == -1
         for e in (0, 1, 7):
-            assert p.coefficient(e) == ring_zero(spec)
+            assert e not in p.coeffs
         assert p.to_text() == "0"
 
     def test_equality_ignores_insertion_order(self):
@@ -179,10 +180,10 @@ class TestBuildSource:
         spec = make_ring(7, -2)
         f = build_source(spec)
         assert f.degree == 15
-        nonzero = [e for e in range(16) if not f.coefficient(e).is_zero()]
+        nonzero = [e for e in range(16) if e in f.coeffs]
         assert nonzero == [1, 15]
-        assert f.coefficient(15) == ring_one(spec)
-        assert f.coefficient(1) == from_rational(spec, -2)
+        assert f.coeffs.get(15) == ring_one(spec)
+        assert f.coeffs.get(1) == from_rational(spec, -2)
 
 
 class TestBuildTarget:
@@ -203,7 +204,7 @@ class TestBuildTarget:
             expected = (zeta_power(spec, k) * root_power(spec, k)).scale(
                 (-1) ** k * expected_magnitudes[k]
             )
-            assert f.coefficient(11 - 2 * k) == expected
+            assert f.coeffs.get(11 - 2 * k) == expected
 
     def test_coefficient_construction_rule(self):
         for g, c, i in [(4, 2, 0), (9, Fraction(3, 5), 1), (12, -1, 1)]:
@@ -213,20 +214,27 @@ class TestBuildTarget:
                 expected = (zeta_power(spec, i * k) * root_power(spec, k)).scale(
                     (-1) ** k * lucas_coeff(g, k)
                 )
-                assert f.coefficient(g - 2 * k) == expected
+                assert f.coeffs.get(g - 2 * k) == expected
 
     def test_parity_sparsity_and_normalization(self):
         for g, c, i in [(8, 1, 0), (9, 2, 1), (14, Fraction(3, 5), 1), (1, 5, 0)]:
             spec = make_ring(g, c)
             f = build_target(spec, i)
             assert f.degree == g
-            assert f.coefficient(g) == ring_one(spec)
+            assert f.coeffs.get(g) == ring_one(spec)
             if g >= 1:
-                assert f.coefficient(g - 1).is_zero()
+                assert g - 1 not in f.coeffs
             live = {g - 2 * k for k in range(g // 2 + 1)}
             for e in range(g + 1):
                 if e not in live:
-                    assert f.coefficient(e).is_zero()
+                    assert e not in f.coeffs
+
+    @pytest.mark.parametrize("g", [1, 2, 7, 12, 13])
+    def test_w_powers_end_at_ceil_half(self, g):
+        # The target reads w^0..w^(g//2), the pullback w^0..w^ceil(g/2).
+        spec = make_ring(g, Fraction(-7, 11))
+        w = zeta_power(spec, 1) * root_power(spec, 1)
+        assert curves._w_powers(spec, 1) == [ring_power(w, b) for b in range((g + 1) // 2 + 1)]
 
     def test_rejects_bad_twist_index(self, monkeypatch):
         # Refused before any ring product, also by verify_morphism.
@@ -267,7 +275,7 @@ class TestPullback:
         for g, c, i in [(2, 1, 0), (5, 1, 1), (7, Fraction(3, 5), 1), (10, 2, 0)]:
             spec = make_ring(g, c)
             w = zeta_power(spec, i) * root_power(spec, 1)
-            rebuilt = [ring_zero(spec)] * (2 * g + 2)
+            rebuilt = [from_rational(spec, 0)] * (2 * g + 2)
             w_to_b = ring_one(spec)
             for b, coeff in enumerate(lockwood_rhs(g).coeffs):
                 a = g - b
@@ -337,7 +345,7 @@ class TestPullback:
 
 
 def _nonzero_exponents(f: RingPolynomial) -> list[int]:
-    return [exp for exp in range(f.degree + 1) if not f.coefficient(exp).is_zero()]
+    return [exp for exp in range(f.degree + 1) if exp in f.coeffs]
 
 
 class TestVerifyMorphism:
@@ -408,7 +416,7 @@ class TestVerifyMorphism:
         _, target, _, residual = verify_morphism(spec, 1)
         assert calls == [9]
         w = zeta_power(spec, 1) * root_power(spec, 1)
-        assert target.coefficient(5) == ring_power(w, 2).scale(lucas_coeff(9, 2) + 1)
+        assert target.coeffs.get(5) == ring_power(w, 2).scale(lucas_coeff(9, 2) + 1)
         assert not residual.is_zero()
 
     # Negative controls: a fault in either input of the pullback leaves a
@@ -432,7 +440,7 @@ class TestVerifyMorphism:
         spec = make_ring(g, Fraction(-7, 11))
         residual = verify_morphism(spec, i)[3]
         w = zeta_power(spec, i) * root_power(spec, 1)
-        expected = [ring_zero(spec)] * (2 * g + 2)
+        expected = [from_rational(spec, 0)] * (2 * g + 2)
         for b in range(k, g - k + 1):
             expected[2 * g + 1 - 2 * b] = ring_power(w, b).scale(
                 delta * (-1) ** k * math.comb(g - 2 * k, b - k)
@@ -477,9 +485,9 @@ class TestCoefficientFacts:
             facts = coefficient_facts(g)
             spec = make_ring(g, 1)
             f = build_target(spec, 0)
-            assert f.coefficient(g - 2) == root_power(spec, 1).scale(facts.second)
+            assert f.coeffs.get(g - 2) == root_power(spec, 1).scale(facts.second)
             k_last = g // 2 if g % 2 == 0 else (g - 1) // 2
-            assert f.coefficient(facts.last_exponent) == root_power(spec, k_last).scale(
+            assert f.coeffs.get(facts.last_exponent) == root_power(spec, k_last).scale(
                 facts.last
             )
 
@@ -493,30 +501,25 @@ class TestUnitRootSpecialization:
     def test_c1_i0_coefficients_are_signed_lucas_row(self):
         for g in range(1, 31):
             spec = make_ring(g, 1)
-            f = build_target(spec, 0).substitute_u(1)
+            f = build_target(spec, 0)
             row = lucas_row(g)
             for k in range(g // 2 + 1):
-                assert f.coefficient(g - 2 * k) == from_rational(spec, (-1) ** k * row[k])
+                folded = quotient_ring._u_to_one(f.coeffs.get(g - 2 * k))
+                assert folded == from_rational(spec, (-1) ** k * row[k])
 
-    def test_polynomial_checks_the_root_once(self, monkeypatch):
-        # value^g = c is checked once per polynomial, not per coefficient;
-        # each coefficient is then what its own substitute_u gives.
-        spec = make_ring(6, 1)
-        f = build_target(spec, 1)
-        expected = {e: p.substitute_u(-1) for e, p in f.coeffs.items()}
-        checks = []
-        honest = curves._root_of_c
-
-        def counting(spec, value):
-            checks.append(value)
-            return honest(spec, value)
-
-        monkeypatch.setattr(curves, "_root_of_c", counting)
-        monkeypatch.setattr(quotient_ring, "_root_of_c", counting)
-        assert f.substitute_u(-1).coeffs == expected
-        assert checks == [-1]
-        with pytest.raises(ValueError):
-            f.substitute_u(2)
+    @pytest.mark.parametrize("g", [*range(1, 41), 105])
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_folded_target_is_the_curve_built_without_u(self, g, i):
+        # Over c = 1, w = zeta^i u folds to zeta^i, so the target reads
+        # (-1)^k T(g, k) zeta^(ik) at x^(g-2k), built here with no u at all
+        # and T from its sum form.  Phi_105 has many terms, so there the
+        # zeta powers have several.
+        spec = make_ring(g, 1)
+        without_u = RingPolynomial(spec, {
+            g - 2 * k: zeta_power(spec, i * k).scale((-1) ** k * lucas_coeff_alt(g, k))
+            for k in range(g // 2 + 1)
+        })
+        assert build_target(spec, i).equation_text() == f"y^2 = {without_u.to_text()}"
 
 
 class TestTable:

@@ -10,10 +10,10 @@ from vertalign.cyclotomic import cyclotomic
 from vertalign.quotient_ring import (
     QuotientRingElement,
     RingSpec,
+    _u_to_one,
     from_rational,
     make_ring,
     ring_one,
-    ring_zero,
     root_power,
     zeta_power,
 )
@@ -111,7 +111,7 @@ class TestZetaPower:
 
     def test_geometric_sum_vanishes(self):
         spec = make_ring(6, 1)
-        total = ring_zero(spec)
+        total = from_rational(spec, 0)
         for m in range(6):
             total = total + zeta_power(spec, m)
         assert total.is_zero()
@@ -171,7 +171,7 @@ class TestRingArithmetic:
                 assert x * (y + w) == x * y + x * w
                 assert (x + (-x)).is_zero()
                 assert x * ring_one(spec) == x
-                assert (x * ring_zero(spec)).is_zero()
+                assert (x * from_rational(spec, 0)).is_zero()
 
     def test_reduction_idempotence(self):
         rng = random.Random(24680)
@@ -183,8 +183,14 @@ class TestRingArithmetic:
     def test_scalar_scale(self):
         spec = make_ring(6, 2)
         x = zeta_power(spec, 1) + root_power(spec, 1)
-        assert x.scale(Fraction(3, 2)) == x * Fraction(3, 2)
+        assert x.scale(Fraction(3, 2)) == x * from_rational(spec, Fraction(3, 2))
         assert x.scale(0).is_zero()
+        # scale is the only way to scale: a product takes ring elements.
+        for q in (2, Fraction(3, 2)):
+            with pytest.raises(TypeError):
+                x * q
+            with pytest.raises(TypeError):
+                q * x
 
     def test_g1_ring_collapses_to_rationals(self):
         spec = make_ring(1, 7)
@@ -243,12 +249,12 @@ class TestElementBasics:
                 q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                 results = [x + y, x - y, x * y, x.scale(q), -x]
                 # Results that cancel to zero, from operands with denominators.
-                results += [x - x, x + (-x), x * ring_zero(spec), x.scale(0)]
+                results += [x - x, x + (-x), x * from_rational(spec, 0), x.scale(0)]
                 results.append(x.scale(Fraction(1, 3)) + x.scale(Fraction(-1, 3)))
                 for result in results:
                     assert_canonical(result)
                 for zero in results[5:]:
-                    assert zero == ring_zero(spec) and zero._den == 1
+                    assert zero == from_rational(spec, 0) and zero._den == 1
             # A product and a sum whose fractions cancel to an integer.
             half = from_rational(spec, Fraction(1, 2))
             assert_canonical(half * from_rational(spec, 2))
@@ -267,29 +273,44 @@ class TestElementBasics:
 
     def test_text_form(self):
         spec = make_ring(6, 2)
-        assert ring_zero(spec).to_text() == "0"
+        assert from_rational(spec, 0).to_text() == "0"
         assert ring_one(spec).to_text() == "1"
         x = QuotientRingElement(
             spec, {(0, 1): Fraction(3, 5), (1, 0): -1, (1, 2): 2}
         )
         assert x.to_text() == "3/5*u - z + 2*z*u^2"
 
-    def test_substitute_u_requires_matching_root(self):
-        spec = make_ring(6, 1)
-        x = root_power(spec, 2)
-        assert x.substitute_u(1) == ring_one(spec)
-        assert x.substitute_u(-1) == ring_one(spec)  # (-1)^6 = 1 too
-        with pytest.raises(ValueError):
-            x.substitute_u(2)
 
-    def test_substitute_u_is_additive_and_multiplicative(self):
-        spec = make_ring(5, 32)  # u -> 2 is a legal specialization
-        rng = random.Random(11)
+class TestUnitRootFold:
+    """``_u_to_one`` over c = 1: each z^a u^b becomes z^a."""
+
+    def test_drops_what_cancels(self):
+        # z*u - z is nonzero in R(5, 1) but vanishes at u = 1; over the
+        # denominator 3 it still folds to the zero element, denominator 1.
+        spec = make_ring(5, 1)
+        z, u = zeta_power(spec, 1), root_power(spec, 1)
+        x = (z * u - z).scale(Fraction(1, 3))
+        assert not x.is_zero() and x._den == 3
+        folded = _u_to_one(x)
+        assert folded.is_zero() and folded._den == 1
+
+    def test_sums_the_terms_on_each_power_of_z(self):
+        spec = make_ring(5, 1)
+        x = QuotientRingElement(
+            spec, {(1, 1): 2, (1, 3): Fraction(3, 2), (0, 2): -1, (0, 0): Fraction(1, 2)}
+        )
+        expected = QuotientRingElement(spec, {(1, 0): Fraction(7, 2), (0, 0): Fraction(-1, 2)})
+        assert _u_to_one(x) == expected
+
+    @pytest.mark.parametrize("g", [5, 6, 12])
+    def test_is_a_ring_map(self, g):
+        rng = random.Random(g)
+        spec = make_ring(g, 1)
         for _ in range(25):
-            x = random_element(spec, rng)
-            y = random_element(spec, rng)
-            assert (x + y).substitute_u(2) == x.substitute_u(2) + y.substitute_u(2)
-            assert (x * y).substitute_u(2) == x.substitute_u(2) * y.substitute_u(2)
+            x, y = random_element(spec, rng), random_element(spec, rng)
+            assert _u_to_one(x + y) == _u_to_one(x) + _u_to_one(y)
+            assert _u_to_one(x * y) == _u_to_one(x) * _u_to_one(y)
+            assert all(b == 0 for _, b in _u_to_one(x).entries())
 
 
 class TestAgainstSympy:
