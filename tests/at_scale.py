@@ -1,27 +1,32 @@
-"""Checks at sizes the tier-1 tests do not reach, run one by name.
+"""Checks at sizes the tier-1 tests do not reach.
 
-    python tests/at_scale.py NAME [ARG...]
+    python tests/at_scale.py [NAME...]
 
-runs the check NAME with its arguments: the files a file check reads, and
-any size it takes (vertalign must be importable, for example with
-``PYTHONPATH=src``).  A check that fails
-raises AssertionError, so the exit status is 1; an unknown NAME exits 2 and
-lists the checks.  CI runs each one in ``.github/workflows/tier1.yml`` under
-a ``timeout``; the fault checks inject T through ``tests/_faults.py``.
-pytest does not collect this script: its name does not match ``test_*.py``.
+runs the named checks, or all of them (vertalign must be importable, for
+example with ``PYTHONPATH=src``), prints ``NAME ok|FAIL SECONDS`` for each,
+and exits 1 if any failed; an unknown NAME exits 2 and lists the checks.
+A check takes no argument: it runs its CLI requests in this process, so
+their sizes are written here alone.  CI runs each check by name under a
+``timeout``, in one step of ``.github/workflows/tier1.yml``.  Fault checks
+inject T through ``tests/_faults.py``.  pytest does not collect this
+script: its name does not match ``test_*.py``.
 """
 
 import csv
+import io
 import json
 import math
 import sys
+import time
+import traceback
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from _faults import fault_chain, fault_lucas_row, fault_sweep
+from output_digest import run
 from vertalign import alignment, curves, lockwood
+from vertalign.cli import main as cli_main
 from vertalign.combinatorics import lucas_row
 from vertalign.quotient_ring import from_rational, make_ring, ring_one, root_power, zeta_power
 
@@ -32,6 +37,31 @@ def check(function):
     """Register ``function`` under its name, with hyphens for underscores."""
     CHECKS[function.__name__.replace("_", "-")] = function
     return function
+
+
+def request(*argv):
+    """The stdout of one CLI request, which must exit 0 and write no stderr."""
+    code, out, err = json.loads(run(cli_main, list(argv)))
+    assert (code, err) == (0, ""), (argv, code, err[-500:])
+    return out
+
+
+def csv_rows(*argv):
+    """The rows of ``--format csv ARGV``, header first."""
+    return list(csv.reader(io.StringIO(request("--format", "csv", *argv))))
+
+
+@check
+def sweep_3000():
+    """``sweep 3000`` prints the same exact text at one and two workers.
+
+    Honest rows are proved by the chain of T, checked by T's ratio, in a few
+    seconds; Horner on every row would run far past CI's timeout, so a lost
+    induction or fast-forward to a range's first row fails here.
+    """
+    text = "checked 4498500 pairs with 2 <= n <= 3000, 0 < i < n\nfailures: none\n"
+    for workers in ("1", "2"):
+        assert request("sweep", "3000", "--workers", workers) == text, workers
 
 
 @check
@@ -72,6 +102,18 @@ def sweep_chain_fault():
 
 
 @check
+def lockwood_600():
+    """``lockwood 600`` prints the same exact text at one and two workers.
+
+    Each n is one masked Horner in (x + y)^2 on packed ints, about 2 s in
+    all serially on a 2-vCPU VM, so CI's timeout catches a runaway expansion.
+    """
+    text = "x^n + y^n expansion identity for n = 1..600: all 600 hold\n"
+    for workers in ("1", "2"):
+        assert request("lockwood", "600", "--workers", workers) == text, workers
+
+
+@check
 def lockwood_fault_600():
     """T(600, 150) + 1 in the oracle, at a slot width of 764 bits.
 
@@ -102,6 +144,18 @@ def lockwood_fault_601():
     assert residual == tuple(1 if i in (300, 301) else 0 for i in range(602)), [
         (i, c) for i, c in enumerate(residual) if c != (i in (300, 301))
     ][:5]
+
+
+@check
+def morphism_holds():
+    """``verify-morphism`` holds at g = 800 and 840 (c = -7/11, i = 1) and 401.
+
+    Phi_840 has 33 nonzero terms and phi(840) = 192, so with i = 1 every
+    w^k past z^192 has several terms, which g = 800 (Phi has 5 terms) and
+    the prime g = 401 with i = 0 never reach.
+    """
+    for argv in (("800", "-7/11", "1"), ("840", "-7/11", "1"), ("401", "3/5", "0")):
+        assert "holds: yes" in request("verify-morphism", "--", *argv).splitlines(), argv
 
 
 @check
@@ -143,51 +197,48 @@ def morphism_weights():
 
 
 @check
-def morphism_csv(path, g):
-    """``--format csv verify-morphism -- G C I`` of an honest check at genus G.
+def morphism_csv():
+    """``--format csv verify-morphism`` of honest checks at g = 401 and 840.
 
-    The output digest reaches only g <= 12 in CSV.  There must be 2G + 2
-    data rows, x^(2G+1) down to x^0, each with its pullback cell equal to
-    its source cell and its residual cell exactly ``0``.
+    The output digest reaches only g <= 12 in CSV.  An honest residual holds
+    no term, yet the CSV writes 2g + 2 rows, x^(2g+1) down to x^0, each with
+    its pullback cell equal to its source cell and its residual cell ``0``.
     """
-    top = 2 * int(g) + 1
-    with open(path, newline="") as file:
-        header, *rows = csv.reader(file)
-    assert header == ["x_exp", "pullback", "source", "residual"], header
-    assert [row[0] for row in rows] == [str(e) for e in range(top, -1, -1)], len(rows)
-    assert all(row[1] == row[2] and row[3] == "0" for row in rows), [
-        row for row in rows if row[1] != row[2] or row[3] != "0"
-    ][:3]
+    for g, c, i in ((401, "3/5", "0"), (840, "-7/11", "1")):
+        header, *rows = csv_rows("verify-morphism", "--", str(g), c, i)
+        assert header == ["x_exp", "pullback", "source", "residual"], header
+        assert [row[0] for row in rows] == [str(e) for e in range(2 * g + 1, -1, -1)], g
+        assert all(row[1] == row[2] and row[3] == "0" for row in rows), [
+            row for row in rows if row[1] != row[2] or row[3] != "0"
+        ][:3]
 
 
 @check
-def curve_csv(path, g):
-    """``--format csv curve -- G C I`` of the target curve at genus G.
+def curve_csv():
+    """``--format csv curve -- 840 -7/11 1``, the target curve at g = 840.
 
     The output digest reaches only g <= 7 in CSV.  The target holds only
-    x^G, x^(G-2), ..., so there must be G + 1 data rows, x^G down to x^0,
-    a cell of ``1`` at x^G, a nonzero cell at each exponent of G's parity,
+    x^g, x^(g-2), ..., so there must be g + 1 data rows, x^g down to x^0,
+    a cell of ``1`` at x^g, a nonzero cell at each exponent of g's parity,
     and a cell of exactly ``0`` at each of the other parity.
     """
-    g = int(g)
-    with open(path, newline="") as file:
-        header, *rows = csv.reader(file)
+    header, *rows = csv_rows("curve", "--", "840", "-7/11", "1")
     assert header == ["x_exp", "element"], header
-    assert [row[0] for row in rows] == [str(e) for e in range(g, -1, -1)], len(rows)
+    assert [row[0] for row in rows] == [str(e) for e in range(840, -1, -1)], len(rows)
     assert rows[0][1] == "1", rows[0]
     zeros = [int(e) for e, cell in rows if cell == "0"]
-    assert zeros == list(range(g - 1, -1, -2)), zeros[:3]
+    assert zeros == list(range(839, -1, -2)), zeros[:3]
 
 
 @check
-def triangle_csv(path):
+def triangle_csv():
     """Every line of ``--format csv triangle 601`` is n,i,C(n, i), in order.
 
     Rows are written from mirrored half-rows; the output digest reaches only
     n = 300, so an off-by-one in the mirror at a large odd or even row fails
     here.
     """
-    lines = Path(path).read_text().splitlines()
+    lines = request("--format", "csv", "triangle", "601").splitlines()
     expected = ["n,i,value"] + [
         f"{n},{i},{math.comb(n, i)}" for n in range(602) for i in range(n + 1)
     ]
@@ -195,7 +246,7 @@ def triangle_csv(path):
 
 
 @check
-def identity_csv(path):
+def identity_csv():
     """``--format csv identity 4000 3000`` against math.comb.
 
     T(n, 0..i) is one checked walk down the shallow diagonal C(n-k, k); the
@@ -204,8 +255,7 @@ def identity_csv(path):
     sum to 0.
     """
     n, i = 4000, 3000
-    with open(path, newline="") as file:
-        header, *rows = csv.reader(file)
+    header, *rows = csv_rows("identity", str(n), str(i))
     assert header == ["k", "signed_coefficient", "binomial_value", "product"] and [
         int(row[0]) for row in rows
     ] == list(range(i + 1)), len(rows)
@@ -217,39 +267,50 @@ def identity_csv(path):
 
 
 @check
-def records(command, json_path, csv_path):
-    """The JSON of one request against its CSV.
+def records():
+    """The JSON of four requests against their CSV.
 
     JSON records are written from one template per header, text by column.
     The output digest reaches n <= 1000 and g <= 120; at larger sizes the
-    JSON must still read back as json.dumps(indent=2) writes it, and its
-    records must hold the header and values of the same request's CSV rows.
+    JSON must still read back as json.dumps(indent=2) writes it, each of its
+    columns must hold one JSON type, and its records must hold the header
+    and values of the same request's CSV rows.
     """
-    out = Path(json_path).read_text()
-    payload = json.loads(out)
-    assert out == json.dumps(payload, indent=2) + "\n", command
-    if command == "table":
-        records = [
-            {"g": row["g"], **term} for row in payload["rows"] for term in row["coefficients"]
-        ]
-    else:
-        field = {"identity": "terms", "aligned": "entries", "curve": "coefficients"}[command]
-        records = payload[field]
-    with open(csv_path, newline="") as file:
-        header, *rows = csv.reader(file)
-    assert [[(key, str(value)) for key, value in record.items()] for record in records] == [
-        list(zip(header, row)) for row in rows
-    ], command
+    fields = {"identity": "terms", "aligned": "entries", "curve": "coefficients"}
+    for argv in (("identity", "2000", "1750"), ("aligned", "2000", "1250"),
+                 ("table", "1", "300"), ("curve", "--", "200", "-7/11", "1")):
+        out = request("--format", "json", *argv)
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2) + "\n", argv
+        if argv[0] == "table":
+            records = [
+                {"g": row["g"], **term} for row in payload["rows"] for term in row["coefficients"]
+            ]
+        else:
+            records = payload[fields[argv[0]]]
+        header, *rows = csv_rows(*argv)
+        assert all(len({type(record[key]) for record in records}) == 1 for key in header), argv
+        assert [[(key, str(value)) for key, value in record.items()] for record in records] == [
+            list(zip(header, row)) for row in rows
+        ], argv
 
 
 def main(argv):
-    if not argv or argv[0] not in CHECKS:
-        print(f"usage: at_scale.py NAME [ARG...]; NAME is one of: {' '.join(CHECKS)}",
+    if not set(argv) <= set(CHECKS):
+        print(f"usage: at_scale.py [NAME...]; NAME is one of: {' '.join(CHECKS)}",
               file=sys.stderr)
         return 2
-    name, *args = argv
-    CHECKS[name](*args)
-    return 0
+    failed = False
+    for name in argv or CHECKS:
+        start = time.perf_counter()
+        try:
+            CHECKS[name]()
+            verdict = "ok"
+        except Exception:  # reported, and the next check still runs
+            traceback.print_exc()
+            failed, verdict = True, "FAIL"
+        print(f"{name} {verdict} {time.perf_counter() - start:.2f}", flush=True)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
