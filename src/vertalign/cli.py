@@ -12,14 +12,21 @@ closed output pipe) and 130 (Ctrl-C) say the run was cut short, not how a
 verification came out.  All numeric output is exact decimal or
 exact-fraction text; nothing is ever rounded.
 
-The tabular commands (aligned, identity, curve, table) render one header and
-one list of rows, in bulk.  For JSON they hand the pair to ``_json`` as
+The tabular commands (aligned, identity, curve) render one header and one
+list of rows, in bulk.  For JSON they hand the pair to ``_json`` as
 ``_Records``, and ``_json`` places the records at the indent where it meets
 them: one ``%s`` template per header and indent, built once and filled by
 one ``%`` per row, which reads as ``json.dumps(indent=2)`` writes the same
 records.  Text columns are built column by column: each column's cells are
 written and right-aligned to their widest cell in one pass, then the lines
 are joined.
+
+``triangle`` and ``table`` write their answers from one template each.  The
+triangle's CSV is one template holding the ``n,i,`` of every line, built
+from n_max alone and filled by one ``%`` with the decimal cells.  Each
+record of the table's JSON fills the same ``_record_template`` straight from
+its tuple (k, (-1)^k, T(g, k), k, g - 2k), inside one fixed block per g,
+and its CSV rows are those tuples after g, written by one format string.
 
 ``main`` may be called any number of times in one process: the parser is
 built on the first call and reused, and each call dispatches to the
@@ -119,12 +126,12 @@ class _Parser(argparse.ArgumentParser):
         return value
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> str:
+def _emit_csv(header: list[str], rows: list[list] | list[tuple]) -> str:
     # Every field is an int, a bool or ring text, none of which holds a comma,
     # quote or line break, so csv.writer would quote nothing and write str()
     # of each field, as "%s" does.
     fmt = ",".join(["%s"] * len(header))
-    return "\n".join([",".join(header), *[fmt % tuple(row) for row in rows]])
+    return "\n".join([",".join(header), *map(fmt.__mod__, map(tuple, rows))])
 
 
 # A table that ``_json`` writes as a list of records, one per row keyed by
@@ -240,15 +247,13 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
         body = ",\n    ".join(["[\n      " + ",\n      ".join(row) + "\n    ]" for row in rows])
         print(f'{{\n  "n_max": {n_max},\n  "rows": [\n    {body}\n  ]\n}}')
     elif args.format == "csv":
-        index = [f",{i}," for i in range(n_max + 1)]
-        # One flat list of short lines, joined once.  Joining each row first
-        # is faster, but its medium-sized strings are left behind as free
-        # heap space that stays resident: a process that then parsed the
-        # output of n_max = 299 peaked about 0.8 MB higher.
-        lines = ["n,i,value"]
-        for n, row in enumerate(rows):
-            lines += map("".join, zip(itertools.repeat(str(n)), index, row))
-        print("\n".join(lines))
+        # The "n,i," of every line comes from n_max alone, so one template
+        # holds them all and one % fills it with the cells in row order.
+        index = [f"{i},%s" for i in range(n_max + 1)]
+        template = "n,i,value" + "".join(
+            f"\n{n}," + f"\n{n},".join(index[: n + 1]) for n in range(n_max + 1)
+        )
+        print(template % tuple(itertools.chain.from_iterable(rows)))
     elif n_max <= _TRIANGLE_GRID_LIMIT:
         # Centered layout: row n occupies every other cell starting at
         # column n_max - n, so entries in alternating rows share columns.
@@ -340,12 +345,16 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         raise ValueError(f"lockwood requires n_max >= 1, got {args.n_max}")
     parts = map_row_ranges(_verify_range, 1, args.n_max, args.workers)
-    failures = [n for part in parts for n in part]
+    # All hold only if every n was checked: a range that never reported
+    # leaves the count short, and then the run is not a pass.
+    checked = sum(part_checked for part_checked, _ in parts)
+    failures = [n for _, part_failures in parts for n in part_failures]
+    all_hold = checked == args.n_max and not failures
     if args.format == "json":
         print(_json({
             "n_max": args.n_max,
-            "checked": args.n_max,
-            "all_hold": not failures,
+            "checked": checked,
+            "all_hold": all_hold,
             "failures": failures,
         }))
     elif args.format == "csv":
@@ -356,12 +365,17 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
             print(f"x^n + y^n expansion identity fails for n in {failures}")
             for n in failures:
                 print(f"residual for n={n}: {(lockwood_rhs(n) - _x_n_plus_y_n(n)).to_text()}")
-        else:
+        elif all_hold:
             print(
                 f"x^n + y^n expansion identity for n = 1..{args.n_max}: "
                 f"all {args.n_max} hold"
             )
-    return 0 if not failures else 1
+        if checked != args.n_max:
+            print(
+                f"x^n + y^n expansion identity for n = 1..{args.n_max}: "
+                f"only {checked} of {args.n_max} checked"
+            )
+    return 0 if all_hold else 1
 
 
 def _coefficient_cell(f: RingPolynomial, exp: int) -> str:
@@ -424,19 +438,35 @@ def _cmd_verify_morphism(args: argparse.Namespace) -> int:
     return 0 if holds else 1
 
 
+def _table_columns(g: int, row: tuple[int, ...]) -> tuple:
+    """The columns k, (-1)^k, T(g, k), k and g - 2k of the target curve for g."""
+    ks = range(len(row))
+    return ks, itertools.cycle((1, -1)), row, ks, range(g, -1, -2)
+
+
+# One g's entry of the table's JSON, closed at an indent of four.
+_TABLE_BLOCK = '{\n      "g": %s,\n      "coefficients": [\n        %s\n      ]\n    }'
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     rows = table_rows(args.g_min, args.g_max)
     if args.format == "text":
         print(table_text(rows))
         return 0
-    header = ["k", "sign", "magnitude", "zeta_exp", "x_exp"]
-    by_g = [(g, [[k, (-1) ** k, t, k, g - 2 * k] for k, t in enumerate(row)]) for g, row in rows]
+    header = ("k", "sign", "magnitude", "zeta_exp", "x_exp")
     if args.format == "json":
-        print(_json({
-            "rows": [{"g": g, "coefficients": _Records(header, terms)} for g, terms in by_g],
-        }))
+        # json.dumps(indent=2) of {"rows": [{"g": g, "coefficients": records}]};
+        # every cell is an int, written by %s as int.__repr__ writes it.
+        record = _record_template(header, "\n      ").__mod__
+        blocks = [
+            _TABLE_BLOCK % (g, ",\n        ".join(map(record, zip(*_table_columns(g, row)))))
+            for g, row in rows
+        ]
+        print('{\n  "rows": [\n    ' + ",\n    ".join(blocks) + "\n  ]\n}")
     else:
-        print(_emit_csv(["g", *header], [[g, *term] for g, terms in by_g for term in terms]))
+        print(_emit_csv(["g", *header], list(itertools.chain.from_iterable(
+            zip(itertools.repeat(g), *_table_columns(g, row)) for g, row in rows
+        ))))
     return 0
 
 

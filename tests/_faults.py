@@ -7,7 +7,7 @@ out, and leaves every other row honest.  pytest does not collect this
 module: its name does not match ``test_*.py``.
 """
 
-from vertalign import alignment, curves
+from vertalign import alignment, cli, curves
 
 
 def perturbed(row: tuple[int, ...], k: int, delta: int) -> tuple[int, ...]:
@@ -72,6 +72,17 @@ def fault_identity(mp, n: int, k: int, delta: int) -> None:
         return coeffs
 
     mp.setattr(alignment, "_lucas_coeffs", faulty_coeffs)
+
+
+def lose_last_range(mp) -> None:
+    """Drop the last range's result where ``cli`` fans ranges out, as a pool
+    that lost a worker's answer would; with one range, nothing comes back."""
+    honest = cli.map_row_ranges
+
+    def lossy(check, first, last, workers):
+        return honest(check, first, last, workers)[:-1]
+
+    mp.setattr(cli, "map_row_ranges", lossy)
 
 
 def fail_morphism(mp) -> None:

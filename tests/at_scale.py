@@ -246,6 +246,25 @@ def triangle_csv():
 
 
 @check
+def table_csv():
+    """Every row of ``--format csv table 1 300`` against math.comb.
+
+    The output digest reaches only g <= 120, and the ``records`` check
+    compares the table's JSON with its CSV alone.  Row k of g must be
+    g, k, (-1)^k, T(g, k), k, g - 2k, with (-1)^k T(g, k) the sum form
+    (-1)^k (C(g-k, k) + C(g-k-1, k-1)), for k = 0..g//2.
+    """
+    header, *rows = csv_rows("table", "1", "300")
+    assert header == ["g", "k", "sign", "magnitude", "zeta_exp", "x_exp"], header
+    expected = []
+    for g in range(1, 301):
+        for k in range(g // 2 + 1):
+            signed = (-1) ** k * (math.comb(g - k, k) + (math.comb(g - k - 1, k - 1) if k else 0))
+            expected.append([str(v) for v in (g, k, (-1) ** k, abs(signed), k, g - 2 * k)])
+    assert rows == expected, [(row, e) for row, e in zip(rows, expected) if row != e][:3] or len(rows)
+
+
+@check
 def identity_csv():
     """``--format csv identity 4000 3000`` against math.comb.
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vertalign.cli as cli
-from _faults import fail_morphism, fault_lucas_row, forbid
+from _faults import fail_morphism, fault_lucas_row, forbid, lose_last_range
 from _reference import (
     TABLE_ROWS_EXPECTED,
     binomial_falling,
@@ -90,7 +90,7 @@ def _fail_sweep(monkeypatch):
 
 def _fail_lockwood(monkeypatch):
     def fails_at_2(n_start, n_end):
-        return [2] if n_start <= 2 <= n_end else []
+        return n_end - n_start + 1, [2] if n_start <= 2 <= n_end else []
 
     monkeypatch.setattr(cli, "_verify_range", fails_at_2)
 
@@ -167,6 +167,20 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "fails for n in [2]" in out
         assert "residual for n=2:" in out
+
+    def test_lockwood_lost_range_is_one(self, capsys, monkeypatch):
+        # At one worker the only range is lost: nothing was checked, so the
+        # run may not claim that all 40 hold, in any format.
+        lose_last_range(monkeypatch)
+        assert cli.main(["lockwood", "40", "--workers", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "all 40 hold" not in out
+        assert "only 0 of 40 checked" in out
+        assert cli.main(["--format", "json", "lockwood", "40", "--workers", "1"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["checked"], payload["all_hold"]) == (0, False)
+        assert cli.main(["--format", "csv", "lockwood", "40", "--workers", "1"]) == 1
+        capsys.readouterr()
 
     def test_morphism_failure_is_one(self, capsys, monkeypatch):
         fail_morphism(monkeypatch)
@@ -321,19 +335,27 @@ class TestRecordsAgainstReferences:
         ]
         _assert_records_match_csv(payload["coefficients"], header, rows)
 
-    def test_table(self, capsys):
-        payload, header, rows = _records_and_csv(["table", "5", "11"], capsys)
+    @pytest.mark.parametrize("g_min, g_max", [(1, 1), (1, 4), (5, 11)])
+    def test_table(self, g_min, g_max, capsys):
+        payload, header, rows = _records_and_csv(["table", str(g_min), str(g_max)], capsys)
         assert header == ["g", "k", "sign", "magnitude", "zeta_exp", "x_exp"]
         assert list(payload) == ["rows"]
-        assert [row["g"] for row in payload["rows"]] == list(range(5, 12))
+        assert [row["g"] for row in payload["rows"]] == list(range(g_min, g_max + 1))
         records = []
         for row in payload["rows"]:
+            g = row["g"]
             assert list(row) == ["g", "coefficients"]
             assert row["coefficients"] == [
-                dict(zip(["k", "sign", "magnitude", "zeta_exp", "x_exp"], (k, *term)))
-                for k, term in enumerate(TABLE_ROWS_EXPECTED[row["g"]])
+                {"k": k, "sign": (-1) ** k, "magnitude": lucas_coeff_alt(g, k), "zeta_exp": k,
+                 "x_exp": g - 2 * k}
+                for k in range(g // 2 + 1)
             ]
-            records += [{"g": row["g"], **term} for term in row["coefficients"]]
+            if g in TABLE_ROWS_EXPECTED:
+                assert row["coefficients"] == [
+                    dict(zip(["k", "sign", "magnitude", "zeta_exp", "x_exp"], (k, *term)))
+                    for k, term in enumerate(TABLE_ROWS_EXPECTED[g])
+                ]
+            records += [{"g": g, **term} for term in row["coefficients"]]
         _assert_records_match_csv(records, header, rows)
 
 
@@ -384,8 +406,9 @@ def _reference_payload(argv: list[str]) -> dict:
         return {"n": n, "coefficients": list(cli.lucas_row(n))}
     if command == "lockwood":
         (n_max,) = numbers
-        failures = cli._verify_range(1, n_max)
-        return {"n_max": n_max, "checked": n_max, "all_hold": not failures, "failures": failures}
+        checked, failures = cli._verify_range(1, n_max)
+        return {"n_max": n_max, "checked": checked,
+                "all_hold": checked == n_max and not failures, "failures": failures}
     assert command == "table", command
     return {"rows": [
         {"g": g, "coefficients": [
@@ -611,10 +634,11 @@ def _csv_against_reference(argv, capsys, monkeypatch) -> int:
 
 class TestCsvOutputs:
     def test_triangle(self, capsys):
-        cli.main(["--format", "csv", "triangle", "2"])
-        out = capsys.readouterr().out.splitlines()
-        assert out[0] == "n,i,value"
-        assert out[-1] == "2,2,1"
+        for n_max in range(42):
+            rows = [[n, i, math.comb(n, i)] for n in range(n_max + 1) for i in range(n + 1)]
+            assert cli.main(["--format", "csv", "triangle", str(n_max)]) == 0
+            out = capsys.readouterr().out
+            assert out == reference_csv(["n", "i", "value"], rows) + "\n", n_max
 
     def test_lucas_row(self, capsys):
         cli.main(["--format", "csv", "lucas-row", "6"])
