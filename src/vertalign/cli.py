@@ -310,6 +310,10 @@ def _cmd_identity(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     summary = identity_sweep(args.n_max, workers=args.workers)
     failures = summary.failures
+    # A pass needs every pair checked: a range that never reported leaves
+    # the count short, as for ``lockwood``.
+    expected = args.n_max * (args.n_max - 1) // 2
+    all_checked = summary.pairs_checked == expected
     if args.format == "json":
         print(_json({
             "n_max": args.n_max,
@@ -327,7 +331,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 print(f"FAIL n={n} i={i} total={total}")
         else:
             print("failures: none")
-    return 0 if not failures else 1
+        if not all_checked:
+            print(f"only {summary.pairs_checked} of {expected} pairs checked")
+    return 0 if all_checked and not failures else 1
 
 
 def _cmd_lucas_row(args: argparse.Namespace) -> int:
@@ -347,7 +353,7 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
     parts = map_row_ranges(_verify_range, 1, args.n_max, args.workers)
     # All hold only if every n was checked: a range that never reported
     # leaves the count short, and then the run is not a pass.
-    checked = sum(part_checked for part_checked, _ in parts)
+    checked = sum(len(ns) for ns, _ in parts)
     failures = [n for _, part_failures in parts for n in part_failures]
     all_hold = checked == args.n_max and not failures
     if args.format == "json":
@@ -358,8 +364,10 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
             "failures": failures,
         }))
     elif args.format == "csv":
+        # Rows only for the n a returned range covered: an n no range
+        # reported was not checked, so it is not written as holding.
         failed = set(failures)
-        print(_emit_csv(["n", "holds"], [[n, n not in failed] for n in range(1, args.n_max + 1)]))
+        print(_emit_csv(["n", "holds"], [[n, n not in failed] for ns, _ in parts for n in ns]))
     else:
         if failures:
             print(f"x^n + y^n expansion identity fails for n in {failures}")

@@ -37,14 +37,13 @@ from .combinatorics import lucas_row
 from .quotient_ring import (
     QuotientRingElement,
     RingSpec,
+    _element,
     _entries_text,
     _power_text,
     _terms_text,
     _u_to_one,
     from_rational,
     ring_one,
-    root_power,
-    zeta_power,
 )
 
 __all__ = [
@@ -141,49 +140,77 @@ def build_source(spec: RingSpec) -> RingPolynomial:
     return RingPolynomial(spec, {2 * spec.g + 1: ring_one(spec), 1: from_rational(spec, spec.c)})
 
 
-def _w_powers(spec: RingSpec, i: int) -> list[QuotientRingElement]:
-    """w^0..w^{ceil(g/2)} for w = zeta^i c^{1/g}, by repeated multiplication by w.
+def _zeta_table(spec: RingSpec, i: int) -> list[dict[int, int]]:
+    """zeta^{ik} for k = 0..ceil(g/2), each as {a: v} reduced modulo Phi_g.
 
-    Each product reduces through Phi_g and u^g = c, so the list costs
-    ceil(g/2) + 1 ring products.  The target reads w^0..w^{g//2}; the
-    pullback reads the whole list and makes w^g from two of its powers.
+    For i = 0 every entry is 1.  For i = 1 each entry is the last one times
+    z: every key moves up by one, and only the level z^phi(g) that this
+    reaches is folded back, through Phi_g's nonzero lower terms, as
+    z^phi(g) = -sum_j Phi_g[j] z^j.  So the table costs no ring product.
+    With u^k it gives w^k for w = zeta^i c^{1/g} (see ``_w_power``).  The
+    target reads w^0..w^{g//2}; the pullback reads the whole table.
     ``i`` selects which g-th root of unity twists w and must be 0 or 1; it
-    is checked here, before any ring product, for every caller.
+    is checked here, before any ring work, for every caller.
     """
     if i not in (0, 1):
         # Named for the target curve, which every command that reads i builds.
         raise ValueError(f"build_target requires i in {{0, 1}}, got i={i}")
-    w = zeta_power(spec, i) * root_power(spec, 1)
-    powers = [ring_one(spec)]
-    for _ in range((spec.g + 1) // 2):
-        powers.append(powers[-1] * w)
-    return powers
+    top = (spec.g + 1) // 2
+    if i == 0:
+        return [{0: 1} for _ in range(top + 1)]
+    width, low = spec.deg_z, spec.phi_low
+    table = [{0: 1}]
+    for _ in range(top):
+        entry = {a + 1: v for a, v in table[-1].items()}
+        v = entry.pop(width, 0)
+        if v:
+            for j, p in low:
+                entry[j] = entry.get(j, 0) - v * p
+            entry = {a: v for a, v in entry.items() if v}
+        table.append(entry)
+    return table
+
+
+def _w_power(
+    spec: RingSpec, zeta_table: list[dict[int, int]], k: int, scale: int
+) -> QuotientRingElement:
+    """scale * w^k = scale * zeta^{ik} c^{k/g} for k <= ceil(g/2), as one element.
+
+    ``zeta_table[k]`` (from ``_zeta_table``) gives zeta^{ik}, and each of its
+    terms is re-keyed to u^k.  Only at g = 1 does k reach g, and there u = c
+    is folded in directly.
+    """
+    q, r = divmod(k, spec.g)
+    c = spec.c
+    n = scale * c.numerator**q
+    return _element(spec, {(a, r): n * v for a, v in zeta_table[k].items()}, c.denominator**q)
 
 
 def build_target(
     spec: RingSpec,
     i: int,
-    w_powers: list[QuotientRingElement] | None = None,
+    zeta_table: list[dict[int, int]] | None = None,
     lucas: tuple[int, ...] | None = None,
 ) -> RingPolynomial:
     """The degree-g curve with coefficients (-1)^k T(g,k) zeta^{ik} c^{k/g}.
 
     Only the exponents g-2k occur, one coefficient each, built straight
-    into the polynomial's map.  zeta^{ik} c^{k/g} is w^k from ``_w_powers``
-    and T(g, k) comes from ``lucas_row``, the same values the pullback
-    reads, so a fault in either leaves a nonzero residual.  ``i`` must be
-    0 or 1 (see ``_w_powers``).  ``w_powers``, if given, is
-    ``_w_powers(spec, i)`` and ``lucas``, if given, is ``lucas_row(g)``,
-    both already computed by the caller (``verify_morphism``).
+    into the polynomial's map.  Each is (-1)^k T(g, k) w^k from
+    ``_w_power``, one element and no ring product, and T(g, k) comes from
+    ``lucas_row``: the same values the pullback reads, so a fault in either
+    leaves a nonzero residual.  ``i`` must be 0 or 1 (see ``_zeta_table``).
+    ``zeta_table``, if given, is ``_zeta_table(spec, i)`` and ``lucas``, if
+    given, is ``lucas_row(g)``, both already computed by the caller
+    (``verify_morphism``).
     """
     g = spec.g
-    if w_powers is None:
-        w_powers = _w_powers(spec, i)
+    if zeta_table is None:
+        zeta_table = _zeta_table(spec, i)
     if lucas is None:
         lucas = lucas_row(g)
-    return RingPolynomial(
-        spec, {g - 2 * k: w_powers[k].scale((-1) ** k * t) for k, t in enumerate(lucas)}
-    )
+    return RingPolynomial(spec, {
+        g - 2 * k: _w_power(spec, zeta_table, k, -t if k & 1 else t) for k, t in enumerate(lucas)
+    })
 
 
 def _pullback_weights(g: int, lucas: tuple[int, ...]) -> list[int]:
@@ -230,7 +257,7 @@ def _pullback_weights(g: int, lucas: tuple[int, ...]) -> list[int]:
 def pullback_rhs(
     spec: RingSpec,
     i: int,
-    w_powers: list[QuotientRingElement] | None = None,
+    zeta_table: list[dict[int, int]] | None = None,
     lucas: tuple[int, ...] | None = None,
 ) -> RingPolynomial:
     """The target right-hand side after substitution and clearing x^{g+1}.
@@ -245,25 +272,30 @@ def pullback_rhs(
     ``lucas`` or else ``lucas_row``, as for the target, so this path calls neither
     ``binomial()``, ``lucas_coeff()`` nor the ``lockwood`` oracle: one
     integer weight per w-exponent b, at x^{2g+1-2b}.  Then each nonzero weight
-    becomes the coefficient weight * w^b of x^{2g+1-2b} in R(g, c), with w^b
-    read from ``w_powers`` = ``_w_powers(spec, i)`` (computed here if not
-    given), which ends at top = ceil(g/2); a power above the list is the one
-    product w^top * w^(b-top).  Only those coefficients are stored: an
-    honest run has nonzero weights at b = 0 and b = g only, so the pullback
-    holds x^{2g+1} and x^1, and w^g = c is still checked by a ring product,
-    reduced through Phi_g and u^g = c.
+    becomes the coefficient weight * w^b of x^{2g+1-2b} in R(g, c).  Up to
+    top = ceil(g/2), that is one element from ``zeta_table`` =
+    ``_zeta_table(spec, i)`` (computed here if not given), via ``_w_power``;
+    above it, the one product weight * w^top * w^(b-top).  Only those
+    coefficients are stored: an honest run has nonzero weights at b = 0 and
+    b = g only, so the pullback holds x^{2g+1} and x^1, and for g >= 2,
+    w^g = c is still checked by that ring product, reduced through Phi_g
+    and u^g = c.  At g = 1, w^g = u is read as c directly.
     """
     g = spec.g
-    if w_powers is None:
-        w_powers = _w_powers(spec, i)
+    if zeta_table is None:
+        zeta_table = _zeta_table(spec, i)
     if lucas is None:
         lucas = lucas_row(g)
     top = (g + 1) // 2
     coeffs = {}
     for b, weight in enumerate(_pullback_weights(g, lucas)):
-        if weight:
-            w_to_b = w_powers[b] if b <= top else w_powers[top] * w_powers[b - top]
-            coeffs[2 * g + 1 - 2 * b] = w_to_b.scale(weight)
+        if not weight:
+            continue
+        if b <= top:
+            coeff = _w_power(spec, zeta_table, b, weight)
+        else:
+            coeff = _w_power(spec, zeta_table, top, weight) * _w_power(spec, zeta_table, b - top, 1)
+        coeffs[2 * g + 1 - 2 * b] = coeff
     return RingPolynomial(spec, coeffs)
 
 
@@ -273,16 +305,17 @@ def verify_morphism(
     """Expand the pullback of the target and compare with x^{2g+1} + c x.
 
     Returns (source, target, pullback, residual), where residual is
-    pullback - source; the morphism holds exactly when it is zero.
-    w^0..w^{ceil(g/2)} and the row T(g, .) are computed once, for the
+    pullback - source; the morphism holds exactly when it is zero.  The
+    table of zeta^{ik} and the row T(g, .) are computed once, for the
     target and the pullback both, and a bad ``i`` is refused before any of
-    them; with w^g, an honest run makes ceil(g/2) + 2 ring products (g >= 2).
+    them.  An honest run makes one ring product, w^g = w^ceil(g/2) *
+    w^(g//2), for g >= 2, and none for g = 1.
     """
-    w_powers = _w_powers(spec, i)
+    zeta_table = _zeta_table(spec, i)
     lucas = lucas_row(spec.g)
     source = build_source(spec)
-    target = build_target(spec, i, w_powers, lucas)
-    pullback = pullback_rhs(spec, i, w_powers, lucas)
+    target = build_target(spec, i, zeta_table, lucas)
+    pullback = pullback_rhs(spec, i, zeta_table, lucas)
     return source, target, pullback, pullback - source
 
 

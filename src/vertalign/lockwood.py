@@ -183,8 +183,8 @@ def verify_lockwood(n: int) -> bool:
     return _packed_half(n)[0] == 1
 
 
-def _verify_range(n_start: int, n_end: int) -> tuple[int, list[int]]:
-    """How many n in n_start..n_end were checked, and the n for which the
-    expansion is not x^n + y^n."""
+def _verify_range(n_start: int, n_end: int) -> tuple[range, list[int]]:
+    """The n checked, n_start..n_end, and those for which the expansion is
+    not x^n + y^n."""
     ns = range(n_start, n_end + 1)
-    return len(ns), [n for n in ns if not verify_lockwood(n)]
+    return ns, [n for n in ns if not verify_lockwood(n)]

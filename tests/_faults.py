@@ -75,19 +75,34 @@ def fault_identity(mp, n: int, k: int, delta: int) -> None:
 
 
 def lose_last_range(mp) -> None:
-    """Drop the last range's result where ``cli`` fans ranges out, as a pool
-    that lost a worker's answer would; with one range, nothing comes back."""
-    honest = cli.map_row_ranges
+    """Drop the last range's result where ranges are fanned out, as a pool
+    that lost a worker's answer would; with one range, nothing comes back.
+
+    ``cli`` fans out ``lockwood``'s ranges and ``alignment`` the sweep's,
+    each by its own import of ``map_row_ranges``."""
+    honest = alignment.map_row_ranges
 
     def lossy(check, first, last, workers):
         return honest(check, first, last, workers)[:-1]
 
-    mp.setattr(cli, "map_row_ranges", lossy)
+    for module in (cli, alignment):
+        mp.setattr(module, "map_row_ranges", lossy)
 
 
 def fail_morphism(mp) -> None:
     """Add 1 to T(9, 2) in the rows of T that ``curves`` reads."""
     fault_lucas_row(mp, curves, (9, 2, 1))
+
+
+def double_w(mp) -> None:
+    """Make w = 2 zeta^i c^(1/g) where ``curves`` hands out w^k: each w^k,
+    from the table of zeta^(ik) or as a factor of a product, is scaled by 2^k."""
+    honest = curves._w_power
+
+    def doubled(spec, zeta_table, k, scale):
+        return honest(spec, zeta_table, k, scale << k)
+
+    mp.setattr(curves, "_w_power", doubled)
 
 
 def forbid(mp, message: str, *targets) -> None:

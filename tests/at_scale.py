@@ -28,7 +28,14 @@ from output_digest import run
 from vertalign import alignment, curves, lockwood
 from vertalign.cli import main as cli_main
 from vertalign.combinatorics import lucas_row
-from vertalign.quotient_ring import from_rational, make_ring, ring_one, root_power, zeta_power
+from vertalign.quotient_ring import (
+    QuotientRingElement,
+    from_rational,
+    make_ring,
+    ring_one,
+    root_power,
+    zeta_power,
+)
 
 CHECKS = {}
 
@@ -182,6 +189,34 @@ def morphism_fault_401():
     assert residual == curves.RingPolynomial(spec, dict(enumerate(expected))), [
         e for e in range(804) if residual.coeffs.get(e, zero) != expected[e]
     ][:5]
+
+
+@check
+def morphism_one_product():
+    """One ring product per honest check at g = 800 and 840, c = -7/11.
+
+    The tests pin the count for g <= 80.  w^0..w^ceil(g/2) come from the
+    table of zeta^(ik), with no product, and must equal the repeated
+    products by w = zeta^i u for every k, for i = 0 and 1; Phi_840 has 33
+    terms, so with i = 1 those products reduce through many of them.  The
+    one product left is w^g = w^ceil(g/2) * w^(g//2).
+    """
+    for g in (800, 840):
+        spec = make_ring(g, Fraction(-7, 11))
+        for i in (0, 1):
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                honest = QuotientRingElement.__mul__
+                mp.setattr(QuotientRingElement, "__mul__",
+                           lambda x, y: calls.append(1) or honest(x, y))
+                assert curves.verify_morphism(spec, i)[3].is_zero(), (g, i)
+            assert len(calls) == 1, (g, i, len(calls))
+            w = zeta_power(spec, i) * root_power(spec, 1)
+            table = curves._zeta_table(spec, i)
+            w_to_k = ring_one(spec)
+            for k in range(len(table)):
+                assert curves._w_power(spec, table, k, 1) == w_to_k, (g, i, k)
+                w_to_k = w_to_k * w
 
 
 @check

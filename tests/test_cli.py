@@ -90,7 +90,7 @@ def _fail_sweep(monkeypatch):
 
 def _fail_lockwood(monkeypatch):
     def fails_at_2(n_start, n_end):
-        return n_end - n_start + 1, [2] if n_start <= 2 <= n_end else []
+        return range(n_start, n_end + 1), [2] if n_start <= 2 <= n_end else []
 
     monkeypatch.setattr(cli, "_verify_range", fails_at_2)
 
@@ -180,7 +180,34 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert (payload["checked"], payload["all_hold"]) == (0, False)
         assert cli.main(["--format", "csv", "lockwood", "40", "--workers", "1"]) == 1
-        capsys.readouterr()
+        assert capsys.readouterr().out == "n,holds\n"
+
+    def test_lockwood_csv_writes_only_the_checked_n(self, capsys, monkeypatch):
+        # With two workers the rows fall into several ranges; the last is
+        # lost, so its n are missing from the CSV, not written as holding.
+        lose_last_range(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert cli.main(["--format", "csv", "lockwood", "40", "--workers", "2"]) == 1
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert header == ["n", "holds"]
+        assert 0 < len(rows) < 40
+        assert rows == [[str(n), "True"] for n in range(1, len(rows) + 1)]
+
+    def test_sweep_lost_range_is_one(self, capsys, monkeypatch):
+        # At one worker the only range is lost: no pair was checked, so the
+        # run fails in every format, with no failure to report.
+        lose_last_range(monkeypatch)
+        assert cli.main(["sweep", "40", "--workers", "1"]) == 1
+        assert capsys.readouterr().out == (
+            "checked 0 pairs with 2 <= n <= 40, 0 < i < n\n"
+            "failures: none\n"
+            "only 0 of 780 pairs checked\n"
+        )
+        assert cli.main(["--format", "json", "sweep", "40", "--workers", "1"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"n_max": 40, "pairs_checked": 0, "failures": []}
+        assert cli.main(["--format", "csv", "sweep", "40", "--workers", "1"]) == 1
+        assert capsys.readouterr().out == "n,i,total\n"
 
     def test_morphism_failure_is_one(self, capsys, monkeypatch):
         fail_morphism(monkeypatch)
@@ -406,9 +433,9 @@ def _reference_payload(argv: list[str]) -> dict:
         return {"n": n, "coefficients": list(cli.lucas_row(n))}
     if command == "lockwood":
         (n_max,) = numbers
-        checked, failures = cli._verify_range(1, n_max)
-        return {"n_max": n_max, "checked": checked,
-                "all_hold": checked == n_max and not failures, "failures": failures}
+        ns, failures = cli._verify_range(1, n_max)
+        return {"n_max": n_max, "checked": len(ns),
+                "all_hold": len(ns) == n_max and not failures, "failures": failures}
     assert command == "table", command
     return {"rows": [
         {"g": g, "coefficients": [

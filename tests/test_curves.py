@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from _faults import fail_morphism, fault_lucas_row, forbid, perturbed
+from _faults import double_w, fail_morphism, fault_lucas_row, forbid, perturbed
 from _reference import (
     coefficient_facts,
     lucas_coeff_alt,
@@ -234,7 +234,28 @@ class TestBuildTarget:
         # The target reads w^0..w^(g//2), the pullback w^0..w^ceil(g/2).
         spec = make_ring(g, Fraction(-7, 11))
         w = zeta_power(spec, 1) * root_power(spec, 1)
-        assert curves._w_powers(spec, 1) == [ring_power(w, b) for b in range((g + 1) // 2 + 1)]
+        table = curves._zeta_table(spec, 1)
+        assert [curves._w_power(spec, table, b, 1) for b in range(len(table))] == [
+            ring_power(w, b) for b in range((g + 1) // 2 + 1)
+        ]
+
+    @pytest.mark.parametrize("c", [1, Fraction(-7, 11), 3], ids=str)
+    def test_zeta_table_and_w_powers_match_ring_products(self, c):
+        # Phi_105 and Phi_210 have many nonzero terms, so each fold of
+        # z^phi(g) reaches many keys of the entry, and some cancel there.
+        for g in [*range(1, 121), 105, 210]:
+            spec = make_ring(g, c)
+            for i in (0, 1):
+                table = curves._zeta_table(spec, i)
+                assert len(table) == (g + 1) // 2 + 1, (g, i)
+                w = zeta_power(spec, i) * root_power(spec, 1)
+                # ring_power's repeated product by w, carried from k to k + 1.
+                w_to_k = ring_power(w, 0)
+                for k, entry in enumerate(table):
+                    expected = {(a, 0): v for a, v in entry.items()}
+                    assert zeta_power(spec, i * k).entries() == expected, (g, i, k)
+                    assert curves._w_power(spec, table, k, 1) == w_to_k, (g, i, k)
+                    w_to_k = w_to_k * w
 
     def test_rejects_bad_twist_index(self, monkeypatch):
         # Refused before any ring product, also by verify_morphism.
@@ -382,12 +403,12 @@ class TestVerifyMorphism:
 
     @pytest.mark.parametrize("g", [1, 2, 7, 40, 79, 80])
     def test_w_powers_once_and_residual_adds_only_overlaps(self, g, monkeypatch):
-        # w = zeta^i u is one product and w^1..w^ceil(g/2), which serve the
-        # target and the pullback both, ceil(g/2) more.  The honest weights
-        # vanish except at b = 0 and b = g, so the pullback adds one product,
-        # w^g = w^ceil(g/2) * w^(g//2), when g > 1.  The residual adds only
-        # where pullback and source both have a nonzero coefficient, at
-        # x^(2g+1) and x.
+        # w^0..w^ceil(g/2), which serve the target and the pullback both,
+        # come from one table of zeta^(ik) with no ring product.  The honest
+        # weights vanish except at b = 0 and b = g, so the pullback makes
+        # one product, w^g = w^ceil(g/2) * w^(g//2), when g > 1; at g = 1,
+        # w = u is read as c.  The residual adds only where pullback and
+        # source both have a nonzero coefficient, at x^(2g+1) and x.
         calls = {"mul": 0, "add": 0}
         mul, add = QuotientRingElement.__mul__, QuotientRingElement.__add__
 
@@ -403,7 +424,7 @@ class TestVerifyMorphism:
         monkeypatch.setattr(QuotientRingElement, "__rmul__", counting_mul)
         monkeypatch.setattr(QuotientRingElement, "__add__", counting_add)
         assert verify_morphism(make_ring(g, Fraction(-7, 11)), 1)[3].is_zero()
-        assert calls == {"mul": (g + 1) // 2 + 1 + (g > 1), "add": 2}
+        assert calls == {"mul": (g > 1), "add": 2}
 
     def test_one_row_of_t_reaches_target_and_pullback(self, monkeypatch):
         # verify_morphism reads T(g, .) once and hands the row to both
@@ -450,7 +471,7 @@ class TestVerifyMorphism:
     def test_wrong_w_leaves_only_the_linear_term(self, monkeypatch):
         # w = 2 zeta u scales each w^b by 2^b; the honest weights vanish
         # except at b = 0 and b = g, and only w^g = 2^g c misses c, at x^1.
-        monkeypatch.setattr(curves, "root_power", lambda spec, e: root_power(spec, e).scale(2))
+        double_w(monkeypatch)
         residual = verify_morphism(make_ring(9, Fraction(-7, 11)), 1)[3]
         assert _nonzero_exponents(residual) == [1]
 

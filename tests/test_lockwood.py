@@ -259,19 +259,19 @@ class TestVerifyRange:
     def test_fault_reported_as_by_verify_lockwood(self, monkeypatch, n_start, n_end):
         fault_lucas_row(monkeypatch, lockwood, (17, 3, 5))
         per_n = [n for n in range(n_start, n_end + 1) if not verify_lockwood(n)]
-        assert _verify_range(n_start, n_end) == (n_end - n_start + 1, per_n)
+        assert _verify_range(n_start, n_end) == (range(n_start, n_end + 1), per_n)
         assert per_n == [17]
 
     def test_honest_range_holds(self):
-        assert _verify_range(1, 120) == (120, [])
-        assert _verify_range(45, 60) == (16, [])
+        assert _verify_range(1, 120) == (range(1, 121), [])
+        assert _verify_range(45, 60) == (range(45, 61), [])
 
     def test_range_stores_no_chain(self):
         # A chain (x + y)^0..(x + y)^150 kept for the whole range peaks near
         # 0.56 MB; one Horner row per n stays far below that.
         tracemalloc.start()
         try:
-            assert _verify_range(1, 150) == (150, [])
+            assert _verify_range(1, 150) == (range(1, 151), [])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -286,7 +286,7 @@ class TestVerifyRange:
             return verify_lockwood(n)
 
         monkeypatch.setattr(lockwood, "verify_lockwood", counting)
-        assert _verify_range(3, 9) == (7, [])
+        assert _verify_range(3, 9) == (range(3, 10), [])
         assert seen == list(range(3, 10))
 
 
