@@ -58,6 +58,8 @@ _TRIANGLE_GRID_LIMIT = 20  # beyond this, centered text rendering is unreadable
 
 # The exponent of a decimal literal such as 2.5e-3, if there is one.
 _EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+# A single underscore between two digits, as in 1_000 (PEP 515).
+_DIGIT_UNDERSCORE = re.compile(r"(?<=\d)_(?=\d)")
 
 
 def _nonzero_rational(text: str) -> Fraction:
@@ -68,13 +70,18 @@ def _nonzero_rational(text: str) -> Fraction:
     In exponent form, a nonzero mantissa times 10**e puts more than
     |e| - len(text) digits in one of them, so a longer e is refused before
     ``Fraction`` builds 10**e (with a zero mantissa too: c = 0 is refused).
+
+    ``Fraction`` reads PEP 515 underscores only from Python 3.11, so each
+    single underscore between two digits is removed first: every supported
+    Python reads the same literals.  Any other underscore is kept, and
+    refused, as in ``1__0``, ``_1`` or ``1_``.
     """
     limit = _get_int_digits() or 4300
     try:
         exponent = _EXPONENT.search(text)
         if exponent and abs(int(exponent[1])) > limit + len(text):
             raise ValueError
-        value = Fraction(text)
+        value = Fraction(_DIGIT_UNDERSCORE.sub("", text))
         top = max(abs(value.numerator), value.denominator)
         # 8**limit < 10**limit: only a long value needs the exact test.
         if top.bit_length() > 3 * limit and top >= 10**limit:

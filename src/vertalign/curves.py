@@ -43,7 +43,6 @@ from .quotient_ring import (
     _terms_text,
     _u_to_one,
     from_rational,
-    ring_one,
 )
 
 __all__ = [
@@ -137,7 +136,8 @@ def _coefficient_term(
 
 def build_source(spec: RingSpec) -> RingPolynomial:
     """The curve y^2 = x^{2g+1} + c x over R(g, c): two nonzero coefficients."""
-    return RingPolynomial(spec, {2 * spec.g + 1: ring_one(spec), 1: from_rational(spec, spec.c)})
+    one, c = from_rational(spec, 1), from_rational(spec, spec.c)
+    return RingPolynomial(spec, {2 * spec.g + 1: one, 1: c})
 
 
 def _zeta_table(spec: RingSpec, i: int) -> list[dict[int, int]]:
@@ -255,10 +255,7 @@ def _pullback_weights(g: int, lucas: tuple[int, ...]) -> list[int]:
 
 
 def pullback_rhs(
-    spec: RingSpec,
-    i: int,
-    zeta_table: list[dict[int, int]] | None = None,
-    lucas: tuple[int, ...] | None = None,
+    spec: RingSpec, zeta_table: list[dict[int, int]], lucas: tuple[int, ...]
 ) -> RingPolynomial:
     """The target right-hand side after substitution and clearing x^{g+1}.
 
@@ -267,25 +264,22 @@ def pullback_rhs(
 
         sum_k (-1)^k T(g,k) w^k x^{2k+1} (x^2 + w)^{g-2k},   w = zeta^i c^{1/g},
 
-    which this function expands fully, in two steps.  First the sum is
-    expanded over Z[x, w] by ``_pullback_weights``, with the T(g, k) from
-    ``lucas`` or else ``lucas_row``, as for the target, so this path calls neither
-    ``binomial()``, ``lucas_coeff()`` nor the ``lockwood`` oracle: one
-    integer weight per w-exponent b, at x^{2g+1-2b}.  Then each nonzero weight
-    becomes the coefficient weight * w^b of x^{2g+1-2b} in R(g, c).  Up to
-    top = ceil(g/2), that is one element from ``zeta_table`` =
-    ``_zeta_table(spec, i)`` (computed here if not given), via ``_w_power``;
-    above it, the one product weight * w^top * w^(b-top).  Only those
-    coefficients are stored: an honest run has nonzero weights at b = 0 and
-    b = g only, so the pullback holds x^{2g+1} and x^1, and for g >= 2,
-    w^g = c is still checked by that ring product, reduced through Phi_g
-    and u^g = c.  At g = 1, w^g = u is read as c directly.
+    which this function expands fully, in two steps.  ``zeta_table`` is
+    ``_zeta_table(spec, i)`` and ``lucas`` is ``lucas_row(g)``, the two that
+    ``verify_morphism`` also hands the target.  First the sum is expanded
+    over Z[x, w] by ``_pullback_weights``, with the T(g, k) from ``lucas``,
+    so this path calls neither ``binomial()``, ``lucas_coeff()`` nor the
+    ``lockwood`` oracle: one integer weight per w-exponent b, at
+    x^{2g+1-2b}.  Then each nonzero weight becomes the coefficient
+    weight * w^b of x^{2g+1-2b} in R(g, c).  Up to top = ceil(g/2), that is
+    one element from ``zeta_table``, via ``_w_power``; above it, the one
+    product weight * w^top * w^(b-top).  Only those coefficients are
+    stored: an honest run has nonzero weights at b = 0 and b = g only, so
+    the pullback holds x^{2g+1} and x^1, and for g >= 2, w^g = c is still
+    checked by that ring product, reduced through Phi_g and u^g = c.  At
+    g = 1, w^g = u is read as c directly.
     """
     g = spec.g
-    if zeta_table is None:
-        zeta_table = _zeta_table(spec, i)
-    if lucas is None:
-        lucas = lucas_row(g)
     top = (g + 1) // 2
     coeffs = {}
     for b, weight in enumerate(_pullback_weights(g, lucas)):
@@ -306,16 +300,17 @@ def verify_morphism(
 
     Returns (source, target, pullback, residual), where residual is
     pullback - source; the morphism holds exactly when it is zero.  The
-    table of zeta^{ik} and the row T(g, .) are computed once, for the
-    target and the pullback both, and a bad ``i`` is refused before any of
-    them.  An honest run makes one ring product, w^g = w^ceil(g/2) *
-    w^(g//2), for g >= 2, and none for g = 1.
+    table of zeta^{ik} and the row T(g, .) are computed here once and
+    handed to the target and the pullback both, which reads i only through
+    the table; a bad ``i`` is refused before any of them.  An honest run
+    makes one ring product, w^g = w^ceil(g/2) * w^(g//2), for g >= 2, and
+    none for g = 1.
     """
     zeta_table = _zeta_table(spec, i)
     lucas = lucas_row(spec.g)
     source = build_source(spec)
     target = build_target(spec, i, zeta_table, lucas)
-    pullback = pullback_rhs(spec, i, zeta_table, lucas)
+    pullback = pullback_rhs(spec, zeta_table, lucas)
     return source, target, pullback, pullback - source
 
 

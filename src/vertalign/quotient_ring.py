@@ -16,8 +16,11 @@ instance c = 1, where u^g - c factors) it is not a field, but every identity
 verified by :mod:`vertalign.curves` is a polynomial identity that holds in
 the quotient ring regardless, so no inversion is ever needed.
 
-Arithmetic runs on integers alone.  ``Fraction`` appears only where c and
-rational inputs are read and where coefficients are handed out or rendered.
+Arithmetic runs on integers alone.  Every element is made by ``_element``
+from its numerators and denominator; a rational becomes an element by
+``from_rational``, and no operation takes a rational factor.  ``Fraction``
+appears only where c is read and where coefficients are handed out or
+rendered.
 
 Specs and elements are immutable; all operations are pure.
 """
@@ -34,10 +37,7 @@ __all__ = [
     "RingSpec",
     "QuotientRingElement",
     "make_ring",
-    "ring_one",
     "from_rational",
-    "zeta_power",
-    "root_power",
 ]
 
 
@@ -116,25 +116,11 @@ class QuotientRingElement:
 
     ``_terms[(a, b)] / _den`` is q_{a,b}.  ``_terms`` holds only nonzero
     numerators, so the zero element has none, and ``_den`` is positive and in
-    lowest terms (1 for the zero element).  Immutable; build new elements
-    with the operators and the module's constructors.
+    lowest terms (1 for the zero element).  Immutable; every element is made
+    by ``_element``, through the operators and ``from_rational``.
     """
 
     __slots__ = ("spec", "_terms", "_den")
-
-    def __init__(self, spec: RingSpec, entries: Mapping[tuple[int, int], Fraction | int]):
-        values = {}
-        for (a, b), value in entries.items():
-            if not 0 <= a < spec.deg_z or not 0 <= b < spec.g:
-                raise ValueError(
-                    f"basis index ({a}, {b}) outside 0<={a}<{spec.deg_z}, 0<={b}<{spec.g}"
-                )
-            values[a, b] = Fraction(value)
-        den = math.lcm(*(q.denominator for q in values.values()))
-        element = _element(spec, {
-            key: q.numerator * (den // q.denominator) for key, q in values.items()
-        }, den)
-        self.spec, self._terms, self._den = element.spec, element._terms, element._den
 
     def entries(self) -> dict[tuple[int, int], Fraction | int]:
         """Nonzero coefficients keyed by (a, b).
@@ -182,7 +168,7 @@ class QuotientRingElement:
         shape of factor.  The tests check it against sympy's reduction
         modulo u^g - c and Phi_g, which shares no code with it, for
         one-term, few-term and dense factors and for Phi_g with many terms.
-        A rational factor is not an element: ``scale`` multiplies by one.
+        Both factors are elements: a rational is one by ``from_rational``.
         """
         if not isinstance(other, QuotientRingElement):
             return NotImplemented
@@ -213,13 +199,6 @@ class QuotientRingElement:
         return _element(spec, _reduce_z(acc, spec), den)
 
     __rmul__ = __mul__
-
-    def scale(self, q: Fraction | int) -> "QuotientRingElement":
-        """The product with the rational q; ``*`` takes ring elements only."""
-        n = q.numerator
-        return _element(
-            self.spec, {key: n * v for key, v in self._terms.items()}, self._den * q.denominator
-        )
 
     def to_text(self) -> str:
         """Canonical text: q*z^a*u^b terms in ascending lexicographic (a, b)."""
@@ -299,25 +278,7 @@ def _terms_text(terms: Iterable[tuple[Fraction | int, Iterable[str]]]) -> str:
     return " ".join(parts) or "0"
 
 
-def ring_one(spec: RingSpec) -> QuotientRingElement:
-    return from_rational(spec, 1)
-
-
 def from_rational(spec: RingSpec, q: Fraction | int) -> QuotientRingElement:
     """Embed a rational as a ring element (the (a, b) = (0, 0) slot)."""
     return _element(spec, {(0, 0): q.numerator}, q.denominator)
 
-
-def zeta_power(spec: RingSpec, m: int) -> QuotientRingElement:
-    """zeta^m as a ring element: z^{m mod g} reduced modulo Phi_g."""
-    return _element(spec, _reduce_z({(m % spec.g, 0): 1}, spec), 1)
-
-
-def root_power(spec: RingSpec, k: int) -> QuotientRingElement:
-    """c^{k/g} as a ring element: u^k reduced via u^g = c.
-
-    Equals c^{k // g} * u^{k mod g}; requires k >= 0.
-    """
-    if k < 0:
-        raise ValueError(f"root_power requires k >= 0, got k={k}")
-    return QuotientRingElement(spec, {(0, k % spec.g): spec.c ** (k // spec.g)})

@@ -38,11 +38,16 @@ without the library's code for the step under test:
 * ``TABLE_ROWS_EXPECTED``: the target curves for g = 5..11 written out by
   hand, term by term, against ``curves.table_rows`` and the ``table``
   command's JSON.
+* ``zeta_power`` / ``root_power``: zeta^m and c^{k/g} as ring elements,
+  one at a time, against the table of ``curves._zeta_table`` and the
+  powers that ``curves._w_power`` builds from it.
 
 The rest are the small helpers these routes and the tests build with:
 ``xy_symmetric_power`` (iterated ``BivariatePolynomial`` products, for
-comparison with ``binomial_expand``), ``shift_xy``, ``ring_power`` and the
-``ring_poly_*`` arithmetic on ``RingPolynomial``.
+comparison with ``binomial_expand``), ``shift_xy``, ``element`` (a ring
+element from its rational coefficients), ``scaled`` (the product with a
+rational), ``ring_one``, ``ring_power`` and the ``ring_poly_*`` arithmetic
+on ``RingPolynomial``.
 """
 
 from __future__ import annotations
@@ -50,8 +55,11 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import repeat, zip_longest
 
 from vertalign import alignment
@@ -60,10 +68,10 @@ from vertalign.curves import RingPolynomial
 from vertalign.lockwood import BivariatePolynomial
 from vertalign.quotient_ring import (
     QuotientRingElement,
+    RingSpec,
+    _element,
+    _reduce_z,
     from_rational,
-    ring_one,
-    root_power,
-    zeta_power,
 )
 
 
@@ -211,6 +219,55 @@ def reference_columns(headers: list[str], rows: list[list]) -> str:
     return "\n".join(lines)
 
 
+# -- elements of R(g, c) -----------------------------------------------------
+
+
+def element(
+    spec: RingSpec, entries: Mapping[tuple[int, int], Fraction | int]
+) -> QuotientRingElement:
+    """The element sum q z^a u^b over ``entries`` {(a, b): q}.
+
+    Every key must be a basis index, 0 <= a < phi(g) and 0 <= b < g.  The
+    rationals are put over the lcm of their denominators for ``_element``.
+    """
+    values = {}
+    for (a, b), value in entries.items():
+        if not 0 <= a < spec.deg_z or not 0 <= b < spec.g:
+            raise ValueError(
+                f"basis index ({a}, {b}) outside 0<={a}<{spec.deg_z}, 0<={b}<{spec.g}"
+            )
+        values[a, b] = Fraction(value)
+    den = math.lcm(*(q.denominator for q in values.values()))
+    return _element(spec, {
+        key: q.numerator * (den // q.denominator) for key, q in values.items()
+    }, den)
+
+
+def scaled(x: QuotientRingElement, q: Fraction | int) -> QuotientRingElement:
+    """The product of x with the rational q."""
+    n = q.numerator
+    return _element(x.spec, {key: n * v for key, v in x._terms.items()}, x._den * q.denominator)
+
+
+def ring_one(spec: RingSpec) -> QuotientRingElement:
+    return from_rational(spec, 1)
+
+
+def zeta_power(spec: RingSpec, m: int) -> QuotientRingElement:
+    """zeta^m as a ring element: z^{m mod g} reduced modulo Phi_g."""
+    return _element(spec, _reduce_z({(m % spec.g, 0): 1}, spec), 1)
+
+
+def root_power(spec: RingSpec, k: int) -> QuotientRingElement:
+    """c^{k/g} as a ring element: u^k reduced via u^g = c.
+
+    Equals c^{k // g} * u^{k mod g}; requires k >= 0.
+    """
+    if k < 0:
+        raise ValueError(f"root_power requires k >= 0, got k={k}")
+    return element(spec, {(0, k % spec.g): spec.c ** (k // spec.g)})
+
+
 # -- polynomials over R(g, c) ------------------------------------------------
 
 
@@ -287,7 +344,7 @@ def reference_pullback(spec, i: int) -> RingPolynomial:
     for k in range(g // 2 + 1):
         if k:
             w_to_k = w_to_k * w
-        factor = w_to_k.scale((-1) ** k * lucas_coeff(g, k))
+        factor = scaled(w_to_k, (-1) ** k * lucas_coeff(g, k))
         term = ring_poly_shift(ring_poly_scale(powers[g - 2 * k], factor), 2 * k + 1)
         total = ring_poly_add(total, term)
     return total

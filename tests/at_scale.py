@@ -12,30 +12,32 @@ inject T through ``tests/_faults.py``.  pytest does not collect this
 script: its name does not match ``test_*.py``.
 """
 
+import ast
+import cProfile
 import csv
+import importlib
+import inspect
 import io
 import json
 import math
+import pkgutil
 import sys
 import time
 import traceback
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from _faults import fault_chain, fault_lucas_row, fault_sweep
-from output_digest import run
+from _faults import fail_morphism, fault_chain, fault_lucas_row, fault_sweep, lose_last_range
+from _reference import ring_one, root_power, scaled, zeta_power
+from output_digest import load_workloads, requests, run
+from test_tracer_targets import TARGETS as TRACER_TARGETS
+import vertalign
 from vertalign import alignment, curves, lockwood
 from vertalign.cli import main as cli_main
 from vertalign.combinatorics import lucas_row
-from vertalign.quotient_ring import (
-    QuotientRingElement,
-    from_rational,
-    make_ring,
-    ring_one,
-    root_power,
-    zeta_power,
-)
+from vertalign.quotient_ring import QuotientRingElement, from_rational, make_ring
 
 CHECKS = {}
 
@@ -184,7 +186,7 @@ def morphism_fault_401():
     zero = from_rational(spec, 0)
     expected = [zero] * 804
     expected[803 - 2 * 251:803 - 2 * 150 + 1:2] = [
-        powers[b].scale(math.comb(101, b - 150)) for b in range(251, 149, -1)
+        scaled(powers[b], math.comb(101, b - 150)) for b in range(251, 149, -1)
     ]
     assert residual == curves.RingPolynomial(spec, dict(enumerate(expected))), [
         e for e in range(804) if residual.coeffs.get(e, zero) != expected[e]
@@ -347,6 +349,104 @@ def records():
         assert [[(key, str(value)) for key, value in record.items()] for record in records] == [
             list(zip(header, row)) for row in rows
         ], argv
+
+
+# Value methods that comparisons and messages may call on any object.
+_VALUE_DUNDERS = {"__eq__", "__hash__", "__repr__"}
+
+
+def _defs(path):
+    """{first line: qualified name} of every ``def`` in the module at ``path``.
+
+    The first line is the one a code object reports: the first decorator's
+    line when there is one.
+    """
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[first] = prefix + child.name
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def _tracer_codes():
+    """(file, first line) of every function ``bench/tracer.py`` wraps by name."""
+    codes = set()
+    for module_name, class_name, attr, *_ in TRACER_TARGETS:
+        module = importlib.import_module(f"vertalign.{module_name}")
+        owner = vars(getattr(module, class_name)) if class_name else vars(module)
+        code = inspect.unwrap(owner[attr]).__code__
+        codes.add((code.co_filename, code.co_firstlineno))
+    return codes
+
+
+@check
+def library_reached():
+    """Every ``def`` in ``src/vertalign`` runs on some command-line request.
+
+    The library keeps only what the command line runs.  One profile records
+    every function called by the requests of ``tests/output_digest.py``, the
+    benchmark's ``sweep`` pass for seed 1, and the failing runs of
+    ``lockwood``, ``sweep`` and ``verify-morphism`` in all three formats,
+    faulted and with a lost range through ``tests/_faults.py``.  Caches are
+    cleared first, so a cached function runs here too.  A ``def`` that never
+    runs fails the check, unless the benchmark tracer wraps it by name
+    (``bench/tracer.py``'s ``TARGETS``) or it is ``__eq__``, ``__hash__`` or
+    ``__repr__``.
+    """
+    modules = [vertalign] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.iter_modules(vertalign.__path__, "vertalign.")
+    ]
+    for module in modules:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    lockwood_run, sweep_run = ["lockwood", "20"], ["sweep", "12"]
+    failing = [
+        (lambda mp: fault_lucas_row(mp, lockwood, (17, 3, 5)), lockwood_run),
+        (lambda mp: fault_sweep(mp, (9, 2, 1)), sweep_run),
+        (fail_morphism, ["verify-morphism", "--", "9", "-7/11", "1"]),
+        (lose_last_range, lockwood_run),
+        (lose_last_range, sweep_run),
+    ]
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        for argv in requests() + load_workloads().generate("sweep", 1):
+            run(cli_main, argv)
+        for fault, argv in failing:
+            with pytest.MonkeyPatch.context() as mp:
+                fault(mp)
+                for fmt in ("text", "json", "csv"):
+                    code = json.loads(run(cli_main, ["--format", fmt, *argv]))[0]
+                    assert code == 1, (argv, fmt, code)
+    finally:
+        profile.disable()
+    called = {
+        (entry.code.co_filename, entry.code.co_firstlineno)
+        for entry in profile.getstats()
+        if not isinstance(entry.code, str)
+    }
+    kept = _tracer_codes()
+    never = []
+    for module in modules:
+        path = Path(module.__file__)
+        for line, name in _defs(path).items():
+            key = (str(path), line)
+            if key in called or key in kept or name.rpartition(".")[2] in _VALUE_DUNDERS:
+                continue
+            never.append(f"{module.__name__.removeprefix('vertalign.')}.{name}")
+    assert not never, f"never called by any command: {', '.join(never)}"
 
 
 def main(argv):

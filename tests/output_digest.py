@@ -62,11 +62,17 @@ USAGE_ERRORS = [
 ]
 
 
-def requests() -> list[list[str]]:
+def load_workloads():
+    """``bench/workloads.py`` of this tree, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def requests() -> list[list[str]]:
+    workloads = load_workloads()
     out = [list(argv) for argv, _ in workloads.GOLDEN]
     for seed in range(1, 6):
         out += workloads.generate("morphism", seed) + workloads.generate("pointwise", seed)

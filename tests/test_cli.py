@@ -3,7 +3,6 @@ import contextlib
 import csv
 import decimal
 import functools
-import importlib.util
 import io
 import json
 import math
@@ -29,7 +28,7 @@ from _reference import (
     reference_columns,
     reference_csv,
 )
-from output_digest import help_and_usage
+from output_digest import help_and_usage, load_workloads
 from vertalign import lockwood, quotient_ring
 from vertalign.alignment import SweepSummary, identity_sum, identity_sweep, map_row_ranges
 from vertalign.quotient_ring import QuotientRingElement, from_rational
@@ -550,10 +549,7 @@ class TestJsonEmitter:
 def _pointwise_json_requests(seeds) -> list[tuple[str, ...]]:
     """The distinct ``--format json`` requests of the benchmark's pointwise
     passes for ``seeds``, read from ``bench/workloads.py``."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_workloads()
     stream = [argv for seed in seeds for argv in workloads.generate("pointwise", seed)]
     return sorted({tuple(argv[2:]) for argv in stream if argv[:2] == ["--format", "json"]})
 
@@ -852,6 +848,31 @@ class TestNegativeRationalC:
         assert cli.main(["curve", "--", "2", c, "1"]) == 0
         assert bare == capsys.readouterr()
         assert bare.out.startswith("C_1 over R(g=2, c=-")
+
+    @pytest.mark.parametrize(
+        "c, code", [("-1_000", 0), ("-1/1_0", 0), ("-1e1_0", 0), ("1__0", 2)]
+    )
+    def test_digit_underscores_read_alike_without_fraction_support(
+        self, c, code, capsys, monkeypatch
+    ):
+        # Fraction reads PEP 515 underscores only from Python 3.11.  With a
+        # Fraction that refuses every underscore, as 3.10's does, c must read
+        # as before; an underscore not between two digits is refused by both.
+        def fraction_without_underscores(*args):
+            if isinstance(args[0], str) and "_" in args[0]:
+                raise ValueError(f"Invalid literal for Fraction: {args[0]!r}")
+            return Fraction(*args)
+
+        def curve():
+            try:
+                return cli.main(["curve", "2", c, "1"]), capsys.readouterr()
+            except SystemExit as exc:
+                return exc.code, capsys.readouterr()
+
+        native = curve()
+        monkeypatch.setattr(cli, "Fraction", fraction_without_underscores)
+        assert curve() == native
+        assert native[0] == code
 
     def test_malformed_negative_is_named(self, capsys):
         # Read as c, not as a flag: the usage error names the token.

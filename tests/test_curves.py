@@ -12,9 +12,13 @@ from _reference import (
     lucas_coeff_alt,
     pullback_weights_by_rows,
     reference_pullback,
+    ring_one,
     ring_poly_add,
     ring_poly_scale,
     ring_power,
+    root_power,
+    scaled,
+    zeta_power,
 )
 import vertalign.cli as cli
 from vertalign import combinatorics, curves, lockwood, quotient_ring
@@ -35,10 +39,12 @@ from vertalign.quotient_ring import (
     _terms_text,
     from_rational,
     make_ring,
-    ring_one,
-    root_power,
-    zeta_power,
 )
+
+
+def pullback(spec, i):
+    """``pullback_rhs`` of the table and row that ``verify_morphism`` hands it."""
+    return pullback_rhs(spec, curves._zeta_table(spec, i), curves.lucas_row(spec.g))
 
 
 class TestRingPolynomial:
@@ -51,8 +57,8 @@ class TestRingPolynomial:
         polys = [
             RingPolynomial(spec, {}),
             RingPolynomial(spec, dict(enumerate((w, zero, one)))),
-            RingPolynomial(spec, dict(enumerate((zero, w.scale(3), one, w)))),
-            RingPolynomial(spec, dict(enumerate((w, one.scale(2))))),
+            RingPolynomial(spec, dict(enumerate((zero, scaled(w, 3), one, w)))),
+            RingPolynomial(spec, dict(enumerate((w, scaled(one, 2))))),
         ]
         for p in polys:
             for q in polys:
@@ -201,7 +207,8 @@ class TestBuildTarget:
         f = build_target(spec, 1)
         expected_magnitudes = (1, 11, 44, 77, 55, 11)
         for k in range(6):
-            expected = (zeta_power(spec, k) * root_power(spec, k)).scale(
+            expected = scaled(
+                zeta_power(spec, k) * root_power(spec, k),
                 (-1) ** k * expected_magnitudes[k]
             )
             assert f.coeffs.get(11 - 2 * k) == expected
@@ -211,7 +218,8 @@ class TestBuildTarget:
             spec = make_ring(g, c)
             f = build_target(spec, i)
             for k in range(g // 2 + 1):
-                expected = (zeta_power(spec, i * k) * root_power(spec, k)).scale(
+                expected = scaled(
+                    zeta_power(spec, i * k) * root_power(spec, k),
                     (-1) ** k * lucas_coeff(g, k)
                 )
                 assert f.coeffs.get(g - 2 * k) == expected
@@ -258,7 +266,8 @@ class TestBuildTarget:
                     w_to_k = w_to_k * w
 
     def test_rejects_bad_twist_index(self, monkeypatch):
-        # Refused before any ring product, also by verify_morphism.
+        # Refused before any ring product: by the target, by the table
+        # through which the pullback reads i, and by verify_morphism.
         spec = make_ring(5, 1)
         forbid(
             monkeypatch,
@@ -267,7 +276,7 @@ class TestBuildTarget:
             (QuotientRingElement, "__rmul__"),
         )
         for bad in (-1, 2, 5):
-            for build in (build_target, pullback_rhs, verify_morphism):
+            for build in (build_target, pullback, verify_morphism):
                 with pytest.raises(ValueError):
                     build(spec, bad)
 
@@ -282,12 +291,12 @@ class TestPullback:
         ],
     )
     def test_examples(self, g, c, text):
-        assert pullback_rhs(make_ring(g, c), 0).to_text() == text
+        assert pullback(make_ring(g, c), 0).to_text() == text
 
     def test_equals_source_polynomial(self):
         for g, c, i in [(3, 2, 1), (8, Fraction(3, 5), 0), (13, -1, 1)]:
             spec = make_ring(g, c)
-            assert pullback_rhs(spec, i) == build_source(spec)
+            assert pullback(spec, i) == build_source(spec)
 
     def test_substitution_into_bivariate_identity(self):
         # The pullback is literally x * L(x^2, w) where L is the expanded
@@ -300,9 +309,9 @@ class TestPullback:
             w_to_b = ring_one(spec)
             for b, coeff in enumerate(lockwood_rhs(g).coeffs):
                 a = g - b
-                rebuilt[2 * a + 1] = rebuilt[2 * a + 1] + w_to_b.scale(coeff)
+                rebuilt[2 * a + 1] = rebuilt[2 * a + 1] + scaled(w_to_b, coeff)
                 w_to_b = w_to_b * w
-            assert RingPolynomial(spec, dict(enumerate(rebuilt))) == pullback_rhs(spec, i)
+            assert RingPolynomial(spec, dict(enumerate(rebuilt))) == pullback(spec, i)
 
     def test_integer_stage_is_the_oracle_row(self, monkeypatch):
         # Put y = w/x in the oracle's sum for x^g + y^g and multiply by
@@ -337,7 +346,7 @@ class TestPullback:
         for g in range(1, 21):
             spec = make_ring(g, c)
             for i in (0, 1):
-                assert pullback_rhs(spec, i) == reference_pullback(spec, i), (g, c, i)
+                assert pullback(spec, i) == reference_pullback(spec, i), (g, c, i)
 
     @pytest.mark.parametrize("g", [1, 2, 7, 40, 80, 200])
     def test_ring_products_linear_in_g(self, g, monkeypatch):
@@ -350,7 +359,7 @@ class TestPullback:
 
         monkeypatch.setattr(QuotientRingElement, "__mul__", counting)
         monkeypatch.setattr(QuotientRingElement, "__rmul__", counting)
-        pullback_rhs(make_ring(g, Fraction(-7, 11)), 1)
+        pullback(make_ring(g, Fraction(-7, 11)), 1)
         assert len(calls) <= g + 1
 
     def test_calls_no_binomial_and_no_bivariate_oracle(self, monkeypatch):
@@ -362,7 +371,7 @@ class TestPullback:
         )
         for g in (2, 9, 16):
             spec = make_ring(g, Fraction(3, 5))
-            assert pullback_rhs(spec, g % 2) == build_source(spec)
+            assert pullback(spec, g % 2) == build_source(spec)
 
 
 def _nonzero_exponents(f: RingPolynomial) -> list[int]:
@@ -437,7 +446,7 @@ class TestVerifyMorphism:
         _, target, _, residual = verify_morphism(spec, 1)
         assert calls == [9]
         w = zeta_power(spec, 1) * root_power(spec, 1)
-        assert target.coeffs.get(5) == ring_power(w, 2).scale(lucas_coeff(9, 2) + 1)
+        assert target.coeffs.get(5) == scaled(ring_power(w, 2), lucas_coeff(9, 2) + 1)
         assert not residual.is_zero()
 
     # Negative controls: a fault in either input of the pullback leaves a
@@ -463,7 +472,7 @@ class TestVerifyMorphism:
         w = zeta_power(spec, i) * root_power(spec, 1)
         expected = [from_rational(spec, 0)] * (2 * g + 2)
         for b in range(k, g - k + 1):
-            expected[2 * g + 1 - 2 * b] = ring_power(w, b).scale(
+            expected[2 * g + 1 - 2 * b] = scaled(ring_power(w, b), 
                 delta * (-1) ** k * math.comb(g - 2 * k, b - k)
             )
         assert residual == RingPolynomial(spec, dict(enumerate(expected)))
@@ -506,9 +515,9 @@ class TestCoefficientFacts:
             facts = coefficient_facts(g)
             spec = make_ring(g, 1)
             f = build_target(spec, 0)
-            assert f.coeffs.get(g - 2) == root_power(spec, 1).scale(facts.second)
+            assert f.coeffs.get(g - 2) == scaled(root_power(spec, 1), facts.second)
             k_last = g // 2 if g % 2 == 0 else (g - 1) // 2
-            assert f.coeffs.get(facts.last_exponent) == root_power(spec, k_last).scale(
+            assert f.coeffs.get(facts.last_exponent) == scaled(root_power(spec, k_last), 
                 facts.last
             )
 
@@ -537,7 +546,7 @@ class TestUnitRootSpecialization:
         # zeta powers have several.
         spec = make_ring(g, 1)
         without_u = RingPolynomial(spec, {
-            g - 2 * k: zeta_power(spec, i * k).scale((-1) ** k * lucas_coeff_alt(g, k))
+            g - 2 * k: scaled(zeta_power(spec, i * k), (-1) ** k * lucas_coeff_alt(g, k))
             for k in range(g // 2 + 1)
         })
         assert build_target(spec, i).equation_text() == f"y^2 = {without_u.to_text()}"

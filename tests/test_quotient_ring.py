@@ -5,18 +5,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from _reference import ring_power
+from _reference import element, ring_one, ring_power, root_power, scaled, zeta_power
 from vertalign.cyclotomic import cyclotomic
-from vertalign.quotient_ring import (
-    QuotientRingElement,
-    RingSpec,
-    _u_to_one,
-    from_rational,
-    make_ring,
-    ring_one,
-    root_power,
-    zeta_power,
-)
+from vertalign.quotient_ring import RingSpec, _u_to_one, from_rational, make_ring
 
 SPECS = [
     make_ring(1, 7),
@@ -36,7 +27,7 @@ def random_element(spec, rng, density=0.4):
         for b in range(spec.g):
             if rng.random() < density:
                 entries[(a, b)] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-    return QuotientRingElement(spec, entries)
+    return element(spec, entries)
 
 
 class TestMakeRing:
@@ -178,14 +169,14 @@ class TestRingArithmetic:
         for spec in SPECS:
             for _ in range(50):
                 x = random_element(spec, rng)
-                assert QuotientRingElement(spec, x.entries()) == x
+                assert element(spec, x.entries()) == x
 
     def test_scalar_scale(self):
         spec = make_ring(6, 2)
         x = zeta_power(spec, 1) + root_power(spec, 1)
-        assert x.scale(Fraction(3, 2)) == x * from_rational(spec, Fraction(3, 2))
-        assert x.scale(0).is_zero()
-        # scale is the only way to scale: a product takes ring elements.
+        assert scaled(x, Fraction(3, 2)) == x * from_rational(spec, Fraction(3, 2))
+        assert scaled(x, 0).is_zero()
+        # A product takes ring elements only: a rational is refused.
         for q in (2, Fraction(3, 2)):
             with pytest.raises(TypeError):
                 x * q
@@ -201,16 +192,9 @@ class TestRingArithmetic:
 
 
 class TestElementBasics:
-    def test_basis_bounds_validated(self):
-        spec = make_ring(6, 1)
-        with pytest.raises(ValueError):
-            QuotientRingElement(spec, {(2, 0): 1})  # a >= phi(6)
-        with pytest.raises(ValueError):
-            QuotientRingElement(spec, {(0, 6): 1})  # b >= g
-
     def test_coefficient_lookup(self):
         spec = make_ring(6, 2)
-        x = QuotientRingElement(spec, {(1, 3): Fraction(3, 5), (0, 0): 2})
+        x = element(spec, {(1, 3): Fraction(3, 5), (0, 0): 2})
         assert x.entries() == {(0, 0): Fraction(2), (1, 3): Fraction(3, 5)}
         assert (0, 1) not in x.entries()
 
@@ -223,14 +207,14 @@ class TestElementBasics:
     def test_entries_are_ints_exactly_when_the_denominator_is_one(self):
         rng = random.Random(97531)
         for spec in SPECS:
-            integral = QuotientRingElement(spec, {(0, 0): 4, (0, spec.g - 1): -3})
+            integral = element(spec, {(0, 0): 4, (0, spec.g - 1): -3})
             for x in [integral] + [random_element(spec, rng) for _ in range(20)]:
                 entries = x.entries()
                 # Each value equals q_{a,b} = _terms[(a, b)] / _den as a Fraction.
                 assert entries == {key: Fraction(v, x._den) for key, v in x._terms.items()}
                 kinds = {type(q) for q in entries.values()}
                 assert kinds <= ({int} if x._den == 1 else {Fraction}), (spec, x)
-                assert QuotientRingElement(spec, x.entries()) == x
+                assert element(spec, x.entries()) == x
 
     def test_results_are_canonical(self):
         # No zero numerator is stored, every key is a basis index, and the
@@ -247,10 +231,10 @@ class TestElementBasics:
             for _ in range(20):
                 x, y = random_element(spec, rng), random_element(spec, rng)
                 q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                results = [x + y, x - y, x * y, x.scale(q), -x]
+                results = [x + y, x - y, x * y, scaled(x, q), -x]
                 # Results that cancel to zero, from operands with denominators.
-                results += [x - x, x + (-x), x * from_rational(spec, 0), x.scale(0)]
-                results.append(x.scale(Fraction(1, 3)) + x.scale(Fraction(-1, 3)))
+                results += [x - x, x + (-x), x * from_rational(spec, 0), scaled(x, 0)]
+                results.append(scaled(x, Fraction(1, 3)) + scaled(x, Fraction(-1, 3)))
                 for result in results:
                     assert_canonical(result)
                 for zero in results[5:]:
@@ -264,10 +248,10 @@ class TestElementBasics:
 
     def test_text_form_for_both_kinds_of_entries(self):
         spec = make_ring(6, 2)
-        integral = QuotientRingElement(spec, {(0, 1): 3, (1, 0): -1, (1, 2): 2})
+        integral = element(spec, {(0, 1): 3, (1, 0): -1, (1, 2): 2})
         assert integral._den == 1
         assert integral.to_text() == "3*u - z + 2*z*u^2"
-        fractional = integral.scale(Fraction(1, 4))
+        fractional = scaled(integral, Fraction(1, 4))
         assert fractional._den == 4
         assert fractional.to_text() == "3/4*u - 1/4*z + 1/2*z*u^2"
 
@@ -275,8 +259,7 @@ class TestElementBasics:
         spec = make_ring(6, 2)
         assert from_rational(spec, 0).to_text() == "0"
         assert ring_one(spec).to_text() == "1"
-        x = QuotientRingElement(
-            spec, {(0, 1): Fraction(3, 5), (1, 0): -1, (1, 2): 2}
+        x = element(spec, {(0, 1): Fraction(3, 5), (1, 0): -1, (1, 2): 2}
         )
         assert x.to_text() == "3/5*u - z + 2*z*u^2"
 
@@ -289,17 +272,16 @@ class TestUnitRootFold:
         # denominator 3 it still folds to the zero element, denominator 1.
         spec = make_ring(5, 1)
         z, u = zeta_power(spec, 1), root_power(spec, 1)
-        x = (z * u - z).scale(Fraction(1, 3))
+        x = scaled(z * u - z, Fraction(1, 3))
         assert not x.is_zero() and x._den == 3
         folded = _u_to_one(x)
         assert folded.is_zero() and folded._den == 1
 
     def test_sums_the_terms_on_each_power_of_z(self):
         spec = make_ring(5, 1)
-        x = QuotientRingElement(
-            spec, {(1, 1): 2, (1, 3): Fraction(3, 2), (0, 2): -1, (0, 0): Fraction(1, 2)}
+        x = element(spec, {(1, 1): 2, (1, 3): Fraction(3, 2), (0, 2): -1, (0, 0): Fraction(1, 2)}
         )
-        expected = QuotientRingElement(spec, {(1, 0): Fraction(7, 2), (0, 0): Fraction(-1, 2)})
+        expected = element(spec, {(1, 0): Fraction(7, 2), (0, 0): Fraction(-1, 2)})
         assert _u_to_one(x) == expected
 
     @pytest.mark.parametrize("g", [5, 6, 12])
@@ -352,11 +334,11 @@ class TestAgainstSympy:
         for g in (1, 5, 6, 12):
             spec = make_ring(g, c)
             x = random_element(spec, rng)
-            assert x.scale(Fraction(3, 2)).scale(Fraction(2, 3)) == x
+            assert scaled(scaled(x, Fraction(3, 2)), Fraction(2, 3)) == x
             assert x * from_rational(spec, spec.c) * from_rational(spec, 1 / spec.c) == x
             u = root_power(spec, 1)
             assert ring_power(u, spec.g) * from_rational(spec, 1 / spec.c) == ring_one(spec)
-            assert x.scale(Fraction(1, 7)) + x.scale(Fraction(6, 7)) == x
+            assert scaled(x, Fraction(1, 7)) + scaled(x, Fraction(6, 7)) == x
 
     @pytest.mark.parametrize("c", [1, -1, Fraction(3, 5), Fraction(-7, 11)], ids=str)
     def test_one_term_products_match_sympy_reduction(self, c):
@@ -367,13 +349,13 @@ class TestAgainstSympy:
         rng = random.Random(f"one-term:{c}")
         for g in range(1, 13):
             spec = make_ring(g, c)
-            corner = QuotientRingElement(spec, {(spec.deg_z - 1, g - 1): Fraction(2, 3)})
+            corner = element(spec, {(spec.deg_z - 1, g - 1): Fraction(2, 3)})
             x = random_element(spec, rng, 0.3) + corner
             top = (spec.deg_z - 1, rng.randrange(g))
             wrap = (rng.randrange(spec.deg_z), g - 1)
             cases = [(top, -3), (wrap, 5), ((0, 0), Fraction(-5, 3)), (top, Fraction(7, 2))]
             for (a, b), q in cases:
-                term = QuotientRingElement(spec, {(a, b): q})
+                term = element(spec, {(a, b): q})
                 expected = self.reduced_entries(spec, self.as_sympy(x) * self.as_sympy(term))
                 assert (x * term).entries() == (term * x).entries() == expected, (g, a, b, q)
                 both = self.reduced_entries(spec, self.as_sympy(term) * self.as_sympy(corner))
@@ -397,12 +379,11 @@ class TestAgainstSympy:
         def rational():
             return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
 
-        corner = QuotientRingElement(spec, {(width - 1, g - 1): rational()})
-        few = QuotientRingElement(spec, {
+        corner = element(spec, {(width - 1, g - 1): rational()})
+        few = element(spec, {
             (width - 1, g - 2): rational(), (width - 2, 1): rational(), (0, g - 1): rational()
         })
-        dense = QuotientRingElement(
-            spec, {(a, b): rational() for a in range(width) for b in (0, g - 1)}
+        dense = element(spec, {(a, b): rational() for a in range(width) for b in (0, g - 1)}
         )
         shapes = {"corner": corner, "few": few, "dense": dense}
         for name_x, x in shapes.items():
