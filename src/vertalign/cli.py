@@ -47,7 +47,15 @@ from json.encoder import encode_basestring_ascii
 
 from .alignment import aligned_entries, identity_sum, identity_sweep, map_row_ranges
 from .combinatorics import lucas_row, pascal_halves
-from .curves import RingPolynomial, build_target, table_rows, table_text, verify_morphism
+from .curves import (
+    RingPolynomial,
+    _zeta_table,
+    build_target,
+    table_rows,
+    table_text,
+    target_text,
+    verify_morphism,
+)
 from .lockwood import _verify_range, _x_n_plus_y_n, lockwood_rhs
 from .quotient_ring import make_ring
 
@@ -401,10 +409,14 @@ def _coefficient_cell(f: RingPolynomial, exp: int) -> str:
 
 def _cmd_curve(args: argparse.Namespace) -> int:
     spec = make_ring(args.g, args.c)
-    f = build_target(spec, args.i)
+    # The table of zeta^(ik) and T(g, .) are read once, for the equation
+    # and the cells both; only the cells need the target's ring elements.
+    zeta_table, lucas = _zeta_table(spec, args.i), lucas_row(spec.g)
     if args.format == "text":
-        print(f"C_{args.i} over R(g={args.g}, c={args.c}): {f.equation_text()}")
+        print(f"C_{args.i} over R(g={args.g}, c={args.c}): "
+              f"{target_text(spec, args.i, zeta_table, lucas)}")
         return 0
+    f = build_target(spec, args.i, zeta_table, lucas)
     header = ["x_exp", "element"]
     rows = [[exp, _coefficient_cell(f, exp)] for exp in range(f.degree, -1, -1)]
     if args.format == "json":
@@ -412,7 +424,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
             "g": spec.g,
             "c": str(spec.c),
             "i": args.i,
-            "equation": f.equation_text(),
+            "equation": target_text(spec, args.i, zeta_table, lucas),
             "coefficients": _Records(header, rows),
         }))
     else:
@@ -431,7 +443,7 @@ def _cmd_verify_morphism(args: argparse.Namespace) -> int:
             "i": args.i,
             "holds": holds,
             "source": source.equation_text(),
-            "target": target.equation_text(),
+            "target": target,
             "pullback": pullback.to_text(),
             "residual": residual.to_text(),
             "x_map_nonconstant": True,
@@ -445,7 +457,7 @@ def _cmd_verify_morphism(args: argparse.Namespace) -> int:
     else:
         print(f"morphism check for g={spec.g}, c={spec.c}, i={args.i}")
         print(f"source:   {source.equation_text()}")
-        print(f"target:   {target.equation_text()}")
+        print(f"target:   {target}")
         print("x-map:    (x^2 + w)/x with w = zeta^i*c^(1/g) (nonconstant)")
         print(f"pullback: y^2 = {pullback.to_text()}")
         print(f"residual: {residual.to_text()}")
@@ -503,6 +515,18 @@ _COMMANDS = {
 }
 
 
+# The top-level usage, laid out as argparse lays it out at 80 columns on
+# Python 3.10-3.12.  argparse's own layout differs from 3.13 on (the "..."
+# joins the line of choices), so it is given whole, and every Python the
+# package admits prints the same bytes.  It does not rewrap with COLUMNS.
+_USAGE_INDENT = "\n" + " " * len("usage: vertalign ")
+_USAGE = (
+    "%(prog)s [-h] [--format {text,json,csv}] [--workers WORKERS]"
+    + _USAGE_INDENT + "{" + ",".join(_COMMANDS) + "}"
+    + _USAGE_INDENT + "..."
+)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -522,12 +546,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     parser = _Parser(
         prog="vertalign",
+        usage=_USAGE,
         description="Exact checks of the vertical-alignment dependence in "
         "Pascal's triangle and the curve morphisms built from it.",
     )
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--workers", type=_workers, default=1)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # The subcommands' prog is named here: argparse would otherwise build it
+    # from the top-level usage, which is given whole.
+    sub = parser.add_subparsers(dest="command", required=True, prog="vertalign")
 
     for command, (help_line, positionals) in _COMMANDS.items():
         p = sub.add_parser(command, parents=[common], help=help_line)

@@ -20,7 +20,13 @@ the pullback is its functional equation D_g(s + w/s, w) = s^g + (w/s)^g at
 s = x, times x^{g+1}: x^{2g+1} + w^g x, where w^g = c.
 
 Everything is verified at the level of defining equations: a curve
-y^2 = f(x) is held as its right-hand side f, a :class:`RingPolynomial`.  For
+y^2 = f(x) is held as its right-hand side f, a :class:`RingPolynomial`.
+The residual reads only the pullback and the source, so a morphism check
+never builds the target's ring elements: ``target_text`` writes its
+equation straight from the row of T and the table of zeta^{ik}, and
+``build_target`` builds them only for the coefficient cells of ``curve``.
+The pullback's integer stage sums its terms by a product tree at
+w = 2^V, and an honest total is read without unpacking it.  For
 even g the exponent (g+1)/2 in the y-coordinate is a half-integer, so the
 map itself is not polynomial there; y^2 / x^{g+1} still is, and that is the
 object being checked.  The x-coordinate map (x^2 + w)/x is never constant,
@@ -38,10 +44,8 @@ from .quotient_ring import (
     QuotientRingElement,
     RingSpec,
     _element,
-    _entries_text,
     _power_text,
     _terms_text,
-    _u_to_one,
     from_rational,
 )
 
@@ -50,6 +54,7 @@ __all__ = [
     "build_source",
     "build_target",
     "pullback_rhs",
+    "target_text",
     "verify_morphism",
     "table_rows",
     "table_text",
@@ -97,21 +102,16 @@ class RingPolynomial:
     def to_text(self) -> str:
         """Terms in descending x-degree with canonically rendered coefficients."""
         return _terms_text(
-            _coefficient_term(self.coeffs[e], e) for e in sorted(self.coeffs, reverse=True)
+            _coefficient_term([
+                (q, (_power_text("z", a), _power_text("u", b)))
+                for (a, b), q in sorted(self.coeffs[e].entries().items())
+            ], e)
+            for e in sorted(self.coeffs, reverse=True)
         )
 
     def equation_text(self) -> str:
-        """The curve y^2 = self as text.
-
-        When c = 1 the formal root u is read as 1, which is how these curves
-        are conventionally written: each coefficient is folded by
-        ``_u_to_one``, and one that folds to zero is dropped.  Other c keep
-        the canonical u-form.
-        """
-        f = self
-        if self.spec.c == 1:
-            f = RingPolynomial(self.spec, {e: _u_to_one(p) for e, p in self.coeffs.items()})
-        return f"y^2 = {f.to_text()}"
+        """The curve y^2 = self as text, in the canonical u-form for every c."""
+        return f"y^2 = {self.to_text()}"
 
     def __repr__(self) -> str:
         return f"RingPolynomial(g={self.spec.g}, c={self.spec.c}, {self.to_text()})"
@@ -123,15 +123,19 @@ CurveEquation = RingPolynomial
 
 
 def _coefficient_term(
-    element: QuotientRingElement, exponent: int
+    terms: list[tuple[Fraction | int, tuple[str, str]]], exponent: int
 ) -> tuple[Fraction | int, tuple[str, ...]]:
-    """One coefficient*x^exponent term, pulling the sign out when single."""
+    """One coefficient*x^exponent term for ``_terms_text``.
+
+    The coefficient is given by its nonzero terms q*z^a*u^b in ascending
+    (a, b), each as (q, (z^a text, u^b text)).  A single term has its sign
+    pulled out; several are written in parentheses.
+    """
     xpart = _power_text("x", exponent)
-    entries = element.entries()
-    if len(entries) == 1:
-        (((a, b), q),) = entries.items()
-        return q, (_power_text("z", a), _power_text("u", b), xpart)
-    return 1, (f"({_entries_text(entries)})", xpart)
+    if len(terms) == 1:
+        ((q, factors),) = terms
+        return q, (*factors, xpart)
+    return 1, (f"({_terms_text(terms)})", xpart)
 
 
 def build_source(spec: RingSpec) -> RingPolynomial:
@@ -197,11 +201,11 @@ def build_target(
     Only the exponents g-2k occur, one coefficient each, built straight
     into the polynomial's map.  Each is (-1)^k T(g, k) w^k from
     ``_w_power``, one element and no ring product, and T(g, k) comes from
-    ``lucas_row``: the same values the pullback reads, so a fault in either
-    leaves a nonzero residual.  ``i`` must be 0 or 1 (see ``_zeta_table``).
+    ``lucas_row``.  ``i`` must be 0 or 1 (see ``_zeta_table``).
     ``zeta_table``, if given, is ``_zeta_table(spec, i)`` and ``lucas``, if
-    given, is ``lucas_row(g)``, both already computed by the caller
-    (``verify_morphism``).
+    given, is ``lucas_row(g)``, both already computed by the caller.  The
+    commands write every target equation by ``target_text``, and build
+    this polynomial only for the cells of ``curve``'s JSON and CSV.
     """
     g = spec.g
     if zeta_table is None:
@@ -213,35 +217,99 @@ def build_target(
     })
 
 
+def target_text(
+    spec: RingSpec,
+    i: int,
+    zeta_table: list[dict[int, int]] | None = None,
+    lucas: tuple[int, ...] | None = None,
+) -> str:
+    """The target curve y^2 = sum_k (-1)^k T(g, k) w^k x^{g-2k} as text.
+
+    Written straight from the row of T and the table of zeta^{ik}, with no
+    ring element: term k is (-1)^k T(g, k) zeta^{ik} u^k, and for
+    k <= g//2 < g that is zeta^{ik}'s table entry times (-1)^k T(g, k) at
+    u^k.  When c = 1, u is read as 1, which is how these curves are
+    conventionally written; other c keep the canonical u-form.  The text
+    is ``build_target``'s ``equation_text``, with u folded to 1 when c = 1,
+    for any row, honest or faulted.  ``zeta_table`` and ``lucas`` are as
+    for ``build_target``.
+    """
+    g = spec.g
+    if zeta_table is None:
+        zeta_table = _zeta_table(spec, i)
+    if lucas is None:
+        lucas = lucas_row(g)
+    fold = spec.c == 1
+    terms = []
+    for k, t in enumerate(lucas):
+        if not t:
+            continue
+        t, u, zeta = -t if k & 1 else t, "" if fold else _power_text("u", k), zeta_table[k]
+        if len(zeta) == 1:
+            # Most powers of zeta are one z^a: its term is written directly.
+            ((a, v),) = zeta.items()
+            terms.append((t * v, (_power_text("z", a), u, _power_text("x", g - 2 * k))))
+        else:
+            terms.append(_coefficient_term(
+                [(t * v, (_power_text("z", a), u)) for a, v in sorted(zeta.items())], g - 2 * k
+            ))
+    return "y^2 = " + _terms_text(terms)
+
+
 def _pullback_weights(g: int, lucas: tuple[int, ...]) -> list[int]:
     """The pullback over Z[x, w]: the integer weight of w^b, at x^{2g+1-2b}, per b.
 
     sum_k (-1)^k lucas[k] w^k x^{2k+1} (x^2 + w)^{g-2k} is homogeneous, so
-    one weight per w-exponent b = 0..g holds it.  The sum is taken term by
-    term at x^2 = 1, w = 2^V, where a polynomial in w is one int: the rows
-    (x^2 + w)^m come from the additive Pascal recurrence, one step
-    ``row += row << V`` each, and term k adds (-1)^k lucas[k] row << kV.
-    No slot is masked and no ring is built.  With
-    S = sum_k |lucas[k]| 2^{g-2k}, from the row in use, and
-    V = 1 + bit_length(S), every weight is at most S < 2^{V-1} in size
-    (C(m, j) <= 2^m), so the g + 1 balanced base-2^V digits of the total
-    are the weights, even for a faulted row.
+    one weight per w-exponent b = 0..g holds it.  The sum is taken at
+    x^2 = 1, w = 2^V, where a polynomial in w is one int, by a product tree
+    over the terms.  With s_k = (-1)^k lucas[k] and
+
+        F(lo, hi) = sum_{lo <= k < hi} s_k w^{k-lo} (1 + w)^{2(hi-1-k)},
+
+    a leaf is F(k, k+1) = s_k, and a range splits at its middle as
+
+        F(lo, hi) = F(lo, mid) (1 + w)^{2(hi-mid)} + w^{mid-lo} F(mid, hi),
+
+    with each (1 + w)^{2m} made once, by squaring.  The sum is
+    F(0, g//2 + 1), times one more 1 + w for odd g.  No slot is masked and
+    no ring is built.  With S = sum_k |lucas[k]| 2^{g-2k}, from the row in
+    use, and V = 1 + bit_length(S), every weight is at most S < 2^{V-1} in
+    size (C(m, j) <= 2^m), so the g + 1 balanced base-2^V digits of the
+    total are the weights, even for a faulted row.  Those digits are
+    unique, so a total of exactly 1 + 2^{gV} is the honest row
+    [1, 0, ..., 0, 1] and is returned without unpacking; any other total is
+    unpacked digit by digit.
 
     Put y = w/x in the ``lockwood`` oracle's sum for x^g + y^g and multiply
     by x^{g+1}: it becomes this sum, with the coefficient of x^{g-b} y^b at
     w^b.  So the weights equal ``lockwood_rhs(g).coeffs`` for the same T,
-    which the tests check.  The two share no code: here an explicit sum of
-    unmasked Pascal rows, there masked Horner in (x + y)^2.
+    which the tests check.  The two share no code: here a product tree of
+    unmasked powers of 1 + w, there masked Horner in (x + y)^2.
     """
     width = 1 + sum(abs(t) << (g - 2 * k) for k, t in enumerate(lucas)).bit_length()
-    total = 0
-    row = 1  # (x^2 + w)^m at x^2 = 1, w = 2^width
-    for m in range(g + 1):
-        if m:
-            row += row << width
-        if (g - m) % 2 == 0:
-            k = (g - m) // 2
-            total += ((-lucas[k] if k & 1 else lucas[k]) * row) << (k * width)
+    one_plus_w = (1 << width) + 1
+    squares = {1: one_plus_w * one_plus_w}  # m -> (1 + w)^{2m}
+
+    def square_power(m: int) -> int:
+        p = squares.get(m)
+        if p is None:
+            p = square_power(m >> 1) ** 2
+            if m & 1:
+                p *= squares[1]
+            squares[m] = p
+        return p
+
+    def tree(lo: int, hi: int) -> int:
+        if hi - lo == 1:
+            return -lucas[lo] if lo & 1 else lucas[lo]
+        mid = (lo + hi) // 2
+        return tree(lo, mid) * square_power(hi - mid) + (tree(mid, hi) << (mid - lo) * width)
+
+    total = tree(0, len(lucas))
+    if g & 1:
+        total *= one_plus_w
+    if total == 1 + (1 << g * width):
+        return [1] + [0] * (g - 1) + [1]
     mask, half = (1 << width) - 1, 1 << (width - 1)
     weights = []
     for _ in range(g + 1):
@@ -266,16 +334,17 @@ def pullback_rhs(
 
     which this function expands fully, in two steps.  ``zeta_table`` is
     ``_zeta_table(spec, i)`` and ``lucas`` is ``lucas_row(g)``, the two that
-    ``verify_morphism`` also hands the target.  First the sum is expanded
-    over Z[x, w] by ``_pullback_weights``, with the T(g, k) from ``lucas``,
-    so this path calls neither ``binomial()``, ``lucas_coeff()`` nor the
-    ``lockwood`` oracle: one integer weight per w-exponent b, at
-    x^{2g+1-2b}.  Then each nonzero weight becomes the coefficient
-    weight * w^b of x^{2g+1-2b} in R(g, c).  Up to top = ceil(g/2), that is
-    one element from ``zeta_table``, via ``_w_power``; above it, the one
-    product weight * w^top * w^(b-top).  Only those coefficients are
-    stored: an honest run has nonzero weights at b = 0 and b = g only, so
-    the pullback holds x^{2g+1} and x^1, and for g >= 2, w^g = c is still
+    ``verify_morphism`` also writes the target from.  First the sum is
+    expanded over Z[x, w] by ``_pullback_weights``, a product tree at
+    w = 2^V with the T(g, k) from ``lucas``, so this path calls neither
+    ``binomial()``, ``lucas_coeff()`` nor the ``lockwood`` oracle: one
+    integer weight per w-exponent b, at x^{2g+1-2b}.  Then each nonzero
+    weight becomes the coefficient weight * w^b of x^{2g+1-2b} in R(g, c).
+    Up to top = ceil(g/2), that is one element from ``zeta_table``, via
+    ``_w_power``; above it, the one product weight * w^top * w^(b-top).
+    Only those coefficients are stored: an honest run has nonzero weights
+    at b = 0 and b = g only, handed over without unpacking, so the
+    pullback holds x^{2g+1} and x^1, and for g >= 2, w^g = c is still
     checked by that ring product, reduced through Phi_g and u^g = c.  At
     g = 1, w^g = u is read as c directly.
     """
@@ -295,23 +364,25 @@ def pullback_rhs(
 
 def verify_morphism(
     spec: RingSpec, i: int
-) -> tuple[RingPolynomial, RingPolynomial, RingPolynomial, RingPolynomial]:
+) -> tuple[RingPolynomial, str, RingPolynomial, RingPolynomial]:
     """Expand the pullback of the target and compare with x^{2g+1} + c x.
 
-    Returns (source, target, pullback, residual), where residual is
+    Returns (source, target, pullback, residual), where target is the
+    target curve's equation from ``target_text`` and residual is
     pullback - source; the morphism holds exactly when it is zero.  The
     table of zeta^{ik} and the row T(g, .) are computed here once and
-    handed to the target and the pullback both, which reads i only through
-    the table; a bad ``i`` is refused before any of them.  An honest run
-    makes one ring product, w^g = w^ceil(g/2) * w^(g//2), for g >= 2, and
-    none for g = 1.
+    handed to the target's text and the pullback both, which reads i only
+    through the table; a bad ``i`` is refused before any of them.  The
+    target is written, not built: the check never reads its coefficients,
+    and a fault in T still reaches the residual through the pullback.  An
+    honest run makes one ring product, w^g = w^ceil(g/2) * w^(g//2), for
+    g >= 2, and none for g = 1.
     """
     zeta_table = _zeta_table(spec, i)
     lucas = lucas_row(spec.g)
     source = build_source(spec)
-    target = build_target(spec, i, zeta_table, lucas)
     pullback = pullback_rhs(spec, zeta_table, lucas)
-    return source, target, pullback, pullback - source
+    return source, target_text(spec, i, zeta_table, lucas), pullback, pullback - source
 
 
 def _zeta_text(exponent: int) -> str:

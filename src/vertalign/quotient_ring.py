@@ -226,19 +226,6 @@ def _element(
     return element
 
 
-def _u_to_one(x: QuotientRingElement) -> QuotientRingElement:
-    """x with u -> 1, for x in R(g, 1): each z^a u^b becomes z^a.
-
-    u^g - 1 vanishes at u = 1, so this is a ring map into Q[z]/(Phi_g),
-    embedded back as the b = 0 terms.  Numerators that land on the same a
-    are summed, and what cancels is dropped by ``_element``.
-    """
-    acc: dict[tuple[int, int], int] = {}
-    for (a, _), v in x._terms.items():
-        acc[a, 0] = acc.get((a, 0), 0) + v
-    return _element(x.spec, acc, x._den)
-
-
 def _common_spec(x: QuotientRingElement, y: QuotientRingElement) -> RingSpec:
     # Elements of one ring share its spec object, so ``is`` settles nearly
     # every call without the tuple comparison.

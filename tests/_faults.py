@@ -96,7 +96,11 @@ def fail_morphism(mp) -> None:
 
 def double_w(mp) -> None:
     """Make w = 2 zeta^i c^(1/g) where ``curves`` hands out w^k: each w^k,
-    from the table of zeta^(ik) or as a factor of a product, is scaled by 2^k."""
+    from the table of zeta^(ik) or as a factor of a product, is scaled by 2^k.
+
+    In ``verify_morphism`` this reaches only the pullback: the target is
+    written by ``target_text`` straight from the table, so its text keeps
+    the honest w."""
     honest = curves._w_power
 
     def doubled(spec, zeta_table, k, scale):

@@ -41,6 +41,10 @@ without the library's code for the step under test:
 * ``zeta_power`` / ``root_power``: zeta^m and c^{k/g} as ring elements,
   one at a time, against the table of ``curves._zeta_table`` and the
   powers that ``curves._w_power`` builds from it.
+* ``_u_to_one`` / ``folded_equation``: a ring element with u -> 1 over
+  c = 1, and a curve's equation with its coefficients so folded, against
+  ``curves.target_text``, which writes u as 1 from the row of T and the
+  table of zeta^(ik) without building an element.
 
 The rest are the small helpers these routes and the tests build with:
 ``xy_symmetric_power`` (iterated ``BivariatePolynomial`` products, for
@@ -268,6 +272,19 @@ def root_power(spec: RingSpec, k: int) -> QuotientRingElement:
     return element(spec, {(0, k % spec.g): spec.c ** (k // spec.g)})
 
 
+def _u_to_one(x: QuotientRingElement) -> QuotientRingElement:
+    """x with u -> 1, for x in R(g, 1): each z^a u^b becomes z^a.
+
+    u^g - 1 vanishes at u = 1, so this is a ring map into Q[z]/(Phi_g),
+    embedded back as the b = 0 terms.  Numerators that land on the same a
+    are summed, and what cancels is dropped by ``_element``.
+    """
+    acc: dict[tuple[int, int], int] = {}
+    for (a, _), v in x._terms.items():
+        acc[a, 0] = acc.get((a, 0), 0) + v
+    return _element(x.spec, acc, x._den)
+
+
 # -- polynomials over R(g, c) ------------------------------------------------
 
 
@@ -325,6 +342,14 @@ def ring_poly_shift(p: RingPolynomial, exponent: int) -> RingPolynomial:
         return p
     dense = [from_rational(p.spec, 0)] * exponent + ring_poly_dense(p)
     return RingPolynomial(p.spec, dict(enumerate(dense)))
+
+
+def folded_equation(f: RingPolynomial) -> str:
+    """``f.equation_text()`` with u read as 1 when c = 1: each coefficient
+    folded by ``_u_to_one``, and one that folds to zero dropped."""
+    if f.spec.c == 1:
+        f = RingPolynomial(f.spec, {e: _u_to_one(p) for e, p in f.coeffs.items()})
+    return f.equation_text()
 
 
 def reference_pullback(spec, i: int) -> RingPolynomial:

@@ -416,6 +416,9 @@ def library_reached():
         (lambda mp: fault_lucas_row(mp, lockwood, (17, 3, 5)), lockwood_run),
         (lambda mp: fault_sweep(mp, (9, 2, 1)), sweep_run),
         (fail_morphism, ["verify-morphism", "--", "9", "-7/11", "1"]),
+        # A negative weight: the pullback's integer stage carries as it unpacks.
+        (lambda mp: fault_lucas_row(mp, curves, (9, 1, 1)),
+         ["verify-morphism", "--", "9", "-7/11", "1"]),
         (lose_last_range, lockwood_run),
         (lose_last_range, sweep_run),
     ]

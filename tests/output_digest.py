@@ -15,6 +15,16 @@ to leave the output alone can be checked with
     python tests/output_digest.py ../parent > parent.txt
     diff parent.txt change.txt
 
+It needs only the standard library, so it runs on every interpreter a
+machine has, with or without pytest.  One tree must answer byte for byte
+alike on every Python the package admits (3.10 on); to check that, run it
+once per interpreter and diff each digest against the first:
+
+    for python in python3.10 python3.11 python3.12 python3.13; do
+        "$python" tests/output_digest.py . > "digest-$python.txt"
+        diff digest-python3.10.txt "digest-$python.txt" && echo "$python: same"
+    done
+
 pytest does not collect this file.
 """
 

@@ -24,12 +24,17 @@ from _faults import fail_morphism, fault_lucas_row, forbid, lose_last_range
 from _reference import (
     TABLE_ROWS_EXPECTED,
     binomial_falling,
+    folded_equation,
     lucas_coeff_alt,
     reference_columns,
     reference_csv,
+    ring_power,
+    root_power,
+    scaled,
+    zeta_power,
 )
 from output_digest import help_and_usage, load_workloads
-from vertalign import lockwood, quotient_ring
+from vertalign import curves, lockwood, quotient_ring
 from vertalign.alignment import SweepSummary, identity_sum, identity_sweep, map_row_ranges
 from vertalign.quotient_ring import QuotientRingElement, from_rational
 
@@ -55,12 +60,6 @@ def test_golden_output(argv, filename, capsys):
     assert captured == (GOLDEN / filename).read_text()
 
 
-@pytest.mark.skipif(
-    sys.version_info >= (3, 13),
-    reason="Python 3.13's argparse wraps the top-level usage differently (the "
-    "'...' after the subcommand choices moves onto their line); the golden bytes "
-    "are the same on 3.10, 3.11 and 3.12",
-)
 def test_help_and_usage_errors(monkeypatch):
     # -h, each <command> -h and the usage errors of tests/output_digest.py.
     monkeypatch.setenv("COLUMNS", "80")
@@ -221,6 +220,21 @@ class TestExitCodes:
         header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
         assert header == ["x_exp", "pullback", "source", "residual"]
         assert [int(row[0]) for row in rows if row[3] != "0"] == [15, 13, 11, 9, 7, 5]
+
+    def test_morphism_negative_weights_print_their_residual(self, capsys, monkeypatch):
+        # T(9, 1) + 1 leaves -w x^3 (x^2 + w)^7 in the pullback: the weights
+        # -C(7, b - 1) at x^(19 - 2b), b = 1..8, all negative, so the integer
+        # stage unpacks its total through the carry of negative digits.  The
+        # residual is rebuilt from repeated ring products by w = zeta u.
+        fault_lucas_row(monkeypatch, curves, (9, 1, 1))
+        spec = cli.make_ring(9, Fraction(-7, 11))
+        w = zeta_power(spec, 1) * root_power(spec, 1)
+        residual = curves.RingPolynomial(spec, {
+            19 - 2 * b: scaled(ring_power(w, b), -math.comb(7, b - 1)) for b in range(1, 9)
+        })
+        assert cli.main(_MORPHISM_ARGV) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [f"residual: {residual.to_text()}", "holds: no"]
 
 
 class TestJsonOutputs:
@@ -397,15 +411,16 @@ def _reference_payload(argv: list[str]) -> dict:
         g, c, i = int(words[0]), Fraction(words[1]), int(words[2])
         spec = cli.make_ring(g, c)
         head = {"g": g, "c": str(spec.c), "i": i}
+        # The target's equation is the u-folded equation of its polynomial.
+        f = cli.build_target(spec, i)
         if command == "curve":
-            f = cli.build_target(spec, i)
-            return {**head, "equation": f.equation_text(), "coefficients": [
+            return {**head, "equation": folded_equation(f), "coefficients": [
                 {"x_exp": exp, "element": f.coeffs.get(exp, from_rational(spec, 0)).to_text()}
                 for exp in range(f.degree, -1, -1)
             ]}
-        source, target, pullback, residual = cli.verify_morphism(spec, i)
+        source, _, pullback, residual = cli.verify_morphism(spec, i)
         return {**head, "holds": residual.is_zero(), "source": source.equation_text(),
-                "target": target.equation_text(), "pullback": pullback.to_text(),
+                "target": folded_equation(f), "pullback": pullback.to_text(),
                 "residual": residual.to_text(), "x_map_nonconstant": True}
     numbers = [int(word) for word in words]
     if command == "aligned":
@@ -728,7 +743,7 @@ class TestCoefficientCells:
         spec = cli.make_ring(30, Fraction(-7, 11))
         if "curve" in argv:
             target = cli.build_target(spec, 1)
-            monkeypatch.setattr(cli, "build_target", lambda spec, i: target)
+            monkeypatch.setattr(cli, "build_target", lambda spec, i, *tables: target)
             written = {"element": target}
         else:
             results = cli.verify_morphism(spec, 1)

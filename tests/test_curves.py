@@ -8,7 +8,9 @@ import pytest
 
 from _faults import double_w, fail_morphism, fault_lucas_row, forbid, perturbed
 from _reference import (
+    _u_to_one,
     coefficient_facts,
+    folded_equation,
     lucas_coeff_alt,
     pullback_weights_by_rows,
     reference_pullback,
@@ -21,7 +23,7 @@ from _reference import (
     zeta_power,
 )
 import vertalign.cli as cli
-from vertalign import combinatorics, curves, lockwood, quotient_ring
+from vertalign import combinatorics, curves, lockwood
 from vertalign.combinatorics import lucas_coeff, lucas_row
 from vertalign.curves import (
     RingPolynomial,
@@ -30,6 +32,7 @@ from vertalign.curves import (
     pullback_rhs,
     table_rows,
     table_text,
+    target_text,
     verify_morphism,
 )
 from vertalign.lockwood import BivariatePolynomial, lockwood_rhs
@@ -112,13 +115,15 @@ class TestSparseForm:
 
     def test_substitution_that_collapses_a_coefficient_drops_it(self):
         # z*u - z is nonzero in R(5, 1) but folds to zero at u = 1, so the
-        # equation is written without an x^2 term.
+        # folded equation is written without an x^2 term; the polynomial's
+        # own equation keeps the u-form.
         spec = self.spec
         z, u = zeta_power(spec, 1), root_power(spec, 1)
         p = RingPolynomial(spec, {2: z * u - z, 1: u})
         assert sorted(p.coeffs) == [1, 2]
         assert p.to_text() == "(-z + z*u)*x^2 + u*x"
-        assert p.equation_text() == "y^2 = x"
+        assert p.equation_text() == "y^2 = (-z + z*u)*x^2 + u*x"
+        assert folded_equation(p) == "y^2 = x"
 
     def test_zero_polynomial(self):
         spec = self.spec
@@ -140,11 +145,14 @@ class TestSparseForm:
         "g, c, i", [(1, 1, 0), (2, Fraction(-3, 7), 1), (12, 1, 0), (30, Fraction(-7, 11), 1)]
     )
     def test_honest_check_stores_only_the_source_terms(self, g, c, i):
-        source, target, pullback, residual = verify_morphism(make_ring(g, c), i)
+        spec = make_ring(g, c)
+        source, target, pullback, residual = verify_morphism(spec, i)
+        f = build_target(spec, i)
+        assert target == folded_equation(f)
         assert residual.coeffs == {}
         assert sorted(pullback.coeffs) == sorted(source.coeffs) == [1, 2 * g + 1]
-        assert sorted(target.coeffs) == list(range(g % 2, g + 1, 2))
-        for p in (source, target, pullback):
+        assert sorted(f.coeffs) == list(range(g % 2, g + 1, 2))
+        for p in (source, f, pullback):
             self.assert_canonical(p)
 
     def test_rendering_reads_each_coefficients_entries_once(self, monkeypatch):
@@ -195,11 +203,13 @@ class TestBuildSource:
 class TestBuildTarget:
     def test_example_g5(self):
         curve = build_target(make_ring(5, 1), 0)
-        assert curve.equation_text() == "y^2 = x^5 - 5*x^3 + 5*x"
+        assert folded_equation(curve) == "y^2 = x^5 - 5*x^3 + 5*x"
+        assert target_text(make_ring(5, 1), 0) == "y^2 = x^5 - 5*x^3 + 5*x"
 
     def test_example_g6(self):
         curve = build_target(make_ring(6, 1), 0)
-        assert curve.equation_text() == "y^2 = x^6 - 6*x^4 + 9*x^2 - 2"
+        assert folded_equation(curve) == "y^2 = x^6 - 6*x^4 + 9*x^2 - 2"
+        assert target_text(make_ring(6, 1), 0) == "y^2 = x^6 - 6*x^4 + 9*x^2 - 2"
 
     def test_g11_generic_twist_structure(self):
         # Coefficient of x^{11-2k} must be (-1)^k T(11,k) zeta^k u^k.
@@ -265,9 +275,36 @@ class TestBuildTarget:
                     assert curves._w_power(spec, table, k, 1) == w_to_k, (g, i, k)
                     w_to_k = w_to_k * w
 
+    @pytest.mark.parametrize("c", [1, Fraction(-7, 11), 3, Fraction(5, 2)], ids=str)
+    def test_target_text_is_the_folded_equation(self, c):
+        # target_text writes the target from the row of T and the table of
+        # zeta^(ik), with no element: it must read as build_target's
+        # equation, with u folded to 1 when c = 1.  Phi_105 and Phi_210
+        # have many terms, so there the zeta powers have several.
+        for g in [*range(1, 121), 105, 210]:
+            spec = make_ring(g, c)
+            for i in (0, 1):
+                assert target_text(spec, i) == folded_equation(build_target(spec, i)), (g, i)
+
+    @pytest.mark.parametrize("c", [1, Fraction(-7, 11)], ids=str)
+    def test_target_text_writes_a_faulted_row(self, c, monkeypatch):
+        # The writer prints the row it reads, not honest values: an entry
+        # off by one, one zeroed (its term is dropped), one with its sign
+        # flipped, and one off by 2^70.
+        faults = [(9, 2, 1), (12, 3, -lucas_row(12)[3]), (13, 6, -2 * lucas_row(13)[6]),
+                  (105, 20, 2**70)]
+        honest = {(g, i): target_text(make_ring(g, c), i) for g, _, _ in faults for i in (0, 1)}
+        fault_lucas_row(monkeypatch, curves, *faults)
+        for g, _, _ in faults:
+            spec = make_ring(g, c)
+            for i in (0, 1):
+                text = target_text(spec, i)
+                assert text == folded_equation(build_target(spec, i)) != honest[g, i], (g, i)
+
     def test_rejects_bad_twist_index(self, monkeypatch):
-        # Refused before any ring product: by the target, by the table
-        # through which the pullback reads i, and by verify_morphism.
+        # Refused before any ring product: by the target and its text, by
+        # the table through which the pullback reads i, and by
+        # verify_morphism.
         spec = make_ring(5, 1)
         forbid(
             monkeypatch,
@@ -276,7 +313,7 @@ class TestBuildTarget:
             (QuotientRingElement, "__rmul__"),
         )
         for bad in (-1, 2, 5):
-            for build in (build_target, pullback, verify_morphism):
+            for build in (build_target, target_text, pullback, verify_morphism):
                 with pytest.raises(ValueError):
                     build(spec, bad)
 
@@ -445,8 +482,10 @@ class TestVerifyMorphism:
         spec = make_ring(9, Fraction(-7, 11))
         _, target, _, residual = verify_morphism(spec, 1)
         assert calls == [9]
+        f = build_target(spec, 1)
         w = zeta_power(spec, 1) * root_power(spec, 1)
-        assert target.coeffs.get(5) == scaled(ring_power(w, 2), lucas_coeff(9, 2) + 1)
+        assert f.coeffs.get(5) == scaled(ring_power(w, 2), lucas_coeff(9, 2) + 1)
+        assert target == folded_equation(f)
         assert not residual.is_zero()
 
     # Negative controls: a fault in either input of the pullback leaves a
@@ -487,7 +526,8 @@ class TestVerifyMorphism:
     def test_report_carries_equations(self):
         source, target, pullback, _ = verify_morphism(make_ring(6, 1), 0)
         assert source.equation_text() == "y^2 = x^13 + x"
-        assert target.equation_text() == "y^2 = x^6 - 6*x^4 + 9*x^2 - 2"
+        assert target == "y^2 = x^6 - 6*x^4 + 9*x^2 - 2"
+        assert target == folded_equation(build_target(make_ring(6, 1), 0))
         assert pullback == source
 
 
@@ -534,7 +574,7 @@ class TestUnitRootSpecialization:
             f = build_target(spec, 0)
             row = lucas_row(g)
             for k in range(g // 2 + 1):
-                folded = quotient_ring._u_to_one(f.coeffs.get(g - 2 * k))
+                folded = _u_to_one(f.coeffs.get(g - 2 * k))
                 assert folded == from_rational(spec, (-1) ** k * row[k])
 
     @pytest.mark.parametrize("g", [*range(1, 41), 105])
@@ -549,7 +589,7 @@ class TestUnitRootSpecialization:
             g - 2 * k: scaled(zeta_power(spec, i * k), (-1) ** k * lucas_coeff_alt(g, k))
             for k in range(g // 2 + 1)
         })
-        assert build_target(spec, i).equation_text() == f"y^2 = {without_u.to_text()}"
+        assert folded_equation(build_target(spec, i)) == f"y^2 = {without_u.to_text()}"
 
 
 class TestTable:

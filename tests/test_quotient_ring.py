@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from _reference import element, ring_one, ring_power, root_power, scaled, zeta_power
+from _reference import _u_to_one, element, ring_one, ring_power, root_power, scaled, zeta_power
 from vertalign.cyclotomic import cyclotomic
-from vertalign.quotient_ring import RingSpec, _u_to_one, from_rational, make_ring
+from vertalign.quotient_ring import RingSpec, from_rational, make_ring
 
 SPECS = [
     make_ring(1, 7),
