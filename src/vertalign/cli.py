@@ -414,9 +414,9 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     zeta_table, lucas = _zeta_table(spec, args.i), lucas_row(spec.g)
     if args.format == "text":
         print(f"C_{args.i} over R(g={args.g}, c={args.c}): "
-              f"{target_text(spec, args.i, zeta_table, lucas)}")
+              f"{target_text(spec, zeta_table, lucas)}")
         return 0
-    f = build_target(spec, args.i, zeta_table, lucas)
+    f = build_target(spec, zeta_table, lucas)
     header = ["x_exp", "element"]
     rows = [[exp, _coefficient_cell(f, exp)] for exp in range(f.degree, -1, -1)]
     if args.format == "json":
@@ -424,7 +424,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
             "g": spec.g,
             "c": str(spec.c),
             "i": args.i,
-            "equation": target_text(spec, args.i, zeta_table, lucas),
+            "equation": target_text(spec, zeta_table, lucas),
             "coefficients": _Records(header, rows),
         }))
     else:
@@ -515,13 +515,15 @@ _COMMANDS = {
 }
 
 
+_FORMATS = ("text", "json", "csv")
+
 # The top-level usage, laid out as argparse lays it out at 80 columns on
 # Python 3.10-3.12.  argparse's own layout differs from 3.13 on (the "..."
 # joins the line of choices), so it is given whole, and every Python the
 # package admits prints the same bytes.  It does not rewrap with COLUMNS.
 _USAGE_INDENT = "\n" + " " * len("usage: vertalign ")
 _USAGE = (
-    "%(prog)s [-h] [--format {text,json,csv}] [--workers WORKERS]"
+    "%(prog)s [-h] [--format {" + ",".join(_FORMATS) + "}] [--workers WORKERS]"
     + _USAGE_INDENT + "{" + ",".join(_COMMANDS) + "}"
     + _USAGE_INDENT + "..."
 )
@@ -532,7 +534,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
-        choices=("text", "json", "csv"),
+        choices=_FORMATS,
         default=argparse.SUPPRESS,
         help="output format (default: text)",
     )
@@ -550,7 +552,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact checks of the vertical-alignment dependence in "
         "Pascal's triangle and the curve morphisms built from it.",
     )
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    # These two options are written out in _USAGE as well.
+    parser.add_argument("--format", choices=_FORMATS, default="text")
     parser.add_argument("--workers", type=_workers, default=1)
     # The subcommands' prog is named here: argparse would otherwise build it
     # from the top-level usage, which is given whole.

@@ -204,7 +204,7 @@ class QuotientRingElement:
         """Canonical text: q*z^a*u^b terms in ascending lexicographic (a, b)."""
         if not self._terms:
             return "0"
-        return _entries_text(self.entries())
+        return _terms_text(_entry_terms(self.entries()))
 
     def __repr__(self) -> str:
         return f"QuotientRingElement(g={self.spec.g}, c={self.spec.c}, {self.to_text()})"
@@ -241,11 +241,13 @@ def _power_text(name: str, exponent: int) -> str:
     return "" if exponent == 0 else name if exponent == 1 else f"{name}^{exponent}"
 
 
-def _entries_text(entries: Mapping[tuple[int, int], Fraction | int]) -> str:
-    """``to_text`` of the element whose ``entries()`` are ``entries``."""
-    return _terms_text(
+def _entry_terms(
+    entries: Mapping[tuple[int, int], Fraction | int]
+) -> list[tuple[Fraction | int, tuple[str, str]]]:
+    """The terms q*z^a*u^b of ``entries()`` in ascending (a, b), for ``_terms_text``."""
+    return [
         (q, (_power_text("z", a), _power_text("u", b))) for (a, b), q in sorted(entries.items())
-    )
+    ]
 
 
 def _terms_text(terms: Iterable[tuple[Fraction | int, Iterable[str]]]) -> str:

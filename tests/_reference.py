@@ -51,7 +51,9 @@ The rest are the small helpers these routes and the tests build with:
 comparison with ``binomial_expand``), ``shift_xy``, ``element`` (a ring
 element from its rational coefficients), ``scaled`` (the product with a
 rational), ``ring_one``, ``ring_power`` and the ``ring_poly_*`` arithmetic
-on ``RingPolynomial``.
+on ``RingPolynomial``; and ``built_target``, ``written_target`` and
+``pullback``, which hand ``curves``' target, target text and pullback the
+table of zeta^(ik) and the row of T, as the commands do.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat, zip_longest
 
-from vertalign import alignment
+from vertalign import alignment, curves
 from vertalign.combinatorics import binomial, lucas_coeff
 from vertalign.curves import RingPolynomial
 from vertalign.lockwood import BivariatePolynomial
@@ -350,6 +352,26 @@ def folded_equation(f: RingPolynomial) -> str:
     if f.spec.c == 1:
         f = RingPolynomial(f.spec, {e: _u_to_one(p) for e, p in f.coeffs.items()})
     return f.equation_text()
+
+
+def _table_and_row(spec: RingSpec, i: int) -> tuple[list[dict[int, int]], tuple[int, ...]]:
+    # Read through ``curves`` at each call, so a row faulted there reaches them.
+    return curves._zeta_table(spec, i), curves.lucas_row(spec.g)
+
+
+def built_target(spec: RingSpec, i: int) -> RingPolynomial:
+    """``curves.build_target`` for the twist index i."""
+    return curves.build_target(spec, *_table_and_row(spec, i))
+
+
+def written_target(spec: RingSpec, i: int) -> str:
+    """``curves.target_text`` for the twist index i."""
+    return curves.target_text(spec, *_table_and_row(spec, i))
+
+
+def pullback(spec: RingSpec, i: int) -> RingPolynomial:
+    """``curves.pullback_rhs`` for the twist index i."""
+    return curves.pullback_rhs(spec, *_table_and_row(spec, i))
 
 
 def reference_pullback(spec, i: int) -> RingPolynomial:

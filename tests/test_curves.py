@@ -9,9 +9,11 @@ import pytest
 from _faults import double_w, fail_morphism, fault_lucas_row, forbid, perturbed
 from _reference import (
     _u_to_one,
+    built_target,
     coefficient_facts,
     folded_equation,
     lucas_coeff_alt,
+    pullback,
     pullback_weights_by_rows,
     reference_pullback,
     ring_one,
@@ -20,6 +22,7 @@ from _reference import (
     ring_power,
     root_power,
     scaled,
+    written_target,
     zeta_power,
 )
 import vertalign.cli as cli
@@ -28,11 +31,8 @@ from vertalign.combinatorics import lucas_coeff, lucas_row
 from vertalign.curves import (
     RingPolynomial,
     build_source,
-    build_target,
-    pullback_rhs,
     table_rows,
     table_text,
-    target_text,
     verify_morphism,
 )
 from vertalign.lockwood import BivariatePolynomial, lockwood_rhs
@@ -43,11 +43,6 @@ from vertalign.quotient_ring import (
     from_rational,
     make_ring,
 )
-
-
-def pullback(spec, i):
-    """``pullback_rhs`` of the table and row that ``verify_morphism`` hands it."""
-    return pullback_rhs(spec, curves._zeta_table(spec, i), curves.lucas_row(spec.g))
 
 
 class TestRingPolynomial:
@@ -147,7 +142,7 @@ class TestSparseForm:
     def test_honest_check_stores_only_the_source_terms(self, g, c, i):
         spec = make_ring(g, c)
         source, target, pullback, residual = verify_morphism(spec, i)
-        f = build_target(spec, i)
+        f = built_target(spec, i)
         assert target == folded_equation(f)
         assert residual.coeffs == {}
         assert sorted(pullback.coeffs) == sorted(source.coeffs) == [1, 2 * g + 1]
@@ -159,7 +154,7 @@ class TestSparseForm:
         # At g = 30 (phi = 8), with i = 1, each w^k past z^8 has several
         # terms; such a coefficient renders in parentheses from the one
         # entries() read that also tells it apart from a single term.
-        target = build_target(make_ring(30, Fraction(-7, 11)), 1)
+        target = built_target(make_ring(30, Fraction(-7, 11)), 1)
         multi = [p for p in target.coeffs.values() if len(p.entries()) > 1]
         assert multi
         expected = target.to_text()
@@ -202,19 +197,19 @@ class TestBuildSource:
 
 class TestBuildTarget:
     def test_example_g5(self):
-        curve = build_target(make_ring(5, 1), 0)
+        curve = built_target(make_ring(5, 1), 0)
         assert folded_equation(curve) == "y^2 = x^5 - 5*x^3 + 5*x"
-        assert target_text(make_ring(5, 1), 0) == "y^2 = x^5 - 5*x^3 + 5*x"
+        assert written_target(make_ring(5, 1), 0) == "y^2 = x^5 - 5*x^3 + 5*x"
 
     def test_example_g6(self):
-        curve = build_target(make_ring(6, 1), 0)
+        curve = built_target(make_ring(6, 1), 0)
         assert folded_equation(curve) == "y^2 = x^6 - 6*x^4 + 9*x^2 - 2"
-        assert target_text(make_ring(6, 1), 0) == "y^2 = x^6 - 6*x^4 + 9*x^2 - 2"
+        assert written_target(make_ring(6, 1), 0) == "y^2 = x^6 - 6*x^4 + 9*x^2 - 2"
 
     def test_g11_generic_twist_structure(self):
         # Coefficient of x^{11-2k} must be (-1)^k T(11,k) zeta^k u^k.
         spec = make_ring(11, 1)
-        f = build_target(spec, 1)
+        f = built_target(spec, 1)
         expected_magnitudes = (1, 11, 44, 77, 55, 11)
         for k in range(6):
             expected = scaled(
@@ -226,7 +221,7 @@ class TestBuildTarget:
     def test_coefficient_construction_rule(self):
         for g, c, i in [(4, 2, 0), (9, Fraction(3, 5), 1), (12, -1, 1)]:
             spec = make_ring(g, c)
-            f = build_target(spec, i)
+            f = built_target(spec, i)
             for k in range(g // 2 + 1):
                 expected = scaled(
                     zeta_power(spec, i * k) * root_power(spec, k),
@@ -237,7 +232,7 @@ class TestBuildTarget:
     def test_parity_sparsity_and_normalization(self):
         for g, c, i in [(8, 1, 0), (9, 2, 1), (14, Fraction(3, 5), 1), (1, 5, 0)]:
             spec = make_ring(g, c)
-            f = build_target(spec, i)
+            f = built_target(spec, i)
             assert f.degree == g
             assert f.coeffs.get(g) == ring_one(spec)
             if g >= 1:
@@ -284,7 +279,7 @@ class TestBuildTarget:
         for g in [*range(1, 121), 105, 210]:
             spec = make_ring(g, c)
             for i in (0, 1):
-                assert target_text(spec, i) == folded_equation(build_target(spec, i)), (g, i)
+                assert written_target(spec, i) == folded_equation(built_target(spec, i)), (g, i)
 
     @pytest.mark.parametrize("c", [1, Fraction(-7, 11)], ids=str)
     def test_target_text_writes_a_faulted_row(self, c, monkeypatch):
@@ -293,13 +288,13 @@ class TestBuildTarget:
         # flipped, and one off by 2^70.
         faults = [(9, 2, 1), (12, 3, -lucas_row(12)[3]), (13, 6, -2 * lucas_row(13)[6]),
                   (105, 20, 2**70)]
-        honest = {(g, i): target_text(make_ring(g, c), i) for g, _, _ in faults for i in (0, 1)}
+        honest = {(g, i): written_target(make_ring(g, c), i) for g, _, _ in faults for i in (0, 1)}
         fault_lucas_row(monkeypatch, curves, *faults)
         for g, _, _ in faults:
             spec = make_ring(g, c)
             for i in (0, 1):
-                text = target_text(spec, i)
-                assert text == folded_equation(build_target(spec, i)) != honest[g, i], (g, i)
+                text = written_target(spec, i)
+                assert text == folded_equation(built_target(spec, i)) != honest[g, i], (g, i)
 
     def test_rejects_bad_twist_index(self, monkeypatch):
         # Refused before any ring product: by the target and its text, by
@@ -313,7 +308,7 @@ class TestBuildTarget:
             (QuotientRingElement, "__rmul__"),
         )
         for bad in (-1, 2, 5):
-            for build in (build_target, target_text, pullback, verify_morphism):
+            for build in (built_target, written_target, pullback, verify_morphism):
                 with pytest.raises(ValueError):
                     build(spec, bad)
 
@@ -482,7 +477,7 @@ class TestVerifyMorphism:
         spec = make_ring(9, Fraction(-7, 11))
         _, target, _, residual = verify_morphism(spec, 1)
         assert calls == [9]
-        f = build_target(spec, 1)
+        f = built_target(spec, 1)
         w = zeta_power(spec, 1) * root_power(spec, 1)
         assert f.coeffs.get(5) == scaled(ring_power(w, 2), lucas_coeff(9, 2) + 1)
         assert target == folded_equation(f)
@@ -527,7 +522,7 @@ class TestVerifyMorphism:
         source, target, pullback, _ = verify_morphism(make_ring(6, 1), 0)
         assert source.equation_text() == "y^2 = x^13 + x"
         assert target == "y^2 = x^6 - 6*x^4 + 9*x^2 - 2"
-        assert target == folded_equation(build_target(make_ring(6, 1), 0))
+        assert target == folded_equation(built_target(make_ring(6, 1), 0))
         assert pullback == source
 
 
@@ -554,7 +549,7 @@ class TestCoefficientFacts:
         for g in range(2, 61):
             facts = coefficient_facts(g)
             spec = make_ring(g, 1)
-            f = build_target(spec, 0)
+            f = built_target(spec, 0)
             assert f.coeffs.get(g - 2) == scaled(root_power(spec, 1), facts.second)
             k_last = g // 2 if g % 2 == 0 else (g - 1) // 2
             assert f.coeffs.get(facts.last_exponent) == scaled(root_power(spec, k_last), 
@@ -571,7 +566,7 @@ class TestUnitRootSpecialization:
     def test_c1_i0_coefficients_are_signed_lucas_row(self):
         for g in range(1, 31):
             spec = make_ring(g, 1)
-            f = build_target(spec, 0)
+            f = built_target(spec, 0)
             row = lucas_row(g)
             for k in range(g // 2 + 1):
                 folded = _u_to_one(f.coeffs.get(g - 2 * k))
@@ -589,7 +584,7 @@ class TestUnitRootSpecialization:
             g - 2 * k: scaled(zeta_power(spec, i * k), (-1) ** k * lucas_coeff_alt(g, k))
             for k in range(g // 2 + 1)
         })
-        assert folded_equation(build_target(spec, i)) == f"y^2 = {without_u.to_text()}"
+        assert folded_equation(built_target(spec, i)) == f"y^2 = {without_u.to_text()}"
 
 
 class TestTable:
