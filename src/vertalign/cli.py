@@ -49,6 +49,8 @@ from .alignment import aligned_entries, identity_sum, identity_sweep, map_row_ra
 from .combinatorics import lucas_row, pascal_halves
 from .curves import (
     RingPolynomial,
+    _curve_text,
+    _morphism_curves,
     _zeta_table,
     build_target,
     table_rows,
@@ -57,7 +59,7 @@ from .curves import (
     verify_morphism,
 )
 from .lockwood import _verify_range, _x_n_plus_y_n, lockwood_rhs
-from .quotient_ring import make_ring
+from .quotient_ring import _terms_text, make_ring
 
 __all__ = ["main"]
 
@@ -411,7 +413,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     spec = make_ring(args.g, args.c)
     # The table of zeta^(ik) and T(g, .) are read once, for the equation
     # and the cells both; only the cells need the target's ring elements.
-    zeta_table, lucas = _zeta_table(spec, args.i), lucas_row(spec.g)
+    zeta_table, lucas = _zeta_table(spec, args.i, spec.g // 2), lucas_row(spec.g)
     if args.format == "text":
         print(f"C_{args.i} over R(g={args.g}, c={args.c}): "
               f"{target_text(spec, zeta_table, lucas)}")
@@ -434,35 +436,42 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 def _cmd_verify_morphism(args: argparse.Namespace) -> int:
     spec = make_ring(args.g, args.c)
-    source, target, pullback, residual = verify_morphism(spec, args.i)
-    holds = residual.is_zero()
+    check = verify_morphism(spec, args.i)
+    source, pullback, residual = _morphism_curves(spec, check)
+    if args.format == "csv":
+        # The CSV holds no equation, so the target is not written.  Every
+        # row is zero but those of the exponents a curve holds.
+        top = 2 * spec.g + 1
+        rows = list(zip(range(top, -1, -1), *[itertools.repeat("0")] * 3))
+        for exp in pullback.keys() | source.keys() | residual.keys():
+            rows[top - exp] = (exp, *(
+                _terms_text(f[exp]) if exp in f else "0" for f in (pullback, source, residual)
+            ))
+        print(_emit_csv(["x_exp", "pullback", "source", "residual"], rows))
+        return 0 if check.holds else 1
+    target = target_text(spec, check.zeta_table, check.lucas)
+    source, pullback, residual = map(_curve_text, (source, pullback, residual))
     if args.format == "json":
         print(_json({
             "g": spec.g,
             "c": str(spec.c),
             "i": args.i,
-            "holds": holds,
-            "source": source.equation_text(),
+            "holds": check.holds,
+            "source": f"y^2 = {source}",
             "target": target,
-            "pullback": pullback.to_text(),
-            "residual": residual.to_text(),
+            "pullback": pullback,
+            "residual": residual,
             "x_map_nonconstant": True,
         }))
-    elif args.format == "csv":
-        rows = [
-            [exp, *(_coefficient_cell(f, exp) for f in (pullback, source, residual))]
-            for exp in range(max(pullback.degree, source.degree, 0), -1, -1)
-        ]
-        print(_emit_csv(["x_exp", "pullback", "source", "residual"], rows))
     else:
         print(f"morphism check for g={spec.g}, c={spec.c}, i={args.i}")
-        print(f"source:   {source.equation_text()}")
+        print(f"source:   y^2 = {source}")
         print(f"target:   {target}")
         print("x-map:    (x^2 + w)/x with w = zeta^i*c^(1/g) (nonconstant)")
-        print(f"pullback: y^2 = {pullback.to_text()}")
-        print(f"residual: {residual.to_text()}")
-        print(f"holds: {'yes' if holds else 'no'}")
-    return 0 if holds else 1
+        print(f"pullback: y^2 = {pullback}")
+        print(f"residual: {residual}")
+        print(f"holds: {'yes' if check.holds else 'no'}")
+    return 0 if check.holds else 1
 
 
 def _table_columns(g: int, row: tuple[int, ...]) -> tuple:

@@ -19,12 +19,17 @@ That target's right-hand side is the Dickson polynomial
 the pullback is its functional equation D_g(s + w/s, w) = s^g + (w/s)^g at
 s = x, times x^{g+1}: x^{2g+1} + w^g x, where w^g = c.
 
-Everything is verified at the level of defining equations: a curve
-y^2 = f(x) is held as its right-hand side f, a :class:`RingPolynomial`.
-The residual reads only the pullback and the source, so a morphism check
-never builds the target's ring elements: ``target_text`` writes its
-equation straight from the row of T and the table of zeta^{ik}, and
-``build_target`` builds them only for the coefficient cells of ``curve``.
+A curve y^2 = f(x) is its right-hand side f.  At each power of x, every
+curve a morphism check reads has an integer times a power of
+w = zeta^i c^{1/g}: the source 1 at x^{2g+1} and w^g = c at x, the
+pullback W_b w^b at x^{2g+1-2b}.  So ``verify_morphism`` holds the
+source, the pullback and the residual as integer weights of w^b,
+b = 0..g, and decides on them; R(g, c) is needed only to check w^g = c,
+by one ring product, and to write each r w^b, for b < g, from the table
+of zeta^{ik} at u^b.  The check never builds the target's ring elements:
+``target_text`` writes its equation straight from the row of T and the
+same table, and ``build_target`` builds them, as a
+:class:`RingPolynomial`, only for the coefficient cells of ``curve``.
 The pullback's integer stage sums its terms by a product tree at
 w = 2^V, and an honest total is read without unpacking it.  For
 even g the exponent (g+1)/2 in the y-coordinate is a half-integer, so the
@@ -36,8 +41,11 @@ infinity) are claimed.
 
 from __future__ import annotations
 
+import operator
+from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import compress
 
 from .combinatorics import lucas_row
 from .quotient_ring import (
@@ -56,6 +64,7 @@ __all__ = [
     "build_target",
     "pullback_rhs",
     "target_text",
+    "MorphismCheck",
     "verify_morphism",
     "table_rows",
     "table_text",
@@ -65,10 +74,11 @@ __all__ = [
 class RingPolynomial:
     """Univariate polynomial in x with R(g, c) coefficients.
 
-    A curve y^2 = f(x) is its right-hand side f.  ``coeffs`` maps each
+    A curve y^2 = f(x) is its right-hand side f; ``build_target`` builds
+    the target as one, for the cells of ``curve``.  ``coeffs`` maps each
     exponent to its coefficient and holds only the nonzero ones, so the zero
     polynomial holds none and polynomials compare as the pair
-    (spec, coeffs).  Operations cost the nonzero coefficients they read.
+    (spec, coeffs).
     """
 
     __slots__ = ("spec", "coeffs")
@@ -86,19 +96,6 @@ class RingPolynomial:
     def degree(self) -> int:
         """The largest exponent held, or -1 for the zero polynomial."""
         return max(self.coeffs, default=-1)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __sub__(self, other: "RingPolynomial") -> "RingPolynomial":
-        """Coefficient by coefficient; an exponent held by one side needs no addition."""
-        if self.spec != other.spec:
-            raise ValueError("ring mismatch between polynomials")
-        coeffs = dict(self.coeffs)
-        for e, q in other.coeffs.items():
-            p = coeffs.get(e)
-            coeffs[e] = -q if p is None else p - q
-        return RingPolynomial(self.spec, coeffs)
 
     def to_text(self) -> str:
         """Terms in descending x-degree with canonically rendered coefficients."""
@@ -137,32 +134,37 @@ def _coefficient_term(
 
 
 def build_source(spec: RingSpec) -> RingPolynomial:
-    """The curve y^2 = x^{2g+1} + c x over R(g, c): two nonzero coefficients."""
+    """The curve y^2 = x^{2g+1} + c x over R(g, c): two nonzero coefficients.
+
+    No command builds it: ``verify_morphism`` holds the source as the
+    weights [1, 0, ..., 0, 1].  It stays because the benchmark's tracer
+    (bench/tracer.py) wraps it by name.
+    """
     one, c = from_rational(spec, 1), from_rational(spec, spec.c)
     return RingPolynomial(spec, {2 * spec.g + 1: one, 1: c})
 
 
-def _zeta_table(spec: RingSpec, i: int) -> list[dict[int, int]]:
-    """zeta^{ik} for k = 0..ceil(g/2), each as {a: v} reduced modulo Phi_g.
+def _zeta_table(spec: RingSpec, i: int, last: int) -> list[dict[int, int]]:
+    """zeta^{ik} for k = 0..last, each as {a: v} reduced modulo Phi_g.
 
     For i = 0 every entry is 1.  For i = 1 each entry is the last one times
     z: every key moves up by one, and only the level z^phi(g) that this
     reaches is folded back, through Phi_g's nonzero lower terms, as
     z^phi(g) = -sum_j Phi_g[j] z^j.  So the table costs no ring product.
     With u^k it gives w^k for w = zeta^i c^{1/g} (see ``_w_power``).  The
-    target reads w^0..w^{g//2}; the pullback reads the whole table.
+    target reads w^0..w^{g//2}, and a morphism check w^0..w^{ceil(g/2)}, or
+    on to w^{g-1} when a faulted pullback has a weight there.
     ``i`` selects which g-th root of unity twists w and must be 0 or 1; it
     is checked here, before any ring work, for every caller.
     """
     if i not in (0, 1):
         # Named for the target curve, which every command that reads i writes.
         raise ValueError(f"build_target requires i in {{0, 1}}, got i={i}")
-    top = (spec.g + 1) // 2
     if i == 0:
-        return [{0: 1} for _ in range(top + 1)]
+        return [{0: 1} for _ in range(last + 1)]
     width, low = spec.deg_z, spec.phi_low
     table = [{0: 1}]
-    for _ in range(top):
+    for _ in range(last):
         entry = {a + 1: v for a, v in table[-1].items()}
         v = entry.pop(width, 0)
         if v:
@@ -207,6 +209,17 @@ def build_target(
     })
 
 
+def _w_terms(r: int, zeta: dict[int, int], u: str) -> list[tuple[int, tuple[str, str]]]:
+    """The terms of r * zeta^{ik} u^k: ``zeta`` is the table's entry k and
+    ``u`` the text of u^k, and each term is (q, (z^a text, u^k text)), in
+    ascending a, as ``_coefficient_term`` reads them.
+
+    For k < g this is r * w^k, written exactly as the element
+    ``_w_power(spec, table, k, r)`` is, with no element built.
+    """
+    return [(r * v, (_power_text("z", a), u)) for a, v in sorted(zeta.items())]
+
+
 def target_text(
     spec: RingSpec, zeta_table: list[dict[int, int]], lucas: tuple[int, ...]
 ) -> str:
@@ -215,11 +228,11 @@ def target_text(
     Written straight from the row of T and the table of zeta^{ik}, with no
     ring element: term k is (-1)^k T(g, k) zeta^{ik} u^k, and for
     k <= g//2 < g that is zeta^{ik}'s table entry times (-1)^k T(g, k) at
-    u^k.  When c = 1, u is read as 1, which is how these curves are
-    conventionally written; other c keep the canonical u-form.  The text
-    is ``build_target``'s ``equation_text``, with u folded to 1 when c = 1,
-    for any row, honest or faulted.  ``zeta_table`` and ``lucas`` are as
-    for ``build_target``.
+    u^k, by ``_w_terms``.  When c = 1, u is read as 1, which is how these
+    curves are conventionally written; other c keep the canonical u-form.
+    The text is ``build_target``'s ``equation_text``, with u folded to 1
+    when c = 1, for any row, honest or faulted.  ``zeta_table`` and
+    ``lucas`` are as for ``build_target``.
     """
     g = spec.g
     fold = spec.c == 1
@@ -235,9 +248,7 @@ def target_text(
             ((a, v),) = zeta.items()
             terms.append((t * v, (_power_text("z", a), u, _power_text("x", g - 2 * k))))
         else:
-            terms.append(_coefficient_term(
-                [(t * v, (_power_text("z", a), u)) for a, v in sorted(zeta.items())], g - 2 * k
-            ))
+            terms.append(_coefficient_term(_w_terms(t, zeta, u), g - 2 * k))
     return "y^2 = " + _terms_text(terms)
 
 
@@ -309,7 +320,7 @@ def _pullback_weights(g: int, lucas: tuple[int, ...]) -> list[int]:
 
 def pullback_rhs(
     spec: RingSpec, zeta_table: list[dict[int, int]], lucas: tuple[int, ...]
-) -> RingPolynomial:
+) -> tuple[list[int], QuotientRingElement]:
     """The target right-hand side after substitution and clearing x^{g+1}.
 
     Substituting x -> (x^2 + w)/x into the target and multiplying through by
@@ -317,57 +328,107 @@ def pullback_rhs(
 
         sum_k (-1)^k T(g,k) w^k x^{2k+1} (x^2 + w)^{g-2k},   w = zeta^i c^{1/g},
 
-    which this function expands fully, in two steps.  ``zeta_table`` is
-    ``_zeta_table(spec, i)`` and ``lucas`` is ``lucas_row(g)``, the two that
-    ``verify_morphism`` also writes the target from.  First the sum is
-    expanded over Z[x, w] by ``_pullback_weights``, a product tree at
-    w = 2^V with the T(g, k) from ``lucas``, so this path calls neither
-    ``binomial()``, ``lucas_coeff()`` nor the ``lockwood`` oracle: one
-    integer weight per w-exponent b, at x^{2g+1-2b}.  Then each nonzero
-    weight becomes the coefficient weight * w^b of x^{2g+1-2b} in R(g, c).
-    Up to top = ceil(g/2), that is one element from ``zeta_table``, via
-    ``_w_power``; above it, the one product weight * w^top * w^(b-top).
-    Only those coefficients are stored: an honest run has nonzero weights
-    at b = 0 and b = g only, handed over without unpacking, so the
-    pullback holds x^{2g+1} and x^1, and for g >= 2, w^g = c is still
-    checked by that ring product, reduced through Phi_g and u^g = c.  At
-    g = 1, w^g = u is read as c directly.
+    which is held on integers, as the pair (weights, w^g).  ``weights[b]``,
+    for b = 0..g, is the integer weight of w^b at x^{2g+1-2b}, from
+    ``_pullback_weights``: a product tree at w = 2^V with the T(g, k) from
+    ``lucas``, so this path calls neither ``binomial()``,
+    ``lucas_coeff()`` nor the ``lockwood`` oracle.  w^g is the one ring
+    product w^ceil(g/2) * w^(g//2) of two elements from ``zeta_table``,
+    reduced through Phi_g and u^g = c; at g = 1 it is w itself, read as c
+    by ``_w_power``.  ``zeta_table`` is ``_zeta_table(spec, i, last)`` with
+    last >= ceil(g/2), and ``lucas`` is ``lucas_row(g)``, the two that
+    ``verify_morphism`` also writes the target from.
+    """
+    g = spec.g
+    w_g = _w_power(spec, zeta_table, (g + 1) // 2, 1)
+    if g > 1:
+        w_g = w_g * _w_power(spec, zeta_table, g // 2, 1)
+    return _pullback_weights(g, lucas), w_g
+
+
+# A morphism check held on integers.  ``source``, ``pullback`` and
+# ``residual`` are each g + 1 weights: entry b is the integer r_b of the
+# term r_b w^b at x^{2g+1-2b}.  ``w_g`` is w^g from ``pullback_rhs``'s one
+# ring product, ``zeta_table`` the table of zeta^{ik} that the terms are
+# written from, and ``lucas`` the row of T that the target is written from.
+MorphismCheck = namedtuple(
+    "MorphismCheck", ["holds", "source", "pullback", "residual", "w_g", "zeta_table", "lucas"]
+)
+
+
+def verify_morphism(spec: RingSpec, i: int) -> MorphismCheck:
+    """Expand the pullback of the target and compare with x^{2g+1} + c x.
+
+    The source is the weights [1, 0, ..., 0, 1], the pullback the weights
+    of ``pullback_rhs`` and the residual their difference, as plain ints.
+    The table of zeta^{ik} (to ceil(g/2)) and the row T(g, .) are computed
+    here once; the pullback reads i only through the table, and a bad
+    ``i`` is refused before either is read.  The target is not built: the
+    check never reads its coefficients, and a fault in T still reaches the
+    residual through the pullback.  ``target_text`` writes it from the
+    table and row that the result carries.  An honest run makes one ring
+    product, w^g = w^ceil(g/2) * w^(g//2), for g >= 2, and none for g = 1,
+    and builds no other element than its factors and the c it is compared
+    with.
     """
     g = spec.g
     top = (g + 1) // 2
-    coeffs = {}
-    for b, weight in enumerate(_pullback_weights(g, lucas)):
-        if not weight:
-            continue
-        if b <= top:
-            coeff = _w_power(spec, zeta_table, b, weight)
-        else:
-            coeff = _w_power(spec, zeta_table, top, weight) * _w_power(spec, zeta_table, b - top, 1)
-        coeffs[2 * g + 1 - 2 * b] = coeff
-    return RingPolynomial(spec, coeffs)
+    zeta_table = _zeta_table(spec, i, top)
+    lucas = lucas_row(g)
+    pullback, w_g = pullback_rhs(spec, zeta_table, lucas)
+    source = [1] + [0] * (g - 1) + [1]
+    residual = list(map(operator.sub, pullback, source))
+    # The residual's coefficient of x^{2g+1-2b} is r_b w^b.  The map
+    # Q[w]/(w^g - c) -> R(g, c), w -> zeta^i u, is an injective ring map:
+    # it sends w^b, for b < g, to zeta^{ib} u^b, a unit times a power of u
+    # that no other b shares.  So r_b w^b, with w^g read as c != 0,
+    # vanishes in R(g, c) exactly when r_b = 0, once the ring's own w^g,
+    # the one product, is checked to be c.
+    holds = not any(residual) and w_g == from_rational(spec, spec.c)
+    if any(pullback[top + 1:g]):
+        # Only a faulted row reaches w^b past ceil(g/2): run the table on.
+        zeta_table = _zeta_table(spec, i, g - 1)
+    return MorphismCheck(holds, source, pullback, residual, w_g, zeta_table, lucas)
 
 
-def verify_morphism(
-    spec: RingSpec, i: int
-) -> tuple[RingPolynomial, str, RingPolynomial, RingPolynomial]:
-    """Expand the pullback of the target and compare with x^{2g+1} + c x.
+def _morphism_curves(spec: RingSpec, check: MorphismCheck) -> tuple[dict, dict, dict]:
+    """The source, pullback and residual of ``check`` as written coefficients.
 
-    Returns (source, target, pullback, residual), where target is the
-    target curve's equation from ``target_text`` and residual is
-    pullback - source; the morphism holds exactly when it is zero.  The
-    table of zeta^{ik} and the row T(g, .) are computed here once and
-    handed to the target's text and the pullback both, which reads i only
-    through the table; a bad ``i`` is refused before any of them.  The
-    target is written, not built: the check never reads its coefficients,
-    and a fault in T still reaches the residual through the pullback.  An
-    honest run makes one ring product, w^g = w^ceil(g/2) * w^(g//2), for
-    g >= 2, and none for g = 1.
+    Each curve is {x exponent: its coefficient's terms}, in descending
+    exponent, with only the nonzero coefficients: r_b w^b, for b < g, is
+    written by ``_w_terms`` from the table's entry at u^b, and the x^1 term
+    r_g w^g as the rational r_g c.  Only when the ring's w^g missed c,
+    which a fault in w alone can cause, are the pullback's and the
+    residual's x^1 coefficients written from that product, as the elements
+    r_g w^g and r_g w^g - c.
     """
-    zeta_table = _zeta_table(spec, i)
-    lucas = lucas_row(spec.g)
-    source = build_source(spec)
-    pullback = pullback_rhs(spec, zeta_table, lucas)
-    return source, target_text(spec, zeta_table, lucas), pullback, pullback - source
+    g, c, table = spec.g, spec.c, check.zeta_table
+
+    def written(weights: list[int], linear: list) -> dict:
+        curve = {
+            2 * g + 1 - 2 * b: _w_terms(weights[b], table[b], _power_text("u", b))
+            for b in compress(range(g), weights)
+        }
+        if linear:
+            curve[1] = linear
+        return curve
+
+    source = written(check.source, [(c, ("", ""))])
+    if check.holds:
+        # The pullback's weights are the source's and w^g = c: the same terms.
+        return source, source, {}
+    weight = check.pullback[g]
+    if check.w_g == from_rational(spec, c):
+        linear = [[(r * c, ("", ""))] if r else [] for r in (weight, check.residual[g])]
+    else:
+        x = check.w_g * from_rational(spec, weight)
+        linear = [_entry_terms(y.entries()) for y in (x, x + from_rational(spec, -c))]
+    return source, written(check.pullback, linear[0]), written(check.residual, linear[1])
+
+
+def _curve_text(curve: dict) -> str:
+    """A curve of ``_morphism_curves`` as its polynomial's text."""
+    return _terms_text(_coefficient_term(terms, e) for e, terms in curve.items())
 
 
 def _zeta_text(exponent: int) -> str:

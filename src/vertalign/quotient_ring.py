@@ -152,12 +152,6 @@ class QuotientRingElement:
             terms[key] = terms.get(key, 0) + h * v
         return _element(spec, terms, den)
 
-    def __neg__(self) -> "QuotientRingElement":
-        return _element(self.spec, {key: -v for key, v in self._terms.items()}, self._den)
-
-    def __sub__(self, other: "QuotientRingElement") -> "QuotientRingElement":
-        return self + (-other)
-
     def __mul__(self, other: "QuotientRingElement") -> "QuotientRingElement":
         """The product of two elements of one ring, reduced through u^g = c and Phi_g.
 

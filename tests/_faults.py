@@ -95,12 +95,13 @@ def fail_morphism(mp) -> None:
 
 
 def double_w(mp) -> None:
-    """Make w = 2 zeta^i c^(1/g) where ``curves`` hands out w^k: each w^k,
-    from the table of zeta^(ik) or as a factor of a product, is scaled by 2^k.
+    """Make w = 2 zeta^i c^(1/g) where ``curves`` hands out w^k as an
+    element, by ``_w_power``: each such w^k is scaled by 2^k.
 
-    In ``verify_morphism`` this reaches only the pullback: the target is
-    written by ``target_text`` straight from the table, so its text keeps
-    the honest w."""
+    In ``verify_morphism`` this reaches only the two factors of w^g, so the
+    one product gives 2^g c, which misses c.  The weights and the terms
+    r w^b, b < g, written from the table of zeta^(ik), and the target's
+    text keep the honest w."""
     honest = curves._w_power
 
     def doubled(spec, zeta_table, k, scale):

@@ -25,7 +25,13 @@ without the library's code for the step under test:
   Horner pass of ``alignment._sweep_range``.
 * ``reference_pullback``: the morphism pullback expanded entirely over
   R(g, c) with ``RingPolynomial`` products and T from ``lucas_coeff``,
-  against ``curves.pullback_rhs``.
+  against ``curves.pullback_rhs``'s weights and w^g lifted into R(g, c)
+  by ``lift``.
+* ``lift`` / ``lifted``: integer weights of w^b made ring polynomials,
+  each w^b a repeated product by w = zeta^i u, against the text that
+  ``curves`` writes for them from the table of zeta^(ik); ``lifted`` does
+  it for the source, pullback and residual of ``curves.verify_morphism``,
+  the residual by ``ring_poly_sub``.
 * ``pullback_weights_by_rows``: the pullback's integer weights summed over
   Pascal rows held as lists, for any row of T, against the packed rows of
   ``curves._pullback_weights``.
@@ -50,10 +56,12 @@ The rest are the small helpers these routes and the tests build with:
 ``xy_symmetric_power`` (iterated ``BivariatePolynomial`` products, for
 comparison with ``binomial_expand``), ``shift_xy``, ``element`` (a ring
 element from its rational coefficients), ``scaled`` (the product with a
-rational), ``ring_one``, ``ring_power`` and the ``ring_poly_*`` arithmetic
-on ``RingPolynomial``; and ``built_target``, ``written_target`` and
-``pullback``, which hand ``curves``' target, target text and pullback the
-table of zeta^(ik) and the row of T, as the commands do.
+rational), ``ring_one``, ``ring_power``, ``ring_neg`` and ``ring_sub``
+(the negation and difference no command needs, which ``RingPolynomial``
+and ``QuotientRingElement`` no longer carry) and the ``ring_poly_*``
+arithmetic on ``RingPolynomial``; and ``built_target``, ``written_target``
+and ``pullback``, which hand ``curves``' target, target text and pullback
+the table of zeta^(ik) and the row of T, as the commands do.
 """
 
 from __future__ import annotations
@@ -259,6 +267,14 @@ def ring_one(spec: RingSpec) -> QuotientRingElement:
     return from_rational(spec, 1)
 
 
+def ring_neg(x: QuotientRingElement) -> QuotientRingElement:
+    return _element(x.spec, {key: -v for key, v in x._terms.items()}, x._den)
+
+
+def ring_sub(x: QuotientRingElement, y: QuotientRingElement) -> QuotientRingElement:
+    return x + ring_neg(y)
+
+
 def zeta_power(spec: RingSpec, m: int) -> QuotientRingElement:
     """zeta^m as a ring element: z^{m mod g} reduced modulo Phi_g."""
     return _element(spec, _reduce_z({(m % spec.g, 0): 1}, spec), 1)
@@ -309,6 +325,18 @@ def ring_poly_dense(p: RingPolynomial) -> list[QuotientRingElement]:
     return [p.coeffs.get(e, zero) for e in range(p.degree + 1)]
 
 
+def ring_poly_sub(p: RingPolynomial, q: RingPolynomial) -> RingPolynomial:
+    """p - q coefficient by coefficient, on the sparse maps: an exponent held
+    by one side needs no addition."""
+    if p.spec != q.spec:
+        raise ValueError("ring mismatch between polynomials")
+    coeffs = dict(p.coeffs)
+    for e, y in q.coeffs.items():
+        x = coeffs.get(e)
+        coeffs[e] = ring_neg(y) if x is None else ring_sub(x, y)
+    return RingPolynomial(p.spec, coeffs)
+
+
 def ring_poly_add(p: RingPolynomial, q: RingPolynomial) -> RingPolynomial:
     if p.spec != q.spec:
         raise ValueError("ring mismatch between polynomials")
@@ -319,7 +347,7 @@ def ring_poly_add(p: RingPolynomial, q: RingPolynomial) -> RingPolynomial:
 def ring_poly_mul(p: RingPolynomial, q: RingPolynomial) -> RingPolynomial:
     if p.spec != q.spec:
         raise ValueError("ring mismatch between polynomials")
-    if p.is_zero() or q.is_zero():
+    if not p.coeffs or not q.coeffs:
         return RingPolynomial(p.spec, {})
     p_dense, q_dense = ring_poly_dense(p), ring_poly_dense(q)
     acc = [from_rational(p.spec, 0)] * (len(p_dense) + len(q_dense) - 1)
@@ -340,7 +368,7 @@ def ring_poly_shift(p: RingPolynomial, exponent: int) -> RingPolynomial:
     """Multiply by x^exponent."""
     if exponent < 0:
         raise ValueError("shift exponent must be nonnegative")
-    if p.is_zero():
+    if not p.coeffs:
         return p
     dense = [from_rational(p.spec, 0)] * exponent + ring_poly_dense(p)
     return RingPolynomial(p.spec, dict(enumerate(dense)))
@@ -356,7 +384,7 @@ def folded_equation(f: RingPolynomial) -> str:
 
 def _table_and_row(spec: RingSpec, i: int) -> tuple[list[dict[int, int]], tuple[int, ...]]:
     # Read through ``curves`` at each call, so a row faulted there reaches them.
-    return curves._zeta_table(spec, i), curves.lucas_row(spec.g)
+    return curves._zeta_table(spec, i, (spec.g + 1) // 2), curves.lucas_row(spec.g)
 
 
 def built_target(spec: RingSpec, i: int) -> RingPolynomial:
@@ -369,9 +397,37 @@ def written_target(spec: RingSpec, i: int) -> str:
     return curves.target_text(spec, *_table_and_row(spec, i))
 
 
+def lift(spec: RingSpec, i: int, weights: list[int], w_g: QuotientRingElement) -> RingPolynomial:
+    """sum_b weights[b] w^b x^(2g+1-2b) over R(g, c), for w = zeta^i u.
+
+    w^b, for b < g, is b repeated products by w, made as far as the last
+    nonzero weight below g; w^g is read as ``w_g``.
+    """
+    g = spec.g
+    w = zeta_power(spec, i) * root_power(spec, 1)
+    coeffs = {1: scaled(w_g, weights[g])}
+    w_to_b = ring_one(spec)
+    live = [b for b in range(g) if weights[b]]
+    for b in range(live[-1] + 1 if live else 0):
+        if weights[b]:
+            coeffs[2 * g + 1 - 2 * b] = scaled(w_to_b, weights[b])
+        w_to_b = w_to_b * w
+    return RingPolynomial(spec, coeffs)
+
+
 def pullback(spec: RingSpec, i: int) -> RingPolynomial:
-    """``curves.pullback_rhs`` for the twist index i."""
-    return curves.pullback_rhs(spec, *_table_and_row(spec, i))
+    """``curves.pullback_rhs`` for the twist index i, lifted into R(g, c)."""
+    weights, w_g = curves.pullback_rhs(spec, *_table_and_row(spec, i))
+    return lift(spec, i, weights, w_g)
+
+
+def lifted(spec: RingSpec, i: int, check) -> tuple[RingPolynomial, RingPolynomial, RingPolynomial]:
+    """The source, pullback and residual of ``curves.verify_morphism(spec, i)``
+    as ring polynomials: the source's weights with w^g read as c, the
+    pullback's with the product ``check.w_g``, and their difference."""
+    source = lift(spec, i, check.source, from_rational(spec, spec.c))
+    pulled = lift(spec, i, check.pullback, check.w_g)
+    return source, pulled, ring_poly_sub(pulled, source)
 
 
 def reference_pullback(spec, i: int) -> RingPolynomial:

@@ -30,7 +30,7 @@ from pathlib import Path
 import pytest
 
 from _faults import fail_morphism, fault_chain, fault_lucas_row, fault_sweep, lose_last_range
-from _reference import ring_one, root_power, scaled, zeta_power
+from _reference import lifted, ring_one, root_power, scaled, zeta_power
 from output_digest import load_workloads, requests, run
 from test_tracer_targets import TARGETS as TRACER_TARGETS
 import vertalign
@@ -173,12 +173,17 @@ def morphism_fault_401():
 
     The tests fault g <= 13 only.  The residual must be exactly
     C(101, b - 150) w^b at x^(803 - 2b) for 150 <= b <= 251, with w^b from
-    its own loop of products by w = zeta u, and zero elsewhere.
+    its own loop of products by w = zeta u, and zero elsewhere: its weights
+    lifted into R(g, c), and the text written from them, past ceil(g/2)
+    from the table of zeta^(ik) run on to k = g - 1.
     """
     spec = make_ring(401, Fraction(3, 5))
     with pytest.MonkeyPatch.context() as mp:
         fault_lucas_row(mp, curves, (401, 150, 1))
-        residual = curves.verify_morphism(spec, 1)[3]
+        check = curves.verify_morphism(spec, 1)
+    assert not check.holds and len(check.zeta_table) == 401
+    residual = lifted(spec, 1, check)[2]
+    assert curves._curve_text(curves._morphism_curves(spec, check)[2]) == residual.to_text()
     w = zeta_power(spec, 1) * root_power(spec, 1)
     powers = [ring_one(spec)]
     for _ in range(251):
@@ -211,10 +216,10 @@ def morphism_one_product():
                 honest = QuotientRingElement.__mul__
                 mp.setattr(QuotientRingElement, "__mul__",
                            lambda x, y: calls.append(1) or honest(x, y))
-                assert curves.verify_morphism(spec, i)[3].is_zero(), (g, i)
+                assert curves.verify_morphism(spec, i).holds, (g, i)
             assert len(calls) == 1, (g, i, len(calls))
             w = zeta_power(spec, i) * root_power(spec, 1)
-            table = curves._zeta_table(spec, i)
+            table = curves._zeta_table(spec, i, (g + 1) // 2)
             w_to_k = ring_one(spec)
             for k in range(len(table)):
                 assert curves._w_power(spec, table, k, 1) == w_to_k, (g, i, k)

@@ -6,8 +6,10 @@ Imports ``ROOT/src/vertalign`` and runs, in this one process with
 ``COLUMNS=80``, the nine golden requests, the ``morphism`` and ``pointwise``
 passes of seeds 1-5 (read from ``bench/workloads.py`` beside this file, so
 every tree answers the same requests), every command
-in all three formats, the usage errors, ``-h`` and each ``<command> -h``.
-Each request's stdout, stderr and exit code are hashed together.  Two trees
+in all three formats, the usage errors, ``-h`` and each ``<command> -h``,
+and then three faulted morphisms in all three formats, so the failing
+path's bytes are pinned as well.  Each request's stdout, stderr and exit
+code are hashed together.  Two trees
 whose outputs agree byte for byte print the same lines, so a change meant
 to leave the output alone can be checked with
 
@@ -72,6 +74,31 @@ USAGE_ERRORS = [
 ]
 
 
+# Morphisms answered with delta added to T(n, k), for (n, k, delta), where
+# ``curves`` reads T: by ``curves.lucas_row``, a name every tree binds.
+# Their weights fall below, at and past ceil(g/2), and some are negative.
+FAULTED_MORPHISMS = [
+    ((n, k, delta), ["--format", fmt, "verify-morphism", "--", str(n), "-7/11", "1"])
+    for n, k, delta in ((9, 2, 1), (9, 1, 1), (13, 6, -2))
+    for fmt in ("text", "json", "csv")
+]
+
+
+class _Patcher:
+    """The ``setattr`` that ``tests/_faults.py`` patches through, undone by ``undo``."""
+
+    def __init__(self):
+        self.saved = []
+
+    def setattr(self, owner, name, value):
+        self.saved.append((owner, name, getattr(owner, name)))
+        setattr(owner, name, value)
+
+    def undo(self):
+        while self.saved:
+            setattr(*self.saved.pop())
+
+
 def load_workloads():
     """``bench/workloads.py`` of this tree, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -128,11 +155,25 @@ def main() -> int:
     sys.path.insert(0, str(root / "src"))
     from vertalign.cli import main as cli_main
 
+    from _faults import fault_lucas_row
+    from vertalign import curves
+
     whole = hashlib.sha256()
+
+    def record(label, output):
+        digest = hashlib.sha256(output).hexdigest()
+        whole.update(f"{digest} {json.dumps(label)}\n".encode())
+        print(digest, json.dumps(label)[:100])
+
     for argv in requests():
-        digest = hashlib.sha256(run(cli_main, argv)).hexdigest()
-        whole.update(f"{digest} {json.dumps(argv)}\n".encode())
-        print(digest, json.dumps(argv)[:100])
+        record(argv, run(cli_main, argv))
+    for (n, k, delta), argv in FAULTED_MORPHISMS:
+        patcher = _Patcher()
+        fault_lucas_row(patcher, curves, (n, k, delta))
+        try:
+            record([f"T({n},{k}){delta:+}", *argv], run(cli_main, argv))
+        finally:
+            patcher.undo()
     print(whole.hexdigest(), "all")
     return 0
 

@@ -18,6 +18,7 @@ from _reference import (
     built_target,
     coefficient_facts,
     folded_equation,
+    lifted,
     ring_one,
     ring_power,
     root_power,
@@ -29,7 +30,7 @@ from _reference import (
 import vertalign.cli as cli
 from vertalign.alignment import identity_sum, identity_sweep
 from vertalign.combinatorics import binomial, lucas_coeff, lucas_row
-from vertalign.curves import table_rows, verify_morphism
+from vertalign.curves import table_rows, target_text, verify_morphism
 from vertalign.cyclotomic import cyclotomic
 from vertalign.lockwood import BivariatePolynomial, lockwood_rhs, verify_lockwood
 from vertalign.quotient_ring import from_rational, make_ring
@@ -146,14 +147,13 @@ def test_criterion_06_curve_table_5_to_11(capsys):
 
 
 def test_criterion_07_worked_morphisms():
-    _, target5, _, residual5 = verify_morphism(make_ring(5, 1), 0)
-    assert residual5.is_zero()
-    assert target5 == "y^2 = x^5 - 5*x^3 + 5*x"
-    assert target5 == folded_equation(built_target(make_ring(5, 1), 0))
-    _, target6, _, residual6 = verify_morphism(make_ring(6, 1), 0)
-    assert residual6.is_zero()
-    assert target6 == "y^2 = x^6 - 6*x^4 + 9*x^2 - 2"
-    assert target6 == folded_equation(built_target(make_ring(6, 1), 0))
+    for g, text in ((5, "y^2 = x^5 - 5*x^3 + 5*x"), (6, "y^2 = x^6 - 6*x^4 + 9*x^2 - 2")):
+        spec = make_ring(g, 1)
+        check = verify_morphism(spec, 0)
+        assert check.holds and not lifted(spec, 0, check)[2].coeffs
+        target = target_text(spec, check.zeta_table, check.lucas)
+        assert target == text
+        assert target == folded_equation(built_target(spec, 0))
     _ok(7, "g=5 and g=6 unit-c morphisms hold with the stated targets")
 
 
@@ -163,8 +163,9 @@ def test_criterion_08_morphism_property_suite():
         for c in (Fraction(1), Fraction(2), Fraction(-1), Fraction(3, 5)):
             spec = make_ring(g, c)
             for i in (0, 1):
-                residual = verify_morphism(spec, i)[3]
-                assert residual.is_zero(), f"residual nonzero for g={g}, c={c}, i={i}"
+                check = verify_morphism(spec, i)
+                residual = lifted(spec, i, check)[2]
+                assert check.holds and not residual.coeffs, f"residual nonzero for g={g}, c={c}, i={i}"
                 cases += 1
     assert cases == 320
     _ok(8, "all 320 (g, c, i) morphism verifications hold for g <= 40")

@@ -26,6 +26,7 @@ from _reference import (
     binomial_falling,
     built_target,
     folded_equation,
+    lifted,
     lucas_coeff_alt,
     reference_columns,
     reference_csv,
@@ -414,15 +415,16 @@ def _reference_payload(argv: list[str]) -> dict:
         head = {"g": g, "c": str(spec.c), "i": i}
         # The target's equation is the u-folded equation of its polynomial.
         if command == "curve":
-            f = cli.build_target(spec, cli._zeta_table(spec, i), cli.lucas_row(g))
+            f = cli.build_target(spec, cli._zeta_table(spec, i, g // 2), cli.lucas_row(g))
             return {**head, "equation": folded_equation(f), "coefficients": [
                 {"x_exp": exp, "element": f.coeffs.get(exp, from_rational(spec, 0)).to_text()}
                 for exp in range(f.degree, -1, -1)
             ]}
-        source, _, pullback, residual = cli.verify_morphism(spec, i)
+        # The weights lifted into R(g, c) and written from their elements.
+        source, pullback, residual = lifted(spec, i, cli.verify_morphism(spec, i))
         # verify_morphism reads T through ``curves``, as ``built_target`` does.
         f = built_target(spec, i)
-        return {**head, "holds": residual.is_zero(), "source": source.equation_text(),
+        return {**head, "holds": not residual.coeffs, "source": source.equation_text(),
                 "target": folded_equation(f), "pullback": pullback.to_text(),
                 "residual": residual.to_text(), "x_map_nonconstant": True}
     numbers = [int(word) for word in words]
@@ -729,8 +731,9 @@ class TestCsvOutputs:
 
 
 class TestCoefficientCells:
-    """The rows of ``curve`` and ``verify-morphism`` read each curve's stored
-    coefficients and write ``0`` for an exponent the curve does not hold."""
+    """The rows of ``curve`` read the target's stored coefficients, those of
+    ``verify-morphism`` each curve's weights, and both write ``0`` for an
+    exponent the curve does not hold."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -741,30 +744,42 @@ class TestCoefficientCells:
         ids=" ".join,
     )
     def test_rows_build_no_element(self, argv, capsys, monkeypatch):
-        # The curves are built before the counting starts; what remains is
-        # writing the rows, which renders each stored coefficient once.
+        # The target is built before the counting starts; what remains is
+        # writing its rows, which renders each stored coefficient once.  A
+        # morphism check is counted whole: it builds the two factors of
+        # w^30 = w^15 * w^15, their product and the c that the product is
+        # compared with, and writes its rows from the weights, rendering no
+        # element.  The reference reads the weights lifted into R(g, c).
         spec = cli.make_ring(30, Fraction(-7, 11))
         if "curve" in argv:
             target = built_target(spec, 1)
             monkeypatch.setattr(cli, "build_target", lambda spec, *tables: target)
             written = {"element": target}
+            stored = [id(p) for p in target.coeffs.values()]
+            elements = []
         else:
-            results = cli.verify_morphism(spec, 1)
-            monkeypatch.setattr(cli, "verify_morphism", lambda spec, i: results)
-            source, _, pullback, residual = results
+            source, pullback, residual = lifted(spec, 1, cli.verify_morphism(spec, 1))
             written = {"pullback": pullback, "source": source, "residual": residual}
+            stored = []
+            w_15 = ring_power(zeta_power(spec, 1) * root_power(spec, 1), 15)
+            c = from_rational(spec, spec.c)
+            elements = [w_15, w_15, c, c]
         rendered, built = [], []
         to_text, element = QuotientRingElement.to_text, quotient_ring._element
         monkeypatch.setattr(
             QuotientRingElement, "to_text", lambda self: rendered.append(id(self)) or to_text(self)
         )
-        monkeypatch.setattr(
-            quotient_ring, "_element", lambda *args: built.append(args) or element(*args)
-        )
+
+        def counting(*args):
+            built.append(element(*args))
+            return built[-1]
+
+        # ``curves`` binds ``_element`` by name for the table's powers of w.
+        monkeypatch.setattr(quotient_ring, "_element", counting)
+        monkeypatch.setattr(curves, "_element", counting)
         assert cli.main(argv) == 0
         out = capsys.readouterr().out
-        assert built == []
-        stored = [id(p) for f in written.values() for p in f.coeffs.values()]
+        assert built == elements
         assert sorted(rendered) == sorted(stored)
         if "curve" in argv:
             records = json.loads(out)["coefficients"]

@@ -12,14 +12,18 @@ from _reference import (
     built_target,
     coefficient_facts,
     folded_equation,
+    lifted,
     lucas_coeff_alt,
     pullback,
     pullback_weights_by_rows,
     reference_pullback,
+    ring_neg,
     ring_one,
     ring_poly_add,
     ring_poly_scale,
+    ring_poly_sub,
     ring_power,
+    ring_sub,
     root_power,
     scaled,
     written_target,
@@ -30,9 +34,12 @@ from vertalign import combinatorics, curves, lockwood
 from vertalign.combinatorics import lucas_coeff, lucas_row
 from vertalign.curves import (
     RingPolynomial,
+    _curve_text,
+    _morphism_curves,
     build_source,
     table_rows,
     table_text,
+    target_text,
     verify_morphism,
 )
 from vertalign.lockwood import BivariatePolynomial, lockwood_rhs
@@ -61,8 +68,8 @@ class TestRingPolynomial:
         for p in polys:
             for q in polys:
                 negated = ring_poly_scale(q, from_rational(spec, -1))
-                assert p - q == ring_poly_add(p, negated), (p.to_text(), q.to_text())
-            assert (p - p).is_zero()
+                assert ring_poly_sub(p, q) == ring_poly_add(p, negated), (p.to_text(), q.to_text())
+            assert ring_poly_sub(p, p).coeffs == {}
 
     def test_equality_is_spec_and_coefficients(self):
         spec = make_ring(5, Fraction(3, 5))
@@ -101,11 +108,11 @@ class TestSparseForm:
         one, z = ring_one(spec), zeta_power(spec, 1)
         p = RingPolynomial(spec, {1: one, 3: z})
         q = RingPolynomial(spec, {3: z, 4: z})
-        assert (p - p).coeffs == {}
+        assert ring_poly_sub(p, p).coeffs == {}
         # x^3 cancels; x^4, held only by q, is kept negated.
-        assert (p - q).coeffs == {1: one, 4: -z}
-        assert (q - p).coeffs == {1: -one, 4: z}
-        for r in (p - p, p - q, q - p):
+        assert ring_poly_sub(p, q).coeffs == {1: one, 4: ring_neg(z)}
+        assert ring_poly_sub(q, p).coeffs == {1: ring_neg(one), 4: z}
+        for r in (ring_poly_sub(p, p), ring_poly_sub(p, q), ring_poly_sub(q, p)):
             self.assert_canonical(r)
 
     def test_substitution_that_collapses_a_coefficient_drops_it(self):
@@ -114,7 +121,7 @@ class TestSparseForm:
         # own equation keeps the u-form.
         spec = self.spec
         z, u = zeta_power(spec, 1), root_power(spec, 1)
-        p = RingPolynomial(spec, {2: z * u - z, 1: u})
+        p = RingPolynomial(spec, {2: ring_sub(z * u, z), 1: u})
         assert sorted(p.coeffs) == [1, 2]
         assert p.to_text() == "(-z + z*u)*x^2 + u*x"
         assert p.equation_text() == "y^2 = (-z + z*u)*x^2 + u*x"
@@ -123,7 +130,7 @@ class TestSparseForm:
     def test_zero_polynomial(self):
         spec = self.spec
         p = RingPolynomial(spec, {0: from_rational(spec, 0)})
-        assert p.coeffs == {} and p.is_zero() and p.degree == -1
+        assert p.coeffs == {} and p.degree == -1
         for e in (0, 1, 7):
             assert e not in p.coeffs
         assert p.to_text() == "0"
@@ -141,13 +148,17 @@ class TestSparseForm:
     )
     def test_honest_check_stores_only_the_source_terms(self, g, c, i):
         spec = make_ring(g, c)
-        source, target, pullback, residual = verify_morphism(spec, i)
+        check = verify_morphism(spec, i)
         f = built_target(spec, i)
-        assert target == folded_equation(f)
-        assert residual.coeffs == {}
-        assert sorted(pullback.coeffs) == sorted(source.coeffs) == [1, 2 * g + 1]
+        assert target_text(spec, check.zeta_table, check.lucas) == folded_equation(f)
+        assert check.holds and check.w_g == from_rational(spec, c)
+        assert check.pullback == check.source == [1] + [0] * (g - 1) + [1]
+        assert check.residual == [0] * (g + 1)
+        source, pullback, residual = _morphism_curves(spec, check)
+        assert residual == {}
+        assert sorted(pullback) == sorted(source) == [1, 2 * g + 1]
         assert sorted(f.coeffs) == list(range(g % 2, g + 1, 2))
-        for p in (source, f, pullback):
+        for p in (f, *lifted(spec, i, check)[:2]):
             self.assert_canonical(p)
 
     def test_rendering_reads_each_coefficients_entries_once(self, monkeypatch):
@@ -243,14 +254,19 @@ class TestBuildTarget:
                     assert e not in f.coeffs
 
     @pytest.mark.parametrize("g", [1, 2, 7, 12, 13])
-    def test_w_powers_end_at_ceil_half(self, g):
-        # The target reads w^0..w^(g//2), the pullback w^0..w^ceil(g/2).
+    def test_w_powers_end_at_ceil_half(self, g, monkeypatch):
+        # The target reads w^0..w^(g//2), an honest check w^0..w^ceil(g/2);
+        # only a faulted weight past ceil(g/2) runs the table on to w^(g-1).
         spec = make_ring(g, Fraction(-7, 11))
         w = zeta_power(spec, 1) * root_power(spec, 1)
-        table = curves._zeta_table(spec, 1)
+        table = verify_morphism(spec, 1).zeta_table
         assert [curves._w_power(spec, table, b, 1) for b in range(len(table))] == [
             ring_power(w, b) for b in range((g + 1) // 2 + 1)
         ]
+        if g > 2:
+            # T(g, 1) + 1 adds weights at b = 1..g-1.
+            fault_lucas_row(monkeypatch, curves, (g, 1, 1))
+            assert len(verify_morphism(spec, 1).zeta_table) == g
 
     @pytest.mark.parametrize("c", [1, Fraction(-7, 11), 3], ids=str)
     def test_zeta_table_and_w_powers_match_ring_products(self, c):
@@ -259,8 +275,9 @@ class TestBuildTarget:
         for g in [*range(1, 121), 105, 210]:
             spec = make_ring(g, c)
             for i in (0, 1):
-                table = curves._zeta_table(spec, i)
-                assert len(table) == (g + 1) // 2 + 1, (g, i)
+                # Run on to k = g, where zeta^(ig) = 1 and w^g = c.
+                table = curves._zeta_table(spec, i, g)
+                assert len(table) == g + 1 and table[g] == {0: 1}, (g, i)
                 w = zeta_power(spec, i) * root_power(spec, 1)
                 # ring_power's repeated product by w, carried from k to k + 1.
                 w_to_k = ring_power(w, 0)
@@ -389,9 +406,11 @@ class TestPullback:
             calls.append(1)
             return original(self, other)
 
+        spec = make_ring(g, Fraction(-7, 11))
+        table = curves._zeta_table(spec, 1, (g + 1) // 2)
         monkeypatch.setattr(QuotientRingElement, "__mul__", counting)
         monkeypatch.setattr(QuotientRingElement, "__rmul__", counting)
-        pullback(make_ring(g, Fraction(-7, 11)), 1)
+        curves.pullback_rhs(spec, table, lucas_row(g))
         assert len(calls) <= g + 1
 
     def test_calls_no_binomial_and_no_bivariate_oracle(self, monkeypatch):
@@ -423,8 +442,10 @@ class TestVerifyMorphism:
         ],
     )
     def test_holds(self, g, c, i):
-        source, _, pullback, residual = verify_morphism(make_ring(g, c), i)
-        assert residual.is_zero()
+        spec = make_ring(g, c)
+        check = verify_morphism(spec, i)
+        source, pullback, residual = lifted(spec, i, check)
+        assert check.holds and residual.coeffs == {}
         assert pullback == source
 
     def test_holds_for_large_genus(self):
@@ -437,19 +458,21 @@ class TestVerifyMorphism:
         for g in range(41, 201):
             c = cs[g % len(cs)]
             i = g % 2
-            source, _, pullback, residual = verify_morphism(make_ring(g, c), i)
-            assert residual.is_zero(), (g, c, i)
+            spec = make_ring(g, c)
+            check = verify_morphism(spec, i)
+            source, pullback, residual = lifted(spec, i, check)
+            assert check.holds and residual.coeffs == {}, (g, c, i)
             assert pullback == source, (g, c, i)
         assert time.perf_counter() - start < 30.0
 
     @pytest.mark.parametrize("g", [1, 2, 7, 40, 79, 80])
     def test_w_powers_once_and_residual_adds_only_overlaps(self, g, monkeypatch):
         # w^0..w^ceil(g/2), which serve the target and the pullback both,
-        # come from one table of zeta^(ik) with no ring product.  The honest
-        # weights vanish except at b = 0 and b = g, so the pullback makes
-        # one product, w^g = w^ceil(g/2) * w^(g//2), when g > 1; at g = 1,
-        # w = u is read as c.  The residual adds only where pullback and
-        # source both have a nonzero coefficient, at x^(2g+1) and x.
+        # come from one table of zeta^(ik) with no ring product.  The
+        # pullback makes one product, w^g = w^ceil(g/2) * w^(g//2), when
+        # g > 1; at g = 1, w = u is read as c.  The residual is the
+        # difference of two lists of integer weights, so it adds no
+        # elements at all.
         calls = {"mul": 0, "add": 0}
         mul, add = QuotientRingElement.__mul__, QuotientRingElement.__add__
 
@@ -464,8 +487,8 @@ class TestVerifyMorphism:
         monkeypatch.setattr(QuotientRingElement, "__mul__", counting_mul)
         monkeypatch.setattr(QuotientRingElement, "__rmul__", counting_mul)
         monkeypatch.setattr(QuotientRingElement, "__add__", counting_add)
-        assert verify_morphism(make_ring(g, Fraction(-7, 11)), 1)[3].is_zero()
-        assert calls == {"mul": (g > 1), "add": 2}
+        assert verify_morphism(make_ring(g, Fraction(-7, 11)), 1).holds
+        assert calls == {"mul": (g > 1), "add": 0}
 
     def test_one_row_of_t_reaches_target_and_pullback(self, monkeypatch):
         # verify_morphism reads T(g, .) once and hands the row to both
@@ -475,20 +498,21 @@ class TestVerifyMorphism:
         faulty, calls = curves.lucas_row, []
         monkeypatch.setattr(curves, "lucas_row", lambda g: calls.append(g) or faulty(g))
         spec = make_ring(9, Fraction(-7, 11))
-        _, target, _, residual = verify_morphism(spec, 1)
+        check = verify_morphism(spec, 1)
         assert calls == [9]
         f = built_target(spec, 1)
         w = zeta_power(spec, 1) * root_power(spec, 1)
         assert f.coeffs.get(5) == scaled(ring_power(w, 2), lucas_coeff(9, 2) + 1)
-        assert target == folded_equation(f)
-        assert not residual.is_zero()
+        assert target_text(spec, check.zeta_table, check.lucas) == folded_equation(f)
+        assert not check.holds and lifted(spec, 1, check)[2].coeffs
 
     # Negative controls: a fault in either input of the pullback leaves a
     # nonzero residual, at exactly the x-powers that input reaches.
     def test_wrong_lucas_coefficient_leaves_its_terms(self, monkeypatch):
         # T(9, 2) + 1 adds w^2 x^5 (x^2 + w)^5 to the pullback: x^5..x^15.
         fail_morphism(monkeypatch)
-        residual = verify_morphism(make_ring(9, Fraction(-7, 11)), 1)[3]
+        spec = make_ring(9, Fraction(-7, 11))
+        residual = lifted(spec, 1, verify_morphism(spec, 1))[2]
         assert _nonzero_exponents(residual) == [5, 7, 9, 11, 13, 15]
 
     @pytest.mark.parametrize("g, k", [(9, 2), (12, 3), (13, 6)])
@@ -502,7 +526,8 @@ class TestVerifyMorphism:
         delta = 3
         fault_lucas_row(monkeypatch, curves, (g, k, delta))
         spec = make_ring(g, Fraction(-7, 11))
-        residual = verify_morphism(spec, i)[3]
+        check = verify_morphism(spec, i)
+        residual = lifted(spec, i, check)[2]
         w = zeta_power(spec, i) * root_power(spec, 1)
         expected = [from_rational(spec, 0)] * (2 * g + 2)
         for b in range(k, g - k + 1):
@@ -510,20 +535,57 @@ class TestVerifyMorphism:
                 delta * (-1) ** k * math.comb(g - 2 * k, b - k)
             )
         assert residual == RingPolynomial(spec, dict(enumerate(expected)))
+        assert check.residual == [
+            delta * (-1) ** k * math.comb(g - 2 * k, b - k) if k <= b <= g - k else 0
+            for b in range(g + 1)
+        ]
 
     def test_wrong_w_leaves_only_the_linear_term(self, monkeypatch):
-        # w = 2 zeta u scales each w^b by 2^b; the honest weights vanish
-        # except at b = 0 and b = g, and only w^g = 2^g c misses c, at x^1.
+        # w = 2 zeta u makes the one product w^g = 2^g c, which misses c;
+        # the weights stay honest, so only x^1 is left, written from that
+        # product as 2^g c - c.
         double_w(monkeypatch)
-        residual = verify_morphism(make_ring(9, Fraction(-7, 11)), 1)[3]
+        spec = make_ring(9, Fraction(-7, 11))
+        check = verify_morphism(spec, 1)
+        assert check.residual == [0] * 10 and not check.holds
+        assert check.w_g == from_rational(spec, 2**9 * spec.c)
+        residual = lifted(spec, 1, check)[2]
         assert _nonzero_exponents(residual) == [1]
+        assert _curve_text(_morphism_curves(spec, check)[2]) == residual.to_text() == "-3577/11*x"
 
     def test_report_carries_equations(self):
-        source, target, pullback, _ = verify_morphism(make_ring(6, 1), 0)
+        spec = make_ring(6, 1)
+        check = verify_morphism(spec, 0)
+        source, pullback, _ = lifted(spec, 0, check)
         assert source.equation_text() == "y^2 = x^13 + x"
+        target = target_text(spec, check.zeta_table, check.lucas)
         assert target == "y^2 = x^6 - 6*x^4 + 9*x^2 - 2"
-        assert target == folded_equation(built_target(make_ring(6, 1), 0))
+        assert target == folded_equation(built_target(spec, 0))
         assert pullback == source
+        assert [_curve_text(f) for f in _morphism_curves(spec, check)] == ["x^13 + x", "x^13 + x", "0"]
+
+    @pytest.mark.parametrize("c", [1, Fraction(-7, 11), 3], ids=str)
+    def test_written_curves_are_the_lifted_polynomials(self, c, monkeypatch):
+        # The commands write each r_b w^b from the table of zeta^(ik), run
+        # on past ceil(g/2) when a weight is there; the reference lifts the
+        # same weights into R(g, c) by repeated products by w.  Each curve's
+        # text and each of its coefficients must read alike, for honest rows
+        # and for rows with one entry off by one, which reach w^b for b from
+        # k to g - k.  Phi_30 and Phi_105 have many terms.
+        cases = [(g, None) for g in range(1, 41)] + [(30, 1), (105, 3)]
+        cases += [(g, k) for g in (9, 12, 13) for k in range(g // 2 + 1)]
+        for g, k in cases:
+            spec = make_ring(g, c)
+            with monkeypatch.context() as mp:
+                if k is not None:
+                    fault_lucas_row(mp, curves, (g, k, 1))
+                for i in (0, 1):
+                    check = verify_morphism(spec, i)
+                    for written, f in zip(_morphism_curves(spec, check), lifted(spec, i, check)):
+                        assert _curve_text(written) == f.to_text(), (g, k, i)
+                        assert sorted(written) == sorted(f.coeffs), (g, k, i)
+                        for e, p in f.coeffs.items():
+                            assert _terms_text(written[e]) == p.to_text(), (g, k, i, e)
 
 
 class TestCoefficientFacts:
