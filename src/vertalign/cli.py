@@ -49,6 +49,7 @@ from .alignment import aligned_entries, identity_sum, identity_sweep, map_row_ra
 from .combinatorics import lucas_row, pascal_halves
 from .curves import (
     RingPolynomial,
+    _curve_cells,
     _curve_text,
     _morphism_curves,
     _zeta_table,
@@ -59,7 +60,7 @@ from .curves import (
     verify_morphism,
 )
 from .lockwood import _verify_range, _x_n_plus_y_n, lockwood_rhs
-from .quotient_ring import _terms_text, make_ring
+from .quotient_ring import make_ring
 
 __all__ = ["main"]
 
@@ -443,21 +444,21 @@ def _cmd_verify_morphism(args: argparse.Namespace) -> int:
         # row is zero but those of the exponents a curve holds.
         top = 2 * spec.g + 1
         rows = list(zip(range(top, -1, -1), *[itertools.repeat("0")] * 3))
-        for exp in pullback.keys() | source.keys() | residual.keys():
-            rows[top - exp] = (exp, *(
-                _terms_text(f[exp]) if exp in f else "0" for f in (pullback, source, residual)
-            ))
+        cells = [_curve_cells(f) for f in (pullback, source, residual)]
+        for exp in set().union(*cells):
+            rows[top - exp] = (exp, *(f.get(exp, "0") for f in cells))
         print(_emit_csv(["x_exp", "pullback", "source", "residual"], rows))
         return 0 if check.holds else 1
     target = target_text(spec, check.zeta_table, check.lucas)
-    source, pullback, residual = map(_curve_text, (source, pullback, residual))
+    pullback, residual = _curve_text(pullback), _curve_text(residual)
+    source = f"y^2 = {_curve_text(source)}"
     if args.format == "json":
         print(_json({
             "g": spec.g,
             "c": str(spec.c),
             "i": args.i,
             "holds": check.holds,
-            "source": f"y^2 = {source}",
+            "source": source,
             "target": target,
             "pullback": pullback,
             "residual": residual,
@@ -465,7 +466,7 @@ def _cmd_verify_morphism(args: argparse.Namespace) -> int:
         }))
     else:
         print(f"morphism check for g={spec.g}, c={spec.c}, i={args.i}")
-        print(f"source:   y^2 = {source}")
+        print(f"source:   {source}")
         print(f"target:   {target}")
         print("x-map:    (x^2 + w)/x with w = zeta^i*c^(1/g) (nonconstant)")
         print(f"pullback: y^2 = {pullback}")

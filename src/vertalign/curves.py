@@ -396,11 +396,11 @@ def _morphism_curves(spec: RingSpec, check: MorphismCheck) -> tuple[dict, dict, 
 
     Each curve is {x exponent: its coefficient's terms}, in descending
     exponent, with only the nonzero coefficients: r_b w^b, for b < g, is
-    written by ``_w_terms`` from the table's entry at u^b, and the x^1 term
-    r_g w^g as the rational r_g c.  Only when the ring's w^g missed c,
-    which a fault in w alone can cause, are the pullback's and the
-    residual's x^1 coefficients written from that product, as the elements
-    r_g w^g and r_g w^g - c.
+    written by ``_w_terms`` from the table's entry at u^b.  The source's
+    x^1 term is the rational c.  A failing check writes the pullback's and
+    the residual's x^1 coefficients from the ring's w^g, as the elements
+    r_g w^g and r_g w^g - c; those are r_g c and (r_g - 1) c unless a
+    fault in w made w^g miss c.
     """
     g, c, table = spec.g, spec.c, check.zeta_table
 
@@ -417,18 +417,19 @@ def _morphism_curves(spec: RingSpec, check: MorphismCheck) -> tuple[dict, dict, 
     if check.holds:
         # The pullback's weights are the source's and w^g = c: the same terms.
         return source, source, {}
-    weight = check.pullback[g]
-    if check.w_g == from_rational(spec, c):
-        linear = [[(r * c, ("", ""))] if r else [] for r in (weight, check.residual[g])]
-    else:
-        x = check.w_g * from_rational(spec, weight)
-        linear = [_entry_terms(y.entries()) for y in (x, x + from_rational(spec, -c))]
+    x = check.w_g * from_rational(spec, check.pullback[g])
+    linear = [_entry_terms(y.entries()) for y in (x, x + from_rational(spec, -c))]
     return source, written(check.pullback, linear[0]), written(check.residual, linear[1])
 
 
 def _curve_text(curve: dict) -> str:
     """A curve of ``_morphism_curves`` as its polynomial's text."""
     return _terms_text(_coefficient_term(terms, e) for e, terms in curve.items())
+
+
+def _curve_cells(curve: dict) -> dict[int, str]:
+    """A curve of ``_morphism_curves`` as {x exponent: its coefficient's text}."""
+    return {e: _terms_text(terms) for e, terms in curve.items()}
 
 
 def _zeta_text(exponent: int) -> str:
