@@ -48,15 +48,11 @@ from json.encoder import encode_basestring_ascii
 from .alignment import aligned_entries, identity_sum, identity_sweep, map_row_ranges
 from .combinatorics import lucas_row, pascal_halves
 from .curves import (
-    RingPolynomial,
-    _curve_cells,
-    _curve_text,
     _morphism_curves,
     _zeta_table,
     build_target,
     table_rows,
     table_text,
-    target_text,
     verify_morphism,
 )
 from .lockwood import _verify_range, _x_n_plus_y_n, lockwood_rhs
@@ -404,30 +400,21 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
     return 0 if all_hold else 1
 
 
-def _coefficient_cell(f: RingPolynomial, exp: int) -> str:
-    """The text of f's coefficient of x^exp: ``0`` where f holds none."""
-    p = f.coeffs.get(exp)
-    return "0" if p is None else p.to_text()
-
-
 def _cmd_curve(args: argparse.Namespace) -> int:
     spec = make_ring(args.g, args.c)
-    # The table of zeta^(ik) and T(g, .) are read once, for the equation
-    # and the cells both; only the cells need the target's ring elements.
-    zeta_table, lucas = _zeta_table(spec, args.i, spec.g // 2), lucas_row(spec.g)
+    f = build_target(spec, _zeta_table(spec, args.i, spec.g // 2), lucas_row(spec.g))
     if args.format == "text":
-        print(f"C_{args.i} over R(g={args.g}, c={args.c}): "
-              f"{target_text(spec, zeta_table, lucas)}")
+        print(f"C_{args.i} over R(g={args.g}, c={args.c}): {f.equation_text()}")
         return 0
-    f = build_target(spec, zeta_table, lucas)
+    cells = f.cells()
     header = ["x_exp", "element"]
-    rows = [[exp, _coefficient_cell(f, exp)] for exp in range(f.degree, -1, -1)]
+    rows = [[exp, cells.get(exp, "0")] for exp in range(max(cells, default=-1), -1, -1)]
     if args.format == "json":
         print(_json({
             "g": spec.g,
             "c": str(spec.c),
             "i": args.i,
-            "equation": target_text(spec, zeta_table, lucas),
+            "equation": f.equation_text(),
             "coefficients": _Records(header, rows),
         }))
     else:
@@ -444,14 +431,13 @@ def _cmd_verify_morphism(args: argparse.Namespace) -> int:
         # row is zero but those of the exponents a curve holds.
         top = 2 * spec.g + 1
         rows = list(zip(range(top, -1, -1), *[itertools.repeat("0")] * 3))
-        cells = [_curve_cells(f) for f in (pullback, source, residual)]
+        cells = [f.cells() for f in (pullback, source, residual)]
         for exp in set().union(*cells):
             rows[top - exp] = (exp, *(f.get(exp, "0") for f in cells))
         print(_emit_csv(["x_exp", "pullback", "source", "residual"], rows))
         return 0 if check.holds else 1
-    target = target_text(spec, check.zeta_table, check.lucas)
-    pullback, residual = _curve_text(pullback), _curve_text(residual)
-    source = f"y^2 = {_curve_text(source)}"
+    target = build_target(spec, check.zeta_table, check.lucas).equation_text()
+    source, pullback, residual = source.equation_text(), pullback.to_text(), residual.to_text()
     if args.format == "json":
         print(_json({
             "g": spec.g,

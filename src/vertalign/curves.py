@@ -25,11 +25,12 @@ w = zeta^i c^{1/g}: the source 1 at x^{2g+1} and w^g = c at x, the
 pullback W_b w^b at x^{2g+1-2b}.  So ``verify_morphism`` holds the
 source, the pullback and the residual as integer weights of w^b,
 b = 0..g, and decides on them; R(g, c) is needed only to check w^g = c,
-by one ring product, and to write each r w^b, for b < g, from the table
-of zeta^{ik} at u^b.  The check never builds the target's ring elements:
-``target_text`` writes its equation straight from the row of T and the
-same table, and ``build_target`` builds them, as a
-:class:`RingPolynomial`, only for the coefficient cells of ``curve``.
+by one ring product.  Every curve a command prints is a written value,
+a :class:`RingPolynomial` of coefficient terms with no ring element in
+it: ``build_target`` writes the target from the row of T and the table
+of zeta^{ik} at u^k, ``build_source`` the source, and
+``_morphism_curves`` the pullback and the residual, each r w^b, for
+b < g, from the same table at u^b.  So ``curve`` builds no ring element.
 The pullback's integer stage sums its terms by a product tree at
 w = 2^V, and an honest total is read without unpacking it.  For
 even g the exponent (g+1)/2 in the y-coordinate is a half-integer, so the
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from collections.abc import Mapping
 from fractions import Fraction
 from itertools import compress
 
@@ -63,7 +63,6 @@ __all__ = [
     "build_source",
     "build_target",
     "pullback_rhs",
-    "target_text",
     "MorphismCheck",
     "verify_morphism",
     "table_rows",
@@ -72,44 +71,56 @@ __all__ = [
 
 
 class RingPolynomial:
-    """Univariate polynomial in x with R(g, c) coefficients.
+    """A written curve y^2 = f(x), held as its right-hand side f.
 
-    A curve y^2 = f(x) is its right-hand side f; ``build_target`` builds
-    the target as one, for the cells of ``curve``.  ``coeffs`` maps each
-    exponent to its coefficient and holds only the nonzero ones, so the zero
-    polynomial holds none and polynomials compare as the pair
-    (spec, coeffs).
+    ``terms`` maps each x exponent whose coefficient is nonzero, in
+    descending order, to that coefficient's nonzero terms q*z^a*u^b in
+    ascending (a, b), each as (q, (z^a text, u^b text)); the zero curve
+    holds none.  It holds no ring element: ``build_target``,
+    ``build_source`` and ``_morphism_curves`` write every curve a command
+    prints into one.  With ``fold_u`` set, which ``build_target`` does at
+    c = 1, the equation reads u as 1; the text and the cells keep the
+    canonical u-form.
     """
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("terms", "fold_u")
 
-    def __init__(self, spec: RingSpec, coeffs: Mapping[int, QuotientRingElement]):
-        self.spec = spec
-        self.coeffs = {e: p for e, p in coeffs.items() if not p.is_zero()}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RingPolynomial):
-            return NotImplemented
-        return (self.spec, self.coeffs) == (other.spec, other.coeffs)
-
-    @property
-    def degree(self) -> int:
-        """The largest exponent held, or -1 for the zero polynomial."""
-        return max(self.coeffs, default=-1)
+    def __init__(
+        self, terms: dict[int, list[tuple[Fraction | int, tuple[str, str]]]], fold_u: bool = False
+    ):
+        self.terms, self.fold_u = terms, fold_u
 
     def to_text(self) -> str:
-        """Terms in descending x-degree with canonically rendered coefficients."""
-        return _terms_text(
-            _coefficient_term(_entry_terms(self.coeffs[e].entries()), e)
-            for e in sorted(self.coeffs, reverse=True)
-        )
+        """Terms in descending x-degree; a coefficient of several terms is
+        written in parentheses."""
+        return self._text(True)
 
     def equation_text(self) -> str:
-        """The curve y^2 = self as text, in the canonical u-form for every c."""
-        return f"y^2 = {self.to_text()}"
+        """The curve y^2 = self as text, with u read as 1 if ``fold_u`` is set."""
+        return "y^2 = " + self._text(not self.fold_u)
 
-    def __repr__(self) -> str:
-        return f"RingPolynomial(g={self.spec.g}, c={self.spec.c}, {self.to_text()})"
+    def cells(self) -> dict[int, str]:
+        """{x exponent: its coefficient's text}, for the nonzero coefficients."""
+        return {e: _terms_text(terms) for e, terms in self.terms.items()}
+
+    def _text(self, keep_u: bool) -> str:
+        """The sum of the terms, each coefficient times its power of x.
+
+        A single-term coefficient has its sign pulled out.  Without
+        ``keep_u`` each u^b is dropped: a folded curve's coefficients each
+        hold one power of u, so that leaves distinct terms.
+        """
+        out = []
+        for e, terms in self.terms.items():
+            x = _power_text("x", e)
+            if len(terms) == 1:
+                ((q, (z, u)),) = terms
+                out.append((q, (z, u, x) if keep_u else (z, x)))
+            else:
+                if not keep_u:
+                    terms = [(q, (z,)) for q, (z, _) in terms]
+                out.append((1, (f"({_terms_text(terms)})", x)))
+        return _terms_text(out)
 
 
 # Only an alias: the benchmark's tracer (bench/tracer.py) wraps
@@ -117,31 +128,9 @@ class RingPolynomial:
 CurveEquation = RingPolynomial
 
 
-def _coefficient_term(
-    terms: list[tuple[Fraction | int, tuple[str, str]]], exponent: int
-) -> tuple[Fraction | int, tuple[str, ...]]:
-    """One coefficient*x^exponent term for ``_terms_text``.
-
-    The coefficient is given by its nonzero terms q*z^a*u^b in ascending
-    (a, b), each as (q, (z^a text, u^b text)).  A single term has its sign
-    pulled out; several are written in parentheses.
-    """
-    xpart = _power_text("x", exponent)
-    if len(terms) == 1:
-        ((q, factors),) = terms
-        return q, (*factors, xpart)
-    return 1, (f"({_terms_text(terms)})", xpart)
-
-
 def build_source(spec: RingSpec) -> RingPolynomial:
-    """The curve y^2 = x^{2g+1} + c x over R(g, c): two nonzero coefficients.
-
-    No command builds it: ``verify_morphism`` holds the source as the
-    weights [1, 0, ..., 0, 1].  It stays because the benchmark's tracer
-    (bench/tracer.py) wraps it by name.
-    """
-    one, c = from_rational(spec, 1), from_rational(spec, spec.c)
-    return RingPolynomial(spec, {2 * spec.g + 1: one, 1: c})
+    """The source curve y^2 = x^{2g+1} + c x, written: two terms."""
+    return RingPolynomial({2 * spec.g + 1: [(1, ("", ""))], 1: [(spec.c, ("", ""))]})
 
 
 def _zeta_table(spec: RingSpec, i: int, last: int) -> list[dict[int, int]]:
@@ -190,29 +179,10 @@ def _w_power(
     return _element(spec, {(a, r): n * v for a, v in zeta_table[k].items()}, c.denominator**q)
 
 
-def build_target(
-    spec: RingSpec, zeta_table: list[dict[int, int]], lucas: tuple[int, ...]
-) -> RingPolynomial:
-    """The degree-g curve with coefficients (-1)^k T(g,k) zeta^{ik} c^{k/g}.
-
-    Only the exponents g-2k occur, one coefficient each, built straight
-    into the polynomial's map.  Each is (-1)^k T(g, k) w^k from
-    ``_w_power``, one element and no ring product.  ``zeta_table`` is
-    ``_zeta_table(spec, i)``, through which alone i is read, and ``lucas``
-    is ``lucas_row(g)``.  The commands write every target equation by
-    ``target_text``, and build this polynomial only for the cells of
-    ``curve``'s JSON and CSV.
-    """
-    g = spec.g
-    return RingPolynomial(spec, {
-        g - 2 * k: _w_power(spec, zeta_table, k, -t if k & 1 else t) for k, t in enumerate(lucas)
-    })
-
-
 def _w_terms(r: int, zeta: dict[int, int], u: str) -> list[tuple[int, tuple[str, str]]]:
     """The terms of r * zeta^{ik} u^k: ``zeta`` is the table's entry k and
     ``u`` the text of u^k, and each term is (q, (z^a text, u^k text)), in
-    ascending a, as ``_coefficient_term`` reads them.
+    ascending a, as a ``RingPolynomial`` holds them.
 
     For k < g this is r * w^k, written exactly as the element
     ``_w_power(spec, table, k, r)`` is, with no element built.
@@ -220,36 +190,36 @@ def _w_terms(r: int, zeta: dict[int, int], u: str) -> list[tuple[int, tuple[str,
     return [(r * v, (_power_text("z", a), u)) for a, v in sorted(zeta.items())]
 
 
-def target_text(
+def build_target(
     spec: RingSpec, zeta_table: list[dict[int, int]], lucas: tuple[int, ...]
-) -> str:
-    """The target curve y^2 = sum_k (-1)^k T(g, k) w^k x^{g-2k} as text.
+) -> RingPolynomial:
+    """The target curve y^2 = sum_k (-1)^k T(g, k) w^k x^{g-2k}, written.
 
     Written straight from the row of T and the table of zeta^{ik}, with no
-    ring element: term k is (-1)^k T(g, k) zeta^{ik} u^k, and for
-    k <= g//2 < g that is zeta^{ik}'s table entry times (-1)^k T(g, k) at
-    u^k, by ``_w_terms``.  When c = 1, u is read as 1, which is how these
-    curves are conventionally written; other c keep the canonical u-form.
-    The text is ``build_target``'s ``equation_text``, with u folded to 1
-    when c = 1, for any row, honest or faulted.  ``zeta_table`` and
-    ``lucas`` are as for ``build_target``.
+    ring element: the coefficient of x^{g-2k} is (-1)^k T(g, k) zeta^{ik}
+    u^k, and for k <= g//2 < g that is zeta^{ik}'s table entry times
+    (-1)^k T(g, k) at u^k, by ``_w_terms``.  An entry of T that is zero,
+    as only a faulted row has, writes no coefficient.  ``zeta_table`` is
+    ``_zeta_table(spec, i, last)`` with last >= g//2, through which alone i
+    is read, and ``lucas`` is ``lucas_row(g)``.  When c = 1 the equation
+    reads u as 1, which is how these curves are conventionally written;
+    other c, and the cells for every c, keep the canonical u-form.
     """
     g = spec.g
-    fold = spec.c == 1
-    terms = []
+    terms = {}
     for k, t in enumerate(lucas):
         if not t:
             continue
-        t, u, zeta = -t if k & 1 else t, "" if fold else _power_text("u", k), zeta_table[k]
+        t, u, zeta = -t if k & 1 else t, _power_text("u", k), zeta_table[k]
         if len(zeta) == 1:
-            # Most powers of zeta are one z^a.  Their term, as _coefficient_term
-            # would give it, is written without its list: about 4% of a
-            # morphism request (10 of 10 benchmark pairs on two seeds).
+            # Most powers of zeta are one z^a, whose term is written here
+            # without the sort and the list of _w_terms: about a fifth of
+            # the time to write a target (timeit, g = 2..80).
             ((a, v),) = zeta.items()
-            terms.append((t * v, (_power_text("z", a), u, _power_text("x", g - 2 * k))))
+            terms[g - 2 * k] = [(t * v, (_power_text("z", a), u))]
         else:
-            terms.append(_coefficient_term(_w_terms(t, zeta, u), g - 2 * k))
-    return "y^2 = " + _terms_text(terms)
+            terms[g - 2 * k] = _w_terms(t, zeta, u)
+    return RingPolynomial(terms, spec.c == 1)
 
 
 def _pullback_weights(g: int, lucas: tuple[int, ...]) -> list[int]:
@@ -363,12 +333,13 @@ def verify_morphism(spec: RingSpec, i: int) -> MorphismCheck:
     of ``pullback_rhs`` and the residual their difference, as plain ints.
     The table of zeta^{ik} (to ceil(g/2)) and the row T(g, .) are computed
     here once; the pullback reads i only through the table, and a bad
-    ``i`` is refused before either is read.  The target is not built: the
-    check never reads its coefficients, and a fault in T still reaches the
-    residual through the pullback.  ``target_text`` writes it from the
-    table and row that the result carries.  An honest run makes one ring
-    product, w^g = w^ceil(g/2) * w^(g//2), for g >= 2, and none for g = 1,
-    and builds no other element than its factors and the c it is compared
+    ``i`` is refused before either is read.  The target is not written:
+    the check never reads its coefficients, and a fault in T still reaches
+    the residual through the pullback.  ``build_target`` writes it from
+    the table and row that the result carries, and ``_morphism_curves``
+    the other three curves.  An honest run makes one ring product,
+    w^g = w^ceil(g/2) * w^(g//2), for g >= 2, and none for g = 1, and
+    builds no other element than its factors and the c it is compared
     with.
     """
     g = spec.g
@@ -391,45 +362,37 @@ def verify_morphism(spec: RingSpec, i: int) -> MorphismCheck:
     return MorphismCheck(holds, source, pullback, residual, w_g, zeta_table, lucas)
 
 
-def _morphism_curves(spec: RingSpec, check: MorphismCheck) -> tuple[dict, dict, dict]:
-    """The source, pullback and residual of ``check`` as written coefficients.
+def _morphism_curves(
+    spec: RingSpec, check: MorphismCheck
+) -> tuple[RingPolynomial, RingPolynomial, RingPolynomial]:
+    """The source, pullback and residual of ``check``, written.
 
-    Each curve is {x exponent: its coefficient's terms}, in descending
-    exponent, with only the nonzero coefficients: r_b w^b, for b < g, is
-    written by ``_w_terms`` from the table's entry at u^b.  The source's
-    x^1 term is the rational c.  A failing check writes the pullback's and
-    the residual's x^1 coefficients from the ring's w^g, as the elements
-    r_g w^g and r_g w^g - c; those are r_g c and (r_g - 1) c unless a
-    fault in w made w^g miss c.
+    The source is ``build_source``'s.  The pullback's and the residual's
+    r_b w^b at x^{2g+1-2b}, for b < g, are written by ``_w_terms`` from the
+    table's entry at u^b, for each nonzero weight.  A failing check writes
+    their x^1 coefficients from the ring's w^g, as the elements r_g w^g and
+    r_g w^g - c; those are r_g c and (r_g - 1) c unless a fault in w made
+    w^g miss c.  An honest check's pullback is its source and its residual
+    is the zero curve.
     """
     g, c, table = spec.g, spec.c, check.zeta_table
 
-    def written(weights: list[int], linear: list) -> dict:
-        curve = {
+    def written(weights: list[int], linear: list) -> RingPolynomial:
+        terms = {
             2 * g + 1 - 2 * b: _w_terms(weights[b], table[b], _power_text("u", b))
             for b in compress(range(g), weights)
         }
         if linear:
-            curve[1] = linear
-        return curve
+            terms[1] = linear
+        return RingPolynomial(terms)
 
-    source = written(check.source, [(c, ("", ""))])
+    source = build_source(spec)
     if check.holds:
         # The pullback's weights are the source's and w^g = c: the same terms.
-        return source, source, {}
+        return source, source, RingPolynomial({})
     x = check.w_g * from_rational(spec, check.pullback[g])
     linear = [_entry_terms(y.entries()) for y in (x, x + from_rational(spec, -c))]
     return source, written(check.pullback, linear[0]), written(check.residual, linear[1])
-
-
-def _curve_text(curve: dict) -> str:
-    """A curve of ``_morphism_curves`` as its polynomial's text."""
-    return _terms_text(_coefficient_term(terms, e) for e, terms in curve.items())
-
-
-def _curve_cells(curve: dict) -> dict[int, str]:
-    """A curve of ``_morphism_curves`` as {x exponent: its coefficient's text}."""
-    return {e: _terms_text(terms) for e, terms in curve.items()}
 
 
 def _zeta_text(exponent: int) -> str:

@@ -133,9 +133,6 @@ class QuotientRingElement:
             return dict(self._terms)
         return {key: Fraction(v, den) for key, v in self._terms.items()}
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuotientRingElement):
             return NotImplemented

@@ -18,8 +18,10 @@ def perturbed(row: tuple[int, ...], k: int, delta: int) -> tuple[int, ...]:
 def fault_lucas_row(mp, module, *faults) -> None:
     """Add delta to T(n, k), for each (n, k, delta), in ``module.lucas_row``.
 
-    ``lockwood`` (the oracle) and ``curves`` (the target and the pullback)
-    read T by that name alone."""
+    ``lockwood`` (the oracle) and ``curves`` (the morphism check, whose
+    target and pullback share one row) read T by that name alone.  The
+    ``curve`` command reads T by ``cli.lucas_row``, its own binding, so a
+    fault in ``curves`` does not reach it: patch ``cli`` for ``curve``."""
     honest = module.lucas_row
 
     def faulty_row(n):

@@ -6,7 +6,7 @@ without the library's code for the step under test:
 
 * ``lucas_coeff_alt``: T(n, k) by the sum form C(n-k, k) + C(n-k-1, k-1),
   against ``lucas_coeff``'s quotient, the diagonal walk ``_lucas_coeffs``
-  and ``lucas_row``'s ratio recurrence;
+  and ``lucas_row``'s ratio recurrence; ``lucas_row_alt`` is the row of it;
   ``sum_form_rows`` holds the same sum form for every n <= n_max, built once
   per session from Pascal's triangle.
 * ``binomial_falling`` / ``falling_row``: C(m, r) by the falling-factorial
@@ -23,6 +23,11 @@ without the library's code for the step under test:
   packs every form at y = 2^W and keeps only its residue.
 * ``reference_sweep``: the Pascal-row sweep, against the chain and the
   Horner pass of ``alignment._sweep_range``.
+* ``RingPolynomial``: a polynomial in x over R(g, c) whose coefficients
+  are ring elements, against ``curves.RingPolynomial``, which holds a
+  curve's coefficients as written terms; the routes below build their
+  curves as these, and ``cells`` writes one's coefficients for
+  comparison with a written curve's cells.
 * ``reference_pullback``: the morphism pullback expanded entirely over
   R(g, c) with ``RingPolynomial`` products and T from ``lucas_coeff``,
   against ``curves.pullback_rhs``'s weights and w^g lifted into R(g, c)
@@ -35,8 +40,13 @@ without the library's code for the step under test:
 * ``pullback_weights_by_rows``: the pullback's integer weights summed over
   Pascal rows held as lists, for any row of T, against the packed rows of
   ``curves._pullback_weights``.
+* ``reference_target``: the target built in R(g, c), each coefficient a
+  product of ``zeta_power`` and ``root_power`` scaled by T from
+  ``lucas_coeff_alt`` or a given row, against the target that
+  ``curves.build_target`` writes from the table of zeta^(ik) and
+  ``lucas_row``, and the cells of the ``curve`` command.
 * ``coefficient_facts``: closed forms of two target coefficients, against
-  the coefficients ``curves.build_target`` builds.
+  the coefficients ``curves.build_target`` writes.
 * ``reference_csv``: CSV text written by ``csv.writer``, against the plain
   join of ``cli._emit_csv``.
 * ``reference_columns``: text columns padded cell by cell, against the
@@ -49,19 +59,19 @@ without the library's code for the step under test:
   powers that ``curves._w_power`` builds from it.
 * ``_u_to_one`` / ``folded_equation``: a ring element with u -> 1 over
   c = 1, and a curve's equation with its coefficients so folded, against
-  ``curves.target_text``, which writes u as 1 from the row of T and the
-  table of zeta^(ik) without building an element.
+  the equation of ``curves.build_target``, which drops the text of u^k
+  at c = 1.
 
 The rest are the small helpers these routes and the tests build with:
 ``xy_symmetric_power`` (iterated ``BivariatePolynomial`` products, for
 comparison with ``binomial_expand``), ``shift_xy``, ``element`` (a ring
 element from its rational coefficients), ``scaled`` (the product with a
 rational), ``ring_one``, ``ring_power``, ``ring_neg`` and ``ring_sub``
-(the negation and difference no command needs, which ``RingPolynomial``
-and ``QuotientRingElement`` no longer carry) and the ``ring_poly_*``
-arithmetic on ``RingPolynomial``; and ``built_target``, ``written_target``
-and ``pullback``, which hand ``curves``' target, target text and pullback
-the table of zeta^(ik) and the row of T, as the commands do.
+(the negation and difference no command needs, which
+``QuotientRingElement`` no longer carries) and the ``ring_poly_*``
+arithmetic on ``RingPolynomial``; and ``built_target`` and ``pullback``,
+which hand ``curves``' target and pullback the table of zeta^(ik) and the
+row of T, as ``verify-morphism`` does.
 """
 
 from __future__ import annotations
@@ -78,13 +88,15 @@ from itertools import repeat, zip_longest
 
 from vertalign import alignment, curves
 from vertalign.combinatorics import binomial, lucas_coeff
-from vertalign.curves import RingPolynomial
 from vertalign.lockwood import BivariatePolynomial
 from vertalign.quotient_ring import (
     QuotientRingElement,
     RingSpec,
     _element,
+    _entry_terms,
+    _power_text,
     _reduce_z,
+    _terms_text,
     from_rational,
 )
 
@@ -99,6 +111,11 @@ def lucas_coeff_alt(n: int, k: int) -> int:
     if not 0 <= k < n:
         raise ValueError(f"lucas_coeff_alt requires 0 <= k < n, got k={k}, n={n}")
     return binomial(n - k, k) + binomial(n - k - 1, k - 1)
+
+
+def lucas_row_alt(n: int) -> tuple[int, ...]:
+    """T(n, 0..n//2) by the sum form of ``lucas_coeff_alt``."""
+    return tuple(lucas_coeff_alt(n, k) for k in range(n // 2 + 1))
 
 
 @functools.cache
@@ -306,6 +323,64 @@ def _u_to_one(x: QuotientRingElement) -> QuotientRingElement:
 # -- polynomials over R(g, c) ------------------------------------------------
 
 
+class RingPolynomial:
+    """Univariate polynomial in x with R(g, c) coefficients.
+
+    A curve y^2 = f(x) is its f, with ring elements as coefficients, where
+    the library writes its curves as text terms.  ``coeffs`` maps each
+    exponent to its coefficient and holds only the nonzero ones, so the
+    zero polynomial holds none and polynomials compare as the pair
+    (spec, coeffs).
+    """
+
+    __slots__ = ("spec", "coeffs")
+
+    def __init__(self, spec: RingSpec, coeffs: Mapping[int, QuotientRingElement]):
+        self.spec = spec
+        self.coeffs = {e: p for e, p in coeffs.items() if p._terms}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RingPolynomial):
+            return NotImplemented
+        return (self.spec, self.coeffs) == (other.spec, other.coeffs)
+
+    @property
+    def degree(self) -> int:
+        """The largest exponent held, or -1 for the zero polynomial."""
+        return max(self.coeffs, default=-1)
+
+    def to_text(self) -> str:
+        """Terms in descending x-degree with canonically rendered coefficients."""
+        return _terms_text(
+            _coefficient_term(_entry_terms(self.coeffs[e].entries()), e)
+            for e in sorted(self.coeffs, reverse=True)
+        )
+
+    def equation_text(self) -> str:
+        """The curve y^2 = self as text, in the canonical u-form for every c."""
+        return f"y^2 = {self.to_text()}"
+
+    def __repr__(self) -> str:
+        return f"RingPolynomial(g={self.spec.g}, c={self.spec.c}, {self.to_text()})"
+
+
+def _coefficient_term(terms: list, exponent: int) -> tuple:
+    """One coefficient*x^exponent term for ``_terms_text``, from the
+    coefficient's (q, factors) terms: a single term with its sign pulled
+    out, several in parentheses."""
+    xpart = _power_text("x", exponent)
+    if len(terms) == 1:
+        ((q, factors),) = terms
+        return q, (*factors, xpart)
+    return 1, (f"({_terms_text(terms)})", xpart)
+
+
+def cells(f: RingPolynomial) -> dict[int, str]:
+    """{x exponent: its coefficient's text} for each coefficient f holds,
+    as a written curve's ``cells`` must read."""
+    return {e: p.to_text() for e, p in f.coeffs.items()}
+
+
 def ring_power(x: QuotientRingElement, exponent: int) -> QuotientRingElement:
     """x^exponent by repeated multiplication."""
     result = ring_one(x.spec)
@@ -352,10 +427,10 @@ def ring_poly_mul(p: RingPolynomial, q: RingPolynomial) -> RingPolynomial:
     p_dense, q_dense = ring_poly_dense(p), ring_poly_dense(q)
     acc = [from_rational(p.spec, 0)] * (len(p_dense) + len(q_dense) - 1)
     for i, a in enumerate(p_dense):
-        if a.is_zero():
+        if not a._terms:
             continue
         for j, b in enumerate(q_dense):
-            if not b.is_zero():
+            if b._terms:
                 acc[i + j] = acc[i + j] + a * b
     return RingPolynomial(p.spec, dict(enumerate(acc)))
 
@@ -387,14 +462,25 @@ def _table_and_row(spec: RingSpec, i: int) -> tuple[list[dict[int, int]], tuple[
     return curves._zeta_table(spec, i, (spec.g + 1) // 2), curves.lucas_row(spec.g)
 
 
-def built_target(spec: RingSpec, i: int) -> RingPolynomial:
-    """``curves.build_target`` for the twist index i."""
+def built_target(spec: RingSpec, i: int) -> curves.RingPolynomial:
+    """``curves.build_target`` for the twist index i: the written target."""
     return curves.build_target(spec, *_table_and_row(spec, i))
 
 
-def written_target(spec: RingSpec, i: int) -> str:
-    """``curves.target_text`` for the twist index i."""
-    return curves.target_text(spec, *_table_and_row(spec, i))
+def reference_target(spec: RingSpec, i: int, row=None) -> RingPolynomial:
+    """The target sum_k (-1)^k T(g, k) zeta^(ik) c^(k/g) x^(g-2k) over R(g, c).
+
+    Each coefficient is the product ``zeta_power(spec, i*k) *
+    root_power(spec, k)``, scaled by (-1)^k T(g, k), with T from ``row``,
+    or from ``lucas_row_alt`` if no row is given.  It shares no code with
+    ``curves._zeta_table``, ``_w_terms`` or ``build_target``: no table of
+    zeta powers and no written terms.
+    """
+    g = spec.g
+    return RingPolynomial(spec, {
+        g - 2 * k: scaled(zeta_power(spec, i * k) * root_power(spec, k), (-1) ** k * t)
+        for k, t in enumerate(lucas_row_alt(g) if row is None else row)
+    })
 
 
 def lift(spec: RingSpec, i: int, weights: list[int], w_g: QuotientRingElement) -> RingPolynomial:

@@ -7,9 +7,9 @@ Imports ``ROOT/src/vertalign`` and runs, in this one process with
 passes of seeds 1-5 (read from ``bench/workloads.py`` beside this file, so
 every tree answers the same requests), every command
 in all three formats, the usage errors, ``-h`` and each ``<command> -h``,
-and then three faulted morphisms in all three formats, so the failing
-path's bytes are pinned as well.  Each request's stdout, stderr and exit
-code are hashed together.  Two trees
+and then three faulted morphisms and four faulted targets in all three
+formats, so the bytes written from a faulted row are pinned as well.
+Each request's stdout, stderr and exit code are hashed together.  Two trees
 whose outputs agree byte for byte print the same lines, so a change meant
 to leave the output alone can be checked with
 
@@ -80,6 +80,16 @@ USAGE_ERRORS = [
 FAULTED_MORPHISMS = [
     ((n, k, delta), ["--format", fmt, "verify-morphism", "--", str(n), "-7/11", "1"])
     for n, k, delta in ((9, 2, 1), (9, 1, 1), (13, 6, -2))
+    for fmt in ("text", "json", "csv")
+]
+
+# Targets written from T(9, 2) + 1 and from T(9, 2) - 27, which zeroes the
+# entry, so its term is skipped; at c = 1 the equation reads u as 1.
+# ``curve`` reads T by ``cli.lucas_row``, so the fault is patched there.
+FAULTED_CURVES = [
+    ((9, 2, delta), ["--format", fmt, "curve", "--", "9", c, "1"])
+    for delta in (1, -27)
+    for c in ("-7/11", "1")
     for fmt in ("text", "json", "csv")
 ]
 
@@ -156,7 +166,7 @@ def main() -> int:
     from vertalign.cli import main as cli_main
 
     from _faults import fault_lucas_row
-    from vertalign import curves
+    from vertalign import cli, curves
 
     whole = hashlib.sha256()
 
@@ -167,9 +177,11 @@ def main() -> int:
 
     for argv in requests():
         record(argv, run(cli_main, argv))
-    for (n, k, delta), argv in FAULTED_MORPHISMS:
+    faulted = [(curves, *request) for request in FAULTED_MORPHISMS]
+    faulted += [(cli, *request) for request in FAULTED_CURVES]
+    for module, (n, k, delta), argv in faulted:
         patcher = _Patcher()
-        fault_lucas_row(patcher, curves, (n, k, delta))
+        fault_lucas_row(patcher, module, (n, k, delta))
         try:
             record([f"T({n},{k}){delta:+}", *argv], run(cli_main, argv))
         finally:

@@ -19,6 +19,7 @@ from _reference import (
     coefficient_facts,
     folded_equation,
     lifted,
+    reference_target,
     ring_one,
     ring_power,
     root_power,
@@ -30,7 +31,7 @@ from _reference import (
 import vertalign.cli as cli
 from vertalign.alignment import identity_sum, identity_sweep
 from vertalign.combinatorics import binomial, lucas_coeff, lucas_row
-from vertalign.curves import table_rows, target_text, verify_morphism
+from vertalign.curves import build_target, table_rows, verify_morphism
 from vertalign.cyclotomic import cyclotomic
 from vertalign.lockwood import BivariatePolynomial, lockwood_rhs, verify_lockwood
 from vertalign.quotient_ring import from_rational, make_ring
@@ -151,9 +152,9 @@ def test_criterion_07_worked_morphisms():
         spec = make_ring(g, 1)
         check = verify_morphism(spec, 0)
         assert check.holds and not lifted(spec, 0, check)[2].coeffs
-        target = target_text(spec, check.zeta_table, check.lucas)
+        target = build_target(spec, check.zeta_table, check.lucas).equation_text()
         assert target == text
-        assert target == folded_equation(built_target(spec, 0))
+        assert target == folded_equation(reference_target(spec, 0))
     _ok(7, "g=5 and g=6 unit-c morphisms hold with the stated targets")
 
 
@@ -180,12 +181,12 @@ def test_criterion_09_closed_form_coefficients():
         else:
             assert (facts.last, facts.last_exponent) == (g * (-1) ** ((g - 1) // 2), 1)
         spec = make_ring(g, 1)
-        f = built_target(spec, 0)
-        assert f.coeffs.get(g - 2) == scaled(root_power(spec, 1), facts.second)
+        f = built_target(spec, 0).cells()
+        assert f.get(g - 2) == scaled(root_power(spec, 1), facts.second).to_text()
         k_last = g // 2
-        assert f.coeffs.get(facts.last_exponent) == scaled(root_power(spec, k_last), 
+        assert f.get(facts.last_exponent) == scaled(root_power(spec, k_last), 
             facts.last
-        )
+        ).to_text()
     _ok(9, "second/last coefficient closed forms match extraction for g = 2..100")
 
 

@@ -23,13 +23,15 @@ import vertalign.cli as cli
 from _faults import fail_morphism, fault_lucas_row, forbid, lose_last_range
 from _reference import (
     TABLE_ROWS_EXPECTED,
+    RingPolynomial,
     binomial_falling,
-    built_target,
+    cells,
     folded_equation,
     lifted,
     lucas_coeff_alt,
     reference_columns,
     reference_csv,
+    reference_target,
     ring_power,
     root_power,
     scaled,
@@ -231,7 +233,7 @@ class TestExitCodes:
         fault_lucas_row(monkeypatch, curves, (9, 1, 1))
         spec = cli.make_ring(9, Fraction(-7, 11))
         w = zeta_power(spec, 1) * root_power(spec, 1)
-        residual = curves.RingPolynomial(spec, {
+        residual = RingPolynomial(spec, {
             19 - 2 * b: scaled(ring_power(w, b), -math.comb(7, b - 1)) for b in range(1, 9)
         })
         assert cli.main(_MORPHISM_ARGV) == 1
@@ -413,17 +415,18 @@ def _reference_payload(argv: list[str]) -> dict:
         g, c, i = int(words[0]), Fraction(words[1]), int(words[2])
         spec = cli.make_ring(g, c)
         head = {"g": g, "c": str(spec.c), "i": i}
-        # The target's equation is the u-folded equation of its polynomial.
+        # The target's equation is the u-folded equation of the reference
+        # target, built in R(g, c) from the row of T that the command reads.
         if command == "curve":
-            f = cli.build_target(spec, cli._zeta_table(spec, i, g // 2), cli.lucas_row(g))
+            f = reference_target(spec, i, cli.lucas_row(g))
             return {**head, "equation": folded_equation(f), "coefficients": [
                 {"x_exp": exp, "element": f.coeffs.get(exp, from_rational(spec, 0)).to_text()}
                 for exp in range(f.degree, -1, -1)
             ]}
         # The weights lifted into R(g, c) and written from their elements.
         source, pullback, residual = lifted(spec, i, cli.verify_morphism(spec, i))
-        # verify_morphism reads T through ``curves``, as ``built_target`` does.
-        f = built_target(spec, i)
+        # verify_morphism reads T through ``curves``.
+        f = reference_target(spec, i, curves.lucas_row(g))
         return {**head, "holds": not residual.coeffs, "source": source.equation_text(),
                 "target": folded_equation(f), "pullback": pullback.to_text(),
                 "residual": residual.to_text(), "x_map_nonconstant": True}
@@ -731,8 +734,8 @@ class TestCsvOutputs:
 
 
 class TestCoefficientCells:
-    """The rows of ``curve`` read the target's stored coefficients, those of
-    ``verify-morphism`` each curve's weights, and both write ``0`` for an
+    """The rows of ``curve`` read the written target's cells, those of
+    ``verify-morphism`` each written curve's, and both write ``0`` for an
     exponent the curve does not hold."""
 
     @pytest.mark.parametrize(
@@ -740,27 +743,25 @@ class TestCoefficientCells:
         [
             ["--format", "csv", "verify-morphism", "--", "30", "-7/11", "1"],
             ["--format", "json", "curve", "--", "30", "-7/11", "1"],
+            ["--format", "csv", "curve", "--", "30", "-7/11", "1"],
         ],
         ids=" ".join,
     )
     def test_rows_build_no_element(self, argv, capsys, monkeypatch):
-        # The target is built before the counting starts; what remains is
-        # writing its rows, which renders each stored coefficient once.  A
+        # ``curve`` writes the target from the row of T and the table of
+        # zeta^(ik), so it builds no ring element and renders none.  A
         # morphism check is counted whole: it builds the two factors of
         # w^30 = w^15 * w^15, their product and the c that the product is
         # compared with, and writes its rows from the weights, rendering no
-        # element.  The reference reads the weights lifted into R(g, c).
+        # element.  The reference reads the target built in R(g, c) and the
+        # weights lifted into it, both made before the counting starts.
         spec = cli.make_ring(30, Fraction(-7, 11))
         if "curve" in argv:
-            target = built_target(spec, 1)
-            monkeypatch.setattr(cli, "build_target", lambda spec, *tables: target)
-            written = {"element": target}
-            stored = [id(p) for p in target.coeffs.values()]
+            written = {"element": reference_target(spec, 1)}
             elements = []
         else:
             source, pullback, residual = lifted(spec, 1, cli.verify_morphism(spec, 1))
             written = {"pullback": pullback, "source": source, "residual": residual}
-            stored = []
             w_15 = ring_power(zeta_power(spec, 1) * root_power(spec, 1), 15)
             c = from_rational(spec, spec.c)
             elements = [w_15, w_15, c, c]
@@ -780,8 +781,8 @@ class TestCoefficientCells:
         assert cli.main(argv) == 0
         out = capsys.readouterr().out
         assert built == elements
-        assert sorted(rendered) == sorted(stored)
-        if "curve" in argv:
+        assert rendered == []
+        if "json" in argv:
             records = json.loads(out)["coefficients"]
         else:
             header, *rows = csv.reader(io.StringIO(out))
@@ -789,11 +790,11 @@ class TestCoefficientCells:
         # x^g down to x^0 for the target, x^(2g+1) down to x^0 for the check.
         top = 30 if "curve" in argv else 61
         assert [int(record["x_exp"]) for record in records] == list(range(top, -1, -1))
+        expected = {name: cells(f) for name, f in written.items()}
         for record in records:
             exp = int(record["x_exp"])
-            for name, f in written.items():
-                p = f.coeffs.get(exp)
-                assert record[name] == ("0" if p is None else to_text(p)), (exp, name)
+            for name, f in expected.items():
+                assert record[name] == f.get(exp, "0"), (exp, name)
 
 
 def _triangle_text(rows: list[list[int]]) -> str:

@@ -8,15 +8,18 @@ import pytest
 
 from _faults import double_w, fail_morphism, fault_lucas_row, forbid, perturbed
 from _reference import (
-    _u_to_one,
+    RingPolynomial,
     built_target,
+    cells,
     coefficient_facts,
     folded_equation,
     lifted,
     lucas_coeff_alt,
+    lucas_row_alt,
     pullback,
     pullback_weights_by_rows,
     reference_pullback,
+    reference_target,
     ring_neg,
     ring_one,
     ring_poly_add,
@@ -26,20 +29,17 @@ from _reference import (
     ring_sub,
     root_power,
     scaled,
-    written_target,
     zeta_power,
 )
 import vertalign.cli as cli
 from vertalign import combinatorics, curves, lockwood
 from vertalign.combinatorics import lucas_coeff, lucas_row
 from vertalign.curves import (
-    RingPolynomial,
-    _curve_text,
     _morphism_curves,
     build_source,
+    build_target,
     table_rows,
     table_text,
-    target_text,
     verify_morphism,
 )
 from vertalign.lockwood import BivariatePolynomial, lockwood_rhs
@@ -53,6 +53,8 @@ from vertalign.quotient_ring import (
 
 
 class TestRingPolynomial:
+    """The references' element-valued polynomial and its arithmetic."""
+
     def test_sub_is_add_of_negation(self):
         # Every zero pattern of a pair: both zero, either one, neither;
         # different lengths; and a difference that cancels to nothing.
@@ -86,13 +88,14 @@ class TestRingPolynomial:
 
 
 class TestSparseForm:
-    """``coeffs`` holds exactly the nonzero x-coefficients, keyed by exponent."""
+    """The references' ``coeffs`` and a written curve's ``terms`` hold
+    exactly the nonzero x-coefficients, keyed by exponent."""
 
     spec = make_ring(5, 1)
 
     @staticmethod
     def assert_canonical(p):
-        assert all(not v.is_zero() for v in p.coeffs.values()), p.coeffs
+        assert all(v.entries() for v in p.coeffs.values()), p.coeffs
 
     def test_zeros_are_dropped_at_every_position(self):
         spec = self.spec
@@ -150,25 +153,29 @@ class TestSparseForm:
         spec = make_ring(g, c)
         check = verify_morphism(spec, i)
         f = built_target(spec, i)
-        assert target_text(spec, check.zeta_table, check.lucas) == folded_equation(f)
+        assert f.equation_text() == folded_equation(reference_target(spec, i))
         assert check.holds and check.w_g == from_rational(spec, c)
         assert check.pullback == check.source == [1] + [0] * (g - 1) + [1]
         assert check.residual == [0] * (g + 1)
         source, pullback, residual = _morphism_curves(spec, check)
-        assert residual == {}
-        assert sorted(pullback) == sorted(source) == [1, 2 * g + 1]
-        assert sorted(f.coeffs) == list(range(g % 2, g + 1, 2))
-        for p in (f, *lifted(spec, i, check)[:2]):
+        assert residual.terms == {}
+        assert sorted(pullback.terms) == sorted(source.terms) == [1, 2 * g + 1]
+        assert sorted(f.terms) == list(range(g % 2, g + 1, 2))
+        for written in (f, source, pullback):
+            assert all(terms and all(q for q, _ in terms) for terms in written.terms.values())
+        for p in lifted(spec, i, check)[:2]:
             self.assert_canonical(p)
 
     def test_rendering_reads_each_coefficients_entries_once(self, monkeypatch):
         # At g = 30 (phi = 8), with i = 1, each w^k past z^8 has several
-        # terms; such a coefficient renders in parentheses from the one
-        # entries() read that also tells it apart from a single term.
-        target = built_target(make_ring(30, Fraction(-7, 11)), 1)
-        multi = [p for p in target.coeffs.values() if len(p.entries()) > 1]
+        # terms; such a coefficient renders in parentheses.  The reference
+        # writes it from the one entries() read that also tells it apart
+        # from a single term; the written target reads no element at all.
+        spec = make_ring(30, Fraction(-7, 11))
+        reference = reference_target(spec, 1)
+        multi = [p for p in reference.coeffs.values() if len(p.entries()) > 1]
         assert multi
-        expected = target.to_text()
+        expected = reference.to_text()
         assert all(f"({p.to_text()})" in expected for p in multi)
         calls = []
         honest = QuotientRingElement.entries
@@ -178,8 +185,40 @@ class TestSparseForm:
             return honest(self)
 
         monkeypatch.setattr(QuotientRingElement, "entries", counting)
-        assert target.to_text() == expected
-        assert len(calls) == len(target.coeffs)
+        assert reference.to_text() == expected
+        assert len(calls) == len(reference.coeffs)
+        calls.clear()
+        assert built_target(spec, 1).to_text() == expected and calls == []
+
+
+class TestWrittenCurve:
+    """A written curve: its text, its equation and its cells."""
+
+    def test_zero_curve(self):
+        zero = curves.RingPolynomial({})
+        assert zero.to_text() == "0" and zero.equation_text() == "y^2 = 0"
+        assert zero.cells() == {}
+
+    def test_source_at_a_rational_c(self):
+        source = build_source(make_ring(4, Fraction(-7, 11)))
+        assert source.to_text() == "x^9 - 7/11*x"
+        assert source.equation_text() == "y^2 = x^9 - 7/11*x"
+        assert source.cells() == {9: "1", 1: "-7/11"}
+
+    def test_multi_term_coefficient_is_parenthesised(self):
+        # -(z + 3*z^2)*u at x^2: several terms, so the coefficient is
+        # written in parentheses, and its cell is the bare sum.
+        f = curves.RingPolynomial({
+            5: [(1, ("", ""))],
+            2: [(-1, ("z", "u")), (-3, ("z^2", "u"))],
+            0: [(Fraction(1, 2), ("", "u^2"))],
+        })
+        assert f.to_text() == "x^5 + (-z*u - 3*z^2*u)*x^2 + 1/2*u^2"
+        assert f.cells() == {5: "1", 2: "-z*u - 3*z^2*u", 0: "1/2*u^2"}
+        # With u read as 1 the single power of u in each coefficient drops.
+        assert curves.RingPolynomial(f.terms, True).equation_text() == (
+            "y^2 = x^5 + (-z - 3*z^2)*x^2 + 1/2"
+        )
 
 
 class TestBuildSource:
@@ -199,59 +238,55 @@ class TestBuildSource:
     def test_structure(self):
         spec = make_ring(7, -2)
         f = build_source(spec)
-        assert f.degree == 15
-        nonzero = [e for e in range(16) if e in f.coeffs]
-        assert nonzero == [1, 15]
-        assert f.coeffs.get(15) == ring_one(spec)
-        assert f.coeffs.get(1) == from_rational(spec, -2)
+        assert list(f.terms) == [15, 1]
+        assert f.cells() == {15: ring_one(spec).to_text(), 1: from_rational(spec, -2).to_text()}
 
 
 class TestBuildTarget:
     def test_example_g5(self):
-        curve = built_target(make_ring(5, 1), 0)
-        assert folded_equation(curve) == "y^2 = x^5 - 5*x^3 + 5*x"
-        assert written_target(make_ring(5, 1), 0) == "y^2 = x^5 - 5*x^3 + 5*x"
+        assert folded_equation(reference_target(make_ring(5, 1), 0)) == "y^2 = x^5 - 5*x^3 + 5*x"
+        assert built_target(make_ring(5, 1), 0).equation_text() == "y^2 = x^5 - 5*x^3 + 5*x"
 
     def test_example_g6(self):
-        curve = built_target(make_ring(6, 1), 0)
-        assert folded_equation(curve) == "y^2 = x^6 - 6*x^4 + 9*x^2 - 2"
-        assert written_target(make_ring(6, 1), 0) == "y^2 = x^6 - 6*x^4 + 9*x^2 - 2"
+        text = "y^2 = x^6 - 6*x^4 + 9*x^2 - 2"
+        assert folded_equation(reference_target(make_ring(6, 1), 0)) == text
+        assert built_target(make_ring(6, 1), 0).equation_text() == text
 
     def test_g11_generic_twist_structure(self):
         # Coefficient of x^{11-2k} must be (-1)^k T(11,k) zeta^k u^k.
         spec = make_ring(11, 1)
-        f = built_target(spec, 1)
+        f = built_target(spec, 1).cells()
         expected_magnitudes = (1, 11, 44, 77, 55, 11)
         for k in range(6):
             expected = scaled(
                 zeta_power(spec, k) * root_power(spec, k),
                 (-1) ** k * expected_magnitudes[k]
             )
-            assert f.coeffs.get(11 - 2 * k) == expected
+            assert f.get(11 - 2 * k) == expected.to_text()
 
     def test_coefficient_construction_rule(self):
         for g, c, i in [(4, 2, 0), (9, Fraction(3, 5), 1), (12, -1, 1)]:
             spec = make_ring(g, c)
-            f = built_target(spec, i)
+            f = built_target(spec, i).cells()
             for k in range(g // 2 + 1):
                 expected = scaled(
                     zeta_power(spec, i * k) * root_power(spec, k),
                     (-1) ** k * lucas_coeff(g, k)
                 )
-                assert f.coeffs.get(g - 2 * k) == expected
+                assert f.get(g - 2 * k) == expected.to_text()
 
     def test_parity_sparsity_and_normalization(self):
         for g, c, i in [(8, 1, 0), (9, 2, 1), (14, Fraction(3, 5), 1), (1, 5, 0)]:
             spec = make_ring(g, c)
-            f = built_target(spec, i)
-            assert f.degree == g
-            assert f.coeffs.get(g) == ring_one(spec)
+            f = built_target(spec, i).cells()
+            assert max(f) == g
+            assert f.get(g) == ring_one(spec).to_text()
             if g >= 1:
-                assert g - 1 not in f.coeffs
+                assert g - 1 not in f
             live = {g - 2 * k for k in range(g // 2 + 1)}
             for e in range(g + 1):
                 if e not in live:
-                    assert e not in f.coeffs
+                    assert e not in f
 
     @pytest.mark.parametrize("g", [1, 2, 7, 12, 13])
     def test_w_powers_end_at_ceil_half(self, g, monkeypatch):
@@ -289,14 +324,18 @@ class TestBuildTarget:
 
     @pytest.mark.parametrize("c", [1, Fraction(-7, 11), 3, Fraction(5, 2)], ids=str)
     def test_target_text_is_the_folded_equation(self, c):
-        # target_text writes the target from the row of T and the table of
-        # zeta^(ik), with no element: it must read as build_target's
-        # equation, with u folded to 1 when c = 1.  Phi_105 and Phi_210
-        # have many terms, so there the zeta powers have several.
+        # build_target writes the target from the row of T and the table of
+        # zeta^(ik), with no element.  Its equation must read as the
+        # reference's, built in R(g, c) from its own powers of zeta and u,
+        # with u folded to 1 when c = 1, and its cells as the reference's
+        # coefficients.  Phi_105 and Phi_210 have many terms, so there the
+        # zeta powers have several.
         for g in [*range(1, 121), 105, 210]:
             spec = make_ring(g, c)
             for i in (0, 1):
-                assert written_target(spec, i) == folded_equation(built_target(spec, i)), (g, i)
+                f, reference = built_target(spec, i), reference_target(spec, i)
+                assert f.equation_text() == folded_equation(reference), (g, i)
+                assert f.cells() == cells(reference), (g, i)
 
     @pytest.mark.parametrize("c", [1, Fraction(-7, 11)], ids=str)
     def test_target_text_writes_a_faulted_row(self, c, monkeypatch):
@@ -305,13 +344,54 @@ class TestBuildTarget:
         # flipped, and one off by 2^70.
         faults = [(9, 2, 1), (12, 3, -lucas_row(12)[3]), (13, 6, -2 * lucas_row(13)[6]),
                   (105, 20, 2**70)]
-        honest = {(g, i): written_target(make_ring(g, c), i) for g, _, _ in faults for i in (0, 1)}
+        honest = {
+            (g, i): built_target(make_ring(g, c), i).equation_text()
+            for g, _, _ in faults for i in (0, 1)
+        }
         fault_lucas_row(monkeypatch, curves, *faults)
-        for g, _, _ in faults:
+        for g, k, delta in faults:
             spec = make_ring(g, c)
+            row = perturbed(lucas_row_alt(g), k, delta)
             for i in (0, 1):
-                text = written_target(spec, i)
-                assert text == folded_equation(built_target(spec, i)) != honest[g, i], (g, i)
+                f, reference = built_target(spec, i), reference_target(spec, i, row)
+                text = f.equation_text()
+                assert text == folded_equation(reference) != honest[g, i], (g, i)
+                assert f.cells() == cells(reference), (g, i)
+
+    @pytest.mark.parametrize("c", [1, -1, Fraction(-7, 11)], ids=str)
+    def test_equation_and_curve_cells_match_the_reference(self, c, capsys, monkeypatch):
+        # The reference builds each coefficient as zeta^(ik) * c^(k/g) in
+        # R(g, c), scaled by (-1)^k T(g, k) from the sum form, sharing no
+        # code with the table of zeta^(ik) or the written terms.  build_target's
+        # equation and every cell of ``curve``, in JSON and CSV, must read
+        # as the reference's, for honest rows and for rows with the last
+        # entry off by one or T(g, 1) zeroed, whose term is then skipped.
+        # ``curve`` reads T by ``cli.lucas_row``, so the faults go there.
+        for g in [*range(1, 41), 105]:
+            spec = make_ring(g, c)
+            honest = lucas_row_alt(g)
+            faults = [None, (g, g // 2, 1)] + ([(g, 1, -g)] if g > 1 else [])
+            for fault in faults:
+                row = honest if fault is None else perturbed(honest, *fault[1:])
+                with monkeypatch.context() as mp:
+                    if fault is not None:
+                        fault_lucas_row(mp, cli, fault)
+                    for i in (0, 1):
+                        reference = reference_target(spec, i, row)
+                        equation, expected = folded_equation(reference), cells(reference)
+                        f = build_target(spec, curves._zeta_table(spec, i, g // 2), row)
+                        assert f.equation_text() == equation, (g, fault, i)
+                        argv = ["curve", "--", str(g), str(c), str(i)]
+                        assert cli.main(["--format", "json", *argv]) == 0
+                        payload = json.loads(capsys.readouterr().out)
+                        assert payload["equation"] == equation, (g, fault, i)
+                        assert cli.main(["--format", "csv", *argv]) == 0
+                        header, *lines = capsys.readouterr().out.splitlines()
+                        assert header == "x_exp,element"
+                        written = [[str(r["x_exp"]), r["element"]] for r in payload["coefficients"]]
+                        assert written == [line.split(",", 1) for line in lines] == [
+                            [str(e), expected.get(e, "0")] for e in range(g, -1, -1)
+                        ], (g, fault, i)
 
     def test_rejects_bad_twist_index(self, monkeypatch):
         # Refused before any ring product: by the target and its text, by
@@ -325,7 +405,7 @@ class TestBuildTarget:
             (QuotientRingElement, "__rmul__"),
         )
         for bad in (-1, 2, 5):
-            for build in (built_target, written_target, pullback, verify_morphism):
+            for build in (built_target, pullback, verify_morphism):
                 with pytest.raises(ValueError):
                     build(spec, bad)
 
@@ -345,7 +425,7 @@ class TestPullback:
     def test_equals_source_polynomial(self):
         for g, c, i in [(3, 2, 1), (8, Fraction(3, 5), 0), (13, -1, 1)]:
             spec = make_ring(g, c)
-            assert pullback(spec, i) == build_source(spec)
+            assert pullback(spec, i) == _source(spec)
 
     def test_substitution_into_bivariate_identity(self):
         # The pullback is literally x * L(x^2, w) where L is the expanded
@@ -422,7 +502,12 @@ class TestPullback:
         )
         for g in (2, 9, 16):
             spec = make_ring(g, Fraction(3, 5))
-            assert pullback(spec, g % 2) == build_source(spec)
+            assert pullback(spec, g % 2) == _source(spec)
+
+
+def _source(spec) -> RingPolynomial:
+    """x^(2g+1) + c x over R(g, c)."""
+    return RingPolynomial(spec, {2 * spec.g + 1: ring_one(spec), 1: from_rational(spec, spec.c)})
 
 
 def _nonzero_exponents(f: RingPolynomial) -> list[int]:
@@ -500,10 +585,11 @@ class TestVerifyMorphism:
         spec = make_ring(9, Fraction(-7, 11))
         check = verify_morphism(spec, 1)
         assert calls == [9]
-        f = built_target(spec, 1)
+        f = build_target(spec, check.zeta_table, check.lucas)
         w = zeta_power(spec, 1) * root_power(spec, 1)
-        assert f.coeffs.get(5) == scaled(ring_power(w, 2), lucas_coeff(9, 2) + 1)
-        assert target_text(spec, check.zeta_table, check.lucas) == folded_equation(f)
+        assert f.cells()[5] == scaled(ring_power(w, 2), lucas_coeff(9, 2) + 1).to_text()
+        faulty_row = perturbed(lucas_row_alt(9), 2, 1)
+        assert f.equation_text() == folded_equation(reference_target(spec, 1, faulty_row))
         assert not check.holds and lifted(spec, 1, check)[2].coeffs
 
     # Negative controls: a fault in either input of the pullback leaves a
@@ -551,18 +637,18 @@ class TestVerifyMorphism:
         assert check.w_g == from_rational(spec, 2**9 * spec.c)
         residual = lifted(spec, 1, check)[2]
         assert _nonzero_exponents(residual) == [1]
-        assert _curve_text(_morphism_curves(spec, check)[2]) == residual.to_text() == "-3577/11*x"
+        assert _morphism_curves(spec, check)[2].to_text() == residual.to_text() == "-3577/11*x"
 
     def test_report_carries_equations(self):
         spec = make_ring(6, 1)
         check = verify_morphism(spec, 0)
         source, pullback, _ = lifted(spec, 0, check)
         assert source.equation_text() == "y^2 = x^13 + x"
-        target = target_text(spec, check.zeta_table, check.lucas)
+        target = build_target(spec, check.zeta_table, check.lucas).equation_text()
         assert target == "y^2 = x^6 - 6*x^4 + 9*x^2 - 2"
-        assert target == folded_equation(built_target(spec, 0))
+        assert target == folded_equation(reference_target(spec, 0))
         assert pullback == source
-        assert [_curve_text(f) for f in _morphism_curves(spec, check)] == ["x^13 + x", "x^13 + x", "0"]
+        assert [f.to_text() for f in _morphism_curves(spec, check)] == ["x^13 + x", "x^13 + x", "0"]
 
     @pytest.mark.parametrize("c", [1, Fraction(-7, 11), 3], ids=str)
     def test_written_curves_are_the_lifted_polynomials(self, c, monkeypatch):
@@ -582,10 +668,9 @@ class TestVerifyMorphism:
                 for i in (0, 1):
                     check = verify_morphism(spec, i)
                     for written, f in zip(_morphism_curves(spec, check), lifted(spec, i, check)):
-                        assert _curve_text(written) == f.to_text(), (g, k, i)
-                        assert sorted(written) == sorted(f.coeffs), (g, k, i)
-                        for e, p in f.coeffs.items():
-                            assert _terms_text(written[e]) == p.to_text(), (g, k, i, e)
+                        assert written.to_text() == f.to_text(), (g, k, i)
+                        assert list(written.terms) == sorted(f.coeffs, reverse=True), (g, k, i)
+                        assert written.cells() == cells(f), (g, k, i)
 
 
 class TestCoefficientFacts:
@@ -611,12 +696,12 @@ class TestCoefficientFacts:
         for g in range(2, 61):
             facts = coefficient_facts(g)
             spec = make_ring(g, 1)
-            f = built_target(spec, 0)
-            assert f.coeffs.get(g - 2) == scaled(root_power(spec, 1), facts.second)
+            f = built_target(spec, 0).cells()
+            assert f.get(g - 2) == scaled(root_power(spec, 1), facts.second).to_text()
             k_last = g // 2 if g % 2 == 0 else (g - 1) // 2
-            assert f.coeffs.get(facts.last_exponent) == scaled(root_power(spec, k_last), 
+            assert f.get(facts.last_exponent) == scaled(root_power(spec, k_last), 
                 facts.last
-            )
+            ).to_text()
 
     def test_rejects_small_g(self):
         for bad in (1, 0, -2):
@@ -626,13 +711,19 @@ class TestCoefficientFacts:
 
 class TestUnitRootSpecialization:
     def test_c1_i0_coefficients_are_signed_lucas_row(self):
+        # Over c = 1 with i = 0, the coefficient of x^(g-2k) is
+        # (-1)^k T(g, k) u^k, and the equation reads it with u as 1.
         for g in range(1, 31):
             spec = make_ring(g, 1)
             f = built_target(spec, 0)
-            row = lucas_row(g)
-            for k in range(g // 2 + 1):
-                folded = _u_to_one(f.coeffs.get(g - 2 * k))
-                assert folded == from_rational(spec, (-1) ** k * row[k])
+            row = lucas_row_alt(g)
+            assert f.cells() == {
+                g - 2 * k: scaled(root_power(spec, k), (-1) ** k * row[k]).to_text()
+                for k in range(g // 2 + 1)
+            }
+            assert f.equation_text() == "y^2 = " + _terms_text(
+                ((-1) ** k * row[k], (_power_text("x", g - 2 * k),)) for k in range(g // 2 + 1)
+            )
 
     @pytest.mark.parametrize("g", [*range(1, 41), 105])
     @pytest.mark.parametrize("i", [0, 1])
@@ -646,7 +737,7 @@ class TestUnitRootSpecialization:
             g - 2 * k: scaled(zeta_power(spec, i * k), (-1) ** k * lucas_coeff_alt(g, k))
             for k in range(g // 2 + 1)
         })
-        assert folded_equation(built_target(spec, i)) == f"y^2 = {without_u.to_text()}"
+        assert built_target(spec, i).equation_text() == f"y^2 = {without_u.to_text()}"
 
 
 class TestTable:

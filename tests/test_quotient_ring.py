@@ -115,7 +115,7 @@ class TestZetaPower:
         total = from_rational(spec, 0)
         for m in range(6):
             total = total + zeta_power(spec, m)
-        assert total.is_zero()
+        assert total.entries() == {}
 
 
 class TestRootPower:
@@ -170,9 +170,9 @@ class TestRingArithmetic:
                 assert x * y == y * x
                 assert (x * y) * w == x * (y * w)
                 assert x * (y + w) == x * y + x * w
-                assert (x + ring_neg(x)).is_zero()
+                assert (x + ring_neg(x)).entries() == {}
                 assert x * ring_one(spec) == x
-                assert (x * from_rational(spec, 0)).is_zero()
+                assert (x * from_rational(spec, 0)).entries() == {}
 
     def test_reduction_idempotence(self):
         rng = random.Random(24680)
@@ -185,7 +185,7 @@ class TestRingArithmetic:
         spec = make_ring(6, 2)
         x = zeta_power(spec, 1) + root_power(spec, 1)
         assert scaled(x, Fraction(3, 2)) == x * from_rational(spec, Fraction(3, 2))
-        assert scaled(x, 0).is_zero()
+        assert scaled(x, 0).entries() == {}
         # A product takes ring elements only: a rational is refused.
         for q in (2, Fraction(3, 2)):
             with pytest.raises(TypeError):
@@ -283,9 +283,9 @@ class TestUnitRootFold:
         spec = make_ring(5, 1)
         z, u = zeta_power(spec, 1), root_power(spec, 1)
         x = scaled(ring_sub(z * u, z), Fraction(1, 3))
-        assert not x.is_zero() and x._den == 3
+        assert x.entries() != {} and x._den == 3
         folded = _u_to_one(x)
-        assert folded.is_zero() and folded._den == 1
+        assert folded.entries() == {} and folded._den == 1
 
     def test_sums_the_terms_on_each_power_of_z(self):
         spec = make_ring(5, 1)
