@@ -161,9 +161,10 @@ def _json(value, indent: str = "\n") -> str:
 
     It equals json.dumps because it writes what the stdlib's pure-Python
     encoder writes (``encode_basestring_ascii``, ``int.__repr__``, true,
-    false, null, ``","`` and ``": "``), at C speed for a list of plain ints.
+    false, ``","`` and ``": "``), at C speed for a list of plain ints.
     ``_Records`` are written as the list of their records.  Any other type,
-    or a dict key that is not a str, raises TypeError.
+    None and int subclasses other than bool among them, or a dict key that
+    is not a str, raises TypeError: no command writes them.
     """
     if type(value) is int:
         return int.__repr__(value)
@@ -171,14 +172,10 @@ def _json(value, indent: str = "\n") -> str:
         return _records(*value, indent)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
     if value is True:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -221,10 +218,9 @@ def _records(header: list[str], rows: list[list], indent: str) -> str:
     and each row fills the header's template by one ``%``, so an int cell
     reads as ``int.__repr__`` and a str cell as ``encode_basestring_ascii``,
     as in ``_json``.  A column of any other type, or of more than one,
-    raises TypeError.
+    raises TypeError.  ``rows`` is not empty: every tabular command writes
+    at least one row.
     """
-    if not rows:
-        return "[]"
     columns = []
     for column in zip(*rows):
         kinds = set(map(type, column))

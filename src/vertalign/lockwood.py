@@ -78,20 +78,13 @@ class BivariatePolynomial:
     def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         return self + other * -1
 
-    # Form-by-form products remain only for the benchmark tracer's
-    # ``lockwood.poly_mul``, ``__sub__`` and the tests' reference chain of
-    # (x + y)^m; the oracle itself multiplies by x + y on a packed int.
-    def __mul__(self, other: "BivariatePolynomial | int") -> "BivariatePolynomial":
-        if isinstance(other, int):
-            return BivariatePolynomial([c * other for c in self.coeffs])
-        if not isinstance(other, BivariatePolynomial):
+    # A form times an int, for ``__sub__``; the benchmark tracer wraps it by
+    # name as ``lockwood.poly_mul``.  No form is multiplied by a form: the
+    # oracle multiplies by x + y on a packed int.
+    def __mul__(self, other: int) -> "BivariatePolynomial":
+        if not isinstance(other, int):
             return NotImplemented
-        result = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for b1, c1 in enumerate(self.coeffs):
-            if c1:
-                for b2, c2 in enumerate(other.coeffs):
-                    result[b1 + b2] += c1 * c2
-        return BivariatePolynomial(result)
+        return BivariatePolynomial([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
 

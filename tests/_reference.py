@@ -12,7 +12,7 @@ without the library's code for the step under test:
 * ``binomial_falling`` / ``falling_row``: C(m, r) by the falling-factorial
   product, against ``binomial()``'s reflection for m < 0.
 * ``binomial_expand``: (x + y)^n filled in from ``binomial()``, against a
-  chain of form-by-form products by x + y (``xy_symmetric_power``).
+  chain of list convolutions with x + y (``xy_symmetric_power``).
 * ``aligned_term`` / ``term_coefficient``: the terms (xy)^k (x + y)^{n-2k}
   of the oracle's sum and their coefficients, against C(n-2k, i-k); with
   ``binomial_expand`` and ``shift_xy`` they also give the sum term by term,
@@ -63,7 +63,7 @@ without the library's code for the step under test:
   at c = 1.
 
 The rest are the small helpers these routes and the tests build with:
-``xy_symmetric_power`` (iterated ``BivariatePolynomial`` products, for
+``xy_symmetric_power`` (iterated list convolutions with (1, 1), for
 comparison with ``binomial_expand``), ``shift_xy``, ``element`` (a ring
 element from its rational coefficients), ``scaled`` (the product with a
 rational), ``ring_one``, ``ring_power``, ``ring_neg`` and ``ring_sub``
@@ -166,13 +166,15 @@ def binomial_expand(n: int) -> BivariatePolynomial:
 
 
 def xy_symmetric_power(m: int) -> BivariatePolynomial:
-    """(x + y)^m as a chain of m form-by-form products by x + y."""
+    """(x + y)^m as a chain of m products by x + y, each the convolution of
+    a coefficient list with (1, 1); ``BivariatePolynomial`` multiplies only
+    by an int."""
     if m < 0:
         raise ValueError(f"xy_symmetric_power requires m >= 0, got m={m}")
-    power = BivariatePolynomial((1,))
+    power = [1]
     for _ in range(m):
-        power = power * BivariatePolynomial((1, 1))
-    return power
+        power = [a + b for a, b in zip(power + [0], [0] + power)]
+    return BivariatePolynomial(power)
 
 
 def shift_xy(p: BivariatePolynomial, k: int) -> BivariatePolynomial:

@@ -8,22 +8,25 @@ and exits 1 if any failed; an unknown NAME exits 2 and lists the checks.
 A check takes no argument: it runs its CLI requests in this process, so
 their sizes are written here alone.  CI runs each check by name under a
 ``timeout``, in one step of ``.github/workflows/tier1.yml``.  Fault checks
-inject T through ``tests/_faults.py``.  pytest does not collect this
+inject T through ``tests/_faults.py``.  ``library-reached`` traces
+``src/vertalign`` line by line under its requests; ``UNREACHED`` lists, by
+category, the statements no command runs.  pytest does not collect this
 script: its name does not match ``test_*.py``.
 """
 
 import ast
-import cProfile
 import csv
 import importlib
 import inspect
 import io
 import json
 import math
+import os
 import pkgutil
 import sys
 import time
 import traceback
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +37,7 @@ from _reference import RingPolynomial, lifted, ring_one, root_power, scaled, zet
 from output_digest import load_workloads, requests, run
 from test_tracer_targets import TARGETS as TRACER_TARGETS
 import vertalign
-from vertalign import alignment, curves, lockwood
+from vertalign import alignment, cli, curves, lockwood
 from vertalign.cli import main as cli_main
 from vertalign.combinatorics import lucas_row
 from vertalign.quotient_ring import QuotientRingElement, from_rational, make_ring
@@ -356,57 +359,182 @@ def records():
         ], argv
 
 
-# Value methods that comparisons and messages may call on any object.
-_VALUE_DUNDERS = {"__eq__", "__hash__", "__repr__"}
+# Why a statement of the library runs on no command-line request.
+# Methods that comparisons and messages may call on any value, and the
+# answers to a value of a type, ring or degree that no command passes.
+_VALUE = "value dunder or wrong-type return"
+# Raises where an exact division left a remainder, which the arithmetic
+# rules out.
+_EXACTNESS = "exactness guard"
+# Arguments outside a function's domain that no command passes: the CLI
+# refuses them first, or they are answered as the docstring says.
+_REFUSAL = "input refusal"
+# What an interpreter without the int/str digit limit runs.
+_FALLBACK = "interpreter fallback"
+# Exits that only a child process whose reader went away reaches.
+_CHILD = "exit reached only in a child process"
+# Defs kept only for the benchmark tracer, which wraps them by name
+# (``bench/tracer.py``'s ``TARGETS``).
+_TRACER = "tracer-only def"
+
+# Every statement of a function in ``src/vertalign`` that no request of
+# ``library_reached`` runs, by its def and its first line, stripped.
+UNREACHED = {
+    ("alignment.aligned_entries",
+     'raise ValueError(f"aligned_entries requires n >= 0, got n={n}")'): _REFUSAL,
+    ("alignment.identity_sweep",
+     'raise ValueError(f"identity_sweep requires workers >= 1, got {workers}")'): _REFUSAL,
+    ("cli.<lambda>",
+     '_get_int_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)'): _FALLBACK,
+    ("cli.<lambda>",
+     '_set_int_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)'): _FALLBACK,
+    ("cli._json", 'return "{}"'): _REFUSAL,
+    ("cli._json",
+     'raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")'): _VALUE,
+    ("cli._records", 'names = " and ".join(sorted(kind.__name__ for kind in kinds))'): _VALUE,
+    ("cli._records", 'raise TypeError(f"Column of type {names} is not JSON serializable")'): _VALUE,
+    ("cli.main", "devnull = os.open(os.devnull, os.O_WRONLY)"): _CHILD,
+    ("cli.main", "os.dup2(devnull, sys.stdout.fileno())"): _CHILD,
+    ("cli.main", "os.close(devnull)"): _CHILD,
+    ("cli.main", "return 141"): _CHILD,
+    ("combinatorics._lucas_coeffs",
+     'raise ValueError(f"_lucas_coeffs requires 0 <= count <= n, got count={count}, n={n}")'):
+        _REFUSAL,
+    ("combinatorics._lucas_coeffs",
+     'raise AssertionError(f"C({n - k}, {k}) ratio left remainder {rest}")'): _EXACTNESS,
+    ("combinatorics._lucas_coeffs",
+     'raise AssertionError(f"T({n}, {k}) = n*C(n-k,k)/(n-k) left remainder {rest}")'): _EXACTNESS,
+    ("combinatorics.aligned_column",
+     'raise AssertionError(f"C({m - 2}, {r - 1}) ratio left remainder {rest}")'): _EXACTNESS,
+    ("combinatorics.binomial", "return 0"): _REFUSAL,
+    ("combinatorics.lucas_coeff", "if n < 1:"): _TRACER,
+    ("combinatorics.lucas_coeff",
+     'raise ValueError(f"lucas_coeff requires n >= 1, got n={n}")'): _TRACER,
+    ("combinatorics.lucas_coeff", "if not 0 <= k < n:"): _TRACER,
+    ("combinatorics.lucas_coeff",
+     'raise ValueError(f"lucas_coeff requires 0 <= k < n, got k={k}, n={n}")'): _TRACER,
+    ("combinatorics.lucas_coeff", "value, rest = divmod(n * binomial(n - k, k), n - k)"): _TRACER,
+    ("combinatorics.lucas_coeff", "if rest:"): _TRACER,
+    ("combinatorics.lucas_coeff", "raise AssertionError("): _TRACER,
+    ("combinatorics.lucas_coeff", "return value"): _TRACER,
+    ("combinatorics.lucas_row",
+     'raise AssertionError(f"T({n}, {k}) ratio recurrence left remainder {rest}")'): _EXACTNESS,
+    ("combinatorics.pascal_row", "if n < 0:"): _TRACER,
+    ("combinatorics.pascal_row",
+     'raise ValueError(f"pascal_row requires n >= 0, got n={n}")'): _TRACER,
+    ("combinatorics.pascal_row", "row = [1]"): _TRACER,
+    ("combinatorics.pascal_row", "for i in range(1, n + 1):"): _TRACER,
+    ("combinatorics.pascal_row", "row.append(row[-1] * (n - i + 1) // i)"): _TRACER,
+    ("combinatorics.pascal_row", "return row"): _TRACER,
+    ("cyclotomic._divide_exact",
+     'raise AssertionError(f"{divisor} does not divide {dividend} exactly")'): _EXACTNESS,
+    ("cyclotomic.cyclotomic",
+     'raise ValueError(f"cyclotomic requires g >= 1, got g={g}")'): _REFUSAL,
+    ("lockwood.BivariatePolynomial.__init__",
+     'raise ValueError("a form of degree n needs n + 1 coefficients, got none")'): _REFUSAL,
+    ("lockwood.BivariatePolynomial.__eq__", "if not isinstance(other, BivariatePolynomial):"):
+        _VALUE,
+    ("lockwood.BivariatePolynomial.__eq__", "return NotImplemented"): _VALUE,
+    ("lockwood.BivariatePolynomial.__eq__", "return self.coeffs == other.coeffs"): _VALUE,
+    ("lockwood.BivariatePolynomial.__add__", "return NotImplemented"): _VALUE,
+    ("lockwood.BivariatePolynomial.__add__",
+     'raise ValueError("cannot add forms of different degree")'): _VALUE,
+    ("lockwood.BivariatePolynomial.__mul__", "return NotImplemented"): _VALUE,
+    ("lockwood.BivariatePolynomial.__repr__",
+     'return f"BivariatePolynomial({self.to_text()})"'): _VALUE,
+    ("lockwood._packed_half",
+     'raise ValueError(f"the Lockwood oracle requires n >= 1, got n={n}")'): _REFUSAL,
+    ("quotient_ring.RingSpec.__eq__", "return NotImplemented"): _VALUE,
+    ("quotient_ring.RingSpec.__hash__", "return hash((self.g, self.c))"): _VALUE,
+    ("quotient_ring.RingSpec.__repr__", 'return f"RingSpec(g={self.g}, c={self.c})"'): _VALUE,
+    ("quotient_ring.make_ring", 'raise ValueError("make_ring requires c != 0")'): _REFUSAL,
+    ("quotient_ring.QuotientRingElement.__eq__", "return NotImplemented"): _VALUE,
+    ("quotient_ring.QuotientRingElement.__mul__", "return NotImplemented"): _VALUE,
+    ("quotient_ring.QuotientRingElement.to_text", "if not self._terms:"): _TRACER,
+    ("quotient_ring.QuotientRingElement.to_text", 'return "0"'): _TRACER,
+    ("quotient_ring.QuotientRingElement.to_text",
+     "return _terms_text(_entry_terms(self.entries()))"): _TRACER,
+    ("quotient_ring.QuotientRingElement.__repr__",
+     'return f"QuotientRingElement(g={self.spec.g}, c={self.spec.c}, {self.to_text()})"'):
+        _VALUE,
+    ("quotient_ring._common_spec", "raise ValueError("): _VALUE,
+}
 
 
-def _defs(path):
-    """{first line: qualified name} of every ``def`` in the module at ``path``.
+# Names of the code objects that run a comprehension for the def holding it.
+_COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
 
-    The first line is the one a code object reports: the first decorator's
-    line when there is one.
+
+def _body_lines(path):
+    """{line: (first line of its statement, its def, that first line
+    stripped)} for every line of a function body that runs code, in the
+    module at ``path``.
+
+    Lines come from the code objects this interpreter compiles the module
+    to, and only from functions: the module's and each class's body run on
+    import.  Each line maps to the first line of the innermost statement
+    that holds it, so a statement over several lines is one statement
+    however an interpreter spreads its instructions.  A def's header is no
+    statement of its own body.  A line belongs to the outermost function
+    that runs it, so a comprehension's or a lambda's lines belong to the
+    def that holds it; only a lambda outside any def is its own.
     """
+    source = path.read_text()
+    statements = {}  # line -> first line of the innermost statement holding it
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.stmt) and not isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                lines = range(child.lineno, child.end_lineno + 1)
+                statements.update(dict.fromkeys(lines, child.lineno))
+            visit(child)
+
+    visit(ast.parse(source))
+    text = source.splitlines()
     found = {}
 
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                found[first] = prefix + child.name
-                visit(child, f"{prefix}{child.name}.")
-            elif isinstance(child, ast.ClassDef):
-                visit(child, f"{prefix}{child.name}.")
-            else:
-                visit(child, prefix)
+    def walk(code, name):
+        for const in code.co_consts:
+            if not isinstance(const, types.CodeType):
+                continue
+            inner = name if const.co_name in _COMPREHENSIONS else f"{name}.{const.co_name}"
+            if const.co_flags & inspect.CO_NEWLOCALS:
+                for _, _, line in const.co_lines():
+                    if line in statements:
+                        first = statements[line]
+                        found.setdefault(line, (first, inner, text[first - 1].strip()))
+            walk(const, inner)
 
-    visit(ast.parse(path.read_text()), "")
+    walk(compile(source, str(path), "exec"), path.stem if path.stem != "__init__" else "vertalign")
     return found
 
 
-def _tracer_codes():
-    """(file, first line) of every function ``bench/tracer.py`` wraps by name."""
-    codes = set()
-    for module_name, class_name, attr, *_ in TRACER_TARGETS:
-        module = importlib.import_module(f"vertalign.{module_name}")
-        owner = vars(getattr(module, class_name)) if class_name else vars(module)
-        code = inspect.unwrap(owner[attr]).__code__
-        codes.add((code.co_filename, code.co_firstlineno))
-    return codes
+def _interrupted(args):
+    """A command handler cut short by Ctrl-C."""
+    raise KeyboardInterrupt
 
 
 @check
 def library_reached():
-    """Every ``def`` in ``src/vertalign`` runs on some command-line request.
+    """Every statement of every function in ``src/vertalign`` runs on some
+    command-line request, or is listed in ``UNREACHED`` under its category.
 
-    The library keeps only what the command line runs.  One profile records
-    every function called by the requests of ``tests/output_digest.py``, the
-    benchmark's ``sweep`` pass for seed 1, and the failing runs of
-    ``lockwood``, ``sweep`` and ``verify-morphism`` in all three formats,
-    faulted and with a lost range through ``tests/_faults.py``.  Caches are
-    cleared first, so a cached function runs here too.  A ``def`` that never
-    runs fails the check, unless the benchmark tracer wraps it by name
-    (``bench/tracer.py``'s ``TARGETS``) or it is ``__eq__``, ``__hash__`` or
-    ``__repr__``.
+    The library keeps only what the command line runs.  ``sys.settrace``
+    records every line run in ``src/vertalign`` by the requests of
+    ``tests/output_digest.py``, the benchmark's ``sweep`` pass for seed 1,
+    ``sweep`` and ``lockwood`` at two workers (with ``os.cpu_count()`` read
+    as at least 2), the two size refusals of c, and faulted runs through
+    ``tests/_faults.py`` in all three formats: the failing runs of
+    ``lockwood``, ``sweep`` and ``verify-morphism``, a lost range, a
+    ``curve`` whose T(9, 2) is 0, a ``sweep`` whose chain row has a wrong
+    first entry, and a handler interrupted by Ctrl-C.
+    Caches are cleared first, so a cached function runs here too.  The
+    check fails on a statement that never runs and that no entry of
+    ``UNREACHED`` names, and on an entry that names no such statement, so
+    no entry outlives its statement.  An entry of the tracer-only category
+    must name a def that ``bench/tracer.py`` wraps by name.
     """
     modules = [vertalign] + [
         importlib.import_module(info.name)
@@ -417,44 +545,72 @@ def library_reached():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
     lockwood_run, sweep_run = ["lockwood", "20"], ["sweep", "12"]
-    failing = [
-        (lambda mp: fault_lucas_row(mp, lockwood, (17, 3, 5)), lockwood_run),
-        (lambda mp: fault_sweep(mp, (9, 2, 1)), sweep_run),
-        (fail_morphism, ["verify-morphism", "--", "9", "-7/11", "1"]),
+    morphism_run = ["verify-morphism", "--", "9", "-7/11", "1"]
+    faulted = [
+        (lambda mp: fault_lucas_row(mp, lockwood, (17, 3, 5)), lockwood_run, 1),
+        (lambda mp: fault_sweep(mp, (9, 2, 1)), sweep_run, 1),
+        (fail_morphism, morphism_run, 1),
         # A negative weight: the pullback's integer stage carries as it unpacks.
-        (lambda mp: fault_lucas_row(mp, curves, (9, 1, 1)),
-         ["verify-morphism", "--", "9", "-7/11", "1"]),
-        (lose_last_range, lockwood_run),
-        (lose_last_range, sweep_run),
+        (lambda mp: fault_lucas_row(mp, curves, (9, 1, 1)), morphism_run, 1),
+        (lose_last_range, lockwood_run, 1),
+        (lose_last_range, sweep_run, 1),
+        # T(9, 2) = 27 made 0: the target writes no coefficient for it.
+        (lambda mp: fault_lucas_row(mp, cli, (9, 2, -27)), ["curve", "--", "9", "1", "1"], 0),
+        # A chain row whose first entry is wrong: the ratio check refuses it
+        # on its first entry, and the row read from ``lucas_row`` holds.
+        (lambda mp: fault_chain(mp, 12, 0, 1), sweep_run, 0),
+        (lambda mp: mp.setattr(cli, "_cmd_identity", _interrupted), ["identity", "11", "3"], 130),
     ]
-    profile = cProfile.Profile()
-    profile.enable()
-    try:
-        for argv in requests() + load_workloads().generate("sweep", 1):
-            run(cli_main, argv)
-        for fault, argv in failing:
-            with pytest.MonkeyPatch.context() as mp:
-                fault(mp)
-                for fmt in ("text", "json", "csv"):
-                    code = json.loads(run(cli_main, ["--format", fmt, *argv]))[0]
-                    assert code == 1, (argv, fmt, code)
-    finally:
-        profile.disable()
-    called = {
-        (entry.code.co_filename, entry.code.co_firstlineno)
-        for entry in profile.getstats()
-        if not isinstance(entry.code, str)
-    }
-    kept = _tracer_codes()
-    never = []
+    plain = requests() + load_workloads().generate("sweep", 1) + [
+        [*sweep_run, "--workers", "2"], [*lockwood_run, "--workers", "2"],
+        ["curve", "--", "2", "1e99999", "1"], ["curve", "--", "2", "1e4300", "1"],
+    ]
+    files = {module.__file__ for module in modules}
+    reached = set()
+
+    def trace_line(frame, event, arg):
+        if event == "line":
+            reached.add((frame.f_code.co_filename, frame.f_lineno))
+        return trace_line
+
+    def trace_call(frame, event, arg):
+        return trace_line if frame.f_code.co_filename in files else None
+
+    cpu_count = os.cpu_count
+    with pytest.MonkeyPatch.context() as pinned:
+        pinned.setattr(os, "cpu_count", lambda: max(2, cpu_count() or 1))
+        sys.settrace(trace_call)
+        try:
+            for argv in plain:
+                run(cli_main, argv)
+            for fault, argv, expected in faulted:
+                with pytest.MonkeyPatch.context() as mp:
+                    fault(mp)
+                    for fmt in ("text", "json", "csv"):
+                        code = json.loads(run(cli_main, ["--format", fmt, *argv]))[0]
+                        assert code == expected, (argv, fmt, code)
+        finally:
+            sys.settrace(None)
+    statements, ran = {}, set()
     for module in modules:
-        path = Path(module.__file__)
-        for line, name in _defs(path).items():
-            key = (str(path), line)
-            if key in called or key in kept or name.rpartition(".")[2] in _VALUE_DUNDERS:
-                continue
-            never.append(f"{module.__name__.removeprefix('vertalign.')}.{name}")
-    assert not never, f"never called by any command: {', '.join(never)}"
+        for line, (first, *key) in _body_lines(Path(module.__file__)).items():
+            statements[module.__file__, first] = tuple(key)
+            if (module.__file__, line) in reached:
+                ran.add((module.__file__, first))
+    never = {key for where, key in statements.items() if where not in ran}
+    unlisted = sorted(never - UNREACHED.keys())
+    stale = sorted(UNREACHED.keys() - never)
+    tracer_defs = {
+        ".".join(part for part in target[:3] if part) for target in TRACER_TARGETS
+    }
+    untraced = sorted(
+        name for (name, _), category in UNREACHED.items()
+        if category == _TRACER and name not in tracer_defs
+    )
+    assert not (unlisted or stale or untraced), (
+        f"never run by any command: {unlisted}; listed but run: {stale}; "
+        f"tracer-only but not traced: {untraced}"
+    )
 
 
 def main(argv):

@@ -489,7 +489,6 @@ def _no_int_digit_limit():
 # m * 10**4300 + m: past the default int/str limit of 4,300 digits.
 _HUGE_INTS = st.integers(-(10**6), 10**6).filter(bool).map(lambda m: m * 10**4300 + m)
 _JSON_LEAVES = st.one_of(
-    st.none(),
     st.booleans(),
     st.integers(),
     _HUGE_INTS,
@@ -518,15 +517,15 @@ class TestJsonEmitter:
             assert cli._json(payload) == json.dumps(payload, indent=2)
 
     @pytest.mark.parametrize(
-        "payload", [[], {}, (), [[]], {"a": {}}, {"a": [True, 1, False, -2]}, [None, "x"]]
+        "payload", [[], {}, (), [[]], {"a": {}}, {"a": [True, 1, False, -2]}]
     )
     def test_matches_json_dumps_on_edge_shapes(self, payload):
         assert cli._json(payload) == json.dumps(payload, indent=2)
 
     @pytest.mark.parametrize(
         "payload",
-        [1.5, Fraction(1, 3), {1, 2}, [0.0], {"a": [1, Fraction(1, 2)]}, {1: "x"}],
-        ids=["float", "fraction", "set", "float-in-list", "fraction-in-dict", "int-key"],
+        [1.5, Fraction(1, 3), {1, 2}, [0.0], {"a": [1, Fraction(1, 2)]}, {1: "x"}, None],
+        ids=["float", "fraction", "set", "float-in-list", "fraction-in-dict", "int-key", "none"],
     )
     def test_other_types_raise_type_error(self, payload):
         with pytest.raises(TypeError):
@@ -602,7 +601,7 @@ class TestRecordTemplates:
             _assert_records_match_csv(records, header, rows)
 
     @pytest.mark.parametrize("depth", [0, 1, 3])
-    @pytest.mark.parametrize("rows", [[[0, "a\u00e9\"", -(10**30)], [7, "", 5]], []], ids=["rows", "empty"])
+    @pytest.mark.parametrize("rows", [[[0, "a\u00e9\"", -(10**30)], [7, "", 5]]], ids=["rows"])
     def test_matches_json_dumps_at_depth(self, depth, rows):
         # Keys with a quote and a %s, text cells that need escaping.
         header = ["k", "text", 'say "%s"']

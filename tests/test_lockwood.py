@@ -73,12 +73,10 @@ class TestBivariatePolynomial:
         assert BivariatePolynomial((-4,)).to_text() == "-4"
         assert BivariatePolynomial((-1, 0)).to_text() == "-x"
 
-    @given(st.integers(0, 25), st.integers(0, 25))
-    @settings(max_examples=40)
-    def test_mul_commutes(self, m, k):
-        a = xy_symmetric_power(m % 6)
-        b = aligned_term(k + 1, (k + 1) // 2) if k else BivariatePolynomial((3, 0))
-        assert a * b == b * a
+    def test_form_times_form_raises_type_error(self):
+        # A form multiplies only by an int: no command multiplies two forms.
+        with pytest.raises(TypeError):
+            xy_symmetric_power(2) * BivariatePolynomial((1, 1))
 
 
 class TestBinomialExpand:
