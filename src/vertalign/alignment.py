@@ -57,8 +57,6 @@ def aligned_entries(n: int, i: int) -> tuple[int, ...]:
     outside the triangle.  Requires 0 <= i <= n.  The column is one
     checked ratio walk, :func:`~vertalign.combinatorics.aligned_column`.
     """
-    if n < 0:
-        raise ValueError(f"aligned_entries requires n >= 0, got n={n}")
     if not 0 <= i <= n:
         raise ValueError(f"aligned_entries requires 0 <= i <= n, got i={i}, n={n}")
     return aligned_column(n, i, min(i, n // 2) + 1)
@@ -127,16 +125,10 @@ def _sweep_range(n_start: int, n_end: int) -> tuple[int, list[tuple[int, int, in
     alone, so an honest row reads neither :func:`lucas_row` nor any
     division.
 
-    Only a row whose R(n) fails that check is evaluated, with T from
-    :func:`lucas_row`, so failures are reported for T whatever R(n) holds;
-    a wrong chain row over an honest T reports nothing.  The evaluation runs
-    on a plain list of the coefficients of S^0..S^n, by Horner in S and
-    Q = (1 + S)^2: with n = 2m + r,
-
-        h_0 = T(n, 0),  h_k = h_{k-1} Q + (-1)^k T(n, k) S^k,  P_n = h_m (1 + S)^r,
-
-    so no Pascal row is stored.  h_k has degree 2k <= n, so every state fits
-    the n + 1 slots.  Each nonzero interior total (0 < i < n) is reported
+    Only a row whose R(n) fails that check is evaluated, by
+    :func:`_row_totals` with T from :func:`lucas_row`, so failures are
+    reported for T whatever R(n) holds; a wrong chain row over an honest T
+    reports nothing.  Each nonzero interior total (0 < i < n) is reported
     as (n, i, total); the ends are not, as the dependence is only claimed
     for 0 < i < n.
 
@@ -148,15 +140,27 @@ def _sweep_range(n_start: int, n_end: int) -> tuple[int, list[tuple[int, int, in
         checked += n - 1
         if _is_lucas_row(n, proved):
             continue
-        lucas = lucas_row(n)
-        acc = [0] * (n + 1)  # h_k, by Horner in S and Q
-        for k, t in enumerate(lucas):
-            acc = [a + 2 * b + c for a, b, c in zip(acc, [0] + acc, [0, 0] + acc)]
-            acc[k] += -t if k & 1 else t
-        if n & 1:
-            acc = [a + b for a, b in zip(acc, [0] + acc)]
-        failures.extend((n, i, acc[i]) for i in range(1, n) if acc[i])
+        totals = _row_totals(n, lucas_row(n))
+        failures.extend((n, i, totals[i]) for i in range(1, n) if totals[i])
     return checked, failures
+
+
+def _row_totals(n: int, row: tuple[int, ...]) -> list[int]:
+    """The coefficients of S^0..S^n of P_n(S), with ``row`` in place of T(n).
+
+    Horner in S and Q = (1 + S)^2 on a plain list: with n = 2m + r,
+
+        h_0 = row[0],  h_k = h_{k-1} Q + (-1)^k row[k] S^k,  P_n = h_m (1 + S)^r,
+
+    and h_k, of degree 2k <= n, fits the n + 1 slots: no Pascal row is stored.
+    """
+    acc = [0] * (n + 1)  # h_k, by Horner in S and Q
+    for k, t in enumerate(row):
+        acc = [a + 2 * b + c for a, b, c in zip(acc, [0] + acc, [0, 0] + acc)]
+        acc[k] += -t if k & 1 else t
+    if n & 1:
+        acc = [a + b for a, b in zip(acc, [0] + acc)]
+    return acc
 
 
 def map_row_ranges(
@@ -164,7 +168,8 @@ def map_row_ranges(
 ) -> list:
     """``check(start, end)`` over consecutive ranges of rows first..last.
 
-    Every process pool in the package is sized and started here.  Workers
+    Every process pool in the package is sized and started here, so fewer
+    than one worker is refused here, before any row is checked.  Workers
     are capped by the rows and the CPUs; with one left, this is the single
     call ``check(first, last)``.  Otherwise the rows are cut into about four
     ranges per worker, because later rows cost more and many small ranges
@@ -174,6 +179,8 @@ def map_row_ranges(
     them finish the ranges already queued.  Results come back in range
     order either way, so merged results stay canonical.
     """
+    if workers < 1:
+        raise ValueError(f"map_row_ranges requires workers >= 1, got {workers}")
     workers = min(workers, last - first + 1, os.cpu_count() or 1)
     if workers == 1:
         return [check(first, last)]
@@ -197,8 +204,6 @@ def identity_sweep(n_max: int, workers: int = 1) -> SweepSummary:
     """
     if n_max < 2:
         raise ValueError(f"identity_sweep requires n_max >= 2, got {n_max}")
-    if workers < 1:
-        raise ValueError(f"identity_sweep requires workers >= 1, got {workers}")
     parts = map_row_ranges(_sweep_range, 2, n_max, workers)
     checked = sum(part_checked for part_checked, _ in parts)
     failures = [failure for _, part_failures in parts for failure in part_failures]

@@ -164,10 +164,8 @@ def _zeta_table(spec: RingSpec, i: int, last: int) -> list[dict[int, int]]:
     return table
 
 
-def _w_power(
-    spec: RingSpec, zeta_table: list[dict[int, int]], k: int, scale: int
-) -> QuotientRingElement:
-    """scale * w^k = scale * zeta^{ik} c^{k/g} for k <= ceil(g/2), as one element.
+def _w_power(spec: RingSpec, zeta_table: list[dict[int, int]], k: int) -> QuotientRingElement:
+    """w^k = zeta^{ik} c^{k/g} for k <= ceil(g/2), as one element.
 
     ``zeta_table[k]`` (from ``_zeta_table``) gives zeta^{ik}, and each of its
     terms is re-keyed to u^k.  Only at g = 1 does k reach g, and there u = c
@@ -175,7 +173,7 @@ def _w_power(
     """
     q, r = divmod(k, spec.g)
     c = spec.c
-    n = scale * c.numerator**q
+    n = c.numerator**q
     return _element(spec, {(a, r): n * v for a, v in zeta_table[k].items()}, c.denominator**q)
 
 
@@ -184,8 +182,8 @@ def _w_terms(r: int, zeta: dict[int, int], u: str) -> list[tuple[int, tuple[str,
     ``u`` the text of u^k, and each term is (q, (z^a text, u^k text)), in
     ascending a, as a ``RingPolynomial`` holds them.
 
-    For k < g this is r * w^k, written exactly as the element
-    ``_w_power(spec, table, k, r)`` is, with no element built.
+    For k < g this is r * w^k, written exactly as r times the element
+    ``_w_power(spec, table, k)`` is, with no element built.
     """
     return [(r * v, (_power_text("z", a), u)) for a, v in sorted(zeta.items())]
 
@@ -310,9 +308,9 @@ def pullback_rhs(
     ``verify_morphism`` also writes the target from.
     """
     g = spec.g
-    w_g = _w_power(spec, zeta_table, (g + 1) // 2, 1)
+    w_g = _w_power(spec, zeta_table, (g + 1) // 2)
     if g > 1:
-        w_g = w_g * _w_power(spec, zeta_table, g // 2, 1)
+        w_g = w_g * _w_power(spec, zeta_table, g // 2)
     return _pullback_weights(g, lucas), w_g
 
 

@@ -23,18 +23,18 @@ The symmetry is a fact about the terms, not about T, and the terms are
 linearly independent, so a wrong T(n, k) still gives a symmetric form that
 is not x^n + y^n.
 
-What stays independent of what: T(n, k) comes from the ratio recurrence
-of :func:`vertalign.combinatorics.lucas_row`, and this module does not
-import :func:`vertalign.combinatorics.binomial` at all.  The ``sweep``
-route shares no code for T with this module: it builds T by an additive
-chain and checks each chain row against T's ratio multiplied out, reading
-``lucas_row`` only for a row that fails.  It also runs Horner in
-(1 + S)^2, but on full forms held as plain lists, and only for such rows.
-The ``verify-morphism`` route expands its own sum over Z[x, w] term by
-term, from packed but unmasked Pascal rows of (x^2 + w)^m.  The masked
-Horner pass here shares no code with either, and neither
-:mod:`vertalign.alignment` nor :mod:`vertalign.curves` binds anything from
-here.
+What stays independent of what: :func:`_packed_half` takes its row as an
+argument, and both callers pass T from the ratio recurrence of
+:func:`vertalign.combinatorics.lucas_row`; this module does not import
+:func:`vertalign.combinatorics.binomial` at all.  The ``sweep`` route
+builds T by an additive chain, checks each chain row against T's ratio
+multiplied out, and passes ``lucas_row`` only for a row that fails to its
+own evaluator, ``alignment._row_totals(n, row)``: Horner in (1 + S)^2 on
+full forms held as plain lists.  The ``verify-morphism`` route sums over
+Z[x, w] by a product tree of unmasked powers of 1 + w,
+``curves._pullback_weights(g, row)``.  The masked Horner pass here shares
+no code with either, and neither :mod:`vertalign.alignment` nor
+:mod:`vertalign.curves` binds anything from here.
 """
 
 from __future__ import annotations
@@ -101,32 +101,29 @@ class BivariatePolynomial:
         return f"BivariatePolynomial({self.to_text()})"
 
 
-def _packed_half(n: int) -> tuple[int, int]:
-    """Half of sum_{k=0}^{n//2} (-1)^k T(n,k) (xy)^k (x+y)^{n-2k}, packed.
+def _packed_half(n: int, row: tuple[int, ...]) -> tuple[int, int]:
+    """Half of sum_{k=0}^{n//2} (-1)^k row[k] (xy)^k (x+y)^{n-2k}, packed.
 
     Returns ``(h, W)``: slot j of the half, the coefficient of
     x^{n-j} y^j for 0 <= j <= n//2, is balanced base-2^W digit j of h, so
     h = sum_j c_j 2^{jW} with every |c_j| < 2^{W-1}.
 
-    Horner in (x + y)^2: h_0 = T(n, 0) and h_k = (x+y)^2 h_{k-1} +
-    (-1)^k T(n,k) (xy)^k, with one more factor x + y when n is odd.  At
-    x = 1, y = 2^W a form is one int, and (x+y)^2 h is
-    h + (h << (W+1)) + (h << 2W).  Three facts make the pass exact:
+    Horner in (x + y)^2 over ``row``, which the callers pass as T(n): h_0 =
+    row[0] and h_k = (x+y)^2 h_{k-1} + (-1)^k row[k] (xy)^k, with one more
+    factor x + y when n is odd.  At x = 1, y = 2^W a form is one int, and
+    (x+y)^2 h is h + (h << (W+1)) + (h << 2W).  Three facts make it exact:
 
     * Slots above n//2 vanish modulo 2^{(n//2+1)W}, and Horner only adds
       and multiplies, so Horner on residues gives the residue of the final
       form's low half, sum_{j<=n//2} c_j 2^{jW}.
-    * Let B = sum_k |T(n,k)| 2^{n-2k}, from the row in use, and
-      W = 1 + bit_length(B), so 2^{W-1} > B.  Slot i of the final form is
-      sum_k (-1)^k T(n,k) C(n-2k, i-k), and C(n-2k, .) <= 2^{n-2k}, so
+    * Let B = sum_k |row[k]| 2^{n-2k} and W = 1 + bit_length(B), so
+      2^{W-1} > B.  Slot i of the final form is
+      sum_k (-1)^k row[k] C(n-2k, i-k), and C(n-2k, .) <= 2^{n-2k}, so
       |c_i| <= B < 2^{W-1}.  Only the final slots need this bound; a
       wrong T widens the slots instead of overflowing them.
     * So |sum_{j<=n//2} c_j 2^{jW}| < 2^{(n//2+1)W-1}: recentred into
       that range once, the residue is the half, with digits c_j.
     """
-    if n < 1:
-        raise ValueError(f"the Lockwood oracle requires n >= 1, got n={n}")
-    row = lucas_row(n)
     bound = 0  # B, by Horner in 4 over k and one more doubling for odd n
     for t in row:
         bound = (bound << 2) + abs(t)
@@ -154,7 +151,7 @@ def lockwood_rhs(n: int) -> BivariatePolynomial:
     than trust it.  The n//2 + 1 digits of :func:`_packed_half` are
     unpacked from the bottom and followed by their mirror.
     """
-    h, width = _packed_half(n)
+    h, width = _packed_half(n, lucas_row(n))
     mask = (1 << width) - 1
     half = []
     for _ in range(n // 2 + 1):
@@ -173,7 +170,7 @@ def verify_lockwood(n: int) -> bool:
     packed value is 1; the digits being unique, the sum is x^n + y^n
     exactly when :func:`_packed_half` returns h == 1.  No form is built.
     """
-    return _packed_half(n)[0] == 1
+    return _packed_half(n, lucas_row(n))[0] == 1
 
 
 def _verify_range(n_start: int, n_end: int) -> tuple[range, list[int]]:

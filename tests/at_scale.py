@@ -225,7 +225,7 @@ def morphism_one_product():
             table = curves._zeta_table(spec, i, (g + 1) // 2)
             w_to_k = ring_one(spec)
             for k in range(len(table)):
-                assert curves._w_power(spec, table, k, 1) == w_to_k, (g, i, k)
+                assert curves._w_power(spec, table, k) == w_to_k, (g, i, k)
                 w_to_k = w_to_k * w
 
 
@@ -380,10 +380,8 @@ _TRACER = "tracer-only def"
 # Every statement of a function in ``src/vertalign`` that no request of
 # ``library_reached`` runs, by its def and its first line, stripped.
 UNREACHED = {
-    ("alignment.aligned_entries",
-     'raise ValueError(f"aligned_entries requires n >= 0, got n={n}")'): _REFUSAL,
-    ("alignment.identity_sweep",
-     'raise ValueError(f"identity_sweep requires workers >= 1, got {workers}")'): _REFUSAL,
+    ("alignment.map_row_ranges",
+     'raise ValueError(f"map_row_ranges requires workers >= 1, got {workers}")'): _REFUSAL,
     ("cli.<lambda>",
      '_get_int_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)'): _FALLBACK,
     ("cli.<lambda>",
@@ -442,8 +440,6 @@ UNREACHED = {
     ("lockwood.BivariatePolynomial.__mul__", "return NotImplemented"): _VALUE,
     ("lockwood.BivariatePolynomial.__repr__",
      'return f"BivariatePolynomial({self.to_text()})"'): _VALUE,
-    ("lockwood._packed_half",
-     'raise ValueError(f"the Lockwood oracle requires n >= 1, got n={n}")'): _REFUSAL,
     ("quotient_ring.RingSpec.__eq__", "return NotImplemented"): _VALUE,
     ("quotient_ring.RingSpec.__hash__", "return hash((self.g, self.c))"): _VALUE,
     ("quotient_ring.RingSpec.__repr__", 'return f"RingSpec(g={self.g}, c={self.c})"'): _VALUE,

@@ -7,11 +7,12 @@ Imports ``ROOT/src/vertalign`` and runs, in this one process with
 passes of seeds 1-5 (read from ``bench/workloads.py`` beside this file, so
 every tree answers the same requests), every command
 in all three formats, the usage errors, ``-h`` and each ``<command> -h``,
-and then three faulted morphisms and four faulted targets in all three
-formats, so the bytes written from a faulted row are pinned as well.
-Each request's stdout, stderr and exit code are hashed together.  Two trees
-whose outputs agree byte for byte print the same lines, so a change meant
-to leave the output alone can be checked with
+then three faulted morphisms and four faulted targets in all three
+formats, so the bytes written from a faulted row are pinned as well, and
+last, after the line over the set, faulted sweeps and oracle runs in all
+three formats.  Each request's stdout, stderr and exit code are hashed
+together.  Two trees whose outputs agree byte for byte print the same
+lines, so a change meant to leave the output alone can be checked with
 
     python tests/output_digest.py . > change.txt
     python tests/output_digest.py ../parent > parent.txt
@@ -93,6 +94,21 @@ FAULTED_CURVES = [
     for fmt in ("text", "json", "csv")
 ]
 
+# Sweeps and oracle runs answered with delta added to T(n, k), at both
+# parities of n: ``fault_sweep`` patches ``alignment``, where the sweep reads
+# T, and ``fault_lucas_row`` patches ``lockwood``.  They follow the line over
+# the set, so the lines up to it read as they did before these were added.
+FAULTED_SWEEPS = [
+    (fault, ["--format", fmt, "sweep", "12"])
+    for fault in ((9, 2, 1), (12, 6, -2))
+    for fmt in ("text", "json", "csv")
+]
+FAULTED_ORACLES = [
+    (fault, ["--format", fmt, "lockwood", "20"])
+    for fault in ((17, 3, 5), (20, 10, -1))
+    for fmt in ("text", "json", "csv")
+]
+
 
 class _Patcher:
     """The ``setattr`` that ``tests/_faults.py`` patches through, undone by ``undo``."""
@@ -165,8 +181,8 @@ def main() -> int:
     sys.path.insert(0, str(root / "src"))
     from vertalign.cli import main as cli_main
 
-    from _faults import fault_lucas_row
-    from vertalign import cli, curves
+    from _faults import fault_lucas_row, fault_sweep
+    from vertalign import cli, curves, lockwood
 
     whole = hashlib.sha256()
 
@@ -175,18 +191,25 @@ def main() -> int:
         whole.update(f"{digest} {json.dumps(label)}\n".encode())
         print(digest, json.dumps(label)[:100])
 
-    for argv in requests():
-        record(argv, run(cli_main, argv))
-    faulted = [(curves, *request) for request in FAULTED_MORPHISMS]
-    faulted += [(cli, *request) for request in FAULTED_CURVES]
-    for module, (n, k, delta), argv in faulted:
+    def record_faulted(fault, argv, patch, *modules):
+        n, k, delta = fault
         patcher = _Patcher()
-        fault_lucas_row(patcher, module, (n, k, delta))
+        patch(patcher, *modules, fault)
         try:
             record([f"T({n},{k}){delta:+}", *argv], run(cli_main, argv))
         finally:
             patcher.undo()
+
+    for argv in requests():
+        record(argv, run(cli_main, argv))
+    for module, faulted in ((curves, FAULTED_MORPHISMS), (cli, FAULTED_CURVES)):
+        for fault, argv in faulted:
+            record_faulted(fault, argv, fault_lucas_row, module)
     print(whole.hexdigest(), "all")
+    for fault, argv in FAULTED_SWEEPS:
+        record_faulted(fault, argv, fault_sweep)
+    for fault, argv in FAULTED_ORACLES:
+        record_faulted(fault, argv, fault_lucas_row, lockwood)
     return 0
 
 

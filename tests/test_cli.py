@@ -1143,6 +1143,18 @@ class TestWorkerCap:
         assert map_row_ranges(lambda start, end: (start, end), 1, 100, 10**6) == [(1, 100)]
         assert _RecordingPool.sizes == [4, 3, 2]
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_refuses_fewer_than_one_worker_before_any_pool(self, monkeypatch, workers):
+        # Every pool is sized here, so the refusal is here too, for the
+        # sweep and the oracle alike; no range is checked and no pool made.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+        checked = []
+        with pytest.raises(ValueError, match=f"map_row_ranges requires workers >= 1, got {workers}"):
+            map_row_ranges(lambda start, end: checked.append((start, end)), 1, 10, workers)
+        assert _RecordingPool.sizes == [] and checked == []
+
     def test_huge_request_starts_capped_pools(self, monkeypatch, capsys):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(_RecordingPool, "sizes", [])

@@ -295,7 +295,7 @@ class TestBuildTarget:
         spec = make_ring(g, Fraction(-7, 11))
         w = zeta_power(spec, 1) * root_power(spec, 1)
         table = verify_morphism(spec, 1).zeta_table
-        assert [curves._w_power(spec, table, b, 1) for b in range(len(table))] == [
+        assert [curves._w_power(spec, table, b) for b in range(len(table))] == [
             ring_power(w, b) for b in range((g + 1) // 2 + 1)
         ]
         if g > 2:
@@ -319,7 +319,7 @@ class TestBuildTarget:
                 for k, entry in enumerate(table):
                     expected = {(a, 0): v for a, v in entry.items()}
                     assert zeta_power(spec, i * k).entries() == expected, (g, i, k)
-                    assert curves._w_power(spec, table, k, 1) == w_to_k, (g, i, k)
+                    assert curves._w_power(spec, table, k) == w_to_k, (g, i, k)
                     w_to_k = w_to_k * w
 
     @pytest.mark.parametrize("c", [1, Fraction(-7, 11), 3, Fraction(5, 2)], ids=str)

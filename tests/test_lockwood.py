@@ -124,8 +124,9 @@ class TestLockwoodRhs:
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_verify_rejects_n_below_one(self, n):
-        # The error names the oracle, not lockwood_rhs, which was not called.
-        with pytest.raises(ValueError, match="the Lockwood oracle requires n >= 1"):
+        # The refusal is lucas_row's: verify_lockwood reads the row of T
+        # before any expansion, and the oracle adds no check of its own.
+        with pytest.raises(ValueError, match="lucas_row requires n >= 1"):
             verify_lockwood(n)
 
     def test_verify_range(self):
@@ -138,11 +139,11 @@ class TestLockwoodRhs:
         # one larger at k = n//4, the residual (-1)^k (xy)^k (x+y)^{n-2k}
         # fills the centre slot, so the half has exactly n//2 + 1 digits,
         # and lockwood_rhs must mirror them into every slot of the form.
-        assert lockwood._packed_half(n)[0] == 1
+        assert lockwood._packed_half(n, lucas_row(n))[0] == 1
         assert lockwood_rhs(n) == x_n_plus_y_n(n)
         k = n // 4
         fault_lucas_row(monkeypatch, lockwood, (n, k, 1))
-        h, width = lockwood._packed_half(n)
+        h, width = lockwood._packed_half(n, lockwood.lucas_row(n))
         rhs = lockwood_rhs(n)
         assert 1 << ((n // 2) * width - 1) <= abs(h) < 1 << ((n // 2 + 1) * width - 1)
         residual = shift_xy(binomial_expand(n - 2 * k), k) * (-1 if k & 1 else 1)
@@ -216,13 +217,22 @@ def _any_signed_row(test):
 class TestHornerExpansion:
     @_any_signed_row
     def test_matches_term_by_term_sum_for_any_row(self, case):
-        # With arbitrary signed t_k in place of T(n, k), every slot of the
-        # Horner result must equal sum_k (-1)^k t_k (xy)^k (x+y)^{n-2k}, and
-        # the packed check must agree with comparing the full form.
+        # With arbitrary signed t_k in place of T(n, k), each evaluator of
+        # sum_k (-1)^k t_k (xy)^k (x+y)^{n-2k} must give every slot of the
+        # term-by-term sum: the oracle's masked Horner its packed half, the
+        # sweep's list Horner and the morphism's product tree the full form
+        # (at x = 1, and at x^2 = 1 with y = w).  The packed check must
+        # agree with comparing the full form, and lockwood_rhs, which takes
+        # n alone, must unpack and mirror the half of the row it reads.
         n, row = case
         expected = BivariatePolynomial((0,) * (n + 1))
         for k, t in enumerate(row):
             expected = expected + shift_xy(binomial_expand(n - 2 * k), k) * (-t if k & 1 else t)
+        h, width = lockwood._packed_half(n, row)
+        assert h == sum(c << (j * width) for j, c in enumerate(expected.coeffs[: n // 2 + 1]))
+        assert (h == 1) == (expected == x_n_plus_y_n(n))
+        assert alignment._row_totals(n, row) == list(expected.coeffs)
+        assert curves._pullback_weights(n, row) == list(expected.coeffs)
         with mock.patch.object(lockwood, "lucas_row", lambda m: row):
             assert lockwood_rhs(n) == expected
             assert verify_lockwood(n) == (lockwood_rhs(n) == x_n_plus_y_n(n))
@@ -233,8 +243,7 @@ class TestHornerExpansion:
         # nothing is left, so a pass that kept a slot above the half, or
         # left the residue uncentred, fails here.
         n, row = case
-        with mock.patch.object(lockwood, "lucas_row", lambda m: row):
-            h, width = lockwood._packed_half(n)
+        h, width = lockwood._packed_half(n, row)
         for _ in range(n // 2 + 1):
             digit = ((h + (1 << (width - 1))) & ((1 << width) - 1)) - (1 << (width - 1))
             h = (h - digit) >> width
