@@ -173,11 +173,12 @@ def map_row_ranges(
     are capped by the rows and the CPUs; with one left, this is the single
     call ``check(first, last)``.  Otherwise the rows are cut into about four
     ranges per worker, because later rows cost more and many small ranges
-    balance the pool.  The workers ignore SIGINT, so an interrupt reaches
-    only the parent, where it breaks the wait for results; leaving the
-    pool's ``with`` block then terminates the workers instead of letting
-    them finish the ranges already queued.  Results come back in range
-    order either way, so merged results stay canonical.
+    balance the pool.  Results come back in range order, so merged results
+    stay canonical.  A worker that dies, as under an out-of-memory kill,
+    breaks the pool and raises ChildProcessError: its range is neither
+    waited for nor read as a pass.  The workers ignore SIGINT, so an
+    interrupt breaks only the parent's wait; the workers are then
+    terminated instead of left to finish the ranges already queued.
     """
     if workers < 1:
         raise ValueError(f"map_row_ranges requires workers >= 1, got {workers}")
@@ -186,14 +187,23 @@ def map_row_ranges(
         return [check(first, last)]
     chunk = max(1, (last - first + 1) // (4 * workers))
     ranges = [(start, min(start + chunk - 1, last)) for start in range(first, last + 1, chunk)]
-    # Imported on first use: it loads sockets and threading, about 0.8 MB of
-    # resident memory, that a serial run never needs.
-    import multiprocessing
+    # Imported on first use: it loads multiprocessing, sockets and threading,
+    # about 1.8 MB of resident memory, that a serial run never needs.
+    from concurrent.futures import process
 
-    with multiprocessing.Pool(
+    with process.ProcessPoolExecutor(
         workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
     ) as pool:
-        return pool.starmap(check, ranges, chunksize=1)
+        try:
+            return list(pool.map(check, *zip(*ranges)))
+        except process.BrokenProcessPool:
+            # The pool has already terminated the other workers.
+            raise ChildProcessError("a worker process died before its rows were checked") from None
+        except BaseException:
+            # No public call stops an executor's workers before Python 3.14.
+            for worker in pool._processes.values():
+                worker.terminate()
+            raise
 
 
 def identity_sweep(n_max: int, workers: int = 1) -> SweepSummary:

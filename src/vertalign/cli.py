@@ -7,7 +7,8 @@ accepts ``--workers``, and only sweep and lockwood use it.
 
 Exit codes: 0 when all requested verifications hold, 1 when any identity or
 morphism check fails (the offending terms or residual are dumped), 2 on
-usage errors (including arguments outside an operation's domain).  141 (a
+usage errors (including arguments outside an operation's domain) and on
+running out of memory or losing a worker process.  These last, 141 (a
 closed output pipe) and 130 (Ctrl-C) say the run was cut short, not how a
 verification came out.  All numeric output is exact decimal or
 exact-fraction text; nothing is ever rounded.
@@ -55,7 +56,7 @@ from .curves import (
     table_text,
     verify_morphism,
 )
-from .lockwood import _verify_range, _x_n_plus_y_n, lockwood_rhs
+from .lockwood import BivariatePolynomial, _residual, _verify_range
 from .quotient_ring import make_ring
 
 __all__ = ["main"]
@@ -382,7 +383,7 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
         if failures:
             print(f"x^n + y^n expansion identity fails for n in {failures}")
             for n in failures:
-                print(f"residual for n={n}: {(lockwood_rhs(n) - _x_n_plus_y_n(n)).to_text()}")
+                print(f"residual for n={n}: {BivariatePolynomial(_residual(n)).to_text()}")
         elif all_hold:
             print(
                 f"x^n + y^n expansion identity for n = 1..{args.n_max}: "
@@ -579,8 +580,11 @@ def main(argv: list[str] | None = None) -> int:
         code = handler(args)
         sys.stdout.flush()
         return code
-    except ValueError as exc:
+    except (ValueError, ChildProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # The reader went away.  Point stdout at devnull so the interpreter's

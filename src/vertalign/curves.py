@@ -246,7 +246,7 @@ def _pullback_weights(g: int, lucas: tuple[int, ...]) -> list[int]:
 
     Put y = w/x in the ``lockwood`` oracle's sum for x^g + y^g and multiply
     by x^{g+1}: it becomes this sum, with the coefficient of x^{g-b} y^b at
-    w^b.  So the weights equal ``lockwood_rhs(g).coeffs`` for the same T,
+    w^b.  So the weights equal ``lockwood_rhs(g)`` for the same T,
     which the tests check.  The two share no code: here a product tree of
     unmasked powers of 1 + w, there masked Horner in (x + y)^2.
     """

@@ -48,12 +48,11 @@ __all__ = ["BivariatePolynomial", "lockwood_rhs", "verify_lockwood"]
 
 
 class BivariatePolynomial:
-    """Homogeneous form of degree n in x, y with exact integer coefficients.
+    """A homogeneous form of degree n in x, y, written: ``coeffs[b]`` is
+    the coefficient of x^{n-b} y^b, one tuple of n + 1 ints.
 
-    ``coeffs[b]`` is the coefficient of x^{n-b} y^b, so a form of degree n is
-    one tuple of n + 1 ints and equality is tuple equality.  Forms of
-    different degree never compare equal and cannot be added.  Instances
-    are immutable.
+    The oracle hands out its forms as those tuples; this class only writes
+    one, as ``curves.RingPolynomial`` writes a curve.
     """
 
     __slots__ = ("coeffs",)
@@ -63,24 +62,8 @@ class BivariatePolynomial:
         if not self.coeffs:
             raise ValueError("a form of degree n needs n + 1 coefficients, got none")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BivariatePolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        if not isinstance(other, BivariatePolynomial):
-            return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("cannot add forms of different degree")
-        return BivariatePolynomial([p + q for p, q in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        return self + other * -1
-
-    # A form times an int, for ``__sub__``; the benchmark tracer wraps it by
-    # name as ``lockwood.poly_mul``.  No form is multiplied by a form: the
-    # oracle multiplies by x + y on a packed int.
+    # The benchmark tracer wraps the product by an int by name, as
+    # ``lockwood.poly_mul``; no command runs it.
     def __mul__(self, other: int) -> "BivariatePolynomial":
         if not isinstance(other, int):
             return NotImplemented
@@ -96,9 +79,6 @@ class BivariatePolynomial:
             for b, coeff in enumerate(self.coeffs)
             if coeff
         )
-
-    def __repr__(self) -> str:
-        return f"BivariatePolynomial({self.to_text()})"
 
 
 def _packed_half(n: int, row: tuple[int, ...]) -> tuple[int, int]:
@@ -140,16 +120,13 @@ def _packed_half(n: int, row: tuple[int, ...]) -> tuple[int, int]:
     return h, width
 
 
-def _x_n_plus_y_n(n: int) -> BivariatePolynomial:
-    return BivariatePolynomial((1,) + (0,) * (n - 1) + (1,))
-
-
-def lockwood_rhs(n: int) -> BivariatePolynomial:
+def lockwood_rhs(n: int) -> tuple[int, ...]:
     """Expand sum_{k=0}^{n//2} (-1)^k T(n,k) (xy)^k (x+y)^{n-2k} exactly.
 
-    The interior terms cancel, leaving x^n + y^n; callers check that rather
-    than trust it.  The n//2 + 1 digits of :func:`_packed_half` are
-    unpacked from the bottom and followed by their mirror.
+    Returns its n + 1 coefficients, of x^n down to y^n.  The interior terms
+    cancel, leaving x^n + y^n; callers check that rather than trust it.
+    The n//2 + 1 digits of :func:`_packed_half` are unpacked from the
+    bottom and followed by their mirror.
     """
     h, width = _packed_half(n, lucas_row(n))
     mask = (1 << width) - 1
@@ -160,7 +137,13 @@ def lockwood_rhs(n: int) -> BivariatePolynomial:
             digit -= 1 << width
         half.append(digit)
         h = (h - digit) >> width
-    return BivariatePolynomial(half + half[(n & 1) - 2::-1])
+    return (*half, *half[(n & 1) - 2::-1])
+
+
+def _residual(n: int) -> tuple[int, ...]:
+    """:func:`lockwood_rhs` minus x^n + y^n: zero exactly when n holds."""
+    first, *middle, last = lockwood_rhs(n)
+    return (first - 1, *middle, last - 1)
 
 
 def verify_lockwood(n: int) -> bool:

@@ -1,11 +1,16 @@
 """Every way the tests and ``tests/at_scale.py`` fault T(n, k) or forbid a call.
 
 Each function takes a patcher ``mp`` with ``setattr(owner, name, value)``:
-pytest's ``monkeypatch``, or ``pytest.MonkeyPatch.context()`` in a script.
+pytest's ``monkeypatch``, or ``output_digest._Patcher`` in a script.
 A fault (n, k, delta) adds delta to T(n, k) where the patched name hands T
 out, and leaves every other row honest.  pytest does not collect this
 module: its name does not match ``test_*.py``.
 """
+
+import functools
+import multiprocessing
+import os
+import signal
 
 from vertalign import alignment, cli, curves
 
@@ -89,6 +94,31 @@ def lose_last_range(mp) -> None:
 
     for module in (cli, alignment):
         mp.setattr(module, "map_row_ranges", lossy)
+
+
+def _breaks_at(row: int, kill: bool, check, start: int, end: int):
+    """``check(start, end)``, unless a worker process holds ``row``: that
+    worker kills itself with SIGKILL if ``kill``, as an out-of-memory kill
+    would, and else raises KeyboardInterrupt, as Ctrl-C would break a wait.
+    In the parent process it only checks, so a serial run is never killed."""
+    if start <= row <= end and multiprocessing.parent_process() is not None:
+        if kill:
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise KeyboardInterrupt
+    return check(start, end)
+
+
+def break_worker(mp, row: int, kill: bool) -> None:
+    """Break the worker whose range holds ``row`` (see ``_breaks_at``)
+    where ``cli`` and ``alignment`` fan ranges out.  The check the pool
+    runs stays a module-level function, so it pickles by name."""
+    honest = alignment.map_row_ranges
+
+    def breaking(check, first, last, workers):
+        return honest(functools.partial(_breaks_at, row, kill, check), first, last, workers)
+
+    for module in (cli, alignment):
+        mp.setattr(module, "map_row_ranges", breaking)
 
 
 def fail_morphism(mp) -> None:

@@ -12,7 +12,9 @@ without the library's code for the step under test:
 * ``binomial_falling`` / ``falling_row``: C(m, r) by the falling-factorial
   product, against ``binomial()``'s reflection for m < 0.
 * ``binomial_expand``: (x + y)^n filled in from ``binomial()``, against a
-  chain of list convolutions with x + y (``xy_symmetric_power``).
+  chain of list convolutions with x + y (``xy_symmetric_power``).  A form
+  here is what ``lockwood_rhs`` returns: the tuple of its n + 1
+  coefficients, of x^n down to y^n.
 * ``aligned_term`` / ``term_coefficient``: the terms (xy)^k (x + y)^{n-2k}
   of the oracle's sum and their coefficients, against C(n-2k, i-k); with
   ``binomial_expand`` and ``shift_xy`` they also give the sum term by term,
@@ -88,7 +90,6 @@ from itertools import repeat, zip_longest
 
 from vertalign import alignment, curves
 from vertalign.combinatorics import binomial, lucas_coeff
-from vertalign.lockwood import BivariatePolynomial
 from vertalign.quotient_ring import (
     QuotientRingElement,
     RingSpec,
@@ -158,34 +159,33 @@ def binomial_falling(m: int, r: int) -> int:
 # -- the expansion oracle ----------------------------------------------------
 
 
-def binomial_expand(n: int) -> BivariatePolynomial:
+def binomial_expand(n: int) -> tuple[int, ...]:
     """(x + y)^n filled in directly from binomial coefficients."""
     if n < 0:
         raise ValueError(f"binomial_expand requires n >= 0, got n={n}")
-    return BivariatePolynomial(binomial(n, i) for i in range(n + 1))
+    return tuple(binomial(n, i) for i in range(n + 1))
 
 
-def xy_symmetric_power(m: int) -> BivariatePolynomial:
+def xy_symmetric_power(m: int) -> tuple[int, ...]:
     """(x + y)^m as a chain of m products by x + y, each the convolution of
-    a coefficient list with (1, 1); ``BivariatePolynomial`` multiplies only
-    by an int."""
+    a coefficient list with (1, 1)."""
     if m < 0:
         raise ValueError(f"xy_symmetric_power requires m >= 0, got m={m}")
     power = [1]
     for _ in range(m):
         power = [a + b for a, b in zip(power + [0], [0] + power)]
-    return BivariatePolynomial(power)
+    return tuple(power)
 
 
-def shift_xy(p: BivariatePolynomial, k: int) -> BivariatePolynomial:
+def shift_xy(p: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Multiply a form by (xy)^k."""
     if k < 0:
         raise ValueError(f"shift requires k >= 0, got k={k}")
     pad = (0,) * k
-    return BivariatePolynomial(pad + p.coeffs + pad)
+    return pad + p + pad
 
 
-def aligned_term(n: int, k: int) -> BivariatePolynomial:
+def aligned_term(n: int, k: int) -> tuple[int, ...]:
     """The unsigned building block (xy)^k (x + y)^{n-2k}, fully expanded."""
     if n < 1:
         raise ValueError(f"aligned_term requires n >= 1, got n={n}")
@@ -198,7 +198,7 @@ def term_coefficient(n: int, k: int, i: int) -> int:
     """Coefficient of x^{n-i} y^i in (xy)^k (x+y)^{n-2k}; equals C(n-2k, i-k)."""
     if not 0 <= i <= n:
         raise ValueError(f"term_coefficient requires 0 <= i <= n, got i={i}, n={n}")
-    return aligned_term(n, k).coeffs[i]
+    return aligned_term(n, k)[i]
 
 
 # -- the alignment sweep -----------------------------------------------------

@@ -10,8 +10,10 @@ their sizes are written here alone.  CI runs each check by name under a
 ``timeout``, in one step of ``.github/workflows/tier1.yml``.  Fault checks
 inject T through ``tests/_faults.py``.  ``library-reached`` traces
 ``src/vertalign`` line by line under its requests; ``UNREACHED`` lists, by
-category, the statements no command runs.  pytest does not collect this
-script: its name does not match ``test_*.py``.
+category, the statements no command runs.  It needs only the standard
+library (faults are patched through ``output_digest._Patcher``), so it runs
+on every interpreter a machine has, with or without pytest.  pytest does
+not collect this script: its name does not match ``test_*.py``.
 """
 
 import ast
@@ -30,12 +32,16 @@ import types
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
-from _faults import fail_morphism, fault_chain, fault_lucas_row, fault_sweep, lose_last_range
+from _faults import (
+    break_worker,
+    fail_morphism,
+    fault_chain,
+    fault_lucas_row,
+    fault_sweep,
+    lose_last_range,
+)
 from _reference import RingPolynomial, lifted, ring_one, root_power, scaled, zeta_power
-from output_digest import load_workloads, requests, run
-from test_tracer_targets import TARGETS as TRACER_TARGETS
+from output_digest import _Patcher, load_bench, requests, run
 import vertalign
 from vertalign import alignment, cli, curves, lockwood
 from vertalign.cli import main as cli_main
@@ -86,7 +92,7 @@ def sweep_fault():
     VM), and its failures must be exactly C(500, i - 250) at
     250 <= i <= 750, from math.comb.
     """
-    with pytest.MonkeyPatch.context() as mp:
+    with _Patcher() as mp:
         fault_sweep(mp, (1000, 250, 1))
         summary = alignment.identity_sweep(1000)
     assert summary.pairs_checked == 999 * 1000 // 2
@@ -104,7 +110,7 @@ def sweep_chain_fault():
     and report no failure.
     """
     calls = []
-    with pytest.MonkeyPatch.context() as mp:
+    with _Patcher() as mp:
         fault_chain(mp, 1000, 250, 1)
         honest = alignment.lucas_row
         mp.setattr(alignment, "lucas_row", lambda n: calls.append(n) or honest(n))
@@ -132,9 +138,9 @@ def lockwood_fault_600():
     The output digest reaches only small n.  The residual must be
     (xy)^150 (x + y)^300: C(300, i - 150) at y^i, from math.comb.
     """
-    with pytest.MonkeyPatch.context() as mp:
+    with _Patcher() as mp:
         fault_lucas_row(mp, lockwood, (600, 150, 1))
-        residual = (lockwood.lockwood_rhs(600) - lockwood._x_n_plus_y_n(600)).coeffs
+        residual = lockwood._residual(600)
         assert not lockwood.verify_lockwood(600) and lockwood.verify_lockwood(599)
     expected = tuple(math.comb(300, i - 150) if 150 <= i <= 450 else 0 for i in range(601))
     assert residual == expected, [
@@ -149,9 +155,9 @@ def lockwood_fault_601():
     The residual (xy)^300 (x + y) sits in the top slot of the half and its
     mirror: it must be exactly 1 at y^300 and y^301 and 0 elsewhere.
     """
-    with pytest.MonkeyPatch.context() as mp:
+    with _Patcher() as mp:
         fault_lucas_row(mp, lockwood, (601, 300, 1))
-        residual = (lockwood.lockwood_rhs(601) - lockwood._x_n_plus_y_n(601)).coeffs
+        residual = lockwood._residual(601)
         assert not lockwood.verify_lockwood(601) and lockwood.verify_lockwood(600)
     assert residual == tuple(1 if i in (300, 301) else 0 for i in range(602)), [
         (i, c) for i, c in enumerate(residual) if c != (i in (300, 301))
@@ -181,7 +187,7 @@ def morphism_fault_401():
     from the table of zeta^(ik) run on to k = g - 1.
     """
     spec = make_ring(401, Fraction(3, 5))
-    with pytest.MonkeyPatch.context() as mp:
+    with _Patcher() as mp:
         fault_lucas_row(mp, curves, (401, 150, 1))
         check = curves.verify_morphism(spec, 1)
     assert not check.holds and len(check.zeta_table) == 401
@@ -215,7 +221,7 @@ def morphism_one_product():
         spec = make_ring(g, Fraction(-7, 11))
         for i in (0, 1):
             calls = []
-            with pytest.MonkeyPatch.context() as mp:
+            with _Patcher() as mp:
                 honest = QuotientRingElement.__mul__
                 mp.setattr(QuotientRingElement, "__mul__",
                            lambda x, y: calls.append(1) or honest(x, y))
@@ -238,7 +244,7 @@ def morphism_weights():
     the oracle runs masked Horner in (x + y)^2.
     """
     weights = curves._pullback_weights(800, lucas_row(800))
-    assert weights == list(lockwood.lockwood_rhs(800).coeffs)
+    assert weights == list(lockwood.lockwood_rhs(800))
 
 
 @check
@@ -430,16 +436,10 @@ UNREACHED = {
      'raise ValueError(f"cyclotomic requires g >= 1, got g={g}")'): _REFUSAL,
     ("lockwood.BivariatePolynomial.__init__",
      'raise ValueError("a form of degree n needs n + 1 coefficients, got none")'): _REFUSAL,
-    ("lockwood.BivariatePolynomial.__eq__", "if not isinstance(other, BivariatePolynomial):"):
-        _VALUE,
-    ("lockwood.BivariatePolynomial.__eq__", "return NotImplemented"): _VALUE,
-    ("lockwood.BivariatePolynomial.__eq__", "return self.coeffs == other.coeffs"): _VALUE,
-    ("lockwood.BivariatePolynomial.__add__", "return NotImplemented"): _VALUE,
-    ("lockwood.BivariatePolynomial.__add__",
-     'raise ValueError("cannot add forms of different degree")'): _VALUE,
-    ("lockwood.BivariatePolynomial.__mul__", "return NotImplemented"): _VALUE,
-    ("lockwood.BivariatePolynomial.__repr__",
-     'return f"BivariatePolynomial({self.to_text()})"'): _VALUE,
+    ("lockwood.BivariatePolynomial.__mul__", "if not isinstance(other, int):"): _TRACER,
+    ("lockwood.BivariatePolynomial.__mul__", "return NotImplemented"): _TRACER,
+    ("lockwood.BivariatePolynomial.__mul__",
+     "return BivariatePolynomial([c * other for c in self.coeffs])"): _TRACER,
     ("quotient_ring.RingSpec.__eq__", "return NotImplemented"): _VALUE,
     ("quotient_ring.RingSpec.__hash__", "return hash((self.g, self.c))"): _VALUE,
     ("quotient_ring.RingSpec.__repr__", 'return f"RingSpec(g={self.g}, c={self.c})"'): _VALUE,
@@ -512,6 +512,11 @@ def _interrupted(args):
     raise KeyboardInterrupt
 
 
+def _exhausted(args):
+    """A command handler that runs out of memory."""
+    raise MemoryError
+
+
 @check
 def library_reached():
     """Every statement of every function in ``src/vertalign`` runs on some
@@ -525,7 +530,9 @@ def library_reached():
     ``tests/_faults.py`` in all three formats: the failing runs of
     ``lockwood``, ``sweep`` and ``verify-morphism``, a lost range, a
     ``curve`` whose T(9, 2) is 0, a ``sweep`` whose chain row has a wrong
-    first entry, and a handler interrupted by Ctrl-C.
+    first entry, a handler interrupted by Ctrl-C, one that runs out of
+    memory, and a two-worker ``lockwood`` whose worker is killed or whose
+    wait is interrupted.
     Caches are cleared first, so a cached function runs here too.  The
     check fails on a statement that never runs and that no entry of
     ``UNREACHED`` names, and on an entry that names no such statement, so
@@ -556,8 +563,12 @@ def library_reached():
         # on its first entry, and the row read from ``lucas_row`` holds.
         (lambda mp: fault_chain(mp, 12, 0, 1), sweep_run, 0),
         (lambda mp: mp.setattr(cli, "_cmd_identity", _interrupted), ["identity", "11", "3"], 130),
+        (lambda mp: mp.setattr(cli, "_cmd_identity", _exhausted), ["identity", "11", "3"], 2),
+        # A pool whose worker dies, and one whose wait Ctrl-C breaks.
+        (lambda mp: break_worker(mp, 10, kill=True), [*lockwood_run, "--workers", "2"], 2),
+        (lambda mp: break_worker(mp, 10, kill=False), [*lockwood_run, "--workers", "2"], 130),
     ]
-    plain = requests() + load_workloads().generate("sweep", 1) + [
+    plain = requests() + load_bench("workloads").generate("sweep", 1) + [
         [*sweep_run, "--workers", "2"], [*lockwood_run, "--workers", "2"],
         ["curve", "--", "2", "1e99999", "1"], ["curve", "--", "2", "1e4300", "1"],
     ]
@@ -573,14 +584,14 @@ def library_reached():
         return trace_line if frame.f_code.co_filename in files else None
 
     cpu_count = os.cpu_count
-    with pytest.MonkeyPatch.context() as pinned:
+    with _Patcher() as pinned:
         pinned.setattr(os, "cpu_count", lambda: max(2, cpu_count() or 1))
         sys.settrace(trace_call)
         try:
             for argv in plain:
                 run(cli_main, argv)
             for fault, argv, expected in faulted:
-                with pytest.MonkeyPatch.context() as mp:
+                with _Patcher() as mp:
                     fault(mp)
                     for fmt in ("text", "json", "csv"):
                         code = json.loads(run(cli_main, ["--format", fmt, *argv]))[0]
@@ -596,9 +607,8 @@ def library_reached():
     never = {key for where, key in statements.items() if where not in ran}
     unlisted = sorted(never - UNREACHED.keys())
     stale = sorted(UNREACHED.keys() - never)
-    tracer_defs = {
-        ".".join(part for part in target[:3] if part) for target in TRACER_TARGETS
-    }
+    targets = load_bench("tracer").TARGETS
+    tracer_defs = {".".join(part for part in target[:3] if part) for target in targets}
     untraced = sorted(
         name for (name, _), category in UNREACHED.items()
         if category == _TRACER and name not in tracer_defs

@@ -111,7 +111,8 @@ FAULTED_ORACLES = [
 
 
 class _Patcher:
-    """The ``setattr`` that ``tests/_faults.py`` patches through, undone by ``undo``."""
+    """The ``setattr`` that ``tests/_faults.py`` patches through, undone by
+    ``undo`` or on leaving a ``with`` block, last patch first."""
 
     def __init__(self):
         self.saved = []
@@ -124,18 +125,24 @@ class _Patcher:
         while self.saved:
             setattr(*self.saved.pop())
 
+    def __enter__(self):
+        return self
 
-def load_workloads():
-    """``bench/workloads.py`` of this tree, loaded as a module."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
+    def __exit__(self, *exc):
+        self.undo()
+
+
+def load_bench(name: str):
+    """``bench/<name>.py`` of this tree, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def requests() -> list[list[str]]:
-    workloads = load_workloads()
+    workloads = load_bench("workloads")
     out = [list(argv) for argv, _ in workloads.GOLDEN]
     for seed in range(1, 6):
         out += workloads.generate("morphism", seed) + workloads.generate("pointwise", seed)
@@ -193,12 +200,9 @@ def main() -> int:
 
     def record_faulted(fault, argv, patch, *modules):
         n, k, delta = fault
-        patcher = _Patcher()
-        patch(patcher, *modules, fault)
-        try:
+        with _Patcher() as patcher:
+            patch(patcher, *modules, fault)
             record([f"T({n},{k}){delta:+}", *argv], run(cli_main, argv))
-        finally:
-            patcher.undo()
 
     for argv in requests():
         record(argv, run(cli_main, argv))

@@ -117,17 +117,16 @@ class TestIdentitySum:
         # cancels the x^{n-i} y^i coefficient of the binomial expansion,
         # and the polynomial route computes the same portion term-free.
         for n in range(2, 61):
-            tail_poly = None
+            tail_poly = [0] * (n + 1)
             for k in range(1, n // 2 + 1):
-                piece = aligned_term(n, k) * ((-1) ** k * lucas_coeff(n, k))
-                tail_poly = piece if tail_poly is None else tail_poly + piece
+                signed = (-1) ** k * lucas_coeff(n, k)
+                tail_poly = [t + signed * c for t, c in zip(tail_poly, aligned_term(n, k))]
             expansion = binomial_expand(n)
             for i in range(1, n):
                 terms, _ = identity_sum(n, i)
                 tail = sum(coeff * value for coeff, value in terms[1:])
-                assert tail == -expansion.coeffs[i]
-                if tail_poly is not None:
-                    assert tail == tail_poly.coeffs[i]
+                assert tail == -expansion[i]
+                assert tail == tail_poly[i]
 
     @pytest.mark.parametrize(
         "n, i, k_bad, delta",

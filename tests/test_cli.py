@@ -6,12 +6,13 @@ import functools
 import io
 import json
 import math
-import multiprocessing
 import os
+import resource
 import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import process
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from _reference import (
     scaled,
     zeta_power,
 )
-from output_digest import help_and_usage, load_workloads
+from output_digest import help_and_usage, load_bench
 from vertalign import curves, lockwood, quotient_ring
 from vertalign.alignment import SweepSummary, identity_sum, identity_sweep, map_row_ranges
 from vertalign.quotient_ring import QuotientRingElement, from_rational
@@ -571,7 +572,7 @@ class TestJsonEmitter:
 def _pointwise_json_requests(seeds) -> list[tuple[str, ...]]:
     """The distinct ``--format json`` requests of the benchmark's pointwise
     passes for ``seeds``, read from ``bench/workloads.py``."""
-    workloads = load_workloads()
+    workloads = load_bench("workloads")
     stream = [argv for seed in seeds for argv in workloads.generate("pointwise", seed)]
     return sorted({tuple(argv[2:]) for argv in stream if argv[:2] == ["--format", "json"]})
 
@@ -934,7 +935,7 @@ def test_workers_below_one_is_usage(argv, workers, capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(process, "ProcessPoolExecutor", no_pool)
     for placed in (["--workers", workers, *argv], [*argv, "--workers", workers]):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(placed)
@@ -951,7 +952,7 @@ def test_workers_accepted_and_ignored_by_other_commands(argv, capsys, monkeypatc
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(process, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code = cli.main(argv)
     plain = capsys.readouterr()
@@ -1109,13 +1110,67 @@ class TestInterruptedRuns:
         assert "Traceback" not in capsys.readouterr().err
 
 
+def _cap_address_space():
+    """Run in the child alone, before it starts Python: 300 MB of address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+
+class TestRunningOut:
+    """Running out of memory or losing a worker is a refusal (exit 2), not a verdict."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--format", "json", "triangle", "1500"], ["lucas-row", "200000"]],
+        ids=lambda argv: argv[-2],
+    )
+    def test_out_of_memory_exits_2(self, argv):
+        result = subprocess.run(
+            [sys.executable, "-m", "vertalign", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=_cap_address_space,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: out of memory\n"
+
+    @pytest.mark.parametrize("command", ["sweep", "lockwood"])
+    def test_dead_worker_exits_2(self, command):
+        # The worker whose range holds row 100 kills itself, as an
+        # out-of-memory kill would.  The run must end at once with exit 2,
+        # read no range as a pass, and leave no worker behind.
+        script = (
+            "import os, sys; sys.path[:0] = sys.argv[1:]; os.cpu_count = lambda: 2; "
+            "from _faults import break_worker; from output_digest import _Patcher; "
+            "from vertalign.cli import main; break_worker(_Patcher(), 100, kill=True); "
+            f"sys.exit(main(['{command}', '200', '--workers', '2']))"
+        )
+        tests = Path(__file__).parent
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(tests), str(tests.parent / "src")],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=30)
+            assert (proc.returncode, out) == (2, b"")
+            assert err == b"error: a worker process died before its rows were checked\n"
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+
 class _RecordingPool:
-    """Stands in for multiprocessing.Pool: records its size, runs tasks inline."""
+    """Stands in for ProcessPoolExecutor: records its size, runs tasks inline."""
 
     sizes: list[int] = []
 
-    def __init__(self, processes, initializer=None, initargs=()):
-        self.sizes.append(processes)
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        self.sizes.append(max_workers)
 
     def __enter__(self):
         return self
@@ -1123,18 +1178,15 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable, chunksize=None):
-        return [fn(item) for item in iterable]
-
-    def starmap(self, fn, iterable, chunksize=None):
-        return [fn(*item) for item in iterable]
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 class TestWorkerCap:
     def test_pool_size_caps_at_tasks_and_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
-        monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+        monkeypatch.setattr(process, "ProcessPoolExecutor", _RecordingPool)
         for last, workers in [(100, 10**6), (3, 10**6), (100, 2)]:
             map_row_ranges(lambda start, end: None, 1, last, workers)
         assert _RecordingPool.sizes == [4, 3, 2]
@@ -1149,7 +1201,7 @@ class TestWorkerCap:
         # sweep and the oracle alike; no range is checked and no pool made.
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
-        monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+        monkeypatch.setattr(process, "ProcessPoolExecutor", _RecordingPool)
         checked = []
         with pytest.raises(ValueError, match=f"map_row_ranges requires workers >= 1, got {workers}"):
             map_row_ranges(lambda start, end: checked.append((start, end)), 1, 10, workers)
@@ -1158,7 +1210,7 @@ class TestWorkerCap:
     def test_huge_request_starts_capped_pools(self, monkeypatch, capsys):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
-        monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+        monkeypatch.setattr(process, "ProcessPoolExecutor", _RecordingPool)
         assert identity_sweep(30, workers=10**6) == identity_sweep(30)
         assert cli.main(["lockwood", "3", "--workers", str(10**6)]) == 0
         assert "all 3 hold" in capsys.readouterr().out
@@ -1174,7 +1226,7 @@ class TestWorkerCap:
     def test_row_ranges_cover_first_to_last(self, monkeypatch, first, last, workers):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
-        monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+        monkeypatch.setattr(process, "ProcessPoolExecutor", _RecordingPool)
         ranges = map_row_ranges(lambda start, end: (start, end), first, last, workers)
         # No worker is started without a range to check.
         assert _RecordingPool.sizes == [min(workers, 4, len(ranges))]
@@ -1194,7 +1246,7 @@ class TestParserReuse:
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
-        monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+        monkeypatch.setattr(process, "ProcessPoolExecutor", _RecordingPool)
         assert cli.main(["sweep", "12", "--workers", "2"]) == 0
         assert _RecordingPool.sizes == [2]
         assert cli.main(["sweep", "12"]) == 0

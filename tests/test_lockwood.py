@@ -23,51 +23,43 @@ from vertalign.combinatorics import binomial, lucas_row
 from vertalign.lockwood import BivariatePolynomial, _verify_range, lockwood_rhs, verify_lockwood
 
 
-def x_n_plus_y_n(n: int) -> BivariatePolynomial:
-    return BivariatePolynomial((1,) + (0,) * (n - 1) + (1,))
+def x_n_plus_y_n(n: int) -> tuple[int, ...]:
+    return (1,) + (0,) * (n - 1) + (1,)
+
+
+def term_by_term(n: int, row: tuple[int, ...]) -> tuple[int, ...]:
+    """sum_k (-1)^k row[k] (xy)^k (x+y)^{n-2k}, each term from ``binomial_expand``."""
+    total = [0] * (n + 1)
+    for k, t in enumerate(row):
+        for b, c in enumerate(shift_xy(binomial_expand(n - 2 * k), k)):
+            total[b] += -t * c if k & 1 else t * c
+    return tuple(total)
 
 
 class TestBivariatePolynomial:
-    def test_canonical_no_zero_terms(self):
-        p = BivariatePolynomial((1, 2))  # x + 2*y
-        q = BivariatePolynomial((-1, 3))  # -x + 3*y
-        merged = p + q
-        assert merged.coeffs == (0, 5)
-        assert merged == BivariatePolynomial((0, 5))
-        assert merged.to_text() == "5*y"
-
-    def test_cancellation_to_zero(self):
-        p = xy_symmetric_power(3)
-        assert (p - p).coeffs == (0,) * 4
-        assert (p - p) == BivariatePolynomial((0,) * 4)
-
     def test_rejects_empty_coefficients(self):
         with pytest.raises(ValueError):
             BivariatePolynomial(())
 
-    def test_rejects_adding_different_degrees(self):
-        with pytest.raises(ValueError):
-            xy_symmetric_power(2) + xy_symmetric_power(3)
-
     def test_scalar_and_shift(self):
         p = BivariatePolynomial((0, 2, 0))  # 2*x*y
         assert (p * 3).coeffs == (0, 6, 0)
-        assert (3 * p) == p * 3
+        assert (3 * p).coeffs == (p * 3).coeffs
         assert (p * 0).coeffs == (0, 0, 0)
-        assert shift_xy(p, 2).coeffs == (0, 0, 0, 2, 0, 0, 0)
+        assert shift_xy(p.coeffs, 2) == (0, 0, 0, 2, 0, 0, 0)
         with pytest.raises(ValueError):
-            shift_xy(p, -1)
+            shift_xy(p.coeffs, -1)
 
     def test_coefficient_off_the_form_is_zero(self):
         # A form of degree 4 stores exactly the five monomials x^(4-b) y^b.
-        p = xy_symmetric_power(4)
-        assert p.coeffs == (1, 4, 6, 4, 1)
+        assert xy_symmetric_power(4) == (1, 4, 6, 4, 1)
 
     def test_text_graded_lex(self):
         p = BivariatePolynomial((1, 2, 1))
         assert p.to_text() == "x^2 + 2*x*y + y^2"
-        assert x_n_plus_y_n(11).to_text() == "x^11 + y^11"
+        assert BivariatePolynomial(x_n_plus_y_n(11)).to_text() == "x^11 + y^11"
         assert BivariatePolynomial((0, 0)).to_text() == "0"
+        assert BivariatePolynomial((0, 5)).to_text() == "5*y"
         mixed = BivariatePolynomial((0, 1, 0, -7, -4))
         assert mixed.to_text() == "x^3*y - 7*x*y^3 - 4*y^4"
         assert BivariatePolynomial((-4,)).to_text() == "-4"
@@ -76,16 +68,16 @@ class TestBivariatePolynomial:
     def test_form_times_form_raises_type_error(self):
         # A form multiplies only by an int: no command multiplies two forms.
         with pytest.raises(TypeError):
-            xy_symmetric_power(2) * BivariatePolynomial((1, 1))
+            BivariatePolynomial(xy_symmetric_power(2)) * BivariatePolynomial((1, 1))
 
 
 class TestBinomialExpand:
     def test_small(self):
-        assert binomial_expand(2).coeffs == (1, 2, 1)
-        assert binomial_expand(0).coeffs == (1,)
+        assert binomial_expand(2) == (1, 2, 1)
+        assert binomial_expand(0) == (1,)
 
     def test_center_of_row_12(self):
-        assert binomial_expand(12).coeffs[6] == 924
+        assert binomial_expand(12)[6] == 924
 
     def test_agrees_with_iterated_multiplication(self):
         # Two genuinely different routes to (x+y)^n.
@@ -96,8 +88,7 @@ class TestBinomialExpand:
         x, y = sympy.symbols("x y")
         for n in (3, 7, 13):
             expanded = sympy.Poly(sympy.expand((x + y) ** n), x, y)
-            ours = binomial_expand(n)
-            for b, coeff in enumerate(ours.coeffs):
+            for b, coeff in enumerate(binomial_expand(n)):
                 assert expanded.coeff_monomial(x ** (n - b) * y**b) == coeff
 
     def test_rejects_negative(self):
@@ -116,7 +107,7 @@ class TestLockwoodRhs:
         assert lockwood_rhs(11) == x_n_plus_y_n(11)
 
     def test_n_1(self):
-        assert lockwood_rhs(1) == BivariatePolynomial((1, 1))
+        assert lockwood_rhs(1) == (1, 1)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -144,10 +135,10 @@ class TestLockwoodRhs:
         k = n // 4
         fault_lucas_row(monkeypatch, lockwood, (n, k, 1))
         h, width = lockwood._packed_half(n, lockwood.lucas_row(n))
-        rhs = lockwood_rhs(n)
         assert 1 << ((n // 2) * width - 1) <= abs(h) < 1 << ((n // 2 + 1) * width - 1)
-        residual = shift_xy(binomial_expand(n - 2 * k), k) * (-1 if k & 1 else 1)
-        assert rhs == x_n_plus_y_n(n) + residual
+        residual = shift_xy(binomial_expand(n - 2 * k), k)
+        assert lockwood._residual(n) == tuple(-c if k & 1 else c for c in residual)
+        assert lockwood_rhs(n) == term_by_term(n, lockwood.lucas_row(n))
 
     def test_never_reaches_binomial(self, monkeypatch):
         # Every module that binds binomial, the test reference included,
@@ -225,17 +216,17 @@ class TestHornerExpansion:
         # agree with comparing the full form, and lockwood_rhs, which takes
         # n alone, must unpack and mirror the half of the row it reads.
         n, row = case
-        expected = BivariatePolynomial((0,) * (n + 1))
-        for k, t in enumerate(row):
-            expected = expected + shift_xy(binomial_expand(n - 2 * k), k) * (-t if k & 1 else t)
+        expected = term_by_term(n, row)
         h, width = lockwood._packed_half(n, row)
-        assert h == sum(c << (j * width) for j, c in enumerate(expected.coeffs[: n // 2 + 1]))
+        assert h == sum(c << (j * width) for j, c in enumerate(expected[: n // 2 + 1]))
         assert (h == 1) == (expected == x_n_plus_y_n(n))
-        assert alignment._row_totals(n, row) == list(expected.coeffs)
-        assert curves._pullback_weights(n, row) == list(expected.coeffs)
+        assert alignment._row_totals(n, row) == list(expected)
+        assert curves._pullback_weights(n, row) == list(expected)
         with mock.patch.object(lockwood, "lucas_row", lambda m: row):
             assert lockwood_rhs(n) == expected
-            assert verify_lockwood(n) == (lockwood_rhs(n) == x_n_plus_y_n(n))
+            residual = tuple(c - e for c, e in zip(expected, x_n_plus_y_n(n)))
+            assert lockwood._residual(n) == residual
+            assert verify_lockwood(n) == (residual == (0,) * (n + 1))
 
     @_any_signed_row
     def test_packed_half_holds_no_slot_above_the_centre(self, case):
@@ -320,7 +311,7 @@ class TestTermCoefficient:
             for k in range(n // 2 + 1):
                 block = aligned_term(n, k)
                 for i in range(n + 1):
-                    assert block.coeffs[i] == binomial(n - 2 * k, i - k)
+                    assert block[i] == binomial(n - 2 * k, i - k)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -9,23 +9,14 @@ counters and nothing else from ``bench/``.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
-_TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from output_digest import load_bench
 
-
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("_bench_tracer", _TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-TARGETS = _load_tracer().TARGETS
-RESULT_COUNTERS = _load_tracer().RESULT_COUNTERS
+_TRACER = load_bench("tracer")
+TARGETS = _TRACER.TARGETS
+RESULT_COUNTERS = _TRACER.RESULT_COUNTERS
 
 
 @pytest.mark.parametrize(
