@@ -1,11 +1,12 @@
 """A before/after record of the benchmark: this checkout against a parent.
 
-    python tests/bench_pair.py --parent REV --label NAME [--pairs N] [--seconds S] [--seed N]
+    python tests/bench_pair.py --parent REV --label NAME [--pairs N]
 
 unpacks revision REV with ``git archive REV | tar -x`` into a temporary
 directory and runs, for each workload that this checkout's
-``BENCHMARK.json`` lists, each tree's own ``bench/run.py --trace 0`` at the
-same seed and run length, in N pairs that alternate which tree runs first.
+``BENCHMARK.json`` lists, each tree's own ``bench/run.py --trace 0`` at
+seed 7 and the run length ``BENCHMARK.json`` sets, in N pairs (4 unless
+given) that alternate which tree runs first.
 Then it runs each tree's ``tests/at_scale.py`` and
 ``tests/output_digest.py .`` once.  It writes ``BENCH_<NAME>.json`` at the
 root of this checkout with:
@@ -37,6 +38,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SEED = 7
 
 
 def git(*args: str) -> str:
@@ -60,10 +62,10 @@ def run(tree: Path, *args: str, timeout: float) -> subprocess.CompletedProcess:
                           text=True, timeout=timeout)
 
 
-def bench(tree: Path, workload: str, args) -> dict:
+def bench(tree: Path, workload: str, seconds: float) -> dict:
     """The last stdout line of one ``bench/run.py`` run, or its failure."""
-    proc = run(tree, "bench/run.py", "--workload", workload, "--seed", str(args.seed),
-               "--seconds", str(args.seconds), "--trace", "0", timeout=args.seconds + 300)
+    proc = run(tree, "bench/run.py", "--workload", workload, "--seed", str(SEED),
+               "--seconds", str(seconds), "--trace", "0", timeout=seconds + 300)
     if proc.returncode:
         return {"correct": False, "error": proc.stderr[-2000:]}
     return json.loads(proc.stdout.splitlines()[-1])
@@ -107,12 +109,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    parser.add_argument("--pairs", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--pairs", type=int, default=4)
     args = parser.parse_args(argv)
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = declared["run_seconds"]
     workloads = [w["name"] for w in declared["workloads"]]
     metrics = [m["name"] for m in declared["end_to_end"]]
     record = {
@@ -123,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "settings": {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs, "trace": 0},
+        "settings": {"seed": SEED, "seconds": seconds, "pairs": args.pairs, "trace": 0},
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as scratch:
@@ -134,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(bench(trees[side], workload, args))
+                    runs[side].append(bench(trees[side], workload, seconds))
                     print(workload, pair, side, runs[side][-1].get("correct"), flush=True)
             record["workloads"][workload] = {
                 "first_in_pair": ["parent" if pair % 2 == 0 else "change" for pair in range(args.pairs)],
