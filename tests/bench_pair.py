@@ -1,12 +1,13 @@
 """A before/after record of the benchmark: this checkout against a parent.
 
-    python tests/bench_pair.py --parent REV --label NAME [--pairs N]
+    python tests/bench_pair.py --parent REV --label NAME
 
 unpacks revision REV with ``git archive REV | tar -x`` into a temporary
 directory and runs, for each workload that this checkout's
 ``BENCHMARK.json`` lists, each tree's own ``bench/run.py --trace 0`` at
-seed 7 and the run length ``BENCHMARK.json`` sets, in N pairs (4 unless
-given) that alternate which tree runs first.
+seed 7 and the run length ``BENCHMARK.json`` sets, in 10 pairs that
+alternate which tree runs first: enough pairs to back a claimed gain.
+A run that exits non-zero or overruns its time is recorded as failed.
 Then it runs each tree's ``tests/at_scale.py`` and
 ``tests/output_digest.py .`` once.  It writes ``BENCH_<NAME>.json`` at the
 root of this checkout with:
@@ -39,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 7
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -56,10 +58,16 @@ def unpack(rev: str, into: Path) -> None:
 
 
 def run(tree: Path, *args: str, timeout: float) -> subprocess.CompletedProcess:
-    """``python ARGS`` in ``tree``, importing that tree's ``src``."""
+    """``python ARGS`` in ``tree``, importing that tree's ``src``.  A run
+    that overruns ``timeout`` is killed and reads as exit -9 with empty
+    stdout and stderr ``timeout``, so it is recorded, not raised."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    return subprocess.run([sys.executable, *args], cwd=tree, env=env, capture_output=True,
-                          text=True, timeout=timeout)
+    command = [sys.executable, *args]
+    try:
+        return subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True,
+                              timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return subprocess.CompletedProcess(command, -9, "", "timeout")
 
 
 def bench(tree: Path, workload: str, seconds: float) -> dict:
@@ -77,9 +85,9 @@ def summary(runs: list[dict], metrics: list[str]) -> dict:
            "metrics": {}}
     for name in metrics:
         values = [r["metrics"][name]["value"] for r in runs if "metrics" in r]
-        if not values:
+        if len(values) < 2:  # no quartiles from fewer than two runs
             continue
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if values[1:] else values * 3
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
         out["metrics"][name] = {"median": statistics.median(values), "min": min(values),
                                 "iqr": q3 - q1, "values": values}
     errors = [r["error"] for r in runs if "error" in r]
@@ -109,7 +117,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    parser.add_argument("--pairs", type=int, default=4)
     args = parser.parse_args(argv)
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -124,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "settings": {"seed": SEED, "seconds": seconds, "pairs": args.pairs, "trace": 0},
+        "settings": {"seed": SEED, "seconds": seconds, "pairs": PAIRS, "trace": 0},
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as scratch:
@@ -132,13 +139,13 @@ def main(argv: list[str] | None = None) -> int:
         unpack(args.parent, trees["parent"])
         for workload in workloads:
             runs = {"parent": [], "change": []}
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
                     runs[side].append(bench(trees[side], workload, seconds))
                     print(workload, pair, side, runs[side][-1].get("correct"), flush=True)
             record["workloads"][workload] = {
-                "first_in_pair": ["parent" if pair % 2 == 0 else "change" for pair in range(args.pairs)],
+                "first_in_pair": ["parent" if pair % 2 == 0 else "change" for pair in range(PAIRS)],
                 **{side: summary(side_runs, metrics) for side, side_runs in runs.items()},
             }
         record["at_scale"] = {side: at_scale(tree) for side, tree in trees.items()}
