@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
 from collections import namedtuple
 from collections.abc import Callable
 
@@ -189,10 +190,15 @@ def map_row_ranges(
     ranges = [(start, min(start + chunk - 1, last)) for start in range(first, last + 1, chunk)]
     # Imported on first use: it loads multiprocessing, sockets and threading,
     # about 1.8 MB of resident memory, that a serial run never needs.
+    import multiprocessing
     from concurrent.futures import process
 
+    # Workers fork on Linux, where Python 3.14 defaults to forkserver, so
+    # they start from the parent's modules as they stand.  Elsewhere the
+    # default holds: Windows has no fork, and it is unsafe on macOS.
+    mp_context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
     with process.ProcessPoolExecutor(
-        workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+        workers, mp_context, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
     ) as pool:
         try:
             return list(pool.map(check, *zip(*ranges)))

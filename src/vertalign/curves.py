@@ -23,14 +23,14 @@ A curve y^2 = f(x) is its right-hand side f.  At each power of x, every
 curve a morphism check reads has an integer times a power of
 w = zeta^i c^{1/g}: the source 1 at x^{2g+1} and w^g = c at x, the
 pullback W_b w^b at x^{2g+1-2b}.  So ``verify_morphism`` holds the
-source, the pullback and the residual as integer weights of w^b,
-b = 0..g, and decides on them; R(g, c) is needed only to check w^g = c,
-by one ring product.  Every curve a command prints is a written value,
-a :class:`RingPolynomial` of coefficient terms with no ring element in
-it: ``build_target`` writes the target from the row of T and the table
-of zeta^{ik} at u^k, ``build_source`` the source, and
-``_morphism_curves`` the pullback and the residual, each r w^b, for
-b < g, from the same table at u^b.  So ``curve`` builds no ring element.
+pullback as its g + 1 integer weights of w^b, b = 0..g, and decides on
+them against the source's [1, 0, ..., 0, 1]; R(g, c) is needed only to
+check w^g = c, by one ring product.  Every curve a command prints is a
+written value, a :class:`RingPolynomial` of coefficient terms with no
+ring element in it, and ``_weight_terms`` alone writes r_b w^b, as
+r_b zeta^{ib} u^b, from weights and the table of zeta^{ik}: the target's
+from the row of T, the pullback's and the residual's below x^1.  So
+``curve`` builds no ring element.
 The pullback's integer stage sums its terms by a product tree at
 w = 2^V, and an honest total is read without unpacking it.  For
 even g the exponent (g+1)/2 in the y-coordinate is a half-integer, so the
@@ -42,10 +42,8 @@ infinity) are claimed.
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 from fractions import Fraction
-from itertools import compress
 
 from .combinatorics import lucas_row
 from .quotient_ring import (
@@ -177,15 +175,30 @@ def _w_power(spec: RingSpec, zeta_table: list[dict[int, int]], k: int) -> Quotie
     return _element(spec, {(a, r): n * v for a, v in zeta_table[k].items()}, c.denominator**q)
 
 
-def _w_terms(r: int, zeta: dict[int, int], u: str) -> list[tuple[int, tuple[str, str]]]:
-    """The terms of r * zeta^{ik} u^k: ``zeta`` is the table's entry k and
-    ``u`` the text of u^k, and each term is (q, (z^a text, u^k text)), in
-    ascending a, as a ``RingPolynomial`` holds them.
+def _weight_terms(
+    weights: tuple[int, ...] | list[int], table: list[dict[int, int]], top: int, alternate: bool
+) -> dict[int, list[tuple[int, tuple[str, str]]]]:
+    """{top - 2b: the terms of s_b r_b zeta^{ib} u^b} for each nonzero weight r_b.
 
-    For k < g this is r * w^k, written exactly as r times the element
-    ``_w_power(spec, table, k)`` is, with no element built.
+    s_b is (-1)^b if ``alternate`` is set, else 1, and zeta^{ib} is the
+    table's entry b.  Each term is (q, (z^a text, u^b text)), in ascending
+    a, as a ``RingPolynomial`` holds them.  For b < g, r_b zeta^{ib} u^b is
+    r_b w^b, written exactly as r_b times the element
+    ``_w_power(spec, table, b)`` is, with no element built.
     """
-    return [(r * v, (_power_text("z", a), u)) for a, v in sorted(zeta.items())]
+    out = {}
+    for b, r in enumerate(weights):
+        if not r:
+            continue
+        r, u, zeta = -r if alternate and b & 1 else r, _power_text("u", b), table[b]
+        if len(zeta) == 1:
+            # Most powers of zeta are one z^a, written here without a sort or a
+            # comprehension: about a fifth of a target's time (timeit, g = 2..80).
+            ((a, v),) = zeta.items()
+            out[top - 2 * b] = [(r * v, (_power_text("z", a), u))]
+        else:
+            out[top - 2 * b] = [(r * v, (_power_text("z", a), u)) for a, v in sorted(zeta.items())]
+    return out
 
 
 def build_target(
@@ -193,31 +206,15 @@ def build_target(
 ) -> RingPolynomial:
     """The target curve y^2 = sum_k (-1)^k T(g, k) w^k x^{g-2k}, written.
 
-    Written straight from the row of T and the table of zeta^{ik}, with no
-    ring element: the coefficient of x^{g-2k} is (-1)^k T(g, k) zeta^{ik}
-    u^k, and for k <= g//2 < g that is zeta^{ik}'s table entry times
-    (-1)^k T(g, k) at u^k, by ``_w_terms``.  An entry of T that is zero,
+    ``_weight_terms`` writes it from the row of T, signing it, and the
+    table of zeta^{ik}, with no ring element; an entry of T that is zero,
     as only a faulted row has, writes no coefficient.  ``zeta_table`` is
-    ``_zeta_table(spec, i, last)`` with last >= g//2, through which alone i
-    is read, and ``lucas`` is ``lucas_row(g)``.  When c = 1 the equation
+    ``_zeta_table(spec, i, last)`` with last >= g//2, through which alone
+    i is read, and ``lucas`` is ``lucas_row(g)``.  When c = 1 the equation
     reads u as 1, which is how these curves are conventionally written;
     other c, and the cells for every c, keep the canonical u-form.
     """
-    g = spec.g
-    terms = {}
-    for k, t in enumerate(lucas):
-        if not t:
-            continue
-        t, u, zeta = -t if k & 1 else t, _power_text("u", k), zeta_table[k]
-        if len(zeta) == 1:
-            # Most powers of zeta are one z^a, whose term is written here
-            # without the sort and the list of _w_terms: about a fifth of
-            # the time to write a target (timeit, g = 2..80).
-            ((a, v),) = zeta.items()
-            terms[g - 2 * k] = [(t * v, (_power_text("z", a), u))]
-        else:
-            terms[g - 2 * k] = _w_terms(t, zeta, u)
-    return RingPolynomial(terms, spec.c == 1)
+    return RingPolynomial(_weight_terms(lucas, zeta_table, spec.g, True), spec.c == 1)
 
 
 def _pullback_weights(g: int, lucas: tuple[int, ...]) -> list[int]:
@@ -314,28 +311,26 @@ def pullback_rhs(
     return _pullback_weights(g, lucas), w_g
 
 
-# A morphism check held on integers.  ``source``, ``pullback`` and
-# ``residual`` are each g + 1 weights: entry b is the integer r_b of the
-# term r_b w^b at x^{2g+1-2b}.  ``w_g`` is w^g from ``pullback_rhs``'s one
-# ring product, ``zeta_table`` the table of zeta^{ik} that the terms are
-# written from, and ``lucas`` the row of T that the target is written from.
-MorphismCheck = namedtuple(
-    "MorphismCheck", ["holds", "source", "pullback", "residual", "w_g", "zeta_table", "lucas"]
-)
+# A morphism check held on integers.  ``pullback`` is g + 1 weights: entry
+# b is the integer r_b of the term r_b w^b at x^{2g+1-2b}.  ``w_g`` is w^g
+# from ``pullback_rhs``'s one ring product, ``zeta_table`` the table of
+# zeta^{ik} that the terms are written from, and ``lucas`` the row of T
+# that the target is written from.
+MorphismCheck = namedtuple("MorphismCheck", ["holds", "pullback", "w_g", "zeta_table", "lucas"])
 
 
 def verify_morphism(spec: RingSpec, i: int) -> MorphismCheck:
     """Expand the pullback of the target and compare with x^{2g+1} + c x.
 
-    The source is the weights [1, 0, ..., 0, 1], the pullback the weights
-    of ``pullback_rhs`` and the residual their difference, as plain ints.
-    The table of zeta^{ik} (to ceil(g/2)) and the row T(g, .) are computed
-    here once; the pullback reads i only through the table, and a bad
-    ``i`` is refused before either is read.  The target is not written:
-    the check never reads its coefficients, and a fault in T still reaches
-    the residual through the pullback.  ``build_target`` writes it from
-    the table and row that the result carries, and ``_morphism_curves``
-    the other three curves.  An honest run makes one ring product,
+    The check holds when the pullback's weights, from ``pullback_rhs``,
+    are the source's [1, 0, ..., 0, 1] and w^g is c.  The table of
+    zeta^{ik} (to ceil(g/2)) and the row T(g, .) are computed here once;
+    the pullback reads i only through the table, and a bad ``i`` is
+    refused before either is read.  The target is not written: the check
+    never reads its coefficients, and a fault in T still reaches the
+    residual through the pullback.  ``build_target`` writes it from the
+    table and row that the result carries, and ``_morphism_curves`` the
+    other three curves.  An honest run makes one ring product,
     w^g = w^ceil(g/2) * w^(g//2), for g >= 2, and none for g = 1, and
     builds no other element than its factors and the c it is compared
     with.
@@ -345,52 +340,45 @@ def verify_morphism(spec: RingSpec, i: int) -> MorphismCheck:
     zeta_table = _zeta_table(spec, i, top)
     lucas = lucas_row(g)
     pullback, w_g = pullback_rhs(spec, zeta_table, lucas)
-    source = [1] + [0] * (g - 1) + [1]
-    residual = list(map(operator.sub, pullback, source))
-    # The residual's coefficient of x^{2g+1-2b} is r_b w^b.  The map
-    # Q[w]/(w^g - c) -> R(g, c), w -> zeta^i u, is an injective ring map:
-    # it sends w^b, for b < g, to zeta^{ib} u^b, a unit times a power of u
-    # that no other b shares.  So r_b w^b, with w^g read as c != 0,
+    # The residual, pullback less source, is r_b w^b at x^{2g+1-2b}.  The
+    # map Q[w]/(w^g - c) -> R(g, c), w -> zeta^i u, is an injective ring
+    # map: it sends w^b, for b < g, to zeta^{ib} u^b, a unit times a power
+    # of u that no other b shares.  So r_b w^b, with w^g read as c != 0,
     # vanishes in R(g, c) exactly when r_b = 0, once the ring's own w^g,
     # the one product, is checked to be c.
-    holds = not any(residual) and w_g == from_rational(spec, spec.c)
+    holds = pullback == [1] + [0] * (g - 1) + [1] and w_g == from_rational(spec, spec.c)
     if any(pullback[top + 1:g]):
         # Only a faulted row reaches w^b past ceil(g/2): run the table on.
         zeta_table = _zeta_table(spec, i, g - 1)
-    return MorphismCheck(holds, source, pullback, residual, w_g, zeta_table, lucas)
+    return MorphismCheck(holds, pullback, w_g, zeta_table, lucas)
 
 
-def _morphism_curves(
-    spec: RingSpec, check: MorphismCheck
-) -> tuple[RingPolynomial, RingPolynomial, RingPolynomial]:
+def _morphism_curves(spec: RingSpec, check: MorphismCheck) -> tuple[RingPolynomial, ...]:
     """The source, pullback and residual of ``check``, written.
 
-    The source is ``build_source``'s.  The pullback's and the residual's
-    r_b w^b at x^{2g+1-2b}, for b < g, are written by ``_w_terms`` from the
-    table's entry at u^b, for each nonzero weight.  A failing check writes
-    their x^1 coefficients from the ring's w^g, as the elements r_g w^g and
-    r_g w^g - c; those are r_g c and (r_g - 1) c unless a fault in w made
-    w^g miss c.  An honest check's pullback is its source and its residual
-    is the zero curve.
+    The source is ``build_source``'s; an honest check's pullback is its
+    source and its residual the zero curve.  A failing check's r_b w^b at
+    x^{2g+1-2b}, for b < g, are written by ``_weight_terms``: the
+    pullback's weights, and the residual's, the same with the source's 1
+    taken off b = 0.  Their x^1 coefficients are written from the ring's
+    w^g, as the elements r_g w^g and r_g w^g - c; those are r_g c and
+    (r_g - 1) c unless a fault in w made w^g miss c.
     """
-    g, c, table = spec.g, spec.c, check.zeta_table
-
-    def written(weights: list[int], linear: list) -> RingPolynomial:
-        terms = {
-            2 * g + 1 - 2 * b: _w_terms(weights[b], table[b], _power_text("u", b))
-            for b in compress(range(g), weights)
-        }
-        if linear:
-            terms[1] = linear
-        return RingPolynomial(terms)
-
+    g, pullback = spec.g, check.pullback
     source = build_source(spec)
     if check.holds:
         # The pullback's weights are the source's and w^g = c: the same terms.
         return source, source, RingPolynomial({})
-    x = check.w_g * from_rational(spec, check.pullback[g])
-    linear = [_entry_terms(y.entries()) for y in (x, x + from_rational(spec, -c))]
-    return source, written(check.pullback, linear[0]), written(check.residual, linear[1])
+    x = check.w_g * from_rational(spec, pullback[g])
+    residual = [pullback[0] - 1, *pullback[1:g]]
+    curves = [source]
+    for weights, y in [(pullback[:g], x), (residual, x + from_rational(spec, -spec.c))]:
+        terms = _weight_terms(weights, check.zeta_table, 2 * g + 1, False)
+        linear = _entry_terms(y.entries())
+        if linear:
+            terms[1] = linear
+        curves.append(RingPolynomial(terms))
+    return tuple(curves)
 
 
 def _zeta_text(exponent: int) -> str:

@@ -47,9 +47,9 @@ class RingSpec:
     ``phi_g`` (the cached ``cyclotomic(g)``), ``deg_z`` = phi(g), the
     z-basis width, and ``phi_low``, the pairs (j, Phi_g[j]) of Phi_g's
     nonzero coefficients below z^phi(g), are derived from g, take no part
-    in equality or hashing, and are stored because every ring product reads
-    them.  Specs compare as the tuple (g, c), which returns early when both
-    hold the same c object.
+    in equality, and are stored because every ring product reads them.
+    Specs compare as the tuple (g, c), which returns early when both hold
+    the same c object.
     """
 
     __slots__ = ("g", "c", "phi_g", "deg_z", "phi_low")
@@ -64,12 +64,6 @@ class RingSpec:
         if not isinstance(other, RingSpec):
             return NotImplemented
         return (self.g, self.c) == (other.g, other.c)
-
-    def __hash__(self) -> int:
-        return hash((self.g, self.c))
-
-    def __repr__(self) -> str:
-        return f"RingSpec(g={self.g}, c={self.c})"
 
 
 def make_ring(g: int, c: Fraction | int) -> RingSpec:
@@ -196,9 +190,6 @@ class QuotientRingElement:
         if not self._terms:
             return "0"
         return _terms_text(_entry_terms(self.entries()))
-
-    def __repr__(self) -> str:
-        return f"QuotientRingElement(g={self.spec.g}, c={self.spec.c}, {self.to_text()})"
 
 
 def _element(

@@ -475,8 +475,8 @@ def reference_target(spec: RingSpec, i: int, row=None) -> RingPolynomial:
     Each coefficient is the product ``zeta_power(spec, i*k) *
     root_power(spec, k)``, scaled by (-1)^k T(g, k), with T from ``row``,
     or from ``lucas_row_alt`` if no row is given.  It shares no code with
-    ``curves._zeta_table``, ``_w_terms`` or ``build_target``: no table of
-    zeta powers and no written terms.
+    ``curves._zeta_table``, ``_weight_terms`` or ``build_target``: no table
+    of zeta powers and no written terms.
     """
     g = spec.g
     return RingPolynomial(spec, {
@@ -511,9 +511,11 @@ def pullback(spec: RingSpec, i: int) -> RingPolynomial:
 
 def lifted(spec: RingSpec, i: int, check) -> tuple[RingPolynomial, RingPolynomial, RingPolynomial]:
     """The source, pullback and residual of ``curves.verify_morphism(spec, i)``
-    as ring polynomials: the source's weights with w^g read as c, the
-    pullback's with the product ``check.w_g``, and their difference."""
-    source = lift(spec, i, check.source, from_rational(spec, spec.c))
+    as ring polynomials: the source's weights [1, 0, ..., 0, 1] with w^g
+    read as c, the pullback's with the product ``check.w_g``, and their
+    difference."""
+    g = spec.g
+    source = lift(spec, i, [1] + [0] * (g - 1) + [1], from_rational(spec, spec.c))
     pulled = lift(spec, i, check.pullback, check.w_g)
     return source, pulled, ring_poly_sub(pulled, source)
 

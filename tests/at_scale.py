@@ -441,8 +441,6 @@ UNREACHED = {
     ("lockwood.BivariatePolynomial.__mul__",
      "return BivariatePolynomial([c * other for c in self.coeffs])"): _TRACER,
     ("quotient_ring.RingSpec.__eq__", "return NotImplemented"): _VALUE,
-    ("quotient_ring.RingSpec.__hash__", "return hash((self.g, self.c))"): _VALUE,
-    ("quotient_ring.RingSpec.__repr__", 'return f"RingSpec(g={self.g}, c={self.c})"'): _VALUE,
     ("quotient_ring.make_ring", 'raise ValueError("make_ring requires c != 0")'): _REFUSAL,
     ("quotient_ring.QuotientRingElement.__eq__", "return NotImplemented"): _VALUE,
     ("quotient_ring.QuotientRingElement.__mul__", "return NotImplemented"): _VALUE,
@@ -450,9 +448,6 @@ UNREACHED = {
     ("quotient_ring.QuotientRingElement.to_text", 'return "0"'): _TRACER,
     ("quotient_ring.QuotientRingElement.to_text",
      "return _terms_text(_entry_terms(self.entries()))"): _TRACER,
-    ("quotient_ring.QuotientRingElement.__repr__",
-     'return f"QuotientRingElement(g={self.spec.g}, c={self.spec.c}, {self.to_text()})"'):
-        _VALUE,
     ("quotient_ring._common_spec", "raise ValueError("): _VALUE,
 }
 

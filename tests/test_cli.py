@@ -6,6 +6,7 @@ import functools
 import io
 import json
 import math
+import multiprocessing
 import os
 import resource
 import signal
@@ -1165,12 +1166,15 @@ class TestRunningOut:
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs tasks inline."""
+    """Stands in for ProcessPoolExecutor: records its size and its start
+    method, runs tasks inline."""
 
     sizes: list[int] = []
+    starts: list[str] = []
 
-    def __init__(self, max_workers, initializer=None, initargs=()):
+    def __init__(self, max_workers, mp_context, initializer=None, initargs=()):
         self.sizes.append(max_workers)
+        self.starts.append(mp_context.get_start_method())
 
     def __enter__(self):
         return self
@@ -1186,10 +1190,17 @@ class TestWorkerCap:
     def test_pool_size_caps_at_tasks_and_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
+        monkeypatch.setattr(_RecordingPool, "starts", [])
         monkeypatch.setattr(process, "ProcessPoolExecutor", _RecordingPool)
+        # A default start method other than fork, as forkserver is on Linux
+        # from Python 3.14: workers still fork there, so they see the
+        # parent's modules as they stand; elsewhere the default holds.
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context", lambda m=None: get_context(m or "spawn"))
         for last, workers in [(100, 10**6), (3, 10**6), (100, 2)]:
             map_row_ranges(lambda start, end: None, 1, last, workers)
         assert _RecordingPool.sizes == [4, 3, 2]
+        assert _RecordingPool.starts == ["fork" if sys.platform == "linux" else "spawn"] * 3
         # Without a CPU count, one worker: the rows are checked in-process.
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert map_row_ranges(lambda start, end: (start, end), 1, 100, 10**6) == [(1, 100)]

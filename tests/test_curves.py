@@ -155,8 +155,8 @@ class TestSparseForm:
         f = built_target(spec, i)
         assert f.equation_text() == folded_equation(reference_target(spec, i))
         assert check.holds and check.w_g == from_rational(spec, c)
-        assert check.pullback == check.source == [1] + [0] * (g - 1) + [1]
-        assert check.residual == [0] * (g + 1)
+        # The pullback's weights are the source's, so the residual's are all zero.
+        assert check.pullback == [1] + [0] * (g - 1) + [1]
         source, pullback, residual = _morphism_curves(spec, check)
         assert residual.terms == {}
         assert sorted(pullback.terms) == sorted(source.terms) == [1, 2 * g + 1]
@@ -621,9 +621,11 @@ class TestVerifyMorphism:
                 delta * (-1) ** k * math.comb(g - 2 * k, b - k)
             )
         assert residual == RingPolynomial(spec, dict(enumerate(expected)))
-        assert check.residual == [
-            delta * (-1) ** k * math.comb(g - 2 * k, b - k) if k <= b <= g - k else 0
-            for b in range(g + 1)
+        # The pullback's weights are the source's plus the residual's.
+        source = [1] + [0] * (g - 1) + [1]
+        assert check.pullback == [
+            s + (delta * (-1) ** k * math.comb(g - 2 * k, b - k) if k <= b <= g - k else 0)
+            for b, s in enumerate(source)
         ]
 
     def test_wrong_w_leaves_only_the_linear_term(self, monkeypatch):
@@ -633,7 +635,7 @@ class TestVerifyMorphism:
         double_w(monkeypatch)
         spec = make_ring(9, Fraction(-7, 11))
         check = verify_morphism(spec, 1)
-        assert check.residual == [0] * 10 and not check.holds
+        assert check.pullback == [1] + [0] * 8 + [1] and not check.holds
         assert check.w_g == from_rational(spec, 2**9 * spec.c)
         residual = lifted(spec, 1, check)[2]
         assert _nonzero_exponents(residual) == [1]
