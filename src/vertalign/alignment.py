@@ -164,6 +164,15 @@ def _row_totals(n: int, row: tuple[int, ...]) -> list[int]:
     return acc
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (``taskset`` or a container's cpuset narrows it), else the
+    machine's count, and at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def map_row_ranges(
     check: Callable[[int, int], object], first: int, last: int, workers: int
 ) -> list:
@@ -171,8 +180,9 @@ def map_row_ranges(
 
     Every process pool in the package is sized and started here, so fewer
     than one worker is refused here, before any row is checked.  Workers
-    are capped by the rows and the CPUs; with one left, this is the single
-    call ``check(first, last)``.  Otherwise the rows are cut into about four
+    are capped by the rows and by the CPUs this process may use
+    (:func:`_usable_cpus`), so a pool never outnumbers the CPUs it runs on;
+    with one left, this is the single call ``check(first, last)``.  Otherwise the rows are cut into about four
     ranges per worker, because later rows cost more and many small ranges
     balance the pool.  Results come back in range order, so merged results
     stay canonical.  A worker that dies, as under an out-of-memory kill,
@@ -183,7 +193,7 @@ def map_row_ranges(
     """
     if workers < 1:
         raise ValueError(f"map_row_ranges requires workers >= 1, got {workers}")
-    workers = min(workers, last - first + 1, os.cpu_count() or 1)
+    workers = min(workers, last - first + 1, _usable_cpus())
     if workers == 1:
         return [check(first, last)]
     chunk = max(1, (last - first + 1) // (4 * workers))

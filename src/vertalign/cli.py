@@ -32,6 +32,16 @@ and its CSV rows are those tuples after g, written by one format string.
 ``main`` may be called any number of times in one process: the parser is
 built on the first call and reused, and each call dispatches to the
 ``_cmd_*`` handler that the module holds at that moment.
+
+Every answer is a fresh process, so this module imports only the layers
+that the Pascal-triangle commands run, ``combinatorics`` and
+``alignment``.  Each other handler imports what it runs when it runs, in
+one statement per layer: ``curve``, ``verify-morphism`` and ``table`` from
+``curves`` and ``quotient_ring``, ``lockwood`` from ``lockwood``.  ``c`` is
+read by a ``Fraction`` imported as it is parsed, and ``json.encoder`` is
+loaded with the first JSON answer.  So ``identity`` never loads the ring,
+the oracle, ``fractions`` or ``json``.  A handler reads each name from its
+defining module at call time, so a patch there reaches it.
 """
 
 from __future__ import annotations
@@ -43,21 +53,9 @@ import os
 import re
 import sys
 from collections import namedtuple
-from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from .alignment import aligned_entries, identity_sum, identity_sweep, map_row_ranges
 from .combinatorics import lucas_row, pascal_halves
-from .curves import (
-    _morphism_curves,
-    _zeta_table,
-    build_target,
-    table_rows,
-    table_text,
-    verify_morphism,
-)
-from .lockwood import BivariatePolynomial, _residual, _verify_range
-from .quotient_ring import make_ring
 
 __all__ = ["main"]
 
@@ -70,7 +68,7 @@ _EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
 _DIGIT_UNDERSCORE = re.compile(r"(?<=\d)_(?=\d)")
 
 
-def _nonzero_rational(text: str) -> Fraction:
+def _nonzero_rational(text: str):
     """``text`` as a nonzero Fraction whose numerator and denominator,
     written out, have no more digits than ``int()`` reads (4,300 if
     unlimited).
@@ -84,6 +82,8 @@ def _nonzero_rational(text: str) -> Fraction:
     Python reads the same literals.  Any other underscore is kept, and
     refused, as in ``1__0``, ``_1`` or ``1_``.
     """
+    from fractions import Fraction
+
     limit = _get_int_digits() or 4300
     try:
         exponent = _EXPONENT.search(text)
@@ -156,9 +156,21 @@ _Records = namedtuple("_Records", ["header", "rows"])
 _PLAIN_INT = {int}
 
 
-def _json(value, indent: str = "\n") -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` writes it; ``indent`` is
-    the newline and spaces that come before its closing bracket.
+@functools.cache
+def _cell_text() -> dict:
+    """What ``_json`` writes for an int and for a str: ``int.__repr__`` and
+    the stdlib encoder's ``encode_basestring_ascii``.
+
+    ``json.encoder`` is loaded here, with the first JSON answer, so a text
+    or CSV answer never loads ``json``.
+    """
+    from json.encoder import encode_basestring_ascii
+
+    return {int: int.__repr__, str: encode_basestring_ascii}
+
+
+def _json(value) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it.
 
     It equals json.dumps because it writes what the stdlib's pure-Python
     encoder writes (``encode_basestring_ascii``, ``int.__repr__``, true,
@@ -167,12 +179,19 @@ def _json(value, indent: str = "\n") -> str:
     None and int subclasses other than bool among them, or a dict key that
     is not a str, raises TypeError: no command writes them.
     """
+    return _write(value, "\n", _cell_text())
+
+
+def _write(value, indent: str, text: dict) -> str:
+    """``value`` as ``_json`` writes it, where ``indent`` is the newline and
+    spaces that come before its closing bracket and ``text`` is
+    ``_cell_text()``."""
     if type(value) is int:
         return int.__repr__(value)
     if type(value) is _Records:
-        return _records(*value, indent)
+        return _records(*value, indent, text)
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return text[str](value)
     if value is True:
         return "true"
     if value is False:
@@ -184,22 +203,17 @@ def _json(value, indent: str = "\n") -> str:
         if set(map(type, value)) == _PLAIN_INT:
             items = map(int.__repr__, value)
         else:
-            items = [_json(item, inner) for item in value]
+            items = [_write(item, inner, text) for item in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
         # encode_basestring_ascii raises TypeError on a key that is not a str.
         items = [
-            encode_basestring_ascii(key) + ": " + _json(item, inner)
-            for key, item in value.items()
+            text[str](key) + ": " + _write(item, inner, text) for key, item in value.items()
         ]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-# Text of a record cell by its exact type: what _json writes for that type.
-_CELL_TEXT = {int: int.__repr__, str: encode_basestring_ascii}
 
 
 @functools.cache
@@ -207,28 +221,28 @@ def _record_template(header: tuple[str, ...], indent: str) -> str:
     """One record of ``header`` as ``json.dumps(indent=2)`` writes it in a
     list closed at ``indent``, with ``%s`` for each value."""
     inner = indent + "  "
-    keys = [encode_basestring_ascii(key).replace("%", "%%") for key in header]
+    keys = [_cell_text()[str](key).replace("%", "%%") for key in header]
     return "{" + ",".join(inner + "  " + key + ": %s" for key in keys) + inner + "}"
 
 
-def _records(header: list[str], rows: list[list], indent: str) -> str:
+def _records(header: list[str], rows: list[list], indent: str, text: dict) -> str:
     """The JSON list of one object per row keyed by the header, closed at
     ``indent``.
 
-    Each column's cells are written by one ``map`` over their type's text
-    and each row fills the header's template by one ``%``, so an int cell
-    reads as ``int.__repr__`` and a str cell as ``encode_basestring_ascii``,
-    as in ``_json``.  A column of any other type, or of more than one,
-    raises TypeError.  ``rows`` is not empty: every tabular command writes
-    at least one row.
+    Each column's cells are written by one ``map`` over their type's
+    ``text`` and each row fills the header's template by one ``%``, so an
+    int cell reads as ``int.__repr__`` and a str cell as
+    ``encode_basestring_ascii``, as in ``_json``.  A column of any other
+    type, or of more than one, raises TypeError.  ``rows`` is not empty:
+    every tabular command writes at least one row.
     """
     columns = []
     for column in zip(*rows):
         kinds = set(map(type, column))
-        if len(kinds) > 1 or not kinds <= _CELL_TEXT.keys():
+        if len(kinds) > 1 or not kinds <= text.keys():
             names = " and ".join(sorted(kind.__name__ for kind in kinds))
             raise TypeError(f"Column of type {names} is not JSON serializable")
-        columns.append(map(_CELL_TEXT[kinds.pop()], column))
+        columns.append(map(text[kinds.pop()], column))
     inner = indent + "  "
     records = map(_record_template(tuple(header), indent).__mod__, zip(*columns))
     return "[" + inner + ("," + inner).join(records) + indent + "]"
@@ -359,6 +373,8 @@ def _cmd_lucas_row(args: argparse.Namespace) -> int:
 
 
 def _cmd_lockwood(args: argparse.Namespace) -> int:
+    from .lockwood import BivariatePolynomial, _residual, _verify_range
+
     if args.n_max < 1:
         raise ValueError(f"lockwood requires n_max >= 1, got {args.n_max}")
     parts = map_row_ranges(_verify_range, 1, args.n_max, args.workers)
@@ -398,6 +414,9 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
+    from .curves import _zeta_table, build_target
+    from .quotient_ring import make_ring
+
     spec = make_ring(args.g, args.c)
     f = build_target(spec, _zeta_table(spec, args.i, spec.g // 2), lucas_row(spec.g))
     if args.format == "text":
@@ -420,6 +439,9 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_morphism(args: argparse.Namespace) -> int:
+    from .curves import _morphism_curves, build_target, verify_morphism
+    from .quotient_ring import make_ring
+
     spec = make_ring(args.g, args.c)
     check = verify_morphism(spec, args.i)
     source, pullback, residual = _morphism_curves(spec, check)
@@ -469,6 +491,8 @@ _TABLE_BLOCK = '{\n      "g": %s,\n      "coefficients": [\n        %s\n      ]\
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from .curves import table_rows, table_text
+
     rows = table_rows(args.g_min, args.g_max)
     if args.format == "text":
         print(table_text(rows))

@@ -42,7 +42,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .combinatorics import lucas_row
-from .quotient_ring import _power_text, _terms_text
 
 __all__ = ["BivariatePolynomial", "lockwood_rhs", "verify_lockwood"]
 
@@ -72,7 +71,13 @@ class BivariatePolynomial:
     __rmul__ = __mul__
 
     def to_text(self) -> str:
-        """Canonical text form: graded-lex order with x > y, leading term first."""
+        """Canonical text form: graded-lex order with x > y, leading term first.
+
+        Only a failing n is written, so the ring's text helpers are loaded
+        here: an honest ``lockwood`` request loads no ring module.
+        """
+        from .quotient_ring import _power_text, _terms_text
+
         n = len(self.coeffs) - 1
         return _terms_text(
             (coeff, (_power_text("x", n - b), _power_text("y", b)))

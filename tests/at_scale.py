@@ -6,11 +6,13 @@ runs the named checks, or all of them (vertalign must be importable, for
 example with ``PYTHONPATH=src``), prints ``NAME ok|FAIL SECONDS`` for each,
 and exits 1 if any failed; an unknown NAME exits 2 and lists the checks.
 A check takes no argument: it runs its CLI requests in this process, so
-their sizes are written here alone.  CI runs each check by name under a
-``timeout``, in one step of ``.github/workflows/tier1.yml``.  Fault checks
-inject T through ``tests/_faults.py``.  ``library-reached`` traces
-``src/vertalign`` line by line under its requests; ``UNREACHED`` lists, by
-category, the statements no command runs.  It needs only the standard
+their sizes are written here alone; only ``route-modules`` starts a fresh
+interpreter per request, to see the modules that request loads.  CI runs
+each check by name under a ``timeout``, in one step of
+``.github/workflows/tier1.yml``.  Fault checks inject T through
+``tests/_faults.py``.  ``library-reached`` traces ``src/vertalign`` line by
+line under its requests; ``UNREACHED`` lists, by category, the statements
+no command runs.  It needs only the standard
 library (faults are patched through ``output_digest._Patcher``), so it runs
 on every interpreter a machine has, with or without pytest.  pytest does
 not collect this script: its name does not match ``test_*.py``.
@@ -23,8 +25,8 @@ import inspect
 import io
 import json
 import math
-import os
 import pkgutil
+import subprocess
 import sys
 import time
 import traceback
@@ -41,7 +43,7 @@ from _faults import (
     lose_last_range,
 )
 from _reference import RingPolynomial, lifted, ring_one, root_power, scaled, zeta_power
-from output_digest import _Patcher, load_bench, requests, run
+from output_digest import COMMANDS, EVERY_COMMAND, _Patcher, load_bench, requests, run
 import vertalign
 from vertalign import alignment, cli, curves, lockwood
 from vertalign.cli import main as cli_main
@@ -365,6 +367,55 @@ def records():
         ], argv
 
 
+# One request in a fresh interpreter: its exit code, then every module it
+# added to those loaded at start-up.  argv[1] is the tree's ``src``.
+_LOADED_BY_REQUEST = (
+    "import contextlib, io, sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+    "from vertalign.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()): code = main(sys.argv[2:])\n"
+    "print(code, *sorted(set(sys.modules) - before))"
+)
+
+_RING = {"vertalign.curves", "vertalign.quotient_ring", "vertalign.cyclotomic"}
+
+# What each command's process must not load.
+_NOT_LOADED = {
+    **dict.fromkeys(["triangle", "aligned", "identity", "sweep", "lucas-row"],
+                    _RING | {"vertalign.lockwood", "fractions"}),
+    # An honest run writes no form, so it never needs the ring's text.
+    "lockwood": _RING,
+    **dict.fromkeys(["curve", "verify-morphism", "table"], {"vertalign.lockwood"}),
+}
+
+
+@check
+def route_modules():
+    """Each request loads only the layers it runs.
+
+    Every request of ``output_digest.EVERY_COMMAND`` runs in every format in
+    a fresh interpreter, and its added modules must hold none of
+    ``_NOT_LOADED``'s for its command: a Pascal-triangle request loads no
+    ring module, no oracle and no ``fractions``, an honest ``lockwood`` no
+    ring module, and a curve request no oracle.  A text or CSV answer loads
+    no ``json``.  All requests hold, so each must exit 0.
+    """
+    src = str(Path(vertalign.__file__).resolve().parents[1])
+    assert set(_NOT_LOADED) == set(COMMANDS), set(_NOT_LOADED) ^ set(COMMANDS)
+    for argv in EVERY_COMMAND:
+        for fmt in ("text", "json", "csv"):
+            request_argv = ["--format", fmt, *argv]
+            result = subprocess.run(
+                [sys.executable, "-c", _LOADED_BY_REQUEST, src, *request_argv],
+                capture_output=True, text=True, timeout=60,
+            )
+            code, *added = result.stdout.split()
+            forbidden = _NOT_LOADED[argv[0]] | ({"json"} if fmt != "json" else set())
+            assert (code, result.stderr) == ("0", ""), (request_argv, code, result.stderr[-500:])
+            assert not forbidden.intersection(added), (
+                request_argv, sorted(forbidden.intersection(added))
+            )
+
+
 # Why a statement of the library runs on no command-line request.
 # Methods that comparisons and messages may call on any value, and the
 # answers to a value of a type, ring or degree that no command passes.
@@ -375,7 +426,8 @@ _EXACTNESS = "exactness guard"
 # Arguments outside a function's domain that no command passes: the CLI
 # refuses them first, or they are answered as the docstring says.
 _REFUSAL = "input refusal"
-# What an interpreter without the int/str digit limit runs.
+# What an interpreter without the int/str digit limit, or a platform that
+# keeps no CPU affinity set, runs.
 _FALLBACK = "interpreter fallback"
 # Exits that only a child process whose reader went away reaches.
 _CHILD = "exit reached only in a child process"
@@ -386,14 +438,15 @@ _TRACER = "tracer-only def"
 # Every statement of a function in ``src/vertalign`` that no request of
 # ``library_reached`` runs, by its def and its first line, stripped.
 UNREACHED = {
+    ("alignment._usable_cpus", "return os.cpu_count() or 1"): _FALLBACK,
     ("alignment.map_row_ranges",
      'raise ValueError(f"map_row_ranges requires workers >= 1, got {workers}")'): _REFUSAL,
     ("cli.<lambda>",
      '_get_int_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)'): _FALLBACK,
     ("cli.<lambda>",
      '_set_int_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)'): _FALLBACK,
-    ("cli._json", 'return "{}"'): _REFUSAL,
-    ("cli._json",
+    ("cli._write", 'return "{}"'): _REFUSAL,
+    ("cli._write",
      'raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")'): _VALUE,
     ("cli._records", 'names = " and ".join(sorted(kind.__name__ for kind in kinds))'): _VALUE,
     ("cli._records", 'raise TypeError(f"Column of type {names} is not JSON serializable")'): _VALUE,
@@ -520,8 +573,8 @@ def library_reached():
     The library keeps only what the command line runs.  ``sys.settrace``
     records every line run in ``src/vertalign`` by the requests of
     ``tests/output_digest.py``, the benchmark's ``sweep`` pass for seed 1,
-    ``sweep`` and ``lockwood`` at two workers (with ``os.cpu_count()`` read
-    as at least 2), the two size refusals of c, and faulted runs through
+    ``sweep`` and ``lockwood`` at two workers (with the usable CPUs read as
+    at least 2), the two size refusals of c, and faulted runs through
     ``tests/_faults.py`` in all three formats: the failing runs of
     ``lockwood``, ``sweep`` and ``verify-morphism``, a lost range, a
     ``curve`` whose T(9, 2) is 0, a ``sweep`` whose chain row has a wrong
@@ -578,9 +631,9 @@ def library_reached():
     def trace_call(frame, event, arg):
         return trace_line if frame.f_code.co_filename in files else None
 
-    cpu_count = os.cpu_count
+    usable_cpus = alignment._usable_cpus
     with _Patcher() as pinned:
-        pinned.setattr(os, "cpu_count", lambda: max(2, cpu_count() or 1))
+        pinned.setattr(alignment, "_usable_cpus", lambda: max(2, usable_cpus()))
         sys.settrace(trace_call)
         try:
             for argv in plain:

@@ -14,14 +14,25 @@ root of this checkout with:
 
 * both revisions (this checkout's HEAD, and whether its tracked files
   differ from HEAD), the Python version and the CPU count;
+* under ``settings``, besides the run's own, whether the interpreter
+  writes no bytecode (``sys.flags.dont_write_bytecode``);
+* per tree, what start-up loads: the ``-X importtime`` cumulative
+  microseconds of each ``vertalign`` module and of ``argparse``,
+  ``fractions`` and ``json`` that ``from vertalign.cli import main`` loads,
+  the median of 5 fresh interpreters, before any benchmark run;
 * per workload and tree, each end-to-end metric's median, minimum and
   interquartile range and its values in run order, and whether
   ``correct`` held on every run;
 * both trees' at-scale verdicts and seconds per check;
 * both trees' ``all`` line of the output digest.
 
+It refuses to run, with exit 2 and the paths named, while this checkout
+holds a ``__pycache__`` under ``src/`` that the freshly unpacked parent
+lacks: cached bytecode spares its tree the compile that the parent pays at
+every start, which once read as a fall in ``setup_s`` of a fifth.
+
 It starts no process pool and sends no request of its own: it runs only
-what the two trees' harnesses run.  It needs only the standard library and
+what the two trees' harnesses run, and the bare import above.  It needs only the standard library and
 git.  pytest does not collect this script: its name does not match
 ``test_*.py``.
 """
@@ -41,6 +52,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 7
 PAIRS = 10
+IMPORT_RUNS = 5
+# Stdlib modules whose import time is recorded beside the package's own.
+IMPORT_NAMES = ("argparse", "fractions", "json")
 
 
 def git(*args: str) -> str:
@@ -68,6 +82,34 @@ def run(tree: Path, *args: str, timeout: float) -> subprocess.CompletedProcess:
                               timeout=timeout)
     except subprocess.TimeoutExpired:
         return subprocess.CompletedProcess(command, -9, "", "timeout")
+
+
+def stray_caches(change: Path, parent: Path) -> list[str]:
+    """Each ``__pycache__`` under ``change/src`` that ``parent`` lacks, as a
+    path relative to ``change``."""
+    return sorted(
+        str(path.relative_to(change)) for path in (change / "src").rglob("__pycache__")
+        if not (parent / path.relative_to(change)).exists()
+    )
+
+
+def import_times(tree: Path) -> dict:
+    """The median over ``IMPORT_RUNS`` fresh interpreters of the cumulative
+    ``-X importtime`` microseconds of each ``vertalign`` module, and of each
+    of ``IMPORT_NAMES``, that ``from vertalign.cli import main`` loads."""
+    runs = {}
+    for _ in range(IMPORT_RUNS):
+        proc = run(tree, "-X", "importtime", "-c", "from vertalign.cli import main", timeout=60)
+        # Each line reads "import time: SELF | CUMULATIVE | NAME", NAME
+        # indented by its depth; the header's fields are words.
+        for line in proc.stderr.splitlines():
+            fields = line.split("|")
+            if len(fields) != 3 or not fields[1].strip().isdigit():
+                continue
+            name = fields[2].strip()
+            if name.partition(".")[0] == "vertalign" or name in IMPORT_NAMES:
+                runs.setdefault(name, []).append(int(fields[1]))
+    return {name: statistics.median(values) for name, values in sorted(runs.items())}
 
 
 def bench(tree: Path, workload: str, seconds: float) -> dict:
@@ -131,12 +173,19 @@ def main(argv: list[str] | None = None) -> int:
         },
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "settings": {"seed": SEED, "seconds": seconds, "pairs": PAIRS, "trace": 0},
+        "settings": {"seed": SEED, "seconds": seconds, "pairs": PAIRS, "trace": 0,
+                     "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)},
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as scratch:
         trees = {"parent": Path(scratch), "change": ROOT}
         unpack(args.parent, trees["parent"])
+        stray = stray_caches(ROOT, trees["parent"])
+        if stray:
+            print("bench_pair: remove the bytecode caches that the parent's fresh tree lacks: "
+                  + " ".join(str(ROOT / path) for path in stray), file=sys.stderr)
+            return 2
+        record["import_us"] = {side: import_times(tree) for side, tree in trees.items()}
         for workload in workloads:
             runs = {"parent": [], "change": []}
             for pair in range(PAIRS):

@@ -274,7 +274,7 @@ def test_packed_sweep_matches_list_reference(monkeypatch, fault, workers):
     fault_sweep(monkeypatch, fault)
     if workers > 1:
         # Make sure a pool really starts, also on a one-CPU machine.
-        monkeypatch.setattr(alignment.os, "cpu_count", lambda: workers)
+        monkeypatch.setattr(alignment, "_usable_cpus", lambda: workers)
     summary = identity_sweep(120, workers=workers)
     checked, failures = reference_sweep(120)
     assert (summary.pairs_checked, summary.failures) == (checked, failures)

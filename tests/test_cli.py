@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 from concurrent.futures import process
 from fractions import Fraction
 from pathlib import Path
@@ -40,7 +41,7 @@ from _reference import (
     zeta_power,
 )
 from output_digest import help_and_usage, load_bench
-from vertalign import curves, lockwood, quotient_ring
+from vertalign import alignment, curves, lockwood, quotient_ring
 from vertalign.alignment import SweepSummary, identity_sum, identity_sweep, map_row_ranges
 from vertalign.quotient_ring import QuotientRingElement, from_rational
 
@@ -96,7 +97,7 @@ def _fail_lockwood(monkeypatch):
     def fails_at_2(n_start, n_end):
         return range(n_start, n_end + 1), [2] if n_start <= 2 <= n_end else []
 
-    monkeypatch.setattr(cli, "_verify_range", fails_at_2)
+    monkeypatch.setattr(lockwood, "_verify_range", fails_at_2)
 
 
 # T(9, 2) + 1 leaves w^2 x^5 (x^2 + w)^5 in the residual: x^5, x^7, ..., x^15.
@@ -190,7 +191,7 @@ class TestExitCodes:
         # With two workers the rows fall into several ranges; the last is
         # lost, so its n are missing from the CSV, not written as holding.
         lose_last_range(monkeypatch)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(alignment, "_usable_cpus", lambda: 2)
         assert cli.main(["--format", "csv", "lockwood", "40", "--workers", "2"]) == 1
         header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
         assert header == ["n", "holds"]
@@ -233,7 +234,7 @@ class TestExitCodes:
         # stage unpacks its total through the carry of negative digits.  The
         # residual is rebuilt from repeated ring products by w = zeta u.
         fault_lucas_row(monkeypatch, curves, (9, 1, 1))
-        spec = cli.make_ring(9, Fraction(-7, 11))
+        spec = quotient_ring.make_ring(9, Fraction(-7, 11))
         w = zeta_power(spec, 1) * root_power(spec, 1)
         residual = RingPolynomial(spec, {
             19 - 2 * b: scaled(ring_power(w, b), -math.comb(7, b - 1)) for b in range(1, 9)
@@ -409,13 +410,14 @@ def _reference_payload(argv: list[str]) -> dict:
     """The ``--format json`` payload of argv, built from the library's results
     with one dict per record, not by ``cli``'s record templates.
 
-    Results are read through the names ``cli`` binds, so a fault patched in
-    there reaches this payload too.
+    Results are read through the names the handlers read, in ``cli`` or in
+    the module a handler imports from, so a fault patched in there reaches
+    this payload too.
     """
     command, *words = [word for word in argv if word != "--"]
     if command in ("curve", "verify-morphism"):
         g, c, i = int(words[0]), Fraction(words[1]), int(words[2])
-        spec = cli.make_ring(g, c)
+        spec = quotient_ring.make_ring(g, c)
         head = {"g": g, "c": str(spec.c), "i": i}
         # The target's equation is the u-folded equation of the reference
         # target, built in R(g, c) from the row of T that the command reads.
@@ -426,7 +428,7 @@ def _reference_payload(argv: list[str]) -> dict:
                 for exp in range(f.degree, -1, -1)
             ]}
         # The weights lifted into R(g, c) and written from their elements.
-        source, pullback, residual = lifted(spec, i, cli.verify_morphism(spec, i))
+        source, pullback, residual = lifted(spec, i, curves.verify_morphism(spec, i))
         # verify_morphism reads T through ``curves``.
         f = reference_target(spec, i, curves.lucas_row(g))
         return {**head, "holds": not residual.coeffs, "source": source.equation_text(),
@@ -457,7 +459,7 @@ def _reference_payload(argv: list[str]) -> dict:
         return {"n": n, "coefficients": list(cli.lucas_row(n))}
     if command == "lockwood":
         (n_max,) = numbers
-        ns, failures = cli._verify_range(1, n_max)
+        ns, failures = lockwood._verify_range(1, n_max)
         return {"n_max": n_max, "checked": len(ns),
                 "all_hold": len(ns) == n_max and not failures, "failures": failures}
     assert command == "table", command
@@ -466,7 +468,7 @@ def _reference_payload(argv: list[str]) -> dict:
             {"k": k, "sign": (-1) ** k, "magnitude": t, "zeta_exp": k, "x_exp": g - 2 * k}
             for k, t in enumerate(row)
         ]}
-        for g, row in cli.table_rows(*numbers)
+        for g, row in curves.table_rows(*numbers)
     ]}
 
 
@@ -756,12 +758,12 @@ class TestCoefficientCells:
         # compared with, and writes its rows from the weights, rendering no
         # element.  The reference reads the target built in R(g, c) and the
         # weights lifted into it, both made before the counting starts.
-        spec = cli.make_ring(30, Fraction(-7, 11))
+        spec = quotient_ring.make_ring(30, Fraction(-7, 11))
         if "curve" in argv:
             written = {"element": reference_target(spec, 1)}
             elements = []
         else:
-            source, pullback, residual = lifted(spec, 1, cli.verify_morphism(spec, 1))
+            source, pullback, residual = lifted(spec, 1, curves.verify_morphism(spec, 1))
             written = {"pullback": pullback, "source": source, "residual": residual}
             w_15 = ring_power(zeta_power(spec, 1) * root_power(spec, 1), 15)
             c = from_rational(spec, spec.c)
@@ -856,7 +858,7 @@ class TestModes:
         if fault:
             fault_lucas_row(monkeypatch, lockwood, (17, 3, 5))
         # Two CPUs as far as the pool cap knows, so a pool of two really starts.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(alignment, "_usable_cpus", lambda: 2)
         serial_code = cli.main(["--format", fmt, "lockwood", "60"])
         serial = capsys.readouterr()
         assert serial_code == (1 if fault else 0)
@@ -905,7 +907,13 @@ class TestNegativeRationalC:
                 return exc.code, capsys.readouterr()
 
         native = curve()
-        monkeypatch.setattr(cli, "Fraction", fraction_without_underscores)
+        # c is read by the Fraction that ``fractions`` holds when it is
+        # parsed.  A stand-in module hands out the one that refuses
+        # underscores, and the real module, whose own code reads Fraction by
+        # name, stays whole.
+        without_underscores = types.ModuleType("fractions")
+        without_underscores.Fraction = fraction_without_underscores
+        monkeypatch.setitem(sys.modules, "fractions", without_underscores)
         assert curve() == native
         assert native[0] == code
 
@@ -954,7 +962,7 @@ def test_workers_accepted_and_ignored_by_other_commands(argv, capsys, monkeypatc
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(process, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(alignment, "_usable_cpus", lambda: 2)
     code = cli.main(argv)
     plain = capsys.readouterr()
     for placed in (["--workers", "2", *argv], [*argv, "--workers", "2"]):
@@ -1017,7 +1025,7 @@ class TestExponentFormC:
     )
     @pytest.mark.parametrize("c", ["1e4300", "-1e4300", "1e-4300"])
     def test_past_the_limit_is_usage(self, c, capsys, monkeypatch):
-        forbid(monkeypatch, f"c = {c} got past the parser", (cli, "make_ring"))
+        forbid(monkeypatch, f"c = {c} got past the parser", (quotient_ring, "make_ring"))
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["curve", "--", "2", c, "0"])
         assert excinfo.value.code == 2
@@ -1141,7 +1149,8 @@ class TestRunningOut:
         # out-of-memory kill would.  The run must end at once with exit 2,
         # read no range as a pass, and leave no worker behind.
         script = (
-            "import os, sys; sys.path[:0] = sys.argv[1:]; os.cpu_count = lambda: 2; "
+            "import sys; sys.path[:0] = sys.argv[1:]; from vertalign import alignment; "
+            "alignment._usable_cpus = lambda: 2; "
             "from _faults import break_worker; from output_digest import _Patcher; "
             "from vertalign.cli import main; break_worker(_Patcher(), 100, kill=True); "
             f"sys.exit(main(['{command}', '200', '--workers', '2']))"
@@ -1188,7 +1197,7 @@ class _RecordingPool:
 
 class TestWorkerCap:
     def test_pool_size_caps_at_tasks_and_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(alignment, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         monkeypatch.setattr(_RecordingPool, "starts", [])
         monkeypatch.setattr(process, "ProcessPoolExecutor", _RecordingPool)
@@ -1201,16 +1210,35 @@ class TestWorkerCap:
             map_row_ranges(lambda start, end: None, 1, last, workers)
         assert _RecordingPool.sizes == [4, 3, 2]
         assert _RecordingPool.starts == ["fork" if sys.platform == "linux" else "spawn"] * 3
-        # Without a CPU count, one worker: the rows are checked in-process.
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        # With one usable CPU, one worker: the rows are checked in-process.
+        monkeypatch.setattr(alignment, "_usable_cpus", lambda: 1)
         assert map_row_ranges(lambda start, end: (start, end), 1, 100, 10**6) == [(1, 100)]
         assert _RecordingPool.sizes == [4, 3, 2]
+
+    def test_cap_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        # One usable CPU of four, as under ``taskset -c 0``: the one serial
+        # call checks the rows, and no pool starts.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        monkeypatch.setattr(process, "ProcessPoolExecutor", _RecordingPool)
+        assert map_row_ranges(lambda start, end: (start, end), 1, 100, 2) == [(1, 100)]
+        assert _RecordingPool.sizes == []
+        # Two usable CPUs of four: a pool of two, however many are asked for.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3})
+        map_row_ranges(lambda start, end: None, 1, 100, 10**6)
+        assert _RecordingPool.sizes == [2]
+        # Without an affinity set, the machine's count; without that, one.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert alignment._usable_cpus() == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert alignment._usable_cpus() == 1
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_refuses_fewer_than_one_worker_before_any_pool(self, monkeypatch, workers):
         # Every pool is sized here, so the refusal is here too, for the
         # sweep and the oracle alike; no range is checked and no pool made.
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(alignment, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         monkeypatch.setattr(process, "ProcessPoolExecutor", _RecordingPool)
         checked = []
@@ -1219,7 +1247,7 @@ class TestWorkerCap:
         assert _RecordingPool.sizes == [] and checked == []
 
     def test_huge_request_starts_capped_pools(self, monkeypatch, capsys):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(alignment, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         monkeypatch.setattr(process, "ProcessPoolExecutor", _RecordingPool)
         assert identity_sweep(30, workers=10**6) == identity_sweep(30)
@@ -1235,7 +1263,7 @@ class TestWorkerCap:
         "first, last, workers", [(2, 299, 2), (1, 150, 2), (2, 1000, 4), (2, 30, 4), (1, 3, 4), (1, 2, 2)]
     )
     def test_row_ranges_cover_first_to_last(self, monkeypatch, first, last, workers):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(alignment, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         monkeypatch.setattr(process, "ProcessPoolExecutor", _RecordingPool)
         ranges = map_row_ranges(lambda start, end: (start, end), first, last, workers)
@@ -1255,7 +1283,7 @@ class TestParserReuse:
         assert cli.main(["identity", "11", "3"]) == 0
         assert capsys.readouterr().out == (GOLDEN / "identity_11_3.txt").read_text()
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(alignment, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         monkeypatch.setattr(process, "ProcessPoolExecutor", _RecordingPool)
         assert cli.main(["sweep", "12", "--workers", "2"]) == 0
