@@ -182,14 +182,15 @@ def map_row_ranges(
     than one worker is refused here, before any row is checked.  Workers
     are capped by the rows and by the CPUs this process may use
     (:func:`_usable_cpus`), so a pool never outnumbers the CPUs it runs on;
-    with one left, this is the single call ``check(first, last)``.  Otherwise the rows are cut into about four
-    ranges per worker, because later rows cost more and many small ranges
-    balance the pool.  Results come back in range order, so merged results
-    stay canonical.  A worker that dies, as under an out-of-memory kill,
-    breaks the pool and raises ChildProcessError: its range is neither
-    waited for nor read as a pass.  The workers ignore SIGINT, so an
-    interrupt breaks only the parent's wait; the workers are then
-    terminated instead of left to finish the ranges already queued.
+    with one left, this is the single call ``check(first, last)``.
+    Otherwise the rows are cut into about four ranges per worker, because
+    later rows cost more and many small ranges balance the pool.  Results
+    come back in range order, so merged results stay canonical.  A worker
+    that dies, as under an out-of-memory kill, breaks the pool and raises
+    ChildProcessError: its range is neither waited for nor read as a pass.
+    The workers ignore SIGINT, so an interrupt breaks only the parent's
+    wait; the workers are then terminated instead of left to finish the
+    ranges already queued.
     """
     if workers < 1:
         raise ValueError(f"map_row_ranges requires workers >= 1, got {workers}")

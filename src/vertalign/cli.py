@@ -36,12 +36,13 @@ built on the first call and reused, and each call dispatches to the
 Every answer is a fresh process, so this module imports only the layers
 that the Pascal-triangle commands run, ``combinatorics`` and
 ``alignment``.  Each other handler imports what it runs when it runs, in
-one statement per layer: ``curve``, ``verify-morphism`` and ``table`` from
-``curves`` and ``quotient_ring``, ``lockwood`` from ``lockwood``.  ``c`` is
-read by a ``Fraction`` imported as it is parsed, and ``json.encoder`` is
-loaded with the first JSON answer.  So ``identity`` never loads the ring,
-the oracle, ``fractions`` or ``json``.  A handler reads each name from its
-defining module at call time, so a patch there reaches it.
+one statement per layer: ``curve`` and ``verify-morphism`` from ``curves``
+and ``quotient_ring``, ``table`` from ``curves``, ``lockwood`` from
+``lockwood``.  ``c`` is read by a ``Fraction`` imported as it is parsed,
+and ``json.encoder`` is loaded with the first JSON answer.  So ``identity``
+never loads the ring, the oracle, ``fractions`` or ``json``.  A handler
+reads each name from its defining module at call time, so a patch there
+reaches it.
 """
 
 from __future__ import annotations
