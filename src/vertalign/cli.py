@@ -35,14 +35,16 @@ built on the first call and reused, and each call dispatches to the
 
 Every answer is a fresh process, so this module imports only the layers
 that the Pascal-triangle commands run, ``combinatorics`` and
-``alignment``.  Each other handler imports what it runs when it runs, in
-one statement per layer: ``curve`` and ``verify-morphism`` from ``curves``
-and ``quotient_ring``, ``table`` from ``curves``, ``lockwood`` from
-``lockwood``.  ``c`` is read by a ``Fraction`` imported as it is parsed,
-and ``json.encoder`` is loaded with the first JSON answer.  So ``identity``
-never loads the ring, the oracle, ``fractions`` or ``json``.  A handler
-reads each name from its defining module at call time, so a patch there
-reaches it.
+``alignment``.  Each other handler imports the modules it runs when it
+runs, in one statement: ``curve`` and ``verify-morphism`` import
+``curves`` and ``quotient_ring``, ``table`` imports ``curves`` and
+``lockwood`` imports ``lockwood``.  ``c`` is read by ``fractions``,
+imported as it is parsed, and ``json.encoder`` is loaded with the first
+JSON answer.  So ``identity`` never loads the ring, the oracle,
+``fractions`` or ``json``.  A handler reads each function off its module
+when it calls it, so a patch there reaches it.  A module, not its names,
+is imported: once the module is loaded, that statement costs less than a
+``from ... import`` of its names on every supported Python.
 """
 
 from __future__ import annotations
@@ -83,14 +85,14 @@ def _nonzero_rational(text: str):
     Python reads the same literals.  Any other underscore is kept, and
     refused, as in ``1__0``, ``_1`` or ``1_``.
     """
-    from fractions import Fraction
+    import fractions
 
     limit = _get_int_digits() or 4300
     try:
         exponent = _EXPONENT.search(text)
         if exponent and abs(int(exponent[1])) > limit + len(text):
             raise ValueError
-        value = Fraction(_DIGIT_UNDERSCORE.sub("", text))
+        value = fractions.Fraction(_DIGIT_UNDERSCORE.sub("", text))
         top = max(abs(value.numerator), value.denominator)
         # 8**limit < 10**limit: only a long value needs the exact test.
         if top.bit_length() > 3 * limit and top >= 10**limit:
@@ -180,23 +182,25 @@ def _json(value) -> str:
     None and int subclasses other than bool among them, or a dict key that
     is not a str, raises TypeError: no command writes them.
     """
-    return _write(value, "\n", _cell_text())
+    return _write(value, "\n", _cell_text()[str])
 
 
-def _write(value, indent: str, text: dict) -> str:
+def _write(value, indent: str, encode) -> str:
     """``value`` as ``_json`` writes it, where ``indent`` is the newline and
-    spaces that come before its closing bracket and ``text`` is
-    ``_cell_text()``."""
+    spaces that come before its closing bracket and ``encode`` is
+    ``encode_basestring_ascii``."""
     if type(value) is int:
         return int.__repr__(value)
     if type(value) is _Records:
-        return _records(*value, indent, text)
+        return _records(*value, indent)
     if isinstance(value, str):
-        return text[str](value)
+        return encode(value)
     if value is True:
         return "true"
     if value is False:
         return "false"
+    # Loops, not comprehensions: before Python 3.12 a comprehension is a
+    # closure, whose cells every call would make, for a leaf too.
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -204,15 +208,17 @@ def _write(value, indent: str, text: dict) -> str:
         if set(map(type, value)) == _PLAIN_INT:
             items = map(int.__repr__, value)
         else:
-            items = [_write(item, inner, text) for item in value]
+            items = []
+            for item in value:
+                items.append(_write(item, inner, encode))
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
-        # encode_basestring_ascii raises TypeError on a key that is not a str.
-        items = [
-            text[str](key) + ": " + _write(item, inner, text) for key, item in value.items()
-        ]
+        items = []
+        for key, item in value.items():
+            # encode_basestring_ascii raises TypeError on a key that is not a str.
+            items.append(encode(key) + ": " + _write(item, inner, encode))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -226,17 +232,18 @@ def _record_template(header: tuple[str, ...], indent: str) -> str:
     return "{" + ",".join(inner + "  " + key + ": %s" for key in keys) + inner + "}"
 
 
-def _records(header: list[str], rows: list[list], indent: str, text: dict) -> str:
+def _records(header: list[str], rows: list[list], indent: str) -> str:
     """The JSON list of one object per row keyed by the header, closed at
     ``indent``.
 
-    Each column's cells are written by one ``map`` over their type's
-    ``text`` and each row fills the header's template by one ``%``, so an
-    int cell reads as ``int.__repr__`` and a str cell as
-    ``encode_basestring_ascii``, as in ``_json``.  A column of any other
-    type, or of more than one, raises TypeError.  ``rows`` is not empty:
-    every tabular command writes at least one row.
+    Each column's cells are written by one ``map`` over their type's text
+    and each row fills the header's template by one ``%``, so an int cell
+    reads as ``int.__repr__`` and a str cell as ``encode_basestring_ascii``,
+    as in ``_json``.  A column of any other type, or of more than one,
+    raises TypeError.  ``rows`` is not empty: every tabular command writes
+    at least one row.
     """
+    text = _cell_text()
     columns = []
     for column in zip(*rows):
         kinds = set(map(type, column))
@@ -374,11 +381,11 @@ def _cmd_lucas_row(args: argparse.Namespace) -> int:
 
 
 def _cmd_lockwood(args: argparse.Namespace) -> int:
-    from .lockwood import BivariatePolynomial, _residual, _verify_range
+    from . import lockwood
 
     if args.n_max < 1:
         raise ValueError(f"lockwood requires n_max >= 1, got {args.n_max}")
-    parts = map_row_ranges(_verify_range, 1, args.n_max, args.workers)
+    parts = map_row_ranges(lockwood._verify_range, 1, args.n_max, args.workers)
     # All hold only if every n was checked: a range that never reported
     # leaves the count short, and then the run is not a pass.
     checked = sum(len(ns) for ns, _ in parts)
@@ -400,7 +407,8 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
         if failures:
             print(f"x^n + y^n expansion identity fails for n in {failures}")
             for n in failures:
-                print(f"residual for n={n}: {BivariatePolynomial(_residual(n)).to_text()}")
+                form = lockwood.BivariatePolynomial(lockwood._residual(n))
+                print(f"residual for n={n}: {form.to_text()}")
         elif all_hold:
             print(
                 f"x^n + y^n expansion identity for n = 1..{args.n_max}: "
@@ -415,11 +423,11 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    from .curves import _zeta_table, build_target
-    from .quotient_ring import make_ring
+    from . import curves, quotient_ring
 
-    spec = make_ring(args.g, args.c)
-    f = build_target(spec, _zeta_table(spec, args.i, spec.g // 2), lucas_row(spec.g))
+    spec = quotient_ring.make_ring(args.g, args.c)
+    table = curves._zeta_table(spec, args.i, spec.g // 2)
+    f = curves.build_target(spec, table, lucas_row(spec.g))
     if args.format == "text":
         print(f"C_{args.i} over R(g={args.g}, c={args.c}): {f.equation_text()}")
         return 0
@@ -440,12 +448,11 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_morphism(args: argparse.Namespace) -> int:
-    from .curves import _morphism_curves, build_target, verify_morphism
-    from .quotient_ring import make_ring
+    from . import curves, quotient_ring
 
-    spec = make_ring(args.g, args.c)
-    check = verify_morphism(spec, args.i)
-    source, pullback, residual = _morphism_curves(spec, check)
+    spec = quotient_ring.make_ring(args.g, args.c)
+    check = curves.verify_morphism(spec, args.i)
+    source, pullback, residual = curves._morphism_curves(spec, check)
     if args.format == "csv":
         # The CSV holds no equation, so the target is not written.  Every
         # row is zero but those of the exponents a curve holds.
@@ -456,7 +463,7 @@ def _cmd_verify_morphism(args: argparse.Namespace) -> int:
             rows[top - exp] = (exp, *(f.get(exp, "0") for f in cells))
         print(_emit_csv(["x_exp", "pullback", "source", "residual"], rows))
         return 0 if check.holds else 1
-    target = build_target(spec, check.zeta_table, check.lucas).equation_text()
+    target = curves.build_target(spec, check.zeta_table, check.lucas).equation_text()
     source, pullback, residual = source.equation_text(), pullback.to_text(), residual.to_text()
     if args.format == "json":
         print(_json({
@@ -492,11 +499,11 @@ _TABLE_BLOCK = '{\n      "g": %s,\n      "coefficients": [\n        %s\n      ]\
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    from .curves import table_rows, table_text
+    from . import curves
 
-    rows = table_rows(args.g_min, args.g_max)
+    rows = curves.table_rows(args.g_min, args.g_max)
     if args.format == "text":
-        print(table_text(rows))
+        print(curves.table_text(rows))
         return 0
     header = ("k", "sign", "magnitude", "zeta_exp", "x_exp")
     if args.format == "json":
