@@ -27,7 +27,6 @@ processes and always merges results in canonical (n ascending) order.
 from __future__ import annotations
 
 import os
-import signal
 import sys
 from collections import namedtuple
 from collections.abc import Callable
@@ -200,8 +199,10 @@ def map_row_ranges(
     chunk = max(1, (last - first + 1) // (4 * workers))
     ranges = [(start, min(start + chunk - 1, last)) for start in range(first, last + 1, chunk)]
     # Imported on first use: it loads multiprocessing, sockets and threading,
-    # about 1.8 MB of resident memory, that a serial run never needs.
+    # about 1.8 MB of resident memory, that a serial run never needs; signal
+    # only sets the workers' SIGINT.
     import multiprocessing
+    import signal
     from concurrent.futures import process
 
     # Workers fork on Linux, where Python 3.14 defaults to forkserver, so

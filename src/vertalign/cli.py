@@ -36,15 +36,16 @@ built on the first call and reused, and each call dispatches to the
 Every answer is a fresh process, so this module imports only the layers
 that the Pascal-triangle commands run, ``combinatorics`` and
 ``alignment``.  Each other handler imports the modules it runs when it
-runs, in one statement: ``curve`` and ``verify-morphism`` import
+runs, one statement per module: ``curve`` and ``verify-morphism`` import
 ``curves`` and ``quotient_ring``, ``table`` imports ``curves`` and
 ``lockwood`` imports ``lockwood``.  ``c`` is read by ``fractions``,
 imported as it is parsed, and ``json.encoder`` is loaded with the first
 JSON answer.  So ``identity`` never loads the ring, the oracle,
 ``fractions`` or ``json``.  A handler reads each function off its module
-when it calls it, so a patch there reaches it.  A module, not its names,
-is imported: once the module is loaded, that statement costs less than a
-``from ... import`` of its names on every supported Python.
+when it calls it, so a patch there reaches it.  Each is a plain absolute
+``import`` of a module: once the module is loaded, that runs in C alone,
+where a ``from`` import of names, or a relative one, also runs Python code
+of ``importlib`` on every call.
 """
 
 from __future__ import annotations
@@ -381,7 +382,7 @@ def _cmd_lucas_row(args: argparse.Namespace) -> int:
 
 
 def _cmd_lockwood(args: argparse.Namespace) -> int:
-    from . import lockwood
+    import vertalign.lockwood as lockwood
 
     if args.n_max < 1:
         raise ValueError(f"lockwood requires n_max >= 1, got {args.n_max}")
@@ -423,7 +424,8 @@ def _cmd_lockwood(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    from . import curves, quotient_ring
+    import vertalign.curves as curves
+    import vertalign.quotient_ring as quotient_ring
 
     spec = quotient_ring.make_ring(args.g, args.c)
     table = curves._zeta_table(spec, args.i, spec.g // 2)
@@ -448,7 +450,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_morphism(args: argparse.Namespace) -> int:
-    from . import curves, quotient_ring
+    import vertalign.curves as curves
+    import vertalign.quotient_ring as quotient_ring
 
     spec = quotient_ring.make_ring(args.g, args.c)
     check = curves.verify_morphism(spec, args.i)
@@ -499,7 +502,7 @@ _TABLE_BLOCK = '{\n      "g": %s,\n      "coefficients": [\n        %s\n      ]\
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    from . import curves
+    import vertalign.curves as curves
 
     rows = curves.table_rows(args.g_min, args.g_max)
     if args.format == "text":
