@@ -212,8 +212,13 @@ def map_row_ranges(
     with process.ProcessPoolExecutor(
         workers, mp_context, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
     ) as pool:
+        # Submitted and waited for one by one, not by ``pool.map``: an
+        # interrupted map cancels the queued ranges, and before Python 3.12
+        # the pool's manager thread then fails on those cancelled futures
+        # with a traceback as the terminated workers break the pool.
+        futures = [pool.submit(check, start, end) for start, end in ranges]
         try:
-            return list(pool.map(check, *zip(*ranges)))
+            return [future.result() for future in futures]
         except process.BrokenProcessPool:
             # The pool has already terminated the other workers.
             raise ChildProcessError("a worker process died before its rows were checked") from None
